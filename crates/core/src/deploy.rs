@@ -30,7 +30,7 @@
 //!   each input activation to the outputs it feeds, the access order
 //!   sparse undo-logging assumes.
 
-use dnn::quant::{QLayer, QModel};
+use dnn::quant::{QCsr, QLayer, QModel};
 use fxp::Q15;
 use mcu::{AllocError, Device, FramBuf, FramWord, Phase, RegionId};
 
@@ -196,6 +196,33 @@ fn shape3(shape: &[usize]) -> [u32; 3] {
     }
 }
 
+/// Lowers a row-major CSR FC (`out_n × in_n`) to the flashed column-major
+/// words: `col_ptr` (`in_n + 1` prefix offsets) and 2 words per nonzero
+/// (output row, value). A counting-sort transpose: count per column,
+/// prefix-sum, then scatter in row order, so each column's entries stay
+/// sorted by output row.
+fn csr_to_csc(s: &QCsr, out_n: usize, in_n: usize) -> (Vec<Q15>, Vec<Q15>) {
+    let nz = s.row_ptr[0] as usize..s.row_ptr[out_n] as usize;
+    let mut next = vec![0usize; in_n + 1];
+    for &c in &s.col[nz] {
+        next[c as usize + 1] += 1;
+    }
+    for c in 0..in_n {
+        next[c + 1] += next[c];
+    }
+    let ptr_words: Vec<Q15> = next.iter().map(|&p| Q15::from_raw(p as i16)).collect();
+    let mut ent_words = vec![Q15::from_raw(0); 2 * next[in_n]];
+    for o in 0..out_n {
+        for i in s.row_ptr[o] as usize..s.row_ptr[o + 1] as usize {
+            let slot = &mut next[s.col[i] as usize];
+            ent_words[2 * *slot] = Q15::from_raw(o as i16);
+            ent_words[2 * *slot + 1] = s.val[i];
+            *slot += 1;
+        }
+    }
+    (ptr_words, ent_words)
+}
+
 /// Deploys a quantized model, flashing weights and allocating buffers.
 ///
 /// # Errors
@@ -327,27 +354,9 @@ pub fn deploy(dev: &mut Device, qm: &QModel) -> Result<DeployedModel, AllocError
                         // Column-major scatter lists (for sparse
                         // undo-logging) from the row-major CSR.
                         let (out_n, in_n) = (d.dims[0], d.dims[1]);
-                        let mut cols: Vec<Vec<(u16, Q15)>> = vec![Vec::new(); in_n];
-                        for o in 0..out_n {
-                            for i in s.row_ptr[o] as usize..s.row_ptr[o + 1] as usize {
-                                cols[s.col[i] as usize].push((o as u16, s.val[i]));
-                            }
-                        }
+                        let (ptr_words, ent_words) = csr_to_csc(s, out_n, in_n);
                         let col_ptr = dev.fram_alloc(in_n as u32 + 1)?;
-                        let total: usize = cols.iter().map(Vec::len).sum();
-                        let entries = dev.fram_alloc(2 * total as u32)?;
-                        let mut ptr_words = Vec::with_capacity(in_n + 1);
-                        let mut ent_words = Vec::with_capacity(2 * total);
-                        let mut n = 0u16;
-                        ptr_words.push(Q15::from_raw(0));
-                        for col in &cols {
-                            for &(o, w) in col {
-                                ent_words.push(Q15::from_raw(o as i16));
-                                ent_words.push(w);
-                                n += 1;
-                            }
-                            ptr_words.push(Q15::from_raw(n as i16));
-                        }
+                        let entries = dev.fram_alloc(ent_words.len() as u32)?;
                         dev.flash(col_ptr, &ptr_words);
                         dev.flash(entries, &ent_words);
 
@@ -355,15 +364,12 @@ pub fn deploy(dev: &mut Device, qm: &QModel) -> Result<DeployedModel, AllocError
                         // implementations).
                         let row_ptr = dev.fram_alloc(out_n as u32 + 1)?;
                         let row_entries = dev.fram_alloc(2 * s.val.len() as u32)?;
-                        let mut rp_words = Vec::with_capacity(out_n + 1);
+                        let rp_words: Vec<Q15> =
+                            s.row_ptr.iter().map(|&p| Q15::from_raw(p as i16)).collect();
                         let mut re_words = Vec::with_capacity(2 * s.val.len());
-                        for (i, &p) in s.row_ptr.iter().enumerate() {
-                            let _ = i;
-                            rp_words.push(Q15::from_raw(p as i16));
-                        }
-                        for i in 0..s.val.len() {
-                            re_words.push(Q15::from_raw(s.col[i] as i16));
-                            re_words.push(s.val[i]);
+                        for (&c, &v) in s.col.iter().zip(&s.val) {
+                            re_words.push(Q15::from_raw(c as i16));
+                            re_words.push(v);
                         }
                         dev.flash(row_ptr, &rp_words);
                         dev.flash(row_entries, &re_words);
@@ -473,4 +479,89 @@ pub fn kernel_ctx(dev: &mut Device, region: RegionId) {
 /// Switches accounting to the control phase of a region.
 pub fn control_ctx(dev: &mut Device, region: RegionId) {
     dev.set_context(region, Phase::Control);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dnn::quant::QDense;
+    use mcu::{DeviceSpec, PowerSystem};
+
+    /// The per-column bucket transpose the counting sort replaced: the
+    /// reference for the flashed column-major words.
+    fn naive_csc(s: &QCsr, out_n: usize, in_n: usize) -> (Vec<i16>, Vec<i16>) {
+        let mut cols: Vec<Vec<(usize, Q15)>> = vec![Vec::new(); in_n];
+        for o in 0..out_n {
+            for i in s.row_ptr[o] as usize..s.row_ptr[o + 1] as usize {
+                cols[s.col[i] as usize].push((o, s.val[i]));
+            }
+        }
+        let (mut ptr, mut ent) = (vec![0i16], Vec::new());
+        for col in &cols {
+            for &(o, w) in col {
+                ent.extend([o as i16, w.raw()]);
+            }
+            ptr.push((ent.len() / 2) as i16);
+        }
+        (ptr, ent)
+    }
+
+    #[test]
+    fn sparse_fc_lowering_matches_the_naive_transpose_word_for_word() {
+        // 5 outputs × 7 inputs: columns 0 (first), 3 (middle) and 6
+        // (last) are empty, column 4 is full, the rest are scattered.
+        let (out_n, in_n) = (5usize, 7usize);
+        let mut weights = vec![Q15::from_raw(0); out_n * in_n];
+        for o in 0..out_n {
+            for i in 0..in_n {
+                let keep = i == 4 || (matches!(i, 1 | 2 | 5) && (o + i) % 2 == 0);
+                if keep {
+                    weights[o * in_n + i] = Q15::from_raw((100 * o + i + 1) as i16);
+                }
+            }
+        }
+        let mut csr = QCsr {
+            row_ptr: vec![0],
+            col: Vec::new(),
+            val: Vec::new(),
+        };
+        for o in 0..out_n {
+            for i in 0..in_n {
+                let w = weights[o * in_n + i];
+                if w.raw() != 0 {
+                    csr.col.push(i as u32);
+                    csr.val.push(w);
+                }
+            }
+            csr.row_ptr.push(csr.col.len() as u32);
+        }
+        let qm = QModel {
+            input_shape: vec![in_n],
+            layers: vec![QLayer::Dense(QDense {
+                dims: [out_n, in_n],
+                weights,
+                bias: vec![Q15::from_raw(0); out_n],
+                shift: 0,
+                sparse: Some(csr.clone()),
+            })],
+        };
+        let mut dev = Device::new(DeviceSpec::msp430fr5994(), PowerSystem::continuous());
+        let dm = deploy(&mut dev, &qm).unwrap();
+        let DeployedKind::Dense {
+            sparse: Some((col_ptr, entries)),
+            ..
+        } = dm.layers[0].kind
+        else {
+            panic!("the FC must deploy sparse");
+        };
+        let raw = |b: FramBuf| dev.peek(b).iter().map(|q| q.raw()).collect::<Vec<_>>();
+        let (ptr, ent) = naive_csc(&csr, out_n, in_n);
+        assert_eq!(raw(col_ptr), ptr, "col_ptr words");
+        assert_eq!(raw(entries), ent, "entry words");
+        // The edge cases the fixture exists for.
+        assert_eq!(ptr[0], ptr[1], "empty first column");
+        assert_eq!(ptr[3], ptr[4], "empty middle column");
+        assert_eq!(ptr[6], ptr[7], "empty last column");
+        assert_eq!(ptr[5] - ptr[4], out_n as i16, "full column");
+    }
 }

@@ -22,14 +22,14 @@
 //!
 //! # Determinism and the shard purity rule
 //!
-//! Shards are fanned across threads with the same `std::thread::scope`
-//! work-queue + indexed-collect pattern as `genesis`'s parallel sweep
-//! (one `Device` per in-flight shard, results sorted back into
-//! submission order). Every shard is a pure function of
-//! `(job, cell, shard span)` — a fresh replica never observes another
-//! shard's buffer charge, harvest clock, or FRAM — so fleet results are
-//! bit-identical with the `parallel` feature on or off, across repeated
-//! runs, and across kill/resume boundaries (the experiment service in
+//! Shards are fanned across threads by [`par_map`], a
+//! `std::thread::scope` work queue with an indexed collect (one `Device`
+//! per in-flight shard, results sorted back into submission order).
+//! Every shard is a pure function of `(job, cell, shard span)` — a
+//! fresh replica never observes another shard's buffer charge, harvest
+//! clock, or FRAM — so fleet results are bit-identical with the
+//! `parallel` feature on or off, across repeated runs, and across
+//! kill/resume boundaries (the experiment service in
 //! [`crate::experiment`] leans on this), which the test suite pins via
 //! [`fleet_digest`]. Note the replica count itself is *job semantics*,
 //! not a parallelism knob: device state legitimately carries across runs
@@ -660,10 +660,20 @@ pub fn run_fleet_serial(job: &FleetJob<'_>) -> Vec<FleetCell> {
     assemble_cells(job, &plan, results)
 }
 
-/// Ordered parallel map over fleet shards (the `genesis::parallel`
-/// work-queue pattern: LIFO execution, indexed collect).
+/// Maps `f` over `items` on up to `available_parallelism` threads,
+/// returning results in submission order.
+///
+/// The one ordered fan-out of the workspace: fleet shards, experiment
+/// shards, the `spec` sweeps' schedules and flips, and GENESIS's plan
+/// evaluations all go through it. `rayon` is unavailable offline (see
+/// `vendor/README.md`), so this is a small `std::thread::scope` work
+/// queue: each worker pops the next indexed item (LIFO; execution order
+/// is irrelevant), and results are sorted back into submission order —
+/// the "indexed collect" that makes every caller's output independent of
+/// the thread count. With the `parallel` feature disabled the same entry
+/// point maps serially, so feature on/off produce identical results.
 #[cfg(feature = "parallel")]
-pub(crate) fn par_map<T, U, F>(items: Vec<T>, f: &F) -> Vec<U>
+pub fn par_map<T, U, F>(items: Vec<T>, f: &F) -> Vec<U>
 where
     T: Send,
     U: Send,
@@ -698,7 +708,7 @@ where
 
 /// Serial fallback with the identical signature and result order.
 #[cfg(not(feature = "parallel"))]
-pub(crate) fn par_map<T, U, F>(items: Vec<T>, f: &F) -> Vec<U>
+pub fn par_map<T, U, F>(items: Vec<T>, f: &F) -> Vec<U>
 where
     T: Send,
     U: Send,
@@ -735,6 +745,19 @@ mod tests {
             replicas: 1,
             faults: None,
         }
+    }
+
+    #[test]
+    fn par_map_preserves_order() {
+        let items: Vec<u64> = (0..100).collect();
+        let out = par_map(items, &|x| x * x);
+        assert_eq!(out, (0..100).map(|x| x * x).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn par_map_handles_empty_and_single() {
+        assert_eq!(par_map(Vec::<u32>::new(), &|x| x), Vec::<u32>::new());
+        assert_eq!(par_map(vec![7u32], &|x| x + 1), vec![8]);
     }
 
     #[test]

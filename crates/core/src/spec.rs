@@ -36,6 +36,7 @@
 
 use crate::deploy::{deploy, DeployedKind, DeployedLayer, DeployedModel, IoBuf, UNDO_EMPTY};
 use crate::exec::Backend;
+use crate::fleet::par_map;
 use crate::tails::{CALIB_INITIAL, CALIB_MIN};
 use crate::{baseline, sonic, tails, tiled};
 use dnn::quant::QModel;
@@ -693,6 +694,21 @@ fn region_name(dev: &Device, region: RegionId) -> String {
 // The differential fault-injection harness.
 // ---------------------------------------------------------------------
 
+/// A freshly deployed device on continuous power with `input` loaded:
+/// the state every harness run starts from. The sweeps build it once
+/// and clone it per schedule or flip — a clone is bit-identical to
+/// a redeploy at a fraction of the host cost.
+///
+/// # Panics
+///
+/// Panics if the model does not fit in FRAM.
+fn template(qm: &QModel, input: &[Q15], spec: &DeviceSpec) -> (Device, DeployedModel) {
+    let mut dev = Device::new(spec.clone(), PowerSystem::continuous());
+    let dm = deploy(&mut dev, qm).expect("model must fit in FRAM");
+    dm.load_input(&mut dev, input);
+    (dev, dm)
+}
+
 /// Runs the fault-free reference on continuous power: returns the
 /// completed output and the number of charged ops the inference took
 /// (the boundary space an exhaustive sweep enumerates).
@@ -708,11 +724,15 @@ pub fn fault_free_reference(
     spec: &DeviceSpec,
     backend: &Backend,
 ) -> (Vec<Q15>, u64) {
-    let mut dev = Device::new(spec.clone(), PowerSystem::continuous());
-    let dm = deploy(&mut dev, qm).expect("model must fit in FRAM");
-    dm.load_input(&mut dev, input);
+    let (dev, dm) = template(qm, input, spec);
+    reference_on(dev, &dm, backend)
+}
+
+/// [`fault_free_reference`] on a device already holding the deployment
+/// `dm` and its input.
+fn reference_on(mut dev: Device, dm: &DeployedModel, backend: &Backend) -> (Vec<Q15>, u64) {
     let base = dev.ops_consumed();
-    let out = crate::exec::run_deployed(&mut dev, &dm, backend);
+    let out = crate::exec::run_deployed(&mut dev, dm, backend);
     assert!(
         out.completed,
         "fault-free reference must complete: {:?}",
@@ -733,11 +753,21 @@ pub fn check_schedule(
     targets: &[u64],
     expected: &[Q15],
 ) -> ScheduleOutcome {
+    let (dev, dm) = template(qm, input, spec);
+    check_schedule_on(dev, &dm, backend, targets, expected)
+}
+
+/// [`check_schedule`] on a device already holding the deployment `dm`
+/// and its input (a fresh [`template`] or a clone of one).
+fn check_schedule_on(
+    mut dev: Device,
+    dm: &DeployedModel,
+    backend: &Backend,
+    targets: &[u64],
+    expected: &[Q15],
+) -> ScheduleOutcome {
     let style = StateStyle::of(backend);
     let label = backend.label();
-    let mut dev = Device::new(spec.clone(), PowerSystem::continuous());
-    let dm = deploy(&mut dev, qm).expect("model must fit in FRAM");
-    dm.load_input(&mut dev, input);
     let base = dev.ops_consumed();
     dev.arm_faults(&FaultPlan::at_each(targets.iter().map(|t| base + t)));
 
@@ -763,7 +793,7 @@ pub fn check_schedule(
     let result: Result<RunStats, _> = match backend {
         Backend::Tiled(n) => {
             let mut rt = AlpacaRt::new(&mut dev).expect("FRAM for commit flag");
-            let mut g = tiled::build(&dm, *n);
+            let mut g = tiled::build(dm, *n);
             let r = run_observed(
                 &mut g,
                 &mut rt,
@@ -772,7 +802,7 @@ pub fn check_schedule(
                 &SchedulerConfig::task_based(),
                 |dev, rt: &AlpacaRt, ev: FailureEvent| {
                     crashes += 1;
-                    if let Err((region, d)) = abs_model_styled(dev, &dm, style) {
+                    if let Err((region, d)) = abs_model_styled(dev, dm, style) {
                         violations.push(crash_violation(dev, d, Some(region)));
                     }
                     match abs_commit(dev, rt) {
@@ -805,20 +835,20 @@ pub fn check_schedule(
         }
         _ => {
             let mut g = match backend {
-                Backend::Baseline => baseline::build(&dm),
-                Backend::Sonic => sonic::build(&dm),
+                Backend::Baseline => baseline::build(dm),
+                Backend::Sonic => sonic::build(dm),
                 Backend::SonicNoUndo => sonic::build_opts(
-                    &dm,
+                    dm,
                     sonic::SonicOptions {
                         sparse_undo_logging: false,
                     },
                 ),
-                Backend::Tails(cfg) => tails::build(&dm, *cfg, &mut dev),
+                Backend::Tails(cfg) => tails::build(dm, *cfg, &mut dev),
                 Backend::Stateful => {
                     // Host-side, free: the armed fault op-indices are
                     // unaffected, matching `run_deployed`'s sequencing.
-                    crate::stateful::prepare_run(&mut dev, &dm);
-                    crate::stateful::build(&dm)
+                    crate::stateful::prepare_run(&mut dev, dm);
+                    crate::stateful::build(dm)
                 }
                 Backend::Tiled(_) => unreachable!("handled above"),
             };
@@ -829,7 +859,7 @@ pub fn check_schedule(
             };
             run_observed(&mut g, &mut (), &mut dev, 0, &cfg, |dev, _, _| {
                 crashes += 1;
-                if let Err((region, d)) = abs_model_styled(dev, &dm, style) {
+                if let Err((region, d)) = abs_model_styled(dev, dm, style) {
                     violations.push(crash_violation(dev, d, Some(region)));
                 }
             })
@@ -846,7 +876,7 @@ pub fn check_schedule(
                 crashes += 1;
             }
             let out = match backend {
-                Backend::Stateful => crate::stateful::cleared_output(&dev, &dm),
+                Backend::Stateful => crate::stateful::cleared_output(&dev, dm),
                 _ => dm.read_output(&dev),
             };
             if out != expected {
@@ -871,7 +901,7 @@ pub fn check_schedule(
             None,
         )),
     }
-    if let Err((region, d)) = abs_model_styled(&dev, &dm, style) {
+    if let Err((region, d)) = abs_model_styled(&dev, dm, style) {
         violations.push(crash_violation(
             &dev,
             format!("final state: {d}"),
@@ -909,6 +939,11 @@ pub fn check_exhaustive(
 /// where full enumeration is a bench-scale job, with `offset` varied
 /// across runs so repeated sweeps cover different residues.
 ///
+/// The model is deployed once; every boundary runs on a clone of that
+/// template, and boundaries fan out over [`par_map`], whose indexed
+/// collect keeps the report identical to a serial loop over
+/// [`check_schedule`] at any thread count.
+///
 /// # Panics
 ///
 /// Panics if `stride` is zero.
@@ -921,20 +956,23 @@ pub fn check_strided(
     offset: u64,
 ) -> CrashSpecReport {
     assert!(stride > 0, "stride must be positive");
-    let (expected, ops) = fault_free_reference(qm, input, spec, backend);
+    let (tmpl, dm) = template(qm, input, spec);
+    let (expected, ops) = reference_on(tmpl.clone(), &dm, backend);
+    let targets: Vec<u64> = std::iter::successors(Some(offset), |t| t.checked_add(stride))
+        .take_while(|&t| t < ops)
+        .collect();
+    let outcomes = par_map(targets, &|t| {
+        check_schedule_on(tmpl.clone(), &dm, backend, &[t], &expected)
+    });
     let mut report = CrashSpecReport {
         backend: backend.label(),
-        boundaries: 0,
+        boundaries: outcomes.len() as u64,
         crashes: 0,
         violations: Vec::new(),
     };
-    let mut t = offset;
-    while t < ops {
-        let outcome = check_schedule(qm, input, spec, backend, &[t], &expected);
-        report.boundaries += 1;
+    for outcome in outcomes {
         report.crashes += outcome.crashes;
         report.violations.extend(outcome.violations);
-        t += stride;
     }
     report
 }
@@ -1091,14 +1129,24 @@ pub fn classify_faults(
     faults: &[(u64, FaultKind)],
     expected: &[Q15],
 ) -> CorruptionOutcome {
-    let mut dev = Device::new(spec.clone(), PowerSystem::continuous());
-    let dm = deploy(&mut dev, qm).expect("model must fit in FRAM");
-    dm.load_input(&mut dev, input);
+    let (dev, dm) = template(qm, input, spec);
+    classify_faults_on(dev, &dm, backend, faults, expected)
+}
+
+/// [`classify_faults`] on a device already holding the deployment `dm`
+/// and its input (a fresh [`template`] or a clone of one).
+fn classify_faults_on(
+    mut dev: Device,
+    dm: &DeployedModel,
+    backend: &Backend,
+    faults: &[(u64, FaultKind)],
+    expected: &[Q15],
+) -> CorruptionOutcome {
     let base = dev.ops_consumed();
     dev.arm_faults(&FaultPlan::faults(
         faults.iter().map(|&(t, f)| (base + t, f)),
     ));
-    let out = crate::exec::run_deployed(&mut dev, &dm, backend);
+    let out = crate::exec::run_deployed(&mut dev, dm, backend);
     if dev.pending_faults() != 0 {
         return CorruptionOutcome::Unfired;
     }
@@ -1162,17 +1210,54 @@ pub fn check_corruption(
     points: u64,
 ) -> CorruptionReport {
     assert!(points > 0, "points must be positive");
-    let (expected, ops) = fault_free_reference(qm, input, spec, backend);
-    // Enumerate targets on a probe deployment (the FRAM layout is a
-    // deterministic bump allocation); for tiled backends the Alpaca
-    // commit flag is the next word the runtime allocates after deploy.
-    let mut probe = Device::new(spec.clone(), PowerSystem::continuous());
-    let pm = deploy(&mut probe, qm).expect("model must fit in FRAM");
-    let mut words = control_words(&pm);
+    let (tmpl, dm) = template(qm, input, spec);
+    let mut words: Vec<(String, NvAddr)> = control_words(&dm)
+        .into_iter()
+        .map(|(name, w)| (name, w.addr()))
+        .collect();
     if matches!(backend, Backend::Tiled(_)) {
-        let flag = probe.fram_alloc_word().expect("FRAM for commit flag");
-        words.push(("commit_flag".to_string(), flag));
+        // The Alpaca commit flag is the next word the runtime allocates
+        // after deploy (the FRAM layout is a deterministic bump
+        // allocation); probe it on a clone so the template stays pristine.
+        let flag = tmpl
+            .clone()
+            .fram_alloc_word()
+            .expect("FRAM for commit flag");
+        words.push(("commit_flag".to_string(), flag.addr()));
     }
+    flip_sweep(&tmpl, &dm, backend, &words, 1, points)
+}
+
+/// The shared bit-flip sweep behind [`check_corruption`] and
+/// [`check_stateful_corruption`]: every `word_stride`-th word × all 16
+/// bits × `points` midpoint boundaries of the fault-free run, each flip
+/// classified on a clone of the deployed template. Flips fan out over
+/// [`par_map`]; its indexed collect records them in enumeration order,
+/// so the report equals a serial loop over [`classify_flip`].
+fn flip_sweep(
+    tmpl: &Device,
+    dm: &DeployedModel,
+    backend: &Backend,
+    words: &[(String, NvAddr)],
+    word_stride: usize,
+    points: u64,
+) -> CorruptionReport {
+    let (expected, ops) = reference_on(tmpl.clone(), dm, backend);
+    let mut flips = Vec::new();
+    for (name, addr) in words.iter().step_by(word_stride) {
+        for bit in 0..16u8 {
+            for k in 0..points {
+                // Midpoint sampling: never exactly 0 or `ops`, spread
+                // across the run.
+                flips.push((name, *addr, bit, ops * (2 * k + 1) / (2 * points)));
+            }
+        }
+    }
+    let outcomes = par_map(flips, &|(name, addr, bit, t)| {
+        let flip = [(t, FaultKind::BitFlip { addr, bit })];
+        let outcome = classify_faults_on(tmpl.clone(), dm, backend, &flip, &expected);
+        (name, bit, t, outcome)
+    });
     let mut report = CorruptionReport {
         backend: backend.label(),
         flips: 0,
@@ -1183,16 +1268,8 @@ pub fn check_corruption(
         unfired: 0,
         silent_wrong: Vec::new(),
     };
-    for (name, w) in &words {
-        for bit in 0..16u8 {
-            for k in 0..points {
-                // Midpoint sampling: never exactly 0 or `ops`, spread
-                // across the run.
-                let t = ops * (2 * k + 1) / (2 * points);
-                let outcome = classify_flip(qm, input, spec, backend, w.addr(), bit, t, &expected);
-                report.record(name, bit, t, outcome);
-            }
-        }
+    for (name, bit, t, outcome) in outcomes {
+        report.record(name, bit, t, outcome);
     }
     report
 }
@@ -1242,31 +1319,9 @@ pub fn check_stateful_corruption(
 ) -> CorruptionReport {
     assert!(points > 0, "points must be positive");
     assert!(word_stride > 0, "word_stride must be positive");
-    let backend = Backend::Stateful;
-    let (expected, ops) = fault_free_reference(qm, input, spec, &backend);
-    let mut probe = Device::new(spec.clone(), PowerSystem::continuous());
-    let pm = deploy(&mut probe, qm).expect("model must fit in FRAM");
-    let words = stateful_tag_words(&pm);
-    let mut report = CorruptionReport {
-        backend: backend.label(),
-        flips: 0,
-        masked: 0,
-        recovered: 0,
-        aborted: 0,
-        wedged: 0,
-        unfired: 0,
-        silent_wrong: Vec::new(),
-    };
-    for (name, addr) in words.iter().step_by(word_stride) {
-        for bit in 0..16u8 {
-            for k in 0..points {
-                let t = ops * (2 * k + 1) / (2 * points);
-                let outcome = classify_flip(qm, input, spec, &backend, *addr, bit, t, &expected);
-                report.record(name, bit, t, outcome);
-            }
-        }
-    }
-    report
+    let (tmpl, dm) = template(qm, input, spec);
+    let words = stateful_tag_words(&dm);
+    flip_sweep(&tmpl, &dm, &Backend::Stateful, &words, word_stride, points)
 }
 
 #[cfg(test)]
@@ -1584,5 +1639,157 @@ mod tests {
             "{:?}",
             out.violations
         );
+    }
+
+    #[test]
+    fn a_cloned_template_runs_exactly_like_a_fresh_deploy() {
+        // The sweeps' premise: a clone of the deployed template is
+        // the same device a redeploy would produce — including TAILS's
+        // calibration words (written by the first run) and the stateful
+        // backend's `prepare_run` embedding — with and without a
+        // brown-out mid-run.
+        let (qm, input) = tiny_pruned_qmodel();
+        let (tmpl, dm) = template(&qm, &input, &msp());
+        for b in [
+            Backend::Baseline,
+            Backend::Sonic,
+            Backend::SonicNoUndo,
+            Backend::Tiled(4),
+            Backend::Tails(crate::exec::TailsConfig::default()),
+            Backend::Stateful,
+        ] {
+            let (_, ops) = fault_free_reference(&qm, &input, &msp(), &b);
+            for fault in [None, Some(ops / 2)] {
+                let run = |mut dev: Device, dm: &DeployedModel| {
+                    if let Some(t) = fault {
+                        let base = dev.ops_consumed();
+                        dev.arm_faults(&FaultPlan::at_each([base + t]));
+                    }
+                    let out = crate::exec::run_deployed(&mut dev, dm, &b);
+                    (dev, out)
+                };
+                let mut fresh = Device::new(msp(), PowerSystem::continuous());
+                let fresh_dm = deploy(&mut fresh, &qm).unwrap();
+                fresh_dm.load_input(&mut fresh, &input);
+                let (fresh, want) = run(fresh, &fresh_dm);
+                let (cloned, got) = run(tmpl.clone(), &dm);
+                assert_eq!(
+                    cloned.fram_image(),
+                    fresh.fram_image(),
+                    "{b} {fault:?}: FRAM"
+                );
+                assert_eq!(cloned.epoch_report(), fresh.epoch_report(), "{b} {fault:?}");
+                assert_eq!(got.completed, want.completed, "{b} {fault:?}");
+                assert_eq!(got.output, want.output, "{b} {fault:?}: output");
+            }
+        }
+    }
+
+    fn assert_same_corruption(fanned: &CorruptionReport, serial: &CorruptionReport) {
+        let counts = |r: &CorruptionReport| {
+            let cases: Vec<_> = r
+                .silent_wrong
+                .iter()
+                .map(|c| (c.word.clone(), c.bit, c.op_index, c.outcome.clone()))
+                .collect();
+            let n = [
+                r.flips,
+                r.masked,
+                r.recovered,
+                r.aborted,
+                r.wedged,
+                r.unfired,
+            ];
+            (r.backend.clone(), n, cases)
+        };
+        assert_eq!(counts(fanned), counts(serial));
+    }
+
+    /// [`check_corruption`]'s enumeration, rebuilt as a serial loop over
+    /// the public fresh-deploy [`classify_flip`].
+    fn serial_flips(
+        qm: &QModel,
+        input: &[Q15],
+        b: &Backend,
+        words: &[(String, NvAddr)],
+        points: u64,
+    ) -> CorruptionReport {
+        let (expected, ops) = fault_free_reference(qm, input, &msp(), b);
+        let mut r = CorruptionReport {
+            backend: b.label(),
+            flips: 0,
+            masked: 0,
+            recovered: 0,
+            aborted: 0,
+            wedged: 0,
+            unfired: 0,
+            silent_wrong: Vec::new(),
+        };
+        for (name, addr) in words {
+            for bit in 0..16u8 {
+                for k in 0..points {
+                    let t = ops * (2 * k + 1) / (2 * points);
+                    let o = classify_flip(qm, input, &msp(), b, *addr, bit, t, &expected);
+                    r.record(name, bit, t, o);
+                }
+            }
+        }
+        r
+    }
+
+    #[test]
+    fn fanned_out_sweeps_equal_serial_fresh_deploy_loops() {
+        let (qm, input) = dense_relu_qmodel();
+        let mut probe = Device::new(msp(), PowerSystem::continuous());
+        let pm = deploy(&mut probe, &qm).unwrap();
+        let named = |ws: Vec<(String, FramWord)>| -> Vec<(String, NvAddr)> {
+            ws.into_iter().map(|(n, w)| (n, w.addr())).collect()
+        };
+
+        // Control-word flips: SONIC, and Tiled(4) with the commit flag
+        // appended after the deployment.
+        for b in [Backend::Sonic, Backend::Tiled(4)] {
+            let mut words = named(control_words(&pm));
+            if let Backend::Tiled(_) = b {
+                let flag = probe.clone().fram_alloc_word().unwrap();
+                words.push(("commit_flag".to_string(), flag.addr()));
+            }
+            let fanned = check_corruption(&qm, &input, &msp(), &b, 2);
+            assert_same_corruption(&fanned, &serial_flips(&qm, &input, &b, &words, 2));
+        }
+
+        // Embedded-tag flips at a word stride; the guard must fire for
+        // some, so the compared outcome mix is non-trivial.
+        let tags: Vec<_> = stateful_tag_words(&pm).into_iter().step_by(2).collect();
+        let fanned = check_stateful_corruption(&qm, &input, &msp(), 2, 2);
+        let serial = serial_flips(&qm, &input, &Backend::Stateful, &tags, 2);
+        assert!(serial.aborted + serial.recovered > 0);
+        assert_same_corruption(&fanned, &serial);
+
+        // Strided brown-outs: SONIC (clean) and the Baseline control on
+        // the pruned model, whose ping-pong clobbers the input so
+        // restarts diverge — the violation lists must match in order.
+        let (qm, input) = tiny_pruned_qmodel();
+        for b in [Backend::Sonic, Backend::Baseline] {
+            let (expected, ops) = fault_free_reference(&qm, &input, &msp(), &b);
+            let (stride, offset) = (ops / 24 + 1, 5);
+            let fanned = check_strided(&qm, &input, &msp(), &b, stride, offset);
+            let (mut boundaries, mut crashes, mut violations) = (0, 0, Vec::new());
+            for t in (offset..ops).step_by(stride as usize) {
+                let o = check_schedule(&qm, &input, &msp(), &b, &[t], &expected);
+                boundaries += 1;
+                crashes += o.crashes;
+                violations.extend(o.violations.iter().map(Violation::to_string));
+            }
+            let got: Vec<_> = fanned.violations.iter().map(Violation::to_string).collect();
+            assert_eq!(fanned.backend, b.label());
+            assert_eq!(
+                (fanned.boundaries, fanned.crashes),
+                (boundaries, crashes),
+                "{b}"
+            );
+            assert_eq!(got, violations, "{b}");
+            assert_eq!(violations.is_empty(), b != Backend::Baseline, "{b}");
+        }
     }
 }

@@ -37,7 +37,6 @@ pub mod energy;
 pub mod fleet;
 pub mod imp;
 pub mod linalg;
-mod parallel;
 pub mod prune;
 pub mod search;
 pub mod separate;

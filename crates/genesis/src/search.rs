@@ -402,7 +402,7 @@ pub fn sweep(base: &Model, space: &SearchSpace, ctx: &EvalContext<'_>) -> Vec<Co
             sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
             sorted[sorted.len() / 2]
         };
-        let rest = crate::parallel::par_map(plans[serial_n..].to_vec(), &|knobs| {
+        let rest = sonic::fleet::par_map(plans[serial_n..].to_vec(), &|knobs| {
             evaluate_plan(base, &knobs, ctx, Some(median))
         });
         results.extend(rest);
