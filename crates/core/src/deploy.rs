@@ -32,7 +32,7 @@
 
 use dnn::quant::{QCsr, QLayer, QModel};
 use fxp::Q15;
-use mcu::{AllocError, Device, FramBuf, FramWord, Phase, RegionId};
+use mcu::{AllocError, Device, FramBuf, FramWord, RegionId};
 
 /// Sentinel for an empty undo-slot tag.
 pub const UNDO_EMPTY: u16 = u16::MAX;
@@ -469,16 +469,6 @@ pub fn reset_control_words(dev: &mut Device, m: &DeployedModel) {
         dev.flash_word(l.undo_tag, UNDO_EMPTY);
         dev.flash_word(l.undo_val, 0);
     }
-}
-
-/// Execution phase used by kernels for kernel-vs-control accounting.
-pub fn kernel_ctx(dev: &mut Device, region: RegionId) {
-    dev.set_context(region, Phase::Kernel);
-}
-
-/// Switches accounting to the control phase of a region.
-pub fn control_ctx(dev: &mut Device, region: RegionId) {
-    dev.set_context(region, Phase::Control);
 }
 
 #[cfg(test)]

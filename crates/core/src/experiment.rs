@@ -188,9 +188,8 @@ impl RunRecord {
     }
 
     /// Whether the record carries any fault forensics. Fault-free
-    /// records have none and encode to the legacy 13-token line, so
-    /// fault-free shard files stay byte-identical to pre-fault-layer
-    /// builds.
+    /// records have none and encode to the short 13-token line, so
+    /// fault-free shard files carry no all-empty forensics block.
     fn has_forensics(&self) -> bool {
         self.sdc.is_some()
             || self.corruption_detected > 0
@@ -246,7 +245,7 @@ impl RunRecord {
     /// Parses one `run` line back into a record.
     fn decode_line(line: &str) -> Result<Self, String> {
         let t: Vec<&str> = line.split(' ').collect();
-        // 13 tokens = legacy fault-free record; 17 = with the trailing
+        // 13 tokens = fault-free record; 17 = with the trailing
         // fault-forensics block.
         if !(t.len() == 13 || t.len() == 17) || t[0] != "run" {
             return Err(format!("malformed run record: {line:?}"));

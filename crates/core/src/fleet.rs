@@ -27,8 +27,8 @@
 //! per in-flight shard, results sorted back into submission order).
 //! Every shard is a pure function of `(job, cell, shard span)` — a
 //! fresh replica never observes another shard's buffer charge, harvest
-//! clock, or FRAM — so fleet results are bit-identical with the
-//! `parallel` feature on or off, across repeated runs, and across
+//! clock, or FRAM — so fleet results are bit-identical on any thread
+//! count (one included), across repeated runs, and across
 //! kill/resume boundaries (the experiment service in
 //! [`crate::experiment`] leans on this), which the test suite pins via
 //! [`fleet_digest`]. Note the replica count itself is *job semantics*,
@@ -633,10 +633,11 @@ pub(crate) fn cell_order(job: &FleetJob<'_>) -> Vec<(usize, usize)> {
     cells
 }
 
-/// Runs the fleet, fanning shards across threads when the `parallel`
-/// feature is enabled (`#cells × min(replicas, inputs)` units of work).
-/// Cells come back in deterministic `(power, backend)` submission order
-/// and the results are bit-identical with the feature on or off.
+/// Runs the fleet at the [`lockstep::default_lanes`] width, fanning
+/// shards across threads (`#cells × min(replicas, inputs)` units of
+/// work). Cells come back in deterministic `(power, backend)` submission
+/// order, and the results are bit-identical to [`run_fleet_serial`] and
+/// to [`run_fleet_with_lanes`] at any width.
 pub fn run_fleet(job: &FleetJob<'_>) -> Vec<FleetCell> {
     run_fleet_with_lanes(job, lockstep::default_lanes())
 }
@@ -652,8 +653,8 @@ pub fn run_fleet_with_lanes(job: &FleetJob<'_>, lanes: usize) -> Vec<FleetCell> 
 }
 
 /// The always-serial fleet: same results as [`run_fleet`], one shard at
-/// a time. Exists so the determinism guarantee is testable inside a
-/// single (parallel-enabled) build.
+/// a time — the in-process reference the threaded fan-out is tested
+/// against.
 pub fn run_fleet_serial(job: &FleetJob<'_>) -> Vec<FleetCell> {
     let plan = plan_shards(job);
     let results = plan.iter().map(|s| run_shard(job, s)).collect();
@@ -670,9 +671,7 @@ pub fn run_fleet_serial(job: &FleetJob<'_>) -> Vec<FleetCell> {
 /// queue: each worker pops the next indexed item (LIFO; execution order
 /// is irrelevant), and results are sorted back into submission order —
 /// the "indexed collect" that makes every caller's output independent of
-/// the thread count. With the `parallel` feature disabled the same entry
-/// point maps serially, so feature on/off produce identical results.
-#[cfg(feature = "parallel")]
+/// the thread count. With one available core it maps serially in place.
 pub fn par_map<T, U, F>(items: Vec<T>, f: &F) -> Vec<U>
 where
     T: Send,
@@ -704,17 +703,6 @@ where
     let mut out = results.into_inner().expect("results poisoned");
     out.sort_by_key(|&(i, _)| i);
     out.into_iter().map(|(_, r)| r).collect()
-}
-
-/// Serial fallback with the identical signature and result order.
-#[cfg(not(feature = "parallel"))]
-pub fn par_map<T, U, F>(items: Vec<T>, f: &F) -> Vec<U>
-where
-    T: Send,
-    U: Send,
-    F: Fn(T) -> U + Sync,
-{
-    items.into_iter().map(f).collect()
 }
 
 #[cfg(test)]

@@ -26,10 +26,7 @@
 //! Harvested power, armed fault plans, and `lanes < 2` never enter the
 //! twin path: those runs drain through the untouched scalar simulator, so
 //! brown-out tails, fault injection, and corruption semantics are
-//! byte-for-byte what they always were. The lane-funding arithmetic that
-//! the scalar drain ultimately calls into is itself batch-plannable
-//! across devices — see [`mcu::DeviceBatch`] for the
-//! struct-of-arrays/SIMD layer below this one.
+//! byte-for-byte what they always were.
 
 use crate::baseline::unpack_tap;
 use crate::deploy::{deploy, DeployedKind, DeployedLayer, DeployedModel};
@@ -39,14 +36,13 @@ use fxp::{Accum, Q15};
 use mcu::{Device, DeviceSpec, FramBuf, FramWord, PowerSystem, TraceReport};
 
 /// Lane width used when the caller does not pick one explicitly: the
-/// `BATCH_LANES` environment variable when set (clamped to at least 1),
-/// otherwise 8 with the `batch` feature enabled and 1 (pure scalar
-/// metering) without it.
+/// `BATCH_LANES` environment variable when set (clamped to at least 1;
+/// `1` is pure scalar metering), otherwise 8.
 pub fn default_lanes() -> usize {
     std::env::var("BATCH_LANES")
         .ok()
         .and_then(|s| s.trim().parse::<usize>().ok())
-        .map_or_else(|| if cfg!(feature = "batch") { 8 } else { 1 }, |n| n.max(1))
+        .map_or(8, |n| n.max(1))
 }
 
 /// A host-side copy of the device FRAM image, on which the backend twins

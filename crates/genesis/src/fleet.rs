@@ -281,9 +281,9 @@ fn frontier_indices(results: &[ConfigResult]) -> Vec<usize> {
 /// Re-scores the feasible Pareto frontier of a sweep by deploying every
 /// surviving plan through a real backend under the target power system.
 ///
-/// Plans fan out across threads when the default-on `parallel` feature
-/// is enabled; results come back in plan order and are bit-identical
-/// with the feature on or off (see [`fleet_scored_digest`]).
+/// Plans fan out across threads through [`sonic::fleet::par_map`];
+/// results come back in plan order and are bit-identical on any thread
+/// count (see [`fleet_scored_digest`]).
 pub fn fleet_score(
     results: &[ConfigResult],
     ctx: &EvalContext<'_>,

@@ -378,10 +378,9 @@ pub const MEDIAN_WARMUP_PLANS: usize = 4;
 /// sequential sweep); the median of their probe statistics is then
 /// *frozen* and every remaining configuration is evaluated independently
 /// against it. That makes the remaining evaluations embarrassingly
-/// parallel, so they run on all cores when the default-on `parallel`
-/// feature is enabled. Results are collected back in plan order, and each
-/// evaluation is fully seeded, so the sweep is deterministic — the same
-/// `Vec` comes back with the feature on or off, on any thread count.
+/// parallel, so they run on all cores. Results are collected back in plan
+/// order, and each evaluation is fully seeded, so the sweep is
+/// deterministic — the same `Vec` comes back on any thread count.
 pub fn sweep(base: &Model, space: &SearchSpace, ctx: &EvalContext<'_>) -> Vec<ConfigResult> {
     let plans = space.plans();
     let serial_n = plans.len().min(MEDIAN_WARMUP_PLANS);

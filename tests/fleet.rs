@@ -8,7 +8,9 @@ use sonic_tails::dnn::quant::{quantize, QModel};
 use sonic_tails::dnn::tensor::Tensor;
 use sonic_tails::mcu::{Device, DeviceSpec, FaultKind, FaultPlan, HarvestProfile, PowerSystem};
 use sonic_tails::sonic::exec::Backend;
-use sonic_tails::sonic::fleet::{fleet_digest, run_fleet, run_fleet_serial, FleetInput, FleetJob};
+use sonic_tails::sonic::fleet::{
+    fleet_digest, run_fleet, run_fleet_serial, run_fleet_with_lanes, FleetInput, FleetJob,
+};
 use sonic_tails::sonic::spec::{fault_free_reference, unguarded_activation_addr};
 
 fn tiny_model() -> (QModel, Vec<Vec<fxp::Q15>>) {
@@ -84,10 +86,14 @@ fn fleet_results_are_bit_identical_serial_vs_parallel_and_across_runs() {
 /// change) with `GOLDEN_PRINT=1 cargo test --test fleet -- --nocapture`.
 const FLEET_GOLDEN_DIGEST: u64 = 0x5f9baa1a835b9b4a;
 
+/// The golden holds for the default entry point, for scalar metering
+/// (lanes 1) and lockstep twinning (lanes 8) picked explicitly, and for
+/// the one-shard-at-a-time reference — all in one build.
 #[test]
 fn fleet_digest_matches_scalar_golden() {
     let (qm, inputs) = tiny_model();
-    let d = fleet_digest(&run_fleet(&job(&qm, &inputs)));
+    let j = job(&qm, &inputs);
+    let d = fleet_digest(&run_fleet(&j));
     if std::env::var("GOLDEN_PRINT").is_ok() {
         println!("    fleet golden digest: {d:#018x}");
         return;
@@ -96,6 +102,17 @@ fn fleet_digest_matches_scalar_golden() {
         d, FLEET_GOLDEN_DIGEST,
         "fleet digest diverged from the scalar accounting path"
     );
+    for (path, cells) in [
+        ("lanes 1", run_fleet_with_lanes(&j, 1)),
+        ("lanes 8", run_fleet_with_lanes(&j, 8)),
+        ("serial", run_fleet_serial(&j)),
+    ] {
+        assert_eq!(
+            fleet_digest(&cells),
+            FLEET_GOLDEN_DIGEST,
+            "{path} fleet digest diverged from the golden"
+        );
+    }
 }
 
 /// Fault-armed fleets surface their failure-mode accounting: a flip on
