@@ -20,12 +20,21 @@
 //! writes privatize into the host-side redo log, which a body-time power
 //! failure discards. The bodies therefore execute host-side while
 //! *recording* the exact op sequence they would have consumed onto an
-//! [`mcu::OpBundle`] tape (via the runtime's `*_taped` accessors), and
-//! the graph closure settles the tape in one arithmetic step
-//! ([`mcu::Device::consume_tape`]) — replaying it op-by-op only when the
+//! [`mcu::OpTape`], and the graph closure settles the tape in one step
+//! ([`mcu::Device::consume_tape`]) — replaying it op by op only when the
 //! buffer cannot cover it, so a brown-out charges exactly the scalar
-//! prefix. The commit walk itself (which *does* write home locations)
-//! uses the funded-bundle discipline inside `AlpacaRt::commit`.
+//! prefix. Every inner loop (zero, conv/dense accumulate, finish, ReLU,
+//! pool, and the sparse-FC column walk's pieces) has a fixed
+//! per-iteration sequence whose only variable is whether the iteration's
+//! log write appends or updates an entry, so each layer builds its
+//! iteration bundles once per graph (`LayerPatterns`) and a loop
+//! records one pattern repeat per iteration. The per-body control-word
+//! loads and stores record repeats of the runtime's read and write
+//! patterns, and the few remaining ops record single-op runs. Each
+//! layer's closure owns its tape, so capacity and registered patterns
+//! persist from body to body. The commit walk itself (which *does* write
+//! home locations) uses the funded-bundle discipline inside
+//! `AlpacaRt::commit`.
 
 use crate::baseline::unpack_tap;
 use crate::deploy::{DeployedKind, DeployedLayer, DeployedModel};
@@ -33,23 +42,127 @@ use dnn::quant::finish_acc;
 use fxp::{Accum, Q15};
 use intermittent::alpaca::AlpacaRt;
 use intermittent::task::{TaskGraph, Transition};
-use mcu::{Device, FramBuf, Op, OpBundle, Phase, PowerFailure};
+use mcu::{Device, FramBuf, Op, OpBundle, OpTape, Phase, PowerFailure};
+use std::sync::Arc;
 
 const ST_ZERO: u16 = 0;
 const ST_ACCUM: u16 = 1;
 const ST_FINISH: u16 = 2;
 
-/// Taped read of read-only metadata (weights, pointers): recorded as one
-/// FRAM read, value fetched host-side.
+/// A loop's iteration patterns, indexed by whether the iteration's
+/// task-shared write appended a log entry (`[update, append]`).
+type WritePair = [Arc<OpBundle>; 2];
+
+/// One step of an iteration pattern: a kernel-phase op, or one
+/// task-shared read or write through the redo log.
+#[derive(Clone, Copy)]
+enum Step {
+    K(Op),
+    Read,
+    Write,
+}
+
+/// Builds one iteration pattern; its `Write` step appends when `append`.
+fn pattern(steps: &[Step], append: bool) -> Arc<OpBundle> {
+    let mut b = OpBundle::new();
+    for &step in steps {
+        match step {
+            Step::K(op) => b.push(op, Phase::Kernel),
+            Step::Read => AlpacaRt::read_ops(&mut b),
+            Step::Write => AlpacaRt::write_ops(&mut b, append),
+        }
+    }
+    Arc::new(b)
+}
+
+fn write_pair(steps: &[Step]) -> WritePair {
+    [false, true].map(|append| pattern(steps, append))
+}
+
+/// One layer's iteration patterns, built once per graph.
+struct LayerPatterns {
+    /// ZERO: clear one accumulator word.
+    zero: WritePair,
+    /// The main loop: conv/dense accumulate, ReLU, pool, or the update
+    /// that ends one sparse-FC nonzero.
+    body: WritePair,
+    /// FINISH: shift + bias one accumulator into the output.
+    finish: WritePair,
+    /// Sparse FC, per nonzero: `head`, then `advance` once per column
+    /// skipped, then `body`.
+    head: Arc<OpBundle>,
+    advance: Arc<OpBundle>,
+}
+
+impl LayerPatterns {
+    fn new(l: &DeployedLayer) -> Self {
+        use Op::{Alu, Branch, FramRead, FxpAdd, FxpMul, Incr};
+        use Step::{Read, Write, K};
+        // Every loop iteration ends with the index bump and loop test.
+        let with_loop = |mut steps: Vec<Step>| {
+            steps.extend([K(Incr), K(Branch)]);
+            write_pair(&steps)
+        };
+        let body = match &l.kind {
+            // Entry row + weight reads, then the in-place accumulate.
+            DeployedKind::Dense {
+                sparse: Some(_), ..
+            } => vec![K(FramRead), K(FramRead), K(FxpMul), K(FxpAdd), Read, Write],
+            // Conv activations are task-shared and read through the log.
+            DeployedKind::Conv { .. } => vec![K(Alu), Read, K(FxpMul), K(FxpAdd), Read, Write],
+            DeployedKind::Dense { .. } => {
+                vec![K(Alu), K(FramRead), K(FxpMul), K(FxpAdd), Read, Write]
+            }
+            DeployedKind::Pool { kh, kw } => {
+                let mut steps = [K(Alu), K(FramRead), K(Branch)].repeat((kh * kw) as usize);
+                steps.push(Write);
+                steps
+            }
+            // ReLU (Flatten never iterates): the WAR pair Alpaca exists for.
+            _ => vec![Read, K(Branch), Write],
+        };
+        LayerPatterns {
+            zero: with_loop(vec![Write]),
+            body: with_loop(body),
+            // Accumulator, bias, then charge_finish's shift and bias add.
+            finish: with_loop(vec![Read, K(FramRead), K(Alu), K(FxpAdd), Write]),
+            // Loop test, then the column-pointer check.
+            head: pattern(&[K(Branch), K(FramRead)], false),
+            // The next column's activation, then the check again.
+            advance: pattern(&[K(Incr), Read, K(FramRead)], false),
+        }
+    }
+}
+
+/// Taped read of read-only metadata (weights, pointers) outside a
+/// patterned loop: recorded as one FRAM read, value fetched host-side.
 #[inline]
-fn read_t(dev: &Device, tape: &mut OpBundle, buf: FramBuf, i: u32) -> Q15 {
+fn read_t(dev: &Device, tape: &mut OpTape, buf: FramBuf, i: u32) -> Q15 {
     tape.push(Op::FramRead, Phase::Kernel);
     dev.prepaid_read(buf, i)
 }
 
 #[inline]
-fn op_t(tape: &mut OpBundle, op: Op) {
+fn op_t(tape: &mut OpTape, op: Op) {
     tape.push(op, Phase::Kernel);
+}
+
+/// Taped task-shared read of an activation outside a patterned loop.
+#[inline]
+fn load_t(
+    dev: &mut Device,
+    rt: &mut AlpacaRt,
+    tape: &mut OpTape,
+    addr: mcu::NvAddr,
+) -> Result<Q15, PowerFailure> {
+    Ok(Q15::from_raw(rt.ts_load_word_taped(dev, tape, addr)? as i16))
+}
+
+/// Privatizes one iteration's write and records the iteration.
+#[inline]
+fn iterate(rt: &mut AlpacaRt, tape: &mut OpTape, pair: &WritePair, addr: mcu::NvAddr, v: Q15) {
+    let append = rt.privatize(addr, v);
+    tape.repeat(&pair[append as usize], 1);
 }
 
 /// Budget-bounded stage driver shared by conv and dense layers.
@@ -59,7 +172,8 @@ fn op_t(tape: &mut OpBundle, op: Op) {
 fn accum_layer_tiled(
     dev: &mut Device,
     rt: &mut AlpacaRt,
-    tape: &mut OpBundle,
+    tape: &mut OpTape,
+    pats: &LayerPatterns,
     m: &DeployedModel,
     l: &DeployedLayer,
     self_id: usize,
@@ -95,11 +209,9 @@ fn accum_layer_tiled(
             ST_ZERO => {
                 let mut i = rt.ts_load_word_taped(dev, tape, l.idx.addr())? as u32;
                 while i < plane && budget > 0 {
-                    rt.ts_write_taped(tape, acc.addr(i), Q15::ZERO);
+                    iterate(rt, tape, &pats.zero, acc.addr(i), Q15::ZERO);
                     i += 1;
                     budget -= 1;
-                    op_t(tape, Op::Incr);
-                    op_t(tape, Op::Branch);
                 }
                 rt.ts_store_word_taped(tape, l.idx.addr(), i as u16);
                 if i >= plane {
@@ -166,15 +278,12 @@ fn accum_layer_tiled(
                         let mut ox = i % ow;
                         let mut row_base = (c * h + i / ow + ky) * w_in + kx;
                         while i < plane && budget > 0 {
-                            op_t(tape, Op::Alu);
                             // Activations are task-shared: reads go through
-                            // the log-presence check.
-                            let x = rt.ts_read_taped(dev, tape, src.addr(row_base + ox));
-                            op_t(tape, Op::FxpMul);
-                            op_t(tape, Op::FxpAdd);
-                            // In-place accumulate through the redo log.
-                            let cur = rt.ts_read_taped(dev, tape, acc.addr(i));
-                            rt.ts_write_taped(tape, acc.addr(i), cur + x * wq);
+                            // the log-presence check. In-place accumulate
+                            // through the redo log.
+                            let x = rt.peek_shared(dev, src.addr(row_base + ox));
+                            let cur = rt.peek_shared(dev, acc.addr(i));
+                            iterate(rt, tape, &pats.body, acc.addr(i), cur + x * wq);
                             i += 1;
                             budget -= 1;
                             ox += 1;
@@ -182,24 +291,17 @@ fn accum_layer_tiled(
                                 ox = 0;
                                 row_base += w_in;
                             }
-                            op_t(tape, Op::Incr);
-                            op_t(tape, Op::Branch);
                         }
                     }
                     DeployedKind::Dense { dims, weights, .. } => {
                         let in_n = dims[1];
-                        let x = rt.ts_read_taped(dev, tape, src.addr(pos));
+                        let x = load_t(dev, rt, tape, src.addr(pos))?;
                         while i < plane && budget > 0 {
-                            op_t(tape, Op::Alu);
-                            let wq = read_t(dev, tape, *weights, i * in_n + pos);
-                            op_t(tape, Op::FxpMul);
-                            op_t(tape, Op::FxpAdd);
-                            let cur = rt.ts_read_taped(dev, tape, acc.addr(i));
-                            rt.ts_write_taped(tape, acc.addr(i), cur + x * wq);
+                            let wq = dev.prepaid_read(*weights, i * in_n + pos);
+                            let cur = rt.peek_shared(dev, acc.addr(i));
+                            iterate(rt, tape, &pats.body, acc.addr(i), cur + x * wq);
                             i += 1;
                             budget -= 1;
-                            op_t(tape, Op::Incr);
-                            op_t(tape, Op::Branch);
                         }
                     }
                     _ => unreachable!(),
@@ -221,20 +323,13 @@ fn accum_layer_tiled(
                 };
                 let mut i = rt.ts_load_word_taped(dev, tape, l.idx.addr())? as u32;
                 while i < plane && budget > 0 {
-                    let partial = Accum::from_q15(rt.ts_read_taped(dev, tape, acc.addr(i)));
-                    let b = if is_conv {
-                        read_t(dev, tape, bias, f)
-                    } else {
-                        read_t(dev, tape, bias, i)
-                    };
-                    op_t(tape, Op::Alu); // charge_finish: shift
-                    op_t(tape, Op::FxpAdd); // charge_finish: bias add
+                    let partial = Accum::from_q15(rt.peek_shared(dev, acc.addr(i)));
+                    let b = dev.prepaid_read(bias, if is_conv { f } else { i });
                     let out_idx = if is_conv { f * plane + i } else { i };
-                    rt.ts_write_taped(tape, dst.addr(out_idx), finish_acc(partial, shift, b));
+                    let out = finish_acc(partial, shift, b);
+                    iterate(rt, tape, &pats.finish, dst.addr(out_idx), out);
                     i += 1;
                     budget -= 1;
-                    op_t(tape, Op::Incr);
-                    op_t(tape, Op::Branch);
                 }
                 if i >= plane {
                     f += 1;
@@ -265,7 +360,8 @@ fn accum_layer_tiled(
 fn sparse_dense_tiled(
     dev: &mut Device,
     rt: &mut AlpacaRt,
-    tape: &mut OpBundle,
+    tape: &mut OpTape,
+    pats: &LayerPatterns,
     m: &DeployedModel,
     l: &DeployedLayer,
     self_id: usize,
@@ -300,11 +396,9 @@ fn sparse_dense_tiled(
         ST_ZERO => {
             let mut i = rt.ts_load_word_taped(dev, tape, l.idx.addr())? as u32;
             while i < out_n && budget > 0 {
-                rt.ts_write_taped(tape, acc.addr(i), Q15::ZERO);
+                iterate(rt, tape, &pats.zero, acc.addr(i), Q15::ZERO);
                 i += 1;
                 budget -= 1;
-                op_t(tape, Op::Incr);
-                op_t(tape, Op::Branch);
             }
             if i >= out_n {
                 rt.ts_store_word_taped(tape, l.idx.addr(), 0);
@@ -318,24 +412,21 @@ fn sparse_dense_tiled(
         ST_ACCUM => {
             let mut k = rt.ts_load_word_taped(dev, tape, l.idx.addr())? as u32;
             let mut j = rt.ts_load_word_taped(dev, tape, l.pos.addr())? as u32;
-            let mut x = rt.ts_read_taped(dev, tape, src.addr(j.min(dims[1] - 1)));
+            let mut x = load_t(dev, rt, tape, src.addr(j.min(dims[1] - 1)))?;
             while k < nnz && budget > 0 {
-                op_t(tape, Op::Branch);
-                while (read_t(dev, tape, *col_ptr, j + 1).raw() as u16 as u32) <= k {
+                tape.repeat(&pats.head, 1);
+                let j0 = j;
+                while (dev.prepaid_read(*col_ptr, j + 1).raw() as u16 as u32) <= k {
                     j += 1;
-                    op_t(tape, Op::Incr);
-                    x = rt.ts_read_taped(dev, tape, src.addr(j));
+                    x = rt.peek_shared(dev, src.addr(j));
                 }
-                let o = read_t(dev, tape, *entries, 2 * k).raw() as u16 as u32;
-                let wq = read_t(dev, tape, *entries, 2 * k + 1);
-                op_t(tape, Op::FxpMul);
-                op_t(tape, Op::FxpAdd);
-                let cur = rt.ts_read_taped(dev, tape, acc.addr(o));
-                rt.ts_write_taped(tape, acc.addr(o), cur + x * wq);
+                tape.repeat(&pats.advance, (j - j0) as u64);
+                let o = dev.prepaid_read(*entries, 2 * k).raw() as u16 as u32;
+                let wq = dev.prepaid_read(*entries, 2 * k + 1);
+                let cur = rt.peek_shared(dev, acc.addr(o));
+                iterate(rt, tape, &pats.body, acc.addr(o), cur + x * wq);
                 k += 1;
                 budget -= 1;
-                op_t(tape, Op::Incr);
-                op_t(tape, Op::Branch);
             }
             rt.ts_store_word_taped(tape, l.pos.addr(), j as u16);
             if k >= nnz {
@@ -349,15 +440,12 @@ fn sparse_dense_tiled(
         _ => {
             let mut o = rt.ts_load_word_taped(dev, tape, l.idx.addr())? as u32;
             while o < out_n && budget > 0 {
-                let partial = Accum::from_q15(rt.ts_read_taped(dev, tape, acc.addr(o)));
-                let b = read_t(dev, tape, *bias, o);
-                op_t(tape, Op::Alu); // charge_finish: shift
-                op_t(tape, Op::FxpAdd); // charge_finish: bias add
-                rt.ts_write_taped(tape, dst.addr(o), finish_acc(partial, *shift, b));
+                let partial = Accum::from_q15(rt.peek_shared(dev, acc.addr(o)));
+                let b = dev.prepaid_read(*bias, o);
+                let out = finish_acc(partial, *shift, b);
+                iterate(rt, tape, &pats.finish, dst.addr(o), out);
                 o += 1;
                 budget -= 1;
-                op_t(tape, Op::Incr);
-                op_t(tape, Op::Branch);
             }
             if o >= out_n {
                 rt.ts_store_word_taped(tape, l.idx.addr(), 0);
@@ -377,7 +465,8 @@ fn sparse_dense_tiled(
 fn map_layer_tiled(
     dev: &mut Device,
     rt: &mut AlpacaRt,
-    tape: &mut OpBundle,
+    tape: &mut OpTape,
+    pats: &LayerPatterns,
     m: &DeployedModel,
     l: &DeployedLayer,
     self_id: usize,
@@ -401,19 +490,15 @@ fn map_layer_tiled(
                 let mut best = Q15::MIN;
                 for py in 0..kh {
                     for px in 0..kw {
-                        op_t(tape, Op::Alu);
-                        let v = read_t(dev, tape, src, (ch * h + oy * kh + py) * w + ox * kw + px);
-                        op_t(tape, Op::Branch);
+                        let v = dev.prepaid_read(src, (ch * h + oy * kh + py) * w + ox * kw + px);
                         if v > best {
                             best = v;
                         }
                     }
                 }
-                rt.ts_write_taped(tape, dst.addr(i), best);
+                iterate(rt, tape, &pats.body, dst.addr(i), best);
                 i += 1;
                 budget -= 1;
-                op_t(tape, Op::Incr);
-                op_t(tape, Op::Branch);
             }
             finish_map(rt, tape, l, i, total, self_id, next)
         }
@@ -424,13 +509,10 @@ fn map_layer_tiled(
             while i < total && budget > 0 {
                 // Read-then-write of the same location: both sides go
                 // through the log (the WAR pair Alpaca exists for).
-                let v = rt.ts_read_taped(dev, tape, buf.addr(i));
-                op_t(tape, Op::Branch);
-                rt.ts_write_taped(tape, buf.addr(i), v.relu());
+                let v = rt.peek_shared(dev, buf.addr(i));
+                iterate(rt, tape, &pats.body, buf.addr(i), v.relu());
                 i += 1;
                 budget -= 1;
-                op_t(tape, Op::Incr);
-                op_t(tape, Op::Branch);
             }
             finish_map(rt, tape, l, i, total, self_id, next)
         }
@@ -441,7 +523,7 @@ fn map_layer_tiled(
 
 fn finish_map(
     rt: &mut AlpacaRt,
-    tape: &mut OpBundle,
+    tape: &mut OpTape,
     l: &DeployedLayer,
     i: u32,
     total: u32,
@@ -476,26 +558,31 @@ pub fn build(m: &DeployedModel, tile: u32) -> TaskGraph<AlpacaRt> {
             DeployedKind::Dense { .. } => 1,
             _ => 2,
         };
+        let pats = LayerPatterns::new(l);
+        // The layer's tape, reused body after body: its capacity and
+        // pattern table persist.
+        let mut tape = OpTape::new();
         g.add(&name, move |dev, rt| {
             let l = &m.layers[li];
             // The body executes host-side, recording its op sequence;
             // the settle below charges it (or replays it scalar-wise to
             // the exact brown-out op on a shortfall).
-            let mut tape = rt.take_tape();
+            tape.clear();
+            let p = &pats;
             let t = match (kind_tag, &l.kind) {
-                (0, _) => accum_layer_tiled(dev, rt, &mut tape, &m, l, self_id, next, tile, true),
+                (0, _) => {
+                    accum_layer_tiled(dev, rt, &mut tape, p, &m, l, self_id, next, tile, true)
+                }
                 (1, DeployedKind::Dense { sparse, .. }) => {
                     if sparse.is_some() {
-                        sparse_dense_tiled(dev, rt, &mut tape, &m, l, self_id, next, tile)
+                        sparse_dense_tiled(dev, rt, &mut tape, p, &m, l, self_id, next, tile)
                     } else {
-                        accum_layer_tiled(dev, rt, &mut tape, &m, l, self_id, next, tile, false)
+                        accum_layer_tiled(dev, rt, &mut tape, p, &m, l, self_id, next, tile, false)
                     }
                 }
-                _ => map_layer_tiled(dev, rt, &mut tape, &m, l, self_id, next, tile),
+                _ => map_layer_tiled(dev, rt, &mut tape, p, &m, l, self_id, next, tile),
             };
-            let settled = dev.consume_tape(&tape);
-            rt.put_tape(tape);
-            settled?;
+            dev.consume_tape(&tape)?;
             t
         });
     }

@@ -24,59 +24,34 @@
 
 use crate::task::{RuntimeCtx, TaskGraph, TaskId, Transition};
 use fxp::Q15;
-use mcu::{AllocError, Device, FramWord, NvAddr, Op, OpBundle, Phase, PowerFailure};
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use mcu::{AllocError, Device, FramWord, NvAddr, Op, OpBundle, OpTape, Phase, PowerFailure};
+use std::sync::Arc;
 
-/// A multiplicative hasher for the redo log's word addresses. `NvAddr`
-/// is a dense `u32` FRAM index; SipHash's DoS hardening is wasted on it,
-/// and the log lookup is the hottest host-side operation in every tiled
-/// simulation (three probes per loop iteration).
-#[derive(Default)]
-pub struct AddrHasher(u64);
-
-impl Hasher for AddrHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        // Generic fallback (not used by NvAddr's derived Hash).
-        for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    #[inline]
-    fn write_u32(&mut self, v: u32) {
-        // Fibonacci multiplicative mix: full 64-bit avalanche is not
-        // needed, HashMap uses the top bits.
-        self.0 = (self.0 ^ v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-}
-
-/// A redo-log entry: the privatized value plus a per-entry checksum.
-/// The checksum is computed when the entry is appended or updated and
-/// validated by the commit walk: commit must not redo an entry whose
-/// non-volatile cells decayed or were corrupted, because home locations
-/// may already be partially updated and a bogus redo is a silent wrong
-/// write. Computing it rides in the ALU ops the append already charges.
+/// A redo-log entry: the home address, the privatized value, and a
+/// per-entry checksum. The checksum is computed when the entry is
+/// appended or updated and validated by the commit walk: commit must not
+/// redo an entry whose non-volatile cells decayed or were corrupted,
+/// because home locations may already be partially updated and a bogus
+/// redo is a silent wrong write. Computing it rides in the ALU ops the
+/// append already charges.
 #[derive(Debug, Clone, Copy)]
 struct LogEntry {
+    addr: NvAddr,
     v: Q15,
     ck: u16,
 }
+
+/// log2 of the words covered by one page of the log's slot index.
+const SLOT_PAGE_BITS: u32 = 8;
+
+/// One page of the log's slot index.
+type SlotPage = [u32; 1 << SLOT_PAGE_BITS];
 
 /// The per-entry checksum: an address/value mix, one word like Alpaca's
 /// log metadata.
 fn log_ck(addr: NvAddr, v: Q15) -> u16 {
     (addr.index() as u16).wrapping_mul(0x9E37) ^ (v.raw() as u16) ^ 0x5A5A
 }
-
-type AddrMap = HashMap<NvAddr, LogEntry, BuildHasherDefault<AddrHasher>>;
 
 /// FRAM words written when a log entry is created (20-bit address pair,
 /// value, bucket link, dirty-list link, size tag, canonical pointer).
@@ -87,6 +62,17 @@ pub const LOG_ENTRY_WORDS: u64 = 7;
 pub const LOOKUP_READS: u64 = 2;
 /// ALU ops per log-presence check (hashing + compares).
 pub const LOOKUP_ALU: u64 = 4;
+
+/// The ops of one log-presence check: bucket reads plus hashing/compares.
+const LOOKUP_OPS: [(Op, u64); 2] = [(Op::FramRead, LOOKUP_READS), (Op::Alu, LOOKUP_ALU)];
+
+/// The ops a write adds after its presence check, indexed by whether it
+/// appends: an update touches the value and dirty words, an append
+/// creates the whole entry.
+const WRITE_OPS: [[(Op, u64); 2]; 2] = [
+    [(Op::FramWrite, 2), (Op::Alu, 1)],
+    [(Op::FramWrite, LOG_ENTRY_WORDS), (Op::Alu, LOOKUP_ALU)],
+];
 
 /// Per-task commit bookkeeping: Alpaca privatizes task-local scalars at
 /// entry, walks its swap/dirty lists, and performs a two-phase update of
@@ -106,8 +92,14 @@ pub const COMMIT_FIXED_READS: u64 = 30;
 /// the commit flag, exactly as in Alpaca's two-phase commit.
 #[derive(Debug)]
 pub struct AlpacaRt {
-    log: AddrMap,
-    order: Vec<NvAddr>,
+    /// The redo log in append order, which is also the commit-walk order.
+    log: Vec<LogEntry>,
+    /// Per-word index into `log`, addressed by FRAM word: `k + 1` for the
+    /// word's entry `k`, `0` when the word is not logged. Paged, so it
+    /// only occupies the pages a run actually logs into; cleared by
+    /// walking `log`, so clearing costs the log's length, not the
+    /// index's.
+    slot: Vec<Option<Box<SlotPage>>>,
     commit_flag: FramWord,
     committing: bool,
     /// `true` when the most recent `after_commit` flag-lower store was
@@ -116,8 +108,10 @@ pub struct AlpacaRt {
     /// the window so the crash-consistency spec can tell the benign
     /// stale flag from a genuinely unsafe raised-while-idle flag.
     flag_lower_pending: bool,
-    /// Scratch op tape reused across task bodies (capacity persists).
-    tape: OpBundle,
+    /// The taped control-word read and `[update, append]` write
+    /// patterns (built once).
+    read_pat: Arc<OpBundle>,
+    write_pat: [Arc<OpBundle>; 2],
     /// Per-log-entry commit-walk bundles, one per accounting phase the
     /// commit may run under (built once; commits happen every task
     /// transition).
@@ -147,12 +141,21 @@ impl AlpacaRt {
         // commit rather than trusted.
         dev.guard_word(commit_flag);
         Ok(AlpacaRt {
-            log: AddrMap::default(),
-            order: Vec::new(),
+            log: Vec::new(),
+            slot: Vec::new(),
             commit_flag,
             committing: false,
             flag_lower_pending: false,
-            tape: OpBundle::new(),
+            read_pat: Arc::new({
+                let mut b = OpBundle::new();
+                Self::read_ops(&mut b);
+                b
+            }),
+            write_pat: [false, true].map(|append| {
+                let mut b = OpBundle::new();
+                Self::write_ops(&mut b, append);
+                Arc::new(b)
+            }),
             commit_entry: [
                 commit_entry_bundle(Phase::Kernel),
                 commit_entry_bundle(Phase::Control),
@@ -197,20 +200,81 @@ impl AlpacaRt {
 
     /// The pending redo-log entries in append (commit-walk) order.
     pub fn log_entries(&self) -> impl Iterator<Item = (NvAddr, Q15)> + '_ {
-        self.order.iter().map(move |a| (*a, self.log[a].v))
+        self.log.iter().map(|e| (e.addr, e.v))
     }
 
     /// Fault-injection hook: corrupts the stored checksum of the `k`-th
     /// (append-order) log entry, as a decayed non-volatile log cell
     /// would. Returns `false` if the log has no such entry.
     pub fn poison_log_entry(&mut self, k: usize) -> bool {
-        match self.order.get(k) {
-            Some(a) => {
-                self.log.get_mut(a).expect("ordered entry exists").ck ^= 1;
+        match self.log.get_mut(k) {
+            Some(e) => {
+                e.ck ^= 1;
                 true
             }
             None => false,
         }
+    }
+
+    // ----- the indexed redo log ----------------------------------------
+
+    /// The log slot of `addr`'s entry, if the word is logged: an indexed
+    /// load from the word's index page.
+    #[inline]
+    fn find(&self, addr: NvAddr) -> Option<usize> {
+        let a = addr.index();
+        let page = self.slot.get((a >> SLOT_PAGE_BITS) as usize)?.as_deref()?;
+        let s = page[(a & ((1 << SLOT_PAGE_BITS) - 1)) as usize];
+        s.checked_sub(1).map(|k| k as usize)
+    }
+
+    /// The slot-index cell of `addr`, allocating its page on first use.
+    fn slot_mut(&mut self, addr: NvAddr) -> &mut u32 {
+        let a = addr.index();
+        let p = (a >> SLOT_PAGE_BITS) as usize;
+        if p >= self.slot.len() {
+            self.slot.resize_with(p + 1, || None);
+        }
+        let page = self.slot[p].get_or_insert_with(|| Box::new([0; 1 << SLOT_PAGE_BITS]));
+        &mut page[(a & ((1 << SLOT_PAGE_BITS) - 1)) as usize]
+    }
+
+    /// Privatizes `v` at `addr` into the log, host-side. Returns `true`
+    /// when this appended a new entry and `false` when it updated an
+    /// existing one: the choice between the two [`AlpacaRt::write_ops`]
+    /// sequences the write is charged.
+    pub fn privatize(&mut self, addr: NvAddr, v: Q15) -> bool {
+        let e = LogEntry {
+            addr,
+            v,
+            ck: log_ck(addr, v),
+        };
+        if let Some(k) = self.find(addr) {
+            self.log[k] = e;
+            return false;
+        }
+        self.log.push(e);
+        *self.slot_mut(addr) = self.log.len() as u32;
+        true
+    }
+
+    /// The value a task-shared read of `addr` sees, host-side: the
+    /// privatized value on a log hit, the home word otherwise. The
+    /// caller charges the read ([`AlpacaRt::read_ops`]).
+    #[inline]
+    pub fn peek_shared(&self, dev: &Device, addr: NvAddr) -> Q15 {
+        match self.find(addr) {
+            Some(k) => self.log[k].v,
+            None => dev.peek_at(addr),
+        }
+    }
+
+    /// Empties the log; the slot index is cleared by walking the entries.
+    fn clear_log(&mut self) {
+        for k in 0..self.log.len() {
+            *self.slot_mut(self.log[k].addr) = 0;
+        }
+        self.log.clear();
     }
 
     /// A commit-walk checksum mismatch: the redo log itself is corrupt.
@@ -230,51 +294,32 @@ impl AlpacaRt {
     // writes privatize into the (host-side) redo log, which a body-time
     // power failure discards anyway. That makes the body eligible for op
     // *taping*: it executes host-side, recording the exact op sequence it
-    // would have consumed, and settles the tape in one arithmetic step at
-    // the end ([`Device::consume_tape`]) — with a scalar op-by-op replay
-    // when the buffer cannot cover it, so a brown-out charges exactly the
-    // scalar prefix. Taped methods record at the kernel phase, matching
-    // the tiled kernels that use them.
+    // would have consumed, and settles the tape in one step at the end
+    // ([`Device::consume_tape`]) — with an op-by-op replay when the
+    // buffer cannot cover it, so a brown-out charges exactly the scalar
+    // prefix. Loops with a fixed per-iteration sequence record one
+    // pattern repeat per iteration, built from [`AlpacaRt::read_ops`] and
+    // [`AlpacaRt::write_ops`] around the host-side [`AlpacaRt::peek_shared`]
+    // and [`AlpacaRt::privatize`]; the per-body control-word accesses
+    // below record repeats of the same read and write patterns, built
+    // once per runtime. Taped accesses record at the kernel phase,
+    // matching the tiled kernels that use them.
 
-    fn tape_lookup(tape: &mut OpBundle) {
-        tape.push_n(Op::FramRead, Phase::Kernel, LOOKUP_READS);
-        tape.push_n(Op::Alu, Phase::Kernel, LOOKUP_ALU);
-    }
-
-    /// Taped [`AlpacaRt::ts_read`]: records the ops, returns the value.
-    pub fn ts_read_taped(&mut self, dev: &Device, tape: &mut OpBundle, addr: NvAddr) -> Q15 {
-        Self::tape_lookup(tape);
-        // Hit pays a log-entry read, miss the home read: one FramRead
-        // either way.
-        tape.push(Op::FramRead, Phase::Kernel);
-        if let Some(e) = self.log.get(&addr) {
-            e.v
-        } else {
-            dev.peek_at(addr)
+    /// Appends the kernel-phase ops of one task-shared read (presence
+    /// check, then the log-entry read on a hit or the home read on a
+    /// miss: one FRAM read either way) to an iteration pattern.
+    pub fn read_ops(b: &mut OpBundle) {
+        for (op, n) in LOOKUP_OPS {
+            b.push_n(op, Phase::Kernel, n);
         }
+        b.push(Op::FramRead, Phase::Kernel);
     }
 
-    /// Taped [`AlpacaRt::ts_write`]: records the ops, privatizes eagerly
-    /// (a failed settle discards the log on restart, like the scalar
-    /// path).
-    pub fn ts_write_taped(&mut self, tape: &mut OpBundle, addr: NvAddr, v: Q15) {
-        Self::tape_lookup(tape);
-        let le = LogEntry {
-            v,
-            ck: log_ck(addr, v),
-        };
-        match self.log.entry(addr) {
-            Entry::Occupied(mut e) => {
-                tape.push_n(Op::FramWrite, Phase::Kernel, 2); // value + dirty flag
-                tape.push(Op::Alu, Phase::Kernel);
-                e.insert(le);
-            }
-            Entry::Vacant(e) => {
-                tape.push_n(Op::FramWrite, Phase::Kernel, LOG_ENTRY_WORDS);
-                tape.push_n(Op::Alu, Phase::Kernel, LOOKUP_ALU);
-                self.order.push(addr);
-                e.insert(le);
-            }
+    /// Appends the kernel-phase ops of one task-shared write (presence
+    /// check, then the entry append or update) to an iteration pattern.
+    pub fn write_ops(b: &mut OpBundle, append: bool) {
+        for (op, n) in LOOKUP_OPS.into_iter().chain(WRITE_OPS[append as usize]) {
+            b.push_n(op, Phase::Kernel, n);
         }
     }
 
@@ -295,13 +340,12 @@ impl AlpacaRt {
     pub fn ts_load_word_taped(
         &mut self,
         dev: &mut Device,
-        tape: &mut OpBundle,
+        tape: &mut OpTape,
         addr: NvAddr,
     ) -> Result<u16, PowerFailure> {
-        Self::tape_lookup(tape);
-        tape.push(Op::FramRead, Phase::Kernel);
-        if let Some(e) = self.log.get(&addr) {
-            return Ok(e.v.raw() as u16);
+        tape.repeat(&self.read_pat, 1);
+        if let Some(k) = self.find(addr) {
+            return Ok(self.log[k].v.raw() as u16);
         }
         let v = dev.peek_at(addr);
         if dev.verify_at(addr) {
@@ -319,28 +363,19 @@ impl AlpacaRt {
         Ok(fixed)
     }
 
-    /// Taped [`AlpacaRt::ts_store_word`].
-    pub fn ts_store_word_taped(&mut self, tape: &mut OpBundle, addr: NvAddr, v: u16) {
-        self.ts_write_taped(tape, addr, Q15::from_raw(v as i16));
+    /// Taped [`AlpacaRt::ts_store_word`]: privatizes eagerly (a failed
+    /// settle discards the log on restart, like the scalar path) and
+    /// records the append or update.
+    pub fn ts_store_word_taped(&mut self, tape: &mut OpTape, addr: NvAddr, v: u16) {
+        let append = self.privatize(addr, Q15::from_raw(v as i16));
+        tape.repeat(&self.write_pat[append as usize], 1);
     }
 
-    /// Borrows the reusable scratch tape out of the runtime (cleared),
-    /// sidestepping the double-borrow of `rt` and `tape` in task bodies.
-    pub fn take_tape(&mut self) -> OpBundle {
-        let mut t = std::mem::take(&mut self.tape);
-        t.clear();
-        t
-    }
-
-    /// Returns the scratch tape after settling.
-    pub fn put_tape(&mut self, tape: OpBundle) {
-        self.tape = tape;
-    }
-
-    fn charge_lookup(&self, dev: &mut Device) -> Result<(), PowerFailure> {
-        // Log-presence check: bucket reads plus hashing/compares.
-        dev.consume_n(Op::FramRead, LOOKUP_READS)?;
-        dev.consume_n(Op::Alu, LOOKUP_ALU)
+    fn charge_lookup(dev: &mut Device) -> Result<(), PowerFailure> {
+        for (op, n) in LOOKUP_OPS {
+            dev.consume_n(op, n)?;
+        }
+        Ok(())
     }
 
     /// Reads a task-shared word: log hit returns the privatized value,
@@ -354,10 +389,10 @@ impl AlpacaRt {
     /// Returns [`PowerFailure`] on brown-out, or when corruption is
     /// detected and the retry budget is exhausted.
     pub fn ts_read(&mut self, dev: &mut Device, addr: NvAddr) -> Result<Q15, PowerFailure> {
-        self.charge_lookup(dev)?;
-        if let Some(&e) = self.log.get(&addr) {
+        Self::charge_lookup(dev)?;
+        if let Some(k) = self.find(addr) {
             dev.consume(Op::FramRead)?; // the log entry itself
-            return Ok(e.v);
+            return Ok(self.log[k].v);
         }
         let v = dev.read_at(addr)?;
         if dev.verify_at(addr) {
@@ -384,22 +419,11 @@ impl AlpacaRt {
     /// the append the entry is not recorded (the log is discarded on
     /// restart anyway).
     pub fn ts_write(&mut self, dev: &mut Device, addr: NvAddr, v: Q15) -> Result<(), PowerFailure> {
-        self.charge_lookup(dev)?;
-        if self.log.contains_key(&addr) {
-            dev.consume_n(Op::FramWrite, 2)?; // value + dirty flag
-            dev.consume(Op::Alu)?;
-        } else {
-            dev.consume_n(Op::FramWrite, LOG_ENTRY_WORDS)?;
-            dev.consume_n(Op::Alu, LOOKUP_ALU)?;
-            self.order.push(addr);
+        Self::charge_lookup(dev)?;
+        for (op, n) in WRITE_OPS[self.find(addr).is_none() as usize] {
+            dev.consume_n(op, n)?;
         }
-        self.log.insert(
-            addr,
-            LogEntry {
-                v,
-                ck: log_ck(addr, v),
-            },
-        );
+        self.privatize(addr, v);
         Ok(())
     }
 
@@ -429,7 +453,7 @@ impl AlpacaRt {
 
 impl RuntimeCtx for AlpacaRt {
     fn commit(&mut self, dev: &mut Device) -> Result<(), PowerFailure> {
-        if self.order.is_empty() {
+        if self.log.is_empty() {
             return Ok(());
         }
         if !self.committing {
@@ -458,29 +482,27 @@ impl RuntimeCtx for AlpacaRt {
             Phase::Kernel => &self.commit_entry[0],
             Phase::Control => &self.commit_entry[1],
         };
-        let total = self.order.len();
+        let total = self.log.len();
         let mut i = 0usize;
         while i < total {
             let funded = dev.consume_bundle(entry, (total - i) as u64)? as usize;
-            for addr in &self.order[i..i + funded] {
-                let e = self.log[addr];
+            for e in &self.log[i..i + funded] {
                 // Checksum validation rides in the entry read the
                 // bundle charged; a mismatch means the log cells
                 // decayed and the redo value cannot be trusted.
-                if e.ck != log_ck(*addr, e.v) {
+                if e.ck != log_ck(e.addr, e.v) {
                     return Self::log_corrupt(dev);
                 }
-                dev.prepaid_write_at(*addr, e.v);
+                dev.prepaid_write_at(e.addr, e.v);
             }
             i += funded;
             if i < total {
-                let addr = self.order[i];
-                let e = self.log[&addr];
+                let e = self.log[i];
                 dev.consume_n(Op::FramRead, 2)?; // read entry (address + value)
-                if e.ck != log_ck(addr, e.v) {
+                if e.ck != log_ck(e.addr, e.v) {
                     return Self::log_corrupt(dev);
                 }
-                dev.write_at(addr, e.v)?; // write home location
+                dev.write_at(e.addr, e.v)?; // write home location
                 dev.consume_n(Op::Incr, 2)?; // list cursor + canonical update
                 i += 1;
             }
@@ -502,8 +524,7 @@ impl RuntimeCtx for AlpacaRt {
         // (empty commit) leaves nothing pending.
         let was_high = self.committing || self.flag_lower_pending;
         self.flag_lower_pending = dev.store_word(self.commit_flag, 0).is_err() && was_high;
-        self.log.clear();
-        self.order.clear();
+        self.clear_log();
         self.committing = false;
     }
 
@@ -514,8 +535,7 @@ impl RuntimeCtx for AlpacaRt {
         } else {
             // Discard privatized state; the task body re-executes against
             // the home values.
-            self.log.clear();
-            self.order.clear();
+            self.clear_log();
             self.committing = false;
         }
     }

@@ -37,7 +37,7 @@
 //! on the device ([`Device::note_corruption`]); the runtimes decide what
 //! to scrub and when to give up.
 
-use crate::bundle::OpBundle;
+use crate::bundle::{counts_cost, counts_len, OpBundle, OpCounts, OpTape, TapeRun};
 use crate::power::PowerSystem;
 use crate::spec::{DeviceSpec, Op};
 use crate::trace::{Phase, RegionId, Trace, TraceReport};
@@ -407,6 +407,11 @@ pub struct Device {
     /// detects corruption. Empty (zero overhead) unless guards are
     /// registered.
     guard_shadow: Vec<(u32, i16)>,
+    /// Guarded-word bitmap in front of `guard_shadow`: bit `a` is set
+    /// iff word `a` has a shadow entry, so an unguarded store or verify
+    /// costs one bit test instead of a binary search. Sized to the
+    /// highest guarded word; empty with no guards.
+    guard_bits: Vec<u64>,
     /// Memory faults injected so far (bit flips + stuck-at armings).
     mem_faults_injected: u64,
     /// Corruption detections reported via [`Device::note_corruption`].
@@ -443,6 +448,7 @@ impl Device {
             torn_pending: false,
             stuck: Vec::new(),
             guard_shadow: Vec::new(),
+            guard_bits: Vec::new(),
             mem_faults_injected: 0,
             corruption_detected: 0,
             corruption_budget: CORRUPTION_RETRY_LIMIT,
@@ -781,12 +787,22 @@ impl Device {
         if n_iters == 0 || bundle.is_empty() {
             return Ok(n_iters);
         }
+        let fit = self.fund_iters(bundle.counts(), n_iters);
+        self.charge_bundle_trace(bundle, fit);
+        Ok(fit)
+    }
+
+    /// Funds up to `n_iters` whole iterations of a non-empty op sequence
+    /// with the given per-iteration counts: drains their energy, advances
+    /// the op counter, and returns how many were funded. The trace is
+    /// left to the caller.
+    fn fund_iters(&mut self, counts: &OpCounts, n_iters: u64) -> u64 {
         // Injected faults: never fund an iteration that straddles an armed
         // target — cap at the whole iterations that fit strictly before it,
         // so the caller's scalar replay of the next iteration browns out on
         // exactly the targeted op. May return less than `n_iters` even on
         // continuous power.
-        let ops_per_iter = bundle.len();
+        let ops_per_iter = counts_len(counts);
         let iter_cap = match self.fault_queue.last() {
             Some(&(t, _)) => t.saturating_sub(self.ops_consumed) / ops_per_iter,
             None => u64::MAX,
@@ -795,15 +811,16 @@ impl Device {
         let fit = match &self.power {
             PowerSystem::Continuous => n_capped,
             PowerSystem::Harvested(_) => {
-                let (_, per_iter) = bundle.iter_cost(&self.spec.costs);
+                let (_, per_iter) = counts_cost(counts, &self.spec.costs);
                 #[cfg(debug_assertions)]
-                for e in bundle.ops() {
-                    let c = self.spec.costs.cost(e.op);
+                for op in Op::ALL {
+                    let c = self.spec.costs.cost(op);
                     debug_assert!(
-                        c.energy_pj > 0 || c.cycles == 0,
-                        "bundled op {:?} costs {} cycles but zero energy (fix the \
+                        counts[0][op.index()] + counts[1][op.index()] == 0
+                            || c.energy_pj > 0
+                            || c.cycles == 0,
+                        "bundled op {op:?} costs {} cycles but zero energy (fix the \
                          cost table)",
-                        e.op,
                         c.cycles
                     );
                 }
@@ -818,8 +835,7 @@ impl Device {
             }
         };
         self.ops_consumed += fit * ops_per_iter;
-        self.charge_bundle_trace(bundle, fit);
-        Ok(fit)
+        fit
     }
 
     /// Settles `fit` funded iterations of `bundle` into the trace, for
@@ -830,9 +846,8 @@ impl Device {
         }
         // Trace cells are plain accumulators, so charging the ordered
         // sequence and charging aggregate counts are bit-identical.
-        // Small bundles (a loop iteration) walk their few entries;
-        // long recorded tapes charge per (phase, op) cell so settling
-        // stays O(op classes) regardless of tape length.
+        // Small bundles (a loop iteration) walk their few entries; long
+        // ones (a TAILS output row) charge per (phase, op) cell.
         if bundle.ops().len() <= 2 * Op::COUNT {
             for e in bundle.ops() {
                 let cost = self.spec.costs.cost(e.op);
@@ -840,22 +855,29 @@ impl Device {
                     .charge(self.region, e.phase, e.op, e.count * fit, cost);
             }
         } else {
-            for phase in Phase::ALL {
-                for op in Op::ALL {
-                    let n = bundle.count(phase, op);
-                    if n > 0 {
-                        let cost = self.spec.costs.cost(op);
-                        self.trace.charge(self.region, phase, op, n * fit, cost);
-                    }
+            self.charge_counts(bundle.counts(), fit);
+        }
+    }
+
+    /// Charges `fit` times every `(phase, op)` cell of `counts` to the
+    /// current region.
+    fn charge_counts(&mut self, counts: &OpCounts, fit: u64) {
+        for phase in Phase::ALL {
+            for op in Op::ALL {
+                let n = counts[phase.index()][op.index()];
+                if n > 0 {
+                    let cost = self.spec.costs.cost(op);
+                    self.trace.charge(self.region, phase, op, n * fit, cost);
                 }
             }
         }
     }
 
-    /// Settles a recorded op tape: one bulk charge when the buffer covers
-    /// it, otherwise an op-by-op replay of the ordered sequence so the
-    /// brown-out lands on exactly the op the scalar execution would have
-    /// died on.
+    /// Settles a recorded op tape: one bulk charge from counts folded
+    /// once per distinct pattern when the buffer covers the whole tape,
+    /// otherwise an in-order replay that expands each pattern repeat, so
+    /// the brown-out lands on exactly the op the scalar execution would
+    /// have died on.
     ///
     /// For loop bodies whose op sequence is data-dependent but which have
     /// no durable side effects before a later commit (the Alpaca redo-log
@@ -867,14 +889,39 @@ impl Device {
     /// Returns [`PowerFailure`] when the tape does not fit the remaining
     /// charge (the portion that fits is charged, exactly as the scalar
     /// execution would have before dying) or the device is off.
-    pub fn consume_tape(&mut self, tape: &OpBundle) -> Result<(), PowerFailure> {
-        if self.consume_bundle(tape, 1)? == 1 {
+    pub fn consume_tape(&mut self, tape: &OpTape) -> Result<(), PowerFailure> {
+        if !self.on {
+            return Err(PowerFailure);
+        }
+        let counts = tape.counts();
+        if counts_len(&counts) == 0 {
             return Ok(());
         }
-        // Shortfall: the replay below must brown out before completing,
-        // charging exactly the scalar prefix.
-        for e in tape.ops() {
-            self.consume_upto_at(e.op, e.phase, e.count).1?;
+        if self.fund_iters(&counts, 1) == 1 {
+            self.charge_counts(&counts, 1);
+            return Ok(());
+        }
+        // Shortfall (or an armed target inside the tape): the replay
+        // below charges exactly the scalar prefix. Whole pattern repeats
+        // the buffer funds still charge in bulk; the first unfunded one
+        // expands op by op.
+        for run in tape.runs() {
+            match run {
+                TapeRun::Ops(e) => self.consume_upto_at(e.op, e.phase, e.count).1?,
+                &TapeRun::Repeat { pattern: k, n } => {
+                    let pattern = tape.pattern(k);
+                    let mut left = n;
+                    while left > 0 {
+                        left -= self.consume_bundle(pattern, left)?;
+                        if left > 0 {
+                            for e in pattern.ops() {
+                                self.consume_upto_at(e.op, e.phase, e.count).1?;
+                            }
+                            left -= 1;
+                        }
+                    }
+                }
+            }
         }
         Ok(())
     }
@@ -1049,10 +1096,8 @@ impl Device {
     /// Stores `v` at raw FRAM index `addr` as a legitimate write.
     #[inline]
     fn nv_store(&mut self, addr: u32, v: i16) {
-        if !self.guard_shadow.is_empty() {
-            if let Ok(k) = self.guard_shadow.binary_search_by_key(&addr, |e| e.0) {
-                self.guard_shadow[k].1 = v;
-            }
+        if let Some(k) = self.guard_index(addr) {
+            self.guard_shadow[k].1 = v;
         }
         let v = if self.stuck.is_empty() {
             v
@@ -1636,6 +1681,28 @@ impl Device {
     // [`Device::verify_word`] at control-read chokepoints to surface the
     // divergence. A device with no registered guards has zero overhead
     // and bit-identical behavior.
+    //
+    // Each layer guards only a handful of control words, so almost every
+    // store and verify is of an unguarded word. A one-bit-per-word
+    // prefilter (`guard_bits`) answers those with a single bit test; only
+    // guarded words go on to the binary search of the sorted shadow.
+
+    /// Whether word `addr` is guarded: one bit test.
+    #[inline]
+    fn is_guarded(&self, addr: u32) -> bool {
+        self.guard_bits
+            .get((addr >> 6) as usize)
+            .is_some_and(|w| (w >> (addr & 63)) & 1 != 0)
+    }
+
+    /// The shadow slot of a guarded word, `None` for an unguarded one.
+    #[inline]
+    fn guard_index(&self, addr: u32) -> Option<usize> {
+        if !self.is_guarded(addr) {
+            return None;
+        }
+        self.guard_shadow.binary_search_by_key(&addr, |e| e.0).ok()
+    }
 
     /// Registers `len` consecutive FRAM words starting at `addr` under
     /// ECC guarding, snapshotting their current contents as the intended
@@ -1647,6 +1714,11 @@ impl Device {
                 Ok(k) => self.guard_shadow[k].1 = v,
                 Err(k) => self.guard_shadow.insert(k, (a, v)),
             }
+            let w = (a >> 6) as usize;
+            if w >= self.guard_bits.len() {
+                self.guard_bits.resize(w + 1, 0);
+            }
+            self.guard_bits[w] |= 1 << (a & 63);
         }
     }
 
@@ -1659,10 +1731,8 @@ impl Device {
     /// shadow, or is not guarded at all. No energy: the controller
     /// verifies check bits inside the read that was already charged.
     pub fn verify_at(&self, addr: NvAddr) -> bool {
-        match self.guard_shadow.binary_search_by_key(&addr.0, |e| e.0) {
-            Ok(k) => self.guard_shadow[k].1 == self.fram[addr.0 as usize],
-            Err(_) => true,
-        }
+        self.guard_index(addr.0)
+            .is_none_or(|k| self.guard_shadow[k].1 == self.fram[addr.0 as usize])
     }
 
     /// ECC read check of a counter word; see [`Device::verify_at`].
@@ -1673,9 +1743,7 @@ impl Device {
     /// The guard shadow's intended value for `addr`, if the word is
     /// guarded — what ECC correction would reconstruct.
     pub fn guarded_intended(&self, addr: NvAddr) -> Option<u16> {
-        self.guard_shadow
-            .binary_search_by_key(&addr.0, |e| e.0)
-            .ok()
+        self.guard_index(addr.0)
             .map(|k| self.guard_shadow[k].1 as u16)
     }
 
@@ -2188,38 +2256,178 @@ mod tests {
         assert_eq!(d.charge_pj(), 0);
     }
 
+    /// One step of a recorded tape program: a single-op run, or `n`
+    /// repeats of a pattern (an index into the program's patterns).
+    #[derive(Clone, Copy)]
+    enum Step {
+        Ops(Op, Phase, u64),
+        Rep(usize, u64),
+    }
+
+    /// Two iteration patterns: the canonical mixed-phase iteration and a
+    /// read-heavy one whose head merges with a preceding read run.
+    fn tape_patterns() -> Vec<Vec<(Op, Phase)>> {
+        vec![
+            test_iteration(),
+            vec![
+                (Op::FramRead, Phase::Kernel),
+                (Op::FramRead, Phase::Kernel),
+                (Op::Alu, Phase::Control),
+                (Op::FramWrite, Phase::Kernel),
+                (Op::Branch, Phase::Kernel),
+            ],
+        ]
+    }
+
+    /// A data-dependent program mixing single-op runs (varying lengths)
+    /// with pattern repeats, different per round.
+    fn tape_program(round: u64) -> Vec<Step> {
+        let mut prog = Vec::new();
+        for k in 0..240u64 {
+            let op = match (round + k) % 4 {
+                0 => Op::FramRead,
+                1 => Op::Alu,
+                2 => Op::FramWrite,
+                _ => Op::FxpMul,
+            };
+            prog.push(Step::Ops(op, Phase::Kernel, 1 + k % 3));
+            if k % 3 != 2 {
+                prog.push(Step::Rep(
+                    ((round + k) % 2) as usize,
+                    1 + (k * 7 + round) % 9,
+                ));
+            }
+        }
+        prog
+    }
+
+    /// The program as a tape: patterns built once, consecutive repeats
+    /// of one pattern merging.
+    fn record_tape(pats: &[std::sync::Arc<OpBundle>], prog: &[Step]) -> OpTape {
+        let mut tape = OpTape::new();
+        for &step in prog {
+            match step {
+                Step::Ops(op, phase, n) => tape.push_n(op, phase, n),
+                Step::Rep(p, n) => tape.repeat(&pats[p], n),
+            }
+        }
+        tape
+    }
+
+    /// The same program consumed scalar-wise: one `consume_n` per run,
+    /// patterns expanded op by op, each op at its own phase (restored to
+    /// kernel afterwards so later boots charge the same cell).
+    fn run_program_scalar(
+        dev: &mut Device,
+        pats: &[Vec<(Op, Phase)>],
+        prog: &[Step],
+    ) -> Result<(), PowerFailure> {
+        let region = dev.context().0;
+        let r = (|| {
+            for &step in prog {
+                match step {
+                    Step::Ops(op, phase, n) => {
+                        dev.set_context(region, phase);
+                        dev.consume_n(op, n)?;
+                    }
+                    Step::Rep(p, n) => {
+                        for _ in 0..n {
+                            for &(op, phase) in &pats[p] {
+                                dev.set_context(region, phase);
+                                dev.consume_n(op, 1)?;
+                            }
+                        }
+                    }
+                }
+            }
+            Ok(())
+        })();
+        dev.set_context(region, Phase::Kernel);
+        r
+    }
+
+    fn assert_tape_settle_identical(a: &Device, b: &Device) {
+        assert_traces_identical(a, b);
+        assert_eq!(a.last_brownout(), b.last_brownout());
+        assert_eq!(a.ops_consumed(), b.ops_consumed());
+        assert_eq!(a.fram_image(), b.fram_image());
+        assert_eq!(a.pending_faults(), b.pending_faults());
+    }
+
     #[test]
     fn consume_tape_matches_scalar_sequence() {
-        // A data-dependent op stream (varying run lengths), settled as a
-        // tape vs consumed scalar-wise, across several brown-outs.
+        // Single-op runs mixed with pattern repeats, settled as a tape vs
+        // consumed scalar-wise, across several brown-outs.
+        let seqs = tape_patterns();
+        let pats: Vec<_> = seqs
+            .iter()
+            .map(|seq| {
+                let mut b = OpBundle::new();
+                for &(op, phase) in seq {
+                    b.push(op, phase);
+                }
+                std::sync::Arc::new(b)
+            })
+            .collect();
         let mut a = Device::new(DeviceSpec::tiny(), PowerSystem::cap_100uf());
         let mut b = a.clone();
-        for round in 0..12u64 {
-            let mut tape = OpBundle::new();
-            let mut program: Vec<(Op, u64)> = Vec::new();
-            for k in 0..200 {
-                let op = match (round + k) % 4 {
-                    0 => Op::FramRead,
-                    1 => Op::Alu,
-                    2 => Op::FramWrite,
-                    _ => Op::FxpMul,
-                };
-                let n = 1 + (k % 3);
-                program.push((op, n));
-                tape.push_n(op, Phase::Kernel, n);
-            }
-            let ra = (|| -> Result<(), PowerFailure> {
-                for &(op, n) in &program {
-                    a.consume_n(op, n)?;
-                }
-                Ok(())
-            })();
-            let rb = b.consume_tape(&tape);
+        let mut brownouts = 0;
+        for round in 0..24u64 {
+            let prog = tape_program(round);
+            let ra = run_program_scalar(&mut a, &seqs, &prog);
+            let rb = b.consume_tape(&record_tape(&pats, &prog));
             assert_eq!(ra.is_err(), rb.is_err(), "round {round}");
-            assert_traces_identical(&a, &b);
+            assert_tape_settle_identical(&a, &b);
             if ra.is_err() {
+                brownouts += 1;
                 a.reboot().unwrap();
                 b.reboot().unwrap();
+            }
+        }
+        assert!(
+            brownouts >= 3,
+            "the sweep must cross several brown-outs, got {brownouts}"
+        );
+
+        // Armed targets landing inside a pattern repeat: a brown-out, and
+        // separately a bit flip that corrupts FRAM without cutting power.
+        let prog = [
+            Step::Ops(Op::Alu, Phase::Kernel, 3),
+            Step::Rep(0, 40),
+            Step::Ops(Op::FramRead, Phase::Kernel, 2),
+            Step::Rep(1, 40),
+        ];
+        let tape = record_tape(&pats, &prog);
+        let iter0 = seqs[0].len() as u64;
+        for power in [PowerSystem::continuous(), PowerSystem::cap_100uf()] {
+            let mut a = Device::new(DeviceSpec::tiny(), power);
+            let word = a.fram_alloc_word().unwrap();
+            a.flash_word(word, 0x0F0F);
+            // Inside repeat 5 of the first pattern, mid-iteration.
+            let offset = 3 + 5 * iter0 + 2;
+            for kind in [
+                FaultKind::Brownout,
+                FaultKind::BitFlip {
+                    addr: word.addr(),
+                    bit: 9,
+                },
+            ] {
+                let mut a = a.clone();
+                a.arm_faults(&FaultPlan::faults([(a.ops_consumed() + offset, kind)]));
+                let mut b = a.clone();
+                let ra = run_program_scalar(&mut a, &seqs, &prog);
+                let rb = b.consume_tape(&tape);
+                assert_eq!(ra, rb, "{kind:?}");
+                assert_eq!(ra.is_err(), kind.browns_out(), "{kind:?}");
+                assert_eq!(a.pending_faults(), 0, "{kind:?}: the target fired");
+                if kind.browns_out() {
+                    let info = b.last_brownout().expect("browned out");
+                    assert!(info.injected);
+                    assert_eq!(info.op, seqs[0][2].0);
+                } else {
+                    assert_eq!(b.peek_word(word), 0x0F0F ^ (1 << 9));
+                }
+                assert_tape_settle_identical(&a, &b);
             }
         }
     }
@@ -2309,7 +2517,10 @@ mod tests {
         let mut bundle = OpBundle::new();
         bundle.push(Op::Alu, Phase::Kernel);
         assert_eq!(d.consume_bundle(&bundle, 5), Err(PowerFailure));
-        assert_eq!(d.consume_tape(&bundle), Err(PowerFailure));
+        let mut tape = OpTape::new();
+        tape.push(Op::Alu, Phase::Kernel);
+        assert_eq!(d.consume_tape(&tape), Err(PowerFailure));
+        assert_eq!(d.consume_tape(&OpTape::new()), Err(PowerFailure));
     }
 
     #[test]
@@ -2630,6 +2841,70 @@ mod tests {
         // Scrubbing with the intended value restores a clean state.
         d.store_word(w, 42).unwrap();
         assert!(d.verify_word(w));
+    }
+
+    #[test]
+    fn guard_bitmap_tracks_words_across_a_word_boundary() {
+        // Guarded words on both sides of a 64-word bitmap boundary, with
+        // unguarded neighbours on every side.
+        let mut d = continuous();
+        let buf = d.fram_alloc(200).unwrap();
+        assert_eq!(
+            buf.addr(64).index() % 64,
+            0,
+            "63 | 64 straddles a bitmap word"
+        );
+        let guarded = [63u32, 64, 130];
+        for &i in &guarded {
+            d.flash(buf.slice(i, 1), &[Q15::from_raw(i as i16)]);
+            d.guard_span(buf.addr(i), 1);
+        }
+        // Stores to unguarded neighbours leave every shadow untouched.
+        for i in [0u32, 62, 65, 127, 128, 129, 131, 199] {
+            d.write(buf, i, Q15::from_raw(-1)).unwrap();
+            d.prepaid_write(buf, i, Q15::from_raw(-2));
+            assert_eq!(d.guarded_intended(buf.addr(i)), None, "word {i}");
+            for &g in &guarded {
+                assert_eq!(d.guarded_intended(buf.addr(g)), Some(g as u16));
+            }
+        }
+        // Stores to guarded words refresh their own shadow only.
+        d.write(buf, 64, Q15::from_raw(640)).unwrap();
+        assert_eq!(d.guarded_intended(buf.addr(63)), Some(63));
+        assert_eq!(d.guarded_intended(buf.addr(64)), Some(640));
+        // A flip on a guarded word is caught; one on an unguarded
+        // neighbour is invisible to the check.
+        let ops = d.ops_consumed();
+        d.arm_faults(&FaultPlan::faults([
+            (
+                ops,
+                FaultKind::BitFlip {
+                    addr: buf.addr(63),
+                    bit: 1,
+                },
+            ),
+            (
+                ops,
+                FaultKind::BitFlip {
+                    addr: buf.addr(65),
+                    bit: 1,
+                },
+            ),
+        ]));
+        d.consume(Op::Alu).unwrap();
+        assert!(!d.verify_at(buf.addr(63)));
+        assert!(d.verify_at(buf.addr(64)));
+        assert!(d.verify_at(buf.addr(65)), "unguarded words always verify");
+        // A cloned device (the fault sweeps clone a deployed device per
+        // fault) keeps its guards.
+        let mut c = d.clone();
+        assert!(!c.verify_at(buf.addr(63)));
+        c.write(buf, 63, Q15::from_raw(7)).unwrap();
+        assert!(c.verify_at(buf.addr(63)));
+        assert_eq!(c.guarded_intended(buf.addr(63)), Some(7));
+        c.write(buf, 62, Q15::from_raw(8)).unwrap();
+        assert_eq!(c.guarded_intended(buf.addr(130)), Some(130));
+        assert!(!d.verify_at(buf.addr(63)), "the original is independent");
     }
 
     #[test]

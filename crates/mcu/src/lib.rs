@@ -63,7 +63,7 @@ pub mod power;
 pub mod spec;
 pub mod trace;
 
-pub use bundle::{BundleOp, OpBundle};
+pub use bundle::{BundleOp, OpBundle, OpTape};
 pub use device::{
     AllocError, BrownoutInfo, Device, FaultKind, FaultPlan, FramBuf, FramWord, NvAddr,
     PowerFailure, SramBuf, SramWord, SupplyDead, CORRUPTION_RETRY_LIMIT,
