@@ -17,7 +17,7 @@
 //! `bundles` test suite pins bit-identical traces against the scalar
 //! implementation.
 
-use crate::deploy::{DeployedKind, DeployedLayer, DeployedModel};
+use crate::deploy::{DeployedKind, DeployedLayer, DeployedModel, SparseFc};
 use dnn::quant::finish_acc;
 use fxp::{Accum, Q15};
 use intermittent::task::{TaskGraph, Transition};
@@ -178,7 +178,7 @@ fn dense_layer(dev: &mut Device, m: &DeployedModel, l: &DeployedLayer) -> Result
     let DeployedKind::Dense {
         dims,
         weights,
-        sparse_rows,
+        sparse,
         bias,
         shift,
         ..
@@ -193,8 +193,11 @@ fn dense_layer(dev: &mut Device, m: &DeployedModel, l: &DeployedLayer) -> Result
     let sparse_iter = fc_sparse_bundle();
     for o in 0..out_n {
         let mut acc = Accum::ZERO;
-        match sparse_rows {
-            Some((row_ptr, entries)) => {
+        match sparse {
+            Some(SparseFc {
+                rows: (row_ptr, entries),
+                ..
+            }) => {
                 let start = dev.read(*row_ptr, o)?.raw() as u16 as u32;
                 let end = dev.read(*row_ptr, o + 1)?.raw() as u16 as u32;
                 let mut t = start;

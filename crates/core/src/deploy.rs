@@ -78,15 +78,8 @@ pub enum DeployedKind {
         dims: [u32; 2],
         /// Dense weights (`out*in` words).
         weights: FramBuf,
-        /// Sparse column-major form: (`col_ptr` of `in+1` words, entries
-        /// of 2 words each: output row, value). This is the access order
-        /// sparse undo-logging needs (scatter per input).
-        sparse: Option<(FramBuf, FramBuf)>,
-        /// Sparse row-major form: (`row_ptr` of `out+1` words, entries of
-        /// 2 words each: column, value). Gather order, used by
-        /// register-accumulating implementations (baseline, TAILS's
-        /// software fallback).
-        sparse_rows: Option<(FramBuf, FramBuf)>,
+        /// Sparse forms, both written when the layer is pruned.
+        sparse: Option<SparseFc>,
         /// Biases (`out` words).
         bias: FramBuf,
         /// Net result shift.
@@ -103,6 +96,19 @@ pub enum DeployedKind {
     Relu,
     /// Flatten (no data movement; shapes only).
     Flatten,
+}
+
+/// The two flashed forms of a sparse fully-connected layer.
+#[derive(Clone, Copy, Debug)]
+pub struct SparseFc {
+    /// Column-major: (`col_ptr` of `in+1` words, entries of 2 words each:
+    /// output row, value). This is the access order sparse undo-logging
+    /// needs (scatter per input).
+    pub cols: (FramBuf, FramBuf),
+    /// Row-major: (`row_ptr` of `out+1` words, entries of 2 words each:
+    /// column, value). Gather order, used by register-accumulating
+    /// implementations (baseline, stateful).
+    pub rows: (FramBuf, FramBuf),
 }
 
 /// One deployed layer: weights, routing, shapes, control words, region.
@@ -349,7 +355,7 @@ pub fn deploy(dev: &mut Device, qm: &QModel) -> Result<DeployedModel, AllocError
                 };
                 let bias = dev.fram_alloc(d.bias.len() as u32)?;
                 dev.flash(bias, &d.bias);
-                let (sparse, sparse_rows) = match &d.sparse {
+                let sparse = match &d.sparse {
                     Some(s) => {
                         // Column-major scatter lists (for sparse
                         // undo-logging) from the row-major CSR.
@@ -373,16 +379,18 @@ pub fn deploy(dev: &mut Device, qm: &QModel) -> Result<DeployedModel, AllocError
                         }
                         dev.flash(row_ptr, &rp_words);
                         dev.flash(row_entries, &re_words);
-                        (Some((col_ptr, entries)), Some((row_ptr, row_entries)))
+                        Some(SparseFc {
+                            cols: (col_ptr, entries),
+                            rows: (row_ptr, row_entries),
+                        })
                     }
-                    None => (None, None),
+                    None => None,
                 };
                 (
                     DeployedKind::Dense {
                         dims: [d.dims[0] as u32, d.dims[1] as u32],
                         weights,
                         sparse,
-                        sparse_rows,
                         bias,
                         shift: d.shift,
                     },
@@ -538,7 +546,11 @@ mod tests {
         let mut dev = Device::new(DeviceSpec::msp430fr5994(), PowerSystem::continuous());
         let dm = deploy(&mut dev, &qm).unwrap();
         let DeployedKind::Dense {
-            sparse: Some((col_ptr, entries)),
+            sparse:
+                Some(SparseFc {
+                    cols: (col_ptr, entries),
+                    ..
+                }),
             ..
         } = dm.layers[0].kind
         else {

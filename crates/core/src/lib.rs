@@ -30,7 +30,7 @@
 //!   system and returns the result plus the per-run energy/time trace.
 //! - [`lockstep`]: lockstep batching — once a deployment's per-run trace
 //!   reaches its fixed point on continuous fault-free power, further runs
-//!   execute as bit-exact data-plane twins on a host FRAM image
+//!   execute as bit-exact host twins computed from the deployed `QModel`
 //!   (periodically re-validated by metered leader runs), which is what
 //!   makes population-scale fleets cheap to simulate.
 //! - [`fleet`]: the population-scale harness — many test-set inputs ×

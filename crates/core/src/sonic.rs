@@ -746,7 +746,7 @@ pub(crate) fn sparse_dense_task(
     else {
         unreachable!("sparse_dense_task on non-dense")
     };
-    let (col_ptr, entries) = sparse.as_ref().expect("sparse layer");
+    let (col_ptr, entries) = &sparse.as_ref().expect("sparse layer").cols;
     let [out_n, in_n] = *dims;
     let nnz = entries.len() / 2;
     let st = SparseState { out_n, nnz };
@@ -952,7 +952,7 @@ fn sparse_dense_loop_ordered_task(
     else {
         unreachable!("sparse_dense_loop_ordered_task on non-dense")
     };
-    let (col_ptr, entries) = sparse.as_ref().expect("sparse layer");
+    let (col_ptr, entries) = &sparse.as_ref().expect("sparse layer").cols;
     let [out_n, in_n] = *dims;
     let src = m.buf(l.src);
     let dst = m.buf(l.dst);

@@ -34,7 +34,9 @@
 //! the crash, the injected schedule, and the abstract-vs-concrete
 //! divergence.
 
-use crate::deploy::{deploy, DeployedKind, DeployedLayer, DeployedModel, IoBuf, UNDO_EMPTY};
+use crate::deploy::{
+    deploy, DeployedKind, DeployedLayer, DeployedModel, IoBuf, SparseFc, UNDO_EMPTY,
+};
 use crate::exec::Backend;
 use crate::fleet::par_map;
 use crate::tails::{CALIB_INITIAL, CALIB_MIN};
@@ -333,7 +335,9 @@ fn abs_loop_layer(dev: &Device, l: &DeployedLayer, sparse_undo: bool) -> Result<
         DeployedKind::Dense { dims, sparse, .. } => {
             let [out_n, in_n] = *dims;
             match sparse {
-                Some((_, entries)) if sparse_undo => {
+                Some(SparseFc {
+                    cols: (_, entries), ..
+                }) if sparse_undo => {
                     let nnz = entries.len() / 2;
                     let undo_armed = undo_abs(dev, l, nnz)?;
                     let state = word(dev, l.idx);
@@ -404,7 +408,9 @@ fn abs_tiled_layer(dev: &Device, l: &DeployedLayer) -> Result<LayerAbs, String> 
             let stage = tiled_stage(dev, l)?;
             let col = bounded(word(dev, l.pos), in_n, "pos")?;
             match sparse {
-                Some((_, entries)) => {
+                Some(SparseFc {
+                    cols: (_, entries), ..
+                }) => {
                     let nnz = entries.len() / 2;
                     let idx = bounded(word(dev, l.idx), out_n.max(nnz), "idx")?;
                     Ok(LayerAbs::Sparse(match stage {

@@ -64,7 +64,7 @@
 //! is its own continuous-power run.
 
 use crate::baseline::{charge_finish, unpack_tap};
-use crate::deploy::{DeployedKind, DeployedLayer, DeployedModel, IoBuf};
+use crate::deploy::{DeployedKind, DeployedLayer, DeployedModel, IoBuf, SparseFc};
 use dnn::quant::finish_acc;
 use fxp::{Accum, Q15};
 use intermittent::task::{TaskGraph, Transition};
@@ -538,7 +538,7 @@ fn dense_element(
     let DeployedKind::Dense {
         dims,
         weights,
-        sparse_rows,
+        sparse,
         bias,
         shift,
         ..
@@ -550,8 +550,11 @@ fn dense_element(
     let src = m.buf(l.src);
     let dst = m.buf(l.dst);
     let mut acc = Accum::ZERO;
-    match sparse_rows {
-        Some((row_ptr, entries)) => {
+    match sparse {
+        Some(SparseFc {
+            rows: (row_ptr, entries),
+            ..
+        }) => {
             let iter = fc_sparse_bundle();
             let start = dev.read(*row_ptr, o)?.raw() as u16 as u32;
             let end = dev.read(*row_ptr, o + 1)?.raw() as u16 as u32;

@@ -378,7 +378,7 @@ fn sparse_dense_tiled(
     else {
         unreachable!("sparse dense on non-dense")
     };
-    let (col_ptr, entries) = sparse.as_ref().expect("sparse layer");
+    let (col_ptr, entries) = &sparse.as_ref().expect("sparse layer").cols;
     let [out_n, _in_n] = *dims;
     let nnz = entries.len() / 2;
     let acc = m.plane_a;

@@ -376,15 +376,45 @@ pub fn quantize(model: &mut Model, input_shape: &[usize], calib: &[Tensor]) -> Q
     }
 }
 
-/// Reusable buffers for [`QModel::forward_host_with`], so repeated host
-/// inferences (calibration sweeps, GENESIS accuracy evaluation) allocate
-/// nothing in steady state.
+/// The conv and fully-connected kernels of one arithmetic family.
+///
+/// [`QModel::forward_with`] runs a family over the one host layer walk
+/// (ping-pong activations, max pooling, ReLU); [`FullPrecision`] is the
+/// naïve baseline's family, the one [`QModel::forward_host`] runs.
+pub trait QKernels {
+    /// Writes the conv's output planes for input `x` of `shape` to `out`.
+    fn conv(&mut self, c: &QConv, x: &[Q15], shape: &[usize], out: &mut Vec<Q15>);
+    /// Writes the fully-connected layer's outputs for input `x` to `out`.
+    fn dense(&mut self, d: &QDense, x: &[Q15], out: &mut Vec<Q15>);
+}
+
+/// Full-precision accumulation per output element (the naïve baseline's
+/// semantics), through [`conv_host_into`] and [`dense_host_into`].
 #[derive(Clone, Debug, Default)]
-pub struct HostScratch {
+pub struct FullPrecision {
     /// One output row of wide accumulators.
     acc_row: Vec<Accum>,
-    /// Per-filter sparse taps flattened to (row base offset, weight).
+    /// One filter's [`filter_taps`].
     tap_bases: Vec<(usize, Q15)>,
+}
+
+impl QKernels for FullPrecision {
+    fn conv(&mut self, c: &QConv, x: &[Q15], shape: &[usize], out: &mut Vec<Q15>) {
+        conv_host_into(c, x, shape, &mut self.acc_row, &mut self.tap_bases, out);
+    }
+
+    fn dense(&mut self, d: &QDense, x: &[Q15], out: &mut Vec<Q15>) {
+        dense_host_into(d, x, out);
+    }
+}
+
+/// Reusable buffers for [`QModel::forward_with`], so repeated host
+/// inferences (calibration sweeps, GENESIS accuracy evaluation, lockstep
+/// twins) reuse their activation and kernel buffers.
+#[derive(Clone, Debug, Default)]
+pub struct HostScratch<K = FullPrecision> {
+    /// The arithmetic family the pass runs, with its own scratch.
+    pub kernels: K,
     /// Activation ping buffer.
     ping: Vec<Q15>,
     /// Activation pong buffer.
@@ -410,17 +440,25 @@ impl QModel {
         self.forward_host_with(x, &mut HostScratch::default())
     }
 
-    /// Host forward pass through caller-provided scratch buffers.
-    ///
-    /// Activations ping-pong between two reused buffers and the kernels
-    /// run through the restructured [`conv_host`] / [`dense_host`], so a
-    /// steady-state inference performs no heap allocation beyond the
-    /// returned logits.
+    /// Host forward pass through caller-provided scratch buffers: the
+    /// baseline family of [`QModel::forward_with`].
     ///
     /// # Panics
     ///
     /// Panics if `x` does not match the input shape.
     pub fn forward_host_with(&self, x: &[Q15], s: &mut HostScratch) -> Vec<Q15> {
+        self.forward_with(x, s)
+    }
+
+    /// Host forward pass of an arithmetic family's kernels.
+    ///
+    /// Activations ping-pong between two reused buffers, so a steady-state
+    /// inference allocates no activation buffer beyond the returned logits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` does not match the input shape.
+    pub fn forward_with<K: QKernels>(&self, x: &[Q15], s: &mut HostScratch<K>) -> Vec<Q15> {
         let expect: usize = self.input_shape.iter().product();
         assert_eq!(x.len(), expect, "input size mismatch");
         let mut shape = self.input_shape.clone();
@@ -430,18 +468,11 @@ impl QModel {
             let out_shape = l.output_shape(&shape);
             match l {
                 QLayer::Conv(c) => {
-                    conv_host_into(
-                        c,
-                        &s.ping,
-                        &shape,
-                        &mut s.acc_row,
-                        &mut s.tap_bases,
-                        &mut s.pong,
-                    );
+                    s.kernels.conv(c, &s.ping, &shape, &mut s.pong);
                     std::mem::swap(&mut s.ping, &mut s.pong);
                 }
                 QLayer::Dense(d) => {
-                    dense_host_into(d, &s.ping, &mut s.pong);
+                    s.kernels.dense(d, &s.ping, &mut s.pong);
                     std::mem::swap(&mut s.ping, &mut s.pong);
                 }
                 QLayer::Pool(p) => {
@@ -522,21 +553,35 @@ pub fn conv_host(c: &QConv, x: &[Q15], shape: &[usize]) -> Vec<Q15> {
     out
 }
 
+/// Filter `f`'s taps, in `(c, ky, kx)` order, as (offset of the tap's
+/// input for output element 0, weight) over `h × w` input planes: the
+/// sparse taps when the layer is pruned, every dense weight otherwise.
+pub fn filter_taps(c: &QConv, f: usize, h: usize, w: usize, taps: &mut Vec<(usize, Q15)>) {
+    taps.clear();
+    match &c.sparse {
+        Some(s) => taps.extend(s.taps[f].iter().map(|t| {
+            let (cc, ky, kx) = (t.c as usize, t.ky as usize, t.kx as usize);
+            ((cc * h + ky) * w + kx, t.w)
+        })),
+        None => {
+            let (nc, kh, kw) = (c.dims[1], c.dims[2], c.dims[3]);
+            let n = nc * kh * kw;
+            let weights = c.weights[f * n..(f + 1) * n].iter().enumerate();
+            taps.extend(weights.map(|(pos, &wq)| {
+                let (cc, ky, kx) = (pos / (kh * kw), pos / kw % kh, pos % kw);
+                ((cc * h + ky) * w + kx, wq)
+            }));
+        }
+    }
+}
+
 /// Restructured quantized convolution.
 ///
-/// The sparse/dense dispatch is hoisted out of the loop nest; each
-/// (filter, output-row) pair keeps a row of wide accumulators:
-///
-/// - **dense**: one [`fxp::vecops::fir_acc`] call per (channel,
-///   kernel-row) streams a contiguous image row against a contiguous
-///   `kw`-tap slice of the filter — the composition TAILS performs with
-///   LEA FIR DTC calls (§7).
-/// - **sparse**: tap coordinates are pre-flattened to row base offsets,
-///   then each nonzero tap is one [`fxp::vecops::mac_acc`] over a
-///   contiguous image row.
-///
-/// Because [`Accum`] arithmetic is exact, both reorderings are
-/// bit-identical to the reference element-at-a-time loops.
+/// Each (filter, output-row) pair keeps a row of wide accumulators, and
+/// each of the filter's [`filter_taps`] is one [`fxp::vecops::mac_acc`]
+/// of a contiguous image row into it. Because [`Accum`] arithmetic is
+/// exact, this reordering is bit-identical to the reference
+/// element-at-a-time loops.
 ///
 /// # Panics
 ///
@@ -557,46 +602,18 @@ pub fn conv_host_into(
     // so plain resize() suffices (no-op re-zeroing in steady state).
     out.resize(nf * oh * ow, Q15::ZERO);
     acc_row.resize(ow, Accum::ZERO);
-    match &c.sparse {
-        None => {
-            for f in 0..nf {
-                let bias = c.bias[f];
-                for oy in 0..oh {
-                    acc_row.fill(Accum::ZERO);
-                    for cc in 0..nc {
-                        for ky in 0..kh {
-                            let xrow = &x[(cc * h + oy + ky) * w..(cc * h + oy + ky + 1) * w];
-                            let tap0 = ((f * nc + cc) * kh + ky) * kw;
-                            fxp::vecops::fir_acc(xrow, &c.weights[tap0..tap0 + kw], acc_row);
-                        }
-                    }
-                    let orow = &mut out[(f * oh + oy) * ow..(f * oh + oy + 1) * ow];
-                    for (o, &acc) in orow.iter_mut().zip(acc_row.iter()) {
-                        *o = finish_acc(acc, c.shift, bias);
-                    }
-                }
+    for f in 0..nf {
+        let bias = c.bias[f];
+        filter_taps(c, f, h, w, tap_bases);
+        for oy in 0..oh {
+            acc_row.fill(Accum::ZERO);
+            for &(base, tw) in tap_bases.iter() {
+                let xrow = &x[base + oy * w..base + oy * w + ow];
+                fxp::vecops::mac_acc(acc_row, xrow, tw);
             }
-        }
-        Some(s) => {
-            for f in 0..nf {
-                let bias = c.bias[f];
-                tap_bases.clear();
-                tap_bases.extend(
-                    s.taps[f]
-                        .iter()
-                        .map(|t| ((t.c as usize * h + t.ky as usize) * w + t.kx as usize, t.w)),
-                );
-                for oy in 0..oh {
-                    acc_row.fill(Accum::ZERO);
-                    for &(base, tw) in tap_bases.iter() {
-                        let xrow = &x[base + oy * w..base + oy * w + ow];
-                        fxp::vecops::mac_acc(acc_row, xrow, tw);
-                    }
-                    let orow = &mut out[(f * oh + oy) * ow..(f * oh + oy + 1) * ow];
-                    for (o, &acc) in orow.iter_mut().zip(acc_row.iter()) {
-                        *o = finish_acc(acc, c.shift, bias);
-                    }
-                }
+            let orow = &mut out[(f * oh + oy) * ow..(f * oh + oy + 1) * ow];
+            for (o, &acc) in orow.iter_mut().zip(acc_row.iter()) {
+                *o = finish_acc(acc, c.shift, bias);
             }
         }
     }

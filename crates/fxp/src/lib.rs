@@ -391,9 +391,9 @@ pub mod vecops {
     /// This is the composition step of a multi-channel 2-D convolution the
     /// way TAILS builds it from LEA FIR DTC calls: one call per
     /// (channel, kernel-row) pair accumulates into the same row of wide
-    /// accumulators, and the caller rounds/saturates once at the end (see
-    /// `dnn::quant::conv_host`). Since [`Accum`] addition is exact, the
-    /// result is bit-identical to accumulating in any other tap order.
+    /// accumulators, and the caller rounds/saturates once at the end.
+    /// Since [`Accum`] addition is exact, the result is bit-identical to
+    /// accumulating in any other tap order.
     ///
     /// # Panics
     ///

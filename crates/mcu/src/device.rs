@@ -1534,10 +1534,8 @@ impl Device {
     /// Host-side view of the allocated FRAM image (no energy): every word
     /// the allocator has handed out so far, in address order, so raw
     /// indices into the slice coincide with [`NvAddr`] word indices.
-    ///
-    /// This is the debug port a host-side twin executes against: snapshot
-    /// the image after deployment and address it with [`FramBuf::addr`]
-    /// offsets exactly like device code does.
+    /// Whole-image comparisons (a cloned device against a fresh one) read
+    /// it through this debug port.
     pub fn fram_image(&self) -> &[i16] {
         &self.fram[..self.fram_brk as usize]
     }
