@@ -997,9 +997,9 @@ mod tests {
     fn stateful_cells_complete_and_stay_lane_invariant() {
         // The fifth backend on the same fleet accounting: intermittent
         // stateful cells complete (seek-based recovery), score against
-        // their labels, and — since the stateful backend never twins
-        // (embedded tags are per-run NVM state) — the lane width must be
-        // invisible in the digest.
+        // their labels, and the lane width must be invisible in the
+        // digest: continuous stateful cells twin through the masked twin,
+        // harvested ones drain through the meter.
         let (qm, input) = tiny_pruned_qmodel();
         let mut job = tiny_job(&qm, &input, 3);
         job.backends = vec![Backend::Sonic, Backend::Stateful];

@@ -15,10 +15,14 @@
 //!    [`QModel`] the cell was deployed from, in the backend family's exact
 //!    Q1.15 arithmetic, and inherit the leader's trace and scheduler stats
 //!    verbatim. The baseline twin is [`QModel::forward_host_with`]; the
-//!    loop-ordered (SONIC, Tile-N) and TAILS twins are [`QKernels`] run
-//!    over the same layer walk ([`QModel::forward_with`]). The only device
-//!    state a twin reads is TAILS's calibrated tile, once, when the fixed
-//!    point is reached.
+//!    loop-ordered (SONIC, Tile-N), TAILS and stateful twins are
+//!    [`QKernels`] run over the same layer walk ([`QModel::forward_with`]).
+//!    The stateful twin is [`FullPrecision`] over words masked to
+//!    [`VALUE_MASK`](crate::stateful::VALUE_MASK). Its tags, parity and
+//!    seek/audit state need no model: [`crate::stateful::prepare_run`]
+//!    clears them before every metered run and the logits are read with
+//!    them stripped. The only device state a twin reads is TAILS's
+//!    calibrated tile, once, when the fixed point is reached.
 //! 3. Every `lanes`-th run re-meters on the real device and re-checks the
 //!    trace fixed point; any divergence (or any non-completed run) drops
 //!    back to scalar metering until the fixed point is re-established.
@@ -32,7 +36,10 @@
 
 use crate::deploy::{deploy, DeployedModel};
 use crate::exec::{run_deployed, Backend, InferenceOutcome};
-use dnn::quant::{filter_taps, finish_acc, HostScratch, QConv, QDense, QKernels, QModel};
+use crate::stateful::value_of;
+use dnn::quant::{
+    filter_taps, finish_acc, FullPrecision, HostScratch, QConv, QDense, QKernels, QModel,
+};
 use fxp::vecops::dot;
 use fxp::{Accum, Q15};
 use mcu::{Device, DeviceSpec, PowerSystem, TraceReport};
@@ -172,11 +179,33 @@ impl QKernels for Tails {
     }
 }
 
+/// The stateful backend: exact wide accumulation in any tap order, so
+/// [`FullPrecision`], except that every stored word keeps only its
+/// [`VALUE_MASK`](crate::stateful::VALUE_MASK) bits. Max-pool and ReLU
+/// map masked words to masked words, so masking the input and each
+/// conv/FC output is exact.
+#[derive(Default)]
+struct Masked(FullPrecision);
+
+impl QKernels for Masked {
+    fn conv(&mut self, c: &QConv, x: &[Q15], shape: &[usize], out: &mut Vec<Q15>) {
+        self.0.conv(c, x, shape, out);
+        out.iter_mut().for_each(|v| *v = value_of(*v));
+    }
+
+    fn dense(&mut self, d: &QDense, x: &[Q15], out: &mut Vec<Q15>) {
+        self.0.dense(d, x, out);
+        out.iter_mut().for_each(|v| *v = value_of(*v));
+    }
+}
+
 /// The twin of one backend family, with its reusable scratch.
 enum Twin {
     Baseline(HostScratch),
     LoopOrdered(HostScratch<LoopOrdered>),
     Tails(HostScratch<Tails>),
+    /// With the masked copy of the input.
+    Stateful(HostScratch<Masked>, Vec<Q15>),
 }
 
 impl Twin {
@@ -185,6 +214,11 @@ impl Twin {
             Twin::Baseline(s) => qm.forward_host_with(x, s),
             Twin::LoopOrdered(s) => qm.forward_with(x, s),
             Twin::Tails(s) => qm.forward_with(x, s),
+            Twin::Stateful(s, masked) => {
+                masked.clear();
+                masked.extend(x.iter().copied().map(value_of));
+                qm.forward_with(masked, s)
+            }
         }
     }
 }
@@ -218,20 +252,18 @@ impl<'a> BatchRunner<'a> {
         BatchRunner {
             qm,
             lanes: lanes.max(1),
-            enabled: lanes >= 2
-                && matches!(power, PowerSystem::Continuous)
-                && !matches!(backend, Backend::Stateful),
+            enabled: lanes >= 2 && matches!(power, PowerSystem::Continuous),
             backend: *backend,
             twin: match backend {
                 Backend::Tails(_) => Twin::Tails(HostScratch::default()),
                 Backend::Tiled(_) | Backend::Sonic | Backend::SonicNoUndo => {
                     Twin::LoopOrdered(HostScratch::default())
                 }
-                // The stateful backend's embedded tags are NVM-visible
-                // state the host twin does not model; `enabled` above
-                // forces every stateful run through the meter, so its
-                // twin is never run.
-                Backend::Baseline | Backend::Stateful => Twin::Baseline(HostScratch::default()),
+                // Every metered stateful run starts from the same cleared
+                // buffers and its logits are read with tags and parity
+                // stripped, so the twin models only the masked values.
+                Backend::Stateful => Twin::Stateful(HostScratch::default(), Vec::new()),
+                Backend::Baseline => Twin::Baseline(HostScratch::default()),
             },
             idx: 0,
             prev: None,
@@ -414,6 +446,7 @@ mod tests {
             Backend::Sonic,
             Backend::SonicNoUndo,
             Backend::Tails(TailsConfig::default()),
+            Backend::Stateful,
         ]
     }
 
@@ -455,11 +488,10 @@ mod tests {
     }
 
     #[test]
-    fn stateful_never_twins_and_stays_bit_identical() {
-        // The stateful backend is excluded from twinning outright: its
-        // embedded progress tags are per-run NVM state the host twin
-        // does not model. Every lane width must drain through the meter
-        // with bit-identical outcomes.
+    fn stateful_twins_are_bit_identical_at_every_width() {
+        // The stateful twin models only the masked arithmetic: tags and
+        // parity are cleared before every metered run and stripped from
+        // its logits. Every lane width must twin and stay bit-identical.
         let (qm, inputs) = fixture(8);
         let b = Backend::Stateful;
         let (scalar, t1) =
@@ -474,13 +506,46 @@ mod tests {
                 &b,
                 lanes,
             );
-            assert_eq!(twins, 0, "lanes={lanes}: stateful runs must never twin");
+            assert!(twins > 0, "lanes={lanes}: stateful runs never twinned");
             for (i, (s, x)) in scalar.iter().zip(&batched).enumerate() {
                 assert!(s.completed && x.completed, "run {i} not completed");
-                assert_eq!(s.output, x.output, "run {i} output diverges");
-                assert_eq!(s.trace, x.trace, "run {i} trace diverges");
+                assert_eq!(s.output, x.output, "lanes={lanes}: run {i} output diverges");
+                assert_eq!(s.trace, x.trace, "lanes={lanes}: run {i} trace diverges");
+                assert_eq!(s.stats, x.stats, "lanes={lanes}: run {i} stats diverge");
             }
         }
+    }
+
+    #[test]
+    fn intermittent_stateful_runs_match_the_masked_twin() {
+        // Brown-outs, seeks and resumed passes must not change the
+        // logits: every completed harvested run equals the stateful twin.
+        let (qm, inputs) = fixture(4);
+        let outs = run_inference_batch(
+            &qm,
+            &inputs,
+            &spec(),
+            PowerSystem::harvested(100e-6),
+            &Backend::Stateful,
+            1,
+        );
+        assert!(
+            outs.iter().any(|o| o.trace.reboots > 0),
+            "no harvested stateful run rebooted"
+        );
+        let mut twin = Twin::Stateful(HostScratch::default(), Vec::new());
+        let mut completed = 0;
+        for (i, (o, x)) in outs.iter().zip(&inputs).enumerate() {
+            if o.completed {
+                completed += 1;
+                assert_eq!(
+                    o.output,
+                    twin.forward(&qm, x),
+                    "run {i} diverges from the twin"
+                );
+            }
+        }
+        assert!(completed > 0, "no harvested stateful run completed");
     }
 
     #[test]

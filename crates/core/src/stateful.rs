@@ -58,10 +58,13 @@
 //! [`prepare_run`] is host-side (free, like `DeployedModel::load_input`):
 //! it flashes the clear pattern over both activation buffers and re-flashes
 //! the staged input in embedded form. Outputs are read back through
-//! [`cleared_output`], which strips tags/parity; the backend's arithmetic
-//! is self-consistently 11-bit (inputs and activations alike are read
-//! through the mask), so its fault-free reference — like every backend's —
-//! is its own continuous-power run.
+//! [`cleared_output`], which strips tags/parity. The backend's arithmetic
+//! is self-consistently 11-bit: inputs and activations alike are read
+//! through [`VALUE_MASK`], and the MACs accumulate exactly. Its host
+//! reference is therefore the lockstep module's masked twin: the
+//! full-precision kernels over masked inputs and masked conv/FC outputs.
+//! Lockstep serves continuous-power runs from that twin once the trace
+//! reaches its fixed point.
 
 use crate::baseline::{charge_finish, unpack_tap};
 use crate::deploy::{DeployedKind, DeployedLayer, DeployedModel, IoBuf, SparseFc};
@@ -410,11 +413,14 @@ fn seek(
     Ok((1, 0))
 }
 
+/// Computes and writes conv output element `o`; `iter` is the layer's
+/// [`sparse_mac_bundle`] or [`mac_bundle`].
 fn conv_element(
     dev: &mut Device,
     m: &DeployedModel,
     l: &DeployedLayer,
     o: u32,
+    iter: &OpBundle,
     in_tags: &[u16],
     out_tag: u16,
 ) -> Result<(), PowerFailure> {
@@ -440,12 +446,11 @@ fn conv_element(
     let mut acc = Accum::ZERO;
     match sparse {
         Some((row_ptr, taps)) => {
-            let iter = sparse_mac_bundle();
             let start = dev.read(*row_ptr, f)?.raw() as u16 as u32;
             let end = dev.read(*row_ptr, f + 1)?.raw() as u16 as u32;
             let mut t = start;
             while t < end {
-                let funded = dev.consume_bundle(&iter, (end - t) as u64)? as u32;
+                let funded = dev.consume_bundle(iter, (end - t) as u64)? as u32;
                 for k in t..t + funded {
                     let off = dev.prepaid_read(*taps, 2 * k).raw() as u16;
                     let (c, ky, kx) = unpack_tap(off, kh, kw);
@@ -483,10 +488,9 @@ fn conv_element(
             }
         }
         None => {
-            let iter = mac_bundle();
             let mut pos = 0u32;
             while pos < ntaps {
-                let funded = dev.consume_bundle(&iter, (ntaps - pos) as u64)? as u32;
+                let funded = dev.consume_bundle(iter, (ntaps - pos) as u64)? as u32;
                 for t in pos..pos + funded {
                     let (c, ky, kx) = unpack_tap(t as u16, kh, kw);
                     let wq = dev.prepaid_read(*weights, f * ntaps + t);
@@ -527,11 +531,14 @@ fn conv_element(
     dev.write(dst, o, embed(finish_acc(acc, *shift, b), out_tag))
 }
 
+/// Computes and writes dense output element `o`; `iter` is the layer's
+/// [`fc_sparse_bundle`] or [`mac_bundle`].
 fn dense_element(
     dev: &mut Device,
     m: &DeployedModel,
     l: &DeployedLayer,
     o: u32,
+    iter: &OpBundle,
     in_tags: &[u16],
     out_tag: u16,
 ) -> Result<(), PowerFailure> {
@@ -555,12 +562,11 @@ fn dense_element(
             rows: (row_ptr, entries),
             ..
         }) => {
-            let iter = fc_sparse_bundle();
             let start = dev.read(*row_ptr, o)?.raw() as u16 as u32;
             let end = dev.read(*row_ptr, o + 1)?.raw() as u16 as u32;
             let mut t = start;
             while t < end {
-                let funded = dev.consume_bundle(&iter, (end - t) as u64)? as u32;
+                let funded = dev.consume_bundle(iter, (end - t) as u64)? as u32;
                 for k in t..t + funded {
                     let col = dev.prepaid_read(*entries, 2 * k).raw() as u16 as u32;
                     let wq = dev.prepaid_read(*entries, 2 * k + 1);
@@ -583,10 +589,9 @@ fn dense_element(
             }
         }
         None => {
-            let iter = mac_bundle();
             let mut i = 0u32;
             while i < in_n {
-                let funded = dev.consume_bundle(&iter, (in_n - i) as u64)? as u32;
+                let funded = dev.consume_bundle(iter, (in_n - i) as u64)? as u32;
                 for k in i..i + funded {
                     let wq = dev.prepaid_read(*weights, o * in_n + k);
                     let xq = verified_prepaid(dev, src, k, in_tags, l.region)?;
@@ -735,17 +740,26 @@ fn run_pass(
     let pass = &p.passes[pi];
     let l = &m.layers[pass.layer.expect("pass 0 is never executed")];
     dev.set_context(l.region, Phase::Kernel);
+    // The MAC bundles are built once per pass, not once per element.
     match &l.kind {
-        DeployedKind::Conv { .. } => {
+        DeployedKind::Conv { sparse, .. } => {
+            let iter = match sparse {
+                Some(_) => sparse_mac_bundle(),
+                None => mac_bundle(),
+            };
             for o in from..pass.len {
-                conv_element(dev, m, l, o, &[pass.in_tag], pass.tag)?;
+                conv_element(dev, m, l, o, &iter, &[pass.in_tag], pass.tag)?;
                 dev.mark_progress();
             }
             Ok(())
         }
-        DeployedKind::Dense { .. } => {
+        DeployedKind::Dense { sparse, .. } => {
+            let iter = match sparse {
+                Some(_) => fc_sparse_bundle(),
+                None => mac_bundle(),
+            };
             for o in from..pass.len {
-                dense_element(dev, m, l, o, &[pass.in_tag], pass.tag)?;
+                dense_element(dev, m, l, o, &iter, &[pass.in_tag], pass.tag)?;
                 dev.mark_progress();
             }
             Ok(())
