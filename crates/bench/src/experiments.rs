@@ -969,12 +969,8 @@ mod tests {
             class: None,
             trace: dev.trace().report(),
             stats: None,
-            error: None,
-            starved_region: None,
-            brownout: None,
             corruption_detected: 0,
-            corrupted: None,
-            non_termination_task: None,
+            failure: None,
         };
         assert_eq!(kernel_share(&out), 0.0);
     }

@@ -116,43 +116,53 @@ pub struct InferenceOutcome {
     pub trace: TraceReport,
     /// Scheduler statistics, when completed.
     pub stats: Option<RunStats>,
-    /// The failure, when not completed.
-    pub error: Option<String>,
-    /// For a run that did not complete: the name of the accounting
-    /// region (layer/task) that was executing when the run gave up — the
-    /// layer the device *starved* in. `None` for completed runs.
-    /// [`crate::fleet::CellSummary`] aggregates these into a starvation
-    /// histogram, and the per-region reboot counts behind it are in
-    /// [`mcu::trace::RegionReport::reboots`].
-    pub starved_region: Option<String>,
-    /// For a run that did not complete: the exact op the *final*
-    /// brown-out landed on (op index, op class, phase, region, and
-    /// whether it was injected). `None` for completed runs.
-    pub brownout: Option<BrownoutRecord>,
     /// Corruption detections the integrity guards noted during the run
     /// (each either recovered or escalated). Zero on fault-free runs.
     pub corruption_detected: u64,
-    /// Set when the run was aborted because detected corruption could
-    /// not be recovered: the outcome is *corrupted*, not merely
-    /// incomplete — a distinct verdict from "does not complete".
-    pub corrupted: Option<Corrupted>,
-    /// For a run that failed with [`RunError::NonTermination`]: the name
-    /// of the task that kept draining full buffers without progress.
-    /// `None` for every other outcome — fleets count this separately
-    /// from generic "does not complete".
-    pub non_termination_task: Option<String>,
+    /// Why the run did not complete; `None` for completed runs.
+    pub failure: Option<Failure>,
 }
 
-/// Unrecoverable NVM corruption verdict: what the integrity guards saw
-/// before the run was aborted (see [`RunError::Corrupted`]).
+/// Why a run did not complete ("does not complete" in Fig. 9's terms),
+/// with the forensics the device still holds after the run gave up.
+///
+/// `B` is the brown-out's representation: the resolved
+/// [`BrownoutRecord`] in RAM, its display string in an experiment's
+/// [`RunRecord`](crate::experiment::RunRecord).
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Corrupted {
-    /// Total corruption detections during the run, the final one
-    /// included.
-    pub detected: u64,
-    /// Name of the accounting region (layer/task) where recovery was
-    /// abandoned.
-    pub region: String,
+pub struct Failure<B = BrownoutRecord> {
+    /// The scheduler's typed verdict. A [`RunError::Corrupted`] run is
+    /// *corrupted*, not merely incomplete: its detected corruption could
+    /// not be recovered.
+    pub error: RunError,
+    /// The accounting region (layer/task) that was executing when the
+    /// run gave up — the layer the device *starved* in.
+    /// [`crate::fleet::CellSummary::starved`] aggregates these into a
+    /// starvation histogram, and the per-region reboot counts behind it
+    /// are in [`mcu::trace::RegionReport::reboots`].
+    pub starved_region: String,
+    /// The exact op the *final* brown-out landed on (op index, op class,
+    /// phase, region, and whether it was injected), when one happened.
+    pub brownout: Option<B>,
+}
+
+impl<B> Failure<B> {
+    /// The region an unrecoverable-corruption abort was detected in.
+    pub fn corrupted_region(&self) -> Option<&str> {
+        match &self.error {
+            RunError::Corrupted { region, .. } => Some(region),
+            _ => None,
+        }
+    }
+
+    /// The stuck task of a [`RunError::NonTermination`] run — fleets
+    /// count these separately from generic "does not complete".
+    pub fn non_termination_task(&self) -> Option<&str> {
+        match &self.error {
+            RunError::NonTermination { task, .. } => Some(task),
+            _ => None,
+        }
+    }
 }
 
 impl InferenceOutcome {
@@ -236,7 +246,6 @@ pub fn run_deployed(dev: &mut Device, dm: &DeployedModel, backend: &Backend) -> 
     // reused deployment links every run against the identical layout
     // instead of leaking the arenas.
     let alloc_marks = dev.alloc_watermarks();
-    let power_label = dev.power().label();
     let result: Result<RunStats, RunError> = match backend {
         Backend::Baseline => {
             let mut g = baseline::build(dm);
@@ -270,66 +279,51 @@ pub fn run_deployed(dev: &mut Device, dm: &DeployedModel, backend: &Backend) -> 
             run(&mut g, &mut (), dev, 0, &SchedulerConfig::task_based())
         }
     };
-    let trace = dev.epoch_report();
     dev.rewind_allocs(alloc_marks);
-    let corruption_detected = dev.corruption_detected();
-    match result {
-        Ok(stats) => {
-            let output = match backend {
-                // Stateful activations carry in-band tags; strip them.
-                Backend::Stateful => stateful::cleared_output(dev, dm),
-                _ => dm.read_output(dev),
-            };
-            let class = fxp::vecops::argmax(&output);
-            InferenceOutcome {
-                backend: backend.label(),
-                power: power_label,
-                completed: true,
-                output,
-                class,
-                trace,
-                stats: Some(stats),
-                error: None,
-                starved_region: None,
-                brownout: None,
-                corruption_detected,
-                corrupted: None,
-                non_termination_task: None,
-            }
-        }
-        Err(e) => {
-            let corrupted = match &e {
-                RunError::Corrupted { region, .. } => Some(Corrupted {
-                    detected: corruption_detected,
-                    region: region.clone(),
-                }),
-                _ => None,
-            };
-            let non_termination_task = match &e {
-                RunError::NonTermination { task, .. } => Some(task.clone()),
-                _ => None,
-            };
-            InferenceOutcome {
-                backend: backend.label(),
-                power: power_label,
-                completed: false,
-                output: Vec::new(),
-                class: None,
-                trace,
-                stats: None,
-                error: Some(e.to_string()),
-                starved_region: Some(starved_region_name(dev)),
-                brownout: brownout_record(dev),
-                corruption_detected,
-                corrupted,
-                non_termination_task,
-            }
-        }
+    let stats = match result {
+        Ok(stats) => stats,
+        Err(e) => return failed_outcome(dev, backend, e),
+    };
+    let output = match backend {
+        // Stateful activations carry in-band tags; strip them.
+        Backend::Stateful => stateful::cleared_output(dev, dm),
+        _ => dm.read_output(dev),
+    };
+    InferenceOutcome {
+        backend: backend.label(),
+        power: dev.power().label(),
+        completed: true,
+        class: fxp::vecops::argmax(&output),
+        output,
+        trace: dev.epoch_report(),
+        stats: Some(stats),
+        corruption_detected: dev.corruption_detected(),
+        failure: None,
+    }
+}
+
+/// The outcome of a run that ended in `error` on `dev`: the current trace
+/// epoch, plus the region and brown-out the device is parked on.
+pub(crate) fn failed_outcome(dev: &Device, backend: &Backend, error: RunError) -> InferenceOutcome {
+    InferenceOutcome {
+        backend: backend.label(),
+        power: dev.power().label(),
+        completed: false,
+        output: Vec::new(),
+        class: None,
+        trace: dev.epoch_report(),
+        stats: None,
+        corruption_detected: dev.corruption_detected(),
+        failure: Some(Failure {
+            error,
+            starved_region: starved_region_name(dev),
+            brownout: brownout_record(dev),
+        }),
     }
 }
 
 /// Resolves the device's most recent brown-out into region-named form.
-pub(crate) fn brownout_record(dev: &Device) -> Option<BrownoutRecord> {
+fn brownout_record(dev: &Device) -> Option<BrownoutRecord> {
     dev.last_brownout().map(|b| BrownoutRecord {
         op_index: b.op_index,
         op: b.op,

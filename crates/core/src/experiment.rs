@@ -29,16 +29,19 @@
 //! Merged aggregation is *bit*-exact, not just approximately right: the
 //! per-shard buffers hold raw per-run metric values ("percentile-ready"
 //! rather than pre-reduced), cells concatenate them in shard (= input)
-//! order, and the same statistics fold as [`crate::fleet::FleetCell::summarize`] runs
-//! over the concatenation — so means and nearest-rank percentiles see
-//! the identical f64 sequence the in-RAM summarizer sees.
+//! order, and the one summary fold — the same function
+//! [`crate::fleet::FleetCell::summarize`] calls on its in-RAM runs —
+//! runs over the concatenation, so means and nearest-rank percentiles
+//! see the identical f64 sequence.
 
+use crate::exec::Failure;
 use crate::fleet::{
     cell_order, digest_run_fields, plan_cell_shards, plan_shards, run_shard_with, stats,
     CellSummary, FleetJob, FleetRun, Fnv, ShardSpec,
 };
 use dnn::quant::QLayer;
 use fxp::Q15;
+use intermittent::sched::RunError;
 use mcu::{DeviceSpec, FaultKind, HarvestProfile, Op, PowerSystem};
 use std::fmt;
 use std::fs;
@@ -122,7 +125,7 @@ impl std::error::Error for ExperimentError {}
 
 /// One streamed per-run record — the on-disk unit of experiment state.
 /// Carries every field that feeds the cell digest and the population
-/// summary, plus the brown-out forensics an analyst greps for.
+/// summary, plus the failure forensics an analyst greps for.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RunRecord {
     /// Index into the job's inputs.
@@ -144,24 +147,15 @@ pub struct RunRecord {
     pub total_energy_pj: u64,
     /// Reboots during the run's epoch.
     pub reboots: u64,
-    /// Region (layer/task) the device starved in, for DNC runs.
-    pub starved_region: Option<String>,
-    /// Brown-out forensics ([`crate::exec::BrownoutRecord`]'s display
-    /// form: the exact charged op the supply died on).
-    pub brownout: Option<String>,
-    /// Error message for runs that did not complete.
-    pub error: Option<String>,
     /// Silent-data-corruption verdict for fault-injected runs
     /// ([`FleetRun::sdc`]); `None` for fault-free jobs and DNC runs.
     pub sdc: Option<bool>,
     /// Corruption detections the integrity guards raised during the run.
     pub corruption_detected: u64,
-    /// Region of an unrecoverable-corruption abort, when the run ended
-    /// in `RunError::Corrupted`.
-    pub corrupted_region: Option<String>,
-    /// Offending task name when the run ended in
-    /// `RunError::NonTermination`.
-    pub non_termination_task: Option<String>,
+    /// Why the run did not complete ([`crate::exec::Failure`], its
+    /// brown-out kept as [`crate::exec::BrownoutRecord`]'s display form);
+    /// `None` for completed runs.
+    pub failure: Option<Failure<String>>,
 }
 
 impl RunRecord {
@@ -177,37 +171,26 @@ impl RunRecord {
             dead_secs: r.outcome.trace.dead_secs,
             total_energy_pj: r.outcome.trace.total_energy_pj,
             reboots: r.outcome.trace.reboots,
-            starved_region: r.outcome.starved_region.clone(),
-            brownout: r.outcome.brownout.as_ref().map(|b| b.to_string()),
-            error: r.outcome.error.clone(),
             sdc: r.sdc,
             corruption_detected: r.outcome.corruption_detected,
-            corrupted_region: r.outcome.corrupted.as_ref().map(|c| c.region.clone()),
-            non_termination_task: r.outcome.non_termination_task.clone(),
+            failure: r.outcome.failure.as_ref().map(|f| Failure {
+                error: f.error.clone(),
+                starved_region: f.starved_region.clone(),
+                brownout: f.brownout.as_ref().map(|b| b.to_string()),
+            }),
         }
     }
 
-    /// Whether the record carries any fault forensics. Fault-free
-    /// records have none and encode to the short 13-token line, so
-    /// fault-free shard files carry no all-empty forensics block.
-    fn has_forensics(&self) -> bool {
-        self.sdc.is_some()
-            || self.corruption_detected > 0
-            || self.corrupted_region.is_some()
-            || self.non_termination_task.is_some()
-    }
-
-    /// The record's one-line on-disk form (space-separated tokens;
-    /// strings percent-encoded so they never contain separators).
+    /// The record's one-line on-disk form: space-separated tokens, strings
+    /// percent-encoded so they never contain separators. A failed run
+    /// appends its starved region, brown-out, and a tag naming the
+    /// [`RunError`] variant followed by that variant's fields — the error
+    /// text is rebuilt by `Display`, never stored.
     fn encode_line(&self) -> String {
         let opt_num = |v: Option<usize>| v.map(|x| x.to_string()).unwrap_or_else(|| "-".into());
         let opt_bool = |v: Option<bool>| match v {
             None => "-".to_string(),
             Some(b) => (b as u8).to_string(),
-        };
-        let opt_str = |v: &Option<String>| match v {
-            None => "-".to_string(),
-            Some(s) => format!("={}", enc(s)),
         };
         let out = if self.output.is_empty() {
             "-".to_string()
@@ -216,7 +199,7 @@ impl RunRecord {
             format!("={}", vals.join(","))
         };
         let mut line = format!(
-            "run {} {} {} {} {} {:016x} {} {} {} {} {} {}",
+            "run {} {} {} {} {} {:016x} {} {} {} {} {}",
             self.input_index,
             self.completed as u8,
             opt_num(self.class),
@@ -226,18 +209,25 @@ impl RunRecord {
             self.total_energy_pj,
             self.reboots,
             out,
-            opt_str(&self.starved_region),
-            opt_str(&self.brownout),
-            opt_str(&self.error),
+            opt_bool(self.sdc),
+            self.corruption_detected,
         );
-        if self.has_forensics() {
-            line.push_str(&format!(
-                " {} {} {} {}",
-                opt_bool(self.sdc),
-                self.corruption_detected,
-                opt_str(&self.corrupted_region),
-                opt_str(&self.non_termination_task),
-            ));
+        if let Some(f) = &self.failure {
+            let brownout = match &f.brownout {
+                None => "-".to_string(),
+                Some(b) => format!("={}", enc(b)),
+            };
+            let error = match &f.error {
+                RunError::NonTermination { task, attempts } => {
+                    format!("nonterm ={} {attempts}", enc(task))
+                }
+                RunError::TransitionLimit { limit } => format!("limit {limit}"),
+                RunError::SupplyDead { task } => format!("dead ={}", enc(task)),
+                RunError::Corrupted { task, region } => {
+                    format!("corrupt ={} ={}", enc(task), enc(region))
+                }
+            };
+            line.push_str(&format!(" ={} {brownout} {error}", enc(&f.starved_region)));
         }
         line
     }
@@ -245,9 +235,7 @@ impl RunRecord {
     /// Parses one `run` line back into a record.
     fn decode_line(line: &str) -> Result<Self, String> {
         let t: Vec<&str> = line.split(' ').collect();
-        // 13 tokens = fault-free record; 17 = with the trailing
-        // fault-forensics block.
-        if !(t.len() == 13 || t.len() == 17) || t[0] != "run" {
+        if t.len() < 12 || t[0] != "run" {
             return Err(format!("malformed run record: {line:?}"));
         }
         let num = |s: &str| {
@@ -269,12 +257,10 @@ impl RunRecord {
                 _ => Err(format!("bad flag {s:?}")),
             }
         };
-        let opt_str = |s: &str| -> Result<Option<String>, String> {
-            match s.strip_prefix('=') {
-                Some(body) => Ok(Some(dec(body)?)),
-                None if s == "-" => Ok(None),
-                None => Err(format!("bad string field {s:?}")),
-            }
+        let string = |s: &str| -> Result<String, String> {
+            dec(s
+                .strip_prefix('=')
+                .ok_or_else(|| format!("bad string field {s:?}"))?)
         };
         let output = match t[9].strip_prefix('=') {
             Some(body) => body
@@ -287,9 +273,43 @@ impl RunRecord {
             None if t[9] == "-" => Vec::new(),
             None => return Err(format!("bad output field {:?}", t[9])),
         };
+        let completed = opt_bool(t[2])?.ok_or_else(|| "missing completed flag".to_string())?;
+        // The verdict keys the tail: nothing after a completed run; the
+        // starved region, brown-out, and tagged error after a failed one.
+        let failure = match (completed, &t[12..]) {
+            (true, []) => None,
+            (false, [starved, brownout, tag, fields @ ..]) => {
+                let error = match (*tag, fields) {
+                    ("nonterm", [task, attempts]) => RunError::NonTermination {
+                        task: string(task)?,
+                        attempts: attempts
+                            .parse()
+                            .map_err(|e| format!("bad attempts {attempts:?}: {e}"))?,
+                    },
+                    ("limit", [limit]) => RunError::TransitionLimit { limit: num(limit)? },
+                    ("dead", [task]) => RunError::SupplyDead {
+                        task: string(task)?,
+                    },
+                    ("corrupt", [task, region]) => RunError::Corrupted {
+                        task: string(task)?,
+                        region: string(region)?,
+                    },
+                    _ => return Err(format!("bad run error in {line:?}")),
+                };
+                Some(Failure {
+                    error,
+                    starved_region: string(starved)?,
+                    brownout: match *brownout {
+                        "-" => None,
+                        b => Some(string(b)?),
+                    },
+                })
+            }
+            _ => return Err(format!("malformed run record: {line:?}")),
+        };
         Ok(RunRecord {
             input_index: num(t[1])? as usize,
-            completed: opt_bool(t[2])?.ok_or_else(|| "missing completed flag".to_string())?,
+            completed,
             class: opt_num(t[3])?,
             correct: opt_bool(t[4])?,
             live_cycles: num(t[5])?,
@@ -299,17 +319,9 @@ impl RunRecord {
             total_energy_pj: num(t[7])?,
             reboots: num(t[8])?,
             output,
-            starved_region: opt_str(t[10])?,
-            brownout: opt_str(t[11])?,
-            error: opt_str(t[12])?,
-            sdc: if t.len() == 17 {
-                opt_bool(t[13])?
-            } else {
-                None
-            },
-            corruption_detected: if t.len() == 17 { num(t[14])? } else { 0 },
-            corrupted_region: if t.len() == 17 { opt_str(t[15])? } else { None },
-            non_termination_task: if t.len() == 17 { opt_str(t[16])? } else { None },
+            sdc: opt_bool(t[10])?,
+            corruption_detected: num(t[11])?,
+            failure,
         })
     }
 }
@@ -685,7 +697,7 @@ fn shard_file_name(s: &ShardSpec) -> String {
 
 fn header_line(s: &ShardSpec, job_hash: u64) -> String {
     format!(
-        "shard v1 {} {} {} {} {} {job_hash:016x}",
+        "shard v2 {} {} {} {} {} {job_hash:016x}",
         s.power_index, s.backend_index, s.shard_index, s.start, s.len
     )
 }
@@ -879,10 +891,12 @@ fn read_manifest_hash(path: &Path) -> Result<u64, ExperimentError> {
     )))
 }
 
-/// [`crate::fleet::FleetCell::summarize`], replayed over records: the same filters,
-/// the same metric definitions, and the same [`stats`] fold over values
-/// in run order — bit-equal to the in-RAM summary for a complete cell.
-fn summarize_records(
+/// The one [`CellSummary`] fold, over run records in run order: an
+/// experiment replays it from disk and [`crate::fleet::FleetCell::summarize`]
+/// runs it over its in-RAM runs, so the two summaries are bit-equal by
+/// construction. `region_order` (the deployment's region list) orders
+/// the starvation histogram; regions it lacks follow in first-seen order.
+pub(crate) fn summarize_records(
     spec: &DeviceSpec,
     backend: &str,
     power: &str,
@@ -890,6 +904,8 @@ fn summarize_records(
     region_order: &[String],
 ) -> CellSummary {
     let completed: Vec<&RunRecord> = records.iter().filter(|r| r.completed).collect();
+    let failures: Vec<&Failure<String>> =
+        records.iter().filter_map(|r| r.failure.as_ref()).collect();
     let labeled = records.iter().filter(|r| r.correct.is_some()).count();
     let right = records
         .iter()
@@ -900,14 +916,11 @@ fn summarize_records(
     let starved = {
         let mut order: Vec<String> = region_order.to_vec();
         let mut counts: Vec<u64> = vec![0; order.len()];
-        for r in records {
-            let Some(name) = &r.starved_region else {
-                continue;
-            };
-            match order.iter().position(|n| n == name) {
+        for f in &failures {
+            match order.iter().position(|n| *n == f.starved_region) {
                 Some(i) => counts[i] += 1,
                 None => {
-                    order.push(name.clone());
+                    order.push(f.starved_region.clone());
                     counts.push(1);
                 }
             }
@@ -937,15 +950,18 @@ fn summarize_records(
         starved,
         sdc: records.iter().filter(|r| r.sdc == Some(true)).count(),
         corruption_detected: records.iter().map(|r| r.corruption_detected).sum(),
-        corrupted_runs: records
+        corrupted_runs: failures
             .iter()
-            .filter(|r| r.corrupted_region.is_some())
+            .filter(|f| f.corrupted_region().is_some())
             .count(),
-        non_termination: records
+        non_termination: failures
             .iter()
-            .filter(|r| r.non_termination_task.is_some())
+            .filter(|f| f.non_termination_task().is_some())
             .count(),
-        non_termination_task: records.iter().find_map(|r| r.non_termination_task.clone()),
+        non_termination_task: failures
+            .iter()
+            .find_map(|f| f.non_termination_task())
+            .map(str::to_string),
     }
 }
 
@@ -1043,7 +1059,7 @@ mod tests {
 
     #[test]
     fn run_record_round_trips_through_the_line_codec() {
-        let rec = RunRecord {
+        let failed = RunRecord {
             input_index: 42,
             completed: false,
             class: None,
@@ -1053,19 +1069,17 @@ mod tests {
             dead_secs: 0.1 + 0.2, // a value with messy bits
             total_energy_pj: 987_654_321,
             reboots: 7,
-            starved_region: Some("fc".into()),
-            brownout: Some("natural op#91 (FramWrite/Kernel) in fc — 100% á".into()),
-            error: Some("supply dead: buffer 8e-6 F never recharges\nline2 =%-".into()),
             sdc: None,
             corruption_detected: 0,
-            corrupted_region: None,
-            non_termination_task: None,
+            failure: Some(Failure {
+                error: RunError::SupplyDead {
+                    task: "fc layer\nline2 =%-".into(),
+                },
+                starved_region: "fc".into(),
+                brownout: Some("natural op#91 (FramWrite/Kernel) in fc — 100% á".into()),
+            }),
         };
-        let line = rec.encode_line();
-        assert!(!line.contains('\n'), "records are single lines: {line:?}");
-        assert_eq!(RunRecord::decode_line(&line).unwrap(), rec);
-
-        let empty = RunRecord {
+        let completed = RunRecord {
             input_index: 0,
             completed: true,
             class: Some(3),
@@ -1075,16 +1089,53 @@ mod tests {
             dead_secs: 0.0,
             total_energy_pj: 2,
             reboots: 0,
-            starved_region: None,
-            brownout: None,
-            error: Some(String::new()), // Some("") must survive, distinct from None
-            sdc: None,
-            corruption_detected: 0,
-            corrupted_region: None,
-            non_termination_task: None,
+            sdc: Some(false),
+            corruption_detected: 5,
+            failure: None,
         };
-        let line = empty.encode_line();
-        assert_eq!(RunRecord::decode_line(&line).unwrap(), empty);
+        for rec in [&failed, &completed] {
+            let line = rec.encode_line();
+            assert!(!line.contains('\n'), "records are single lines: {line:?}");
+            assert_eq!(&RunRecord::decode_line(&line).unwrap(), rec);
+        }
+
+        // One record per `RunError` variant: the tag and fields rebuild
+        // the typed error, so its text is the in-RAM text.
+        let errors = [
+            RunError::NonTermination {
+                task: "tile128-layer0".into(),
+                attempts: 17,
+            },
+            RunError::TransitionLimit { limit: 1_000_000 },
+            // Some("") must survive, distinct from a missing field.
+            RunError::SupplyDead {
+                task: String::new(),
+            },
+            RunError::Corrupted {
+                task: "conv 1".into(),
+                region: "fc".into(),
+            },
+        ];
+        for error in errors {
+            let text = error.to_string();
+            let mut rec = failed.clone();
+            rec.sdc = Some(true);
+            rec.failure = Some(Failure {
+                error,
+                starved_region: String::new(),
+                brownout: None,
+            });
+            let decoded = RunRecord::decode_line(&rec.encode_line()).unwrap();
+            assert_eq!(decoded, rec);
+            assert_eq!(decoded.failure.unwrap().error.to_string(), text);
+        }
+
+        // The verdict keys the tail: a completed flag with failure tokens,
+        // or a failed flag without them, is malformed.
+        let line = failed.encode_line();
+        assert!(RunRecord::decode_line(&line.replacen(" 0 ", " 1 ", 1)).is_err());
+        let line = completed.encode_line();
+        assert!(RunRecord::decode_line(&line.replacen(" 1 ", " 0 ", 1)).is_err());
     }
 
     #[test]
@@ -1170,6 +1221,83 @@ mod tests {
         assert!(resumed.complete);
         assert_eq!(resumed.executed_shards, 1, "only the torn shard re-runs");
         assert_eq!(resumed.digest, clean.digest);
+    }
+
+    #[test]
+    fn failed_runs_survive_the_disk_round_trip() {
+        // Tile-128 never terminates on 8 µF; a zero-power profile kills
+        // the supply for good after the first brown-out.
+        let (qm, input) = tiny_pruned_qmodel();
+        let mut job = tiny_job(&qm, &input, 3, 1);
+        job.backends = vec![Backend::Tiled(128)];
+        job.powers = vec![
+            PowerSystem::harvested(8e-6),
+            PowerSystem::harvested_with(8e-6, HarvestProfile::Constant(0.0)),
+        ];
+        let mut cfg = ExperimentConfig::new("failures");
+        cfg.root = test_root("failures");
+        let out = run_experiment(&job, &cfg).expect("experiment runs");
+        let cells = run_fleet(&job);
+        let spec = DeviceSpec::msp430fr5994();
+        for (report, cell) in out.cells.iter().zip(&cells) {
+            let records: Vec<RunRecord> = cell.runs.iter().map(RunRecord::from_run).collect();
+            assert_eq!(report.records, records, "{}: records", report.power);
+            assert_eq!(report.summary, cell.summarize(&spec), "{}", report.power);
+            assert_eq!(report.summary.completed, 0);
+            let starved: u64 = report.summary.starved.iter().map(|(_, c)| c).sum();
+            assert_eq!(starved, 3, "every failed run attributed");
+            assert_eq!(report.summary.corrupted_runs, 0);
+        }
+        let nonterm = &out.cells[0].summary;
+        assert_eq!(nonterm.non_termination, 3);
+        assert!(nonterm.non_termination_task.is_some());
+        let dead = &out.cells[1];
+        assert_eq!(dead.summary.non_termination, 0);
+        for rec in &dead.records {
+            let f = rec.failure.as_ref().expect("dead-supply runs fail");
+            assert!(matches!(f.error, RunError::SupplyDead { .. }), "{f:?}");
+        }
+    }
+
+    #[test]
+    fn a_v1_shard_is_rerun_on_resume() {
+        let (qm, input) = tiny_pruned_qmodel();
+        let job = tiny_job(&qm, &input, 4, 2);
+        let root = test_root("v1-shard");
+        let mut cfg = ExperimentConfig::new("exp");
+        cfg.root = root.clone();
+        let clean = run_experiment(&job, &cfg).expect("clean run");
+
+        // Rewrite one sealed (fault-free, all-completed) shard in the v1
+        // layout: its header, and the 13-token run line whose starved
+        // region, brown-out, and error are `-`. The `done` digest covers
+        // only format-independent fields, so the file is sealed and valid
+        // v1 — the header alone must send it back to the runner.
+        let victim = root.join("exp/shards/p000-b000-s0000.runs");
+        let text = fs::read_to_string(&victim).unwrap();
+        let v1: Vec<String> = text
+            .lines()
+            .map(|line| match line.strip_prefix("shard v2 ") {
+                Some(rest) => format!("shard v1 {rest}"),
+                None if line.starts_with("run ") => {
+                    let t: Vec<&str> = line.split(' ').collect();
+                    assert_eq!(t.len(), 12, "a completed v2 record: {line}");
+                    format!("{} - - -", t[..10].join(" "))
+                }
+                None => line.to_string(),
+            })
+            .collect();
+        fs::write(&victim, v1.join("\n") + "\n").unwrap();
+
+        let mut resume = cfg.clone();
+        resume.resume = true;
+        let resumed = run_experiment(&job, &resume).expect("resumed run");
+        assert!(resumed.complete);
+        assert_eq!(resumed.executed_shards, 1, "only the v1 shard re-runs");
+        assert_eq!(resumed.digest, clean.digest);
+        assert!(fs::read_to_string(&victim)
+            .unwrap()
+            .starts_with("shard v2 "));
     }
 
     #[test]

@@ -51,10 +51,12 @@
 //! across lane widths by the test suite.
 
 use crate::deploy::{deploy, reset_control_words};
-use crate::exec::{run_deployed, Backend, InferenceOutcome};
+use crate::exec::{failed_outcome, run_deployed, starved_region_name, Backend, InferenceOutcome};
+use crate::experiment::{summarize_records, RunRecord};
 use crate::lockstep::{self, BatchRunner};
 use dnn::quant::QModel;
 use fxp::Q15;
+use intermittent::sched::RunError;
 use mcu::{Device, DeviceSpec, FaultPlan, PowerSystem};
 
 /// One input for fleet evaluation: the quantized sensor reading plus its
@@ -165,7 +167,7 @@ pub struct CellSummary {
     /// Per-layer DNC starvation histogram: for every run that did not
     /// complete, one count against the region (layer/task) the device
     /// was executing when the run gave up
-    /// ([`crate::exec::InferenceOutcome::starved_region`]). Entries are
+    /// ([`crate::exec::Failure::starved_region`]). Entries are
     /// `(region name, DNC runs)` in region-registration order (layer
     /// order), omitting regions that starved nothing; empty when every
     /// run completed. GENESIS's fleet scoring uses this to point the
@@ -178,12 +180,10 @@ pub struct CellSummary {
     /// run of the cell (recovered and unrecoverable alike).
     pub corruption_detected: u64,
     /// Runs aborted with an unrecoverable-corruption verdict
-    /// ([`crate::exec::Corrupted`]).
+    /// ([`RunError::Corrupted`]).
     pub corrupted_runs: usize,
     /// Runs that failed with [`RunError::NonTermination`] specifically —
     /// its own counter, no longer folded into the generic DNC bucket.
-    ///
-    /// [`RunError::NonTermination`]: intermittent::sched::RunError::NonTermination
     pub non_termination: usize,
     /// The stuck task of the first non-terminating run, when any.
     pub non_termination_task: Option<String>,
@@ -223,60 +223,13 @@ pub(crate) fn stats(values: &[f64]) -> Option<Stats> {
 }
 
 impl FleetCell {
-    /// Summarizes this cell's run population.
+    /// Summarizes this cell's run population: the runs' [`RunRecord`]s
+    /// through the one summary fold an experiment replays from disk, with
+    /// the first run's region list (the deployment's layer order) as the
+    /// starvation histogram's order.
     pub fn summarize(&self, spec: &DeviceSpec) -> CellSummary {
-        let completed: Vec<&FleetRun> = self.runs.iter().filter(|r| r.outcome.completed).collect();
-        let labeled = self.runs.iter().filter(|r| r.correct.is_some()).count();
-        let right = self
-            .runs
-            .iter()
-            .filter(|r| r.correct == Some(true) && r.outcome.completed)
-            .count();
-        let metric =
-            |f: &dyn Fn(&FleetRun) -> f64| -> Vec<f64> { completed.iter().map(|r| f(r)).collect() };
-        CellSummary {
-            backend: self.backend.clone(),
-            power: self.power.clone(),
-            runs: self.runs.len(),
-            completed: completed.len(),
-            completion_rate: if self.runs.is_empty() {
-                0.0
-            } else {
-                completed.len() as f64 / self.runs.len() as f64
-            },
-            accuracy: (labeled > 0).then(|| right as f64 / labeled as f64),
-            total_secs: stats(&metric(&|r| r.outcome.total_secs(spec))),
-            energy_mj: stats(&metric(&|r| r.outcome.energy_mj())),
-            reboots: stats(&metric(&|r| r.outcome.trace.reboots as f64)),
-            starved: self.starvation_histogram(),
-            sdc: self.runs.iter().filter(|r| r.sdc == Some(true)).count(),
-            corruption_detected: self
-                .runs
-                .iter()
-                .map(|r| r.outcome.corruption_detected)
-                .sum(),
-            corrupted_runs: self
-                .runs
-                .iter()
-                .filter(|r| r.outcome.corrupted.is_some())
-                .count(),
-            non_termination: self
-                .runs
-                .iter()
-                .filter(|r| r.outcome.non_termination_task.is_some())
-                .count(),
-            non_termination_task: self
-                .runs
-                .iter()
-                .find_map(|r| r.outcome.non_termination_task.clone()),
-        }
-    }
-
-    /// Counts non-completed runs per starved region, in region
-    /// registration order (every run's trace carries the deployment's
-    /// region list, so the first run's order is the cell's layer order).
-    fn starvation_histogram(&self) -> Vec<(String, u64)> {
-        let mut order: Vec<String> = self
+        let records: Vec<RunRecord> = self.runs.iter().map(RunRecord::from_run).collect();
+        let regions: Vec<String> = self
             .runs
             .first()
             .map(|r| {
@@ -288,24 +241,7 @@ impl FleetCell {
                     .collect()
             })
             .unwrap_or_default();
-        let mut counts: Vec<u64> = vec![0; order.len()];
-        for r in &self.runs {
-            let Some(name) = &r.outcome.starved_region else {
-                continue;
-            };
-            match order.iter().position(|n| n == name) {
-                Some(i) => counts[i] += 1,
-                None => {
-                    order.push(name.clone());
-                    counts.push(1);
-                }
-            }
-        }
-        order
-            .into_iter()
-            .zip(counts)
-            .filter(|&(_, c)| c > 0)
-            .collect()
+        summarize_records(spec, &self.backend, &self.power, &records, &regions)
     }
 
     /// An order-sensitive FNV-1a digest over every bit-relevant per-run
@@ -515,29 +451,16 @@ pub fn run_shard_with_lanes(
         }
         if supply_dead {
             // The harvest profile will never power the device again:
-            // every remaining input is an immediate DNC.
+            // every remaining input is an immediate DNC, parked in the
+            // region the original starving run was executing.
             dev.begin_epoch();
+            dev.reset_corruption_stats();
+            let task = starved_region_name(&dev);
             let run = FleetRun {
                 input_index: i,
                 correct: inp.label.map(|_| false),
                 sdc: None,
-                outcome: InferenceOutcome {
-                    backend: backend.label(),
-                    power: power.label(),
-                    completed: false,
-                    output: Vec::new(),
-                    class: None,
-                    trace: dev.epoch_report(),
-                    stats: None,
-                    error: Some(mcu::SupplyDead.to_string()),
-                    // The dead device is still parked in the region the
-                    // original starving run was executing.
-                    starved_region: Some(crate::exec::starved_region_name(&dev)),
-                    brownout: crate::exec::brownout_record(&dev),
-                    corruption_detected: 0,
-                    corrupted: None,
-                    non_termination_task: None,
-                },
+                outcome: failed_outcome(&dev, backend, RunError::SupplyDead { task }),
             };
             on_run(&run);
             runs.push(run);
@@ -864,12 +787,16 @@ mod tests {
         for r in &cells[0].runs {
             assert!(!r.outcome.completed);
             assert!(r.outcome.trace.dead_secs.is_finite());
-            let err = r.outcome.error.as_deref().unwrap_or("");
+            let f = r
+                .outcome
+                .failure
+                .as_ref()
+                .expect("DNC runs carry a failure");
+            let err = f.error.to_string();
             assert!(
                 err.contains("never recharges") || err.contains("supply dead"),
                 "unexpected error: {err}"
             );
-            assert!(r.outcome.starved_region.is_some());
         }
         // Every DNC run is attributed to a region; the dead-supply cell
         // parks all of them on the layer the original run starved in.
@@ -908,7 +835,12 @@ mod tests {
         assert_eq!(top_region, "fc", "attribution: {:?}", starved.starved);
         assert_eq!(*top_count, starved.runs as u64);
         for r in &cells[1].runs {
-            assert_eq!(r.outcome.starved_region.as_deref(), Some("fc"));
+            let f = r
+                .outcome
+                .failure
+                .as_ref()
+                .expect("DNC runs carry a failure");
+            assert_eq!(f.starved_region, "fc");
             // The per-region reboot counts behind the attribution: the
             // starving layer absorbed the power failures.
             let fc = r

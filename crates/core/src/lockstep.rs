@@ -482,7 +482,7 @@ mod tests {
                 assert_eq!(s.trace, x.trace, "{b}: run {i} trace diverges");
                 assert_eq!(s.stats, x.stats, "{b}: run {i} stats diverge");
                 assert_eq!(s.corruption_detected, x.corruption_detected);
-                assert!(x.error.is_none() && x.brownout.is_none());
+                assert!(x.failure.is_none());
             }
         }
     }

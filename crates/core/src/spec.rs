@@ -742,7 +742,7 @@ fn reference_on(mut dev: Device, dm: &DeployedModel, backend: &Backend) -> (Vec<
     assert!(
         out.completed,
         "fault-free reference must complete: {:?}",
-        out.error
+        out.failure
     );
     (out.output, dev.ops_consumed() - base)
 }
@@ -1168,8 +1168,10 @@ fn classify_faults_on(
         } else {
             CorruptionOutcome::SilentWrong
         }
-    } else if let Some(c) = out.corrupted {
-        CorruptionOutcome::Aborted { region: c.region }
+    } else if let Some(region) = out.failure.as_ref().and_then(|f| f.corrupted_region()) {
+        CorruptionOutcome::Aborted {
+            region: region.to_string(),
+        }
     } else {
         CorruptionOutcome::Wedged
     }

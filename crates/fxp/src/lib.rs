@@ -386,33 +386,6 @@ pub mod vecops {
         }
     }
 
-    /// FIR at accumulator precision: `acc[i] += sum_j src[i + j] * taps[j]`.
-    ///
-    /// This is the composition step of a multi-channel 2-D convolution the
-    /// way TAILS builds it from LEA FIR DTC calls: one call per
-    /// (channel, kernel-row) pair accumulates into the same row of wide
-    /// accumulators, and the caller rounds/saturates once at the end.
-    /// Since [`Accum`] addition is exact, the result is bit-identical to
-    /// accumulating in any other tap order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `taps` is empty or `src` is shorter than
-    /// `acc.len() + taps.len() - 1`.
-    pub fn fir_acc(src: &[Q15], taps: &[Q15], acc: &mut [Accum]) {
-        assert!(!taps.is_empty(), "fir_acc: empty taps");
-        assert!(
-            src.len() + 1 >= acc.len() + taps.len(),
-            "fir_acc: src shorter than acc + taps - 1"
-        );
-        for (i, a) in acc.iter_mut().enumerate() {
-            let window = &src[i..i + taps.len()];
-            for (&s, &t) in window.iter().zip(taps.iter()) {
-                a.mac(s, t);
-            }
-        }
-    }
-
     /// Shifted-row multiply-accumulate: `acc[i] += src[i] * tap`.
     ///
     /// The sparse-convolution primitive: one call per nonzero tap streams a
@@ -592,27 +565,6 @@ mod tests {
         vecops::fir_into(&src, &taps, &mut out);
         assert_eq!(out, vecops::fir(&src, &taps));
         assert_eq!(out.len(), 3);
-    }
-
-    #[test]
-    fn fir_acc_composes_rows_exactly() {
-        // Two (channel, row) passes into the same accumulators must equal
-        // a single fused pass over the concatenated taps.
-        let row_a = vecops::quantize(&[0.1, 0.2, 0.3, 0.4]);
-        let row_b = vecops::quantize(&[-0.3, 0.25, 0.5, -0.1]);
-        let taps_a = vecops::quantize(&[0.5, 0.25]);
-        let taps_b = vecops::quantize(&[-0.75, 0.125]);
-        let mut acc = [Accum::ZERO; 3];
-        vecops::fir_acc(&row_a, &taps_a, &mut acc);
-        vecops::fir_acc(&row_b, &taps_b, &mut acc);
-        for (i, a) in acc.iter().enumerate() {
-            let mut want = Accum::ZERO;
-            want.mac(row_a[i], taps_a[0]);
-            want.mac(row_a[i + 1], taps_a[1]);
-            want.mac(row_b[i], taps_b[0]);
-            want.mac(row_b[i + 1], taps_b[1]);
-            assert_eq!(a.raw(), want.raw(), "lane {i}");
-        }
     }
 
     #[test]

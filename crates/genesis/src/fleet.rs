@@ -159,23 +159,15 @@ fn score_plan(
             p95_total_secs: None,
             measured_impj: 0.0,
             deploy_error: Some(e.to_string()),
-            summary: CellSummary {
+            // The summary of a cell that never ran a single input.
+            summary: FleetCell {
+                backend_index: 0,
+                power_index: 0,
                 backend: cfg.backend.label(),
                 power: cfg.power.label(),
-                runs: 0,
-                completed: 0,
-                completion_rate: 0.0,
-                accuracy: None,
-                total_secs: None,
-                energy_mj: None,
-                reboots: None,
-                starved: Vec::new(),
-                sdc: 0,
-                corruption_detected: 0,
-                corrupted_runs: 0,
-                non_termination: 0,
-                non_termination_task: None,
-            },
+                runs: Vec::new(),
+            }
+            .summarize(&cfg.spec),
         };
     }
 

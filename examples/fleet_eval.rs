@@ -276,10 +276,7 @@ fn main() {
     let mut header_printed = false;
     for cell in &outcome.cells {
         for rec in &cell.records {
-            if rec.completed {
-                continue;
-            }
-            if let Some(b) = &rec.brownout {
+            if let Some(b) = rec.failure.as_ref().and_then(|f| f.brownout.as_ref()) {
                 if !header_printed {
                     println!("\nfinal brown-out of each DNC run:");
                     header_printed = true;
@@ -296,17 +293,15 @@ fn main() {
     let mut corr_header = false;
     for cell in &outcome.cells {
         for rec in &cell.records {
-            if rec.corruption_detected == 0
-                && rec.corrupted_region.is_none()
-                && rec.sdc != Some(true)
-            {
+            let corrupted = rec.failure.as_ref().and_then(|f| f.corrupted_region());
+            if rec.corruption_detected == 0 && corrupted.is_none() && rec.sdc != Some(true) {
                 continue;
             }
             if !corr_header {
                 println!("\ncorruption forensics:");
                 corr_header = true;
             }
-            let verdict = match (&rec.corrupted_region, rec.sdc) {
+            let verdict = match (corrupted, rec.sdc) {
                 (Some(region), _) => format!("UNRECOVERABLE in {region}"),
                 (None, Some(true)) => "SILENT WRONG OUTPUT".to_string(),
                 _ => "detected and recovered".to_string(),

@@ -62,8 +62,8 @@ fn outcome_digest(o: &InferenceOutcome) -> u64 {
         fnv(&mut h, s.body_attempts);
         fnv(&mut h, s.reboots);
     }
-    if let Some(e) = &o.error {
-        for b in e.as_bytes() {
+    if let Some(f) = &o.failure {
+        for b in f.error.to_string().as_bytes() {
             fnv(&mut h, *b as u64);
         }
     }

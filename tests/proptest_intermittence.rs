@@ -101,7 +101,7 @@ proptest! {
         let out = run_inference_faulted(
             &qm, &input, &spec, PowerSystem::continuous(), &b, &plan,
         );
-        prop_assert!(out.completed, "{:?} {:?}", out.error, out.brownout);
+        prop_assert!(out.completed, "{:?}", out.failure);
         prop_assert_eq!(out.output, expected);
     }
 
@@ -118,7 +118,7 @@ proptest! {
         let out = run_inference_faulted(
             &qm, &input, &spec, PowerSystem::continuous(), &b, &plan,
         );
-        prop_assert!(out.completed, "{:?} {:?}", out.error, out.brownout);
+        prop_assert!(out.completed, "{:?}", out.failure);
         prop_assert_eq!(out.output, expected);
     }
 
@@ -136,7 +136,7 @@ proptest! {
         let out = run_inference_faulted(
             &qm, &input, &spec, PowerSystem::continuous(), &b, &plan,
         );
-        prop_assert!(out.completed, "{:?} {:?}", out.error, out.brownout);
+        prop_assert!(out.completed, "{:?}", out.failure);
         prop_assert_eq!(out.output, expected);
     }
 
@@ -160,7 +160,7 @@ proptest! {
         let out = run_inference_faulted(
             &qm, &input, &spec, PowerSystem::continuous(), &b, &plan,
         );
-        prop_assert!(out.completed, "{:?} {:?}", out.error, out.brownout);
+        prop_assert!(out.completed, "{:?}", out.failure);
         prop_assert_eq!(out.output, expected);
     }
 
