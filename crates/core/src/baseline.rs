@@ -9,19 +9,18 @@
 //!
 //! # Bundled accounting
 //!
-//! The inner MAC loops charge the device per loop body via
-//! [`mcu::OpBundle`] instead of one [`Device::consume`] per op: the
-//! funded iterations execute through pre-charged accessors, and the first
-//! unfunded iteration replays through the original scalar sequence so a
-//! brown-out lands on exactly the same op (see `mcu::bundle`). The root
-//! `bundles` test suite pins bit-identical traces against the scalar
-//! implementation.
+//! Every inner loop is one body run by [`Device::run_bundled`] against
+//! its [`mcu::OpBundle`]: whole iterations the buffer funds run with
+//! their charge settled in bulk, and the first unfunded one runs the same
+//! body charging op by op, so a brown-out lands on exactly the op of an
+//! all-scalar execution (see `mcu::bundle`). The root `bundles` test
+//! suite pins bit-identical traces against the scalar implementation.
 
 use crate::deploy::{DeployedKind, DeployedLayer, DeployedModel, SparseFc};
 use dnn::quant::finish_acc;
 use fxp::{Accum, Q15};
 use intermittent::task::{TaskGraph, Transition};
-use mcu::{Device, Op, OpBundle, Phase, PowerFailure};
+use mcu::{Device, Op, OpBundle, Phase, PowerFailure, Step};
 
 /// Unpacks a flattened kernel offset into (c, ky, kx).
 #[inline]
@@ -34,10 +33,21 @@ pub(crate) fn unpack_tap(off: u16, kh: u32, kw: u32) -> (u32, u32, u32) {
 
 /// Charges the shift/bias finishing arithmetic (shared semantics with
 /// [`dnn::quant::finish_acc`]).
-#[inline]
-pub(crate) fn charge_finish(dev: &mut Device) -> Result<(), PowerFailure> {
-    dev.consume(Op::Alu)?; // shift
-    dev.consume(Op::FxpAdd) // bias add
+#[inline(always)]
+pub(crate) fn charge_finish(s: &mut Step<'_>) -> Result<(), PowerFailure> {
+    s.op(Op::Alu)?; // shift
+    s.op(Op::FxpAdd) // bias add
+}
+
+/// The tail shared by every MAC iteration: multiply, accumulate, loop
+/// increment and back-branch.
+#[inline(always)]
+fn mac(s: &mut Step<'_>, acc: &mut Accum, x: Q15, w: Q15) -> Result<(), PowerFailure> {
+    s.op(Op::FxpMul)?;
+    s.op(Op::FxpAdd)?;
+    acc.mac(x, w);
+    s.op(Op::Incr)?;
+    s.op(Op::Branch)
 }
 
 /// One dense-conv/dense-FC MAC iteration:
@@ -70,103 +80,156 @@ fn sparse_mac_bundle() -> OpBundle {
     b
 }
 
-fn conv_layer(dev: &mut Device, m: &DeployedModel, l: &DeployedLayer) -> Result<(), PowerFailure> {
+/// Conv output `(f, oy, ox)`'s dot product: one bundled MAC loop over
+/// the filter's taps, sparse or dense. `read_x` reads input word `i`
+/// (the stateful backend adds its tag/parity verify).
+pub(crate) fn conv_acc(
+    dev: &mut Device,
+    l: &DeployedLayer,
+    iter: &OpBundle,
+    [f, oy, ox]: [u32; 3],
+    mut read_x: impl FnMut(&mut Step<'_>, u32) -> Result<Q15, PowerFailure>,
+) -> Result<Accum, PowerFailure> {
     let DeployedKind::Conv {
         dims,
         weights,
         sparse,
+        ..
+    } = &l.kind
+    else {
+        unreachable!("conv_acc on non-conv")
+    };
+    let [_, nc, kh, kw] = *dims;
+    let [_, h, w] = l.in_shape;
+    let at = |c: u32, ky: u32, kx: u32| (c * h + oy + ky) * w + ox + kx;
+    let mut acc = Accum::ZERO;
+    match sparse {
+        Some((row_ptr, taps)) => {
+            let start = dev.read(*row_ptr, f)?.raw() as u16 as u32;
+            let end = dev.read(*row_ptr, f + 1)?.raw() as u16 as u32;
+            dev.run_bundled(
+                iter,
+                start..end,
+                #[inline(always)]
+                |s, t| {
+                    let off = s.read(*taps, 2 * t)?.raw() as u16;
+                    s.op(Op::Alu)?; // unpack
+                    let (c, ky, kx) = unpack_tap(off, kh, kw);
+                    let wq = s.read(*taps, 2 * t + 1)?;
+                    s.op(Op::Alu)?; // address
+                    let xq = read_x(s, at(c, ky, kx))?;
+                    mac(s, &mut acc, xq, wq)
+                },
+            )?;
+        }
+        None => {
+            // (c, ky, kx) advance incrementally — same values as
+            // unpack_tap, without the per-tap divisions.
+            let ntaps = nc * kh * kw;
+            let (mut c, mut ky, mut kx) = (0, 0, 0);
+            dev.run_bundled(
+                iter,
+                0..ntaps,
+                #[inline(always)]
+                |s, t| {
+                    let wq = s.read(*weights, f * ntaps + t)?;
+                    s.op(Op::Alu)?; // address
+                    let xq = read_x(s, at(c, ky, kx))?;
+                    kx += 1;
+                    if kx == kw {
+                        kx = 0;
+                        ky += 1;
+                        if ky == kh {
+                            ky = 0;
+                            c += 1;
+                        }
+                    }
+                    mac(s, &mut acc, xq, wq)
+                },
+            )?;
+        }
+    }
+    Ok(acc)
+}
+
+/// Dense output `o`'s dot product: one bundled MAC loop over the row's
+/// entries (sparse) or inputs (dense); `read_x` as in [`conv_acc`].
+pub(crate) fn dense_acc(
+    dev: &mut Device,
+    l: &DeployedLayer,
+    iter: &OpBundle,
+    o: u32,
+    mut read_x: impl FnMut(&mut Step<'_>, u32) -> Result<Q15, PowerFailure>,
+) -> Result<Accum, PowerFailure> {
+    let DeployedKind::Dense {
+        dims,
+        weights,
+        sparse,
+        ..
+    } = &l.kind
+    else {
+        unreachable!("dense_acc on non-dense")
+    };
+    let in_n = dims[1];
+    let mut acc = Accum::ZERO;
+    match sparse {
+        Some(SparseFc {
+            rows: (row_ptr, entries),
+            ..
+        }) => {
+            let start = dev.read(*row_ptr, o)?.raw() as u16 as u32;
+            let end = dev.read(*row_ptr, o + 1)?.raw() as u16 as u32;
+            dev.run_bundled(
+                iter,
+                start..end,
+                #[inline(always)]
+                |s, t| {
+                    let col = s.read(*entries, 2 * t)?.raw() as u16 as u32;
+                    let wq = s.read(*entries, 2 * t + 1)?;
+                    s.op(Op::Alu)?;
+                    let xq = read_x(s, col)?;
+                    mac(s, &mut acc, xq, wq)
+                },
+            )?;
+        }
+        None => dev.run_bundled(
+            iter,
+            0..in_n,
+            #[inline(always)]
+            |s, i| {
+                let wq = s.read(*weights, o * in_n + i)?;
+                s.op(Op::Alu)?;
+                let xq = read_x(s, i)?;
+                mac(s, &mut acc, xq, wq)
+            },
+        )?,
+    }
+    Ok(acc)
+}
+
+fn conv_layer(dev: &mut Device, m: &DeployedModel, l: &DeployedLayer) -> Result<(), PowerFailure> {
+    let DeployedKind::Conv {
+        dims,
+        sparse,
         bias,
         shift,
+        ..
     } = &l.kind
     else {
         unreachable!("conv_layer on non-conv")
     };
-    let [nf, nc, kh, kw] = *dims;
-    let [_, h, w] = l.in_shape;
     let [_, oh, ow] = l.out_shape;
-    let src = m.buf(l.src);
-    let dst = m.buf(l.dst);
-    let dense_iter = mac_bundle();
-    let sparse_iter = sparse_mac_bundle();
-    let ntaps = nc * kh * kw;
-    for f in 0..nf {
+    let (src, dst) = (m.buf(l.src), m.buf(l.dst));
+    let iter = match sparse {
+        Some(_) => sparse_mac_bundle(),
+        None => mac_bundle(),
+    };
+    for f in 0..dims[0] {
         let b = dev.read(*bias, f)?;
         for oy in 0..oh {
             for ox in 0..ow {
-                let mut acc = Accum::ZERO;
-                match sparse {
-                    Some((row_ptr, taps)) => {
-                        let start = dev.read(*row_ptr, f)?.raw() as u16 as u32;
-                        let end = dev.read(*row_ptr, f + 1)?.raw() as u16 as u32;
-                        let mut t = start;
-                        while t < end {
-                            let funded = dev.consume_bundle(&sparse_iter, (end - t) as u64)? as u32;
-                            for k in t..t + funded {
-                                let off = dev.prepaid_read(*taps, 2 * k).raw() as u16;
-                                let (c, ky, kx) = unpack_tap(off, kh, kw);
-                                let wq = dev.prepaid_read(*taps, 2 * k + 1);
-                                let xq = dev.prepaid_read(src, (c * h + oy + ky) * w + ox + kx);
-                                acc.mac(xq, wq);
-                            }
-                            t += funded;
-                            if t < end {
-                                // Scalar replay of the unfunded iteration:
-                                // the brown-out lands on the exact op.
-                                let off = dev.read(*taps, 2 * t)?.raw() as u16;
-                                dev.consume(Op::Alu)?; // unpack
-                                let (c, ky, kx) = unpack_tap(off, kh, kw);
-                                let wq = dev.read(*taps, 2 * t + 1)?;
-                                dev.consume(Op::Alu)?; // address
-                                let xq = dev.read(src, (c * h + oy + ky) * w + ox + kx)?;
-                                dev.consume(Op::FxpMul)?;
-                                dev.consume(Op::FxpAdd)?;
-                                acc.mac(xq, wq);
-                                dev.consume(Op::Incr)?;
-                                dev.consume(Op::Branch)?;
-                                t += 1;
-                            }
-                        }
-                    }
-                    None => {
-                        let mut pos = 0u32;
-                        while pos < ntaps {
-                            let funded =
-                                dev.consume_bundle(&dense_iter, (ntaps - pos) as u64)? as u32;
-                            // (c, ky, kx) advance incrementally — same
-                            // values as unpack_tap, without the per-tap
-                            // divisions.
-                            let (mut c, mut ky, mut kx) = unpack_tap(pos as u16, kh, kw);
-                            for t in pos..pos + funded {
-                                let wq = dev.prepaid_read(*weights, f * ntaps + t);
-                                let xq = dev.prepaid_read(src, (c * h + oy + ky) * w + ox + kx);
-                                acc.mac(xq, wq);
-                                kx += 1;
-                                if kx == kw {
-                                    kx = 0;
-                                    ky += 1;
-                                    if ky == kh {
-                                        ky = 0;
-                                        c += 1;
-                                    }
-                                }
-                            }
-                            pos += funded;
-                            if pos < ntaps {
-                                let (c, ky, kx) = unpack_tap(pos as u16, kh, kw);
-                                let wq = dev.read(*weights, f * ntaps + pos)?;
-                                dev.consume(Op::Alu)?; // address
-                                let xq = dev.read(src, (c * h + oy + ky) * w + ox + kx)?;
-                                dev.consume(Op::FxpMul)?;
-                                dev.consume(Op::FxpAdd)?;
-                                acc.mac(xq, wq);
-                                dev.consume(Op::Incr)?;
-                                dev.consume(Op::Branch)?;
-                                pos += 1;
-                            }
-                        }
-                    }
-                }
-                charge_finish(dev)?;
+                let acc = conv_acc(dev, l, &iter, [f, oy, ox], |s, i| s.read(src, i))?;
+                charge_finish(&mut dev.step())?;
                 dev.write(dst, (f * oh + oy) * ow + ox, finish_acc(acc, *shift, b))?;
             }
         }
@@ -177,7 +240,6 @@ fn conv_layer(dev: &mut Device, m: &DeployedModel, l: &DeployedLayer) -> Result<
 fn dense_layer(dev: &mut Device, m: &DeployedModel, l: &DeployedLayer) -> Result<(), PowerFailure> {
     let DeployedKind::Dense {
         dims,
-        weights,
         sparse,
         bias,
         shift,
@@ -186,70 +248,15 @@ fn dense_layer(dev: &mut Device, m: &DeployedModel, l: &DeployedLayer) -> Result
     else {
         unreachable!("dense_layer on non-dense")
     };
-    let [out_n, in_n] = *dims;
-    let src = m.buf(l.src);
-    let dst = m.buf(l.dst);
-    let dense_iter = mac_bundle();
-    let sparse_iter = fc_sparse_bundle();
-    for o in 0..out_n {
-        let mut acc = Accum::ZERO;
-        match sparse {
-            Some(SparseFc {
-                rows: (row_ptr, entries),
-                ..
-            }) => {
-                let start = dev.read(*row_ptr, o)?.raw() as u16 as u32;
-                let end = dev.read(*row_ptr, o + 1)?.raw() as u16 as u32;
-                let mut t = start;
-                while t < end {
-                    let funded = dev.consume_bundle(&sparse_iter, (end - t) as u64)? as u32;
-                    for k in t..t + funded {
-                        let col = dev.prepaid_read(*entries, 2 * k).raw() as u16 as u32;
-                        let wq = dev.prepaid_read(*entries, 2 * k + 1);
-                        let xq = dev.prepaid_read(src, col);
-                        acc.mac(xq, wq);
-                    }
-                    t += funded;
-                    if t < end {
-                        let col = dev.read(*entries, 2 * t)?.raw() as u16 as u32;
-                        let wq = dev.read(*entries, 2 * t + 1)?;
-                        dev.consume(Op::Alu)?;
-                        let xq = dev.read(src, col)?;
-                        dev.consume(Op::FxpMul)?;
-                        dev.consume(Op::FxpAdd)?;
-                        acc.mac(xq, wq);
-                        dev.consume(Op::Incr)?;
-                        dev.consume(Op::Branch)?;
-                        t += 1;
-                    }
-                }
-            }
-            None => {
-                let mut i = 0u32;
-                while i < in_n {
-                    let funded = dev.consume_bundle(&dense_iter, (in_n - i) as u64)? as u32;
-                    for k in i..i + funded {
-                        let wq = dev.prepaid_read(*weights, o * in_n + k);
-                        let xq = dev.prepaid_read(src, k);
-                        acc.mac(xq, wq);
-                    }
-                    i += funded;
-                    if i < in_n {
-                        let wq = dev.read(*weights, o * in_n + i)?;
-                        dev.consume(Op::Alu)?;
-                        let xq = dev.read(src, i)?;
-                        dev.consume(Op::FxpMul)?;
-                        dev.consume(Op::FxpAdd)?;
-                        acc.mac(xq, wq);
-                        dev.consume(Op::Incr)?;
-                        dev.consume(Op::Branch)?;
-                        i += 1;
-                    }
-                }
-            }
-        }
+    let (src, dst) = (m.buf(l.src), m.buf(l.dst));
+    let iter = match sparse {
+        Some(_) => fc_sparse_bundle(),
+        None => mac_bundle(),
+    };
+    for o in 0..dims[0] {
+        let acc = dense_acc(dev, l, &iter, o, |s, i| s.read(src, i))?;
         let b = dev.read(*bias, o)?;
-        charge_finish(dev)?;
+        charge_finish(&mut dev.step())?;
         dev.write(dst, o, finish_acc(acc, *shift, b))?;
     }
     Ok(())
@@ -284,67 +291,56 @@ fn pool_bundle(kh: u32, kw: u32) -> OpBundle {
     b
 }
 
-pub(crate) fn pool_layer_direct(
-    dev: &mut Device,
-    m: &DeployedModel,
+/// The max of output `o`'s pooling window: per window element the
+/// address ALU, the read (`read_x`, as in [`conv_acc`]) and the compare
+/// branch.
+#[inline(always)]
+pub(crate) fn pool_window(
+    s: &mut Step<'_>,
     l: &DeployedLayer,
-    from: u32,
-) -> Result<(), PowerFailure> {
+    o: u32,
+    mut read_x: impl FnMut(&mut Step<'_>, u32) -> Result<Q15, PowerFailure>,
+) -> Result<Q15, PowerFailure> {
+    let DeployedKind::Pool { kh, kw } = l.kind else {
+        unreachable!("pool window on non-pool")
+    };
+    let [_, h, w] = l.in_shape;
+    let [_, oh, ow] = l.out_shape;
+    let ch = o / (oh * ow);
+    let oy = (o / ow) % oh;
+    let ox = o % ow;
+    let mut best = Q15::MIN;
+    for py in 0..kh {
+        for px in 0..kw {
+            s.op(Op::Alu)?;
+            let v = read_x(s, (ch * h + oy * kh + py) * w + ox * kw + px)?;
+            s.op(Op::Branch)?;
+            if v > best {
+                best = v;
+            }
+        }
+    }
+    Ok(best)
+}
+
+fn pool_layer(dev: &mut Device, m: &DeployedModel, l: &DeployedLayer) -> Result<(), PowerFailure> {
     let DeployedKind::Pool { kh, kw } = l.kind else {
         unreachable!("pool_layer on non-pool")
     };
-    let [c, h, w] = l.in_shape;
+    let [c, _, _] = l.in_shape;
     let [_, oh, ow] = l.out_shape;
-    let src = m.buf(l.src);
-    let dst = m.buf(l.dst);
-    let total = c * oh * ow;
-    let iter = pool_bundle(kh, kw);
-    let pool_one = |dev: &Device, o: u32| -> Q15 {
-        let ch = o / (oh * ow);
-        let oy = (o / ow) % oh;
-        let ox = o % ow;
-        let mut best = Q15::MIN;
-        for py in 0..kh {
-            for px in 0..kw {
-                let v = dev.prepaid_read(src, (ch * h + oy * kh + py) * w + ox * kw + px);
-                if v > best {
-                    best = v;
-                }
-            }
-        }
-        best
-    };
-    let mut o = from;
-    while o < total {
-        let funded = dev.consume_bundle(&iter, (total - o) as u64)? as u32;
-        for k in o..o + funded {
-            let best = pool_one(dev, k);
-            dev.prepaid_write(dst, k, best);
-        }
-        o += funded;
-        if o < total {
-            // Scalar replay of the unfunded output.
-            let ch = o / (oh * ow);
-            let oy = (o / ow) % oh;
-            let ox = o % ow;
-            let mut best = Q15::MIN;
-            for py in 0..kh {
-                for px in 0..kw {
-                    dev.consume(Op::Alu)?;
-                    let v = dev.read(src, (ch * h + oy * kh + py) * w + ox * kw + px)?;
-                    dev.consume(Op::Branch)?;
-                    if v > best {
-                        best = v;
-                    }
-                }
-            }
-            dev.write(dst, o, best)?;
-            dev.consume(Op::Incr)?;
-            dev.consume(Op::Branch)?;
-            o += 1;
-        }
-    }
-    Ok(())
+    let (src, dst) = (m.buf(l.src), m.buf(l.dst));
+    dev.run_bundled(
+        &pool_bundle(kh, kw),
+        0..c * oh * ow,
+        #[inline(always)]
+        |s, o| {
+            let best = pool_window(s, l, o, |s, i| s.read(src, i))?;
+            s.write(dst, o, best)?;
+            s.op(Op::Incr)?;
+            s.op(Op::Branch)
+        },
+    )
 }
 
 /// One in-place ReLU element.
@@ -358,35 +354,22 @@ fn relu_bundle() -> OpBundle {
     b
 }
 
-pub(crate) fn relu_layer_direct(
-    dev: &mut Device,
-    m: &DeployedModel,
-    l: &DeployedLayer,
-    from: u32,
-) -> Result<(), PowerFailure> {
+fn relu_layer(dev: &mut Device, m: &DeployedModel, l: &DeployedLayer) -> Result<(), PowerFailure> {
     let [c, h, w] = l.in_shape;
     let buf = m.buf(l.src);
-    let total = c * h * w;
-    let iter = relu_bundle();
-    let mut i = from;
-    while i < total {
-        let funded = dev.consume_bundle(&iter, (total - i) as u64)? as u32;
-        for k in i..i + funded {
-            let v = dev.prepaid_read(buf, k);
-            dev.prepaid_write(buf, k, v.relu());
-        }
-        i += funded;
-        if i < total {
-            let v = dev.read(buf, i)?;
-            dev.consume(Op::Branch)?;
+    dev.run_bundled(
+        &relu_bundle(),
+        0..c * h * w,
+        #[inline(always)]
+        |s, i| {
+            let v = s.read(buf, i)?;
+            s.op(Op::Branch)?;
             // In-place: idempotent because relu(relu(x)) == relu(x).
-            dev.write(buf, i, v.relu())?;
-            dev.consume(Op::Incr)?;
-            dev.consume(Op::Branch)?;
-            i += 1;
-        }
-    }
-    Ok(())
+            s.write(buf, i, v.relu())?;
+            s.op(Op::Incr)?;
+            s.op(Op::Branch)
+        },
+    )
 }
 
 /// Runs one layer with baseline semantics (shared with TAILS's software
@@ -400,8 +383,8 @@ pub(crate) fn run_layer(
     match &l.kind {
         DeployedKind::Conv { .. } => conv_layer(dev, m, l),
         DeployedKind::Dense { .. } => dense_layer(dev, m, l),
-        DeployedKind::Pool { .. } => pool_layer_direct(dev, m, l, 0),
-        DeployedKind::Relu => relu_layer_direct(dev, m, l, 0),
+        DeployedKind::Pool { .. } => pool_layer(dev, m, l),
+        DeployedKind::Relu => relu_layer(dev, m, l),
         DeployedKind::Flatten => Ok(()),
     }
 }

@@ -32,21 +32,24 @@
 //!
 //! # Bundled accounting
 //!
-//! Every inner loop charges the simulated device per loop body
-//! ([`mcu::OpBundle`] + [`Device::consume_bundle`]) instead of per op:
-//! the funded iterations run through pre-charged accessors (identical
-//! arithmetic, identical FRAM effects), and the first unfunded iteration
-//! replays through the original scalar sequence so a brown-out lands on
-//! exactly the same op with exactly the same partial memory effects. The
-//! root `bundles` test suite pins bit-identical traces and outputs
-//! against digests recorded from the scalar implementation.
+//! Every inner loop is one body run by [`Device::run_bundled`] against
+//! its [`mcu::OpBundle`]: whole iterations the buffer funds run uncharged
+//! with the loop-continuation store and progress beacons landed once per
+//! funded run, and the first unfunded iteration runs the same body op by
+//! op, so a brown-out lands on exactly the same op with exactly the same
+//! partial memory effects as an all-scalar execution. The iterations a
+//! loop runs outside any bundle (a sparse layer's column advance, the
+//! loop-ordered ablation's entry hits) call the same helpers through
+//! [`Device::step`]. The root `bundles` test suite pins bit-identical
+//! traces and outputs against digests recorded from the scalar
+//! implementation.
 
-use crate::baseline::{charge_finish, unpack_tap};
+use crate::baseline::{self, charge_finish, unpack_tap};
 use crate::deploy::{DeployedKind, DeployedLayer, DeployedModel, UNDO_EMPTY};
 use dnn::quant::finish_acc;
 use fxp::{Accum, Q15};
 use intermittent::task::{TaskGraph, Transition};
-use mcu::{Device, FramBuf, Op, OpBundle, Phase, PowerFailure};
+use mcu::{Device, FramBuf, FramWord, Op, OpBundle, Phase, PowerFailure, Step};
 
 /// Reads a control word under the ECC integrity guard, charging exactly
 /// like a plain [`Device::load_word`] when the check bits pass. A read
@@ -101,11 +104,24 @@ fn store_ctl(
 }
 
 /// The per-iteration loop-continuation epilogue shared by every SONIC
-/// loop: the control-phase index write plus increment and back-branch.
-fn push_continuation(b: &mut OpBundle) {
+/// and TAILS loop: the control-phase index write plus increment and
+/// back-branch.
+pub(crate) fn push_continuation(b: &mut OpBundle) {
     b.push(Op::FramWrite, Phase::Control);
     b.push(Op::Incr, Phase::Kernel);
     b.push(Op::Branch, Phase::Kernel);
+}
+
+/// The body of [`push_continuation`]: checkpoints the next loop index
+/// `next` in `ctl`, increments and branches; the iteration's progress is
+/// then durable.
+#[inline(always)]
+pub(crate) fn continue_at(s: &mut Step<'_>, ctl: FramWord, next: u16) -> Result<(), PowerFailure> {
+    s.checkpoint(ctl, next)?;
+    s.op(Op::Incr)?;
+    s.op(Op::Branch)?;
+    s.progress();
+    Ok(())
 }
 
 // ----- precomputed iteration bundles --------------------------------
@@ -347,7 +363,7 @@ pub(crate) fn finish_pass(
     dev: &mut Device,
     l: &DeployedLayer,
     iter: &OpBundle,
-    ctl: mcu::FramWord,
+    ctl: FramWord,
     partial_src: Option<FramBuf>,
     per_elem_bias: Option<FramBuf>,
     bias_const: Q15,
@@ -356,55 +372,50 @@ pub(crate) fn finish_pass(
     total: u32,
     shift: i32,
     pack: impl Fn(u32) -> u16,
-    mut j: u32,
+    j: u32,
 ) -> Result<(), PowerFailure> {
-    debug_assert_eq!(
-        iter.count(Phase::Kernel, Op::FramRead),
-        partial_src.is_some() as u64 + per_elem_bias.is_some() as u64,
-        "finish bundle does not match the pass's read set"
-    );
     dev.set_context(l.region, Phase::Kernel);
-    while j < total {
-        let want = total - j;
-        let funded = dev.consume_bundle(iter, want as u64)? as u32;
-        for t in j..j + funded {
+    dev.run_bundled(
+        iter,
+        j..total,
+        #[inline(always)]
+        |s, t| {
             let partial = match partial_src {
-                Some(p) => Accum::from_q15(dev.prepaid_read(p, t)),
+                Some(p) => Accum::from_q15(s.read(p, t)?),
                 None => Accum::ZERO,
             };
             let b = match per_elem_bias {
-                Some(bb) => dev.prepaid_read(bb, t),
+                Some(bb) => s.read(bb, t)?,
                 None => bias_const,
             };
-            dev.prepaid_write(dst, dst_base + t, finish_acc(partial, shift, b));
+            charge_finish(s)?;
+            s.write(dst, dst_base + t, finish_acc(partial, shift, b))?;
+            continue_at(s, ctl, pack(t + 1))
+        },
+    )
+}
+
+/// The rest of a loop-ordered MAC iteration once its product is formed:
+/// add the previous partial from `inter` (`None` on the first pass),
+/// write the new partial to `dest[t]`, loop continuation.
+#[inline(always)]
+fn accumulate(
+    s: &mut Step<'_>,
+    prod: Q15,
+    inter: Option<FramBuf>,
+    dest: FramBuf,
+    t: u32,
+    ctl: FramWord,
+) -> Result<(), PowerFailure> {
+    let v = match inter {
+        None => prod,
+        Some(inter) => {
+            s.op(Op::FxpAdd)?;
+            s.read(inter, t)? + prod
         }
-        j += funded;
-        if funded > 0 {
-            dev.prepaid_store_word(ctl, pack(j));
-            dev.mark_progress_n(funded as u64);
-        }
-        if j < total {
-            // Scalar replay of the unfunded iteration: the brown-out
-            // lands on exactly the same op as the all-scalar path.
-            let partial = match partial_src {
-                Some(p) => Accum::from_q15(dev.read(p, j)?),
-                None => Accum::ZERO,
-            };
-            let b = match per_elem_bias {
-                Some(bb) => dev.read(bb, j)?,
-                None => bias_const,
-            };
-            charge_finish(dev)?;
-            dev.write(dst, dst_base + j, finish_acc(partial, shift, b))?;
-            j += 1;
-            store_ctl(dev, ctl, pack(j), l.region)?;
-            dev.set_context(l.region, Phase::Kernel);
-            dev.consume(Op::Incr)?;
-            dev.consume(Op::Branch)?;
-            dev.mark_progress();
-        }
-    }
-    Ok(())
+    };
+    s.write(dest, t, v)?;
+    continue_at(s, ctl, (t + 1) as u16)
 }
 
 /// The convolution layer task (Listing 1's `Task_Convolve` +
@@ -508,62 +519,30 @@ fn conv_task(
         &bundles.tap_rest
     };
 
-    let mut i = load_ctl(dev, l.idx, l.region)? as u32;
+    let i = load_ctl(dev, l.idx, l.region)? as u32;
     dev.set_context(l.region, Phase::Kernel);
-    while i < plane {
-        let want = plane - i;
-        let funded = dev.consume_bundle(iter, want as u64)? as u32;
-        // The input window index advances incrementally (no per-element
-        // div/mod): for output (oy, ox) it is row_base + ox with
-        // row_base = (c·h + oy + ky)·w_in + kx.
-        let mut ox = i % ow;
-        let mut row_base = (tap.c * h + i / ow + tap.ky) * w_in + tap.kx;
-        for t in i..i + funded {
-            let x = dev.prepaid_read(src, row_base + ox);
-            let prod = x * tap.w;
-            let v = if pos == 0 {
-                prod
-            } else {
-                dev.prepaid_read(inter, t) + prod
-            };
-            dev.prepaid_write(dest, t, v);
+    // The input window index advances incrementally (no per-element
+    // div/mod): for output (oy, ox) it is row_base + ox with
+    // row_base = (c·h + oy + ky)·w_in + kx.
+    let mut ox = i % ow;
+    let mut row_base = (tap.c * h + i / ow + tap.ky) * w_in + tap.kx;
+    let inter = (pos != 0).then_some(inter);
+    dev.run_bundled(
+        iter,
+        i..plane,
+        #[inline(always)]
+        |s, t| {
+            s.op(Op::Alu)?;
+            let x = s.read(src, row_base + ox)?;
+            s.op(Op::FxpMul)?;
             ox += 1;
             if ox == ow {
                 ox = 0;
                 row_base += w_in;
             }
-        }
-        i += funded;
-        if funded > 0 {
-            // Only the last loop-continuation index write is observable
-            // after `funded` uninterrupted iterations.
-            dev.prepaid_store_word(l.idx, i as u16);
-            dev.mark_progress_n(funded as u64);
-        }
-        if i < plane {
-            // Scalar replay of the unfunded iteration.
-            let oy = i / ow;
-            let ox = i % ow;
-            dev.consume(Op::Alu)?;
-            let x = dev.read(src, (tap.c * h + oy + tap.ky) * w_in + ox + tap.kx)?;
-            dev.consume(Op::FxpMul)?;
-            let prod = x * tap.w;
-            let v = if pos == 0 {
-                prod
-            } else {
-                dev.consume(Op::FxpAdd)?;
-                dev.read(inter, i)? + prod
-            };
-            dev.write(dest, i, v)?;
-            i += 1;
-            // Loop continuation: the index write that checkpoints progress.
-            store_ctl(dev, l.idx, i as u16, l.region)?;
-            dev.set_context(l.region, Phase::Kernel);
-            dev.consume(Op::Incr)?;
-            dev.consume(Op::Branch)?;
-            dev.mark_progress();
-        }
-    }
+            accumulate(s, x * tap.w, inter, dest, t, l.idx)
+        },
+    )?;
     // Next filter element; crash between these stores re-runs this tap,
     // which is idempotent.
     store_ctl(dev, l.idx, 0, l.region)?;
@@ -639,46 +618,20 @@ fn dense_task(
         &bundles.rest
     };
 
-    let mut o = load_ctl(dev, l.idx, l.region)? as u32;
+    let o = load_ctl(dev, l.idx, l.region)? as u32;
     dev.set_context(l.region, Phase::Kernel);
-    while o < out_n {
-        let want = out_n - o;
-        let funded = dev.consume_bundle(iter, want as u64)? as u32;
-        for t in o..o + funded {
-            let wq = dev.prepaid_read(*weights, t * in_n + j);
-            let prod = x * wq;
-            let v = if j == 0 {
-                prod
-            } else {
-                dev.prepaid_read(inter, t) + prod
-            };
-            dev.prepaid_write(dest, t, v);
-        }
-        o += funded;
-        if funded > 0 {
-            dev.prepaid_store_word(l.idx, o as u16);
-            dev.mark_progress_n(funded as u64);
-        }
-        if o < out_n {
-            dev.consume(Op::Alu)?;
-            let wq = dev.read(*weights, o * in_n + j)?;
-            dev.consume(Op::FxpMul)?;
-            let prod = x * wq;
-            let v = if j == 0 {
-                prod
-            } else {
-                dev.consume(Op::FxpAdd)?;
-                dev.read(inter, o)? + prod
-            };
-            dev.write(dest, o, v)?;
-            o += 1;
-            store_ctl(dev, l.idx, o as u16, l.region)?;
-            dev.set_context(l.region, Phase::Kernel);
-            dev.consume(Op::Incr)?;
-            dev.consume(Op::Branch)?;
-            dev.mark_progress();
-        }
-    }
+    let inter = (j != 0).then_some(inter);
+    dev.run_bundled(
+        iter,
+        o..out_n,
+        #[inline(always)]
+        |s, t| {
+            s.op(Op::Alu)?;
+            let wq = s.read(*weights, t * in_n + j)?;
+            s.op(Op::FxpMul)?;
+            accumulate(s, x * wq, inter, dest, t, l.idx)
+        },
+    )?;
     store_ctl(dev, l.idx, 0, l.region)?;
     store_ctl(dev, l.pos, (j + 1) as u16, l.region)?;
     Ok(Transition::To(self_id))
@@ -725,6 +678,34 @@ impl SparseState {
     }
 }
 
+/// One undo-logged scatter update of entry `k` from its entry reads on:
+/// the two-phase undo log, the MAC, the in-place write, and loop
+/// continuation.
+#[inline(always)]
+fn scatter(
+    s: &mut Step<'_>,
+    l: &DeployedLayer,
+    entries: FramBuf,
+    acc_plane: FramBuf,
+    x: Q15,
+    st: SparseState,
+    k: u32,
+) -> Result<(), PowerFailure> {
+    let o = s.read(entries, 2 * k)?.raw() as u16 as u32;
+    let wq = s.read(entries, 2 * k + 1)?;
+    let val = s.read(acc_plane, o)?;
+    // Two-phase undo log: save value, then tag (word-atomic). This is
+    // data buffering, not loop control — it stays in the kernel phase (the
+    // paper's Fig. 10 counts Alpaca's analogous dynamic buffering as
+    // kernel time).
+    s.store_word(l.undo_val, val.raw() as u16)?;
+    s.store_word(l.undo_tag, k as u16)?;
+    s.op(Op::FxpMul)?;
+    s.op(Op::FxpAdd)?;
+    s.write(acc_plane, o, val + x * wq)?;
+    continue_at(s, l.idx, st.pack(STAGE_ACCUM, k + 1))
+}
+
 /// Sparse fully-connected layers: in-place scatter accumulation protected
 /// by sparse undo-logging (§6.2.2).
 #[allow(clippy::too_many_lines)]
@@ -765,32 +746,19 @@ pub(crate) fn sparse_dense_task(
     match stage {
         STAGE_ZERO => {
             // Zero the accumulation plane (idempotent writes of zero).
-            let mut i = idx;
             dev.set_context(l.region, Phase::Kernel);
-            while i < out_n {
-                let want = out_n - i;
-                let funded = dev.consume_bundle(&bundles.zero, want as u64)? as u32;
-                for t in i..i + funded {
-                    dev.prepaid_write(acc_plane, t, Q15::ZERO);
-                }
-                i += funded;
-                if funded > 0 {
+            dev.run_bundled(
+                &bundles.zero,
+                idx..out_n,
+                #[inline(always)]
+                |s, t| {
+                    s.write(acc_plane, t, Q15::ZERO)?;
                     // Clamp so the zero pass cannot roll into ACCUM before
-                    // the column cache (`pos`) is reset below; re-zeroing
-                    // the last element on resume is idempotent.
-                    dev.prepaid_store_word(l.idx, st.pack(STAGE_ZERO, i.min(out_n - 1)));
-                    dev.mark_progress_n(funded as u64);
-                }
-                if i < out_n {
-                    dev.write(acc_plane, i, Q15::ZERO)?;
-                    i += 1;
-                    store_ctl(dev, l.idx, st.pack(STAGE_ZERO, i.min(out_n - 1)), l.region)?;
-                    dev.set_context(l.region, Phase::Kernel);
-                    dev.consume(Op::Incr)?;
-                    dev.consume(Op::Branch)?;
-                    dev.mark_progress();
-                }
-            }
+                    // the column cache (`pos`) is reset below; re-zeroing the
+                    // last element on resume is idempotent.
+                    continue_at(s, l.idx, st.pack(STAGE_ZERO, (t + 1).min(out_n - 1)))
+                },
+            )?;
             // Reset the column cache BEFORE the atomic stage transition:
             // ACCUM must never start with a stale (too-advanced) cache.
             store_ctl(dev, l.pos, 0, l.region)?;
@@ -824,57 +792,27 @@ pub(crate) fn sparse_dense_task(
             dev.set_context(l.region, Phase::Kernel);
             while k < nnz {
                 // Iterations stay in column j until k reaches col_ptr[j+1]
-                // (the scalar column-advance loop body never runs for
-                // them); bundle that run, then advance scalar-wise.
-                let col_end = (dev.prepaid_read(*col_ptr, j + 1).raw() as u16 as u32).min(nnz);
+                // (the column-advance loop body never runs for them):
+                // bundle that run. The iteration that advances the column
+                // runs unbundled.
+                let col_end = (dev.peek_at(col_ptr.addr(j + 1)).raw() as u16 as u32).min(nnz);
                 if col_end > k {
-                    let want = col_end - k;
-                    let funded = dev.consume_bundle(&bundles.accum, want as u64)? as u32;
-                    for t in k..k + funded {
-                        let o = dev.prepaid_read(*entries, 2 * t).raw() as u16 as u32;
-                        let wq = dev.prepaid_read(*entries, 2 * t + 1);
-                        let val = dev.prepaid_read(acc_plane, o);
-                        // Only the final iteration's undo slot survives an
-                        // uninterrupted run.
-                        dev.prepaid_store_word(l.undo_val, val.raw() as u16);
-                        dev.prepaid_store_word(l.undo_tag, t as u16);
-                        dev.prepaid_write(acc_plane, o, val + x * wq);
-                    }
-                    k += funded;
-                    if funded > 0 {
-                        dev.prepaid_store_word(l.idx, st.pack(STAGE_ACCUM, k));
-                        dev.mark_progress_n(funded as u64);
-                    }
-                    if k < col_end {
-                        // Scalar replay of the unfunded iteration.
-                        dev.consume(Op::Branch)?;
-                        // The column check fails (k is still in-column);
-                        // charge it like the scalar loop head does.
-                        let _ = dev.read(*col_ptr, j + 1)?;
-                        let o = dev.read(*entries, 2 * k)?.raw() as u16 as u32;
-                        let wq = dev.read(*entries, 2 * k + 1)?;
-                        let val = dev.read(acc_plane, o)?;
-                        // Two-phase undo log: save value, then tag
-                        // (word-atomic). This is data buffering, not loop
-                        // control — it stays in the kernel phase (the
-                        // paper's Fig. 10 counts Alpaca's analogous dynamic
-                        // buffering as kernel time).
-                        dev.store_word(l.undo_val, val.raw() as u16)?;
-                        dev.store_word(l.undo_tag, k as u16)?;
-                        dev.consume(Op::FxpMul)?;
-                        dev.consume(Op::FxpAdd)?;
-                        dev.write(acc_plane, o, val + x * wq)?;
-                        k += 1;
-                        store_ctl(dev, l.idx, st.pack(STAGE_ACCUM, k), l.region)?;
-                        dev.set_context(l.region, Phase::Kernel);
-                        dev.consume(Op::Incr)?;
-                        dev.consume(Op::Branch)?;
-                        dev.mark_progress();
-                    }
+                    dev.run_bundled(
+                        &bundles.accum,
+                        k..col_end,
+                        #[inline(always)]
+                        |s, t| {
+                            s.op(Op::Branch)?;
+                            // The column check fails (t is still in-column).
+                            let _ = s.read(*col_ptr, j + 1)?;
+                            scatter(s, l, *entries, acc_plane, x, st, t)
+                        },
+                    )?;
+                    k = col_end;
                 } else {
-                    // Column advance (amortized: once per input element),
-                    // scalar exactly as before: the loop branch plus the
-                    // check-read/advance sequence until the check fails.
+                    // Column advance (amortized: once per input element):
+                    // the loop branch plus the check-read/advance sequence
+                    // until the check fails.
                     dev.consume(Op::Branch)?;
                     while (dev.read(*col_ptr, j + 1)?.raw() as u16 as u32) <= k {
                         j += 1;
@@ -882,20 +820,8 @@ pub(crate) fn sparse_dense_task(
                         x = dev.read(src, j)?;
                         dev.set_context(l.region, Phase::Kernel);
                     }
-                    let o = dev.read(*entries, 2 * k)?.raw() as u16 as u32;
-                    let wq = dev.read(*entries, 2 * k + 1)?;
-                    let val = dev.read(acc_plane, o)?;
-                    dev.store_word(l.undo_val, val.raw() as u16)?;
-                    dev.store_word(l.undo_tag, k as u16)?;
-                    dev.consume(Op::FxpMul)?;
-                    dev.consume(Op::FxpAdd)?;
-                    dev.write(acc_plane, o, val + x * wq)?;
+                    scatter(&mut dev.step(), l, *entries, acc_plane, x, st, k)?;
                     k += 1;
-                    store_ctl(dev, l.idx, st.pack(STAGE_ACCUM, k), l.region)?;
-                    dev.set_context(l.region, Phase::Kernel);
-                    dev.consume(Op::Incr)?;
-                    dev.consume(Op::Branch)?;
-                    dev.mark_progress();
                 }
             }
             store_ctl(dev, l.idx, st.pack(STAGE_FINISH, 0), l.region)?;
@@ -924,6 +850,44 @@ pub(crate) fn sparse_dense_task(
             store_ctl(dev, l.pos, 0, l.region)?;
             Ok(next)
         }
+    }
+}
+
+/// One input column's pass of the loop-ordered sparse ablation.
+struct ColumnPass {
+    first: bool,
+    x: Q15,
+    inter: FramBuf,
+    dest: FramBuf,
+    entries: FramBuf,
+    end: u32,
+    ctl: FramWord,
+}
+
+impl ColumnPass {
+    /// Output row `o`: carry the previous partial (zero on the first
+    /// pass), merge column entry `k` when it hits this row, write, loop
+    /// continuation.
+    #[inline(always)]
+    fn row(&self, s: &mut Step<'_>, k: &mut u32, o: u32) -> Result<(), PowerFailure> {
+        let mut v = if self.first {
+            Q15::ZERO
+        } else {
+            s.read(self.inter, o)?
+        };
+        s.op(Op::Branch)?;
+        if *k < self.end {
+            let row = s.read(self.entries, 2 * *k)?.raw() as u16 as u32;
+            if row == o {
+                let wq = s.read(self.entries, 2 * *k + 1)?;
+                s.op(Op::FxpMul)?;
+                s.op(Op::FxpAdd)?;
+                v += self.x * wq;
+                *k += 1;
+            }
+        }
+        s.write(self.dest, o, v)?;
+        continue_at(s, self.ctl, (o + 1) as u16)
     }
 }
 
@@ -1020,75 +984,36 @@ fn sparse_dense_loop_ordered_task(
         (&bundles.pass_rest, &bundles.drain_rest)
     };
 
+    let pass = ColumnPass {
+        first: j == 0,
+        x,
+        inter,
+        dest,
+        entries: *entries,
+        end,
+        ctl: l.idx,
+    };
     dev.set_context(l.region, Phase::Kernel);
     while o < out_n {
-        // Rows up to the next entry hit (or the end) are uniform.
+        // Rows up to the next entry hit (or the end) are pass-throughs.
         let (iter, run_end) = if k < end {
-            let row = dev.prepaid_read(*entries, 2 * k).raw() as u16 as u32;
+            let row = dev.peek_at(entries.addr(2 * k)).raw() as u16 as u32;
             (pass_iter, row.min(out_n))
         } else {
             (drain_iter, out_n)
         };
         if run_end > o {
-            let want = run_end - o;
-            let funded = dev.consume_bundle(iter, want as u64)? as u32;
-            for t in o..o + funded {
-                let v = if j == 0 {
-                    Q15::ZERO
-                } else {
-                    dev.prepaid_read(inter, t)
-                };
-                dev.prepaid_write(dest, t, v);
-            }
-            o += funded;
-            if funded > 0 {
-                dev.prepaid_store_word(l.idx, o as u16);
-                dev.mark_progress_n(funded as u64);
-            }
-            if o < run_end {
-                // Scalar replay of the unfunded pass-through row.
-                let v = if j == 0 {
-                    Q15::ZERO
-                } else {
-                    dev.read(inter, o)?
-                };
-                dev.consume(Op::Branch)?;
-                if k < end {
-                    let _ = dev.read(*entries, 2 * k)?; // row check (miss)
-                }
-                dev.write(dest, o, v)?;
-                o += 1;
-                store_ctl(dev, l.idx, o as u16, l.region)?;
-                dev.set_context(l.region, Phase::Kernel);
-                dev.consume(Op::Incr)?;
-                dev.consume(Op::Branch)?;
-                dev.mark_progress();
-            }
+            dev.run_bundled(
+                iter,
+                o..run_end,
+                #[inline(always)]
+                |s, t| pass.row(s, &mut k, t),
+            )?;
+            o = run_end;
         } else {
-            // Entry hit: the full scalar iteration including the MAC.
-            let mut v = if j == 0 {
-                Q15::ZERO
-            } else {
-                dev.read(inter, o)?
-            };
-            dev.consume(Op::Branch)?;
-            if k < end {
-                let row = dev.read(*entries, 2 * k)?.raw() as u16 as u32;
-                if row == o {
-                    let wq = dev.read(*entries, 2 * k + 1)?;
-                    dev.consume(Op::FxpMul)?;
-                    dev.consume(Op::FxpAdd)?;
-                    v += x * wq;
-                    k += 1;
-                }
-            }
-            dev.write(dest, o, v)?;
+            // Entry hit: the full iteration including the MAC, unbundled.
+            pass.row(&mut dev.step(), &mut k, o)?;
             o += 1;
-            store_ctl(dev, l.idx, o as u16, l.region)?;
-            dev.set_context(l.region, Phase::Kernel);
-            dev.consume(Op::Incr)?;
-            dev.consume(Op::Branch)?;
-            dev.mark_progress();
         }
     }
     store_ctl(dev, l.idx, 0, l.region)?;
@@ -1106,76 +1031,21 @@ pub(crate) fn pool_task(
 ) -> Result<Transition, PowerFailure> {
     let from = load_ctl(dev, l.idx, l.region)? as u32;
     dev.set_context(l.region, Phase::Kernel);
-    pool_loop_continuation(dev, m, l, iter, from)?;
+    let [c, _, _] = l.in_shape;
+    let [_, oh, ow] = l.out_shape;
+    let (src, dst) = (m.buf(l.src), m.buf(l.dst));
+    dev.run_bundled(
+        iter,
+        from..c * oh * ow,
+        #[inline(always)]
+        |s, o| {
+            let best = baseline::pool_window(s, l, o, |s, i| s.read(src, i))?;
+            s.write(dst, o, best)?;
+            continue_at(s, l.idx, (o + 1) as u16)
+        },
+    )?;
     store_ctl(dev, l.idx, 0, l.region)?;
     Ok(next)
-}
-
-fn pool_loop_continuation(
-    dev: &mut Device,
-    m: &DeployedModel,
-    l: &DeployedLayer,
-    iter: &OpBundle,
-    from: u32,
-) -> Result<(), PowerFailure> {
-    let DeployedKind::Pool { kh, kw } = l.kind else {
-        unreachable!("pool task on non-pool")
-    };
-    let [c, h, w] = l.in_shape;
-    let [_, oh, ow] = l.out_shape;
-    let src = m.buf(l.src);
-    let dst = m.buf(l.dst);
-    let total = c * oh * ow;
-    debug_assert_eq!(iter.count(Phase::Kernel, Op::FramRead), (kh * kw) as u64);
-    let mut o = from;
-    while o < total {
-        let want = total - o;
-        let funded = dev.consume_bundle(iter, want as u64)? as u32;
-        for t in o..o + funded {
-            let ch = t / (oh * ow);
-            let oy = (t / ow) % oh;
-            let ox = t % ow;
-            let mut best = Q15::MIN;
-            for py in 0..kh {
-                for px in 0..kw {
-                    let v = dev.prepaid_read(src, (ch * h + oy * kh + py) * w + ox * kw + px);
-                    if v > best {
-                        best = v;
-                    }
-                }
-            }
-            dev.prepaid_write(dst, t, best);
-        }
-        o += funded;
-        if funded > 0 {
-            dev.prepaid_store_word(l.idx, o as u16);
-            dev.mark_progress_n(funded as u64);
-        }
-        if o < total {
-            let ch = o / (oh * ow);
-            let oy = (o / ow) % oh;
-            let ox = o % ow;
-            let mut best = Q15::MIN;
-            for py in 0..kh {
-                for px in 0..kw {
-                    dev.consume(Op::Alu)?;
-                    let v = dev.read(src, (ch * h + oy * kh + py) * w + ox * kw + px)?;
-                    dev.consume(Op::Branch)?;
-                    if v > best {
-                        best = v;
-                    }
-                }
-            }
-            dev.write(dst, o, best)?;
-            o += 1;
-            store_ctl(dev, l.idx, o as u16, l.region)?;
-            dev.set_context(l.region, Phase::Kernel);
-            dev.consume(Op::Incr)?;
-            dev.consume(Op::Branch)?;
-            dev.mark_progress();
-        }
-    }
-    Ok(())
 }
 
 /// ReLU with loop continuation; in-place is safe because ReLU is
@@ -1190,32 +1060,19 @@ pub(crate) fn relu_task(
     let [c, h, w] = l.in_shape;
     let buf = m.buf(l.src);
     let total = c * h * w;
-    let mut i = load_ctl(dev, l.idx, l.region)? as u32;
+    let i = load_ctl(dev, l.idx, l.region)? as u32;
     dev.set_context(l.region, Phase::Kernel);
-    while i < total {
-        let want = total - i;
-        let funded = dev.consume_bundle(iter, want as u64)? as u32;
-        for t in i..i + funded {
-            let v = dev.prepaid_read(buf, t);
-            dev.prepaid_write(buf, t, v.relu());
-        }
-        i += funded;
-        if funded > 0 {
-            dev.prepaid_store_word(l.idx, i as u16);
-            dev.mark_progress_n(funded as u64);
-        }
-        if i < total {
-            let v = dev.read(buf, i)?;
-            dev.consume(Op::Branch)?;
-            dev.write(buf, i, v.relu())?;
-            i += 1;
-            store_ctl(dev, l.idx, i as u16, l.region)?;
-            dev.set_context(l.region, Phase::Kernel);
-            dev.consume(Op::Incr)?;
-            dev.consume(Op::Branch)?;
-            dev.mark_progress();
-        }
-    }
+    dev.run_bundled(
+        iter,
+        i..total,
+        #[inline(always)]
+        |s, t| {
+            let v = s.read(buf, t)?;
+            s.op(Op::Branch)?;
+            s.write(buf, t, v.relu())?;
+            continue_at(s, l.idx, (t + 1) as u16)
+        },
+    )?;
     store_ctl(dev, l.idx, 0, l.region)?;
     Ok(next)
 }

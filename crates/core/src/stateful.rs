@@ -66,12 +66,12 @@
 //! Lockstep serves continuous-power runs from that twin once the trace
 //! reaches its fixed point.
 
-use crate::baseline::{charge_finish, unpack_tap};
-use crate::deploy::{DeployedKind, DeployedLayer, DeployedModel, IoBuf, SparseFc};
+use crate::baseline::{charge_finish, conv_acc, dense_acc, pool_window};
+use crate::deploy::{DeployedKind, DeployedLayer, DeployedModel, IoBuf};
 use dnn::quant::finish_acc;
-use fxp::{Accum, Q15};
+use fxp::Q15;
 use intermittent::task::{TaskGraph, Transition};
-use mcu::{AllocError, Device, FramBuf, Op, OpBundle, Phase, PowerFailure, RegionId};
+use mcu::{AllocError, Device, FramBuf, Op, OpBundle, Phase, PowerFailure, RegionId, Step};
 
 /// Bits of an embedded word holding the (truncated) activation value.
 pub const VALUE_MASK: u16 = 0xFFE0;
@@ -232,45 +232,29 @@ pub fn cleared_output(dev: &Device, m: &DeployedModel) -> Vec<Q15> {
 /// A detected activation fault is unrecoverable data loss: exhaust the
 /// bounded retry budget so the scheduler surfaces `RunError::Corrupted`
 /// instead of rebooting into the same corrupted state forever.
-fn data_corrupt(dev: &mut Device, region: RegionId) -> PowerFailure {
-    while dev.note_corruption(region) {}
+fn data_corrupt(s: &mut Step<'_>, region: RegionId) -> PowerFailure {
+    while s.note_corruption(region) {}
     PowerFailure
 }
 
-/// Reads an activation through the tag/parity verify on the *prepaid*
-/// (funded-bundle) path. `tags` lists the accepted pass tags.
-#[inline]
-fn verified_prepaid(
-    dev: &mut Device,
-    buf: FramBuf,
-    i: u32,
-    tags: &[u16],
-    region: RegionId,
-) -> Result<Q15, PowerFailure> {
-    let w = dev.prepaid_read(buf, i);
-    if is_valid(w) && tags.contains(&tag_of(w)) {
-        Ok(value_of(w))
-    } else {
-        Err(data_corrupt(dev, region))
-    }
-}
-
-/// Reads an activation through the tag/parity verify on the scalar-replay
-/// path (read, then the verify ALU op).
-#[inline]
+/// Reads an activation through the tag/parity verify (the read, then the
+/// verify ALU op). `tags` are the two accepted pass tags (the same one
+/// twice when a pass accepts one).
+#[inline(always)]
 fn verified_read(
-    dev: &mut Device,
+    s: &mut Step<'_>,
     buf: FramBuf,
     i: u32,
-    tags: &[u16],
+    tags: [u16; 2],
     region: RegionId,
 ) -> Result<Q15, PowerFailure> {
-    let w = dev.read(buf, i)?;
-    dev.consume(Op::Alu)?; // tag/parity verify
-    if is_valid(w) && tags.contains(&tag_of(w)) {
+    let w = s.read(buf, i)?;
+    s.op(Op::Alu)?; // tag/parity verify
+    let tag = tag_of(w);
+    if is_valid(w) && (tag == tags[0] || tag == tags[1]) {
         Ok(value_of(w))
     } else {
-        Err(data_corrupt(dev, region))
+        Err(data_corrupt(s, region))
     }
 }
 
@@ -360,6 +344,17 @@ fn probe_bundle() -> OpBundle {
     b
 }
 
+/// One probe of `buf[i]` against `tag`: address ALU, read, tag check,
+/// branch.
+#[inline(always)]
+fn probe_word(s: &mut Step<'_>, buf: FramBuf, i: u32, tag: u16) -> Result<bool, PowerFailure> {
+    s.op(Op::Alu)?;
+    let w = s.read(buf, i)?;
+    s.op(Op::Alu)?;
+    s.op(Op::Branch)?;
+    Ok(valid_with(w, tag))
+}
+
 /// Charges and performs one probe of `buf[i]` against `tag`.
 fn probe(
     dev: &mut Device,
@@ -368,16 +363,17 @@ fn probe(
     i: u32,
     tag: u16,
 ) -> Result<bool, PowerFailure> {
-    if dev.consume_bundle(pb, 1)? == 1 {
-        Ok(valid_with(dev.prepaid_read(buf, i), tag))
-    } else {
-        // Scalar replay: the brown-out lands on the exact op.
-        dev.consume(Op::Alu)?;
-        let w = dev.read(buf, i)?;
-        dev.consume(Op::Alu)?;
-        dev.consume(Op::Branch)?;
-        Ok(valid_with(w, tag))
-    }
+    let mut hit = false;
+    dev.run_bundled(
+        pb,
+        i..i + 1,
+        #[inline(always)]
+        |s, i| {
+            hit = probe_word(s, buf, i, tag)?;
+            Ok(())
+        },
+    )?;
+    Ok(hit)
 }
 
 /// The progress seeker: finds `(pass, frontier)` to resume from.
@@ -413,209 +409,51 @@ fn seek(
     Ok((1, 0))
 }
 
-/// Computes and writes conv output element `o`; `iter` is the layer's
-/// [`sparse_mac_bundle`] or [`mac_bundle`].
-fn conv_element(
+/// Computes and writes conv or dense output element `o` from
+/// verified inputs; `iter` is the layer's MAC bundle.
+fn element(
     dev: &mut Device,
     m: &DeployedModel,
     l: &DeployedLayer,
     o: u32,
     iter: &OpBundle,
-    in_tags: &[u16],
+    in_tags: [u16; 2],
     out_tag: u16,
 ) -> Result<(), PowerFailure> {
-    let DeployedKind::Conv {
-        dims,
-        weights,
-        sparse,
-        bias,
-        shift,
-    } = &l.kind
-    else {
-        unreachable!("conv_element on non-conv")
-    };
-    let [_, nc, kh, kw] = *dims;
-    let [_, h, w] = l.in_shape;
-    let [_, oh, ow] = l.out_shape;
     let src = m.buf(l.src);
-    let dst = m.buf(l.dst);
-    let f = o / (oh * ow);
-    let oy = (o / ow) % oh;
-    let ox = o % ow;
-    let ntaps = nc * kh * kw;
-    let mut acc = Accum::ZERO;
-    match sparse {
-        Some((row_ptr, taps)) => {
-            let start = dev.read(*row_ptr, f)?.raw() as u16 as u32;
-            let end = dev.read(*row_ptr, f + 1)?.raw() as u16 as u32;
-            let mut t = start;
-            while t < end {
-                let funded = dev.consume_bundle(iter, (end - t) as u64)? as u32;
-                for k in t..t + funded {
-                    let off = dev.prepaid_read(*taps, 2 * k).raw() as u16;
-                    let (c, ky, kx) = unpack_tap(off, kh, kw);
-                    let wq = dev.prepaid_read(*taps, 2 * k + 1);
-                    let xq = verified_prepaid(
-                        dev,
-                        src,
-                        (c * h + oy + ky) * w + ox + kx,
-                        in_tags,
-                        l.region,
-                    )?;
-                    acc.mac(xq, wq);
-                }
-                t += funded;
-                if t < end {
-                    let off = dev.read(*taps, 2 * t)?.raw() as u16;
-                    dev.consume(Op::Alu)?; // unpack
-                    let (c, ky, kx) = unpack_tap(off, kh, kw);
-                    let wq = dev.read(*taps, 2 * t + 1)?;
-                    dev.consume(Op::Alu)?; // address
-                    let xq = verified_read(
-                        dev,
-                        src,
-                        (c * h + oy + ky) * w + ox + kx,
-                        in_tags,
-                        l.region,
-                    )?;
-                    dev.consume(Op::FxpMul)?;
-                    dev.consume(Op::FxpAdd)?;
-                    acc.mac(xq, wq);
-                    dev.consume(Op::Incr)?;
-                    dev.consume(Op::Branch)?;
-                    t += 1;
-                }
-            }
+    let (acc, bias, shift, bi) = match &l.kind {
+        DeployedKind::Conv { bias, shift, .. } => {
+            let [_, oh, ow] = l.out_shape;
+            let f = o / (oh * ow);
+            let at = [f, (o / ow) % oh, o % ow];
+            let acc = conv_acc(
+                dev,
+                l,
+                iter,
+                at,
+                #[inline(always)]
+                |s, i| verified_read(s, src, i, in_tags, l.region),
+            )?;
+            (acc, bias, shift, f)
         }
-        None => {
-            let mut pos = 0u32;
-            while pos < ntaps {
-                let funded = dev.consume_bundle(iter, (ntaps - pos) as u64)? as u32;
-                for t in pos..pos + funded {
-                    let (c, ky, kx) = unpack_tap(t as u16, kh, kw);
-                    let wq = dev.prepaid_read(*weights, f * ntaps + t);
-                    let xq = verified_prepaid(
-                        dev,
-                        src,
-                        (c * h + oy + ky) * w + ox + kx,
-                        in_tags,
-                        l.region,
-                    )?;
-                    acc.mac(xq, wq);
-                }
-                pos += funded;
-                if pos < ntaps {
-                    let (c, ky, kx) = unpack_tap(pos as u16, kh, kw);
-                    let wq = dev.read(*weights, f * ntaps + pos)?;
-                    dev.consume(Op::Alu)?; // address
-                    let xq = verified_read(
-                        dev,
-                        src,
-                        (c * h + oy + ky) * w + ox + kx,
-                        in_tags,
-                        l.region,
-                    )?;
-                    dev.consume(Op::FxpMul)?;
-                    dev.consume(Op::FxpAdd)?;
-                    acc.mac(xq, wq);
-                    dev.consume(Op::Incr)?;
-                    dev.consume(Op::Branch)?;
-                    pos += 1;
-                }
-            }
+        DeployedKind::Dense { bias, shift, .. } => {
+            let acc = dense_acc(
+                dev,
+                l,
+                iter,
+                o,
+                #[inline(always)]
+                |s, i| verified_read(s, src, i, in_tags, l.region),
+            )?;
+            (acc, bias, shift, o)
         }
-    }
-    let b = dev.read(*bias, f)?;
-    charge_finish(dev)?;
-    dev.consume(Op::Alu)?; // embed pack
-    dev.write(dst, o, embed(finish_acc(acc, *shift, b), out_tag))
-}
-
-/// Computes and writes dense output element `o`; `iter` is the layer's
-/// [`fc_sparse_bundle`] or [`mac_bundle`].
-fn dense_element(
-    dev: &mut Device,
-    m: &DeployedModel,
-    l: &DeployedLayer,
-    o: u32,
-    iter: &OpBundle,
-    in_tags: &[u16],
-    out_tag: u16,
-) -> Result<(), PowerFailure> {
-    let DeployedKind::Dense {
-        dims,
-        weights,
-        sparse,
-        bias,
-        shift,
-        ..
-    } = &l.kind
-    else {
-        unreachable!("dense_element on non-dense")
+        _ => unreachable!("element on a layer without MACs"),
     };
-    let [_, in_n] = *dims;
-    let src = m.buf(l.src);
-    let dst = m.buf(l.dst);
-    let mut acc = Accum::ZERO;
-    match sparse {
-        Some(SparseFc {
-            rows: (row_ptr, entries),
-            ..
-        }) => {
-            let start = dev.read(*row_ptr, o)?.raw() as u16 as u32;
-            let end = dev.read(*row_ptr, o + 1)?.raw() as u16 as u32;
-            let mut t = start;
-            while t < end {
-                let funded = dev.consume_bundle(iter, (end - t) as u64)? as u32;
-                for k in t..t + funded {
-                    let col = dev.prepaid_read(*entries, 2 * k).raw() as u16 as u32;
-                    let wq = dev.prepaid_read(*entries, 2 * k + 1);
-                    let xq = verified_prepaid(dev, src, col, in_tags, l.region)?;
-                    acc.mac(xq, wq);
-                }
-                t += funded;
-                if t < end {
-                    let col = dev.read(*entries, 2 * t)?.raw() as u16 as u32;
-                    let wq = dev.read(*entries, 2 * t + 1)?;
-                    dev.consume(Op::Alu)?;
-                    let xq = verified_read(dev, src, col, in_tags, l.region)?;
-                    dev.consume(Op::FxpMul)?;
-                    dev.consume(Op::FxpAdd)?;
-                    acc.mac(xq, wq);
-                    dev.consume(Op::Incr)?;
-                    dev.consume(Op::Branch)?;
-                    t += 1;
-                }
-            }
-        }
-        None => {
-            let mut i = 0u32;
-            while i < in_n {
-                let funded = dev.consume_bundle(iter, (in_n - i) as u64)? as u32;
-                for k in i..i + funded {
-                    let wq = dev.prepaid_read(*weights, o * in_n + k);
-                    let xq = verified_prepaid(dev, src, k, in_tags, l.region)?;
-                    acc.mac(xq, wq);
-                }
-                i += funded;
-                if i < in_n {
-                    let wq = dev.read(*weights, o * in_n + i)?;
-                    dev.consume(Op::Alu)?;
-                    let xq = verified_read(dev, src, i, in_tags, l.region)?;
-                    dev.consume(Op::FxpMul)?;
-                    dev.consume(Op::FxpAdd)?;
-                    acc.mac(xq, wq);
-                    dev.consume(Op::Incr)?;
-                    dev.consume(Op::Branch)?;
-                    i += 1;
-                }
-            }
-        }
-    }
-    let b = dev.read(*bias, o)?;
-    charge_finish(dev)?;
-    dev.consume(Op::Alu)?; // embed pack
-    dev.write(dst, o, embed(finish_acc(acc, *shift, b), out_tag))
+    let b = dev.read(*bias, bi)?;
+    let s = &mut dev.step();
+    charge_finish(s)?;
+    s.op(Op::Alu)?; // embed pack
+    s.write(m.buf(l.dst), o, embed(finish_acc(acc, *shift, b), out_tag))
 }
 
 fn pool_pass(
@@ -624,73 +462,27 @@ fn pool_pass(
     l: &DeployedLayer,
     from: u32,
     total: u32,
-    in_tags: &[u16],
+    in_tags: [u16; 2],
     out_tag: u16,
 ) -> Result<(), PowerFailure> {
     let DeployedKind::Pool { kh, kw } = l.kind else {
         unreachable!("pool_pass on non-pool")
     };
-    let [_, h, w] = l.in_shape;
-    let [_, oh, ow] = l.out_shape;
-    let src = m.buf(l.src);
-    let dst = m.buf(l.dst);
-    let iter = pool_bundle(kh, kw);
-    let mut o = from;
-    while o < total {
-        let funded = dev.consume_bundle(&iter, (total - o) as u64)? as u32;
-        for k in o..o + funded {
-            let ch = k / (oh * ow);
-            let oy = (k / ow) % oh;
-            let ox = k % ow;
-            let mut best = Q15::MIN;
-            for py in 0..kh {
-                for px in 0..kw {
-                    let v = verified_prepaid(
-                        dev,
-                        src,
-                        (ch * h + oy * kh + py) * w + ox * kw + px,
-                        in_tags,
-                        l.region,
-                    )?;
-                    if v > best {
-                        best = v;
-                    }
-                }
-            }
-            dev.prepaid_write(dst, k, embed(best, out_tag));
-            dev.mark_progress();
-        }
-        o += funded;
-        if o < total {
-            let ch = o / (oh * ow);
-            let oy = (o / ow) % oh;
-            let ox = o % ow;
-            let mut best = Q15::MIN;
-            for py in 0..kh {
-                for px in 0..kw {
-                    dev.consume(Op::Alu)?;
-                    let v = verified_read(
-                        dev,
-                        src,
-                        (ch * h + oy * kh + py) * w + ox * kw + px,
-                        in_tags,
-                        l.region,
-                    )?;
-                    dev.consume(Op::Branch)?;
-                    if v > best {
-                        best = v;
-                    }
-                }
-            }
-            dev.consume(Op::Alu)?; // embed pack
-            dev.write(dst, o, embed(best, out_tag))?;
-            dev.consume(Op::Incr)?;
-            dev.consume(Op::Branch)?;
-            dev.mark_progress();
-            o += 1;
-        }
-    }
-    Ok(())
+    let (src, dst) = (m.buf(l.src), m.buf(l.dst));
+    dev.run_bundled(
+        &pool_bundle(kh, kw),
+        from..total,
+        #[inline(always)]
+        |s, o| {
+            let best = pool_window(s, l, o, |s, i| verified_read(s, src, i, in_tags, l.region))?;
+            s.op(Op::Alu)?; // embed pack
+            s.write(dst, o, embed(best, out_tag))?;
+            s.op(Op::Incr)?;
+            s.op(Op::Branch)?;
+            s.progress();
+            Ok(())
+        },
+    )
 }
 
 fn relu_pass(
@@ -699,32 +491,25 @@ fn relu_pass(
     l: &DeployedLayer,
     from: u32,
     total: u32,
-    in_tags: &[u16],
+    in_tags: [u16; 2],
     out_tag: u16,
 ) -> Result<(), PowerFailure> {
     let buf = m.buf(l.src);
-    let iter = relu_bundle();
-    let mut i = from;
-    while i < total {
-        let funded = dev.consume_bundle(&iter, (total - i) as u64)? as u32;
-        for k in i..i + funded {
-            let v = verified_prepaid(dev, buf, k, in_tags, l.region)?;
-            dev.prepaid_write(buf, k, embed(v.relu(), out_tag));
-            dev.mark_progress();
-        }
-        i += funded;
-        if i < total {
-            let v = verified_read(dev, buf, i, in_tags, l.region)?;
-            dev.consume(Op::Branch)?;
-            dev.consume(Op::Alu)?; // embed pack
-            dev.write(buf, i, embed(v.relu(), out_tag))?;
-            dev.consume(Op::Incr)?;
-            dev.consume(Op::Branch)?;
-            dev.mark_progress();
-            i += 1;
-        }
-    }
-    Ok(())
+    dev.run_bundled(
+        &relu_bundle(),
+        from..total,
+        #[inline(always)]
+        |s, i| {
+            let v = verified_read(s, buf, i, in_tags, l.region)?;
+            s.op(Op::Branch)?;
+            s.op(Op::Alu)?; // embed pack
+            s.write(buf, i, embed(v.relu(), out_tag))?;
+            s.op(Op::Incr)?;
+            s.op(Op::Branch)?;
+            s.progress();
+            Ok(())
+        },
+    )
 }
 
 /// Runs pass `pi` from element `from` to completion, embedding `tag`
@@ -742,40 +527,30 @@ fn run_pass(
     dev.set_context(l.region, Phase::Kernel);
     // The MAC bundles are built once per pass, not once per element.
     match &l.kind {
-        DeployedKind::Conv { sparse, .. } => {
-            let iter = match sparse {
-                Some(_) => sparse_mac_bundle(),
-                None => mac_bundle(),
+        DeployedKind::Conv { .. } | DeployedKind::Dense { .. } => {
+            let iter = match &l.kind {
+                DeployedKind::Conv {
+                    sparse: Some(_), ..
+                } => sparse_mac_bundle(),
+                DeployedKind::Dense {
+                    sparse: Some(_), ..
+                } => fc_sparse_bundle(),
+                _ => mac_bundle(),
             };
             for o in from..pass.len {
-                conv_element(dev, m, l, o, &iter, &[pass.in_tag], pass.tag)?;
+                element(dev, m, l, o, &iter, [pass.in_tag; 2], pass.tag)?;
                 dev.mark_progress();
             }
             Ok(())
         }
-        DeployedKind::Dense { sparse, .. } => {
-            let iter = match sparse {
-                Some(_) => fc_sparse_bundle(),
-                None => mac_bundle(),
-            };
-            for o in from..pass.len {
-                dense_element(dev, m, l, o, &iter, &[pass.in_tag], pass.tag)?;
-                dev.mark_progress();
-            }
-            Ok(())
+        DeployedKind::Pool { .. } => {
+            pool_pass(dev, m, l, from, pass.len, [pass.in_tag; 2], pass.tag)
         }
-        DeployedKind::Pool { .. } => pool_pass(dev, m, l, from, pass.len, &[pass.in_tag], pass.tag),
         // In-place: elements `< from` already carry `tag`, re-reads after
         // a crash accept either tag (relu is idempotent on its output).
-        DeployedKind::Relu => relu_pass(
-            dev,
-            m,
-            l,
-            from,
-            pass.len,
-            &[pass.in_tag, pass.tag],
-            pass.tag,
-        ),
+        DeployedKind::Relu => {
+            relu_pass(dev, m, l, from, pass.len, [pass.in_tag, pass.tag], pass.tag)
+        }
         DeployedKind::Flatten => unreachable!("flatten never gets a pass"),
     }
 }
@@ -796,30 +571,24 @@ fn audit(dev: &mut Device, m: &DeployedModel, p: &StatefulPlan) -> Result<(), Po
     let pb = probe_bundle();
     loop {
         dev.set_context(l.region, Phase::Control);
+        // The scan ends at the first bad word by failing the loop body:
+        // as with a brown-out, the rest of a funded run stays charged.
         let mut bad: Option<u32> = None;
-        let mut i = 0u32;
-        while i < pass.len && bad.is_none() {
-            let funded = dev.consume_bundle(&pb, (pass.len - i) as u64)? as u32;
-            for k in i..i + funded {
-                if !valid_with(dev.prepaid_read(buf, k), pass.tag) {
+        let scan = dev.run_bundled(
+            &pb,
+            0..pass.len,
+            #[inline(always)]
+            |s, k| {
+                if probe_word(s, buf, k, pass.tag)? {
+                    Ok(())
+                } else {
                     bad = Some(k);
-                    break;
+                    Err(PowerFailure)
                 }
-            }
-            i += funded;
-            if bad.is_none() && i < pass.len {
-                dev.consume(Op::Alu)?;
-                let w = dev.read(buf, i)?;
-                dev.consume(Op::Alu)?;
-                dev.consume(Op::Branch)?;
-                if !valid_with(w, pass.tag) {
-                    bad = Some(i);
-                }
-                i += 1;
-            }
-        }
+            },
+        );
         match bad {
-            None => return Ok(()),
+            None => return scan,
             Some(k) => {
                 if !dev.note_corruption(l.region) {
                     return Err(PowerFailure);

@@ -27,18 +27,22 @@
 //!
 //! # Bundled accounting
 //!
-//! DMA transfers and LEA commands were already span-charged; the software
-//! word loops (CPU staging, the left-shift pass, the software FIR/dot
-//! ablations, partial-plane accumulation) and the per-element finishing
-//! passes now charge per loop body via [`mcu::OpBundle`] with the same
-//! funded-bulk + scalar-replay discipline as `sonic` — bit-identical
-//! traces, brown-out op included (pinned by the root `bundles` tests).
+//! DMA transfers and LEA commands are span-charged. Every loop — an
+//! output row, and inside it the software word loops (CPU staging, the
+//! left-shift pass, the software FIR/dot ablations, partial-plane
+//! accumulation) — is one body run by [`Device::run_bundled`], as in
+//! `sonic`. The row body is the one `stage_in → shift → fir → vec_add →
+//! stage_out` sequence: a funded row runs its nested loops and LEA/DMA
+//! commands uncharged (the row bundle paid for them), while the first
+//! unfunded row runs them charged, each nested loop with its own bulk and
+//! tail — bit-identical traces, brown-out op included (pinned by the root
+//! `bundles` tests).
 
 use crate::deploy::{DeployedKind, DeployedLayer, DeployedModel};
 use crate::sonic;
 use fxp::{Accum, Q15};
 use intermittent::task::{TaskGraph, Transition};
-use mcu::{Device, FramBuf, Op, OpBundle, Phase, PowerFailure, SramBuf};
+use mcu::{Device, FramBuf, Op, OpBundle, Phase, PowerFailure, SramBuf, Step};
 
 /// Hardware usage switches (both `true` for real TAILS; ablations flip
 /// them to software emulations).
@@ -61,6 +65,9 @@ impl Default for TailsConfig {
 
 /// Initial calibration candidate (words); also the tile cap.
 pub const CALIB_INITIAL: u16 = 512;
+/// A zero row as wide as any SRAM staging buffer, for the all-zero tap
+/// group's first pass.
+static ZERO_ROW: [Q15; CALIB_INITIAL as usize] = [Q15::ZERO; CALIB_INITIAL as usize];
 /// Smallest tile calibration will accept.
 pub const CALIB_MIN: u16 = 8;
 
@@ -99,81 +106,62 @@ pub(crate) fn preflight_sram(dev: &mut Device) -> Result<(), mcu::AllocError> {
     r
 }
 
-/// Copies FRAM → SRAM by DMA or CPU loop depending on config. Both paths
-/// charge per span; the CPU loop's brown-out replays scalar-wise.
+/// Copies FRAM → SRAM by DMA or CPU loop depending on config.
 fn stage_in(
-    dev: &mut Device,
+    s: &mut Step<'_>,
     cfg: TailsConfig,
     src: FramBuf,
     dst: SramBuf,
 ) -> Result<(), PowerFailure> {
     if cfg.use_dma {
-        dev.dma_fram_to_sram(src, dst)
-    } else {
-        let phase = dev.context().1;
-        let mut iter = OpBundle::new();
-        stage_in_word_ops(&mut iter, phase);
-        let total = src.len();
-        let mut i = 0u32;
-        while i < total {
-            let funded = dev.consume_bundle(&iter, (total - i) as u64)? as u32;
-            for t in i..i + funded {
-                let v = dev.prepaid_read(src, t);
-                dev.prepaid_sram_write(dst, t, v);
-            }
-            i += funded;
-            if i < total {
-                let v = dev.read(src, i)?;
-                dev.sram_write(dst, i, v)?;
-                dev.consume(Op::Incr)?;
-                dev.consume(Op::Branch)?;
-                i += 1;
-            }
-        }
-        Ok(())
+        return s.dma_fram_to_sram(src, dst);
     }
+    let mut iter = OpBundle::new();
+    stage_in_word_ops(&mut iter, s.context().1);
+    s.run_bundled(
+        &iter,
+        0..src.len(),
+        #[inline(always)]
+        |s, t| {
+            let v = s.read(src, t)?;
+            s.sram_write(dst, t, v)?;
+            s.op(Op::Incr)?;
+            s.op(Op::Branch)
+        },
+    )
 }
 
 /// Copies SRAM → FRAM by DMA or CPU loop depending on config.
 fn stage_out(
-    dev: &mut Device,
+    s: &mut Step<'_>,
     cfg: TailsConfig,
     src: SramBuf,
     dst: FramBuf,
 ) -> Result<(), PowerFailure> {
     if cfg.use_dma {
-        dev.dma_sram_to_fram(src, dst)
-    } else {
-        let phase = dev.context().1;
-        let mut iter = OpBundle::new();
-        stage_out_word_ops(&mut iter, phase);
-        let total = src.len();
-        let mut i = 0u32;
-        while i < total {
-            let funded = dev.consume_bundle(&iter, (total - i) as u64)? as u32;
-            for t in i..i + funded {
-                let v = dev.prepaid_sram_read(src, t);
-                dev.prepaid_write(dst, t, v);
-            }
-            i += funded;
-            if i < total {
-                let v = dev.sram_read(src, i)?;
-                dev.write(dst, i, v)?;
-                dev.consume(Op::Incr)?;
-                dev.consume(Op::Branch)?;
-                i += 1;
-            }
-        }
-        Ok(())
+        return s.dma_sram_to_fram(src, dst);
     }
+    let mut iter = OpBundle::new();
+    stage_out_word_ops(&mut iter, s.context().1);
+    s.run_bundled(
+        &iter,
+        0..src.len(),
+        #[inline(always)]
+        |s, t| {
+            let v = s.sram_read(src, t)?;
+            s.write(dst, t, v)?;
+            s.op(Op::Incr)?;
+            s.op(Op::Branch)
+        },
+    )
 }
 
 // ----- single-source word-level op sequences -------------------------
 //
 // Each software primitive's per-word (or per-output) op sequence is
-// defined exactly once here and used BOTH by the primitive's own
-// funded-bulk loop and by the whole-row bundle builders below — editing
-// a primitive's cost cannot desynchronize the row bundles.
+// defined exactly once here and used BOTH by the primitive's own bundle
+// and by the whole-row bundle builders below — editing a primitive's
+// cost cannot desynchronize the row bundles.
 
 /// One word of CPU staging FRAM → SRAM (the `use_dma = false` ablation).
 fn stage_in_word_ops(b: &mut OpBundle, phase: Phase) {
@@ -230,31 +218,25 @@ fn shift_iter_bundle() -> OpBundle {
 // The TAILS convolution's inner loop body is one output *row* (DMA in,
 // software shift, FIR, optional partial-row accumulate, DMA out, loop
 // continuation). Its op sequence is fixed by layer geometry and the
-// LEA/DMA config, so whole rows charge as one bundle; the first unfunded
-// row replays through the scalar primitives below, landing the brown-out
-// on the exact op. The push_* builders mirror the primitives' op
-// sequences exactly — each has a debug companion in the scalar code.
+// LEA/DMA config, so whole rows charge as one bundle. The push_*
+// builders mirror the primitives' op sequences; the driver's debug
+// check holds every unfunded row to them.
 
-/// Ops of [`stage_in`] for an `n`-word span.
-fn push_stage_in(b: &mut OpBundle, cfg: TailsConfig, n: u32, phase: Phase) {
+/// Ops of [`stage_in`] or [`stage_out`] (by their `word_ops`) for an
+/// `n`-word span.
+fn push_staging(
+    b: &mut OpBundle,
+    cfg: TailsConfig,
+    n: u32,
+    phase: Phase,
+    word_ops: fn(&mut OpBundle, Phase),
+) {
     if cfg.use_dma {
         b.push(Op::DmaSetup, phase);
         b.push_n(Op::DmaWord, phase, n as u64);
     } else {
         for _ in 0..n {
-            stage_in_word_ops(b, phase);
-        }
-    }
-}
-
-/// Ops of [`stage_out`] for an `n`-word span.
-fn push_stage_out(b: &mut OpBundle, cfg: TailsConfig, n: u32, phase: Phase) {
-    if cfg.use_dma {
-        b.push(Op::DmaSetup, phase);
-        b.push_n(Op::DmaWord, phase, n as u64);
-    } else {
-        for _ in 0..n {
-            stage_out_word_ops(b, phase);
+            word_ops(b, phase);
         }
     }
 }
@@ -285,28 +267,20 @@ fn push_vec_add(b: &mut OpBundle, cfg: TailsConfig, n: u32, phase: Phase) {
     }
 }
 
-/// The per-row loop-continuation trailer (control-phase index write,
-/// increment, branch).
-fn push_row_trailer(b: &mut OpBundle) {
-    b.push(Op::FramWrite, Phase::Control);
-    b.push(Op::Incr, Phase::Kernel);
-    b.push(Op::Branch, Phase::Kernel);
-}
-
 /// One full convolution output row.
 fn conv_row_bundle(cfg: TailsConfig, w_in: u32, ow: u32, kw: u32, with_inter: bool) -> OpBundle {
     let mut b = OpBundle::new();
-    push_stage_in(&mut b, cfg, w_in, Phase::Kernel);
+    push_staging(&mut b, cfg, w_in, Phase::Kernel, stage_in_word_ops);
     for _ in 0..w_in {
         shift_word_ops(&mut b);
     }
     push_fir(&mut b, cfg, w_in, kw, Phase::Kernel);
     if with_inter {
-        push_stage_in(&mut b, cfg, ow, Phase::Kernel);
+        push_staging(&mut b, cfg, ow, Phase::Kernel, stage_in_word_ops);
         push_vec_add(&mut b, cfg, ow, Phase::Kernel);
     }
-    push_stage_out(&mut b, cfg, ow, Phase::Kernel);
-    push_row_trailer(&mut b);
+    push_staging(&mut b, cfg, ow, Phase::Kernel, stage_out_word_ops);
+    sonic::push_continuation(&mut b);
     b
 }
 
@@ -314,163 +288,121 @@ fn conv_row_bundle(cfg: TailsConfig, w_in: u32, ow: u32, kw: u32, with_inter: bo
 fn conv_zero_row_bundle(cfg: TailsConfig, ow: u32, with_inter: bool) -> OpBundle {
     let mut b = OpBundle::new();
     if with_inter {
-        push_stage_in(&mut b, cfg, ow, Phase::Kernel);
+        push_staging(&mut b, cfg, ow, Phase::Kernel, stage_in_word_ops);
     } else {
         b.push_n(Op::SramWrite, Phase::Kernel, ow as u64);
     }
-    push_stage_out(&mut b, cfg, ow, Phase::Kernel);
-    push_row_trailer(&mut b);
+    push_staging(&mut b, cfg, ow, Phase::Kernel, stage_out_word_ops);
+    sonic::push_continuation(&mut b);
     b
 }
 
 /// The software left-shift pass LEA cannot do (charged to the control
 /// phase: "these shifts account for most of the control time", §9.2).
 fn software_shift(
-    dev: &mut Device,
+    s: &mut Step<'_>,
     buf: SramBuf,
-    n: u32,
     region: mcu::RegionId,
     iter: &OpBundle,
 ) -> Result<(), PowerFailure> {
-    dev.set_context(region, Phase::Control);
-    let mut i = 0u32;
-    while i < n {
-        let funded = dev.consume_bundle(iter, (n - i) as u64)? as u32;
-        for t in i..i + funded {
-            let v = dev.prepaid_sram_read(buf, t);
-            dev.prepaid_sram_write(buf, t, v);
-        }
-        i += funded;
-        if i < n {
-            let v = dev.sram_read(buf, i)?;
-            dev.consume(Op::Alu)?;
-            dev.sram_write(buf, i, v)?;
-            i += 1;
-        }
-    }
-    Ok(())
+    s.set_context(region, Phase::Control);
+    s.run_bundled(
+        iter,
+        0..buf.len(),
+        #[inline(always)]
+        |s, t| {
+            let v = s.sram_read(buf, t)?;
+            s.op(Op::Alu)?;
+            s.sram_write(buf, t, v)
+        },
+    )
 }
 
 /// FIR over SRAM: LEA or the software emulation.
 fn fir(
-    dev: &mut Device,
+    s: &mut Step<'_>,
     cfg: TailsConfig,
     src: SramBuf,
     taps: SramBuf,
     out: SramBuf,
 ) -> Result<(), PowerFailure> {
     if cfg.use_lea {
-        dev.lea_fir(src, taps, out)
-    } else {
-        let n = src.len() - taps.len() + 1;
-        let ntaps = taps.len();
-        let mut t = vec![Q15::ZERO; ntaps as usize];
-        dev.sram_read_block(taps, 0, &mut t)?;
-        let phase = dev.context().1;
-        let mut iter = OpBundle::new();
-        fir_out_ops(&mut iter, ntaps, phase);
-        let mut i = 0u32;
-        while i < n {
-            let funded = dev.consume_bundle(&iter, (n - i) as u64)? as u32;
-            for o in i..i + funded {
-                let mut acc = Accum::ZERO;
-                for (j, tq) in t.iter().enumerate() {
-                    acc.mac(dev.prepaid_sram_read(src, o + j as u32), *tq);
-                }
-                dev.prepaid_sram_write(out, o, acc.to_q15());
-            }
-            i += funded;
-            if i < n {
-                let mut acc = Accum::ZERO;
-                for (j, tq) in t.iter().enumerate() {
-                    let s = dev.sram_read(src, i + j as u32)?;
-                    dev.consume(Op::FxpMul)?;
-                    dev.consume(Op::FxpAdd)?;
-                    acc.mac(s, *tq);
-                }
-                dev.sram_write(out, i, acc.to_q15())?;
-                i += 1;
-            }
-        }
-        Ok(())
+        return s.lea_fir(src, taps, out);
     }
+    let mut t = vec![Q15::ZERO; taps.len() as usize];
+    s.sram_read_block(taps, 0, &mut t)?;
+    let mut iter = OpBundle::new();
+    fir_out_ops(&mut iter, taps.len(), s.context().1);
+    s.run_bundled(
+        &iter,
+        0..src.len() - taps.len() + 1,
+        #[inline(always)]
+        |s, o| {
+            let mut acc = Accum::ZERO;
+            for (j, tq) in (o..).zip(&t) {
+                let x = s.sram_read(src, j)?;
+                s.op(Op::FxpMul)?;
+                s.op(Op::FxpAdd)?;
+                acc.mac(x, *tq);
+            }
+            s.sram_write(out, o, acc.to_q15())
+        },
+    )
 }
 
 /// Vector dot over SRAM: LEA or the software emulation.
-fn dot(dev: &mut Device, cfg: TailsConfig, a: SramBuf, b: SramBuf) -> Result<Accum, PowerFailure> {
+fn dot(s: &mut Step<'_>, cfg: TailsConfig, a: SramBuf, b: SramBuf) -> Result<Accum, PowerFailure> {
     if cfg.use_lea {
-        dev.lea_dot(a, b)
-    } else {
-        let phase = dev.context().1;
-        let mut iter = OpBundle::new();
-        iter.push(Op::SramRead, phase);
-        iter.push(Op::SramRead, phase);
-        iter.push(Op::FxpMul, phase);
-        iter.push(Op::FxpAdd, phase);
-        let n = a.len();
-        let mut acc = Accum::ZERO;
-        let mut i = 0u32;
-        while i < n {
-            let funded = dev.consume_bundle(&iter, (n - i) as u64)? as u32;
-            for t in i..i + funded {
-                acc.mac(dev.prepaid_sram_read(a, t), dev.prepaid_sram_read(b, t));
-            }
-            i += funded;
-            if i < n {
-                let x = dev.sram_read(a, i)?;
-                let y = dev.sram_read(b, i)?;
-                dev.consume(Op::FxpMul)?;
-                dev.consume(Op::FxpAdd)?;
-                acc.mac(x, y);
-                i += 1;
-            }
-        }
-        Ok(acc)
+        return s.lea_dot(a, b);
     }
+    let phase = s.context().1;
+    let mut iter = OpBundle::new();
+    iter.push(Op::SramRead, phase);
+    iter.push(Op::SramRead, phase);
+    iter.push(Op::FxpMul, phase);
+    iter.push(Op::FxpAdd, phase);
+    let mut acc = Accum::ZERO;
+    s.run_bundled(
+        &iter,
+        0..a.len(),
+        #[inline(always)]
+        |s, i| {
+            let x = s.sram_read(a, i)?;
+            let y = s.sram_read(b, i)?;
+            s.op(Op::FxpMul)?;
+            s.op(Op::FxpAdd)?;
+            acc.mac(x, y);
+            Ok(())
+        },
+    )?;
+    Ok(acc)
 }
 
-/// Element-wise SRAM add (partial-plane accumulation), charged as LEA MACs
-/// when the accelerator is on.
+/// Element-wise SRAM add `dst += src` (partial-plane accumulation),
+/// charged as LEA MACs chained onto the preceding FIR when the
+/// accelerator is on.
 fn vec_add(
-    dev: &mut Device,
+    s: &mut Step<'_>,
     cfg: TailsConfig,
     dst: SramBuf,
     src: SramBuf,
-    n: u32,
 ) -> Result<(), PowerFailure> {
     if cfg.use_lea {
-        // Chained onto the preceding FIR command: no fresh setup.
-        dev.consume_n(Op::LeaMac, n as u64)?;
-        // Both operands are staged in SRAM; LEA reads them internally
-        // (charged above), so the arithmetic uses the host view. The
-        // result writes charge as one span, exactly like the historical
-        // per-word loop.
-        let vals: Vec<Q15> = (0..n)
-            .map(|i| dev.prepaid_sram_read(dst, i) + dev.prepaid_sram_read(src, i))
-            .collect();
-        dev.sram_write_block(dst, 0, &vals)
-    } else {
-        let phase = dev.context().1;
-        let mut iter = OpBundle::new();
-        vec_add_word_ops(&mut iter, phase);
-        let mut i = 0u32;
-        while i < n {
-            let funded = dev.consume_bundle(&iter, (n - i) as u64)? as u32;
-            for t in i..i + funded {
-                let v = dev.prepaid_sram_read(dst, t) + dev.prepaid_sram_read(src, t);
-                dev.prepaid_sram_write(dst, t, v);
-            }
-            i += funded;
-            if i < n {
-                let a = dev.sram_read(dst, i)?;
-                let b = dev.sram_read(src, i)?;
-                dev.consume(Op::FxpAdd)?;
-                dev.sram_write(dst, i, a + b)?;
-                i += 1;
-            }
-        }
-        Ok(())
+        return s.lea_add(dst, src);
     }
+    let mut iter = OpBundle::new();
+    vec_add_word_ops(&mut iter, s.context().1);
+    s.run_bundled(
+        &iter,
+        0..dst.len(),
+        #[inline(always)]
+        |s, t| {
+            let a = s.sram_read(dst, t)?;
+            let b = s.sram_read(src, t)?;
+            s.op(Op::FxpAdd)?;
+            s.sram_write(dst, t, a + b)
+        },
+    )
 }
 
 /// The one-time calibration task (§7.1).
@@ -501,19 +433,19 @@ fn calibrate_task(
     let n = cand as u32;
     let probe_src = m.plane_a.slice(0, n.min(m.plane_a.len()));
     let probe_n = probe_src.len();
-    stage_in(dev, cfg, probe_src, sram.src.slice(0, probe_n))?;
+    stage_in(&mut dev.step(), cfg, probe_src, sram.src.slice(0, probe_n))?;
     for i in 0..8u32 {
         dev.sram_write(sram.taps, i, Q15::HALF)?;
     }
     fir(
-        dev,
+        &mut dev.step(),
         cfg,
         sram.src.slice(0, probe_n),
         sram.taps.slice(0, 8.min(probe_n)),
         sram.out.slice(0, probe_n - 8.min(probe_n) + 1),
     )?;
     stage_out(
-        dev,
+        &mut dev.step(),
         cfg,
         sram.out.slice(0, probe_n - 8.min(probe_n) + 1),
         m.plane_b.slice(0, probe_n - 8.min(probe_n) + 1),
@@ -605,7 +537,7 @@ fn conv_task(
         (m.plane_b, m.plane_a)
     };
     stage_in(
-        dev,
+        &mut dev.step(),
         cfg,
         weights.slice(((f * nc + c) * kh + ky) * kw, kw),
         sram.taps.slice(0, kw),
@@ -620,144 +552,72 @@ fn conv_task(
         .all(|q| q.is_zero());
     dev.consume(Op::Branch)?;
     if all_zero {
-        let mut oy = sonic::load_guarded(dev, l.idx, l.region)? as u32;
+        let oy = sonic::load_guarded(dev, l.idx, l.region)? as u32;
         dev.set_context(l.region, Phase::Kernel);
         let row_iter = if g > 0 {
             &bundles.zero_row_rest
         } else {
             &bundles.zero_row_first
         };
-        while oy < oh {
-            let want = oh - oy;
-            let funded = dev.consume_bundle(row_iter, want as u64)? as u32;
-            for r in oy..oy + funded {
+        dev.run_bundled(
+            row_iter,
+            oy..oh,
+            #[inline(always)]
+            |s, oy| {
                 if g > 0 {
-                    for t in 0..ow {
-                        let v = dev.prepaid_read(inter, r * ow + t);
-                        dev.prepaid_sram_write(sram.out, t, v);
-                    }
+                    stage_in(s, cfg, inter.slice(oy * ow, ow), sram.out.slice(0, ow))?;
                 } else {
-                    for t in 0..ow {
-                        dev.prepaid_sram_write(sram.out, t, Q15::ZERO);
-                    }
+                    s.sram_write_block(sram.out, 0, &ZERO_ROW[..ow as usize])?;
                 }
-                for t in 0..ow {
-                    let v = dev.prepaid_sram_read(sram.out, t);
-                    dev.prepaid_write(dest, r * ow + t, v);
-                }
-            }
-            oy += funded;
-            if funded > 0 {
-                dev.prepaid_store_word(l.idx, oy as u16);
-                dev.mark_progress_n(funded as u64);
-            }
-            if oy < oh {
-                // Scalar replay of the unfunded row.
-                if g > 0 {
-                    stage_in(dev, cfg, inter.slice(oy * ow, ow), sram.out.slice(0, ow))?;
-                } else {
-                    let zeros = vec![Q15::ZERO; ow as usize];
-                    dev.sram_write_block(sram.out, 0, &zeros)?;
-                }
-                stage_out(dev, cfg, sram.out.slice(0, ow), dest.slice(oy * ow, ow))?;
-                oy += 1;
-                dev.set_context(l.region, Phase::Control);
-                dev.store_word(l.idx, oy as u16)?;
-                dev.set_context(l.region, Phase::Kernel);
-                dev.consume(Op::Incr)?;
-                dev.consume(Op::Branch)?;
-                dev.mark_progress();
-            }
-        }
+                stage_out(s, cfg, sram.out.slice(0, ow), dest.slice(oy * ow, ow))?;
+                sonic::continue_at(s, l.idx, (oy + 1) as u16)
+            },
+        )?;
         dev.set_context(l.region, Phase::Control);
         dev.store_word(l.idx, 0)?;
         dev.store_word(l.pos, (g + 1) as u16)?;
         return Ok(Transition::To(self_id));
     }
     // LEA cannot left-shift: pre-shift taps in software.
-    software_shift(dev, sram.taps.slice(0, kw), kw, l.region, &bundles.shift)?;
+    software_shift(
+        &mut dev.step(),
+        sram.taps.slice(0, kw),
+        l.region,
+        &bundles.shift,
+    )?;
 
-    let mut oy = sonic::load_guarded(dev, l.idx, l.region)? as u32;
+    let oy = sonic::load_guarded(dev, l.idx, l.region)? as u32;
     dev.set_context(l.region, Phase::Kernel);
     let row_iter = if g > 0 {
         &bundles.row_rest
     } else {
         &bundles.row_first
     };
-    while oy < oh {
-        let want = oh - oy;
-        let funded = dev.consume_bundle(row_iter, want as u64)? as u32;
-        for r in oy..oy + funded {
-            // Host-side row effects for the funded rows: stage the input
-            // row, FIR against the (pre-shifted) taps, accumulate the
-            // previous partial row, write the new partial row. The
-            // software shift writes values back unchanged, so staging
-            // alone reproduces the SRAM state.
-            let src_base = (c * h + r + ky) * w_in;
-            for t in 0..w_in {
-                let v = dev.prepaid_read(src, src_base + t);
-                dev.prepaid_sram_write(sram.src, t, v);
-            }
-            for o in 0..ow {
-                let mut a = Accum::ZERO;
-                for j in 0..kw {
-                    a.mac(
-                        dev.prepaid_sram_read(sram.src, o + j),
-                        dev.prepaid_sram_read(sram.taps, j),
-                    );
-                }
-                dev.prepaid_sram_write(sram.out, o, a.to_q15());
-            }
-            if g > 0 {
-                for t in 0..ow {
-                    let v = dev.prepaid_read(inter, r * ow + t);
-                    dev.prepaid_sram_write(sram.inter, t, v);
-                }
-                for t in 0..ow {
-                    let v =
-                        dev.prepaid_sram_read(sram.out, t) + dev.prepaid_sram_read(sram.inter, t);
-                    dev.prepaid_sram_write(sram.out, t, v);
-                }
-            }
-            for t in 0..ow {
-                let v = dev.prepaid_sram_read(sram.out, t);
-                dev.prepaid_write(dest, r * ow + t, v);
-            }
-        }
-        oy += funded;
-        if funded > 0 {
-            dev.prepaid_store_word(l.idx, oy as u16);
-            dev.mark_progress_n(funded as u64);
-        }
-        if oy < oh {
-            // Scalar replay of the unfunded row: the brown-out lands on
-            // exactly the same op as the all-scalar path.
+    dev.run_bundled(
+        row_iter,
+        oy..oh,
+        #[inline(always)]
+        |s, oy| {
             let src_row = src.slice((c * h + oy + ky) * w_in, w_in);
-            stage_in(dev, cfg, src_row, sram.src.slice(0, w_in))?;
-            software_shift(dev, sram.src.slice(0, w_in), w_in, l.region, &bundles.shift)?;
-            dev.set_context(l.region, Phase::Kernel);
+            stage_in(s, cfg, src_row, sram.src.slice(0, w_in))?;
+            software_shift(s, sram.src.slice(0, w_in), l.region, &bundles.shift)?;
+            s.set_context(l.region, Phase::Kernel);
             fir(
-                dev,
+                s,
                 cfg,
                 sram.src.slice(0, w_in),
                 sram.taps.slice(0, kw),
                 sram.out.slice(0, ow),
             )?;
             if g > 0 {
-                stage_in(dev, cfg, inter.slice(oy * ow, ow), sram.inter.slice(0, ow))?;
-                vec_add(dev, cfg, sram.out.slice(0, ow), sram.inter.slice(0, ow), ow)?;
+                stage_in(s, cfg, inter.slice(oy * ow, ow), sram.inter.slice(0, ow))?;
+                vec_add(s, cfg, sram.out.slice(0, ow), sram.inter.slice(0, ow))?;
             }
             // Write the new partial row to the inactive plane (idempotent).
-            stage_out(dev, cfg, sram.out.slice(0, ow), dest.slice(oy * ow, ow))?;
-            oy += 1;
-            dev.set_context(l.region, Phase::Control);
-            dev.store_word(l.idx, oy as u16)?;
-            dev.set_context(l.region, Phase::Kernel);
-            dev.consume(Op::Incr)?;
-            dev.consume(Op::Branch)?;
-            dev.mark_progress();
-        }
-    }
+            stage_out(s, cfg, sram.out.slice(0, ow), dest.slice(oy * ow, ow))?;
+            sonic::continue_at(s, l.idx, (oy + 1) as u16)
+        },
+    )?;
     dev.set_context(l.region, Phase::Control);
     dev.store_word(l.idx, 0)?;
     dev.store_word(l.pos, (g + 1) as u16)?;
@@ -858,8 +718,18 @@ fn dense_task(
     // Chunk ci of the inputs, applied to every output's partial.
     let base = ci * tile;
     let n = tile.min(in_n - base);
-    stage_in(dev, cfg, src.slice(base, n), sram.src.slice(0, n))?;
-    software_shift(dev, sram.src.slice(0, n), n, l.region, &bundles.shift)?;
+    stage_in(
+        &mut dev.step(),
+        cfg,
+        src.slice(base, n),
+        sram.src.slice(0, n),
+    )?;
+    software_shift(
+        &mut dev.step(),
+        sram.src.slice(0, n),
+        l.region,
+        &bundles.shift,
+    )?;
     let (dest, inter) = if ci.is_multiple_of(2) {
         (m.plane_a, m.plane_b)
     } else {
@@ -870,12 +740,17 @@ fn dense_task(
     while o < out_n {
         // The weight-row chunk stages into the (tile-sized) inter buffer.
         stage_in(
-            dev,
+            &mut dev.step(),
             cfg,
             weights.slice(o * in_n + base, n),
             sram.inter.slice(0, n),
         )?;
-        let acc = dot(dev, cfg, sram.src.slice(0, n), sram.inter.slice(0, n))?;
+        let acc = dot(
+            &mut dev.step(),
+            cfg,
+            sram.src.slice(0, n),
+            sram.inter.slice(0, n),
+        )?;
         let prod = acc.to_q15();
         let v = if ci == 0 {
             prod

@@ -10,8 +10,9 @@
 //!   and LEA produce.
 //! - [`Accum`]: a wide accumulator for multiply-accumulate chains, so that
 //!   dot products only round/saturate once at the end (as DNN kernels do).
-//! - [`vecops`]: slice-level helpers (quantize, dequantize, MAC, FIR) shared
-//!   by the software kernels and the LEA model.
+//! - [`vecops`]: slice-level helpers (quantize, dot, MAC, FIR, argmax)
+//!   shared by the software kernels, the host reference, and the LEA
+//!   model's tests.
 //!
 //! # Example
 //!
@@ -149,12 +150,6 @@ impl Q15 {
     #[inline]
     pub fn shr(self, shift: u32) -> Q15 {
         Q15(self.0 >> shift.min(15))
-    }
-
-    /// Returns the absolute value, saturating `-1.0` to [`Q15::MAX`].
-    #[inline]
-    pub fn saturating_abs(self) -> Q15 {
-        Q15(self.0.checked_abs().unwrap_or(i16::MAX))
     }
 
     /// Rectified-linear activation: `max(self, 0)`.
@@ -327,11 +322,6 @@ pub mod vecops {
         src.iter().copied().map(Q15::from_f32).collect()
     }
 
-    /// Dequantizes a `Q15` slice into a freshly allocated `f32` vector.
-    pub fn dequantize(src: &[Q15]) -> Vec<f32> {
-        src.iter().copied().map(Q15::to_f32).collect()
-    }
-
     /// Dot product of two equal-length slices at accumulator precision.
     ///
     /// # Panics
@@ -353,37 +343,21 @@ pub mod vecops {
     /// which is exactly the primitive LEA exposes and that TAILS composes
     /// into 2-D/3-D convolutions.
     ///
-    /// Allocates the result; hot paths should prefer [`fir_into`].
-    ///
     /// # Panics
     ///
     /// Panics if `taps` is empty or longer than `src`.
     pub fn fir(src: &[Q15], taps: &[Q15]) -> Vec<Q15> {
-        let mut out = Vec::new();
-        fir_into(src, taps, &mut out);
-        out
-    }
-
-    /// [`fir`] into a caller-provided buffer (cleared and refilled), so
-    /// steady-state kernels never allocate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `taps` is empty or longer than `src`.
-    pub fn fir_into(src: &[Q15], taps: &[Q15], out: &mut Vec<Q15>) {
         assert!(!taps.is_empty(), "fir: empty taps");
         assert!(taps.len() <= src.len(), "fir: taps longer than input");
-        let n = src.len() - taps.len() + 1;
-        out.clear();
-        out.reserve(n);
-        for i in 0..n {
-            let window = &src[i..i + taps.len()];
-            let mut acc = Accum::ZERO;
-            for (&s, &t) in window.iter().zip(taps.iter()) {
-                acc.mac(s, t);
-            }
-            out.push(acc.to_q15());
-        }
+        src.windows(taps.len())
+            .map(|window| {
+                let mut acc = Accum::ZERO;
+                for (&s, &t) in window.iter().zip(taps) {
+                    acc.mac(s, t);
+                }
+                acc.to_q15()
+            })
+            .collect()
     }
 
     /// Shifted-row multiply-accumulate: `acc[i] += src[i] * tap`.
@@ -399,24 +373,6 @@ pub mod vecops {
         for (a, &s) in acc.iter_mut().zip(src.iter()) {
             a.mac(s, tap);
         }
-    }
-
-    /// Element-wise saturating add of `src` into `dst`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices have different lengths.
-    pub fn add_assign(dst: &mut [Q15], src: &[Q15]) {
-        assert_eq!(dst.len(), src.len(), "add_assign: length mismatch");
-        for (d, &s) in dst.iter_mut().zip(src.iter()) {
-            *d += s;
-        }
-    }
-
-    /// Largest absolute value in a slice, as `f32` (used when choosing
-    /// pre-quantization scaling for a layer).
-    pub fn max_abs(src: &[f32]) -> f32 {
-        src.iter().fold(0.0f32, |m, &v| m.max(v.abs()))
     }
 
     /// Returns the index of the maximum element (ties go to the lowest
@@ -479,7 +435,6 @@ mod tests {
     #[test]
     fn neg_of_min_saturates() {
         assert_eq!(-Q15::MIN, Q15::MAX);
-        assert_eq!(Q15::MIN.saturating_abs(), Q15::MAX);
     }
 
     #[test]
@@ -558,16 +513,6 @@ mod tests {
     }
 
     #[test]
-    fn fir_into_reuses_buffer_and_matches_fir() {
-        let src = vecops::quantize(&[0.1, 0.2, 0.3, 0.4, -0.2]);
-        let taps = vecops::quantize(&[0.5, 0.25, -0.125]);
-        let mut out = vec![Q15::MAX; 7]; // stale garbage to overwrite
-        vecops::fir_into(&src, &taps, &mut out);
-        assert_eq!(out, vecops::fir(&src, &taps));
-        assert_eq!(out.len(), 3);
-    }
-
-    #[test]
     fn mac_acc_streams_one_tap() {
         let src = vecops::quantize(&[0.5, -0.5, 0.25]);
         let tap = Q15::from_f32(0.5);
@@ -583,21 +528,6 @@ mod tests {
         let src = vecops::quantize(&[0.1]);
         let taps = vecops::quantize(&[0.5, 0.25]);
         let _ = vecops::fir(&src, &taps);
-    }
-
-    #[test]
-    fn add_assign_adds_elementwise() {
-        let mut dst = vecops::quantize(&[0.1, 0.2]);
-        let src = vecops::quantize(&[0.3, -0.1]);
-        vecops::add_assign(&mut dst, &src);
-        assert!((dst[0].to_f32() - 0.4).abs() < 1e-3);
-        assert!((dst[1].to_f32() - 0.1).abs() < 1e-3);
-    }
-
-    #[test]
-    fn max_abs_scans_whole_slice() {
-        assert_eq!(vecops::max_abs(&[0.1, -0.9, 0.5]), 0.9);
-        assert_eq!(vecops::max_abs(&[]), 0.0);
     }
 
     #[test]

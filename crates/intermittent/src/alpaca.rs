@@ -24,7 +24,7 @@
 
 use crate::task::{RuntimeCtx, TaskGraph, TaskId, Transition};
 use fxp::Q15;
-use mcu::{AllocError, Device, FramWord, NvAddr, Op, OpBundle, OpTape, Phase, PowerFailure};
+use mcu::{AllocError, Device, FramWord, NvAddr, Op, OpBundle, OpTape, Phase, PowerFailure, Step};
 use std::sync::Arc;
 
 /// A redo-log entry: the home address, the privatized value, and a
@@ -282,9 +282,9 @@ impl AlpacaRt {
     /// already be partially updated — so spend the remaining retry
     /// budget and fail, surfacing as unrecoverable corruption instead
     /// of replaying a poisoned commit forever.
-    fn log_corrupt(dev: &mut Device) -> Result<(), PowerFailure> {
-        let region = dev.context().0;
-        while dev.note_corruption(region) {}
+    fn log_corrupt(s: &mut Step<'_>) -> Result<(), PowerFailure> {
+        let region = s.context().0;
+        while s.note_corruption(region) {}
         Err(PowerFailure)
     }
 
@@ -474,40 +474,30 @@ impl RuntimeCtx for AlpacaRt {
         // Walk the log in append order; replay after a failure re-walks the
         // whole list, which is idempotent because entries hold absolute
         // values. The walk is uniform per entry — entry read (address +
-        // value), home write, cursor updates — so it charges per entry
-        // via a bundle; the first unfunded entry replays scalar-wise so a
-        // mid-commit brown-out leaves exactly the scalar path's partial
-        // home writes.
+        // value), home write, cursor updates — so it runs as a bundled
+        // loop: a mid-commit brown-out leaves exactly the scalar path's
+        // partial home writes.
         let entry = match dev.context().1 {
             Phase::Kernel => &self.commit_entry[0],
             Phase::Control => &self.commit_entry[1],
         };
-        let total = self.log.len();
-        let mut i = 0usize;
-        while i < total {
-            let funded = dev.consume_bundle(entry, (total - i) as u64)? as usize;
-            for e in &self.log[i..i + funded] {
-                // Checksum validation rides in the entry read the
-                // bundle charged; a mismatch means the log cells
-                // decayed and the redo value cannot be trusted.
+        let log = &self.log;
+        dev.run_bundled(
+            entry,
+            0..log.len() as u32,
+            #[inline(always)]
+            |s, i| {
+                let e = log[i as usize];
+                s.op_n(Op::FramRead, 2)?; // read entry (address + value)
+                                          // A checksum mismatch means the log cells decayed and the
+                                          // redo value cannot be trusted.
                 if e.ck != log_ck(e.addr, e.v) {
-                    return Self::log_corrupt(dev);
+                    return Self::log_corrupt(s);
                 }
-                dev.prepaid_write_at(e.addr, e.v);
-            }
-            i += funded;
-            if i < total {
-                let e = self.log[i];
-                dev.consume_n(Op::FramRead, 2)?; // read entry (address + value)
-                if e.ck != log_ck(e.addr, e.v) {
-                    return Self::log_corrupt(dev);
-                }
-                dev.write_at(e.addr, e.v)?; // write home location
-                dev.consume_n(Op::Incr, 2)?; // list cursor + canonical update
-                i += 1;
-            }
-        }
-        Ok(())
+                s.write_at(e.addr, e.v)?; // write home location
+                s.op_n(Op::Incr, 2) // list cursor + canonical update
+            },
+        )
     }
 
     fn after_commit(&mut self, dev: &mut Device) {

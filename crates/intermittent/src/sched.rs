@@ -20,7 +20,7 @@
 //! is either a completed task transition or an explicit
 //! [`Device::mark_progress`] beacon (SONIC pings one per committed loop
 //! iteration; under bundled accounting a funded run of iterations posts
-//! the same number of beacons at once via [`Device::mark_progress_n`],
+//! the same number of beacons at once through [`mcu::Step::progress`],
 //! so the count the detector compares is identical). Runs that exceed
 //! the limit return [`RunError::NonTermination`], which the experiment
 //! harness reports as "does not complete" — the grey bars of the paper's

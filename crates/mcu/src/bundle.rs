@@ -1,27 +1,37 @@
 //! Bundled op accounting: charge a loop body per iteration, not per op.
 //!
 //! Metering every ALU op, loop increment, and memory word with one
-//! [`Device::consume`](crate::Device::consume) call makes the *simulator*
-//! the bottleneck long before the simulated MSP430 is: a SONIC inference
-//! is a few hundred thousand `consume` calls, each a cost lookup, a power
-//! branch, and a trace update. An [`OpBundle`] precomputes the ordered op
-//! sequence of one inner-loop iteration so the device can charge whole
-//! iterations with one arithmetic step
-//! ([`Device::consume_bundle`](crate::Device::consume_bundle)) while
-//! staying **cycle- and energy-exact**, brown-out op included:
+//! [`Device::consume`] call makes the *simulator* the bottleneck long
+//! before the simulated MSP430 is: a SONIC inference is a few hundred
+//! thousand `consume` calls, each a cost lookup, a power branch, and a
+//! trace update. An [`OpBundle`] precomputes the ordered op sequence of
+//! one inner-loop iteration, and [`Device::run_bundled`] runs the loop
+//! with one body, written once against a [`Step`], in two modes the
+//! driver picks:
 //!
-//! - The number of *complete* iterations the remaining buffer funds is
-//!   `charge / iter_energy` — exactly the number the scalar path would
-//!   have completed, because per-op energies are non-negative integers
-//!   (if the remaining charge covers a whole iteration it covers every
-//!   prefix of it).
-//! - The first unfunded iteration is then replayed op by op through the
-//!   original scalar code, so the brown-out lands on *exactly* the same
-//!   op, with exactly the same partial memory effects, as an all-scalar
-//!   execution.
+//! - **Funded mode.** The driver charges as many *whole* iterations as
+//!   the remaining buffer covers in one arithmetic step, then runs them
+//!   with every [`Step`] call uncharged: memory effects happen directly,
+//!   and the loop-continuation store and progress beacons land once per
+//!   funded run. The funded count is exactly the number of complete
+//!   iterations an all-scalar execution would have finished, because
+//!   per-op energies are non-negative integers (if the remaining charge
+//!   covers a whole iteration it covers every prefix of it).
+//! - **Scalar mode.** The first unfunded iteration runs the same body
+//!   with every call charging through [`Device::consume`] /
+//!   [`Device::read`] / [`Device::write`] in body order, so a brown-out
+//!   lands on *exactly* the op, with exactly the partial memory effects,
+//!   of an all-scalar execution. If the iteration completes — an
+//!   injected bit flip or stuck-at cell stopped the funding without
+//!   cutting power — bulk funding resumes at the next index.
 //!
-//! Trace cells are plain accumulators, so charging `n` iterations of each
-//! `(phase, op)` entry in bulk produces bit-identical totals to `n`
+//! A body cannot disagree with itself, so the two modes cannot drift
+//! apart; what remains is that the bundle must match the body's op
+//! sequence. In debug builds the driver records the `(op, phase)`
+//! charges of every scalar-mode iteration and asserts they are a prefix
+//! of the bundle's sequence — equal to it when the iteration completes.
+//! Trace cells are plain accumulators, so charging `n` iterations of
+//! each `(phase, op)` entry in bulk produces bit-identical totals to `n`
 //! interleaved scalar charges. The root `bundles` test suite pins this
 //! equivalence against digests recorded from the scalar implementation.
 //!
@@ -33,12 +43,15 @@
 //! bundle and recorded as one *repeat* per occurrence (consecutive
 //! repeats merge); the few other ops are recorded as single-op runs. The
 //! device settles the tape in one step
-//! ([`Device::consume_tape`](crate::Device::consume_tape)) from counts
+//! ([`Device::consume_tape`]) from counts
 //! folded once per distinct pattern, and expands the patterns op by op
 //! only when the buffer cannot cover the tape.
 
+use crate::device::{Device, FramBuf, FramWord, NvAddr, PowerFailure, SramBuf};
 use crate::spec::{CostTable, Op};
-use crate::trace::Phase;
+use crate::trace::{Phase, RegionId};
+use fxp::{Accum, Q15};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Per-`(phase, op)` op counts, indexed `[phase.index()][op.index()]`.
@@ -58,8 +71,8 @@ pub struct BundleOp {
 /// The precomputed op sequence of one inner-loop iteration (also an
 /// [`OpTape`] pattern). See the [module docs](self).
 ///
-/// Alongside the ordered sequence (needed only for the exact scalar
-/// replay on a brown-out) the bundle maintains per-`(phase, op)`
+/// Alongside the ordered sequence (the charge order a scalar-mode
+/// iteration must follow) the bundle maintains per-`(phase, op)`
 /// aggregate counts, so bulk charging and cost totals are O(op classes)
 /// however long the sequence grows.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -109,12 +122,6 @@ impl OpBundle {
     /// The ordered (run-length-encoded) op sequence.
     pub fn ops(&self) -> &[BundleOp] {
         &self.seq
-    }
-
-    /// Aggregate count of one `(phase, op)` cell.
-    #[inline]
-    pub fn count(&self, phase: Phase, op: Op) -> u64 {
-        self.counts[phase.index()][op.index()]
     }
 
     /// Aggregate counts of every `(phase, op)` cell.
@@ -284,6 +291,313 @@ impl OpTape {
             }
         }
         counts
+    }
+}
+
+// ----- the bundled-loop driver ---------------------------------------
+
+impl Device {
+    /// Runs the loop `for i in range { body(step, i)? }` under bundled
+    /// accounting: `bundle` is the op sequence of one iteration, and the
+    /// driver runs each index in funded or scalar mode (see the
+    /// [module docs](self)). Indices are visited in ascending order with
+    /// no gaps, so a body may carry incremental state across them.
+    ///
+    /// A body error propagates at once. In funded mode that means the
+    /// rest of the funded run stays charged but does not execute; a body
+    /// may use this to end a scan early.
+    ///
+    /// The driver calls the body from its funded loop and from its
+    /// scalar-mode step; mark the body closure `#[inline(always)]` so the
+    /// compiler inlines it at both and drops every mode check from the
+    /// funded loop (a body that is not inlined still runs exactly, only
+    /// slower).
+    ///
+    /// ```
+    /// use mcu::{Device, DeviceSpec, Op, OpBundle, Phase, PowerSystem};
+    ///
+    /// // One iteration: read a weight, multiply-accumulate, bump the index.
+    /// let mut body = OpBundle::new();
+    /// body.push(Op::FramRead, Phase::Kernel);
+    /// body.push(Op::FxpMul, Phase::Kernel);
+    /// body.push(Op::Incr, Phase::Kernel);
+    ///
+    /// let mut dev = Device::new(DeviceSpec::msp430fr5994(), PowerSystem::continuous());
+    /// let w = dev.fram_alloc(1000).unwrap();
+    /// let mut sum = 0i64;
+    /// dev.run_bundled(&body, 0..1000, #[inline(always)] |s, i| {
+    ///     sum += i64::from(s.read(w, i)?.raw());
+    ///     s.op(Op::FxpMul)?;
+    ///     s.op(Op::Incr)
+    /// })
+    /// .unwrap();
+    /// assert_eq!(sum, 0);
+    /// assert_eq!(dev.trace().op_count(Op::FramRead), 1000);
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PowerFailure`] when the device is off, a scalar-mode
+    /// iteration browns out, or the body fails.
+    #[inline(always)]
+    pub fn run_bundled<F>(
+        &mut self,
+        bundle: &OpBundle,
+        range: Range<u32>,
+        mut body: F,
+    ) -> Result<(), PowerFailure>
+    where
+        F: FnMut(&mut Step<'_>, u32) -> Result<(), PowerFailure>,
+    {
+        let Range { mut start, end } = range;
+        while start < end {
+            let funded = self.consume_bundle(bundle, u64::from(end - start))? as u32;
+            if funded > 0 {
+                let mut s = Step::new(self, true);
+                let mut r = Ok(());
+                for i in start..start + funded {
+                    r = body(&mut s, i);
+                    if r.is_err() {
+                        break;
+                    }
+                }
+                s.settle();
+                r?;
+                start += funded;
+            }
+            if start < end {
+                #[cfg(debug_assertions)]
+                let outer = self.tail_record.replace(Box::default());
+                let r = body(&mut Step::new(self, false), start);
+                #[cfg(debug_assertions)]
+                self.check_tail(bundle, outer, r.is_ok());
+                r?;
+                start += 1;
+            }
+        }
+        Ok(())
+    }
+
+    /// A scalar-mode [`Step`] outside any bundled loop: every call
+    /// charges, exactly like the device's own methods. For task code
+    /// that calls a helper written against `Step` — a kernel that
+    /// bundled bodies run too.
+    pub fn step(&mut self) -> Step<'_> {
+        Step::new(self, false)
+    }
+
+    /// Debug builds: checks the record of a scalar-mode iteration against
+    /// its bundle, then hands the record on to the enclosing scalar-mode
+    /// iteration (a nested loop's charges are also its parent's).
+    #[cfg(debug_assertions)]
+    fn check_tail(&mut self, bundle: &OpBundle, outer: Option<Box<OpBundle>>, completed: bool) {
+        let rec = std::mem::replace(&mut self.tail_record, outer).expect("open tail record");
+        let (got, want) = (rec.ops(), bundle.ops());
+        let ok = if completed {
+            got == want
+        } else {
+            got.split_last().is_none_or(|(last, head)| {
+                want.get(..head.len()) == Some(head)
+                    && want.get(head.len()).is_some_and(|w| {
+                        (w.op, w.phase) == (last.op, last.phase) && last.count <= w.count
+                    })
+            })
+        };
+        assert!(
+            ok,
+            "a scalar-mode iteration charged {got:?}, which is not {} of its bundle {want:?}",
+            if completed {
+                "the sequence"
+            } else {
+                "a prefix"
+            }
+        );
+        if let Some(outer) = &mut self.tail_record {
+            for e in got {
+                outer.push_n(e.op, e.phase, e.count);
+            }
+        }
+    }
+}
+
+/// One iteration's handle on the device inside [`Device::run_bundled`]:
+/// every metered operation a loop body performs goes through it. The
+/// driver picks the mode; in funded mode every call is uncharged (the
+/// bundle already paid), in scalar mode every call charges exactly like
+/// the [`Device`] method it names.
+#[derive(Debug)]
+pub struct Step<'d> {
+    dev: &'d mut Device,
+    funded: bool,
+    /// Funded mode: the run's latest loop-continuation store, landed
+    /// once when the run ends.
+    last_checkpoint: Option<(FramWord, u16)>,
+    /// Funded mode: the run's progress beacons, added once when it ends.
+    beacons: u64,
+}
+
+/// [`Step`] calls that mirror a [`Device`] method: scalar mode calls the
+/// method, funded mode performs its effect uncharged.
+macro_rules! step_calls {
+    ($($(#[$doc:meta])* $name:ident => $method:ident($($arg:ident: $ty:ty),*) -> $ret:ty,
+        |$d:ident| $funded:expr;)*) => {$(
+        $(#[$doc])*
+        ///
+        /// # Errors
+        ///
+        /// Returns [`PowerFailure`] on brown-out (scalar mode only).
+        #[inline]
+        pub fn $name(&mut self, $($arg: $ty),*) -> Result<$ret, PowerFailure> {
+            if self.funded {
+                let $d = &mut *self.dev;
+                Ok($funded)
+            } else {
+                self.dev.$method($($arg),*)
+            }
+        }
+    )*};
+}
+
+impl<'d> Step<'d> {
+    fn new(dev: &'d mut Device, funded: bool) -> Self {
+        Step {
+            dev,
+            funded,
+            last_checkpoint: None,
+            beacons: 0,
+        }
+    }
+
+    /// Lands a funded run's batched checkpoint and beacons.
+    #[inline]
+    fn settle(self) {
+        if let Some((w, v)) = self.last_checkpoint {
+            self.dev.prepaid_store_word(w, v);
+        }
+        if self.beacons > 0 {
+            self.dev.mark_progress_n(self.beacons);
+        }
+    }
+
+    step_calls! {
+        /// One op with no memory effect ([`Device::consume`]).
+        op => consume(op: Op) -> (), |_d| ();
+        /// `n` ops of one class ([`Device::consume_n`]).
+        op_n => consume_n(op: Op, n: u64) -> (), |_d| ();
+        /// [`Device::read`].
+        read => read(buf: FramBuf, i: u32) -> Q15, |d| d.prepaid_read(buf, i);
+        /// [`Device::write`].
+        write => write(buf: FramBuf, i: u32, v: Q15) -> (), |d| d.prepaid_write(buf, i, v);
+        /// [`Device::write_at`].
+        write_at => write_at(addr: NvAddr, v: Q15) -> (), |d| d.prepaid_write_at(addr, v);
+        /// [`Device::store_word`].
+        store_word => store_word(w: FramWord, v: u16) -> (), |d| d.prepaid_store_word(w, v);
+        /// [`Device::sram_read`].
+        sram_read => sram_read(buf: SramBuf, i: u32) -> Q15, |d| d.prepaid_sram_read(buf, i);
+        /// [`Device::sram_write`].
+        sram_write => sram_write(buf: SramBuf, i: u32, v: Q15) -> (),
+            |d| d.prepaid_sram_write(buf, i, v);
+        /// [`Device::sram_read_block`].
+        sram_read_block => sram_read_block(buf: SramBuf, offset: u32, out: &mut [Q15]) -> (),
+            |d| for (i, slot) in (offset..).zip(out) {
+                *slot = d.prepaid_sram_read(buf, i);
+            };
+        /// [`Device::sram_write_block`].
+        sram_write_block => sram_write_block(buf: SramBuf, offset: u32, data: &[Q15]) -> (),
+            |d| for (i, &v) in (offset..).zip(data) {
+                d.prepaid_sram_write(buf, i, v);
+            };
+        /// [`Device::dma_fram_to_sram`].
+        dma_fram_to_sram => dma_fram_to_sram(src: FramBuf, dst: SramBuf) -> (),
+            |d| d.dma_in(src, dst, src.len() as usize);
+        /// [`Device::dma_sram_to_fram`].
+        dma_sram_to_fram => dma_sram_to_fram(src: SramBuf, dst: FramBuf) -> (),
+            |d| d.dma_out(src, dst, src.len() as usize);
+        /// [`Device::lea_fir`].
+        lea_fir => lea_fir(src: SramBuf, taps: SramBuf, out: SramBuf) -> (),
+            |d| d.fir_effect(src, taps, out);
+        /// [`Device::lea_dot`].
+        lea_dot => lea_dot(a: SramBuf, b: SramBuf) -> Accum, |d| d.dot_effect(a, b);
+        /// [`Device::lea_add`].
+        lea_add => lea_add(dst: SramBuf, src: SramBuf) -> (),
+            |d| d.add_effect(dst, src, dst.len() as usize);
+    }
+
+    /// The loop-continuation store: writes the next loop index `v` to
+    /// the control word `ctl`, charged to the control phase of the
+    /// current region. In funded mode only the run's last store lands,
+    /// once, when the run ends: after an uninterrupted run no earlier one
+    /// is observable.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PowerFailure`] on brown-out (leaving the control phase
+    /// current, like any failed control-phase op).
+    #[inline]
+    pub fn checkpoint(&mut self, ctl: FramWord, v: u16) -> Result<(), PowerFailure> {
+        if self.funded {
+            self.last_checkpoint = Some((ctl, v));
+            return Ok(());
+        }
+        let (region, phase) = self.dev.context();
+        self.dev.set_context(region, Phase::Control);
+        self.dev.store_word(ctl, v)?;
+        self.dev.set_context(region, phase);
+        Ok(())
+    }
+
+    /// One forward-progress beacon ([`Device::mark_progress`]); funded
+    /// runs add theirs at once when the run ends.
+    #[inline]
+    pub fn progress(&mut self) {
+        if self.funded {
+            self.beacons += 1;
+        } else {
+            self.dev.mark_progress();
+        }
+    }
+
+    /// The current accounting context ([`Device::context`]).
+    pub fn context(&self) -> (RegionId, Phase) {
+        self.dev.context()
+    }
+
+    /// Sets the accounting context ([`Device::set_context`]).
+    pub fn set_context(&mut self, region: RegionId, phase: Phase) {
+        self.dev.set_context(region, phase);
+    }
+
+    /// Reports a detected corruption ([`Device::note_corruption`]; free
+    /// in both modes).
+    pub fn note_corruption(&mut self, region: RegionId) -> bool {
+        self.dev.note_corruption(region)
+    }
+
+    /// A loop nested in this iteration. In funded mode the enclosing
+    /// bundle already charged it, so it runs funded; in scalar mode it
+    /// gets its own driver — its own funded runs and scalar tail.
+    ///
+    /// # Errors
+    ///
+    /// As [`Device::run_bundled`].
+    #[inline(always)]
+    pub fn run_bundled<F>(
+        &mut self,
+        bundle: &OpBundle,
+        range: Range<u32>,
+        mut body: F,
+    ) -> Result<(), PowerFailure>
+    where
+        F: FnMut(&mut Step<'_>, u32) -> Result<(), PowerFailure>,
+    {
+        if self.funded {
+            for i in range {
+                body(self, i)?;
+            }
+            Ok(())
+        } else {
+            self.dev.run_bundled(bundle, range, body)
+        }
     }
 }
 

@@ -159,12 +159,6 @@ impl FramWord {
     }
 }
 
-/// Handle to a single 16-bit counter/flag word in SRAM.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct SramWord {
-    addr: u32,
-}
-
 macro_rules! impl_buf {
     ($name:ident) => {
         impl $name {
@@ -421,6 +415,12 @@ pub struct Device {
     corruption_budget: u32,
     /// Region of the first unrecoverable corruption, if any.
     unrecoverable: Option<RegionId>,
+    /// Debug builds: the ops charged (or attempted, for the op a
+    /// brown-out lands on) by the scalar-mode iteration in flight, which
+    /// [`Device::run_bundled`] checks against its bundle. `None` outside
+    /// such an iteration.
+    #[cfg(debug_assertions)]
+    pub(crate) tail_record: Option<Box<OpBundle>>,
 }
 
 impl Device {
@@ -453,6 +453,8 @@ impl Device {
             corruption_detected: 0,
             corruption_budget: CORRUPTION_RETRY_LIMIT,
             unrecoverable: None,
+            #[cfg(debug_assertions)]
+            tail_record: None,
         }
     }
 
@@ -647,6 +649,7 @@ impl Device {
             };
             self.ops_consumed += fit;
             done += fit;
+            self.record(op, phase, fit);
             if starved {
                 // Natural brown-out before the span (or any armed target)
                 // was reached. The interrupted operation's residual
@@ -717,6 +720,7 @@ impl Device {
     /// failed: op number [`Device::ops_consumed`] (everything before it
     /// completed, it did not).
     fn force_brownout(&mut self, op: Op, phase: Phase, injected: bool) {
+        self.record(op, phase, 1);
         self.charge_pj = 0;
         self.on = false;
         self.last_brownout = Some(BrownoutInfo {
@@ -726,6 +730,15 @@ impl Device {
             region: self.region,
             injected,
         });
+    }
+
+    /// Debug builds: appends `n` ops to the open scalar-tail record.
+    #[cfg_attr(not(debug_assertions), allow(unused_variables))]
+    fn record(&mut self, op: Op, phase: Phase, n: u64) {
+        #[cfg(debug_assertions)]
+        if let Some(rec) = &mut self.tail_record {
+            rec.push_n(op, phase, n);
+        }
     }
 
     /// Span variant of [`Device::consume_n`] at the current phase.
@@ -738,49 +751,29 @@ impl Device {
 
     /// Charges up to `n_iters` whole iterations of `bundle` in one
     /// arithmetic step, returning how many complete iterations the
-    /// remaining buffer funded (always `n_iters` on continuous power).
+    /// remaining buffer funded (always `n_iters` on continuous power
+    /// with no armed fault target).
     ///
     /// The funded count is exactly the number of complete iterations the
     /// scalar path (one [`Device::consume`] per op) would have executed:
     /// per-op energies are non-negative, so a buffer that covers an
     /// iteration's total covers every prefix of it. When the return value
     /// is less than `n_iters` the device is still **on**, with less than
-    /// one iteration's energy remaining — the caller must replay the next
-    /// iteration through its scalar code path, which browns out on
-    /// exactly the same op, with exactly the same partial memory effects,
-    /// as an all-scalar execution. The `prepaid_*` accessors perform the
-    /// memory effects of the iterations charged here.
+    /// one iteration's energy remaining; [`Device::run_bundled`] then runs
+    /// the next iteration in scalar mode.
     ///
     /// Ops are charged to the device's current region at each entry's own
     /// phase; trace cells are order-independent accumulators, so bulk
     /// totals are bit-identical to interleaved scalar charges.
     ///
-    /// ```
-    /// use mcu::{Device, DeviceSpec, Op, OpBundle, Phase, PowerSystem};
-    ///
-    /// // The op sequence of one inner-loop iteration: read a weight and
-    /// // an activation, multiply-accumulate, bump the loop index.
-    /// let mut body = OpBundle::new();
-    /// body.push_n(Op::FramRead, Phase::Kernel, 2);
-    /// body.push(Op::FxpMul, Phase::Kernel);
-    /// body.push(Op::Incr, Phase::Control);
-    ///
-    /// let mut dev = Device::new(DeviceSpec::msp430fr5994(), PowerSystem::cap_100uf());
-    /// let funded = dev.consume_bundle(&body, 1000).unwrap();
-    /// // The buffer funded some whole iterations; their memory effects
-    /// // happen through the `prepaid_*` accessors. If `funded < 1000`
-    /// // the device is still ON and the caller replays the next
-    /// // iteration through its scalar path, so the brown-out lands on
-    /// // exactly the op a one-consume-per-op execution would die on.
-    /// assert!(funded <= 1000 && dev.is_on());
-    /// assert_eq!(dev.trace().op_count(Op::FxpMul), funded);
-    /// assert_eq!(dev.trace().op_count(Op::FramRead), 2 * funded);
-    /// ```
-    ///
     /// # Errors
     ///
     /// Returns [`PowerFailure`] only when the device is already off.
-    pub fn consume_bundle(&mut self, bundle: &OpBundle, n_iters: u64) -> Result<u64, PowerFailure> {
+    pub(crate) fn consume_bundle(
+        &mut self,
+        bundle: &OpBundle,
+        n_iters: u64,
+    ) -> Result<u64, PowerFailure> {
         if !self.on {
             return Err(PowerFailure);
         }
@@ -789,6 +782,14 @@ impl Device {
         }
         let fit = self.fund_iters(bundle.counts(), n_iters);
         self.charge_bundle_trace(bundle, fit);
+        #[cfg(debug_assertions)]
+        if let Some(rec) = &mut self.tail_record {
+            for _ in 0..fit {
+                for e in bundle.ops() {
+                    rec.push_n(e.op, e.phase, e.count);
+                }
+            }
+        }
         Ok(fit)
     }
 
@@ -799,8 +800,8 @@ impl Device {
     fn fund_iters(&mut self, counts: &OpCounts, n_iters: u64) -> u64 {
         // Injected faults: never fund an iteration that straddles an armed
         // target — cap at the whole iterations that fit strictly before it,
-        // so the caller's scalar replay of the next iteration browns out on
-        // exactly the targeted op. May return less than `n_iters` even on
+        // so the scalar-mode run of the next iteration reaches exactly the
+        // targeted op. May return less than `n_iters` even on
         // continuous power.
         let ops_per_iter = counts_len(counts);
         let iter_cap = match self.fault_queue.last() {
@@ -928,7 +929,7 @@ impl Device {
 
     /// Adds `n` forward-progress beacons at once (the bundled counterpart
     /// of calling [`Device::mark_progress`] per loop iteration).
-    pub fn mark_progress_n(&mut self, n: u64) {
+    pub(crate) fn mark_progress_n(&mut self, n: u64) {
         self.trace.mark_progress_n(n);
     }
 
@@ -1035,16 +1036,6 @@ impl Device {
         };
         self.sram_brk += len;
         Ok(buf)
-    }
-
-    /// Allocates a single SRAM word.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AllocError`] when SRAM is exhausted.
-    pub fn sram_alloc_word(&mut self) -> Result<SramWord, AllocError> {
-        let buf = self.sram_alloc(1)?;
-        Ok(SramWord { addr: buf.base })
     }
 
     /// The current (FRAM, SRAM) allocation watermarks — a link-time
@@ -1238,29 +1229,6 @@ impl Device {
         Ok(())
     }
 
-    /// Reads a 16-bit counter from SRAM.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PowerFailure`] on brown-out.
-    #[inline]
-    pub fn sram_load_word(&mut self, w: SramWord) -> Result<u16, PowerFailure> {
-        self.consume(Op::SramRead)?;
-        Ok(self.sram[w.addr as usize] as u16)
-    }
-
-    /// Writes a 16-bit counter to SRAM.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PowerFailure`] on brown-out; the word is unmodified.
-    #[inline]
-    pub fn sram_store_word(&mut self, w: SramWord, v: u16) -> Result<(), PowerFailure> {
-        self.consume(Op::SramWrite)?;
-        self.sram[w.addr as usize] = v as i16;
-        Ok(())
-    }
-
     /// Reads the FRAM word at a raw address (metered as a FRAM read).
     ///
     /// # Errors
@@ -1296,13 +1264,17 @@ impl Device {
 
     // ----- pre-charged access (bundled accounting) ---------------------
     //
-    // Companions to [`Device::consume_bundle`]: the bundle charged the
-    // memory ops of `fit` whole iterations in bulk, so the iterations'
-    // data movement happens through these unmetered accessors. Using them
-    // without a matching bundle charge breaks the energy model — the
-    // differential `bundles` test suite exists to catch exactly that.
+    // The unmetered data movement behind a funded bundle charge: when a
+    // bundle (or an op tape) has already charged an iteration's memory
+    // ops in bulk, the iteration's effects happen through these. Inside
+    // the crate they back the funded mode of [`Step`]. Two stay public
+    // for bodies that settle an [`crate::OpTape`] instead of running
+    // through [`Device::run_bundled`]: the tiled runtime's taped reads
+    // and the Alpaca redo log's taped scrub write. Using them without a
+    // matching charge breaks the energy model.
 
-    /// Pre-charged FRAM read (energy already charged via a bundle).
+    /// Pre-charged FRAM read (energy already charged via a bundle or
+    /// tape).
     ///
     /// # Panics
     ///
@@ -1313,48 +1285,30 @@ impl Device {
         Q15::from_raw(self.fram[(buf.base + i) as usize])
     }
 
-    /// Pre-charged FRAM write (energy already charged via a bundle).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of bounds for `buf`.
+    /// Pre-charged FRAM write.
     #[inline]
-    pub fn prepaid_write(&mut self, buf: FramBuf, i: u32, v: Q15) {
+    pub(crate) fn prepaid_write(&mut self, buf: FramBuf, i: u32, v: Q15) {
         assert!(i < buf.len, "FRAM write out of bounds: {i} >= {}", buf.len);
         self.nv_store(buf.base + i, v.raw());
     }
 
     /// Pre-charged SRAM read.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of bounds for `buf`.
     #[inline]
-    pub fn prepaid_sram_read(&self, buf: SramBuf, i: u32) -> Q15 {
+    pub(crate) fn prepaid_sram_read(&self, buf: SramBuf, i: u32) -> Q15 {
         assert!(i < buf.len, "SRAM read out of bounds: {i} >= {}", buf.len);
         Q15::from_raw(self.sram[(buf.base + i) as usize])
     }
 
     /// Pre-charged SRAM write.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of bounds for `buf`.
     #[inline]
-    pub fn prepaid_sram_write(&mut self, buf: SramBuf, i: u32, v: Q15) {
+    pub(crate) fn prepaid_sram_write(&mut self, buf: SramBuf, i: u32, v: Q15) {
         assert!(i < buf.len, "SRAM write out of bounds: {i} >= {}", buf.len);
         self.sram[(buf.base + i) as usize] = v.raw();
     }
 
-    /// Pre-charged read of a FRAM counter word.
-    #[inline]
-    pub fn prepaid_load_word(&self, w: FramWord) -> u16 {
-        self.fram[w.addr as usize] as u16
-    }
-
     /// Pre-charged write of a FRAM counter word.
     #[inline]
-    pub fn prepaid_store_word(&mut self, w: FramWord, v: u16) {
+    pub(crate) fn prepaid_store_word(&mut self, w: FramWord, v: u16) {
         self.nv_store(w.addr, v as i16);
     }
 
@@ -1549,6 +1503,9 @@ impl Device {
     }
 
     // ----- DMA ---------------------------------------------------------
+    //
+    // Each DMA and LEA command charges its ops, then performs its effect
+    // through an uncharged helper that a funded [`Step`] calls directly.
 
     /// DMA block copy FRAM → SRAM. Words are moved one at a time, so a
     /// brown-out mid-transfer leaves a partial (volatile) copy.
@@ -1567,9 +1524,15 @@ impl Device {
         // brown-out exactly the words that fit have moved — identical to
         // the historical consume-per-word loop.
         let (fit, r) = self.consume_upto(Op::DmaWord, src.len as u64);
-        let (s, d, n) = (src.base as usize, dst.base as usize, fit as usize);
-        self.sram[d..d + n].copy_from_slice(&self.fram[s..s + n]);
+        self.dma_in(src, dst, fit as usize);
         r
+    }
+
+    /// The effect of a FRAM → SRAM transfer's first `n` words.
+    pub(crate) fn dma_in(&mut self, src: FramBuf, dst: SramBuf, n: usize) {
+        assert_eq!(src.len, dst.len, "dma: length mismatch");
+        let (s, d) = (src.base as usize, dst.base as usize);
+        self.sram[d..d + n].copy_from_slice(&self.fram[s..s + n]);
     }
 
     /// DMA block copy SRAM → FRAM. A brown-out mid-transfer leaves a
@@ -1587,7 +1550,19 @@ impl Device {
         assert_eq!(src.len, dst.len, "dma: length mismatch");
         self.consume(Op::DmaSetup)?;
         let (fit, r) = self.consume_upto(Op::DmaWord, src.len as u64);
-        let (s, d, n) = (src.base as usize, dst.base as usize, fit as usize);
+        let n = fit as usize;
+        self.dma_out(src, dst, n);
+        if r.is_err() && (fit as u32) < dst.len {
+            let v = self.sram[src.base as usize + n];
+            self.maybe_tear(dst.base + fit as u32, v);
+        }
+        r
+    }
+
+    /// The effect of an SRAM → FRAM transfer's first `n` words.
+    pub(crate) fn dma_out(&mut self, src: SramBuf, dst: FramBuf, n: usize) {
+        assert_eq!(src.len, dst.len, "dma: length mismatch");
+        let (s, d) = (src.base as usize, dst.base as usize);
         if self.guard_shadow.is_empty() && self.stuck.is_empty() {
             self.fram[d..d + n].copy_from_slice(&self.sram[s..s + n]);
         } else {
@@ -1596,11 +1571,6 @@ impl Device {
                 self.nv_store(dst.base + i as u32, v);
             }
         }
-        if r.is_err() && (fit as u32) < dst.len {
-            let v = self.sram[s + n];
-            self.maybe_tear(dst.base + fit as u32, v);
-        }
-        r
     }
 
     // ----- LEA ----------------------------------------------------------
@@ -1626,13 +1596,26 @@ impl Device {
         taps: SramBuf,
         out: SramBuf,
     ) -> Result<(), PowerFailure> {
+        let n = Self::fir_outputs(src, taps, out);
+        self.consume(Op::LeaSetup)?;
+        self.consume_n(Op::LeaMac, n as u64 * taps.len as u64)?;
+        self.fir_effect(src, taps, out);
+        Ok(())
+    }
+
+    /// The output count of a FIR over these operands, checking their
+    /// shapes.
+    fn fir_outputs(src: SramBuf, taps: SramBuf, out: SramBuf) -> u32 {
         assert!(!taps.is_empty(), "lea_fir: empty taps");
         assert!(taps.len <= src.len, "lea_fir: taps longer than input");
         let n = src.len - taps.len + 1;
         assert_eq!(out.len, n, "lea_fir: bad output length");
-        self.consume(Op::LeaSetup)?;
-        self.consume_n(Op::LeaMac, n as u64 * taps.len as u64)?;
-        for i in 0..n {
+        n
+    }
+
+    /// The arithmetic of [`Device::lea_fir`].
+    pub(crate) fn fir_effect(&mut self, src: SramBuf, taps: SramBuf, out: SramBuf) {
+        for i in 0..Self::fir_outputs(src, taps, out) {
             let mut acc = Accum::ZERO;
             for j in 0..taps.len {
                 let s = Q15::from_raw(self.sram[(src.base + i + j) as usize]);
@@ -1641,7 +1624,6 @@ impl Device {
             }
             self.sram[(out.base + i) as usize] = acc.to_q15().raw();
         }
-        Ok(())
     }
 
     /// LEA vector multiply-accumulate (dot product) over SRAM buffers.
@@ -1657,6 +1639,12 @@ impl Device {
         assert_eq!(a.len, b.len, "lea_dot: length mismatch");
         self.consume(Op::LeaSetup)?;
         self.consume_n(Op::LeaMac, a.len as u64)?;
+        Ok(self.dot_effect(a, b))
+    }
+
+    /// The arithmetic of [`Device::lea_dot`].
+    pub(crate) fn dot_effect(&self, a: SramBuf, b: SramBuf) -> Accum {
+        assert_eq!(a.len, b.len, "lea_dot: length mismatch");
         let mut acc = Accum::ZERO;
         for i in 0..a.len {
             acc.mac(
@@ -1664,7 +1652,36 @@ impl Device {
                 Q15::from_raw(self.sram[(b.base + i) as usize]),
             );
         }
-        Ok(acc)
+        acc
+    }
+
+    /// LEA element-wise add `dst += src` over SRAM buffers, chained onto
+    /// the preceding LEA command (no fresh setup): one MAC per element,
+    /// then one SRAM write per result word. On a brown-out among the
+    /// writes exactly the words that fit have landed.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PowerFailure`] on brown-out.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the buffers have different lengths.
+    pub fn lea_add(&mut self, dst: SramBuf, src: SramBuf) -> Result<(), PowerFailure> {
+        assert_eq!(dst.len, src.len, "lea_add: length mismatch");
+        self.consume_n(Op::LeaMac, dst.len as u64)?;
+        let (fit, r) = self.consume_upto(Op::SramWrite, dst.len as u64);
+        self.add_effect(dst, src, fit as usize);
+        r
+    }
+
+    /// The effect of [`Device::lea_add`] on its first `n` words.
+    pub(crate) fn add_effect(&mut self, dst: SramBuf, src: SramBuf, n: usize) {
+        assert_eq!(dst.len, src.len, "lea_add: length mismatch");
+        for i in 0..n {
+            let (d, s) = (dst.base as usize + i, src.base as usize + i);
+            self.sram[d] = (Q15::from_raw(self.sram[d]) + Q15::from_raw(self.sram[s])).raw();
+        }
     }
 
     // ----- integrity guards (FRAM-controller ECC model) -----------------
@@ -1950,9 +1967,6 @@ mod tests {
         d.store_word(w, 12345).unwrap();
         assert_eq!(d.load_word(w).unwrap(), 12345);
         assert_eq!(d.peek_word(w), 12345);
-        let sw = d.sram_alloc_word().unwrap();
-        d.sram_store_word(sw, 777).unwrap();
-        assert_eq!(d.sram_load_word(sw).unwrap(), 777);
     }
 
     #[test]
@@ -2157,24 +2171,78 @@ mod tests {
         Ok(())
     }
 
-    /// Runs the same workload through consume_bundle plus the documented
-    /// scalar replay of the final partial iteration.
-    fn run_bundled(dev: &mut Device, seq: &[(Op, Phase)], iters: u64) -> Result<(), PowerFailure> {
-        let mut bundle = OpBundle::new();
-        for &(op, phase) in seq {
-            bundle.push(op, phase);
-        }
-        let mut done = 0;
-        while done < iters {
-            let funded = dev.consume_bundle(&bundle, iters - done)?;
-            done += funded;
-            if done < iters {
-                // Partial iteration: scalar replay, browns out mid-way.
-                run_scalar(dev, seq, 1)?;
-                done += 1; // unreachable (the replay must fail)
-            }
+    /// The differential loop's memory: an input row `x`, an output row
+    /// `y`, and its loop-continuation word.
+    struct TestLoop {
+        x: FramBuf,
+        y: FramBuf,
+        ctl: FramWord,
+    }
+
+    const LOOP_WORDS: u32 = 16;
+
+    fn test_loop(dev: &mut Device) -> TestLoop {
+        let x = dev.fram_alloc(LOOP_WORDS).unwrap();
+        let y = dev.fram_alloc(LOOP_WORDS).unwrap();
+        let ctl = dev.fram_alloc_word().unwrap();
+        let data: Vec<Q15> = (0..LOOP_WORDS as i16)
+            .map(|i| Q15::from_raw(1000 * i - 7000))
+            .collect();
+        dev.flash(x, &data);
+        TestLoop { x, y, ctl }
+    }
+
+    /// `iters` iterations of [`test_iteration`] with FRAM effects, one
+    /// device call per op: `y[i] = x[i]·½`, then the loop-continuation
+    /// store of `i + 1` and a progress beacon.
+    fn scalar_loop(dev: &mut Device, lp: &TestLoop, iters: u32) -> Result<(), PowerFailure> {
+        let region = dev.context().0;
+        for i in 0..iters {
+            dev.set_context(region, Phase::Kernel);
+            dev.consume(Op::Alu)?;
+            let v = dev.read(lp.x, i % LOOP_WORDS)?;
+            dev.consume(Op::FxpMul)?;
+            dev.write(lp.y, i % LOOP_WORDS, v * Q15::HALF)?;
+            dev.set_context(region, Phase::Control);
+            dev.store_word(lp.ctl, (i + 1) as u16)?;
+            dev.set_context(region, Phase::Kernel);
+            dev.consume(Op::Incr)?;
+            dev.consume(Op::Branch)?;
+            dev.mark_progress();
         }
         Ok(())
+    }
+
+    /// The same loop through [`Device::run_bundled`].
+    fn driven_loop(dev: &mut Device, lp: &TestLoop, iters: u32) -> Result<(), PowerFailure> {
+        let mut bundle = OpBundle::new();
+        for (op, phase) in test_iteration() {
+            bundle.push(op, phase);
+        }
+        let region = dev.context().0;
+        dev.set_context(region, Phase::Kernel);
+        dev.run_bundled(&bundle, 0..iters, |s, i| {
+            s.op(Op::Alu)?;
+            let v = s.read(lp.x, i % LOOP_WORDS)?;
+            s.op(Op::FxpMul)?;
+            s.write(lp.y, i % LOOP_WORDS, v * Q15::HALF)?;
+            s.checkpoint(lp.ctl, (i + 1) as u16)?;
+            s.op(Op::Incr)?;
+            s.op(Op::Branch)?;
+            s.progress();
+            Ok(())
+        })
+    }
+
+    /// Traces, FRAM, op counters, brown-out records and progress beacons
+    /// all agree.
+    fn assert_devices_identical(a: &Device, b: &Device) {
+        assert_traces_identical(a, b);
+        assert_eq!(a.fram_image(), b.fram_image());
+        assert_eq!(a.ops_consumed(), b.ops_consumed());
+        assert_eq!(a.last_brownout(), b.last_brownout());
+        assert_eq!(a.trace().progress_marks(), b.trace().progress_marks());
+        assert_eq!(a.mem_faults_injected(), b.mem_faults_injected());
     }
 
     fn assert_traces_identical(a: &Device, b: &Device) {
@@ -2196,34 +2264,36 @@ mod tests {
 
     #[test]
     fn bundle_matches_scalar_on_continuous_power() {
-        let seq = test_iteration();
         let mut a = continuous();
-        let mut b = continuous();
-        run_scalar(&mut a, &seq, 1000).unwrap();
-        run_bundled(&mut b, &seq, 1000).unwrap();
-        assert_traces_identical(&a, &b);
+        let lp = test_loop(&mut a);
+        let mut b = a.clone();
+        scalar_loop(&mut a, &lp, 1000).unwrap();
+        driven_loop(&mut b, &lp, 1000).unwrap();
+        assert_devices_identical(&a, &b);
+        assert_eq!(b.peek_word(lp.ctl), 1000);
     }
 
     #[test]
     fn bundle_brownout_lands_on_the_same_op_as_scalar() {
-        let seq = test_iteration();
         // Enough work to kill the buffer several times over; compare the
-        // full trace at every brown-out across repeated recharge cycles.
+        // full device state at every brown-out across repeated recharge
+        // cycles.
         for _ in 0..4 {
             let mut a = Device::new(DeviceSpec::tiny(), PowerSystem::cap_100uf());
+            let lp = test_loop(&mut a);
             let mut b = a.clone();
-            let mut iters = 10_000u64;
+            let mut iters = 10_000u32;
             loop {
-                let ra = run_scalar(&mut a, &seq, iters);
-                let rb = run_bundled(&mut b, &seq, iters);
+                let ra = scalar_loop(&mut a, &lp, iters);
+                let rb = driven_loop(&mut b, &lp, iters);
                 assert_eq!(ra.is_err(), rb.is_err());
-                assert_traces_identical(&a, &b);
+                assert_devices_identical(&a, &b);
                 if ra.is_ok() {
                     break;
                 }
                 a.reboot().unwrap();
                 b.reboot().unwrap();
-                assert_traces_identical(&a, &b);
+                assert_devices_identical(&a, &b);
                 // Remaining work is unknown after a failure mid-iteration;
                 // keep hammering the same count to cross several reboots.
                 iters /= 2;
@@ -2232,6 +2302,183 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "not the sequence of its bundle")]
+    fn a_scalar_iteration_that_strays_from_its_bundle_panics() {
+        let mut d = continuous();
+        let lp = test_loop(&mut d);
+        // A memory fault stops the funding without cutting power, so
+        // iteration 2 runs in scalar mode — and charges an op its bundle
+        // does not list.
+        d.arm_faults(&FaultPlan::faults([(
+            5,
+            FaultKind::BitFlip {
+                addr: lp.x.addr(0),
+                bit: 1,
+            },
+        )]));
+        let mut bundle = OpBundle::new();
+        bundle.push(Op::FramRead, Phase::Kernel);
+        bundle.push(Op::Incr, Phase::Kernel);
+        let _ = d.run_bundled(&bundle, 0..4, |s, i| {
+            s.read(lp.x, i)?;
+            s.op(Op::Incr)?;
+            if i == 2 {
+                s.op(Op::Branch)?;
+            }
+            Ok(())
+        });
+    }
+
+    /// A row loop with a nested word loop, one device call per op: per
+    /// row, copy `x` into SRAM word by word, then an ALU op and the
+    /// row's loop continuation.
+    fn scalar_rows(
+        dev: &mut Device,
+        lp: &TestLoop,
+        buf: SramBuf,
+        rows: u32,
+    ) -> Result<(), PowerFailure> {
+        let region = dev.context().0;
+        for r in 0..rows {
+            for t in 0..buf.len {
+                let v = dev.read(lp.x, t)?;
+                dev.sram_write(buf, t, v)?;
+                dev.consume(Op::Incr)?;
+            }
+            dev.consume(Op::Alu)?;
+            dev.set_context(region, Phase::Control);
+            dev.store_word(lp.ctl, (r + 1) as u16)?;
+            dev.set_context(region, Phase::Kernel);
+            dev.consume(Op::Incr)?;
+            dev.consume(Op::Branch)?;
+            dev.mark_progress();
+        }
+        Ok(())
+    }
+
+    /// The same rows through nested [`Device::run_bundled`] loops.
+    fn driven_rows(
+        dev: &mut Device,
+        lp: &TestLoop,
+        buf: SramBuf,
+        rows: u32,
+    ) -> Result<(), PowerFailure> {
+        let mut word = OpBundle::new();
+        word.push(Op::FramRead, Phase::Kernel);
+        word.push(Op::SramWrite, Phase::Kernel);
+        word.push(Op::Incr, Phase::Kernel);
+        let mut row = OpBundle::new();
+        for _ in 0..buf.len {
+            for e in word.ops() {
+                row.push(e.op, e.phase);
+            }
+        }
+        row.push(Op::Alu, Phase::Kernel);
+        row.push(Op::FramWrite, Phase::Control);
+        row.push(Op::Incr, Phase::Kernel);
+        row.push(Op::Branch, Phase::Kernel);
+        dev.run_bundled(&row, 0..rows, |s, r| {
+            s.run_bundled(&word, 0..buf.len, |s, t| {
+                let v = s.read(lp.x, t)?;
+                s.sram_write(buf, t, v)?;
+                s.op(Op::Incr)
+            })?;
+            s.op(Op::Alu)?;
+            s.checkpoint(lp.ctl, (r + 1) as u16)?;
+            s.op(Op::Incr)?;
+            s.op(Op::Branch)?;
+            s.progress();
+            Ok(())
+        })
+    }
+
+    #[test]
+    fn nested_loops_match_a_scalar_run_across_brownouts() {
+        let mut a = Device::new(DeviceSpec::tiny(), PowerSystem::cap_100uf());
+        let lp = test_loop(&mut a);
+        let buf = a.sram_alloc(LOOP_WORDS).unwrap();
+        // A flip mid-run lands in a scalar-mode row; brown-outs land in
+        // the nested loop's own tails.
+        a.arm_faults(&FaultPlan::faults([(
+            500,
+            FaultKind::BitFlip {
+                addr: lp.x.addr(7),
+                bit: 9,
+            },
+        )]));
+        let mut b = a.clone();
+        let mut rows = 4000;
+        loop {
+            let ra = scalar_rows(&mut a, &lp, buf, rows);
+            let rb = driven_rows(&mut b, &lp, buf, rows);
+            assert_eq!(ra.is_err(), rb.is_err());
+            assert_devices_identical(&a, &b);
+            assert_eq!(a.sram_peek(buf), b.sram_peek(buf));
+            if ra.is_ok() {
+                break;
+            }
+            a.reboot().unwrap();
+            b.reboot().unwrap();
+            rows /= 2;
+        }
+        assert!(rows < 4000, "the run must cross brown-outs");
+        assert_eq!(b.mem_faults_injected(), 1);
+    }
+
+    #[test]
+    fn a_step_outside_a_loop_charges_like_the_device() {
+        let mut a = continuous();
+        let lp = test_loop(&mut a);
+        let s_buf = a.sram_alloc(4).unwrap();
+        let mut b = a.clone();
+        let region = a.context().0;
+        a.consume(Op::Alu).unwrap();
+        let v = a.read(lp.x, 3).unwrap();
+        a.write(lp.y, 3, v).unwrap();
+        a.sram_write(s_buf, 1, v).unwrap();
+        a.set_context(region, Phase::Control);
+        a.store_word(lp.ctl, 9).unwrap();
+        a.set_context(region, Phase::Kernel);
+        a.dma_fram_to_sram(lp.x.slice(0, 4), s_buf).unwrap();
+        a.mark_progress();
+
+        let s = &mut b.step();
+        s.op(Op::Alu).unwrap();
+        let v = s.read(lp.x, 3).unwrap();
+        s.write(lp.y, 3, v).unwrap();
+        s.sram_write(s_buf, 1, v).unwrap();
+        s.checkpoint(lp.ctl, 9).unwrap();
+        s.dma_fram_to_sram(lp.x.slice(0, 4), s_buf).unwrap();
+        s.progress();
+        assert_eq!(b.context(), (region, Phase::Kernel));
+        assert_devices_identical(&a, &b);
+        assert_eq!(a.sram_peek(s_buf), b.sram_peek(s_buf));
+    }
+
+    #[test]
+    fn lea_add_lands_exactly_the_result_words_that_fit() {
+        let mut d = continuous();
+        let dst = d.sram_alloc(8).unwrap();
+        let src = d.sram_alloc(8).unwrap();
+        for i in 0..8u32 {
+            d.sram_write(dst, i, Q15::from_raw(1000 * i as i16))
+                .unwrap();
+            d.sram_write(src, i, Q15::from_raw(7)).unwrap();
+        }
+        // Eight MACs, then the fourth result write browns out.
+        let start = d.ops_consumed();
+        d.arm_faults(&FaultPlan::at(start + 8 + 3));
+        assert!(d.lea_add(dst, src).is_err());
+        assert_eq!(d.last_brownout().unwrap().op, Op::SramWrite);
+        assert_eq!(d.trace().op_count(Op::LeaMac), 8);
+        let want: Vec<Q15> = (0..8)
+            .map(|i| Q15::from_raw(1000 * i + if i < 3 { 7 } else { 0 }))
+            .collect();
+        assert_eq!(d.sram_peek(dst), want);
     }
 
     #[test]
@@ -2248,7 +2495,7 @@ mod tests {
         assert_eq!(funded, expect);
         assert!(d.is_on(), "a shortfall must not brown the device out");
         assert!(d.charge_pj() < per_iter);
-        // The scalar replay of the next iteration then browns out.
+        // A scalar run of the next iteration then browns out.
         assert!(run_scalar(&mut d, &seq, 1).is_err());
         assert!(!d.is_on());
         assert_eq!(d.charge_pj(), 0);
@@ -2485,7 +2732,7 @@ mod tests {
         d.prepaid_sram_write(s, 1, Q15::MAX);
         assert_eq!(d.prepaid_sram_read(s, 1), Q15::MAX);
         d.prepaid_store_word(w, 99);
-        assert_eq!(d.prepaid_load_word(w), 99);
+        assert_eq!(d.peek_word(w), 99);
         d.prepaid_write_at(f.addr(0), Q15::HALF);
         assert_eq!(d.peek_at(f.addr(0)), Q15::HALF);
         assert_eq!(
@@ -2564,21 +2811,52 @@ mod tests {
 
     #[test]
     fn bundled_path_hits_the_same_injected_boundary_as_scalar() {
-        let seq = test_iteration();
-        let iter_len = seq.len() as u64;
-        // Targets inside the first iteration, at an iteration boundary,
-        // and deep into the run (forcing the bundle cap to matter).
-        for target in [3u64, iter_len, 5 * iter_len + 2, 40 * iter_len - 1] {
+        let iter_len = test_iteration().len() as u64;
+        let probe = {
+            let mut d = continuous();
+            test_loop(&mut d)
+        };
+        let x3 = probe.x.addr(3);
+        let (y5, ctl) = (probe.y.addr(5), probe.ctl.addr());
+        // Brown-outs inside the first iteration, at an iteration
+        // boundary, and deep into the run (forcing the bundle cap to
+        // matter); then memory faults inside the range, where the scalar
+        // iteration completes and bulk funding resumes: a flip of an
+        // input word read again later, and stuck bits under an output
+        // word and under the batched continuation store.
+        let brownouts =
+            [3u64, iter_len, 5 * iter_len + 2, 40 * iter_len - 1].map(|t| (t, FaultKind::Brownout));
+        let memory = [
+            (5 * iter_len + 2, FaultKind::BitFlip { addr: x3, bit: 14 }),
+            (
+                2 * iter_len + 4,
+                FaultKind::StuckAt {
+                    addr: y5,
+                    bit: 3,
+                    high: true,
+                },
+            ),
+            (
+                7 * iter_len,
+                FaultKind::StuckAt {
+                    addr: ctl,
+                    bit: 0,
+                    high: false,
+                },
+            ),
+        ];
+        for (target, kind) in brownouts.into_iter().chain(memory) {
             let mut a = continuous();
-            let mut b = continuous();
-            a.arm_faults(&FaultPlan::at(target));
-            b.arm_faults(&FaultPlan::at(target));
-            let ra = run_scalar(&mut a, &seq, 100);
-            let rb = run_bundled(&mut b, &seq, 100);
-            assert_eq!(ra.is_err(), rb.is_err(), "target {target}");
-            assert_eq!(a.ops_consumed(), b.ops_consumed(), "target {target}");
-            assert_eq!(a.last_brownout(), b.last_brownout(), "target {target}");
-            assert_traces_identical(&a, &b);
+            let lp = test_loop(&mut a);
+            let plan = FaultPlan::faults([(target, kind)]);
+            a.arm_faults(&plan);
+            let mut b = a.clone();
+            let ra = scalar_loop(&mut a, &lp, 100);
+            let rb = driven_loop(&mut b, &lp, 100);
+            assert_eq!(ra.is_err(), rb.is_err(), "{kind:?} at {target}");
+            assert_eq!(ra.is_err(), kind.browns_out(), "{kind:?} at {target}");
+            assert_eq!(b.pending_faults(), 0, "{kind:?} at {target} fired");
+            assert_devices_identical(&a, &b);
         }
     }
 
@@ -2633,16 +2911,15 @@ mod tests {
 
     #[test]
     fn unarmed_device_is_bit_identical_to_one_that_never_heard_of_faults() {
-        let seq = test_iteration();
         let mut a = Device::new(DeviceSpec::tiny(), PowerSystem::cap_100uf());
+        let lp = test_loop(&mut a);
         let mut b = a.clone();
         b.arm_faults(&FaultPlan::default());
         loop {
-            let ra = run_scalar(&mut a, &seq, 500);
-            let rb = run_bundled(&mut b, &seq, 500);
+            let ra = scalar_loop(&mut a, &lp, 500);
+            let rb = driven_loop(&mut b, &lp, 500);
             assert_eq!(ra.is_err(), rb.is_err());
-            assert_traces_identical(&a, &b);
-            assert_eq!(a.ops_consumed(), b.ops_consumed());
+            assert_devices_identical(&a, &b);
             if ra.is_ok() {
                 break;
             }

@@ -13,8 +13,8 @@
 //!   buffer; when the buffer empties the device browns out and all volatile
 //!   state is lost ([`Device::consume`], [`PowerFailure`]). Inner loops
 //!   charge whole bodies at a time — cycle- and energy-exact, brown-out op
-//!   included — through the bundled accounting fast path ([`bundle`],
-//!   [`Device::consume_bundle`]).
+//!   included — through the bundled-loop driver ([`bundle`],
+//!   [`Device::run_bundled`], [`Step`]).
 //! - **A capacitor-based power system.** Usable buffer energy follows
 //!   `E = ½·C·(V_on² − V_off²)` and recharge time integrates the
 //!   harvester's input-power *profile* — constant (the paper's RF setup),
@@ -63,10 +63,10 @@ pub mod power;
 pub mod spec;
 pub mod trace;
 
-pub use bundle::{BundleOp, OpBundle, OpTape};
+pub use bundle::{BundleOp, OpBundle, OpTape, Step};
 pub use device::{
     AllocError, BrownoutInfo, Device, FaultKind, FaultPlan, FramBuf, FramWord, NvAddr,
-    PowerFailure, SramBuf, SramWord, SupplyDead, CORRUPTION_RETRY_LIMIT,
+    PowerFailure, SramBuf, SupplyDead, CORRUPTION_RETRY_LIMIT,
 };
 pub use power::{HarvestProfile, Harvester, PowerSystem};
 pub use spec::{Cost, CostTable, DeviceSpec, Op};
