@@ -9,18 +9,20 @@
 //!
 //! # Bundled accounting
 //!
-//! Every inner loop is one body run by [`Device::run_bundled`] against
-//! its [`mcu::OpBundle`]: whole iterations the buffer funds run with
-//! their charge settled in bulk, and the first unfunded one runs the same
-//! body charging op by op, so a brown-out lands on exactly the op of an
-//! all-scalar execution (see `mcu::bundle`). The root `bundles` test
-//! suite pins bit-identical traces against the scalar implementation.
+//! Every inner loop is one body run by [`Device::run_bundled`], which
+//! records the loop's op bundle from the body's first iteration into a
+//! [`Site`] each layer call owns: whole iterations the buffer funds then
+//! run with their charge settled in bulk, and the first unfunded one runs
+//! the same body charging op by op, so a brown-out lands on exactly the
+//! op of an all-scalar execution (see `mcu::bundle`). The root `bundles`
+//! test suite pins bit-identical traces against the scalar
+//! implementation.
 
 use crate::deploy::{DeployedKind, DeployedLayer, DeployedModel, SparseFc};
 use dnn::quant::finish_acc;
 use fxp::{Accum, Q15};
 use intermittent::task::{TaskGraph, Transition};
-use mcu::{Device, Op, OpBundle, Phase, PowerFailure, Step};
+use mcu::{Device, Op, Phase, PowerFailure, Site, Step};
 
 /// Unpacks a flattened kernel offset into (c, ky, kx).
 #[inline]
@@ -50,43 +52,14 @@ fn mac(s: &mut Step<'_>, acc: &mut Accum, x: Q15, w: Q15) -> Result<(), PowerFai
     s.op(Op::Branch)
 }
 
-/// One dense-conv/dense-FC MAC iteration:
-/// weight read, address ALU, input read, multiply, add, incr, branch.
-fn mac_bundle() -> OpBundle {
-    let mut b = OpBundle::new();
-    b.push(Op::FramRead, Phase::Kernel);
-    b.push(Op::Alu, Phase::Kernel);
-    b.push(Op::FramRead, Phase::Kernel);
-    b.push(Op::FxpMul, Phase::Kernel);
-    b.push(Op::FxpAdd, Phase::Kernel);
-    b.push(Op::Incr, Phase::Kernel);
-    b.push(Op::Branch, Phase::Kernel);
-    b
-}
-
-/// One sparse-tap MAC iteration: offset read + unpack ALU precede the
-/// dense sequence.
-fn sparse_mac_bundle() -> OpBundle {
-    let mut b = OpBundle::new();
-    b.push(Op::FramRead, Phase::Kernel); // packed offset / column
-    b.push(Op::Alu, Phase::Kernel); // unpack
-    b.push(Op::FramRead, Phase::Kernel); // weight
-    b.push(Op::Alu, Phase::Kernel); // address
-    b.push(Op::FramRead, Phase::Kernel); // input
-    b.push(Op::FxpMul, Phase::Kernel);
-    b.push(Op::FxpAdd, Phase::Kernel);
-    b.push(Op::Incr, Phase::Kernel);
-    b.push(Op::Branch, Phase::Kernel);
-    b
-}
-
 /// Conv output `(f, oy, ox)`'s dot product: one bundled MAC loop over
-/// the filter's taps, sparse or dense. `read_x` reads input word `i`
-/// (the stateful backend adds its tag/parity verify).
+/// the filter's taps, sparse or dense, run against `site` (the layer's
+/// MAC loop). `read_x` reads input word `i` (the stateful backend adds
+/// its tag/parity verify).
 pub(crate) fn conv_acc(
     dev: &mut Device,
     l: &DeployedLayer,
-    iter: &OpBundle,
+    site: &mut Site,
     [f, oy, ox]: [u32; 3],
     mut read_x: impl FnMut(&mut Step<'_>, u32) -> Result<Q15, PowerFailure>,
 ) -> Result<Accum, PowerFailure> {
@@ -108,7 +81,7 @@ pub(crate) fn conv_acc(
             let start = dev.read(*row_ptr, f)?.raw() as u16 as u32;
             let end = dev.read(*row_ptr, f + 1)?.raw() as u16 as u32;
             dev.run_bundled(
-                iter,
+                site,
                 start..end,
                 #[inline(always)]
                 |s, t| {
@@ -128,7 +101,7 @@ pub(crate) fn conv_acc(
             let ntaps = nc * kh * kw;
             let (mut c, mut ky, mut kx) = (0, 0, 0);
             dev.run_bundled(
-                iter,
+                site,
                 0..ntaps,
                 #[inline(always)]
                 |s, t| {
@@ -153,11 +126,12 @@ pub(crate) fn conv_acc(
 }
 
 /// Dense output `o`'s dot product: one bundled MAC loop over the row's
-/// entries (sparse) or inputs (dense); `read_x` as in [`conv_acc`].
+/// entries (sparse) or inputs (dense); `site` and `read_x` as in
+/// [`conv_acc`].
 pub(crate) fn dense_acc(
     dev: &mut Device,
     l: &DeployedLayer,
-    iter: &OpBundle,
+    site: &mut Site,
     o: u32,
     mut read_x: impl FnMut(&mut Step<'_>, u32) -> Result<Q15, PowerFailure>,
 ) -> Result<Accum, PowerFailure> {
@@ -180,7 +154,7 @@ pub(crate) fn dense_acc(
             let start = dev.read(*row_ptr, o)?.raw() as u16 as u32;
             let end = dev.read(*row_ptr, o + 1)?.raw() as u16 as u32;
             dev.run_bundled(
-                iter,
+                site,
                 start..end,
                 #[inline(always)]
                 |s, t| {
@@ -193,7 +167,7 @@ pub(crate) fn dense_acc(
             )?;
         }
         None => dev.run_bundled(
-            iter,
+            site,
             0..in_n,
             #[inline(always)]
             |s, i| {
@@ -209,26 +183,19 @@ pub(crate) fn dense_acc(
 
 fn conv_layer(dev: &mut Device, m: &DeployedModel, l: &DeployedLayer) -> Result<(), PowerFailure> {
     let DeployedKind::Conv {
-        dims,
-        sparse,
-        bias,
-        shift,
-        ..
+        dims, bias, shift, ..
     } = &l.kind
     else {
         unreachable!("conv_layer on non-conv")
     };
     let [_, oh, ow] = l.out_shape;
     let (src, dst) = (m.buf(l.src), m.buf(l.dst));
-    let iter = match sparse {
-        Some(_) => sparse_mac_bundle(),
-        None => mac_bundle(),
-    };
+    let mut site = Site::default();
     for f in 0..dims[0] {
         let b = dev.read(*bias, f)?;
         for oy in 0..oh {
             for ox in 0..ow {
-                let acc = conv_acc(dev, l, &iter, [f, oy, ox], |s, i| s.read(src, i))?;
+                let acc = conv_acc(dev, l, &mut site, [f, oy, ox], |s, i| s.read(src, i))?;
                 charge_finish(&mut dev.step())?;
                 dev.write(dst, (f * oh + oy) * ow + ox, finish_acc(acc, *shift, b))?;
             }
@@ -239,56 +206,20 @@ fn conv_layer(dev: &mut Device, m: &DeployedModel, l: &DeployedLayer) -> Result<
 
 fn dense_layer(dev: &mut Device, m: &DeployedModel, l: &DeployedLayer) -> Result<(), PowerFailure> {
     let DeployedKind::Dense {
-        dims,
-        sparse,
-        bias,
-        shift,
-        ..
+        dims, bias, shift, ..
     } = &l.kind
     else {
         unreachable!("dense_layer on non-dense")
     };
     let (src, dst) = (m.buf(l.src), m.buf(l.dst));
-    let iter = match sparse {
-        Some(_) => fc_sparse_bundle(),
-        None => mac_bundle(),
-    };
+    let mut site = Site::default();
     for o in 0..dims[0] {
-        let acc = dense_acc(dev, l, &iter, o, |s, i| s.read(src, i))?;
+        let acc = dense_acc(dev, l, &mut site, o, |s, i| s.read(src, i))?;
         let b = dev.read(*bias, o)?;
         charge_finish(&mut dev.step())?;
         dev.write(dst, o, finish_acc(acc, *shift, b))?;
     }
     Ok(())
-}
-
-/// One sparse-FC (row-gather) MAC iteration: column read, weight read,
-/// address ALU, input read, multiply, add, incr, branch.
-fn fc_sparse_bundle() -> OpBundle {
-    let mut b = OpBundle::new();
-    b.push(Op::FramRead, Phase::Kernel); // column
-    b.push(Op::FramRead, Phase::Kernel); // weight
-    b.push(Op::Alu, Phase::Kernel);
-    b.push(Op::FramRead, Phase::Kernel); // input
-    b.push(Op::FxpMul, Phase::Kernel);
-    b.push(Op::FxpAdd, Phase::Kernel);
-    b.push(Op::Incr, Phase::Kernel);
-    b.push(Op::Branch, Phase::Kernel);
-    b
-}
-
-/// One max-pool output: the window scan plus the result write.
-fn pool_bundle(kh: u32, kw: u32) -> OpBundle {
-    let mut b = OpBundle::new();
-    for _ in 0..kh * kw {
-        b.push(Op::Alu, Phase::Kernel);
-        b.push(Op::FramRead, Phase::Kernel);
-        b.push(Op::Branch, Phase::Kernel);
-    }
-    b.push(Op::FramWrite, Phase::Kernel);
-    b.push(Op::Incr, Phase::Kernel);
-    b.push(Op::Branch, Phase::Kernel);
-    b
 }
 
 /// The max of output `o`'s pooling window: per window element the
@@ -324,14 +255,11 @@ pub(crate) fn pool_window(
 }
 
 fn pool_layer(dev: &mut Device, m: &DeployedModel, l: &DeployedLayer) -> Result<(), PowerFailure> {
-    let DeployedKind::Pool { kh, kw } = l.kind else {
-        unreachable!("pool_layer on non-pool")
-    };
     let [c, _, _] = l.in_shape;
     let [_, oh, ow] = l.out_shape;
     let (src, dst) = (m.buf(l.src), m.buf(l.dst));
     dev.run_bundled(
-        &pool_bundle(kh, kw),
+        &mut Site::default(),
         0..c * oh * ow,
         #[inline(always)]
         |s, o| {
@@ -343,22 +271,11 @@ fn pool_layer(dev: &mut Device, m: &DeployedModel, l: &DeployedLayer) -> Result<
     )
 }
 
-/// One in-place ReLU element.
-fn relu_bundle() -> OpBundle {
-    let mut b = OpBundle::new();
-    b.push(Op::FramRead, Phase::Kernel);
-    b.push(Op::Branch, Phase::Kernel);
-    b.push(Op::FramWrite, Phase::Kernel);
-    b.push(Op::Incr, Phase::Kernel);
-    b.push(Op::Branch, Phase::Kernel);
-    b
-}
-
 fn relu_layer(dev: &mut Device, m: &DeployedModel, l: &DeployedLayer) -> Result<(), PowerFailure> {
     let [c, h, w] = l.in_shape;
     let buf = m.buf(l.src);
     dev.run_bundled(
-        &relu_bundle(),
+        &mut Site::default(),
         0..c * h * w,
         #[inline(always)]
         |s, i| {

@@ -5,7 +5,7 @@ use crate::{baseline, sonic, stateful, tails, tiled};
 use dnn::quant::QModel;
 use fxp::Q15;
 use intermittent::alpaca::AlpacaRt;
-use intermittent::sched::{run, RunError, RunStats, SchedulerConfig};
+use intermittent::sched::{run_observed, FailureEvent, RunError, RunStats, SchedulerConfig};
 use mcu::{Device, DeviceSpec, FaultPlan, PowerSystem, TraceReport};
 
 pub use crate::tails::TailsConfig;
@@ -239,6 +239,19 @@ pub fn run_inference_faulted(
 /// reboots instead of device-lifetime cumulative totals (which silently
 /// double-counted for every run after the first).
 pub fn run_deployed(dev: &mut Device, dm: &DeployedModel, backend: &Backend) -> InferenceOutcome {
+    run_deployed_observed(dev, dm, backend, |_, _, _| {})
+}
+
+/// [`run_deployed`], calling `observe` on every power failure, between
+/// the brown-out and the reboot (see [`run_observed`]), with the run's
+/// Alpaca runtime when the backend has one. The crash-consistency spec
+/// checks every crash state through it.
+pub(crate) fn run_deployed_observed(
+    dev: &mut Device,
+    dm: &DeployedModel,
+    backend: &Backend,
+    mut observe: impl FnMut(&Device, Option<&AlpacaRt>, FailureEvent),
+) -> InferenceOutcome {
     dev.begin_epoch();
     dev.reset_corruption_stats();
     // Runtime construction allocates per-run working state (TAILS SRAM
@@ -247,36 +260,34 @@ pub fn run_deployed(dev: &mut Device, dm: &DeployedModel, backend: &Backend) -> 
     // instead of leaking the arenas.
     let alloc_marks = dev.alloc_watermarks();
     let result: Result<RunStats, RunError> = match backend {
-        Backend::Baseline => {
-            let mut g = baseline::build(dm);
-            run(&mut g, &mut (), dev, 0, &SchedulerConfig::from_entry())
-        }
         Backend::Tiled(n) => {
             let mut rt = AlpacaRt::new(dev).expect("FRAM for commit flag");
             let mut g = tiled::build(dm, *n);
-            run(&mut g, &mut rt, dev, 0, &SchedulerConfig::task_based())
+            let cfg = SchedulerConfig::task_based();
+            run_observed(&mut g, &mut rt, dev, 0, &cfg, |dev, rt, ev| {
+                observe(dev, Some(rt), ev);
+            })
         }
-        Backend::Sonic => {
-            let mut g = sonic::build(dm);
-            run(&mut g, &mut (), dev, 0, &SchedulerConfig::task_based())
-        }
-        Backend::SonicNoUndo => {
-            let mut g = sonic::build_opts(
-                dm,
-                sonic::SonicOptions {
-                    sparse_undo_logging: false,
-                },
-            );
-            run(&mut g, &mut (), dev, 0, &SchedulerConfig::task_based())
-        }
-        Backend::Tails(cfg) => {
-            let mut g = tails::build(dm, *cfg, dev);
-            run(&mut g, &mut (), dev, 0, &SchedulerConfig::task_based())
-        }
-        Backend::Stateful => {
-            stateful::prepare_run(dev, dm);
-            let mut g = stateful::build(dm);
-            run(&mut g, &mut (), dev, 0, &SchedulerConfig::task_based())
+        _ => {
+            let mut g = match backend {
+                Backend::Baseline => baseline::build(dm),
+                Backend::Sonic => sonic::build(dm, true),
+                Backend::SonicNoUndo => sonic::build(dm, false),
+                Backend::Tails(cfg) => tails::build(dm, *cfg, dev),
+                Backend::Stateful => {
+                    stateful::prepare_run(dev, dm);
+                    stateful::build(dm)
+                }
+                Backend::Tiled(_) => unreachable!("handled above"),
+            };
+            let cfg = if *backend == Backend::Baseline {
+                SchedulerConfig::from_entry()
+            } else {
+                SchedulerConfig::task_based()
+            };
+            run_observed(&mut g, &mut (), dev, 0, &cfg, |dev, _, ev| {
+                observe(dev, None, ev);
+            })
         }
     };
     dev.rewind_allocs(alloc_marks);

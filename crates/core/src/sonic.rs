@@ -32,12 +32,15 @@
 //!
 //! # Bundled accounting
 //!
-//! Every inner loop is one body run by [`Device::run_bundled`] against
-//! its [`mcu::OpBundle`]: whole iterations the buffer funds run uncharged
-//! with the loop-continuation store and progress beacons landed once per
-//! funded run, and the first unfunded iteration runs the same body op by
-//! op, so a brown-out lands on exactly the same op with exactly the same
-//! partial memory effects as an all-scalar execution. The iterations a
+//! Every inner loop is one body run by [`Device::run_bundled`] against a
+//! [`Site`] per loop variant (a first or later tap pass, a finishing pass
+//! with or without a partial plane), captured by the layer's task
+//! closure, so each op bundle is recorded from the body once per graph
+//! build. Whole iterations the buffer funds run uncharged with the
+//! loop-continuation store and progress beacons landed once per funded
+//! run, and the first unfunded iteration runs the same body op by op, so
+//! a brown-out lands on exactly the same op with exactly the same partial
+//! memory effects as an all-scalar execution. The iterations a
 //! loop runs outside any bundle (a sparse layer's column advance, the
 //! loop-ordered ablation's entry hits) call the same helpers through
 //! [`Device::step`]. The root `bundles` test suite pins bit-identical
@@ -49,7 +52,7 @@ use crate::deploy::{DeployedKind, DeployedLayer, DeployedModel, UNDO_EMPTY};
 use dnn::quant::finish_acc;
 use fxp::{Accum, Q15};
 use intermittent::task::{TaskGraph, Transition};
-use mcu::{Device, FramBuf, FramWord, Op, OpBundle, Phase, PowerFailure, Step};
+use mcu::{Device, FramBuf, FramWord, Op, Phase, PowerFailure, Site, Step};
 
 /// Reads a control word under the ECC integrity guard, charging exactly
 /// like a plain [`Device::load_word`] when the check bits pass. A read
@@ -104,17 +107,9 @@ fn store_ctl(
 }
 
 /// The per-iteration loop-continuation epilogue shared by every SONIC
-/// and TAILS loop: the control-phase index write plus increment and
-/// back-branch.
-pub(crate) fn push_continuation(b: &mut OpBundle) {
-    b.push(Op::FramWrite, Phase::Control);
-    b.push(Op::Incr, Phase::Kernel);
-    b.push(Op::Branch, Phase::Kernel);
-}
-
-/// The body of [`push_continuation`]: checkpoints the next loop index
-/// `next` in `ctl`, increments and branches; the iteration's progress is
-/// then durable.
+/// and TAILS loop: checkpoints the next loop index `next` in `ctl` (the
+/// control-phase index write), increments and branches; the iteration's
+/// progress is then durable.
 #[inline(always)]
 pub(crate) fn continue_at(s: &mut Step<'_>, ctl: FramWord, next: u16) -> Result<(), PowerFailure> {
     s.checkpoint(ctl, next)?;
@@ -122,182 +117,6 @@ pub(crate) fn continue_at(s: &mut Step<'_>, ctl: FramWord, next: u16) -> Result<
     s.op(Op::Branch)?;
     s.progress();
     Ok(())
-}
-
-// ----- precomputed iteration bundles --------------------------------
-//
-// Bundles depend only on layer geometry and loop variant, so they are
-// built once at graph-build time and captured by the task closures —
-// task entries (SONIC enters a task once per filter element) reuse them
-// instead of reallocating.
-
-/// One loop-ordered MAC iteration (conv tap pass and dense input pass
-/// share the exact op sequence): address ALU, operand read, multiply,
-/// previous-partial add+read on non-first passes, partial write,
-/// loop continuation.
-fn mac_iter_bundle(first: bool) -> OpBundle {
-    let mut b = OpBundle::new();
-    b.push(Op::Alu, Phase::Kernel);
-    b.push(Op::FramRead, Phase::Kernel);
-    b.push(Op::FxpMul, Phase::Kernel);
-    if !first {
-        b.push(Op::FxpAdd, Phase::Kernel);
-        b.push(Op::FramRead, Phase::Kernel);
-    }
-    b.push(Op::FramWrite, Phase::Kernel);
-    push_continuation(&mut b);
-    b
-}
-
-/// One finishing-pass iteration: optional partial read, optional
-/// per-element bias read, shift+bias arithmetic, output write,
-/// loop continuation.
-pub(crate) fn finish_bundle(with_partial: bool, with_bias: bool) -> OpBundle {
-    let mut b = OpBundle::new();
-    if with_partial {
-        b.push(Op::FramRead, Phase::Kernel);
-    }
-    if with_bias {
-        b.push(Op::FramRead, Phase::Kernel);
-    }
-    b.push(Op::Alu, Phase::Kernel); // charge_finish: shift
-    b.push(Op::FxpAdd, Phase::Kernel); // charge_finish: bias add
-    b.push(Op::FramWrite, Phase::Kernel);
-    push_continuation(&mut b);
-    b
-}
-
-/// One max-pool output: window scan plus result write.
-pub(crate) fn pool_iter_bundle(kh: u32, kw: u32) -> OpBundle {
-    let mut b = OpBundle::new();
-    for _ in 0..kh * kw {
-        b.push(Op::Alu, Phase::Kernel);
-        b.push(Op::FramRead, Phase::Kernel);
-        b.push(Op::Branch, Phase::Kernel);
-    }
-    b.push(Op::FramWrite, Phase::Kernel);
-    push_continuation(&mut b);
-    b
-}
-
-/// One in-place ReLU element.
-pub(crate) fn relu_iter_bundle() -> OpBundle {
-    let mut b = OpBundle::new();
-    b.push(Op::FramRead, Phase::Kernel);
-    b.push(Op::Branch, Phase::Kernel);
-    b.push(Op::FramWrite, Phase::Kernel);
-    push_continuation(&mut b);
-    b
-}
-
-/// Conv-layer task bundles.
-#[derive(Clone)]
-struct ConvBundles {
-    tap_first: OpBundle,
-    tap_rest: OpBundle,
-    finish: OpBundle,
-    finish_zero: OpBundle,
-}
-
-impl ConvBundles {
-    fn new() -> Self {
-        ConvBundles {
-            tap_first: mac_iter_bundle(true),
-            tap_rest: mac_iter_bundle(false),
-            finish: finish_bundle(true, false),
-            finish_zero: finish_bundle(false, false),
-        }
-    }
-}
-
-/// Dense-layer task bundles.
-#[derive(Clone)]
-struct DenseBundles {
-    first: OpBundle,
-    rest: OpBundle,
-    finish: OpBundle,
-}
-
-impl DenseBundles {
-    fn new() -> Self {
-        DenseBundles {
-            first: mac_iter_bundle(true),
-            rest: mac_iter_bundle(false),
-            finish: finish_bundle(true, true),
-        }
-    }
-}
-
-/// Sparse-FC (undo-logging) task bundles.
-#[derive(Clone)]
-pub(crate) struct SparseBundles {
-    zero: OpBundle,
-    accum: OpBundle,
-    finish: OpBundle,
-}
-
-impl SparseBundles {
-    pub(crate) fn new() -> Self {
-        let mut zero = OpBundle::new();
-        zero.push(Op::FramWrite, Phase::Kernel);
-        push_continuation(&mut zero);
-        // One in-column scatter iteration: loop branch, column check
-        // read, entry (row, weight) reads, partial read, the two undo
-        // writes, the MAC, the in-place write, and loop continuation.
-        let mut accum = OpBundle::new();
-        accum.push(Op::Branch, Phase::Kernel);
-        accum.push(Op::FramRead, Phase::Kernel); // column check
-        accum.push(Op::FramRead, Phase::Kernel); // entry row
-        accum.push(Op::FramRead, Phase::Kernel); // entry weight
-        accum.push(Op::FramRead, Phase::Kernel); // current partial
-        accum.push(Op::FramWrite, Phase::Kernel); // undo value
-        accum.push(Op::FramWrite, Phase::Kernel); // undo tag
-        accum.push(Op::FxpMul, Phase::Kernel);
-        accum.push(Op::FxpAdd, Phase::Kernel);
-        accum.push(Op::FramWrite, Phase::Kernel); // in-place update
-        push_continuation(&mut accum);
-        SparseBundles {
-            zero,
-            accum,
-            finish: finish_bundle(true, true),
-        }
-    }
-}
-
-/// Loop-ordered sparse ablation bundles: pass-through rows with/without
-/// a pending entry to check, first/later input columns, plus the finish.
-#[derive(Clone)]
-struct LoopOrderedBundles {
-    pass_first: OpBundle,
-    pass_rest: OpBundle,
-    drain_first: OpBundle,
-    drain_rest: OpBundle,
-    finish: OpBundle,
-}
-
-impl LoopOrderedBundles {
-    fn new() -> Self {
-        let pass = |first: bool, has_entries: bool| {
-            let mut b = OpBundle::new();
-            if !first {
-                b.push(Op::FramRead, Phase::Kernel); // previous partial
-            }
-            b.push(Op::Branch, Phase::Kernel);
-            if has_entries {
-                b.push(Op::FramRead, Phase::Kernel); // entry row (hit check)
-            }
-            b.push(Op::FramWrite, Phase::Kernel);
-            push_continuation(&mut b);
-            b
-        };
-        LoopOrderedBundles {
-            pass_first: pass(true, true),
-            pass_rest: pass(false, true),
-            drain_first: pass(true, false),
-            drain_rest: pass(false, false),
-            finish: finish_bundle(true, true),
-        }
-    }
 }
 
 /// Tap metadata resolved once per task entry (held in registers).
@@ -362,7 +181,7 @@ fn conv_ntaps(
 pub(crate) fn finish_pass(
     dev: &mut Device,
     l: &DeployedLayer,
-    iter: &OpBundle,
+    site: &mut Site,
     ctl: FramWord,
     partial_src: Option<FramBuf>,
     per_elem_bias: Option<FramBuf>,
@@ -376,7 +195,7 @@ pub(crate) fn finish_pass(
 ) -> Result<(), PowerFailure> {
     dev.set_context(l.region, Phase::Kernel);
     dev.run_bundled(
-        iter,
+        site,
         j..total,
         #[inline(always)]
         |s, t| {
@@ -420,13 +239,15 @@ fn accumulate(
 
 /// The convolution layer task (Listing 1's `Task_Convolve` +
 /// `Task_Next_Filter` + the per-filter finishing pass, fused into one
-/// self-transitioning task).
+/// self-transitioning task). Sites: the first and later tap passes, and
+/// the finishing pass from a partial plane or (a fully pruned filter)
+/// from zero.
 #[allow(clippy::too_many_lines)]
 fn conv_task(
     dev: &mut Device,
     m: &DeployedModel,
     l: &DeployedLayer,
-    bundles: &ConvBundles,
+    [tap_first, tap_rest, finish, finish_zero]: &mut [Site; 4],
     self_id: usize,
     next: Transition,
 ) -> Result<Transition, PowerFailure> {
@@ -475,15 +296,15 @@ fn conv_task(
             })
         };
         let j = load_ctl(dev, l.idx, l.region)? as u32;
-        let iter = if src_plane.is_some() {
-            &bundles.finish
+        let site = if src_plane.is_some() {
+            finish
         } else {
-            &bundles.finish_zero
+            finish_zero
         };
         finish_pass(
             dev,
             l,
-            iter,
+            site,
             l.idx,
             src_plane,
             None,
@@ -513,11 +334,7 @@ fn conv_task(
     } else {
         (m.plane_b, m.plane_a)
     };
-    let iter = if pos == 0 {
-        &bundles.tap_first
-    } else {
-        &bundles.tap_rest
-    };
+    let site = if pos == 0 { tap_first } else { tap_rest };
 
     let i = load_ctl(dev, l.idx, l.region)? as u32;
     dev.set_context(l.region, Phase::Kernel);
@@ -528,7 +345,7 @@ fn conv_task(
     let mut row_base = (tap.c * h + i / ow + tap.ky) * w_in + tap.kx;
     let inter = (pos != 0).then_some(inter);
     dev.run_bundled(
-        iter,
+        site,
         i..plane,
         #[inline(always)]
         |s, t| {
@@ -551,12 +368,13 @@ fn conv_task(
 }
 
 /// Dense fully-connected layers use the same loop-ordered buffering with
-/// the input elements as "filter elements".
+/// the input elements as "filter elements". Sites: the first and later
+/// input passes, and the finishing pass.
 fn dense_task(
     dev: &mut Device,
     m: &DeployedModel,
     l: &DeployedLayer,
-    bundles: &DenseBundles,
+    [first, rest, finish]: &mut [Site; 3],
     self_id: usize,
     next: Transition,
 ) -> Result<Transition, PowerFailure> {
@@ -587,7 +405,7 @@ fn dense_task(
         finish_pass(
             dev,
             l,
-            &bundles.finish,
+            finish,
             l.idx,
             Some(from),
             Some(*bias),
@@ -612,17 +430,13 @@ fn dense_task(
     } else {
         (m.plane_b, m.plane_a)
     };
-    let iter = if j == 0 {
-        &bundles.first
-    } else {
-        &bundles.rest
-    };
+    let site = if j == 0 { first } else { rest };
 
     let o = load_ctl(dev, l.idx, l.region)? as u32;
     dev.set_context(l.region, Phase::Kernel);
     let inter = (j != 0).then_some(inter);
     dev.run_bundled(
-        iter,
+        site,
         o..out_n,
         #[inline(always)]
         |s, t| {
@@ -707,13 +521,14 @@ fn scatter(
 }
 
 /// Sparse fully-connected layers: in-place scatter accumulation protected
-/// by sparse undo-logging (§6.2.2).
+/// by sparse undo-logging (§6.2.2). Sites: the zero pass, the in-column
+/// scatter runs, and the finishing pass.
 #[allow(clippy::too_many_lines)]
 pub(crate) fn sparse_dense_task(
     dev: &mut Device,
     m: &DeployedModel,
     l: &DeployedLayer,
-    bundles: &SparseBundles,
+    [zero, accum, finish]: &mut [Site; 3],
     self_id: usize,
     next: Transition,
 ) -> Result<Transition, PowerFailure> {
@@ -748,7 +563,7 @@ pub(crate) fn sparse_dense_task(
             // Zero the accumulation plane (idempotent writes of zero).
             dev.set_context(l.region, Phase::Kernel);
             dev.run_bundled(
-                &bundles.zero,
+                zero,
                 idx..out_n,
                 #[inline(always)]
                 |s, t| {
@@ -798,7 +613,7 @@ pub(crate) fn sparse_dense_task(
                 let col_end = (dev.peek_at(col_ptr.addr(j + 1)).raw() as u16 as u32).min(nnz);
                 if col_end > k {
                     dev.run_bundled(
-                        &bundles.accum,
+                        accum,
                         k..col_end,
                         #[inline(always)]
                         |s, t| {
@@ -834,7 +649,7 @@ pub(crate) fn sparse_dense_task(
             finish_pass(
                 dev,
                 l,
-                &bundles.finish,
+                finish,
                 l.idx,
                 Some(acc_plane),
                 Some(*bias),
@@ -896,13 +711,15 @@ impl ColumnPass {
 /// column pass copies the *entire* partial output plane between the
 /// scratch buffers — "most of its time and energy copying unmodified
 /// activations between buffers" — which is exactly the waste sparse
-/// undo-logging exists to eliminate. Kept as an ablation.
+/// undo-logging exists to eliminate. Kept as an ablation. Sites: the
+/// pass-through rows of the first and later columns, each with entries
+/// left to check or drained, and the finishing pass.
 #[allow(clippy::too_many_lines)]
 fn sparse_dense_loop_ordered_task(
     dev: &mut Device,
     m: &DeployedModel,
     l: &DeployedLayer,
-    bundles: &LoopOrderedBundles,
+    [pass_first, pass_rest, drain_first, drain_rest, finish]: &mut [Site; 5],
     self_id: usize,
     next: Transition,
 ) -> Result<Transition, PowerFailure> {
@@ -934,7 +751,7 @@ fn sparse_dense_loop_ordered_task(
         finish_pass(
             dev,
             l,
-            &bundles.finish,
+            finish,
             l.idx,
             Some(from),
             Some(*bias),
@@ -978,10 +795,10 @@ fn sparse_dense_loop_ordered_task(
     // Pass-through iterations (no entry hits this row). Two variants:
     // while entries remain, each iteration reads the next entry's row for
     // the hit check; after the last entry, it does not.
-    let (pass_iter, drain_iter) = if j == 0 {
-        (&bundles.pass_first, &bundles.drain_first)
+    let (pass_site, drain_site) = if j == 0 {
+        (pass_first, drain_first)
     } else {
-        (&bundles.pass_rest, &bundles.drain_rest)
+        (pass_rest, drain_rest)
     };
 
     let pass = ColumnPass {
@@ -996,15 +813,15 @@ fn sparse_dense_loop_ordered_task(
     dev.set_context(l.region, Phase::Kernel);
     while o < out_n {
         // Rows up to the next entry hit (or the end) are pass-throughs.
-        let (iter, run_end) = if k < end {
+        let (site, run_end) = if k < end {
             let row = dev.peek_at(entries.addr(2 * k)).raw() as u16 as u32;
-            (pass_iter, row.min(out_n))
+            (&mut *pass_site, row.min(out_n))
         } else {
-            (drain_iter, out_n)
+            (&mut *drain_site, out_n)
         };
         if run_end > o {
             dev.run_bundled(
-                iter,
+                site,
                 o..run_end,
                 #[inline(always)]
                 |s, t| pass.row(s, &mut k, t),
@@ -1026,7 +843,7 @@ pub(crate) fn pool_task(
     dev: &mut Device,
     m: &DeployedModel,
     l: &DeployedLayer,
-    iter: &OpBundle,
+    site: &mut Site,
     next: Transition,
 ) -> Result<Transition, PowerFailure> {
     let from = load_ctl(dev, l.idx, l.region)? as u32;
@@ -1035,7 +852,7 @@ pub(crate) fn pool_task(
     let [_, oh, ow] = l.out_shape;
     let (src, dst) = (m.buf(l.src), m.buf(l.dst));
     dev.run_bundled(
-        iter,
+        site,
         from..c * oh * ow,
         #[inline(always)]
         |s, o| {
@@ -1054,7 +871,7 @@ pub(crate) fn relu_task(
     dev: &mut Device,
     m: &DeployedModel,
     l: &DeployedLayer,
-    iter: &OpBundle,
+    site: &mut Site,
     next: Transition,
 ) -> Result<Transition, PowerFailure> {
     let [c, h, w] = l.in_shape;
@@ -1063,7 +880,7 @@ pub(crate) fn relu_task(
     let i = load_ctl(dev, l.idx, l.region)? as u32;
     dev.set_context(l.region, Phase::Kernel);
     dev.run_bundled(
-        iter,
+        site,
         i..total,
         #[inline(always)]
         |s, t| {
@@ -1077,30 +894,12 @@ pub(crate) fn relu_task(
     Ok(next)
 }
 
-/// SONIC build options (ablations).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SonicOptions {
-    /// Use sparse undo-logging for sparse FC layers (the paper's design);
-    /// `false` falls back to plain loop-ordered buffering, which wastes
-    /// energy copying unmodified activations (§6.2.2's argument).
-    pub sparse_undo_logging: bool,
-}
-
-impl Default for SonicOptions {
-    fn default() -> Self {
-        SonicOptions {
-            sparse_undo_logging: true,
-        }
-    }
-}
-
-/// Builds the SONIC task graph: one self-transitioning task per layer.
-pub fn build(m: &DeployedModel) -> TaskGraph<()> {
-    build_opts(m, SonicOptions::default())
-}
-
-/// Builds the SONIC task graph with explicit options.
-pub fn build_opts(m: &DeployedModel, opts: SonicOptions) -> TaskGraph<()> {
+/// Builds the SONIC task graph: one self-transitioning task per layer,
+/// each capturing its loops' [`Site`]s. `undo_log` picks the sparse-FC
+/// task: sparse undo-logging (the paper's design), or — the §6.2.2
+/// ablation, [`crate::exec::Backend::SonicNoUndo`] — plain loop-ordered
+/// buffering, which wastes energy copying unmodified activations.
+pub fn build(m: &DeployedModel, undo_log: bool) -> TaskGraph<()> {
     let mut g: TaskGraph<()> = TaskGraph::new();
     let n = m.layers.len();
     for (li, l) in m.layers.iter().enumerate() {
@@ -1111,56 +910,51 @@ pub fn build_opts(m: &DeployedModel, opts: SonicOptions) -> TaskGraph<()> {
             Transition::Done
         };
         let name = format!("sonic-{}", layer_name(l));
-        // Iteration bundles are precomputed here and captured: every task
-        // entry reuses them instead of rebuilding.
+        let m = m.clone();
+        // Each task captures its own sites, so every loop variant records
+        // its bundle once per graph build.
         match &l.kind {
             DeployedKind::Conv { .. } => {
-                let m = m.clone();
-                let bundles = ConvBundles::new();
+                let mut sites = Default::default();
                 g.add(&name, move |dev, _| {
-                    conv_task(dev, &m, &m.layers[li], &bundles, self_id, next)
+                    conv_task(dev, &m, &m.layers[li], &mut sites, self_id, next)
+                });
+            }
+            DeployedKind::Dense { sparse, .. } if sparse.is_some() && undo_log => {
+                let mut sites = Default::default();
+                g.add(&name, move |dev, _| {
+                    sparse_dense_task(dev, &m, &m.layers[li], &mut sites, self_id, next)
                 });
             }
             DeployedKind::Dense { sparse, .. } if sparse.is_some() => {
-                let m = m.clone();
-                if opts.sparse_undo_logging {
-                    let bundles = SparseBundles::new();
-                    g.add(&name, move |dev, _| {
-                        sparse_dense_task(dev, &m, &m.layers[li], &bundles, self_id, next)
-                    });
-                } else {
-                    let bundles = LoopOrderedBundles::new();
-                    g.add(&name, move |dev, _| {
-                        sparse_dense_loop_ordered_task(
-                            dev,
-                            &m,
-                            &m.layers[li],
-                            &bundles,
-                            self_id,
-                            next,
-                        )
-                    });
-                }
-            }
-            DeployedKind::Dense { .. } => {
-                let m = m.clone();
-                let bundles = DenseBundles::new();
+                let mut sites = Default::default();
                 g.add(&name, move |dev, _| {
-                    dense_task(dev, &m, &m.layers[li], &bundles, self_id, next)
+                    sparse_dense_loop_ordered_task(
+                        dev,
+                        &m,
+                        &m.layers[li],
+                        &mut sites,
+                        self_id,
+                        next,
+                    )
                 });
             }
-            DeployedKind::Pool { kh, kw } => {
-                let m = m.clone();
-                let iter = pool_iter_bundle(*kh, *kw);
+            DeployedKind::Dense { .. } => {
+                let mut sites = Default::default();
                 g.add(&name, move |dev, _| {
-                    pool_task(dev, &m, &m.layers[li], &iter, next)
+                    dense_task(dev, &m, &m.layers[li], &mut sites, self_id, next)
+                });
+            }
+            DeployedKind::Pool { .. } => {
+                let mut site = Site::default();
+                g.add(&name, move |dev, _| {
+                    pool_task(dev, &m, &m.layers[li], &mut site, next)
                 });
             }
             DeployedKind::Relu => {
-                let m = m.clone();
-                let iter = relu_iter_bundle();
+                let mut site = Site::default();
                 g.add(&name, move |dev, _| {
-                    relu_task(dev, &m, &m.layers[li], &iter, next)
+                    relu_task(dev, &m, &m.layers[li], &mut site, next)
                 });
             }
             DeployedKind::Flatten => {

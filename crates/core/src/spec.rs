@@ -40,11 +40,9 @@ use crate::deploy::{
 use crate::exec::Backend;
 use crate::fleet::par_map;
 use crate::tails::{CALIB_INITIAL, CALIB_MIN};
-use crate::{baseline, sonic, tails, tiled};
 use dnn::quant::QModel;
 use fxp::Q15;
 use intermittent::alpaca::AlpacaRt;
-use intermittent::sched::{run_observed, FailureEvent, RunStats, SchedulerConfig};
 use mcu::{
     Device, DeviceSpec, FaultKind, FaultPlan, FramWord, NvAddr, Phase, PowerSystem, RegionId,
 };
@@ -747,6 +745,13 @@ fn reference_on(mut dev: Device, dm: &DeployedModel, backend: &Backend) -> (Vec<
     (out.output, dev.ops_consumed() - base)
 }
 
+/// Where a tiled run on `dev` keeps its Alpaca commit flag: the next word
+/// the runtime allocates after deploy (the FRAM layout is a
+/// deterministic bump allocation).
+fn commit_flag_addr(dev: &Device) -> NvAddr {
+    NvAddr::word(dev.alloc_watermarks().0)
+}
+
 /// Checks one fault schedule differentially: runs the inference with
 /// brown-outs forced at `targets` (inference-relative charged-op
 /// indices), applies the abstraction function at every crash, and
@@ -796,84 +801,40 @@ fn check_schedule_on(
         }
     };
 
-    let result: Result<RunStats, _> = match backend {
-        Backend::Tiled(n) => {
-            let mut rt = AlpacaRt::new(&mut dev).expect("FRAM for commit flag");
-            let mut g = tiled::build(dm, *n);
-            let r = run_observed(
-                &mut g,
-                &mut rt,
-                &mut dev,
-                0,
-                &SchedulerConfig::task_based(),
-                |dev, rt: &AlpacaRt, ev: FailureEvent| {
-                    crashes += 1;
-                    if let Err((region, d)) = abs_model_styled(dev, dm, style) {
-                        violations.push(crash_violation(dev, d, Some(region)));
-                    }
-                    match abs_commit(dev, rt) {
-                        Err(d) => violations.push(crash_violation(dev, d, None)),
-                        Ok(CommitAbs::Idle) if ev.mid_commit && rt.log_len() > 0 => {
-                            violations.push(crash_violation(
-                                dev,
-                                "mid-commit crash with a live log but the machine is Idle"
-                                    .to_string(),
-                                None,
-                            ));
-                        }
-                        Ok(_) => {}
-                    }
-                },
-            );
-            // The commit flag must be lowered at rest; the one exception
-            // is a fault swallowed on the final flag-lower write itself,
-            // which leaves the device off with every home already
-            // written.
-            let flag = dev.peek_word(rt.commit_flag_word());
-            if flag != 0 && dev.is_on() {
+    let flag = matches!(backend, Backend::Tiled(_)).then(|| commit_flag_addr(&dev));
+    let out = crate::exec::run_deployed_observed(&mut dev, dm, backend, |dev, rt, ev| {
+        crashes += 1;
+        if let Err((region, d)) = abs_model_styled(dev, dm, style) {
+            violations.push(crash_violation(dev, d, Some(region)));
+        }
+        let Some(rt) = rt else { return };
+        match abs_commit(dev, rt) {
+            Err(d) => violations.push(crash_violation(dev, d, None)),
+            Ok(CommitAbs::Idle) if ev.mid_commit && rt.log_len() > 0 => {
                 violations.push(crash_violation(
-                    &dev,
-                    format!("commit flag still {flag} after the run settled"),
+                    dev,
+                    "mid-commit crash with a live log but the machine is Idle".to_string(),
                     None,
                 ));
             }
-            r
+            Ok(_) => {}
         }
-        _ => {
-            let mut g = match backend {
-                Backend::Baseline => baseline::build(dm),
-                Backend::Sonic => sonic::build(dm),
-                Backend::SonicNoUndo => sonic::build_opts(
-                    dm,
-                    sonic::SonicOptions {
-                        sparse_undo_logging: false,
-                    },
-                ),
-                Backend::Tails(cfg) => tails::build(dm, *cfg, &mut dev),
-                Backend::Stateful => {
-                    // Host-side, free: the armed fault op-indices are
-                    // unaffected, matching `run_deployed`'s sequencing.
-                    crate::stateful::prepare_run(&mut dev, dm);
-                    crate::stateful::build(dm)
-                }
-                Backend::Tiled(_) => unreachable!("handled above"),
-            };
-            let cfg = if matches!(backend, Backend::Baseline) {
-                SchedulerConfig::from_entry()
-            } else {
-                SchedulerConfig::task_based()
-            };
-            run_observed(&mut g, &mut (), &mut dev, 0, &cfg, |dev, _, _| {
-                crashes += 1;
-                if let Err((region, d)) = abs_model_styled(dev, dm, style) {
-                    violations.push(crash_violation(dev, d, Some(region)));
-                }
-            })
+    });
+    // The commit flag must be lowered at rest; the one exception is a
+    // fault swallowed on the final flag-lower write itself, which leaves
+    // the device off with every home already written.
+    if let Some(flag) = flag {
+        let v = dev.peek_at(flag).raw() as u16;
+        if v != 0 && dev.is_on() {
+            violations.push(crash_violation(
+                &dev,
+                format!("commit flag still {v} after the run settled"),
+                None,
+            ));
         }
-    };
-
-    match result {
-        Ok(_) => {
+    }
+    match out.failure {
+        None => {
             // A run that settles with the supply dead absorbed a final
             // brown-out the scheduler never saw (the swallowed
             // flag-lower store at the last transition): count it, since
@@ -881,12 +842,9 @@ fn check_schedule_on(
             if !dev.is_on() && dev.last_brownout().is_some() {
                 crashes += 1;
             }
-            let out = match backend {
-                Backend::Stateful => crate::stateful::cleared_output(&dev, dm),
-                _ => dm.read_output(&dev),
-            };
-            if out != expected {
+            if out.output != expected {
                 let first = out
+                    .output
                     .iter()
                     .zip(expected)
                     .position(|(a, b)| a != b)
@@ -901,9 +859,9 @@ fn check_schedule_on(
                 ));
             }
         }
-        Err(e) => violations.push(crash_violation(
+        Some(f) => violations.push(crash_violation(
             &dev,
-            format!("did not recover to completion: {e}"),
+            format!("did not recover to completion: {}", f.error),
             None,
         )),
     }
@@ -1224,14 +1182,7 @@ pub fn check_corruption(
         .map(|(name, w)| (name, w.addr()))
         .collect();
     if matches!(backend, Backend::Tiled(_)) {
-        // The Alpaca commit flag is the next word the runtime allocates
-        // after deploy (the FRAM layout is a deterministic bump
-        // allocation); probe it on a clone so the template stays pristine.
-        let flag = tmpl
-            .clone()
-            .fram_alloc_word()
-            .expect("FRAM for commit flag");
-        words.push(("commit_flag".to_string(), flag.addr()));
+        words.push(("commit_flag".to_string(), commit_flag_addr(&tmpl)));
     }
     flip_sweep(&tmpl, &dm, backend, &words, 1, points)
 }

@@ -71,7 +71,7 @@ use crate::deploy::{DeployedKind, DeployedLayer, DeployedModel, IoBuf};
 use dnn::quant::finish_acc;
 use fxp::Q15;
 use intermittent::task::{TaskGraph, Transition};
-use mcu::{AllocError, Device, FramBuf, Op, OpBundle, Phase, PowerFailure, RegionId, Step};
+use mcu::{AllocError, Device, FramBuf, Op, Phase, PowerFailure, RegionId, Site, Step};
 
 /// Bits of an embedded word holding the (truncated) activation value.
 pub const VALUE_MASK: u16 = 0xFFE0;
@@ -258,92 +258,6 @@ fn verified_read(
     }
 }
 
-/// One dense MAC iteration with the activation verify:
-/// weight read, address ALU, input read, verify ALU, mul, add, incr, branch.
-fn mac_bundle() -> OpBundle {
-    let mut b = OpBundle::new();
-    b.push(Op::FramRead, Phase::Kernel);
-    b.push(Op::Alu, Phase::Kernel);
-    b.push(Op::FramRead, Phase::Kernel);
-    b.push(Op::Alu, Phase::Kernel); // tag/parity verify
-    b.push(Op::FxpMul, Phase::Kernel);
-    b.push(Op::FxpAdd, Phase::Kernel);
-    b.push(Op::Incr, Phase::Kernel);
-    b.push(Op::Branch, Phase::Kernel);
-    b
-}
-
-/// One sparse-conv tap with the verify: offset read + unpack precede.
-fn sparse_mac_bundle() -> OpBundle {
-    let mut b = OpBundle::new();
-    b.push(Op::FramRead, Phase::Kernel); // packed offset
-    b.push(Op::Alu, Phase::Kernel); // unpack
-    b.push(Op::FramRead, Phase::Kernel); // weight
-    b.push(Op::Alu, Phase::Kernel); // address
-    b.push(Op::FramRead, Phase::Kernel); // input
-    b.push(Op::Alu, Phase::Kernel); // tag/parity verify
-    b.push(Op::FxpMul, Phase::Kernel);
-    b.push(Op::FxpAdd, Phase::Kernel);
-    b.push(Op::Incr, Phase::Kernel);
-    b.push(Op::Branch, Phase::Kernel);
-    b
-}
-
-/// One sparse-FC tap with the verify: column, weight, address, input,
-/// verify, mul, add, incr, branch.
-fn fc_sparse_bundle() -> OpBundle {
-    let mut b = OpBundle::new();
-    b.push(Op::FramRead, Phase::Kernel); // column
-    b.push(Op::FramRead, Phase::Kernel); // weight
-    b.push(Op::Alu, Phase::Kernel);
-    b.push(Op::FramRead, Phase::Kernel); // input
-    b.push(Op::Alu, Phase::Kernel); // tag/parity verify
-    b.push(Op::FxpMul, Phase::Kernel);
-    b.push(Op::FxpAdd, Phase::Kernel);
-    b.push(Op::Incr, Phase::Kernel);
-    b.push(Op::Branch, Phase::Kernel);
-    b
-}
-
-/// One max-pool output: window scan (each read verified) + embed + write.
-fn pool_bundle(kh: u32, kw: u32) -> OpBundle {
-    let mut b = OpBundle::new();
-    for _ in 0..kh * kw {
-        b.push(Op::Alu, Phase::Kernel);
-        b.push(Op::FramRead, Phase::Kernel);
-        b.push(Op::Alu, Phase::Kernel); // tag/parity verify
-        b.push(Op::Branch, Phase::Kernel);
-    }
-    b.push(Op::Alu, Phase::Kernel); // embed pack
-    b.push(Op::FramWrite, Phase::Kernel);
-    b.push(Op::Incr, Phase::Kernel);
-    b.push(Op::Branch, Phase::Kernel);
-    b
-}
-
-/// One in-place ReLU element: read, verify, clamp-branch, embed, write.
-fn relu_bundle() -> OpBundle {
-    let mut b = OpBundle::new();
-    b.push(Op::FramRead, Phase::Kernel);
-    b.push(Op::Alu, Phase::Kernel); // tag/parity verify
-    b.push(Op::Branch, Phase::Kernel);
-    b.push(Op::Alu, Phase::Kernel); // embed pack
-    b.push(Op::FramWrite, Phase::Kernel);
-    b.push(Op::Incr, Phase::Kernel);
-    b.push(Op::Branch, Phase::Kernel);
-    b
-}
-
-/// One seek/audit probe: address ALU, read, tag check, branch.
-fn probe_bundle() -> OpBundle {
-    let mut b = OpBundle::new();
-    b.push(Op::Alu, Phase::Control);
-    b.push(Op::FramRead, Phase::Control);
-    b.push(Op::Alu, Phase::Control);
-    b.push(Op::Branch, Phase::Control);
-    b
-}
-
 /// One probe of `buf[i]` against `tag`: address ALU, read, tag check,
 /// branch.
 #[inline(always)]
@@ -355,17 +269,18 @@ fn probe_word(s: &mut Step<'_>, buf: FramBuf, i: u32, tag: u16) -> Result<bool, 
     Ok(valid_with(w, tag))
 }
 
-/// Charges and performs one probe of `buf[i]` against `tag`.
+/// Charges and performs one probe of `buf[i]` against `tag`, as a
+/// one-iteration loop at the probe site.
 fn probe(
     dev: &mut Device,
-    pb: &OpBundle,
+    site: &mut Site,
     buf: FramBuf,
     i: u32,
     tag: u16,
 ) -> Result<bool, PowerFailure> {
     let mut hit = false;
     dev.run_bundled(
-        pb,
+        site,
         i..i + 1,
         #[inline(always)]
         |s, i| {
@@ -382,22 +297,23 @@ fn probe(
 /// appears at word 0 iff the pass has started, and a started pass implies
 /// every earlier pass completed (writes are in execution order). Then
 /// binary-searches the frontier of the resume pass: its tagged words form
-/// a prefix `[0, f)`, so `valid_with` at an index is monotone.
+/// a prefix `[0, f)`, so `valid_with` at an index is monotone. `probes`
+/// is the probe site [`audit`] shares.
 fn seek(
     dev: &mut Device,
     m: &DeployedModel,
     p: &StatefulPlan,
+    probes: &mut Site,
 ) -> Result<(usize, u32), PowerFailure> {
     dev.set_context(m.other_region, Phase::Control);
-    let pb = probe_bundle();
     for pi in (1..p.passes.len()).rev() {
         let pass = &p.passes[pi];
         let buf = m.buf(pass.buf);
-        if probe(dev, &pb, buf, 0, pass.tag)? {
+        if probe(dev, probes, buf, 0, pass.tag)? {
             let (mut lo, mut hi) = (1u32, pass.len);
             while lo < hi {
                 let mid = lo + (hi - lo) / 2;
-                if probe(dev, &pb, buf, mid, pass.tag)? {
+                if probe(dev, probes, buf, mid, pass.tag)? {
                     lo = mid + 1;
                 } else {
                     hi = mid;
@@ -410,13 +326,13 @@ fn seek(
 }
 
 /// Computes and writes conv or dense output element `o` from
-/// verified inputs; `iter` is the layer's MAC bundle.
+/// verified inputs; `site` is the layer's MAC loop.
 fn element(
     dev: &mut Device,
     m: &DeployedModel,
     l: &DeployedLayer,
     o: u32,
-    iter: &OpBundle,
+    site: &mut Site,
     in_tags: [u16; 2],
     out_tag: u16,
 ) -> Result<(), PowerFailure> {
@@ -429,7 +345,7 @@ fn element(
             let acc = conv_acc(
                 dev,
                 l,
-                iter,
+                site,
                 at,
                 #[inline(always)]
                 |s, i| verified_read(s, src, i, in_tags, l.region),
@@ -440,7 +356,7 @@ fn element(
             let acc = dense_acc(
                 dev,
                 l,
-                iter,
+                site,
                 o,
                 #[inline(always)]
                 |s, i| verified_read(s, src, i, in_tags, l.region),
@@ -465,12 +381,9 @@ fn pool_pass(
     in_tags: [u16; 2],
     out_tag: u16,
 ) -> Result<(), PowerFailure> {
-    let DeployedKind::Pool { kh, kw } = l.kind else {
-        unreachable!("pool_pass on non-pool")
-    };
     let (src, dst) = (m.buf(l.src), m.buf(l.dst));
     dev.run_bundled(
-        &pool_bundle(kh, kw),
+        &mut Site::default(),
         from..total,
         #[inline(always)]
         |s, o| {
@@ -496,7 +409,7 @@ fn relu_pass(
 ) -> Result<(), PowerFailure> {
     let buf = m.buf(l.src);
     dev.run_bundled(
-        &relu_bundle(),
+        &mut Site::default(),
         from..total,
         #[inline(always)]
         |s, i| {
@@ -525,20 +438,12 @@ fn run_pass(
     let pass = &p.passes[pi];
     let l = &m.layers[pass.layer.expect("pass 0 is never executed")];
     dev.set_context(l.region, Phase::Kernel);
-    // The MAC bundles are built once per pass, not once per element.
     match &l.kind {
         DeployedKind::Conv { .. } | DeployedKind::Dense { .. } => {
-            let iter = match &l.kind {
-                DeployedKind::Conv {
-                    sparse: Some(_), ..
-                } => sparse_mac_bundle(),
-                DeployedKind::Dense {
-                    sparse: Some(_), ..
-                } => fc_sparse_bundle(),
-                _ => mac_bundle(),
-            };
+            // One MAC site per pass, not per element.
+            let mut site = Site::default();
             for o in from..pass.len {
-                element(dev, m, l, o, &iter, [pass.in_tag; 2], pass.tag)?;
+                element(dev, m, l, o, &mut site, [pass.in_tag; 2], pass.tag)?;
                 dev.mark_progress();
             }
             Ok(())
@@ -560,7 +465,14 @@ fn run_pass(
 /// is caught here and recomputed from the layer's intact inputs; the
 /// rescan repeats until clean. Detection is noted against the layer's
 /// corruption budget, so a repaired run reports `corruption_detected`.
-fn audit(dev: &mut Device, m: &DeployedModel, p: &StatefulPlan) -> Result<(), PowerFailure> {
+/// The scan runs at `probes`, [`seek`]'s probe site, which seek has
+/// always recorded by the time the audit runs.
+fn audit(
+    dev: &mut Device,
+    m: &DeployedModel,
+    p: &StatefulPlan,
+    probes: &mut Site,
+) -> Result<(), PowerFailure> {
     let pi = p.passes.len() - 1;
     let pass = &p.passes[pi];
     if pass.layer.is_none() {
@@ -568,14 +480,15 @@ fn audit(dev: &mut Device, m: &DeployedModel, p: &StatefulPlan) -> Result<(), Po
     }
     let l = &m.layers[pass.layer.unwrap()];
     let buf = m.buf(pass.buf);
-    let pb = probe_bundle();
     loop {
         dev.set_context(l.region, Phase::Control);
         // The scan ends at the first bad word by failing the loop body:
-        // as with a brown-out, the rest of a funded run stays charged.
+        // as with a brown-out, the rest of a funded run stays charged
+        // (a recording iteration would charge only the ops before it,
+        // which is why the site is seek's).
         let mut bad: Option<u32> = None;
         let scan = dev.run_bundled(
-            &pb,
+            probes,
             0..pass.len,
             #[inline(always)]
             |s, k| {
@@ -609,14 +522,15 @@ pub fn build(m: &DeployedModel) -> TaskGraph<()> {
         "stateful::preflight must gate deployment"
     );
     let mut g = TaskGraph::new();
+    let mut probes = Site::default();
     g.add("stateful-inference", move |dev, _| {
         if p.passes.len() > 1 {
-            let (sp, frontier) = seek(dev, &m, &p)?;
+            let (sp, frontier) = seek(dev, &m, &p, &mut probes)?;
             for pi in sp..p.passes.len() {
                 let from = if pi == sp { frontier } else { 0 };
                 run_pass(dev, &m, &p, pi, from)?;
             }
-            audit(dev, &m, &p)?;
+            audit(dev, &m, &p, &mut probes)?;
         }
         Ok(Transition::Done)
     });

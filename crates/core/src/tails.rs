@@ -32,17 +32,19 @@
 //! left-shift pass, the software FIR/dot ablations, partial-plane
 //! accumulation) — is one body run by [`Device::run_bundled`], as in
 //! `sonic`. The row body is the one `stage_in → shift → fir → vec_add →
-//! stage_out` sequence: a funded row runs its nested loops and LEA/DMA
-//! commands uncharged (the row bundle paid for them), while the first
-//! unfunded row runs them charged, each nested loop with its own bulk and
-//! tail — bit-identical traces, brown-out op included (pinned by the root
-//! `bundles` tests).
+//! stage_out` sequence, and its bundle is recorded from that body into
+//! the conv task's [`Site`] for the row variant (full or all-zero tap
+//! group, first or later group): a funded row runs its nested loops and
+//! LEA/DMA commands uncharged (the row bundle paid for them), while a
+//! recording or unfunded row runs them charged, each nested loop
+//! recording its own first iteration and funding the rest — bit-identical
+//! traces, brown-out op included (pinned by the root `bundles` tests).
 
 use crate::deploy::{DeployedKind, DeployedLayer, DeployedModel};
 use crate::sonic;
 use fxp::{Accum, Q15};
 use intermittent::task::{TaskGraph, Transition};
-use mcu::{Device, FramBuf, Op, OpBundle, Phase, PowerFailure, SramBuf, Step};
+use mcu::{Device, FramBuf, Op, Phase, PowerFailure, Site, SramBuf, Step};
 
 /// Hardware usage switches (both `true` for real TAILS; ablations flip
 /// them to software emulations).
@@ -116,10 +118,7 @@ fn stage_in(
     if cfg.use_dma {
         return s.dma_fram_to_sram(src, dst);
     }
-    let mut iter = OpBundle::new();
-    stage_in_word_ops(&mut iter, s.context().1);
     s.run_bundled(
-        &iter,
         0..src.len(),
         #[inline(always)]
         |s, t| {
@@ -141,10 +140,7 @@ fn stage_out(
     if cfg.use_dma {
         return s.dma_sram_to_fram(src, dst);
     }
-    let mut iter = OpBundle::new();
-    stage_out_word_ops(&mut iter, s.context().1);
     s.run_bundled(
-        &iter,
         0..src.len(),
         #[inline(always)]
         |s, t| {
@@ -156,158 +152,15 @@ fn stage_out(
     )
 }
 
-// ----- single-source word-level op sequences -------------------------
-//
-// Each software primitive's per-word (or per-output) op sequence is
-// defined exactly once here and used BOTH by the primitive's own bundle
-// and by the whole-row bundle builders below — editing a primitive's
-// cost cannot desynchronize the row bundles.
-
-/// One word of CPU staging FRAM → SRAM (the `use_dma = false` ablation).
-fn stage_in_word_ops(b: &mut OpBundle, phase: Phase) {
-    b.push(Op::FramRead, phase);
-    b.push(Op::SramWrite, phase);
-    b.push(Op::Incr, phase);
-    b.push(Op::Branch, phase);
-}
-
-/// One word of CPU staging SRAM → FRAM.
-fn stage_out_word_ops(b: &mut OpBundle, phase: Phase) {
-    b.push(Op::SramRead, phase);
-    b.push(Op::FramWrite, phase);
-    b.push(Op::Incr, phase);
-    b.push(Op::Branch, phase);
-}
-
-/// One word of the software left-shift pass (read, shift ALU, write),
-/// charged to the control phase.
-fn shift_word_ops(b: &mut OpBundle) {
-    b.push(Op::SramRead, Phase::Control);
-    b.push(Op::Alu, Phase::Control);
-    b.push(Op::SramWrite, Phase::Control);
-}
-
-/// One output of the software FIR (`use_lea = false`): the tap-window
-/// MACs plus the result write.
-fn fir_out_ops(b: &mut OpBundle, ntaps: u32, phase: Phase) {
-    for _ in 0..ntaps {
-        b.push(Op::SramRead, phase);
-        b.push(Op::FxpMul, phase);
-        b.push(Op::FxpAdd, phase);
-    }
-    b.push(Op::SramWrite, phase);
-}
-
-/// One word of the software element-wise add.
-fn vec_add_word_ops(b: &mut OpBundle, phase: Phase) {
-    b.push(Op::SramRead, phase);
-    b.push(Op::SramRead, phase);
-    b.push(Op::FxpAdd, phase);
-    b.push(Op::SramWrite, phase);
-}
-
-/// The software-shift iteration bundle.
-fn shift_iter_bundle() -> OpBundle {
-    let mut b = OpBundle::new();
-    shift_word_ops(&mut b);
-    b
-}
-
-// ----- whole-row bundles ---------------------------------------------
-//
-// The TAILS convolution's inner loop body is one output *row* (DMA in,
-// software shift, FIR, optional partial-row accumulate, DMA out, loop
-// continuation). Its op sequence is fixed by layer geometry and the
-// LEA/DMA config, so whole rows charge as one bundle. The push_*
-// builders mirror the primitives' op sequences; the driver's debug
-// check holds every unfunded row to them.
-
-/// Ops of [`stage_in`] or [`stage_out`] (by their `word_ops`) for an
-/// `n`-word span.
-fn push_staging(
-    b: &mut OpBundle,
-    cfg: TailsConfig,
-    n: u32,
-    phase: Phase,
-    word_ops: fn(&mut OpBundle, Phase),
-) {
-    if cfg.use_dma {
-        b.push(Op::DmaSetup, phase);
-        b.push_n(Op::DmaWord, phase, n as u64);
-    } else {
-        for _ in 0..n {
-            word_ops(b, phase);
-        }
-    }
-}
-
-/// Ops of [`fir`] over `n_src` inputs with `ntaps` taps.
-fn push_fir(b: &mut OpBundle, cfg: TailsConfig, n_src: u32, ntaps: u32, phase: Phase) {
-    let n_out = n_src - ntaps + 1;
-    if cfg.use_lea {
-        b.push(Op::LeaSetup, phase);
-        b.push_n(Op::LeaMac, phase, n_out as u64 * ntaps as u64);
-    } else {
-        b.push_n(Op::SramRead, phase, ntaps as u64); // taps pre-read
-        for _ in 0..n_out {
-            fir_out_ops(b, ntaps, phase);
-        }
-    }
-}
-
-/// Ops of [`vec_add`] over `n` words.
-fn push_vec_add(b: &mut OpBundle, cfg: TailsConfig, n: u32, phase: Phase) {
-    if cfg.use_lea {
-        b.push_n(Op::LeaMac, phase, n as u64);
-        b.push_n(Op::SramWrite, phase, n as u64);
-    } else {
-        for _ in 0..n {
-            vec_add_word_ops(b, phase);
-        }
-    }
-}
-
-/// One full convolution output row.
-fn conv_row_bundle(cfg: TailsConfig, w_in: u32, ow: u32, kw: u32, with_inter: bool) -> OpBundle {
-    let mut b = OpBundle::new();
-    push_staging(&mut b, cfg, w_in, Phase::Kernel, stage_in_word_ops);
-    for _ in 0..w_in {
-        shift_word_ops(&mut b);
-    }
-    push_fir(&mut b, cfg, w_in, kw, Phase::Kernel);
-    if with_inter {
-        push_staging(&mut b, cfg, ow, Phase::Kernel, stage_in_word_ops);
-        push_vec_add(&mut b, cfg, ow, Phase::Kernel);
-    }
-    push_staging(&mut b, cfg, ow, Phase::Kernel, stage_out_word_ops);
-    sonic::push_continuation(&mut b);
-    b
-}
-
-/// One pass-through row of a fully pruned (all-zero) tap group.
-fn conv_zero_row_bundle(cfg: TailsConfig, ow: u32, with_inter: bool) -> OpBundle {
-    let mut b = OpBundle::new();
-    if with_inter {
-        push_staging(&mut b, cfg, ow, Phase::Kernel, stage_in_word_ops);
-    } else {
-        b.push_n(Op::SramWrite, Phase::Kernel, ow as u64);
-    }
-    push_staging(&mut b, cfg, ow, Phase::Kernel, stage_out_word_ops);
-    sonic::push_continuation(&mut b);
-    b
-}
-
 /// The software left-shift pass LEA cannot do (charged to the control
 /// phase: "these shifts account for most of the control time", §9.2).
 fn software_shift(
     s: &mut Step<'_>,
     buf: SramBuf,
     region: mcu::RegionId,
-    iter: &OpBundle,
 ) -> Result<(), PowerFailure> {
     s.set_context(region, Phase::Control);
     s.run_bundled(
-        iter,
         0..buf.len(),
         #[inline(always)]
         |s, t| {
@@ -331,10 +184,7 @@ fn fir(
     }
     let mut t = vec![Q15::ZERO; taps.len() as usize];
     s.sram_read_block(taps, 0, &mut t)?;
-    let mut iter = OpBundle::new();
-    fir_out_ops(&mut iter, taps.len(), s.context().1);
     s.run_bundled(
-        &iter,
         0..src.len() - taps.len() + 1,
         #[inline(always)]
         |s, o| {
@@ -355,15 +205,8 @@ fn dot(s: &mut Step<'_>, cfg: TailsConfig, a: SramBuf, b: SramBuf) -> Result<Acc
     if cfg.use_lea {
         return s.lea_dot(a, b);
     }
-    let phase = s.context().1;
-    let mut iter = OpBundle::new();
-    iter.push(Op::SramRead, phase);
-    iter.push(Op::SramRead, phase);
-    iter.push(Op::FxpMul, phase);
-    iter.push(Op::FxpAdd, phase);
     let mut acc = Accum::ZERO;
     s.run_bundled(
-        &iter,
         0..a.len(),
         #[inline(always)]
         |s, i| {
@@ -390,10 +233,7 @@ fn vec_add(
     if cfg.use_lea {
         return s.lea_add(dst, src);
     }
-    let mut iter = OpBundle::new();
-    vec_add_word_ops(&mut iter, s.context().1);
     s.run_bundled(
-        &iter,
         0..dst.len(),
         #[inline(always)]
         |s, t| {
@@ -456,7 +296,9 @@ fn calibrate_task(
 }
 
 /// TAILS convolution: per (filter, channel, kernel-row) FIR groups with
-/// loop continuation over output rows.
+/// loop continuation over output rows. Sites: full rows of the first and
+/// later tap groups, pass-through rows of all-zero first and later
+/// groups, and the finishing pass.
 #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
 fn conv_task(
     dev: &mut Device,
@@ -464,7 +306,7 @@ fn conv_task(
     l: &DeployedLayer,
     sram: SramBufs,
     cfg: TailsConfig,
-    bundles: &TailsConvBundles,
+    [row_first, row_rest, zero_row_first, zero_row_rest, finish]: &mut [Site; 5],
     self_id: usize,
     next: Transition,
 ) -> Result<Transition, PowerFailure> {
@@ -508,7 +350,7 @@ fn conv_task(
         sonic::finish_pass(
             dev,
             l,
-            &bundles.finish,
+            finish,
             l.idx,
             Some(from_plane),
             None,
@@ -554,13 +396,9 @@ fn conv_task(
     if all_zero {
         let oy = sonic::load_guarded(dev, l.idx, l.region)? as u32;
         dev.set_context(l.region, Phase::Kernel);
-        let row_iter = if g > 0 {
-            &bundles.zero_row_rest
-        } else {
-            &bundles.zero_row_first
-        };
+        let site = if g > 0 { zero_row_rest } else { zero_row_first };
         dev.run_bundled(
-            row_iter,
+            site,
             oy..oh,
             #[inline(always)]
             |s, oy| {
@@ -579,28 +417,19 @@ fn conv_task(
         return Ok(Transition::To(self_id));
     }
     // LEA cannot left-shift: pre-shift taps in software.
-    software_shift(
-        &mut dev.step(),
-        sram.taps.slice(0, kw),
-        l.region,
-        &bundles.shift,
-    )?;
+    software_shift(&mut dev.step(), sram.taps.slice(0, kw), l.region)?;
 
     let oy = sonic::load_guarded(dev, l.idx, l.region)? as u32;
     dev.set_context(l.region, Phase::Kernel);
-    let row_iter = if g > 0 {
-        &bundles.row_rest
-    } else {
-        &bundles.row_first
-    };
+    let site = if g > 0 { row_rest } else { row_first };
     dev.run_bundled(
-        row_iter,
+        site,
         oy..oh,
         #[inline(always)]
         |s, oy| {
             let src_row = src.slice((c * h + oy + ky) * w_in, w_in);
             stage_in(s, cfg, src_row, sram.src.slice(0, w_in))?;
-            software_shift(s, sram.src.slice(0, w_in), l.region, &bundles.shift)?;
+            software_shift(s, sram.src.slice(0, w_in), l.region)?;
             s.set_context(l.region, Phase::Kernel);
             fir(
                 s,
@@ -625,7 +454,8 @@ fn conv_task(
 }
 
 /// TAILS dense fully-connected layer: LEA vector MAC over
-/// calibration-sized chunks, loop-ordered across chunks.
+/// calibration-sized chunks, loop-ordered across chunks; `finish` is the
+/// finishing pass's site.
 #[allow(clippy::too_many_arguments)]
 fn dense_task(
     dev: &mut Device,
@@ -633,7 +463,7 @@ fn dense_task(
     l: &DeployedLayer,
     sram: SramBufs,
     cfg: TailsConfig,
-    bundles: &TailsDenseBundles,
+    finish: &mut Site,
     self_id: usize,
     next: Transition,
 ) -> Result<Transition, PowerFailure> {
@@ -697,7 +527,7 @@ fn dense_task(
         sonic::finish_pass(
             dev,
             l,
-            &bundles.finish,
+            finish,
             l.idx,
             Some(from),
             Some(*bias),
@@ -724,12 +554,7 @@ fn dense_task(
         src.slice(base, n),
         sram.src.slice(0, n),
     )?;
-    software_shift(
-        &mut dev.step(),
-        sram.src.slice(0, n),
-        l.region,
-        &bundles.shift,
-    )?;
+    software_shift(&mut dev.step(), sram.src.slice(0, n), l.region)?;
     let (dest, inter) = if ci.is_multiple_of(2) {
         (m.plane_a, m.plane_b)
     } else {
@@ -773,50 +598,6 @@ fn dense_task(
     Ok(Transition::To(self_id))
 }
 
-/// Precomputed conv-task bundles (graph-build time, geometry-specific,
-/// reused by every task entry).
-#[derive(Clone)]
-struct TailsConvBundles {
-    shift: OpBundle,
-    finish: OpBundle,
-    /// Full output row, first tap group (no partial accumulate).
-    row_first: OpBundle,
-    /// Full output row, later tap groups.
-    row_rest: OpBundle,
-    /// All-zero tap group pass-through rows.
-    zero_row_first: OpBundle,
-    zero_row_rest: OpBundle,
-}
-
-impl TailsConvBundles {
-    fn new(cfg: TailsConfig, w_in: u32, ow: u32, kw: u32) -> Self {
-        TailsConvBundles {
-            shift: shift_iter_bundle(),
-            finish: sonic::finish_bundle(true, false),
-            row_first: conv_row_bundle(cfg, w_in, ow, kw, false),
-            row_rest: conv_row_bundle(cfg, w_in, ow, kw, true),
-            zero_row_first: conv_zero_row_bundle(cfg, ow, false),
-            zero_row_rest: conv_zero_row_bundle(cfg, ow, true),
-        }
-    }
-}
-
-/// Precomputed dense-task bundles.
-#[derive(Clone)]
-struct TailsDenseBundles {
-    shift: OpBundle,
-    finish: OpBundle,
-}
-
-impl TailsDenseBundles {
-    fn new() -> Self {
-        TailsDenseBundles {
-            shift: shift_iter_bundle(),
-            finish: sonic::finish_bundle(true, true),
-        }
-    }
-}
-
 /// Builds the TAILS task graph: calibration first, then one task per
 /// layer; sparse FC, pooling, and ReLU reuse SONIC's software tasks.
 pub fn build(m: &DeployedModel, cfg: TailsConfig, dev: &mut Device) -> TaskGraph<()> {
@@ -844,41 +625,49 @@ pub fn build(m: &DeployedModel, cfg: TailsConfig, dev: &mut Device) -> TaskGraph
         };
         let name = format!("tails-layer{li}");
         match &l.kind {
-            DeployedKind::Conv { dims, .. } => {
+            DeployedKind::Conv { .. } => {
                 let m = m.clone();
-                let (w_in, ow, kw) = (l.in_shape[2], l.out_shape[2], dims[3]);
-                let bundles = TailsConvBundles::new(cfg, w_in, ow, kw);
+                let mut sites = Default::default();
                 g.add(&name, move |dev, _| {
-                    conv_task(dev, &m, &m.layers[li], sram, cfg, &bundles, self_id, next)
+                    conv_task(dev, &m, &m.layers[li], sram, cfg, &mut sites, self_id, next)
                 });
             }
             DeployedKind::Dense { sparse, .. } if sparse.is_some() => {
                 // §7.2: sparse FC stays in software, exactly like SONIC.
                 let m = m.clone();
-                let bundles = sonic::SparseBundles::new();
+                let mut sites = Default::default();
                 g.add(&name, move |dev, _| {
-                    sonic::sparse_dense_task(dev, &m, &m.layers[li], &bundles, self_id, next)
+                    sonic::sparse_dense_task(dev, &m, &m.layers[li], &mut sites, self_id, next)
                 });
             }
             DeployedKind::Dense { .. } => {
                 let m = m.clone();
-                let bundles = TailsDenseBundles::new();
+                let mut finish = Site::default();
                 g.add(&name, move |dev, _| {
-                    dense_task(dev, &m, &m.layers[li], sram, cfg, &bundles, self_id, next)
+                    dense_task(
+                        dev,
+                        &m,
+                        &m.layers[li],
+                        sram,
+                        cfg,
+                        &mut finish,
+                        self_id,
+                        next,
+                    )
                 });
             }
-            DeployedKind::Pool { kh, kw } => {
+            DeployedKind::Pool { .. } => {
                 let m = m.clone();
-                let iter = sonic::pool_iter_bundle(*kh, *kw);
+                let mut site = Site::default();
                 g.add(&name, move |dev, _| {
-                    sonic::pool_task(dev, &m, &m.layers[li], &iter, next)
+                    sonic::pool_task(dev, &m, &m.layers[li], &mut site, next)
                 });
             }
             DeployedKind::Relu => {
                 let m = m.clone();
-                let iter = sonic::relu_iter_bundle();
+                let mut site = Site::default();
                 g.add(&name, move |dev, _| {
-                    sonic::relu_task(dev, &m, &m.layers[li], &iter, next)
+                    sonic::relu_task(dev, &m, &m.layers[li], &mut site, next)
                 });
             }
             DeployedKind::Flatten => {

@@ -33,8 +33,11 @@
 //! patterns, and the few remaining ops record single-op runs. Each
 //! layer's closure owns its tape, so capacity and registered patterns
 //! persist from body to body. The commit walk itself (which *does* write
-//! home locations) uses the funded-bundle discipline inside
-//! `AlpacaRt::commit`.
+//! home locations) is a [`mcu::Device::run_bundled`] loop inside
+//! `AlpacaRt::commit`, whose bundle is recorded from the walk's body.
+//! The tape patterns cannot be recorded that way — a taped body runs
+//! host-side and never charges the device — so `LayerPatterns` and
+//! `AlpacaRt::read_ops`/`write_ops` stay written by hand.
 
 use crate::baseline::unpack_tap;
 use crate::deploy::{DeployedKind, DeployedLayer, DeployedModel};

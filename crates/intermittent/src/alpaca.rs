@@ -24,7 +24,9 @@
 
 use crate::task::{RuntimeCtx, TaskGraph, TaskId, Transition};
 use fxp::Q15;
-use mcu::{AllocError, Device, FramWord, NvAddr, Op, OpBundle, OpTape, Phase, PowerFailure, Step};
+use mcu::{
+    AllocError, Device, FramWord, NvAddr, Op, OpBundle, OpTape, Phase, PowerFailure, Site, Step,
+};
 use std::sync::Arc;
 
 /// A redo-log entry: the home address, the privatized value, and a
@@ -112,20 +114,10 @@ pub struct AlpacaRt {
     /// patterns (built once).
     read_pat: Arc<OpBundle>,
     write_pat: [Arc<OpBundle>; 2],
-    /// Per-log-entry commit-walk bundles, one per accounting phase the
-    /// commit may run under (built once; commits happen every task
-    /// transition).
-    commit_entry: [OpBundle; 2],
-}
-
-/// The op sequence of committing one log entry: entry read (address +
-/// value), home write, list-cursor updates.
-fn commit_entry_bundle(phase: Phase) -> OpBundle {
-    let mut b = OpBundle::new();
-    b.push_n(Op::FramRead, phase, 2);
-    b.push(Op::FramWrite, phase);
-    b.push_n(Op::Incr, phase, 2);
-    b
+    /// The commit walk's bundled-loop sites, one per accounting phase the
+    /// commit may run under (recorded once per runtime; commits happen
+    /// every task transition).
+    commit_entry: [Site; 2],
 }
 
 impl AlpacaRt {
@@ -156,10 +148,7 @@ impl AlpacaRt {
                 Self::write_ops(&mut b, append);
                 Arc::new(b)
             }),
-            commit_entry: [
-                commit_entry_bundle(Phase::Kernel),
-                commit_entry_bundle(Phase::Control),
-            ],
+            commit_entry: Default::default(),
         })
     }
 
@@ -477,13 +466,13 @@ impl RuntimeCtx for AlpacaRt {
         // value), home write, cursor updates — so it runs as a bundled
         // loop: a mid-commit brown-out leaves exactly the scalar path's
         // partial home writes.
-        let entry = match dev.context().1 {
-            Phase::Kernel => &self.commit_entry[0],
-            Phase::Control => &self.commit_entry[1],
+        let site = match dev.context().1 {
+            Phase::Kernel => &mut self.commit_entry[0],
+            Phase::Control => &mut self.commit_entry[1],
         };
         let log = &self.log;
         dev.run_bundled(
-            entry,
+            site,
             0..log.len() as u32,
             #[inline(always)]
             |s, i| {

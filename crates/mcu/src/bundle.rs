@@ -4,11 +4,18 @@
 //! [`Device::consume`] call makes the *simulator* the bottleneck long
 //! before the simulated MSP430 is: a SONIC inference is a few hundred
 //! thousand `consume` calls, each a cost lookup, a power branch, and a
-//! trace update. An [`OpBundle`] precomputes the ordered op sequence of
-//! one inner-loop iteration, and [`Device::run_bundled`] runs the loop
-//! with one body, written once against a [`Step`], in two modes the
-//! driver picks:
+//! trace update. [`Device::run_bundled`] runs an inner loop with one body,
+//! written once against a [`Step`], and charges whole iterations at a
+//! time from an [`OpBundle`] — the ordered op sequence of one iteration —
+//! that it *records from the body itself*. The bundle lives in the loop's
+//! [`Site`], one per loop variant, and each index runs in one of three
+//! modes the driver picks:
 //!
+//! - **Recording.** While the site is empty, the driver runs the next
+//!   index in scalar mode (below) and records the `(op, phase)` of every
+//!   charge it makes. If the iteration completes, the record becomes the
+//!   site's bundle; a brown-out or body error leaves the site empty, and
+//!   the next call records again.
 //! - **Funded mode.** The driver charges as many *whole* iterations as
 //!   the remaining buffer covers in one arithmetic step, then runs them
 //!   with every [`Step`] call uncharged: memory effects happen directly,
@@ -25,15 +32,18 @@
 //!   injected bit flip or stuck-at cell stopped the funding without
 //!   cutting power — bulk funding resumes at the next index.
 //!
-//! A body cannot disagree with itself, so the two modes cannot drift
-//! apart; what remains is that the bundle must match the body's op
-//! sequence. In debug builds the driver records the `(op, phase)`
-//! charges of every scalar-mode iteration and asserts they are a prefix
-//! of the bundle's sequence — equal to it when the iteration completes.
-//! Trace cells are plain accumulators, so charging `n` iterations of
-//! each `(phase, op)` entry in bulk produces bit-identical totals to `n`
-//! interleaved scalar charges. The root `bundles` test suite pins this
-//! equivalence against digests recorded from the scalar implementation.
+//! Scalar mode is the ground truth, and the bundle is a record of it, so
+//! the modes agree as long as every iteration run against one site
+//! charges the same op sequence. That is the one way to break the energy
+//! model: a site shared by two loop variants (a first pass and a later
+//! one, say) funds the second from the first's record. In debug builds
+//! the driver records every later scalar-mode iteration too and asserts
+//! it is a prefix of the site's bundle — equal to it when the iteration
+//! completes. Trace cells are plain accumulators, so charging `n`
+//! iterations of each `(phase, op)` entry in bulk produces bit-identical
+//! totals to `n` interleaved scalar charges. The root `bundles` test
+//! suite pins this equivalence against digests recorded from the scalar
+//! implementation.
 //!
 //! For loop bodies whose op sequence is data-dependent but which have
 //! **no durable side effects** until a later commit (the Alpaca redo-log
@@ -68,8 +78,8 @@ pub struct BundleOp {
     pub count: u64,
 }
 
-/// The precomputed op sequence of one inner-loop iteration (also an
-/// [`OpTape`] pattern). See the [module docs](self).
+/// The op sequence of one inner-loop iteration: a [`Site`]'s record, or
+/// an [`OpTape`] pattern. See the [module docs](self).
 ///
 /// Alongside the ordered sequence (the charge order a scalar-mode
 /// iteration must follow) the bundle maintains per-`(phase, op)`
@@ -137,11 +147,6 @@ impl OpBundle {
     /// Total ops in one iteration.
     pub fn len(&self) -> u64 {
         counts_len(&self.counts)
-    }
-
-    /// Total `(cycles, energy_pj)` of one iteration under `costs`.
-    pub fn iter_cost(&self, costs: &CostTable) -> (u64, u64) {
-        counts_cost(&self.counts, costs)
     }
 }
 
@@ -296,16 +301,38 @@ impl OpTape {
 
 // ----- the bundled-loop driver ---------------------------------------
 
+/// Where a bundled loop keeps its [`OpBundle`]: empty until
+/// [`Device::run_bundled`] records it from the loop body's first
+/// completed iteration, then reused by every later call. See the
+/// [module docs](self).
+///
+/// A site belongs to one loop *variant*: every iteration run against it
+/// must charge the same op sequence. Loops whose sequence depends on
+/// something fixed per call (a first or later pass, a layer's geometry)
+/// keep one site per variant; a site shared by two variants funds one
+/// from the other's record.
+#[derive(Clone, Debug, Default)]
+pub struct Site(Option<OpBundle>);
+
+impl Site {
+    /// The recorded bundle; `None` until an iteration has completed.
+    pub fn bundle(&self) -> Option<&OpBundle> {
+        self.0.as_ref()
+    }
+}
+
 impl Device {
     /// Runs the loop `for i in range { body(step, i)? }` under bundled
-    /// accounting: `bundle` is the op sequence of one iteration, and the
-    /// driver runs each index in funded or scalar mode (see the
-    /// [module docs](self)). Indices are visited in ascending order with
-    /// no gaps, so a body may carry incremental state across them.
+    /// accounting: while `site` is empty the driver records its bundle
+    /// from the body, then runs each index in funded or scalar mode
+    /// against it (see the [module docs](self)). Indices are visited in
+    /// ascending order with no gaps, so a body may carry incremental
+    /// state across them.
     ///
     /// A body error propagates at once. In funded mode that means the
     /// rest of the funded run stays charged but does not execute; a body
-    /// may use this to end a scan early.
+    /// may use this to end a scan early. In a recording or scalar-mode
+    /// iteration only the ops before the error are charged.
     ///
     /// The driver calls the body from its funded loop and from its
     /// scalar-mode step; mark the body closure `#[inline(always)]` so the
@@ -314,18 +341,14 @@ impl Device {
     /// slower).
     ///
     /// ```
-    /// use mcu::{Device, DeviceSpec, Op, OpBundle, Phase, PowerSystem};
-    ///
-    /// // One iteration: read a weight, multiply-accumulate, bump the index.
-    /// let mut body = OpBundle::new();
-    /// body.push(Op::FramRead, Phase::Kernel);
-    /// body.push(Op::FxpMul, Phase::Kernel);
-    /// body.push(Op::Incr, Phase::Kernel);
+    /// use mcu::{Device, DeviceSpec, Op, PowerSystem, Site};
     ///
     /// let mut dev = Device::new(DeviceSpec::msp430fr5994(), PowerSystem::continuous());
     /// let w = dev.fram_alloc(1000).unwrap();
+    /// let mut site = Site::default();
     /// let mut sum = 0i64;
-    /// dev.run_bundled(&body, 0..1000, #[inline(always)] |s, i| {
+    /// // One iteration: read a weight, multiply-accumulate, bump the index.
+    /// dev.run_bundled(&mut site, 0..1000, #[inline(always)] |s, i| {
     ///     sum += i64::from(s.read(w, i)?.raw());
     ///     s.op(Op::FxpMul)?;
     ///     s.op(Op::Incr)
@@ -333,16 +356,19 @@ impl Device {
     /// .unwrap();
     /// assert_eq!(sum, 0);
     /// assert_eq!(dev.trace().op_count(Op::FramRead), 1000);
+    /// // Index 0 ran in scalar mode and recorded the bundle that funded
+    /// // the other 999.
+    /// assert_eq!(site.bundle().unwrap().len(), 3);
     /// ```
     ///
     /// # Errors
     ///
-    /// Returns [`PowerFailure`] when the device is off, a scalar-mode
-    /// iteration browns out, or the body fails.
+    /// Returns [`PowerFailure`] when the device is off, a recording or
+    /// scalar-mode iteration browns out, or the body fails.
     #[inline(always)]
     pub fn run_bundled<F>(
         &mut self,
-        bundle: &OpBundle,
+        site: &mut Site,
         range: Range<u32>,
         mut body: F,
     ) -> Result<(), PowerFailure>
@@ -351,6 +377,15 @@ impl Device {
     {
         let Range { mut start, end } = range;
         while start < end {
+            let Some(bundle) = &site.0 else {
+                let outer = self.record.replace(Box::default());
+                let r = body(&mut Step::new(self, false), start);
+                let rec = self.close_record(outer);
+                r?;
+                site.0 = Some(*rec);
+                start += 1;
+                continue;
+            };
             let funded = self.consume_bundle(bundle, u64::from(end - start))? as u32;
             if funded > 0 {
                 let mut s = Step::new(self, true);
@@ -367,10 +402,10 @@ impl Device {
             }
             if start < end {
                 #[cfg(debug_assertions)]
-                let outer = self.tail_record.replace(Box::default());
+                let outer = self.record.replace(Box::default());
                 let r = body(&mut Step::new(self, false), start);
                 #[cfg(debug_assertions)]
-                self.check_tail(bundle, outer, r.is_ok());
+                check_tail(bundle, &self.close_record(outer), r.is_ok());
                 r?;
                 start += 1;
             }
@@ -386,38 +421,44 @@ impl Device {
         Step::new(self, false)
     }
 
-    /// Debug builds: checks the record of a scalar-mode iteration against
-    /// its bundle, then hands the record on to the enclosing scalar-mode
-    /// iteration (a nested loop's charges are also its parent's).
-    #[cfg(debug_assertions)]
-    fn check_tail(&mut self, bundle: &OpBundle, outer: Option<Box<OpBundle>>, completed: bool) {
-        let rec = std::mem::replace(&mut self.tail_record, outer).expect("open tail record");
-        let (got, want) = (rec.ops(), bundle.ops());
-        let ok = if completed {
-            got == want
-        } else {
-            got.split_last().is_none_or(|(last, head)| {
-                want.get(..head.len()) == Some(head)
-                    && want.get(head.len()).is_some_and(|w| {
-                        (w.op, w.phase) == (last.op, last.phase) && last.count <= w.count
-                    })
-            })
-        };
-        assert!(
-            ok,
-            "a scalar-mode iteration charged {got:?}, which is not {} of its bundle {want:?}",
-            if completed {
-                "the sequence"
-            } else {
-                "a prefix"
-            }
-        );
-        if let Some(outer) = &mut self.tail_record {
-            for e in got {
+    /// Closes the open iteration record and reopens `outer`, the
+    /// enclosing scalar-mode iteration's, which also gets the closed
+    /// record's charges (a nested loop's charges are also its parent's).
+    fn close_record(&mut self, outer: Option<Box<OpBundle>>) -> Box<OpBundle> {
+        let rec = std::mem::replace(&mut self.record, outer).expect("an open record");
+        if let Some(outer) = &mut self.record {
+            for e in rec.ops() {
                 outer.push_n(e.op, e.phase, e.count);
             }
         }
+        rec
     }
+}
+
+/// Debug builds: checks the record of a scalar-mode iteration against
+/// its site's bundle.
+#[cfg(debug_assertions)]
+fn check_tail(bundle: &OpBundle, rec: &OpBundle, completed: bool) {
+    let (got, want) = (rec.ops(), bundle.ops());
+    let ok = if completed {
+        got == want
+    } else {
+        got.split_last().is_none_or(|(last, head)| {
+            want.get(..head.len()) == Some(head)
+                && want.get(head.len()).is_some_and(|w| {
+                    (w.op, w.phase) == (last.op, last.phase) && last.count <= w.count
+                })
+        })
+    };
+    assert!(
+        ok,
+        "a scalar-mode iteration charged {got:?}, which is not {} of its bundle {want:?}",
+        if completed {
+            "the sequence"
+        } else {
+            "a prefix"
+        }
+    );
 }
 
 /// One iteration's handle on the device inside [`Device::run_bundled`]:
@@ -428,7 +469,7 @@ impl Device {
 #[derive(Debug)]
 pub struct Step<'d> {
     dev: &'d mut Device,
-    funded: bool,
+    pub(crate) funded: bool,
     /// Funded mode: the run's latest loop-continuation store, landed
     /// once when the run ends.
     last_checkpoint: Option<(FramWord, u16)>,
@@ -574,19 +615,15 @@ impl<'d> Step<'d> {
     }
 
     /// A loop nested in this iteration. In funded mode the enclosing
-    /// bundle already charged it, so it runs funded; in scalar mode it
-    /// gets its own driver — its own funded runs and scalar tail.
+    /// bundle already charged it, so it runs uncharged; in scalar mode it
+    /// gets its own driver and a fresh [`Site`], so its first iteration
+    /// records the bundle that funds the rest of this call.
     ///
     /// # Errors
     ///
     /// As [`Device::run_bundled`].
     #[inline(always)]
-    pub fn run_bundled<F>(
-        &mut self,
-        bundle: &OpBundle,
-        range: Range<u32>,
-        mut body: F,
-    ) -> Result<(), PowerFailure>
+    pub fn run_bundled<F>(&mut self, range: Range<u32>, mut body: F) -> Result<(), PowerFailure>
     where
         F: FnMut(&mut Step<'_>, u32) -> Result<(), PowerFailure>,
     {
@@ -596,7 +633,7 @@ impl<'d> Step<'d> {
             }
             Ok(())
         } else {
-            self.dev.run_bundled(bundle, range, body)
+            self.dev.run_bundled(&mut Site::default(), range, body)
         }
     }
 }
@@ -617,19 +654,6 @@ mod tests {
         assert_eq!(b.ops().len(), 3);
         assert_eq!(b.ops()[0].count, 5);
         assert_eq!(b.len(), 7);
-    }
-
-    #[test]
-    fn iter_cost_sums_the_cost_table() {
-        let costs = CostTable::msp430fr5994();
-        let mut b = OpBundle::new();
-        b.push_n(Op::FramRead, Phase::Kernel, 2);
-        b.push(Op::FramWrite, Phase::Control);
-        let (cycles, energy) = b.iter_cost(&costs);
-        let r = costs.cost(Op::FramRead);
-        let w = costs.cost(Op::FramWrite);
-        assert_eq!(cycles, 2 * r.cycles as u64 + w.cycles as u64);
-        assert_eq!(energy, 2 * r.energy_pj + w.energy_pj);
     }
 
     #[test]

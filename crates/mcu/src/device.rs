@@ -30,7 +30,7 @@
 //! data faults ([`FaultKind`]): single-bit flips, torn stores, and
 //! stuck-at cells, all addressed on the same charged-op index axis so
 //! schedules stay reproducible. The defense is ECC-style guarding
-//! ([`Device::guard_span`]): legitimate writes transparently refresh a
+//! ([`Device::guard_word`]): legitimate writes transparently refresh a
 //! shadow of each guarded word's intended value, injected faults bypass
 //! it, and [`Device::verify_word`] compares the two on read. Detection,
 //! bounded-retry recovery accounting, and the unrecoverable verdict live
@@ -415,12 +415,12 @@ pub struct Device {
     corruption_budget: u32,
     /// Region of the first unrecoverable corruption, if any.
     unrecoverable: Option<RegionId>,
-    /// Debug builds: the ops charged (or attempted, for the op a
-    /// brown-out lands on) by the scalar-mode iteration in flight, which
-    /// [`Device::run_bundled`] checks against its bundle. `None` outside
-    /// such an iteration.
-    #[cfg(debug_assertions)]
-    pub(crate) tail_record: Option<Box<OpBundle>>,
+    /// The ops charged (or attempted, for the op a brown-out lands on) by
+    /// the scalar-mode iteration in flight that [`Device::run_bundled`]
+    /// records: the one that fills an empty site, and in debug builds
+    /// every one it checks against a site's bundle. `None` outside such
+    /// an iteration.
+    pub(crate) record: Option<Box<OpBundle>>,
 }
 
 impl Device {
@@ -453,8 +453,7 @@ impl Device {
             corruption_detected: 0,
             corruption_budget: CORRUPTION_RETRY_LIMIT,
             unrecoverable: None,
-            #[cfg(debug_assertions)]
-            tail_record: None,
+            record: None,
         }
     }
 
@@ -732,12 +731,18 @@ impl Device {
         });
     }
 
-    /// Debug builds: appends `n` ops to the open scalar-tail record.
-    #[cfg_attr(not(debug_assertions), allow(unused_variables))]
+    /// Appends `n` ops to the open iteration record, if any. Outside a
+    /// recording iteration this is one test of an empty `Option`: the
+    /// push stays out of line, off the scalar charging path.
+    #[inline(always)]
     fn record(&mut self, op: Op, phase: Phase, n: u64) {
-        #[cfg(debug_assertions)]
-        if let Some(rec) = &mut self.tail_record {
+        #[cold]
+        #[inline(never)]
+        fn push(rec: &mut OpBundle, op: Op, phase: Phase, n: u64) {
             rec.push_n(op, phase, n);
+        }
+        if let Some(rec) = &mut self.record {
+            push(rec, op, phase, n);
         }
     }
 
@@ -782,8 +787,7 @@ impl Device {
         }
         let fit = self.fund_iters(bundle.counts(), n_iters);
         self.charge_bundle_trace(bundle, fit);
-        #[cfg(debug_assertions)]
-        if let Some(rec) = &mut self.tail_record {
+        if let Some(rec) = &mut self.record {
             for _ in 0..fit {
                 for e in bundle.ops() {
                     rec.push_n(e.op, e.phase, e.count);
@@ -1320,79 +1324,12 @@ impl Device {
 
     // ----- span-charged block access -----------------------------------
 
-    /// Reads `out.len()` consecutive FRAM words starting at
+    /// Reads `out.len()` consecutive SRAM words starting at
     /// `buf[offset]`, charging the whole span with one arithmetic step.
     ///
     /// Bit-identical to a read-one-word-at-a-time loop: on a brown-out
     /// the reads that fit were charged (and delivered — though the `?` on
     /// the error usually drops them, matching volatile loss).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PowerFailure`] when the span does not fit the remaining
-    /// charge.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `offset + out.len()` exceeds the buffer.
-    pub fn fram_read_block(
-        &mut self,
-        buf: FramBuf,
-        offset: u32,
-        out: &mut [Q15],
-    ) -> Result<(), PowerFailure> {
-        let len = out.len() as u32;
-        assert!(
-            offset.checked_add(len).is_some_and(|end| end <= buf.len),
-            "FRAM block read out of bounds: {offset}+{len} > {}",
-            buf.len
-        );
-        let (fit, r) = self.consume_upto(Op::FramRead, len as u64);
-        let base = (buf.base + offset) as usize;
-        for (i, slot) in out.iter_mut().take(fit as usize).enumerate() {
-            *slot = Q15::from_raw(self.fram[base + i]);
-        }
-        r
-    }
-
-    /// Writes `data` to consecutive FRAM words starting at `buf[offset]`,
-    /// charging the whole span with one arithmetic step. On a brown-out
-    /// exactly the words that fit are written (word-granular atomicity,
-    /// like the scalar loop).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PowerFailure`] when the span does not fit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `offset + data.len()` exceeds the buffer.
-    pub fn fram_write_block(
-        &mut self,
-        buf: FramBuf,
-        offset: u32,
-        data: &[Q15],
-    ) -> Result<(), PowerFailure> {
-        let len = data.len() as u32;
-        assert!(
-            offset.checked_add(len).is_some_and(|end| end <= buf.len),
-            "FRAM block write out of bounds: {offset}+{len} > {}",
-            buf.len
-        );
-        let (fit, r) = self.consume_upto(Op::FramWrite, len as u64);
-        let base = buf.base + offset;
-        for (i, q) in data.iter().take(fit as usize).enumerate() {
-            self.nv_store(base + i as u32, q.raw());
-        }
-        if r.is_err() && (fit as u32) < len {
-            // A torn-write brown-out tears the first word that did NOT
-            // fit: the store the failure interrupted.
-            self.maybe_tear(base + fit as u32, data[fit as usize].raw());
-        }
-        r
-    }
-
-    /// Block SRAM read; see [`Device::fram_read_block`].
     ///
     /// # Errors
     ///
@@ -1421,7 +1358,9 @@ impl Device {
         r
     }
 
-    /// Block SRAM write; see [`Device::fram_write_block`].
+    /// Writes `data` to consecutive SRAM words starting at `buf[offset]`,
+    /// charging the whole span with one arithmetic step. On a brown-out
+    /// exactly the words that fit are written, like the scalar loop.
     ///
     /// # Errors
     ///
@@ -1722,7 +1661,7 @@ impl Device {
     /// Registers `len` consecutive FRAM words starting at `addr` under
     /// ECC guarding, snapshotting their current contents as the intended
     /// values. Re-registering a guarded word refreshes its snapshot.
-    pub fn guard_span(&mut self, addr: NvAddr, len: u32) {
+    fn guard_span(&mut self, addr: NvAddr, len: u32) {
         for a in addr.0..addr.0 + len {
             let v = self.fram[a as usize];
             match self.guard_shadow.binary_search_by_key(&a, |e| e.0) {
@@ -1811,6 +1750,7 @@ impl Device {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bundle::Site;
     use crate::spec::CostTable;
 
     fn continuous() -> Device {
@@ -2213,15 +2153,20 @@ mod tests {
         Ok(())
     }
 
-    /// The same loop through [`Device::run_bundled`].
-    fn driven_loop(dev: &mut Device, lp: &TestLoop, iters: u32) -> Result<(), PowerFailure> {
-        let mut bundle = OpBundle::new();
-        for (op, phase) in test_iteration() {
-            bundle.push(op, phase);
-        }
+    /// The same loop through [`Device::run_bundled`] against `site`,
+    /// counting the iterations that run in scalar mode (recording
+    /// included) into `scalar_iters`.
+    fn driven_loop_at(
+        dev: &mut Device,
+        lp: &TestLoop,
+        site: &mut Site,
+        iters: u32,
+        scalar_iters: &mut u32,
+    ) -> Result<(), PowerFailure> {
         let region = dev.context().0;
         dev.set_context(region, Phase::Kernel);
-        dev.run_bundled(&bundle, 0..iters, |s, i| {
+        dev.run_bundled(site, 0..iters, |s, i| {
+            *scalar_iters += u32::from(!s.funded);
             s.op(Op::Alu)?;
             let v = s.read(lp.x, i % LOOP_WORDS)?;
             s.op(Op::FxpMul)?;
@@ -2232,6 +2177,11 @@ mod tests {
             s.progress();
             Ok(())
         })
+    }
+
+    /// [`driven_loop_at`] on a fresh site.
+    fn driven_loop(dev: &mut Device, lp: &TestLoop, iters: u32) -> Result<(), PowerFailure> {
+        driven_loop_at(dev, lp, &mut Site::default(), iters, &mut 0)
     }
 
     /// Traces, FRAM, op counters, brown-out records and progress beacons
@@ -2310,9 +2260,10 @@ mod tests {
     fn a_scalar_iteration_that_strays_from_its_bundle_panics() {
         let mut d = continuous();
         let lp = test_loop(&mut d);
-        // A memory fault stops the funding without cutting power, so
-        // iteration 2 runs in scalar mode — and charges an op its bundle
-        // does not list.
+        // Iteration 0 records two ops and funds iteration 1; a memory
+        // fault at op 5 stops the funding without cutting power, so
+        // iteration 2 runs in scalar mode — and charges an op its
+        // recorded bundle does not list.
         d.arm_faults(&FaultPlan::faults([(
             5,
             FaultKind::BitFlip {
@@ -2320,10 +2271,7 @@ mod tests {
                 bit: 1,
             },
         )]));
-        let mut bundle = OpBundle::new();
-        bundle.push(Op::FramRead, Phase::Kernel);
-        bundle.push(Op::Incr, Phase::Kernel);
-        let _ = d.run_bundled(&bundle, 0..4, |s, i| {
+        let _ = d.run_bundled(&mut Site::default(), 0..4, |s, i| {
             s.read(lp.x, i)?;
             s.op(Op::Incr)?;
             if i == 2 {
@@ -2331,6 +2279,58 @@ mod tests {
             }
             Ok(())
         });
+    }
+
+    #[test]
+    fn a_brownout_while_recording_leaves_the_site_empty() {
+        let mut a = Device::new(DeviceSpec::tiny(), PowerSystem::cap_100uf());
+        let lp = test_loop(&mut a);
+        // An injected brown-out on op 3: inside the recording iteration.
+        let start = a.ops_consumed();
+        a.arm_faults(&FaultPlan::at(start + 3));
+        let mut b = a.clone();
+        let mut site = Site::default();
+        let mut scalar_iters = 0;
+        assert!(scalar_loop(&mut a, &lp, 100).is_err());
+        assert!(driven_loop_at(&mut b, &lp, &mut site, 100, &mut scalar_iters).is_err());
+        assert_devices_identical(&a, &b);
+        assert_eq!(b.last_brownout().unwrap().op_index, start + 3);
+        assert!(
+            site.bundle().is_none(),
+            "a failed recording records nothing"
+        );
+        assert_eq!(scalar_iters, 1);
+        // The next call records again, then funds the rest.
+        a.reboot().unwrap();
+        b.reboot().unwrap();
+        scalar_loop(&mut a, &lp, 100).unwrap();
+        driven_loop_at(&mut b, &lp, &mut site, 100, &mut scalar_iters).unwrap();
+        assert_devices_identical(&a, &b);
+        assert_eq!(site.bundle().map(OpBundle::len), Some(7));
+        assert_eq!(scalar_iters, 2);
+    }
+
+    #[test]
+    fn a_recorded_site_funds_every_later_call() {
+        let mut a = continuous();
+        let lp = test_loop(&mut a);
+        let mut b = a.clone();
+        let mut site = Site::default();
+        let mut scalar_iters = 0;
+        scalar_loop(&mut a, &lp, 50).unwrap();
+        driven_loop_at(&mut b, &lp, &mut site, 50, &mut scalar_iters).unwrap();
+        assert_devices_identical(&a, &b);
+        assert_eq!(scalar_iters, 1, "only the recording iteration is scalar");
+        let mut want = OpBundle::new();
+        for (op, phase) in test_iteration() {
+            want.push(op, phase);
+        }
+        assert_eq!(site.bundle(), Some(&want));
+        // A second call runs no scalar-mode iteration.
+        scalar_loop(&mut a, &lp, 50).unwrap();
+        driven_loop_at(&mut b, &lp, &mut site, 50, &mut scalar_iters).unwrap();
+        assert_devices_identical(&a, &b);
+        assert_eq!(scalar_iters, 1);
     }
 
     /// A row loop with a nested word loop, one device call per op: per
@@ -2367,22 +2367,8 @@ mod tests {
         buf: SramBuf,
         rows: u32,
     ) -> Result<(), PowerFailure> {
-        let mut word = OpBundle::new();
-        word.push(Op::FramRead, Phase::Kernel);
-        word.push(Op::SramWrite, Phase::Kernel);
-        word.push(Op::Incr, Phase::Kernel);
-        let mut row = OpBundle::new();
-        for _ in 0..buf.len {
-            for e in word.ops() {
-                row.push(e.op, e.phase);
-            }
-        }
-        row.push(Op::Alu, Phase::Kernel);
-        row.push(Op::FramWrite, Phase::Control);
-        row.push(Op::Incr, Phase::Kernel);
-        row.push(Op::Branch, Phase::Kernel);
-        dev.run_bundled(&row, 0..rows, |s, r| {
-            s.run_bundled(&word, 0..buf.len, |s, t| {
+        dev.run_bundled(&mut Site::default(), 0..rows, |s, r| {
+            s.run_bundled(0..buf.len, |s, t| {
                 let v = s.read(lp.x, t)?;
                 s.sram_write(buf, t, v)?;
                 s.op(Op::Incr)
@@ -2489,7 +2475,7 @@ mod tests {
             bundle.push(op, phase);
         }
         let mut d = Device::new(DeviceSpec::tiny(), PowerSystem::cap_100uf());
-        let (_, per_iter) = bundle.iter_cost(&d.spec().costs);
+        let (_, per_iter) = counts_cost(bundle.counts(), &d.spec().costs);
         let expect = d.charge_pj() / per_iter;
         let funded = d.consume_bundle(&bundle, u64::MAX).unwrap();
         assert_eq!(funded, expect);
@@ -2682,20 +2668,23 @@ mod tests {
         // Partial block write on a draining buffer: the words that fit
         // must land, the rest must not, exactly like the scalar loop.
         let mut a = Device::new(DeviceSpec::tiny(), PowerSystem::cap_100uf());
+        let sa = a.sram_alloc(64).unwrap();
         let mut b = a.clone();
-        let fa = a.fram_alloc(64).unwrap();
-        let fb = b.fram_alloc(64).unwrap();
         let data: Vec<Q15> = (0..64).map(|i| Q15::from_raw(i as i16 + 1)).collect();
         loop {
             let ra = (|| -> Result<(), PowerFailure> {
                 for (i, q) in data.iter().enumerate() {
-                    a.write(fa, i as u32, *q)?;
+                    a.sram_write(sa, i as u32, *q)?;
                 }
                 Ok(())
             })();
-            let rb = b.fram_write_block(fb, 0, &data);
+            let rb = b.sram_write_block(sa, 0, &data);
             assert_eq!(ra.is_err(), rb.is_err());
-            assert_eq!(a.peek(fa), b.peek(fb), "partial writes must agree");
+            assert_eq!(
+                a.sram_peek(sa),
+                b.sram_peek(sa),
+                "partial writes must agree"
+            );
             assert_traces_identical(&a, &b);
             if ra.is_ok() {
                 break;
@@ -2705,19 +2694,8 @@ mod tests {
         }
         // Block read round-trip.
         let mut out = vec![Q15::ZERO; 64];
-        let mut c = continuous();
-        let fc = c.fram_alloc(64).unwrap();
-        c.flash(fc, &data);
-        c.fram_read_block(fc, 0, &mut out).unwrap();
+        b.sram_read_block(sa, 0, &mut out).unwrap();
         assert_eq!(out, data);
-        assert_eq!(c.trace().op_count(Op::FramRead), 64);
-        // SRAM variants.
-        let sc = c.sram_alloc(8).unwrap();
-        c.sram_write_block(sc, 0, &data[..8]).unwrap();
-        let mut sout = vec![Q15::ZERO; 8];
-        c.sram_read_block(sc, 0, &mut sout).unwrap();
-        assert_eq!(sout, &data[..8]);
-        assert_eq!(c.sram_peek(sc), &data[..8]);
     }
 
     #[test]

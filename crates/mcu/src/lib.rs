@@ -14,7 +14,7 @@
 //!   state is lost ([`Device::consume`], [`PowerFailure`]). Inner loops
 //!   charge whole bodies at a time — cycle- and energy-exact, brown-out op
 //!   included — through the bundled-loop driver ([`bundle`],
-//!   [`Device::run_bundled`], [`Step`]).
+//!   [`Device::run_bundled`], [`Site`], [`Step`]).
 //! - **A capacitor-based power system.** Usable buffer energy follows
 //!   `E = ½·C·(V_on² − V_off²)` and recharge time integrates the
 //!   harvester's input-power *profile* — constant (the paper's RF setup),
@@ -27,7 +27,7 @@
 //!   indices — continuous power included — so a crash-consistency harness
 //!   can enumerate every op boundary ([`Device::arm_faults`],
 //!   [`FaultKind`], [`BrownoutInfo`]), and ECC-style integrity guards let
-//!   runtimes detect the data faults on read ([`Device::guard_span`],
+//!   runtimes detect the data faults on read ([`Device::guard_word`],
 //!   [`Device::verify_word`]).
 //! - **The LEA vector accelerator and DMA engine**, including LEA's
 //!   restrictions that shape TAILS: it can only access SRAM, supports only
@@ -63,7 +63,7 @@ pub mod power;
 pub mod spec;
 pub mod trace;
 
-pub use bundle::{BundleOp, OpBundle, OpTape, Step};
+pub use bundle::{BundleOp, OpBundle, OpTape, Site, Step};
 pub use device::{
     AllocError, BrownoutInfo, Device, FaultKind, FaultPlan, FramBuf, FramWord, NvAddr,
     PowerFailure, SramBuf, SupplyDead, CORRUPTION_RETRY_LIMIT,

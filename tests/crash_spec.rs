@@ -187,7 +187,7 @@ fn corrupted_control_words_fail_refinement() {
 }
 
 /// Case count for the multi-fault property: 6 in the tier-1 run, raised
-/// via `PROPTEST_CASES` in the non-gating CI smoke job.
+/// via `PROPTEST_CASES` in the gating CI smoke job.
 fn proptest_cases() -> u32 {
     std::env::var("PROPTEST_CASES")
         .ok()

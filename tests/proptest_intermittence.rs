@@ -24,7 +24,7 @@ use sonic_tails::sonic::spec::{
 };
 
 /// Case count: 12 in the tier-1 run, raised via `PROPTEST_CASES` in the
-/// non-gating CI smoke job.
+/// gating CI smoke job.
 fn proptest_cases() -> u32 {
     std::env::var("PROPTEST_CASES")
         .ok()
