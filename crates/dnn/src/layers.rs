@@ -277,12 +277,36 @@ impl Layer {
     /// shape.
     pub fn backward(&mut self, g: &Tensor) -> Tensor {
         match self {
-            Layer::Dense(d) => d.backward(g),
-            Layer::Conv2d(c) => c.backward(g),
+            Layer::Dense(d) => d.backward::<true>(g),
+            Layer::Conv2d(c) => c.backward::<true>(g),
             Layer::MaxPool2d(p) => p.backward(g),
             Layer::Relu(r) => r.backward(g),
             Layer::Flatten(f) => f.backward(g),
         }
+    }
+
+    /// Backward pass that only accumulates parameter gradients: the
+    /// input gradient is never computed. A no-op on parameterless layers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called before `forward` or with a mismatched gradient
+    /// shape.
+    pub fn backward_params(&mut self, g: &Tensor) {
+        match self {
+            Layer::Dense(d) => {
+                d.backward::<false>(g);
+            }
+            Layer::Conv2d(c) => {
+                c.backward::<false>(g);
+            }
+            _ => {}
+        }
+    }
+
+    /// `true` for layers with trainable parameters (dense and conv).
+    pub fn has_params(&self) -> bool {
+        matches!(self, Layer::Dense(_) | Layer::Conv2d(_))
     }
 
     /// Visits each parameter tensor (values, gradients, mask).
@@ -417,19 +441,30 @@ impl Dense {
         y
     }
 
-    fn backward(&mut self, g: &Tensor) -> Tensor {
+    /// Accumulates `gw`/`gb` and, when `DX`, returns the input gradient
+    /// (an empty tensor otherwise). Rows whose upstream gradient is zero
+    /// are skipped, as in [`Conv2d::backward`].
+    fn backward<const DX: bool>(&mut self, g: &Tensor) -> Tensor {
         let x = self.cache_x.as_ref().expect("backward before forward");
         let (out, inp) = (self.w.shape()[0], self.w.shape()[1]);
         assert_eq!(g.len(), out, "dense gradient size mismatch");
-        let mut dx = Tensor::zeros(vec![inp]);
-        for o in 0..out {
-            let go = g.data()[o];
-            self.gb.data_mut()[o] += go;
-            let row = &self.w.data()[o * inp..(o + 1) * inp];
-            let grow = &mut self.gw.data_mut()[o * inp..(o + 1) * inp];
-            for i in 0..inp {
-                grow[i] += go * x.data()[i];
-                dx.data_mut()[i] += go * row[i];
+        let mut dx = Tensor::zeros(vec![if DX { inp } else { 0 }]);
+        let xd = x.data();
+        let rows = self.w.data().chunks_exact(inp);
+        let grows = self.gw.data_mut().chunks_exact_mut(inp);
+        for (((&go, gb), row), grow) in g.data().iter().zip(self.gb.data_mut()).zip(rows).zip(grows)
+        {
+            if go == 0.0 {
+                continue;
+            }
+            *gb += go;
+            for (gw, &xv) in grow.iter_mut().zip(xd) {
+                *gw += go * xv;
+            }
+            if DX {
+                for (dxv, &wv) in dx.data_mut().iter_mut().zip(row) {
+                    *dxv += go * wv;
+                }
             }
         }
         dx
@@ -463,14 +498,24 @@ impl Conv2d {
         y
     }
 
-    fn backward(&mut self, g: &Tensor) -> Tensor {
+    /// Accumulates `gf`/`gb` and, when `DX`, returns the input gradient
+    /// (an empty tensor otherwise).
+    ///
+    /// Output positions whose upstream gradient is zero are skipped. That
+    /// is bit-exact for finite inputs and weights: every accumulator
+    /// (`gf`, `gb`, `dx`) starts at +0.0 and, under round-to-nearest, a
+    /// sum can only be −0.0 if both addends are, so none ever holds
+    /// −0.0; adding the skipped ±0·(finite) = ±0.0 to such a value leaves
+    /// its bits unchanged. (An infinite or NaN input would make the
+    /// skipped product NaN, which the skip would hide.)
+    fn backward<const DX: bool>(&mut self, g: &Tensor) -> Tensor {
         let x = self.cache_x.as_ref().expect("backward before forward");
         let fs = self.filters.shape().to_vec();
         let (nf, nc, kh, kw) = (fs[0], fs[1], fs[2], fs[3]);
         let (h, w) = (x.shape()[1], x.shape()[2]);
         let (oh, ow) = (h - kh + 1, w - kw + 1);
         assert_eq!(g.shape(), &[nf, oh, ow], "conv gradient shape mismatch");
-        let mut dx = Tensor::zeros(vec![nc, h, w]);
+        let mut dx = Tensor::zeros(if DX { vec![nc, h, w] } else { vec![0] });
         let xd = x.data();
         let fd = self.filters.data();
         let gd = g.data();
@@ -478,8 +523,8 @@ impl Conv2d {
         let dxd = dx.data_mut();
         // Same loop nest as the forward reference, but the kernel-column
         // loop runs over contiguous kw-length slices of the image row, the
-        // filter row, and their gradients, so the hot loop is two
-        // bounds-check-free fused multiply-adds per tap.
+        // filter row, and their gradients, so the hot loop is
+        // bounds-check-free multiply-adds per tap.
         for f in 0..nf {
             let mut bsum = 0.0;
             for oy in 0..oh {
@@ -494,14 +539,16 @@ impl Conv2d {
                             let xbase = (c * h + oy + ky) * w + ox;
                             let fbase = ((f * nc + c) * kh + ky) * kw;
                             let xs = &xd[xbase..xbase + kw];
-                            let frow = &fd[fbase..fbase + kw];
                             let gfrow = &mut gfd[fbase..fbase + kw];
-                            let dxrow = &mut dxd[xbase..xbase + kw];
-                            for (((gf, dxv), &xv), &fv) in
-                                gfrow.iter_mut().zip(dxrow.iter_mut()).zip(xs).zip(frow)
-                            {
+                            for (gf, &xv) in gfrow.iter_mut().zip(xs) {
                                 *gf += go * xv;
-                                *dxv += go * fv;
+                            }
+                            if DX {
+                                let frow = &fd[fbase..fbase + kw];
+                                let dxrow = &mut dxd[xbase..xbase + kw];
+                                for (dxv, &fv) in dxrow.iter_mut().zip(frow) {
+                                    *dxv += go * fv;
+                                }
                             }
                         }
                     }
@@ -682,6 +729,136 @@ mod tests {
             assert_eq!(d.w.data(), &[1.0, 0.0, 3.0, 0.0]);
         } else {
             unreachable!();
+        }
+    }
+
+    /// An upstream gradient mixing +0.0, −0.0 and non-zero entries.
+    fn signed_zero_grad(shape: Vec<usize>, r: &mut rand::rngs::StdRng) -> Tensor {
+        let mut g = Tensor::uniform(shape, 1.0, r);
+        for (i, v) in g.data_mut().iter_mut().enumerate() {
+            match i % 3 {
+                0 => *v = 0.0,
+                1 if i % 2 == 0 => *v = -0.0,
+                _ => {}
+            }
+        }
+        g
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The no-skip dense backward: every row, in order.
+    fn dense_reference(
+        w: &Tensor,
+        x: &Tensor,
+        g: &Tensor,
+        gw: &mut Tensor,
+        gb: &mut Tensor,
+    ) -> Tensor {
+        let (out, inp) = (w.shape()[0], w.shape()[1]);
+        let mut dx = Tensor::zeros(vec![inp]);
+        for o in 0..out {
+            let go = g.data()[o];
+            gb.data_mut()[o] += go;
+            for i in 0..inp {
+                gw.data_mut()[o * inp + i] += go * x.data()[i];
+                dx.data_mut()[i] += go * w.data()[o * inp + i];
+            }
+        }
+        dx
+    }
+
+    /// The no-skip conv backward: every output position, in order.
+    fn conv_reference(
+        f: &Tensor,
+        x: &Tensor,
+        g: &Tensor,
+        gf: &mut Tensor,
+        gb: &mut Tensor,
+    ) -> Tensor {
+        let fs = f.shape();
+        let (nf, nc, kh, kw) = (fs[0], fs[1], fs[2], fs[3]);
+        let (h, w) = (x.shape()[1], x.shape()[2]);
+        let (oh, ow) = (h - kh + 1, w - kw + 1);
+        let mut dx = Tensor::zeros(vec![nc, h, w]);
+        for fi in 0..nf {
+            let mut bsum = 0.0;
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let go = g.data()[(fi * oh + oy) * ow + ox];
+                    bsum += go;
+                    for c in 0..nc {
+                        for ky in 0..kh {
+                            for kx in 0..kw {
+                                let xi = (c * h + oy + ky) * w + ox + kx;
+                                let fi_ = ((fi * nc + c) * kh + ky) * kw + kx;
+                                gf.data_mut()[fi_] += go * x.data()[xi];
+                                dx.data_mut()[xi] += go * f.data()[fi_];
+                            }
+                        }
+                    }
+                }
+            }
+            gb.data_mut()[fi] += bsum;
+        }
+        dx
+    }
+
+    #[test]
+    fn dense_backward_matches_the_no_skip_reference() {
+        let mut r = rng();
+        let mut l = Layer::dense(7, 9, &mut r);
+        let Layer::Dense(d) = &l else { unreachable!() };
+        let w = d.w.clone();
+        let (mut gw, mut gb) = (Tensor::zeros(vec![9, 7]), Tensor::zeros(vec![9]));
+        let mut pl = l.clone();
+        // Two accumulating passes, so the second starts from non-zero
+        // gradients.
+        for _ in 0..2 {
+            let x = Tensor::uniform(vec![7], 1.0, &mut r);
+            let g = signed_zero_grad(vec![9], &mut r);
+            l.forward(&x);
+            pl.forward(&x);
+            let dx = l.backward(&g);
+            pl.backward_params(&g);
+            let want = dense_reference(&w, &x, &g, &mut gw, &mut gb);
+            assert_eq!(bits(&dx), bits(&want));
+        }
+        for layer in [&l, &pl] {
+            let Layer::Dense(d) = layer else {
+                unreachable!()
+            };
+            assert_eq!(bits(&d.gw), bits(&gw));
+            assert_eq!(bits(&d.gb), bits(&gb));
+        }
+    }
+
+    #[test]
+    fn conv_backward_matches_the_no_skip_reference() {
+        let mut r = rng();
+        let mut l = Layer::conv2d(4, 2, 2, 3, &mut r);
+        let Layer::Conv2d(c) = &l else { unreachable!() };
+        let f = c.filters.clone();
+        let (mut gf, mut gb) = (Tensor::zeros(vec![4, 2, 2, 3]), Tensor::zeros(vec![4]));
+        let mut pl = l.clone();
+        for _ in 0..2 {
+            let x = Tensor::uniform(vec![2, 5, 6], 1.0, &mut r);
+            let g = signed_zero_grad(vec![4, 4, 4], &mut r);
+            l.forward(&x);
+            pl.forward(&x);
+            let dx = l.backward(&g);
+            pl.backward_params(&g);
+            let want = conv_reference(&f, &x, &g, &mut gf, &mut gb);
+            assert_eq!(bits(&dx), bits(&want));
+        }
+        for layer in [&l, &pl] {
+            let Layer::Conv2d(c) = layer else {
+                unreachable!()
+            };
+            assert_eq!(bits(&c.gf), bits(&gf));
+            assert_eq!(bits(&c.gb), bits(&gb));
         }
     }
 

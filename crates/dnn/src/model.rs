@@ -39,17 +39,25 @@ impl Model {
         t
     }
 
-    /// Backward pass; `g` is the loss gradient at the output.
+    /// Backward pass; `g` is the loss gradient at the output. Accumulates
+    /// every parameter gradient and returns nothing: the first
+    /// parameterized layer computes no input gradient (see
+    /// [`Layer::backward_params`]), and the parameterless layers before it
+    /// are not visited, since no parameter reads their gradients.
     ///
     /// # Panics
     ///
     /// Panics if called before `forward`.
-    pub fn backward(&mut self, g: &Tensor) -> Tensor {
-        let mut grad = g.clone();
-        for l in self.layers.iter_mut().rev() {
-            grad = l.backward(&grad);
+    pub fn backward(&mut self, g: &Tensor) {
+        let Some(first) = self.layers.iter().position(Layer::has_params) else {
+            return;
+        };
+        let (head, tail) = self.layers.split_at_mut(first + 1);
+        let mut grad: Option<Tensor> = None;
+        for l in tail.iter_mut().rev() {
+            grad = Some(l.backward(grad.as_ref().unwrap_or(g)));
         }
-        grad
+        head[first].backward_params(grad.as_ref().unwrap_or(g));
     }
 
     /// Classification: argmax of the logits.
@@ -195,6 +203,40 @@ mod tests {
         m.zero_grad();
         m.visit_params(&mut |p| assert!(p.grads.iter().all(|&g| g == 0.0)));
         let _ = y;
+    }
+
+    fn grad_bits(m: &mut Model) -> Vec<u32> {
+        let mut v = Vec::new();
+        m.visit_params(&mut |p| v.extend(p.grads.iter().map(|g| g.to_bits())));
+        v
+    }
+
+    #[test]
+    fn backward_matches_the_full_layer_chain() {
+        let mut r = rng();
+        // One model starts with its parameterized layer, one with a
+        // parameterless layer that `backward` never visits.
+        let flat_first = Model::new(vec![
+            Layer::flatten(),
+            Layer::dense(64, 6, &mut r),
+            Layer::relu(),
+            Layer::dense(6, 5, &mut r),
+        ]);
+        for mut m in [tiny_cnn(), flat_first] {
+            let mut chain = m.clone();
+            for _ in 0..3 {
+                let x = Tensor::uniform(vec![1, 8, 8], 1.0, &mut r);
+                let g = Tensor::uniform(vec![5], 1.0, &mut r);
+                m.forward(&x);
+                m.backward(&g);
+                chain.forward(&x);
+                let mut grad = g;
+                for l in chain.layers_mut().iter_mut().rev() {
+                    grad = l.backward(&grad);
+                }
+            }
+            assert_eq!(grad_bits(&mut m), grad_bits(&mut chain));
+        }
     }
 
     #[test]

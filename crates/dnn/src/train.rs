@@ -3,6 +3,15 @@
 //! GENESIS re-trains every compressed configuration (§5.2), so the trainer
 //! must respect pruning masks: masked weights receive updates of zero and
 //! stay exactly 0.0, which keeps the deployed sparse kernels sparse.
+//!
+//! The backward pass computes only what a parameter update reads. Dense
+//! rows and conv output positions whose upstream gradient is zero (after
+//! a ReLU, about half of them) are skipped, and the first parameterized
+//! layer computes no input gradient (see [`Model::backward`]). The skip
+//! is bit-exact as long as inputs and weights are finite: every gradient
+//! accumulator starts at +0.0 and so never holds −0.0, and adding the
+//! skipped ±0·(finite) = ±0.0 leaves it unchanged. An infinite or NaN
+//! value would have turned the skipped product into NaN.
 
 use crate::data::Dataset;
 use crate::model::Model;
@@ -260,6 +269,46 @@ mod tests {
         } else {
             unreachable!();
         }
+    }
+
+    /// FNV-1a over the bits of every epoch loss and every trained
+    /// parameter of a small pruned CNN. Backward-pass rewrites must keep
+    /// each f32 sum in its order, so this digest never moves.
+    #[test]
+    fn training_is_bit_stable() {
+        let data = crate::data::synth_har(48, 21);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(4);
+        let mut model = Model::new(vec![
+            Layer::conv2d(6, 3, 1, 5, &mut rng),
+            Layer::relu(),
+            Layer::conv2d(8, 6, 1, 3, &mut rng),
+            Layer::relu(),
+            Layer::maxpool_rect(1, 2),
+            Layer::flatten(),
+            Layer::dense(8 * 27, 16, &mut rng),
+            Layer::relu(),
+            Layer::dense(16, 6, &mut rng),
+        ]);
+        let mask = (0..16 * 8 * 27)
+            .map(|i| if i % 3 == 0 { 0.0 } else { 1.0 })
+            .collect();
+        model.layers_mut()[6].set_mask(Tensor::from_vec(vec![16, 8 * 27], mask));
+        let losses = train(
+            &mut model,
+            &data,
+            &TrainConfig {
+                epochs: 3,
+                ..TrainConfig::default()
+            },
+        );
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut put = |bits: u32| {
+            h ^= bits as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        };
+        losses.iter().for_each(|l| put(l.to_bits()));
+        model.visit_params(&mut |p| p.values.iter().for_each(|v| put(v.to_bits())));
+        assert_eq!(h, 0xc731_31e7_72de_546b, "training digest moved");
     }
 
     #[test]

@@ -10,18 +10,26 @@ use dnn::tensor::Tensor;
 
 /// Prunes a weight tensor to the given density (fraction of weights kept,
 /// by magnitude). Returns the mask.
+///
+/// The kept set is the first `keep` indices under "|w| descending, then
+/// index ascending" — a total order, so a linear-time selection picks
+/// exactly the set a stable sort by magnitude would.
 fn magnitude_mask(w: &Tensor, density: f64) -> Tensor {
     let n = w.len();
-    let keep = ((n as f64) * density).round().max(1.0) as usize;
+    let keep = (((n as f64) * density).round().max(1.0) as usize).min(n);
+    let wd = w.data();
     let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&i, &j| {
-        w.data()[j]
-            .abs()
-            .partial_cmp(&w.data()[i].abs())
-            .expect("finite weights")
-    });
+    if keep > 0 {
+        order.select_nth_unstable_by(keep - 1, |&i, &j| {
+            wd[j]
+                .abs()
+                .partial_cmp(&wd[i].abs())
+                .expect("finite weights")
+                .then(i.cmp(&j))
+        });
+    }
     let mut mask = Tensor::zeros(w.shape().to_vec());
-    for &i in order.iter().take(keep) {
+    for &i in &order[..keep] {
         mask.data_mut()[i] = 1.0;
     }
     mask
@@ -52,7 +60,7 @@ pub fn prune_layer(layer: &mut Layer, density: f64) {
 pub fn prune_model(model: &mut Model, densities: &[f64]) {
     let mut di = 0;
     for l in model.layers_mut() {
-        if matches!(l, Layer::Dense(_) | Layer::Conv2d(_)) {
+        if l.has_params() {
             if let Some(&d) = densities.get(di) {
                 prune_layer(l, d);
             }
@@ -71,6 +79,54 @@ mod tests {
         let w = Tensor::from_vec(vec![1, 5], vec![0.1, -0.9, 0.5, -0.05, 0.3]);
         let mask = magnitude_mask(&w, 0.4);
         assert_eq!(mask.data(), &[0.0, 1.0, 1.0, 0.0, 0.0]);
+    }
+
+    /// Reference selection: the first `keep` indices of a stable sort by
+    /// descending magnitude.
+    fn stable_sort_mask(w: &Tensor, density: f64) -> Tensor {
+        let n = w.len();
+        let keep = ((n as f64) * density).round().max(1.0) as usize;
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by(|&i, &j| {
+            w.data()[j]
+                .abs()
+                .partial_cmp(&w.data()[i].abs())
+                .expect("finite weights")
+        });
+        let mut mask = Tensor::zeros(w.shape().to_vec());
+        for &i in order.iter().take(keep) {
+            mask.data_mut()[i] = 1.0;
+        }
+        mask
+    }
+
+    #[test]
+    fn selection_matches_stable_sort_on_ties() {
+        use rand::Rng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
+        // Few distinct magnitudes, both signs, and signed zeros, so most
+        // of the kept/dropped boundary falls inside a run of ties.
+        let levels = [0.0f32, -0.0, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0];
+        for n in [1usize, 2, 7, 64, 257] {
+            let data: Vec<f32> = (0..n)
+                .map(|_| levels[rng.gen_range(0..levels.len())])
+                .collect();
+            let w = Tensor::from_vec(vec![1, n], data);
+            for density in [0.01, 0.1, 0.3, 0.5, 0.77, 0.999, 1.0] {
+                assert_eq!(
+                    magnitude_mask(&w, density),
+                    stable_sort_mask(&w, density),
+                    "n {n} density {density}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "finite weights")]
+    fn mask_rejects_nan_weights() {
+        let w = Tensor::from_vec(vec![1, 3], vec![0.1, f32::NAN, 0.3]);
+        magnitude_mask(&w, 1.0);
     }
 
     #[test]

@@ -366,45 +366,39 @@ pub fn evaluate_plan(
     }
 }
 
-/// Plans evaluated serially before the median-stopping threshold is
-/// frozen and the remaining plans fan out in parallel.
+/// Plans evaluated without a stopping threshold (the warm-up) before the
+/// median of their statistics is frozen for the remaining plans.
 pub const MEDIAN_WARMUP_PLANS: usize = 4;
 
 /// Runs the full sweep with the median-stopping rule and marks the Pareto
 /// frontier.
 ///
-/// The first [`MEDIAN_WARMUP_PLANS`] configurations are evaluated
-/// serially (no stopping threshold exists yet — same as the original
-/// sequential sweep); the median of their probe statistics is then
-/// *frozen* and every remaining configuration is evaluated independently
-/// against it. That makes the remaining evaluations embarrassingly
-/// parallel, so they run on all cores. Results are collected back in plan
-/// order, and each evaluation is fully seeded, so the sweep is
-/// deterministic — the same `Vec` comes back on any thread count.
+/// The sweep runs in two parallel stages with one barrier between them.
+/// The first [`MEDIAN_WARMUP_PLANS`] configurations are evaluated with no
+/// stopping threshold, so they are independent of each other and fan out
+/// across cores. Once all of them are done, the median of their
+/// statistics is taken in plan order and *frozen*, and every remaining
+/// configuration is evaluated independently against it, again on all
+/// cores. Results are collected back in plan order, and each evaluation
+/// is fully seeded, so the sweep is deterministic — the same `Vec` comes
+/// back on any thread count, equal to evaluating the plans one by one.
 pub fn sweep(base: &Model, space: &SearchSpace, ctx: &EvalContext<'_>) -> Vec<ConfigResult> {
-    let plans = space.plans();
-    let serial_n = plans.len().min(MEDIAN_WARMUP_PLANS);
-    let mut results: Vec<ConfigResult> = Vec::new();
-    let mut probe_losses: Vec<f32> = Vec::new();
-    for knobs in &plans[..serial_n] {
-        let r = evaluate_plan(base, knobs, ctx, None);
-        // The probe loss is not persisted in the result; approximate the
-        // stopping statistics with observed accuracies inverted.
-        probe_losses.push(1.0 - r.accuracy as f32);
-        results.push(r);
-    }
-    if plans.len() > serial_n {
-        // Entering this branch implies serial_n == MEDIAN_WARMUP_PLANS,
-        // so the full warm-up ran and a median always exists.
+    let mut warmup = space.plans();
+    let rest = warmup.split_off(warmup.len().min(MEDIAN_WARMUP_PLANS));
+    let mut results =
+        sonic::fleet::par_map(warmup, &|knobs| evaluate_plan(base, &knobs, ctx, None));
+    if !rest.is_empty() {
+        // A non-empty remainder implies the full warm-up ran, so a median
+        // always exists. The probe loss is not persisted in the result;
+        // the stopping statistic is the observed accuracy inverted.
         let median = {
-            let mut sorted = probe_losses.clone();
+            let mut sorted: Vec<f32> = results.iter().map(|r| 1.0 - r.accuracy as f32).collect();
             sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
             sorted[sorted.len() / 2]
         };
-        let rest = sonic::fleet::par_map(plans[serial_n..].to_vec(), &|knobs| {
+        results.extend(sonic::fleet::par_map(rest, &|knobs| {
             evaluate_plan(base, &knobs, ctx, Some(median))
-        });
-        results.extend(rest);
+        }));
     }
     mark_pareto(&mut results);
     results
@@ -569,10 +563,36 @@ mod tests {
         assert!(choose(&results2).is_none());
     }
 
+    /// Every field of two results, the trained weights bit for bit.
+    fn assert_same_result(x: &ConfigResult, y: &ConfigResult) {
+        assert_eq!(x.label, y.label);
+        assert_eq!(x.technique, y.technique);
+        assert_eq!(x.macs, y.macs);
+        assert_eq!(x.fram_words, y.fram_words);
+        assert_eq!(x.feasible, y.feasible);
+        assert_eq!(x.accuracy.to_bits(), y.accuracy.to_bits());
+        assert_eq!(x.tp.to_bits(), y.tp.to_bits());
+        assert_eq!(x.tn.to_bits(), y.tn.to_bits());
+        assert_eq!(x.e_infer_mj.to_bits(), y.e_infer_mj.to_bits());
+        assert_eq!(x.impj.to_bits(), y.impj.to_bits());
+        assert_eq!(x.pareto, y.pareto);
+        assert_eq!(x.early_stopped, y.early_stopped);
+        let bits = |m: &Model| {
+            let mut v = Vec::new();
+            m.clone()
+                .visit_params(&mut |p| v.extend(p.values.iter().map(|w| w.to_bits())));
+            v
+        };
+        assert_eq!(x.model.describe(), y.model.describe());
+        assert_eq!(bits(&x.model), bits(&y.model), "{}", x.label);
+    }
+
     #[test]
     fn parallel_sweep_is_deterministic() {
-        // More plans than the serial warm-up, so the parallel fan-out is
-        // exercised; two runs must agree in order and in every metric.
+        // More plans than the warm-up, so both parallel stages run; two
+        // sweeps must agree with each other and with the serial
+        // specification of the median-stopping rule, in order and in
+        // every field.
         let (train, test) = tiny_dataset();
         let costs = CostTable::msp430fr5994();
         let c = ctx(&train, &test, &costs);
@@ -582,19 +602,33 @@ mod tests {
             fc_ranks: vec![None, Some(4), Some(8)],
             fc_densities: vec![1.0, 0.5, 0.3],
         };
-        let a = sweep(&tiny_base(), &space, &c);
-        let b = sweep(&tiny_base(), &space, &c);
+        let base = tiny_base();
+        let a = sweep(&base, &space, &c);
+        let b = sweep(&base, &space, &c);
+
+        // The serial specification: the warm-up plans in order with no
+        // threshold, the median of their `1 - accuracy`, then the rest
+        // against that median.
+        let plans = space.plans();
+        let mut serial: Vec<ConfigResult> = plans[..MEDIAN_WARMUP_PLANS]
+            .iter()
+            .map(|k| evaluate_plan(&base, k, &c, None))
+            .collect();
+        let mut stats: Vec<f32> = serial.iter().map(|r| 1.0 - r.accuracy as f32).collect();
+        stats.sort_by(|x, y| x.partial_cmp(y).unwrap());
+        let median = stats[stats.len() / 2];
+        for k in &plans[MEDIAN_WARMUP_PLANS..] {
+            serial.push(evaluate_plan(&base, k, &c, Some(median)));
+        }
+        mark_pareto(&mut serial);
+        assert!(serial.iter().any(|r| r.early_stopped));
+
         assert!(a.len() > MEDIAN_WARMUP_PLANS);
         assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.label, y.label);
-            assert_eq!(x.macs, y.macs);
-            assert_eq!(x.fram_words, y.fram_words);
-            assert_eq!(x.accuracy, y.accuracy);
-            assert_eq!(x.e_infer_mj, y.e_infer_mj);
-            assert_eq!(x.impj, y.impj);
-            assert_eq!(x.pareto, y.pareto);
-            assert_eq!(x.early_stopped, y.early_stopped);
+        assert_eq!(a.len(), serial.len());
+        for ((x, y), s) in a.iter().zip(&b).zip(&serial) {
+            assert_same_result(x, y);
+            assert_same_result(x, s);
         }
     }
 
