@@ -9,7 +9,12 @@
 //! 2. **Q15 deployed kernels** — the restructured `conv_host` /
 //!    `dense_host` vs. the element-at-a-time reference loops, dense and
 //!    sparse, with MAC throughput.
-//! 3. **Simulator backends** — end-to-end `run_inference` on the
+//! 3. **f32 training kernels** — one HAR sample's forward, backward and
+//!    SGD step of the 192×2450 fully-connected layer, dense vs pruned to
+//!    density 0.04 (the kept-weight loops of GENESIS re-training), and the
+//!    convolution backward pass at the HAR conv and `sep(4,4)` pointwise
+//!    shapes.
+//! 4. **Simulator backends** — end-to-end `run_inference` on the
 //!    energy-metered device model (the original contents of this bench).
 //!
 //! `CRITERION_QUICK=1` shrinks the measurement budget for CI smoke runs.
@@ -23,6 +28,7 @@ use dnn::quant::{
     sparse_taps_from_weights, QConv, QDense,
 };
 use dnn::tensor::Tensor;
+use dnn::train::Sgd;
 use fxp::Q15;
 use mcu::{DeviceSpec, PowerSystem};
 use rand::{Rng, SeedableRng};
@@ -200,6 +206,69 @@ fn bench_q15_kernels(c: &mut Criterion) {
     println!();
 }
 
+/// A `[out, inp]` dense layer, pruned to `density` when below 1.
+fn fc_layer(out: usize, inp: usize, density: f64, r: &mut rand::rngs::StdRng) -> Layer {
+    let mut l = Layer::dense(inp, out, r);
+    if density < 1.0 {
+        let mask: Vec<f32> = (0..out * inp)
+            .map(|_| r.gen_bool(density) as u8 as f32)
+            .collect();
+        l.set_mask(Tensor::from_vec(vec![out, inp], mask));
+    }
+    l
+}
+
+fn bench_training(c: &mut Criterion) {
+    println!("== f32 training kernels: HAR fc 192x2450, dense vs kept-weight loops ==");
+    let (out, inp) = (192usize, 2450usize);
+    for (label, density) in [("dense", 1.0f64), ("masked04", 0.04)] {
+        let mut r = rng(19);
+        let mut m = Model::new(vec![fc_layer(out, inp, density, &mut r)]);
+        let x = Tensor::uniform(vec![inp], 1.0, &mut r);
+        let g = Tensor::uniform(vec![out], 1.0, &mut r);
+        let mut opt = Sgd::new(&mut m, 0.01, 0.9);
+        let ids = [
+            format!("fc-train-forward/{label}"),
+            format!("fc-train-backward/{label}"),
+            format!("fc-train-step/{label}"),
+        ];
+        c.bench_function(&ids[0], |b| {
+            b.iter(|| std::hint::black_box(m.layers_mut()[0].forward(&x)))
+        });
+        c.bench_function(&ids[1], |b| {
+            b.iter(|| std::hint::black_box(m.layers_mut()[0].backward(&g)))
+        });
+        c.bench_function(&ids[2], |b| b.iter(|| opt.step(&mut m, 16)));
+        if density < 1.0 {
+            for id in &ids {
+                let ns = c.median_ns(id).expect("measured");
+                let dense_ns = c
+                    .median_ns(&id.replace(label, "dense"))
+                    .expect("dense measured first");
+                println!("    speedup {id}: {:.2}x", dense_ns / ns);
+            }
+        }
+    }
+    // The HAR conv and the pointwise conv of a `sep(4,4)` plan, filter
+    // and input gradients both.
+    for (label, nf, nc, kw, w) in [
+        ("har-conv-98x3x1x12", 98, 3, 12, 61),
+        ("har-pointwise-98x4x1x1", 98, 4, 1, 50),
+    ] {
+        let mut r = rng(23);
+        let mut l = Layer::conv2d(nf, nc, 1, kw, &mut r);
+        let x = Tensor::uniform(vec![nc, 1, w], 1.0, &mut r);
+        let ow = w - kw + 1;
+        l.forward(&x);
+        let g = Tensor::uniform(vec![nf, 1, ow], 1.0, &mut r);
+        let id = format!("conv-train-backward/{label}");
+        c.bench_function(&id, |b| b.iter(|| std::hint::black_box(l.backward(&g))));
+        let ns = c.median_ns(&id).expect("measured");
+        report_throughput("backward", (2 * nf * nc * kw * ow) as u64, ns);
+    }
+    println!();
+}
+
 fn tiny() -> (dnn::quant::QModel, Vec<fxp::Q15>) {
     let mut rng = rng(5);
     let mut m = Model::new(vec![
@@ -242,5 +311,11 @@ fn bench_backends(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_f32_conv, bench_q15_kernels, bench_backends);
+criterion_group!(
+    benches,
+    bench_f32_conv,
+    bench_q15_kernels,
+    bench_training,
+    bench_backends
+);
 criterion_main!(benches);

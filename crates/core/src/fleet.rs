@@ -592,10 +592,12 @@ pub fn run_fleet_serial(job: &FleetJob<'_>) -> Vec<FleetCell> {
 /// shards, the `spec` sweeps' schedules and flips, and GENESIS's plan
 /// evaluations all go through it. `rayon` is unavailable offline (see
 /// `vendor/README.md`), so this is a small `std::thread::scope` work
-/// queue: each worker pops the next indexed item (LIFO; execution order
-/// is irrelevant), and results are sorted back into submission order —
-/// the "indexed collect" that makes every caller's output independent of
-/// the thread count. With one available core it maps serially in place.
+/// queue: each worker pops the *last* remaining indexed item, so a caller
+/// that wants its costliest items started first submits them last (the
+/// GENESIS sweep does), and results are sorted back into submission
+/// order — the "indexed collect" that makes every caller's output
+/// independent of the thread count. With one available core it maps
+/// serially in place.
 pub fn par_map<T, U, F>(items: Vec<T>, f: &F) -> Vec<U>
 where
     T: Send,

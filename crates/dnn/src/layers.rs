@@ -2,9 +2,10 @@
 //!
 //! Layers cache whatever the backward pass needs during `forward`, so a
 //! training step is `forward` → loss gradient → `backward` → optimizer
-//! step. Pruned layers carry an optional 0/1 *mask* with the same shape as
-//! the weights; masked weights stay zero through re-training (GENESIS
-//! re-trains after compression, §5.2).
+//! step. Pruned layers carry the [`Kept`] index lists of their unpruned
+//! weights; masked weights stay +0.0 through re-training (GENESIS
+//! re-trains after compression, §5.2), and the training kernels walk only
+//! the kept ones (see the [`crate::train`] module docs).
 
 use crate::im2col;
 use crate::tensor::Tensor;
@@ -16,20 +17,75 @@ pub struct ParamSet<'a> {
     pub values: &'a mut [f32],
     /// The accumulated gradients (same length).
     pub grads: &'a mut [f32],
-    /// Optional 0/1 pruning mask (same length); masked entries must remain
-    /// zero after updates.
-    pub mask: Option<&'a [f32]>,
+    /// Flat indices of the kept entries of a pruned tensor, ascending.
+    /// Every other entry of `values` and `grads` is +0.0 and stays so: an
+    /// optimizer updates only the kept ones.
+    pub mask: Option<&'a [u32]>,
+}
+
+/// The kept weights of a pruned layer, as per-row lists over its weight
+/// matrix: `[out, in]` for a dense layer, `[F, C·KH·KW]` for a
+/// convolution. Built once by [`Layer::set_mask`]; the mask is fixed for
+/// the whole re-training.
+#[derive(Clone, Debug)]
+pub struct Kept {
+    /// Flat indices of the kept weights, ascending.
+    idx: Vec<u32>,
+    /// `idx[starts[r]..starts[r + 1]]` are row `r`'s kept weights.
+    starts: Vec<usize>,
+}
+
+impl Kept {
+    /// Reads a 0/1 mask over a `[rows, cols]` matrix.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an entry other than 0 or 1, or a matrix too large for
+    /// `u32` indices.
+    fn from_mask(mask: &[f32], cols: usize) -> Kept {
+        let (mut idx, mut starts) = (Vec::new(), vec![0]);
+        for (i, &m) in mask.iter().enumerate() {
+            assert!(m == 0.0 || m == 1.0, "mask entries must be 0 or 1");
+            if m == 1.0 {
+                idx.push(u32::try_from(i).expect("layer too large for u32 mask indices"));
+            }
+            if (i + 1) % cols == 0 {
+                starts.push(idx.len());
+            }
+        }
+        Kept { idx, starts }
+    }
+
+    /// Flat indices of every kept weight, ascending.
+    fn indices(&self) -> &[u32] {
+        &self.idx
+    }
+
+    /// Flat indices of row `r`'s kept weights, ascending.
+    fn row(&self, r: usize) -> &[u32] {
+        &self.idx[self.starts[r]..self.starts[r + 1]]
+    }
 }
 
 /// A fully-connected layer: `y = W·x + b`.
+///
+/// When pruned, the forward sum, the weight-gradient rows, the
+/// input-gradient rows and the optimizer step run over the kept weights
+/// only, and each remaining f32 sum keeps its terms in their dense order.
+/// That is bit-identical to the full-width loops for finite inputs: a
+/// dropped term is `+0.0·x` or `go·(+0.0)`, i.e. ±0.0, and adding ±0.0
+/// changes no accumulator that is not −0.0. Gradient accumulators start
+/// at +0.0 and so never hold −0.0; a forward row starts at its bias, so
+/// a layer with any −0.0 bias takes the full-width forward sum. The
+/// full argument is in the [`crate::train`] module docs.
 #[derive(Clone, Debug)]
 pub struct Dense {
     /// Weights, shape `[out, in]`.
     pub w: Tensor,
     /// Bias, shape `[out]`.
     pub b: Tensor,
-    /// Optional 0/1 pruning mask over `w`.
-    pub mask: Option<Tensor>,
+    /// Kept weights, when pruned.
+    pub mask: Option<Kept>,
     gw: Tensor,
     gb: Tensor,
     cache_x: Option<Tensor>,
@@ -47,8 +103,8 @@ pub struct Conv2d {
     pub filters: Tensor,
     /// Bias, shape `[F]`.
     pub bias: Tensor,
-    /// Optional 0/1 pruning mask over `filters`.
-    pub mask: Option<Tensor>,
+    /// Kept filter weights, when pruned.
+    pub mask: Option<Kept>,
     gf: Tensor,
     gb: Tensor,
     cache_x: Option<Tensor>,
@@ -227,30 +283,29 @@ impl Layer {
         })
     }
 
-    /// Installs a pruning mask (0/1 tensor shaped like the weights) and
-    /// zeroes the masked weights.
+    /// Installs a pruning mask (0/1 tensor shaped like the weights): sets
+    /// the masked weights to +0.0 and keeps the [`Kept`] lists of the
+    /// others.
     ///
     /// # Panics
     ///
-    /// Panics on parameterless layers or shape mismatch.
+    /// Panics on parameterless layers, shape mismatch, or a mask entry
+    /// other than 0 or 1.
     pub fn set_mask(&mut self, mask: Tensor) {
-        match self {
-            Layer::Dense(d) => {
-                assert_eq!(mask.shape(), d.w.shape(), "mask shape mismatch");
-                for (w, &m) in d.w.data_mut().iter_mut().zip(mask.data()) {
-                    *w *= m;
-                }
-                d.mask = Some(mask);
-            }
-            Layer::Conv2d(c) => {
-                assert_eq!(mask.shape(), c.filters.shape(), "mask shape mismatch");
-                for (w, &m) in c.filters.data_mut().iter_mut().zip(mask.data()) {
-                    *w *= m;
-                }
-                c.mask = Some(mask);
-            }
+        let (w, slot) = match self {
+            Layer::Dense(d) => (&mut d.w, &mut d.mask),
+            Layer::Conv2d(c) => (&mut c.filters, &mut c.mask),
             _ => panic!("set_mask on a parameterless layer"),
+        };
+        assert_eq!(mask.shape(), w.shape(), "mask shape mismatch");
+        let cols = w.len() / w.shape()[0].max(1);
+        let kept = Kept::from_mask(mask.data(), cols);
+        for (w, &m) in w.data_mut().iter_mut().zip(mask.data()) {
+            if m == 0.0 {
+                *w = 0.0;
+            }
         }
+        *slot = Some(kept);
     }
 
     /// Forward pass; caches state for `backward`.
@@ -316,7 +371,7 @@ impl Layer {
                 f(ParamSet {
                     values: d.w.data_mut(),
                     grads: d.gw.data_mut(),
-                    mask: d.mask.as_ref().map(Tensor::data),
+                    mask: d.mask.as_ref().map(Kept::indices),
                 });
                 f(ParamSet {
                     values: d.b.data_mut(),
@@ -328,7 +383,7 @@ impl Layer {
                 f(ParamSet {
                     values: c.filters.data_mut(),
                     grads: c.gf.data_mut(),
-                    mask: c.mask.as_ref().map(Tensor::data),
+                    mask: c.mask.as_ref().map(Kept::indices),
                 });
                 f(ParamSet {
                     values: c.bias.data_mut(),
@@ -432,38 +487,95 @@ impl Layer {
 }
 
 impl Dense {
+    /// The kept lists the forward sum may run over: those of a pruned
+    /// layer, unless some bias is −0.0. Only such a bias can hold a row's
+    /// accumulator at −0.0, where a skipped `+0.0·x` term would turn the
+    /// sum to +0.0 (see the [`crate::train`] module docs).
+    fn forward_kept(&self) -> Option<&Kept> {
+        let neg_zero = (-0.0f32).to_bits();
+        self.mask
+            .as_ref()
+            .filter(|_| !self.b.data().iter().any(|b| b.to_bits() == neg_zero))
+    }
+
     fn forward(&mut self, x: &Tensor) -> Tensor {
         let (out, inp) = (self.w.shape()[0], self.w.shape()[1]);
         assert_eq!(x.len(), inp, "dense input size mismatch");
         let mut y = Tensor::zeros(vec![out]);
-        im2col::matvec_bias(self.w.data(), x.data(), self.b.data(), y.data_mut());
+        let (w, xd, b) = (self.w.data(), x.data(), self.b.data());
+        match self.forward_kept() {
+            Some(kept) => {
+                for (o, (yv, &bv)) in y.data_mut().iter_mut().zip(b).enumerate() {
+                    let base = o * inp;
+                    let mut acc = bv;
+                    for &k in kept.row(o) {
+                        let k = k as usize;
+                        acc += w[k] * xd[k - base];
+                    }
+                    *yv = acc;
+                }
+                if cfg!(debug_assertions) {
+                    let mut twin = vec![0.0; out];
+                    im2col::matvec_bias(w, xd, b, &mut twin);
+                    assert!(
+                        y.data()
+                            .iter()
+                            .zip(&twin)
+                            .all(|(a, b)| a.to_bits() == b.to_bits()),
+                        "masked dense forward differs from matvec_bias"
+                    );
+                }
+            }
+            None => im2col::matvec_bias(w, xd, b, y.data_mut()),
+        }
         self.cache_x = Some(x.clone());
         y
     }
 
     /// Accumulates `gw`/`gb` and, when `DX`, returns the input gradient
     /// (an empty tensor otherwise). Rows whose upstream gradient is zero
-    /// are skipped, as in [`Conv2d::backward`].
+    /// are skipped, as in [`Conv2d::backward`]; a pruned layer walks only
+    /// its kept weights and never writes a masked `gw` entry.
     fn backward<const DX: bool>(&mut self, g: &Tensor) -> Tensor {
         let x = self.cache_x.as_ref().expect("backward before forward");
         let (out, inp) = (self.w.shape()[0], self.w.shape()[1]);
         assert_eq!(g.len(), out, "dense gradient size mismatch");
         let mut dx = Tensor::zeros(vec![if DX { inp } else { 0 }]);
-        let xd = x.data();
-        let rows = self.w.data().chunks_exact(inp);
-        let grows = self.gw.data_mut().chunks_exact_mut(inp);
-        for (((&go, gb), row), grow) in g.data().iter().zip(self.gb.data_mut()).zip(rows).zip(grows)
-        {
-            if go == 0.0 {
-                continue;
+        let (xd, w, gw) = (x.data(), self.w.data(), self.gw.data_mut());
+        let dxd = dx.data_mut();
+        let rows = g.data().iter().zip(self.gb.data_mut()).enumerate();
+        match &self.mask {
+            Some(kept) => {
+                for (o, (&go, gb)) in rows {
+                    if go == 0.0 {
+                        continue;
+                    }
+                    *gb += go;
+                    let base = o * inp;
+                    for &k in kept.row(o) {
+                        let k = k as usize;
+                        gw[k] += go * xd[k - base];
+                        if DX {
+                            dxd[k - base] += go * w[k];
+                        }
+                    }
+                }
             }
-            *gb += go;
-            for (gw, &xv) in grow.iter_mut().zip(xd) {
-                *gw += go * xv;
-            }
-            if DX {
-                for (dxv, &wv) in dx.data_mut().iter_mut().zip(row) {
-                    *dxv += go * wv;
+            None => {
+                let wrows = w.chunks_exact(inp).zip(gw.chunks_exact_mut(inp));
+                for ((_, (&go, gb)), (row, grow)) in rows.zip(wrows) {
+                    if go == 0.0 {
+                        continue;
+                    }
+                    *gb += go;
+                    for (gw, &xv) in grow.iter_mut().zip(xd) {
+                        *gw += go * xv;
+                    }
+                    if DX {
+                        for (dxv, &wv) in dxd.iter_mut().zip(row) {
+                            *dxv += go * wv;
+                        }
+                    }
                 }
             }
         }
@@ -501,13 +613,23 @@ impl Conv2d {
     /// Accumulates `gf`/`gb` and, when `DX`, returns the input gradient
     /// (an empty tensor otherwise).
     ///
-    /// Output positions whose upstream gradient is zero are skipped. That
-    /// is bit-exact for finite inputs and weights: every accumulator
-    /// (`gf`, `gb`, `dx`) starts at +0.0 and, under round-to-nearest, a
-    /// sum can only be −0.0 if both addends are, so none ever holds
-    /// −0.0; adding the skipped ±0·(finite) = ±0.0 to such a value leaves
-    /// its bits unchanged. (An infinite or NaN input would make the
-    /// skipped product NaN, which the skip would hide.)
+    /// The filter gradient is one axpy per output position over the im2col
+    /// patch rows the forward pass built, `gf[f, :] += go · patch[p, :]`
+    /// (kept columns only, when pruned), so each accumulator sums its terms
+    /// in position order, as the direct loop nest does. Positions whose
+    /// upstream gradient is zero are skipped. The input gradient is one
+    /// axpy of a gradient row into a contiguous `ow`-long `dx` row per
+    /// (f, c, ky, kx, oy), with `ky` and `kx` running backwards, so each
+    /// `dx` element still sums in (f, oy, ox) order; it includes the
+    /// zero-gradient terms. Consecutive axpys write different `dx` rows
+    /// whenever the output has more than one row.
+    ///
+    /// Skipping or adding those terms is bit-exact for finite inputs and
+    /// weights: every accumulator (`gf`, `gb`, `dx`) starts at +0.0 and,
+    /// under round-to-nearest, a sum can only be −0.0 if both addends are,
+    /// so none ever holds −0.0; adding ±0·(finite) = ±0.0 to such a value
+    /// leaves its bits unchanged. (An infinite or NaN input would make the
+    /// product NaN.)
     fn backward<const DX: bool>(&mut self, g: &Tensor) -> Tensor {
         let x = self.cache_x.as_ref().expect("backward before forward");
         let fs = self.filters.shape().to_vec();
@@ -515,46 +637,60 @@ impl Conv2d {
         let (h, w) = (x.shape()[1], x.shape()[2]);
         let (oh, ow) = (h - kh + 1, w - kw + 1);
         assert_eq!(g.shape(), &[nf, oh, ow], "conv gradient shape mismatch");
-        let mut dx = Tensor::zeros(if DX { vec![nc, h, w] } else { vec![0] });
-        let xd = x.data();
-        let fd = self.filters.data();
+        let (np, k) = (oh * ow, nc * kh * kw);
+        // A clone drops the scratch; rebuild the patches of `cache_x`.
+        if self.patches.len() != np * k {
+            im2col::im2col_into(x.data(), nc, h, w, kh, kw, &mut self.patches);
+        }
         let gd = g.data();
         let gfd = self.gf.data_mut();
-        let dxd = dx.data_mut();
-        // Same loop nest as the forward reference, but the kernel-column
-        // loop runs over contiguous kw-length slices of the image row, the
-        // filter row, and their gradients, so the hot loop is
-        // bounds-check-free multiply-adds per tap.
-        for f in 0..nf {
+        for (f, (grow, gfrow)) in gd.chunks_exact(np).zip(gfd.chunks_exact_mut(k)).enumerate() {
+            let positions = grow
+                .iter()
+                .zip(self.patches.chunks_exact(k))
+                .filter(|(&go, _)| go != 0.0);
             let mut bsum = 0.0;
-            for oy in 0..oh {
-                let grow = &gd[(f * oh + oy) * ow..(f * oh + oy + 1) * ow];
-                for (ox, &go) in grow.iter().enumerate() {
-                    if go == 0.0 {
-                        continue;
+            match &self.mask {
+                None => {
+                    for (&go, patch) in positions {
+                        bsum += go;
+                        for (gf, &xv) in gfrow.iter_mut().zip(patch) {
+                            *gf += go * xv;
+                        }
                     }
-                    bsum += go;
-                    for c in 0..nc {
-                        for ky in 0..kh {
-                            let xbase = (c * h + oy + ky) * w + ox;
-                            let fbase = ((f * nc + c) * kh + ky) * kw;
-                            let xs = &xd[xbase..xbase + kw];
-                            let gfrow = &mut gfd[fbase..fbase + kw];
-                            for (gf, &xv) in gfrow.iter_mut().zip(xs) {
-                                *gf += go * xv;
-                            }
-                            if DX {
-                                let frow = &fd[fbase..fbase + kw];
-                                let dxrow = &mut dxd[xbase..xbase + kw];
-                                for (dxv, &fv) in dxrow.iter_mut().zip(frow) {
-                                    *dxv += go * fv;
+                }
+                Some(kept) => {
+                    let (cols, base) = (kept.row(f), f * k);
+                    for (&go, patch) in positions {
+                        bsum += go;
+                        for &i in cols {
+                            let j = i as usize - base;
+                            gfrow[j] += go * patch[j];
+                        }
+                    }
+                }
+            }
+            self.gb.data_mut()[f] += bsum;
+        }
+        let mut dx = Tensor::zeros(if DX { vec![nc, h, w] } else { vec![0] });
+        if DX {
+            let (fd, dxd) = (self.filters.data(), dx.data_mut());
+            for (f, gmap) in gd.chunks_exact(np).enumerate() {
+                for c in 0..nc {
+                    for ky in (0..kh).rev() {
+                        let frow = &fd[((f * nc + c) * kh + ky) * kw..][..kw];
+                        for kx in (0..kw).rev() {
+                            let fv = frow[kx];
+                            for (oy, grow) in gmap.chunks_exact(ow).enumerate() {
+                                let drow = &mut dxd[(c * h + oy + ky) * w + kx..][..ow];
+                                for (d, &go) in drow.iter_mut().zip(grow) {
+                                    *d += go * fv;
                                 }
                             }
                         }
                     }
                 }
             }
-            self.gb.data_mut()[f] += bsum;
         }
         dx
     }
@@ -721,15 +857,15 @@ mod tests {
 
     #[test]
     fn set_mask_zeroes_weights_and_sticks() {
-        let w = Tensor::from_vec(vec![1, 4], vec![1.0, 2.0, 3.0, 4.0]);
+        let w = Tensor::from_vec(vec![1, 5], vec![1.0, 2.0, 3.0, 4.0, -5.0]);
         let b = Tensor::zeros(vec![1]);
         let mut l = Layer::dense_from(w, b);
-        l.set_mask(Tensor::from_vec(vec![1, 4], vec![1.0, 0.0, 1.0, 0.0]));
-        if let Layer::Dense(d) = &l {
-            assert_eq!(d.w.data(), &[1.0, 0.0, 3.0, 0.0]);
-        } else {
-            unreachable!();
-        }
+        l.set_mask(Tensor::from_vec(vec![1, 5], vec![1.0, 0.0, 1.0, 0.0, 0.0]));
+        let Layer::Dense(d) = &l else { unreachable!() };
+        // A masked negative weight becomes +0.0, not −0.0.
+        let want = Tensor::from_vec(vec![1, 5], vec![1.0, 0.0, 3.0, 0.0, 0.0]);
+        assert_eq!(bits(&d.w), bits(&want));
+        assert_eq!(d.mask.as_ref().map(Kept::indices), Some(&[0u32, 2][..]));
     }
 
     /// An upstream gradient mixing +0.0, −0.0 and non-zero entries.
@@ -745,8 +881,12 @@ mod tests {
         g
     }
 
+    fn vbits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|v| v.to_bits()).collect()
+    }
+
     fn bits(t: &Tensor) -> Vec<u32> {
-        t.data().iter().map(|v| v.to_bits()).collect()
+        vbits(t.data())
     }
 
     /// The no-skip dense backward: every row, in order.
@@ -838,27 +978,189 @@ mod tests {
     #[test]
     fn conv_backward_matches_the_no_skip_reference() {
         let mut r = rng();
-        let mut l = Layer::conv2d(4, 2, 2, 3, &mut r);
-        let Layer::Conv2d(c) = &l else { unreachable!() };
-        let f = c.filters.clone();
-        let (mut gf, mut gb) = (Tensor::zeros(vec![4, 2, 2, 3]), Tensor::zeros(vec![4]));
-        let mut pl = l.clone();
-        for _ in 0..2 {
-            let x = Tensor::uniform(vec![2, 5, 6], 1.0, &mut r);
-            let g = signed_zero_grad(vec![4, 4, 4], &mut r);
-            l.forward(&x);
-            pl.forward(&x);
-            let dx = l.backward(&g);
-            pl.backward_params(&g);
-            let want = conv_reference(&f, &x, &g, &mut gf, &mut gb);
-            assert_eq!(bits(&dx), bits(&want));
+        for pruned in [false, true] {
+            let mut l = Layer::conv2d(4, 2, 2, 3, &mut r);
+            // Pruned: filter 1 keeps nothing, the others every third tap.
+            let mask: Vec<f32> = (0..4 * 2 * 2 * 3)
+                .map(|i| (!pruned || (i / 12 != 1 && i % 3 == 0)) as u8 as f32)
+                .collect();
+            if pruned {
+                l.set_mask(Tensor::from_vec(vec![4, 2, 2, 3], mask.clone()));
+            }
+            let Layer::Conv2d(c) = &l else { unreachable!() };
+            let f = c.filters.clone();
+            let (mut gf, mut gb) = (Tensor::zeros(vec![4, 2, 2, 3]), Tensor::zeros(vec![4]));
+            // Cloned before the first forward, and `cl` again between
+            // forward and backward (a clone carries no patch scratch).
+            let mut pl = l.clone();
+            for _ in 0..2 {
+                let x = signed_zero_grad(vec![2, 5, 6], &mut r);
+                let g = signed_zero_grad(vec![4, 4, 4], &mut r);
+                l.forward(&x);
+                pl.forward(&x);
+                let mut cl = l.clone();
+                let dx = l.backward(&g);
+                assert_eq!(bits(&cl.backward(&g)), bits(&dx));
+                pl.backward_params(&g);
+                let want = conv_reference(&f, &x, &g, &mut gf, &mut gb);
+                assert_eq!(bits(&dx), bits(&want));
+            }
+            // Masked filter-gradient entries are never written.
+            let want_gf: Vec<u32> = gf
+                .data()
+                .iter()
+                .zip(&mask)
+                .map(|(&v, &m)| if m == 1.0 { v.to_bits() } else { 0 })
+                .collect();
+            for layer in [&l, &pl] {
+                let Layer::Conv2d(c) = layer else {
+                    unreachable!()
+                };
+                assert_eq!(bits(&c.gf), want_gf, "pruned {pruned}");
+                assert_eq!(bits(&c.gb), bits(&gb));
+            }
         }
-        for layer in [&l, &pl] {
-            let Layer::Conv2d(c) = layer else {
-                unreachable!()
-            };
-            assert_eq!(bits(&c.gf), bits(&gf));
-            assert_eq!(bits(&c.gb), bits(&gb));
+    }
+
+    /// The full-width dense layer and SGD step over a 0/1 mask: every
+    /// weight, every row, no skips.
+    struct DenseReference {
+        w: Vec<f32>,
+        b: Vec<f32>,
+        mask: Vec<f32>,
+        gw: Vec<f32>,
+        gb: Vec<f32>,
+        vw: Vec<f32>,
+        vb: Vec<f32>,
+    }
+
+    impl DenseReference {
+        fn forward(&self, x: &[f32]) -> Vec<f32> {
+            let inp = x.len();
+            (0..self.b.len())
+                .map(|o| {
+                    let mut acc = self.b[o];
+                    for (&wv, &xv) in self.w[o * inp..(o + 1) * inp].iter().zip(x) {
+                        acc += wv * xv;
+                    }
+                    acc
+                })
+                .collect()
+        }
+
+        fn backward(&mut self, x: &[f32], g: &[f32]) -> Vec<f32> {
+            let inp = x.len();
+            let mut dx = vec![0.0; inp];
+            for (o, &go) in g.iter().enumerate() {
+                self.gb[o] += go;
+                for i in 0..inp {
+                    self.gw[o * inp + i] += go * x[i];
+                    dx[i] += go * self.w[o * inp + i];
+                }
+            }
+            dx
+        }
+
+        fn step(&mut self, lr: f32, mu: f32, scale: f32) {
+            let ones = vec![1.0; self.b.len()];
+            for (v, g, vel, m) in [
+                (&mut self.w, &mut self.gw, &mut self.vw, &self.mask),
+                (&mut self.b, &mut self.gb, &mut self.vb, &ones),
+            ] {
+                for i in 0..v.len() {
+                    vel[i] = mu * vel[i] - lr * (g[i] * scale);
+                    v[i] += vel[i];
+                    if m[i] == 0.0 {
+                        v[i] = 0.0;
+                        vel[i] = 0.0;
+                    }
+                    g[i] = 0.0;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dense_masked_matches_the_dense_reference() {
+        use crate::model::Model;
+        use crate::train::Sgd;
+        let (out, inp) = (8, 25);
+        let (lr, mu) = (0.1, 0.9);
+        let mut r = rng();
+        for density in [0.0, 0.04, 0.5, 1.0] {
+            for neg_zero_bias in [false, true] {
+                // Row 1 keeps nothing; its bias is the signed zero under
+                // test, as is row 2's +0.0.
+                let mask: Vec<f32> = (0..out * inp)
+                    .map(|i| (i / inp != 1 && r.gen_bool(density)) as u8 as f32)
+                    .collect();
+                let w = Tensor::uniform(vec![out, inp], 1.0, &mut r);
+                let mut b = Tensor::uniform(vec![out], 0.5, &mut r);
+                b.data_mut()[1] = if neg_zero_bias { -0.0 } else { 0.0 };
+                b.data_mut()[2] = 0.0;
+                let mut reference = DenseReference {
+                    w: w.data()
+                        .iter()
+                        .zip(&mask)
+                        .map(|(&v, &m)| if m == 1.0 { v } else { 0.0 })
+                        .collect(),
+                    b: b.data().to_vec(),
+                    mask: mask.clone(),
+                    gw: vec![0.0; out * inp],
+                    gb: vec![0.0; out],
+                    vw: vec![0.0; out * inp],
+                    vb: vec![0.0; out],
+                };
+                let mut l = Layer::dense_from(w, b);
+                l.set_mask(Tensor::from_vec(vec![out, inp], mask.clone()));
+                // [0] runs `backward` (DX on), [1] `backward_params`.
+                let mut models = [Model::new(vec![l.clone()]), Model::new(vec![l])];
+                let mut opts: Vec<Sgd> = models.iter_mut().map(|m| Sgd::new(m, lr, mu)).collect();
+                let ctx = format!("density {density}, -0.0 bias {neg_zero_bias}");
+                for _step in 0..2 {
+                    // Two accumulating passes per step.
+                    for _pass in 0..2 {
+                        let x = signed_zero_grad(vec![inp], &mut r);
+                        let g = signed_zero_grad(vec![out], &mut r);
+                        let want_y = reference.forward(x.data());
+                        let want_dx = reference.backward(x.data(), g.data());
+                        for (mi, m) in models.iter_mut().enumerate() {
+                            let layer = &mut m.layers_mut()[0];
+                            let y = layer.forward(&x);
+                            assert_eq!(bits(&y), vbits(&want_y), "{ctx}");
+                            if mi == 0 {
+                                let dx = layer.backward(&g);
+                                assert_eq!(bits(&dx), vbits(&want_dx), "{ctx}");
+                            } else {
+                                layer.backward_params(&g);
+                            }
+                        }
+                    }
+                    // Kept gradients match; masked ones were never written.
+                    let kept_gw = reference.gw.iter().zip(&mask);
+                    let want: Vec<f32> = kept_gw
+                        .map(|(&g, &m)| if m == 1.0 { g } else { 0.0 })
+                        .chain(reference.gb.iter().copied())
+                        .collect();
+                    for m in &mut models {
+                        let mut got = Vec::new();
+                        m.visit_params(&mut |p| got.extend_from_slice(p.grads));
+                        assert_eq!(vbits(&got), vbits(&want), "{ctx}");
+                    }
+                    reference.step(lr, mu, 0.5);
+                    let want: Vec<f32> = reference.w.iter().chain(&reference.b).copied().collect();
+                    for (m, opt) in models.iter_mut().zip(&mut opts) {
+                        opt.step(m, 2);
+                        let (mut values, mut grads) = (Vec::new(), Vec::new());
+                        m.visit_params(&mut |p| {
+                            values.extend_from_slice(p.values);
+                            grads.extend_from_slice(p.grads);
+                        });
+                        assert_eq!(vbits(&values), vbits(&want), "{ctx}");
+                        assert!(grads.iter().all(|g| g.to_bits() == 0), "{ctx}");
+                    }
+                }
+            }
         }
     }
 

@@ -1,17 +1,38 @@
 //! Training: minibatch SGD with momentum and softmax cross-entropy.
 //!
 //! GENESIS re-trains every compressed configuration (§5.2), so the trainer
-//! must respect pruning masks: masked weights receive updates of zero and
-//! stay exactly 0.0, which keeps the deployed sparse kernels sparse.
+//! must respect pruning masks: masked weights stay exactly +0.0, which
+//! keeps the deployed sparse kernels sparse.
 //!
-//! The backward pass computes only what a parameter update reads. Dense
-//! rows and conv output positions whose upstream gradient is zero (after
-//! a ReLU, about half of them) are skipped, and the first parameterized
-//! layer computes no input gradient (see [`Model::backward`]). The skip
-//! is bit-exact as long as inputs and weights are finite: every gradient
-//! accumulator starts at +0.0 and so never holds −0.0, and adding the
-//! skipped ±0·(finite) = ±0.0 leaves it unchanged. An infinite or NaN
-//! value would have turned the skipped product into NaN.
+//! Training does only the work a parameter update reads, and every f32
+//! sum keeps its terms in the order of the full-width loops:
+//!
+//! - Dense rows, and conv output positions in the filter gradient, whose
+//!   upstream gradient is zero (after a ReLU, about half of them) are
+//!   skipped, and the first parameterized layer computes no input
+//!   gradient (see [`Model::backward`]).
+//! - A pruned layer walks only its kept weights ([`crate::layers::Kept`]):
+//!   the dense forward sum (bias, then the kept terms in column order),
+//!   the dense `gw` and `dx` rows, the conv filter gradient, and
+//!   [`Sgd::step`]. Masked gradient entries are never written, so
+//!   they, the masked weights and their velocities stay +0.0, which is
+//!   what the full-width step would have reset them to.
+//!
+//! **Why dropping terms is bit-exact.** Precondition: inputs and weights
+//! are finite (an infinite or NaN value would turn a dropped product
+//! into NaN). Every dropped term is then ±0·(finite) = ±0.0: its upstream
+//! gradient is zero, or its weight is a masked +0.0. Under
+//! round-to-nearest, `a + ±0.0 == a` bit for bit unless `a` is −0.0, and
+//! a sum is −0.0 only if both addends are. Every gradient accumulator
+//! (`gw`, `gb`, `gf`, `dx`) starts at +0.0, so it never holds −0.0. A
+//! dense forward accumulator starts at its bias, so it can hold −0.0
+//! only if the bias is −0.0 (then a dropped `+0.0·x` would flip it to
+//! +0.0). Training never creates such a bias, since it starts at +0.0 or
+//! at a caller's value and `b + v` is −0.0 only if `b` already is, but
+//! `dense_from`, separation and decoded models take biases as given; so a
+//! pruned dense layer with any −0.0 bias runs the full-width forward sum
+//! instead. Debug builds check the masked forward against
+//! [`crate::im2col::matvec_bias`] on every call.
 
 use crate::data::Dataset;
 use crate::model::Model;
@@ -67,7 +88,8 @@ impl Sgd {
     }
 
     /// Applies one step from the accumulated gradients (scaled by
-    /// `1/batch`), then clears them. Masked weights stay zero.
+    /// `1/batch`), then clears them. A pruned tensor steps only its kept
+    /// entries; its masked weights, velocities and gradients stay +0.0.
     pub fn step(&mut self, model: &mut Model, batch: usize) {
         let scale = 1.0 / batch.max(1) as f32;
         let (lr, mu) = (self.lr, self.momentum);
@@ -75,17 +97,23 @@ impl Sgd {
         let velocities = &mut self.velocities;
         model.visit_params(&mut |p| {
             let vel = &mut velocities[idx];
-            for i in 0..p.values.len() {
-                let g = p.grads[i] * scale;
-                vel[i] = mu * vel[i] - lr * g;
-                p.values[i] += vel[i];
-                if let Some(mask) = p.mask {
-                    if mask[i] == 0.0 {
-                        p.values[i] = 0.0;
-                        vel[i] = 0.0;
+            let update = |v: &mut f32, g: &mut f32, vel: &mut f32| {
+                *vel = mu * *vel - lr * (*g * scale);
+                *v += *vel;
+                *g = 0.0;
+            };
+            match p.mask {
+                Some(kept) => {
+                    for &i in kept {
+                        let i = i as usize;
+                        update(&mut p.values[i], &mut p.grads[i], &mut vel[i]);
                     }
                 }
-                p.grads[i] = 0.0;
+                None => {
+                    for ((v, g), vel) in p.values.iter_mut().zip(p.grads.iter_mut()).zip(vel) {
+                        update(v, g, vel);
+                    }
+                }
             }
             idx += 1;
         });

@@ -286,20 +286,6 @@ pub fn fleet_score(
     })
 }
 
-/// The always-serial twin of [`fleet_score`]: same results, one plan at
-/// a time. Exists so the determinism guarantee is testable inside a
-/// single (parallel-enabled) build.
-pub fn fleet_score_serial(
-    results: &[ConfigResult],
-    ctx: &EvalContext<'_>,
-    cfg: &FleetScoreConfig,
-) -> Vec<FleetScored> {
-    frontier_indices(results)
-        .into_iter()
-        .map(|i| score_plan(&results[i], i, ctx, cfg))
-        .collect()
-}
-
 /// Chooses the deployment configuration from the measured ranking: best
 /// measured IMpJ, with the analytic score as tiebreak (and plan order as
 /// the final, deterministic tiebreak).
@@ -445,7 +431,11 @@ mod tests {
         let c = ctx(&train, &test, &costs);
         let results = sweep(&tiny_base(), &tiny_space(), &c);
         let par = fleet_score(&results, &c, &score_cfg(2));
-        let ser = fleet_score_serial(&results, &c, &score_cfg(2));
+        // The serial specification: each frontier plan scored in turn.
+        let ser: Vec<FleetScored> = frontier_indices(&results)
+            .into_iter()
+            .map(|i| score_plan(&results[i], i, &c, &score_cfg(2)))
+            .collect();
         let again = fleet_score(&results, &c, &score_cfg(2));
         assert_eq!(par.len(), ser.len());
         assert_eq!(

@@ -29,8 +29,7 @@ use dnn::train::{train, TrainConfig};
 use mcu::CostTable;
 
 pub use crate::fleet::{
-    choose_measured, fleet_score, fleet_score_serial, fleet_scored_digest, FleetScoreConfig,
-    FleetScored,
+    choose_measured, fleet_score, fleet_scored_digest, FleetScoreConfig, FleetScored,
 };
 
 /// Which compression techniques a configuration uses (the Fig. 4 legend).
@@ -305,16 +304,16 @@ pub(crate) fn calibration_inputs(data: &Dataset, n: usize) -> Vec<Tensor> {
     (0..n.min(data.len())).map(|i| data.input(i)).collect()
 }
 
-/// Evaluates one configuration end to end: compress, re-train (optionally
-/// truncated by the median-stopping rule via `stop_after_first_epoch`),
-/// quantize, measure, estimate energy, and score IMpJ.
+/// Evaluates one configuration end to end: re-train (optionally truncated
+/// by the median-stopping rule via `first_epoch_median`), quantize,
+/// measure, estimate energy, and score IMpJ. `model` is the compressed,
+/// untrained plan, `apply_knobs(base, knobs)`.
 pub fn evaluate_plan(
-    base: &Model,
+    mut model: Model,
     knobs: &PlanKnobs,
     ctx: &EvalContext<'_>,
     first_epoch_median: Option<f32>,
 ) -> ConfigResult {
-    let mut model = apply_knobs(base, knobs);
     let mut early_stopped = false;
 
     // Re-train: one probe epoch, then the median-stopping decision.
@@ -385,8 +384,7 @@ pub const MEDIAN_WARMUP_PLANS: usize = 4;
 pub fn sweep(base: &Model, space: &SearchSpace, ctx: &EvalContext<'_>) -> Vec<ConfigResult> {
     let mut warmup = space.plans();
     let rest = warmup.split_off(warmup.len().min(MEDIAN_WARMUP_PLANS));
-    let mut results =
-        sonic::fleet::par_map(warmup, &|knobs| evaluate_plan(base, &knobs, ctx, None));
+    let mut results = sweep_stage(base, warmup, ctx, None);
     if !rest.is_empty() {
         // A non-empty remainder implies the full warm-up ran, so a median
         // always exists. The probe loss is not persisted in the result;
@@ -396,12 +394,39 @@ pub fn sweep(base: &Model, space: &SearchSpace, ctx: &EvalContext<'_>) -> Vec<Co
             sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
             sorted[sorted.len() / 2]
         };
-        results.extend(sonic::fleet::par_map(rest, &|knobs| {
-            evaluate_plan(base, &knobs, ctx, Some(median))
-        }));
+        results.extend(sweep_stage(base, rest, ctx, Some(median)));
     }
     mark_pareto(&mut results);
     results
+}
+
+/// Evaluates one stage of the sweep on all cores, returning results in
+/// plan order.
+///
+/// Every plan is compressed once, in parallel. Re-training then dominates
+/// and costs about a plan's nonzero MACs (the pruned layers walk only
+/// their kept weights), so the plans are handed to the workers costliest
+/// first: a cheap plan never delays the start of a dense one at the end
+/// of the stage.
+fn sweep_stage(
+    base: &Model,
+    plans: Vec<PlanKnobs>,
+    ctx: &EvalContext<'_>,
+    median: Option<f32>,
+) -> Vec<ConfigResult> {
+    let shape = ctx.train.shape();
+    let mut jobs = sonic::fleet::par_map(plans.into_iter().enumerate().collect(), &|(i, knobs)| {
+        let model = apply_knobs(base, &knobs);
+        (i, model.macs(shape), knobs, model)
+    });
+    // `par_map`'s workers take items from the back of the list, so the
+    // costliest plan goes last (on a tie, the earlier plan).
+    jobs.sort_by_key(|&(i, macs, ..)| (macs, std::cmp::Reverse(i)));
+    let mut evaluated = sonic::fleet::par_map(jobs, &|(i, _, knobs, model)| {
+        (i, evaluate_plan(model, &knobs, ctx, median))
+    });
+    evaluated.sort_by_key(|&(i, _)| i);
+    evaluated.into_iter().map(|(_, r)| r).collect()
 }
 
 /// Marks the accuracy-vs-MACs Pareto frontier (maximize accuracy,
@@ -508,7 +533,8 @@ mod tests {
         let (train, test) = tiny_dataset();
         let costs = CostTable::msp430fr5994();
         let c = ctx(&train, &test, &costs);
-        let r = evaluate_plan(&tiny_base(), &PlanKnobs::uncompressed(), &c, None);
+        let k = PlanKnobs::uncompressed();
+        let r = evaluate_plan(apply_knobs(&tiny_base(), &k), &k, &c, None);
         assert!(r.accuracy > 0.5, "uncompressed should fit blobs");
         assert!(r.feasible);
         assert!(r.e_infer_mj > 0.0);
@@ -612,13 +638,13 @@ mod tests {
         let plans = space.plans();
         let mut serial: Vec<ConfigResult> = plans[..MEDIAN_WARMUP_PLANS]
             .iter()
-            .map(|k| evaluate_plan(&base, k, &c, None))
+            .map(|k| evaluate_plan(apply_knobs(&base, k), k, &c, None))
             .collect();
         let mut stats: Vec<f32> = serial.iter().map(|r| 1.0 - r.accuracy as f32).collect();
         stats.sort_by(|x, y| x.partial_cmp(y).unwrap());
         let median = stats[stats.len() / 2];
         for k in &plans[MEDIAN_WARMUP_PLANS..] {
-            serial.push(evaluate_plan(&base, k, &c, Some(median)));
+            serial.push(evaluate_plan(apply_knobs(&base, k), k, &c, Some(median)));
         }
         mark_pareto(&mut serial);
         assert!(serial.iter().any(|r| r.early_stopped));
@@ -638,7 +664,8 @@ mod tests {
         let (train, test) = tiny_dataset();
         let costs = CostTable::msp430fr5994();
         let c = ctx(&train, &test, &costs);
-        let r = evaluate_plan(&tiny_base(), &PlanKnobs::uncompressed(), &c, None);
+        let k = PlanKnobs::uncompressed();
+        let r = evaluate_plan(apply_knobs(&tiny_base(), &k), &k, &c, None);
         let mut pair = vec![r.clone(), r];
         mark_pareto(&mut pair);
         assert!(pair[0].pareto && pair[1].pareto);
