@@ -224,29 +224,41 @@ fn bench_training(c: &mut Criterion) {
     for (label, density) in [("dense", 1.0f64), ("masked04", 0.04)] {
         let mut r = rng(19);
         let mut m = Model::new(vec![fc_layer(out, inp, density, &mut r)]);
-        let x = Tensor::uniform(vec![inp], 1.0, &mut r);
-        let g = Tensor::uniform(vec![out], 1.0, &mut r);
-        let mut opt = Sgd::new(&mut m, 0.01, 0.9);
-        let ids = [
-            format!("fc-train-forward/{label}"),
-            format!("fc-train-backward/{label}"),
-            format!("fc-train-step/{label}"),
-        ];
-        c.bench_function(&ids[0], |b| {
-            b.iter(|| std::hint::black_box(m.layers_mut()[0].forward(&x)))
-        });
-        c.bench_function(&ids[1], |b| {
-            b.iter(|| std::hint::black_box(m.layers_mut()[0].backward(&g)))
-        });
-        c.bench_function(&ids[2], |b| b.iter(|| opt.step(&mut m, 16)));
-        if density < 1.0 {
-            for id in &ids {
-                let ns = c.median_ns(id).expect("measured");
-                let dense_ns = c
-                    .median_ns(&id.replace(label, "dense"))
-                    .expect("dense measured first");
-                println!("    speedup {id}: {:.2}x", dense_ns / ns);
+        let xs: Vec<Tensor> = (0..16)
+            .map(|_| Tensor::uniform(vec![inp], 1.0, &mut r))
+            .collect();
+        let gs: Vec<Tensor> = (0..16)
+            .map(|_| Tensor::uniform(vec![out], 1.0, &mut r))
+            .collect();
+        // Per-sample cost of one pass over a minibatch of 1 and of 16.
+        for pass in ["forward", "backward"] {
+            let mut us = [0.0; 2];
+            for (us, batch) in us.iter_mut().zip([1usize, 16]) {
+                let l = &mut m.layers_mut()[0];
+                l.forward_batch(&xs[..batch]);
+                let id = format!("fc-train-{pass}/{label}/batch{batch}");
+                c.bench_function(&id, |b| match pass {
+                    "forward" => b.iter(|| std::hint::black_box(l.forward_batch(&xs[..batch]))),
+                    _ => b.iter(|| std::hint::black_box(l.backward_batch(&gs[..batch]))),
+                });
+                *us = c.median_ns(&id).expect("measured") / batch as f64 / 1e3;
             }
+            println!(
+                "    {pass} {label}: {:.1} us/sample at batch 1, {:.1} us/sample at batch 16 ({:.2}x)",
+                us[0],
+                us[1],
+                us[0] / us[1]
+            );
+        }
+        let mut opt = Sgd::new(&mut m, 0.01, 0.9);
+        let id = format!("fc-train-step/{label}");
+        c.bench_function(&id, |b| b.iter(|| opt.step(&mut m, 16)));
+        if density < 1.0 {
+            let ns = c.median_ns(&id).expect("measured");
+            let dense_ns = c
+                .median_ns("fc-train-step/dense")
+                .expect("dense measured first");
+            println!("    speedup {id}: {:.2}x", dense_ns / ns);
         }
     }
     // The HAR conv and the pointwise conv of a `sep(4,4)` plan, filter

@@ -560,8 +560,9 @@ pub(crate) fn cell_order(job: &FleetJob<'_>) -> Vec<(usize, usize)> {
 /// Runs the fleet at the [`lockstep::default_lanes`] width, fanning
 /// shards across threads (`#cells × min(replicas, inputs)` units of
 /// work). Cells come back in deterministic `(power, backend)` submission
-/// order, and the results are bit-identical to [`run_fleet_serial`] and
-/// to [`run_fleet_with_lanes`] at any width.
+/// order, and the results are bit-identical to running the shards one at
+/// a time ([`plan_shards`], [`run_shard`] per shard, [`assemble_cells`])
+/// and to [`run_fleet_with_lanes`] at any width.
 pub fn run_fleet(job: &FleetJob<'_>) -> Vec<FleetCell> {
     run_fleet_with_lanes(job, lockstep::default_lanes())
 }
@@ -573,15 +574,6 @@ pub fn run_fleet_with_lanes(job: &FleetJob<'_>, lanes: usize) -> Vec<FleetCell> 
     let results = par_map(plan.clone(), &|s: ShardSpec| {
         run_shard_with_lanes(job, &s, lanes, &mut |_| {})
     });
-    assemble_cells(job, &plan, results)
-}
-
-/// The always-serial fleet: same results as [`run_fleet`], one shard at
-/// a time — the in-process reference the threaded fan-out is tested
-/// against.
-pub fn run_fleet_serial(job: &FleetJob<'_>) -> Vec<FleetCell> {
-    let plan = plan_shards(job);
-    let results = plan.iter().map(|s| run_shard(job, s)).collect();
     assemble_cells(job, &plan, results)
 }
 
@@ -636,6 +628,14 @@ mod tests {
     use super::*;
     use crate::exec::tests_support::tiny_pruned_qmodel;
     use mcu::HarvestProfile;
+
+    /// The serial reference the threaded fan-out is tested against: one
+    /// shard at a time, in plan order.
+    fn run_fleet_serial(job: &FleetJob<'_>) -> Vec<FleetCell> {
+        let plan = plan_shards(job);
+        let results = plan.iter().map(|s| run_shard(job, s)).collect();
+        assemble_cells(job, &plan, results)
+    }
 
     fn tiny_job<'a>(qm: &'a QModel, input: &[Q15], n_inputs: usize) -> FleetJob<'a> {
         FleetJob {

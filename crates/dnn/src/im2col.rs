@@ -14,7 +14,9 @@
 //! parallelism comes from computing several independent outputs at once,
 //! never from reordering one output's sum, so results are bit-identical
 //! to [`conv2d_naive`] / a plain dot product. The equivalence proptests
-//! in this module pin that down.
+//! in this module pin that down. The dense layer's minibatch kernels
+//! ([`matmat_bias_lanes`], [`kept_matmat_bias_lanes`]) keep the same
+//! contract: one accumulator per sample, each equal to [`matvec_bias`].
 //!
 //! All entry points write into caller-provided buffers; steady-state
 //! inference does not allocate.
@@ -40,7 +42,8 @@ pub fn conv_out_dims(h: usize, w: usize, kh: usize, kw: usize) -> (usize, usize)
 ///
 /// # Panics
 ///
-/// Panics if `x` is not `c*h*w` long or the kernel exceeds the input.
+/// Panics if `x` is not `c*h*w` long, `patches` is not `oh*ow*c*kh*kw`
+/// long, or the kernel exceeds the input.
 pub fn im2col_into(
     x: &[f32],
     c: usize,
@@ -48,14 +51,12 @@ pub fn im2col_into(
     w: usize,
     kh: usize,
     kw: usize,
-    patches: &mut Vec<f32>,
+    patches: &mut [f32],
 ) {
     assert_eq!(x.len(), c * h * w, "input length mismatch");
     let (oh, ow) = conv_out_dims(h, w, kh, kw);
     let k = c * kh * kw;
-    // No clear() first: every element is overwritten below, and resize()
-    // alone is a no-op when the size is unchanged (steady-state reuse).
-    patches.resize(oh * ow * k, 0.0);
+    assert_eq!(patches.len(), oh * ow * k, "patch matrix length mismatch");
     for oy in 0..oh {
         for ox in 0..ow {
             let row = &mut patches[(oy * ow + ox) * k..(oy * ow + ox + 1) * k];
@@ -207,6 +208,170 @@ pub fn matvec_bias(w: &[f32], x: &[f32], bias: &[f32], y: &mut [f32]) {
     }
 }
 
+/// Samples per lane group of the minibatch kernels. A lane group keeps
+/// one accumulator per sample side by side, so each weight it loads
+/// serves `LANES` samples; the dense forward is bound by weight loads,
+/// and this reuse is its speed-up.
+pub const LANES: usize = 8;
+
+/// The lane count of a minibatch of `samples`: the sample count rounded
+/// up to a multiple of [`LANES`].
+pub fn lanes_for(samples: usize) -> usize {
+    samples.div_ceil(LANES) * LANES
+}
+
+/// Lays a minibatch out lane-major for the minibatch kernels:
+/// `xt[j * lanes + s] = rows[s][j]`, with `lanes` from [`lanes_for`] and
+/// the pad lanes holding +0.0. Returns `lanes`.
+///
+/// # Panics
+///
+/// Panics if a row is not `k` long.
+pub fn to_lanes<'a>(
+    rows: impl ExactSizeIterator<Item = &'a [f32]>,
+    k: usize,
+    xt: &mut Vec<f32>,
+) -> usize {
+    let lanes = lanes_for(rows.len());
+    xt.clear();
+    xt.resize(k * lanes, 0.0);
+    for (s, row) in rows.enumerate() {
+        assert_eq!(row.len(), k, "row length mismatch");
+        for (j, &v) in row.iter().enumerate() {
+            xt[j * lanes + s] = v;
+        }
+    }
+    lanes
+}
+
+/// One lane group's slice of a lane-major row.
+#[inline(always)]
+fn lane_group(xt: &[f32], at: usize) -> &[f32; LANES] {
+    xt[at..at + LANES].try_into().expect("LANES-long slice")
+}
+
+/// `R` weight rows against lane group `c` of `xt`: each accumulator
+/// starts at its row's bias and sums its terms in column order.
+#[inline(always)]
+fn rows_dot_lanes<const R: usize>(
+    rows: [&[f32]; R],
+    bias: [f32; R],
+    xt: &[f32],
+    lanes: usize,
+    c: usize,
+) -> [[f32; LANES]; R] {
+    let mut acc = bias.map(|b| [b; LANES]);
+    for k in 0..rows[0].len() {
+        let x = lane_group(xt, k * lanes + c);
+        for (acc, row) in acc.iter_mut().zip(&rows) {
+            let wv = row[k];
+            for (a, &xv) in acc.iter_mut().zip(x) {
+                *a += wv * xv;
+            }
+        }
+    }
+    acc
+}
+
+/// `(out, in)` of a lane kernel's operands.
+///
+/// # Panics
+///
+/// Panics if `lanes` is not a positive multiple of [`LANES`] or a slice
+/// length is inconsistent.
+fn lane_dims(w: &[f32], xt: &[f32], bias: &[f32], lanes: usize, y: &[f32]) -> (usize, usize) {
+    assert!(
+        lanes > 0 && lanes.is_multiple_of(LANES),
+        "lanes must be a multiple of LANES"
+    );
+    let (out, inp) = (bias.len(), xt.len() / lanes);
+    assert_eq!(xt.len(), inp * lanes, "lane-major input shape mismatch");
+    assert_eq!(w.len(), out * inp, "weight shape mismatch");
+    assert_eq!(y.len(), out * lanes, "output length mismatch");
+    (out, inp)
+}
+
+/// The minibatch form of [`matvec_bias`]:
+/// `y[o * lanes + s] = bias[o] + W[o, :] · xt[:, s]` for a lane-major
+/// batch from [`to_lanes`]. Each sum starts at its bias and adds its
+/// terms in column order, exactly as [`matvec_bias`] does for one sample,
+/// so every lane is bit-identical to it. Blocked two rows × [`LANES`]
+/// samples: each weight is loaded once per lane group instead of once
+/// per sample.
+///
+/// # Panics
+///
+/// Panics if `lanes` is not a positive multiple of [`LANES`] or a slice
+/// length is inconsistent.
+pub fn matmat_bias_lanes(w: &[f32], xt: &[f32], bias: &[f32], lanes: usize, y: &mut [f32]) {
+    let (out, inp) = lane_dims(w, xt, bias, lanes, y);
+    let mut o = 0;
+    while o < out {
+        for c in (0..lanes).step_by(LANES) {
+            let store = |y: &mut [f32], o: usize, acc: &[f32; LANES]| {
+                y[o * lanes + c..][..LANES].copy_from_slice(acc);
+            };
+            if o + 2 <= out {
+                let rows = [&w[o * inp..][..inp], &w[(o + 1) * inp..][..inp]];
+                let [y0, y1] = rows_dot_lanes(rows, [bias[o], bias[o + 1]], xt, lanes, c);
+                store(y, o, &y0);
+                store(y, o + 1, &y1);
+            } else {
+                let [y0] = rows_dot_lanes([&w[o * inp..][..inp]], [bias[o]], xt, lanes, c);
+                store(y, o, &y0);
+            }
+        }
+        o += 2;
+    }
+}
+
+/// [`matmat_bias_lanes`] for a pruned weight matrix whose other entries
+/// are +0.0: row `o` sums only over `row_cols(o)`, the flat indices
+/// (`o * in + column`, ascending) of its kept weights, from its bias in
+/// column order. A row whose bias is −0.0 sums over the full row.
+///
+/// Bit-identical to [`matmat_bias_lanes`] over the full matrix for finite
+/// inputs: a skipped term is `+0.0 · x = ±0.0`, and adding ±0.0 leaves an
+/// accumulator's bits unchanged unless it is −0.0. An accumulator that
+/// starts at a bias other than −0.0 never becomes −0.0, since a sum is
+/// −0.0 only if both addends are; a −0.0 bias would be flipped to +0.0 by
+/// a skipped `+0.0 · x`, which is why such a row keeps every term.
+///
+/// # Panics
+///
+/// Panics as [`matmat_bias_lanes`] does, or if a kept index lies outside
+/// its row.
+pub fn kept_matmat_bias_lanes<'a>(
+    w: &[f32],
+    xt: &[f32],
+    bias: &[f32],
+    lanes: usize,
+    row_cols: impl Fn(usize) -> &'a [u32],
+    y: &mut [f32],
+) {
+    let (_, inp) = lane_dims(w, xt, bias, lanes, y);
+    let neg_zero = (-0.0f32).to_bits();
+    for (o, &b) in bias.iter().enumerate() {
+        let (row, cols) = (&w[o * inp..][..inp], row_cols(o));
+        for c in (0..lanes).step_by(LANES) {
+            let acc = if b.to_bits() == neg_zero {
+                rows_dot_lanes([row], [b], xt, lanes, c)[0]
+            } else {
+                let mut acc = [b; LANES];
+                for &k in cols {
+                    let col = k as usize - o * inp;
+                    let wv = row[col];
+                    for (a, &xv) in acc.iter_mut().zip(lane_group(xt, col * lanes + c)) {
+                        *a += wv * xv;
+                    }
+                }
+                acc
+            };
+            y[o * lanes + c..][..LANES].copy_from_slice(&acc);
+        }
+    }
+}
+
 /// Full im2col convolution: patches into `patches` (scratch, reused
 /// across calls), result into `out` (`[nf, oh, ow]` flattened).
 ///
@@ -231,6 +396,9 @@ pub fn conv2d_im2col(
     let k = c * kh * kw;
     assert_eq!(filters.len(), nf * k, "filter length mismatch");
     assert_eq!(out.len(), nf * oh * ow, "output length mismatch");
+    // No clear() first: every element is overwritten, and resize() alone
+    // is a no-op when the size is unchanged (steady-state reuse).
+    patches.resize(oh * ow * k, 0.0);
     im2col_into(x, c, h, w, kh, kw, patches);
     gemm_nt_bias(filters, patches, bias, nf, oh * ow, k, out);
 }
@@ -321,9 +489,8 @@ mod tests {
         // 1 channel, 3x3 image, 2x2 kernel: row for output (0,0) is the
         // top-left 2x2 block in row-major order.
         let x: Vec<f32> = (0..9).map(|i| i as f32).collect();
-        let mut p = Vec::new();
+        let mut p = vec![0.0; 4 * 4];
         im2col_into(&x, 1, 3, 3, 2, 2, &mut p);
-        assert_eq!(p.len(), 4 * 4);
         assert_eq!(&p[0..4], &[0.0, 1.0, 3.0, 4.0]);
         assert_eq!(&p[12..16], &[4.0, 5.0, 7.0, 8.0]);
     }

@@ -1,8 +1,11 @@
 //! Network layers with forward and backward passes.
 //!
-//! Layers cache whatever the backward pass needs during `forward`, so a
-//! training step is `forward` → loss gradient → `backward` → optimizer
-//! step. Pruned layers carry the [`Kept`] index lists of their unpruned
+//! Every pass runs over a minibatch ([`Layer::forward_batch`],
+//! [`Layer::backward_batch`]); the one-sample `forward`/`backward` are its
+//! one-sample case. A layer caches, per sample, whatever its backward pass
+//! needs during the forward pass, so a training step is a forward over
+//! the minibatch → the loss gradients → a backward over the minibatch →
+//! optimizer step. Pruned layers carry the [`Kept`] index lists of their unpruned
 //! weights; masked weights stay +0.0 through re-training (GENESIS
 //! re-trains after compression, §5.2), and the training kernels walk only
 //! the kept ones (see the [`crate::train`] module docs).
@@ -76,8 +79,13 @@ impl Kept {
 /// dropped term is `+0.0·x` or `go·(+0.0)`, i.e. ±0.0, and adding ±0.0
 /// changes no accumulator that is not −0.0. Gradient accumulators start
 /// at +0.0 and so never hold −0.0; a forward row starts at its bias, so
-/// a layer with any −0.0 bias takes the full-width forward sum. The
-/// full argument is in the [`crate::train`] module docs.
+/// a row whose bias is −0.0 takes the full-width forward sum. The full
+/// argument is in the [`crate::train`] module docs.
+///
+/// Over a minibatch, the forward pass and a pruned layer's backward pass
+/// run the lane kernels of [`crate::im2col`], which load each weight once
+/// per [`im2col::LANES`] samples; every sum still adds its terms in the
+/// one-sample order.
 #[derive(Clone, Debug)]
 pub struct Dense {
     /// Weights, shape `[out, in]`.
@@ -88,7 +96,11 @@ pub struct Dense {
     pub mask: Option<Kept>,
     gw: Tensor,
     gb: Tensor,
-    cache_x: Option<Tensor>,
+    /// The minibatch's inputs, in sample order.
+    cache_x: Vec<Tensor>,
+    /// The same inputs lane-major ([`im2col::to_lanes`]) when the forward
+    /// pass ran a lane kernel; empty otherwise.
+    cache_xt: Vec<f32>,
 }
 
 /// A valid (no padding), stride-1 2-D convolution.
@@ -107,8 +119,10 @@ pub struct Conv2d {
     pub mask: Option<Kept>,
     gf: Tensor,
     gb: Tensor,
-    cache_x: Option<Tensor>,
-    /// im2col patch scratch, reused across forward calls.
+    /// The minibatch's inputs, in sample order.
+    cache_x: Vec<Tensor>,
+    /// Each sample's im2col patch matrix, in sample order; scratch reused
+    /// across forward calls.
     patches: Vec<f32>,
 }
 
@@ -139,12 +153,14 @@ pub struct MaxPool2d {
     /// Window width (and horizontal stride).
     pub kw: usize,
     cache_shape: Vec<usize>,
+    /// Each sample's argmax indices, in sample order.
     cache_argmax: Vec<usize>,
 }
 
 /// Rectified linear activation.
 #[derive(Clone, Debug)]
 pub struct Relu {
+    /// Each sample's `x > 0` mask, in sample order.
     cache_mask: Vec<bool>,
 }
 
@@ -179,7 +195,8 @@ impl Layer {
             mask: None,
             gw: Tensor::zeros(vec![output, input]),
             gb: Tensor::zeros(vec![output]),
-            cache_x: None,
+            cache_x: Vec::new(),
+            cache_xt: Vec::new(),
         })
     }
 
@@ -202,7 +219,8 @@ impl Layer {
             mask: None,
             gw,
             gb,
-            cache_x: None,
+            cache_x: Vec::new(),
+            cache_xt: Vec::new(),
         })
     }
 
@@ -217,7 +235,7 @@ impl Layer {
             mask: None,
             gf: Tensor::zeros(vec![out_ch, in_ch, kh, kw]),
             gb: Tensor::zeros(vec![out_ch]),
-            cache_x: None,
+            cache_x: Vec::new(),
             patches: Vec::new(),
         })
     }
@@ -240,7 +258,7 @@ impl Layer {
             mask: None,
             gf,
             gb,
-            cache_x: None,
+            cache_x: Vec::new(),
             patches: Vec::new(),
         })
     }
@@ -308,54 +326,102 @@ impl Layer {
         *slot = Some(kept);
     }
 
-    /// Forward pass; caches state for `backward`.
+    /// Forward pass over a minibatch: one output per input, in sample
+    /// order. Caches, per sample, what [`Layer::backward_batch`] reads.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the minibatch is empty, its samples differ in shape, or
+    /// the input shape does not match the layer.
+    pub fn forward_batch(&mut self, xs: &[Tensor]) -> Vec<Tensor> {
+        let first = xs.first().expect("empty minibatch");
+        assert!(
+            xs.iter().all(|x| x.shape() == first.shape()),
+            "minibatch samples differ in shape"
+        );
+        match self {
+            Layer::Dense(d) => d.forward_batch(xs),
+            Layer::Conv2d(c) => c.forward_batch(xs),
+            Layer::MaxPool2d(p) => p.forward_batch(xs),
+            Layer::Relu(r) => r.forward_batch(xs),
+            Layer::Flatten(f) => f.forward_batch(xs),
+        }
+    }
+
+    /// The one-sample case of [`Layer::forward_batch`].
     ///
     /// # Panics
     ///
     /// Panics if the input shape does not match the layer.
     pub fn forward(&mut self, x: &Tensor) -> Tensor {
-        match self {
-            Layer::Dense(d) => d.forward(x),
-            Layer::Conv2d(c) => c.forward(x),
-            Layer::MaxPool2d(p) => p.forward(x),
-            Layer::Relu(r) => r.forward(x),
-            Layer::Flatten(f) => f.forward(x),
-        }
+        one(self.forward_batch(std::slice::from_ref(x)))
     }
 
-    /// Backward pass: accumulates parameter gradients, returns the
-    /// gradient with respect to the input.
+    /// Backward pass over the minibatch of the last forward pass, one
+    /// loss gradient per sample in the same order: accumulates parameter
+    /// gradients in sample order and returns each sample's gradient with
+    /// respect to its input.
     ///
     /// # Panics
     ///
-    /// Panics if called before `forward` or with a mismatched gradient
-    /// shape.
+    /// Panics if the last forward pass ran a different number of samples
+    /// (or none), or on a mismatched gradient shape.
+    pub fn backward_batch(&mut self, gs: &[Tensor]) -> Vec<Tensor> {
+        match self {
+            Layer::Dense(d) => d.backward_batch::<true>(gs),
+            Layer::Conv2d(c) => c.backward_batch::<true>(gs),
+            Layer::MaxPool2d(p) => p.backward_batch(gs),
+            Layer::Relu(r) => r.backward_batch(gs),
+            Layer::Flatten(f) => f.backward_batch(gs),
+        }
+    }
+
+    /// The one-sample case of [`Layer::backward_batch`].
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`Layer::backward_batch`] does.
     pub fn backward(&mut self, g: &Tensor) -> Tensor {
-        match self {
-            Layer::Dense(d) => d.backward::<true>(g),
-            Layer::Conv2d(c) => c.backward::<true>(g),
-            Layer::MaxPool2d(p) => p.backward(g),
-            Layer::Relu(r) => r.backward(g),
-            Layer::Flatten(f) => f.backward(g),
-        }
+        one(self.backward_batch(std::slice::from_ref(g)))
     }
 
-    /// Backward pass that only accumulates parameter gradients: the
-    /// input gradient is never computed. A no-op on parameterless layers.
+    /// [`Layer::backward_batch`] that only accumulates parameter
+    /// gradients: no input gradient is computed. A no-op on parameterless
+    /// layers.
     ///
     /// # Panics
     ///
-    /// Panics if called before `forward` or with a mismatched gradient
-    /// shape.
-    pub fn backward_params(&mut self, g: &Tensor) {
+    /// Panics as [`Layer::backward_batch`] does.
+    pub fn backward_params_batch(&mut self, gs: &[Tensor]) {
         match self {
             Layer::Dense(d) => {
-                d.backward::<false>(g);
+                d.backward_batch::<false>(gs);
             }
             Layer::Conv2d(c) => {
-                c.backward::<false>(g);
+                c.backward_batch::<false>(gs);
             }
             _ => {}
+        }
+    }
+
+    /// The one-sample case of [`Layer::backward_params_batch`].
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`Layer::backward_batch`] does.
+    pub fn backward_params(&mut self, g: &Tensor) {
+        self.backward_params_batch(std::slice::from_ref(g));
+    }
+
+    /// Drops the per-sample caches of the last forward pass; a backward
+    /// pass then panics until the next forward pass.
+    pub(crate) fn clear_cache(&mut self) {
+        match self {
+            Layer::Dense(d) => (d.cache_x, d.cache_xt) = (Vec::new(), Vec::new()),
+            Layer::Conv2d(c) => (c.cache_x, c.patches) = (Vec::new(), Vec::new()),
+            Layer::MaxPool2d(p) => (p.cache_shape, p.cache_argmax) = (Vec::new(), Vec::new()),
+            Layer::Relu(r) => r.cache_mask = Vec::new(),
+            Layer::Flatten(f) => f.cache_shape = Vec::new(),
         }
     }
 
@@ -486,95 +552,131 @@ impl Layer {
     }
 }
 
+/// The single result of a one-sample minibatch pass.
+fn one(mut ys: Vec<Tensor>) -> Tensor {
+    debug_assert_eq!(ys.len(), 1);
+    ys.pop().expect("one result per sample")
+}
+
+/// Splits a lane-major `[len, lanes]` matrix into `n` tensors of `len`.
+fn from_lanes(t: &[f32], lanes: usize, n: usize, len: usize) -> Vec<Tensor> {
+    (0..n)
+        .map(|s| Tensor::from_vec(vec![len], (0..len).map(|j| t[j * lanes + s]).collect()))
+        .collect()
+}
+
 impl Dense {
-    /// The kept lists the forward sum may run over: those of a pruned
-    /// layer, unless some bias is −0.0. Only such a bias can hold a row's
-    /// accumulator at −0.0, where a skipped `+0.0·x` term would turn the
-    /// sum to +0.0 (see the [`crate::train`] module docs).
-    fn forward_kept(&self) -> Option<&Kept> {
-        let neg_zero = (-0.0f32).to_bits();
-        self.mask
-            .as_ref()
-            .filter(|_| !self.b.data().iter().any(|b| b.to_bits() == neg_zero))
-    }
-
-    fn forward(&mut self, x: &Tensor) -> Tensor {
+    /// One sample at full width runs [`im2col::matvec_bias`]; every other
+    /// minibatch runs a lane kernel over the lane-major inputs, which
+    /// debug builds check sample by sample against `matvec_bias`.
+    fn forward_batch(&mut self, xs: &[Tensor]) -> Vec<Tensor> {
         let (out, inp) = (self.w.shape()[0], self.w.shape()[1]);
-        assert_eq!(x.len(), inp, "dense input size mismatch");
-        let mut y = Tensor::zeros(vec![out]);
-        let (w, xd, b) = (self.w.data(), x.data(), self.b.data());
-        match self.forward_kept() {
-            Some(kept) => {
-                for (o, (yv, &bv)) in y.data_mut().iter_mut().zip(b).enumerate() {
-                    let base = o * inp;
-                    let mut acc = bv;
-                    for &k in kept.row(o) {
-                        let k = k as usize;
-                        acc += w[k] * xd[k - base];
-                    }
-                    *yv = acc;
-                }
-                if cfg!(debug_assertions) {
-                    let mut twin = vec![0.0; out];
-                    im2col::matvec_bias(w, xd, b, &mut twin);
-                    assert!(
-                        y.data()
-                            .iter()
-                            .zip(&twin)
-                            .all(|(a, b)| a.to_bits() == b.to_bits()),
-                        "masked dense forward differs from matvec_bias"
-                    );
-                }
-            }
-            None => im2col::matvec_bias(w, xd, b, y.data_mut()),
+        assert_eq!(xs[0].len(), inp, "dense input size mismatch");
+        self.cache_x = xs.to_vec();
+        let (w, b) = (self.w.data(), self.b.data());
+        if let ([x], None) = (xs, &self.mask) {
+            self.cache_xt.clear();
+            let mut y = Tensor::zeros(vec![out]);
+            im2col::matvec_bias(w, x.data(), b, y.data_mut());
+            return vec![y];
         }
-        self.cache_x = Some(x.clone());
-        y
+        let xt = &mut self.cache_xt;
+        let lanes = im2col::to_lanes(xs.iter().map(Tensor::data), inp, xt);
+        let mut yt = vec![0.0; out * lanes];
+        match &self.mask {
+            Some(kept) => im2col::kept_matmat_bias_lanes(w, xt, b, lanes, |o| kept.row(o), &mut yt),
+            None => im2col::matmat_bias_lanes(w, xt, b, lanes, &mut yt),
+        }
+        let ys = from_lanes(&yt, lanes, xs.len(), out);
+        if cfg!(debug_assertions) {
+            let mut twin = vec![0.0; out];
+            for (x, y) in xs.iter().zip(&ys) {
+                im2col::matvec_bias(w, x.data(), b, &mut twin);
+                assert!(
+                    y.data()
+                        .iter()
+                        .zip(&twin)
+                        .all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "minibatch dense forward differs from matvec_bias"
+                );
+            }
+        }
+        ys
     }
 
-    /// Accumulates `gw`/`gb` and, when `DX`, returns the input gradient
-    /// (an empty tensor otherwise). Rows whose upstream gradient is zero
-    /// are skipped, as in [`Conv2d::backward`]; a pruned layer walks only
-    /// its kept weights and never writes a masked `gw` entry.
-    fn backward<const DX: bool>(&mut self, g: &Tensor) -> Tensor {
-        let x = self.cache_x.as_ref().expect("backward before forward");
+    /// Accumulates `gw`/`gb` and, when `DX`, returns each sample's input
+    /// gradient (empty tensors otherwise). Every accumulator adds the
+    /// samples' terms in sample order, and each `dx` element sums over the
+    /// rows in ascending order, as one-sample passes in a row would. A row
+    /// is skipped for each sample whose upstream gradient there is zero,
+    /// as in [`Conv2d::backward_batch`].
+    ///
+    /// At full width each row takes one axpy per sample into its `gw` row
+    /// (and the sample's `dx`). A pruned layer walks only its kept weights:
+    /// it folds each kept `gw` entry over the row's nonzero gradients from
+    /// the lane-major inputs, so it loads and stores the entry once per
+    /// minibatch, and adds each term to those samples' `dx`. Masked `gw`
+    /// entries are never written.
+    fn backward_batch<const DX: bool>(&mut self, gs: &[Tensor]) -> Vec<Tensor> {
         let (out, inp) = (self.w.shape()[0], self.w.shape()[1]);
-        assert_eq!(g.len(), out, "dense gradient size mismatch");
-        let mut dx = Tensor::zeros(vec![if DX { inp } else { 0 }]);
-        let (xd, w, gw) = (x.data(), self.w.data(), self.gw.data_mut());
-        let dxd = dx.data_mut();
-        let rows = g.data().iter().zip(self.gb.data_mut()).enumerate();
-        match &self.mask {
-            Some(kept) => {
-                for (o, (&go, gb)) in rows {
+        let n = gs.len();
+        assert!(
+            n > 0 && n == self.cache_x.len(),
+            "backward without a forward of the same minibatch"
+        );
+        assert!(
+            gs.iter().all(|g| g.len() == out),
+            "dense gradient size mismatch"
+        );
+        let (w, gw, gb) = (self.w.data(), self.gw.data_mut(), self.gb.data_mut());
+        let dx_len = if DX { inp } else { 0 };
+        let mut dx: Vec<Tensor> = gs.iter().map(|_| Tensor::zeros(vec![dx_len])).collect();
+        let Some(kept) = &self.mask else {
+            let rows = w.chunks_exact(inp).zip(gw.chunks_exact_mut(inp));
+            for (o, ((row, grow), gb)) in rows.zip(gb).enumerate() {
+                for ((g, x), dx) in gs.iter().zip(&self.cache_x).zip(&mut dx) {
+                    let go = g.data()[o];
                     if go == 0.0 {
                         continue;
                     }
                     *gb += go;
-                    let base = o * inp;
-                    for &k in kept.row(o) {
-                        let k = k as usize;
-                        gw[k] += go * xd[k - base];
-                        if DX {
-                            dxd[k - base] += go * w[k];
-                        }
-                    }
-                }
-            }
-            None => {
-                let wrows = w.chunks_exact(inp).zip(gw.chunks_exact_mut(inp));
-                for ((_, (&go, gb)), (row, grow)) in rows.zip(wrows) {
-                    if go == 0.0 {
-                        continue;
-                    }
-                    *gb += go;
-                    for (gw, &xv) in grow.iter_mut().zip(xd) {
+                    for (gw, &xv) in grow.iter_mut().zip(x.data()) {
                         *gw += go * xv;
                     }
                     if DX {
-                        for (dxv, &wv) in dxd.iter_mut().zip(row) {
+                        for (dxv, &wv) in dx.data_mut().iter_mut().zip(row) {
                             *dxv += go * wv;
                         }
+                    }
+                }
+            }
+            return dx;
+        };
+        let (xt, lanes) = (&self.cache_xt, im2col::lanes_for(n));
+        assert_eq!(xt.len(), inp * lanes, "pruned backward before its forward");
+        let mut nonzero = Vec::with_capacity(n);
+        for (o, gb) in gb.iter_mut().enumerate() {
+            nonzero.clear();
+            let gos = gs.iter().map(|g| g.data()[o]).enumerate();
+            nonzero.extend(gos.filter(|&(_, go)| go != 0.0));
+            if nonzero.is_empty() {
+                continue;
+            }
+            for &(_, go) in &nonzero {
+                *gb += go;
+            }
+            for &k in kept.row(o) {
+                let (k, col) = (k as usize, k as usize - o * inp);
+                let xl = &xt[col * lanes..][..lanes];
+                let mut acc = gw[k];
+                for &(s, go) in &nonzero {
+                    acc += go * xl[s];
+                }
+                gw[k] = acc;
+                if DX {
+                    let wv = w[k];
+                    for &(s, go) in &nonzero {
+                        dx[s].data_mut()[col] += go * wv;
                     }
                 }
             }
@@ -584,34 +686,34 @@ impl Dense {
 }
 
 impl Conv2d {
-    fn forward(&mut self, x: &Tensor) -> Tensor {
+    fn forward_batch(&mut self, xs: &[Tensor]) -> Vec<Tensor> {
         let fs = self.filters.shape().to_vec();
         let (nf, nc, kh, kw) = (fs[0], fs[1], fs[2], fs[3]);
-        let xs = x.shape();
-        assert_eq!(xs.len(), 3, "conv input must be rank-3");
-        assert_eq!(xs[0], nc, "conv channel mismatch");
-        let (h, w) = (xs[1], xs[2]);
+        let xs0 = xs[0].shape();
+        assert_eq!(xs0.len(), 3, "conv input must be rank-3");
+        assert_eq!(xs0[0], nc, "conv channel mismatch");
+        let (h, w) = (xs0[1], xs0[2]);
         let (oh, ow) = im2col::conv_out_dims(h, w, kh, kw);
-        let mut y = Tensor::zeros(vec![nf, oh, ow]);
-        im2col::conv2d_im2col(
-            x.data(),
-            self.filters.data(),
-            self.bias.data(),
-            nc,
-            h,
-            w,
-            nf,
-            kh,
-            kw,
-            &mut self.patches,
-            y.data_mut(),
-        );
-        self.cache_x = Some(x.clone());
-        y
+        let (np, k) = (oh * ow, nc * kh * kw);
+        // No clear() first: every element is overwritten below.
+        self.patches.resize(xs.len() * np * k, 0.0);
+        let (fd, bd) = (self.filters.data(), self.bias.data());
+        let ys = xs
+            .iter()
+            .zip(self.patches.chunks_exact_mut(np * k))
+            .map(|(x, patches)| {
+                im2col::im2col_into(x.data(), nc, h, w, kh, kw, patches);
+                let mut y = Tensor::zeros(vec![nf, oh, ow]);
+                im2col::gemm_nt_bias(fd, patches, bd, nf, np, k, y.data_mut());
+                y
+            })
+            .collect();
+        self.cache_x = xs.to_vec();
+        ys
     }
 
-    /// Accumulates `gf`/`gb` and, when `DX`, returns the input gradient
-    /// (an empty tensor otherwise).
+    /// Accumulates `gf`/`gb` and, when `DX`, returns each sample's input
+    /// gradient (empty tensors otherwise), one sample after the other.
     ///
     /// The filter gradient is one axpy per output position over the im2col
     /// patch rows the forward pass built, `gf[f, :] += go · patch[p, :]`
@@ -630,145 +732,194 @@ impl Conv2d {
     /// so none ever holds −0.0; adding ±0·(finite) = ±0.0 to such a value
     /// leaves its bits unchanged. (An infinite or NaN input would make the
     /// product NaN.)
-    fn backward<const DX: bool>(&mut self, g: &Tensor) -> Tensor {
-        let x = self.cache_x.as_ref().expect("backward before forward");
+    fn backward_batch<const DX: bool>(&mut self, gs: &[Tensor]) -> Vec<Tensor> {
+        let n = gs.len();
+        assert!(
+            n > 0 && n == self.cache_x.len(),
+            "backward without a forward of the same minibatch"
+        );
         let fs = self.filters.shape().to_vec();
         let (nf, nc, kh, kw) = (fs[0], fs[1], fs[2], fs[3]);
-        let (h, w) = (x.shape()[1], x.shape()[2]);
+        let (h, w) = (self.cache_x[0].shape()[1], self.cache_x[0].shape()[2]);
         let (oh, ow) = (h - kh + 1, w - kw + 1);
-        assert_eq!(g.shape(), &[nf, oh, ow], "conv gradient shape mismatch");
         let (np, k) = (oh * ow, nc * kh * kw);
+        assert!(
+            gs.iter().all(|g| g.shape() == [nf, oh, ow]),
+            "conv gradient shape mismatch"
+        );
         // A clone drops the scratch; rebuild the patches of `cache_x`.
-        if self.patches.len() != np * k {
-            im2col::im2col_into(x.data(), nc, h, w, kh, kw, &mut self.patches);
-        }
-        let gd = g.data();
-        let gfd = self.gf.data_mut();
-        for (f, (grow, gfrow)) in gd.chunks_exact(np).zip(gfd.chunks_exact_mut(k)).enumerate() {
-            let positions = grow
+        if self.patches.len() != n * np * k {
+            self.patches.resize(n * np * k, 0.0);
+            for (x, patches) in self
+                .cache_x
                 .iter()
-                .zip(self.patches.chunks_exact(k))
-                .filter(|(&go, _)| go != 0.0);
-            let mut bsum = 0.0;
-            match &self.mask {
-                None => {
-                    for (&go, patch) in positions {
-                        bsum += go;
-                        for (gf, &xv) in gfrow.iter_mut().zip(patch) {
-                            *gf += go * xv;
-                        }
-                    }
-                }
-                Some(kept) => {
-                    let (cols, base) = (kept.row(f), f * k);
-                    for (&go, patch) in positions {
-                        bsum += go;
-                        for &i in cols {
-                            let j = i as usize - base;
-                            gfrow[j] += go * patch[j];
-                        }
-                    }
-                }
+                .zip(self.patches.chunks_exact_mut(np * k))
+            {
+                im2col::im2col_into(x.data(), nc, h, w, kh, kw, patches);
             }
-            self.gb.data_mut()[f] += bsum;
         }
-        let mut dx = Tensor::zeros(if DX { vec![nc, h, w] } else { vec![0] });
-        if DX {
-            let (fd, dxd) = (self.filters.data(), dx.data_mut());
-            for (f, gmap) in gd.chunks_exact(np).enumerate() {
-                for c in 0..nc {
-                    for ky in (0..kh).rev() {
-                        let frow = &fd[((f * nc + c) * kh + ky) * kw..][..kw];
-                        for kx in (0..kw).rev() {
-                            let fv = frow[kx];
-                            for (oy, grow) in gmap.chunks_exact(ow).enumerate() {
-                                let drow = &mut dxd[(c * h + oy + ky) * w + kx..][..ow];
-                                for (d, &go) in drow.iter_mut().zip(grow) {
-                                    *d += go * fv;
+        let (fd, gfd, gbd) = (self.filters.data(), self.gf.data_mut(), self.gb.data_mut());
+        let samples = gs.iter().zip(self.patches.chunks_exact(np * k));
+        samples
+            .map(|(g, patches)| {
+                let gd = g.data();
+                let frows = gd.chunks_exact(np).zip(gfd.chunks_exact_mut(k));
+                for (f, (grow, gfrow)) in frows.enumerate() {
+                    let positions = grow
+                        .iter()
+                        .zip(patches.chunks_exact(k))
+                        .filter(|(&go, _)| go != 0.0);
+                    let mut bsum = 0.0;
+                    match &self.mask {
+                        None => {
+                            for (&go, patch) in positions {
+                                bsum += go;
+                                for (gf, &xv) in gfrow.iter_mut().zip(patch) {
+                                    *gf += go * xv;
+                                }
+                            }
+                        }
+                        Some(kept) => {
+                            let (cols, base) = (kept.row(f), f * k);
+                            for (&go, patch) in positions {
+                                bsum += go;
+                                for &i in cols {
+                                    let j = i as usize - base;
+                                    gfrow[j] += go * patch[j];
+                                }
+                            }
+                        }
+                    }
+                    gbd[f] += bsum;
+                }
+                let mut dx = Tensor::zeros(if DX { vec![nc, h, w] } else { vec![0] });
+                if DX {
+                    let dxd = dx.data_mut();
+                    for (f, gmap) in gd.chunks_exact(np).enumerate() {
+                        for c in 0..nc {
+                            for ky in (0..kh).rev() {
+                                let frow = &fd[((f * nc + c) * kh + ky) * kw..][..kw];
+                                for kx in (0..kw).rev() {
+                                    let fv = frow[kx];
+                                    for (oy, grow) in gmap.chunks_exact(ow).enumerate() {
+                                        let drow = &mut dxd[(c * h + oy + ky) * w + kx..][..ow];
+                                        for (d, &go) in drow.iter_mut().zip(grow) {
+                                            *d += go * fv;
+                                        }
+                                    }
                                 }
                             }
                         }
                     }
                 }
-            }
-        }
-        dx
+                dx
+            })
+            .collect()
     }
 }
 
 impl MaxPool2d {
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        let xs = x.shape();
-        assert_eq!(xs.len(), 3, "pool input must be rank-3");
-        let (c, h, w) = (xs[0], xs[1], xs[2]);
+    fn forward_batch(&mut self, xs: &[Tensor]) -> Vec<Tensor> {
+        let xs0 = xs[0].shape();
+        assert_eq!(xs0.len(), 3, "pool input must be rank-3");
+        let (c, h, w) = (xs0[0], xs0[1], xs0[2]);
         let (oh, ow) = (h / self.kh, w / self.kw);
         assert!(oh > 0 && ow > 0, "pool window larger than input");
-        let mut y = Tensor::zeros(vec![c, oh, ow]);
-        self.cache_argmax = vec![0; c * oh * ow];
-        self.cache_shape = xs.to_vec();
-        let xd = x.data();
-        for ch in 0..c {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut best = f32::NEG_INFINITY;
-                    let mut best_idx = 0;
-                    for py in 0..self.kh {
-                        for px in 0..self.kw {
-                            let idx = (ch * h + oy * self.kh + py) * w + ox * self.kw + px;
-                            if xd[idx] > best {
-                                best = xd[idx];
-                                best_idx = idx;
+        self.cache_shape = xs0.to_vec();
+        self.cache_argmax.clear();
+        xs.iter()
+            .map(|x| {
+                let mut y = Tensor::zeros(vec![c, oh, ow]);
+                let xd = x.data();
+                for ch in 0..c {
+                    for oy in 0..oh {
+                        for ox in 0..ow {
+                            let mut best = f32::NEG_INFINITY;
+                            let mut best_idx = 0;
+                            for py in 0..self.kh {
+                                for px in 0..self.kw {
+                                    let idx = (ch * h + oy * self.kh + py) * w + ox * self.kw + px;
+                                    // Selects, not a branch: which value wins is
+                                    // data-dependent and mispredicts often.
+                                    let take = xd[idx] > best;
+                                    best = if take { xd[idx] } else { best };
+                                    best_idx = if take { idx } else { best_idx };
+                                }
                             }
+                            y.data_mut()[(ch * oh + oy) * ow + ox] = best;
+                            self.cache_argmax.push(best_idx);
                         }
                     }
-                    let oidx = (ch * oh + oy) * ow + ox;
-                    y.data_mut()[oidx] = best;
-                    self.cache_argmax[oidx] = best_idx;
                 }
-            }
-        }
-        y
+                y
+            })
+            .collect()
     }
 
-    fn backward(&mut self, g: &Tensor) -> Tensor {
-        assert!(!self.cache_shape.is_empty(), "backward before forward");
-        let mut dx = Tensor::zeros(self.cache_shape.clone());
-        for (oidx, &iidx) in self.cache_argmax.iter().enumerate() {
-            dx.data_mut()[iidx] += g.data()[oidx];
-        }
-        dx
+    fn backward_batch(&mut self, gs: &[Tensor]) -> Vec<Tensor> {
+        let per = gs.first().map_or(0, Tensor::len);
+        assert!(
+            per > 0 && gs.len() * per == self.cache_argmax.len(),
+            "backward without a forward of the same minibatch"
+        );
+        gs.iter()
+            .zip(self.cache_argmax.chunks_exact(per))
+            .map(|(g, argmax)| {
+                let mut dx = Tensor::zeros(self.cache_shape.clone());
+                for (&gv, &iidx) in g.data().iter().zip(argmax) {
+                    dx.data_mut()[iidx] += gv;
+                }
+                dx
+            })
+            .collect()
     }
 }
 
 impl Relu {
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        self.cache_mask = x.data().iter().map(|&v| v > 0.0).collect();
-        let mut y = x.clone();
-        y.map_inplace(|v| v.max(0.0));
-        y
+    fn forward_batch(&mut self, xs: &[Tensor]) -> Vec<Tensor> {
+        self.cache_mask.clear();
+        xs.iter()
+            .map(|x| {
+                self.cache_mask.extend(x.data().iter().map(|&v| v > 0.0));
+                let mut y = x.clone();
+                y.map_inplace(|v| v.max(0.0));
+                y
+            })
+            .collect()
     }
 
-    fn backward(&mut self, g: &Tensor) -> Tensor {
-        assert_eq!(g.len(), self.cache_mask.len(), "backward before forward");
-        let mut dx = g.clone();
-        for (v, &m) in dx.data_mut().iter_mut().zip(&self.cache_mask) {
-            if !m {
-                *v = 0.0;
-            }
-        }
-        dx
+    fn backward_batch(&mut self, gs: &[Tensor]) -> Vec<Tensor> {
+        let total: usize = gs.iter().map(Tensor::len).sum();
+        assert_eq!(total, self.cache_mask.len(), "backward before forward");
+        let mut masks = self.cache_mask.as_slice();
+        gs.iter()
+            .map(|g| {
+                let (mask, rest) = masks.split_at(g.len());
+                masks = rest;
+                let mut dx = g.clone();
+                // A select, not a branch: the mask is data-dependent.
+                for (v, &m) in dx.data_mut().iter_mut().zip(mask) {
+                    *v = if m { *v } else { 0.0 };
+                }
+                dx
+            })
+            .collect()
     }
 }
 
 impl Flatten {
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        self.cache_shape = x.shape().to_vec();
-        x.clone().reshape(vec![x.len()])
+    fn forward_batch(&mut self, xs: &[Tensor]) -> Vec<Tensor> {
+        self.cache_shape = xs[0].shape().to_vec();
+        xs.iter()
+            .map(|x| x.clone().reshape(vec![x.len()]))
+            .collect()
     }
 
-    fn backward(&mut self, g: &Tensor) -> Tensor {
+    fn backward_batch(&mut self, gs: &[Tensor]) -> Vec<Tensor> {
         assert!(!self.cache_shape.is_empty(), "backward before forward");
-        g.clone().reshape(self.cache_shape.clone())
+        gs.iter()
+            .map(|g| g.clone().reshape(self.cache_shape.clone()))
+            .collect()
     }
 }
 
@@ -1160,6 +1311,237 @@ mod tests {
                         assert!(grads.iter().all(|g| g.to_bits() == 0), "{ctx}");
                     }
                 }
+            }
+        }
+    }
+
+    /// The full-width dense forward: every weight, from the bias in column
+    /// order.
+    fn dense_forward_reference(w: &Tensor, b: &Tensor, x: &Tensor) -> Tensor {
+        let inp = x.len();
+        let rows = w.data().chunks_exact(inp).zip(b.data());
+        let y = rows.map(|(row, &bv)| {
+            let mut acc = bv;
+            for (&wv, &xv) in row.iter().zip(x.data()) {
+                acc += wv * xv;
+            }
+            acc
+        });
+        Tensor::from_vec(vec![b.len()], y.collect())
+    }
+
+    /// `n` samples of `shape` mixing +0.0, −0.0 and non-zero entries.
+    fn signed_zero_batch(n: usize, shape: &[usize], r: &mut rand::rngs::StdRng) -> Vec<Tensor> {
+        (0..n)
+            .map(|_| signed_zero_grad(shape.to_vec(), r))
+            .collect()
+    }
+
+    /// Upstream gradients for `n` samples whose entry `zero_row` is +0.0
+    /// or −0.0 in every sample: a row no sample of the minibatch reaches.
+    fn batch_grads(
+        n: usize,
+        len: usize,
+        zero_row: usize,
+        r: &mut rand::rngs::StdRng,
+    ) -> Vec<Tensor> {
+        let mut gs = signed_zero_batch(n, &[len], r);
+        for (s, g) in gs.iter_mut().enumerate() {
+            g.data_mut()[zero_row] = if s % 2 == 0 { 0.0 } else { -0.0 };
+        }
+        gs
+    }
+
+    /// `grads` with every entry outside the 0/1 `mask` read as +0.0.
+    fn kept_bits(grads: &Tensor, mask: &[f32]) -> Vec<u32> {
+        let kept = grads.data().iter().zip(mask);
+        kept.map(|(&v, &m)| if m == 1.0 { v.to_bits() } else { 0 })
+            .collect()
+    }
+
+    #[test]
+    fn dense_minibatch_matches_the_per_sample_reference() {
+        let (out, inp) = (9, 25);
+        let mut r = rng();
+        for density in [0.0, 0.04, 0.5, 1.0] {
+            // Rows 1 and 2 keep nothing when pruned; row 1's bias is −0.0
+            // and row 2's +0.0. Density 1 is the unpruned layer.
+            let mask: Vec<f32> = (0..out * inp)
+                .map(|i| (!(1..=2).contains(&(i / inp)) && r.gen_bool(density)) as u8 as f32)
+                .collect();
+            let mut b = Tensor::uniform(vec![out], 0.5, &mut r);
+            b.data_mut()[1] = -0.0;
+            b.data_mut()[2] = 0.0;
+            let mut base =
+                Layer::dense_from(Tensor::uniform(vec![out, inp], 1.0, &mut r), b.clone());
+            let mask = if density < 1.0 {
+                base.set_mask(Tensor::from_vec(vec![out, inp], mask.clone()));
+                mask
+            } else {
+                vec![1.0; out * inp]
+            };
+            let Layer::Dense(d) = &base else {
+                unreachable!()
+            };
+            let w = d.w.clone();
+            for n in [1, 2, 15, 16, 17] {
+                let ctx = format!("density {density}, batch {n}");
+                // `l` runs `backward_batch`, `pl` `backward_params_batch`.
+                let (mut l, mut pl) = (base.clone(), base.clone());
+                let (mut gw, mut gb) = (Tensor::zeros(vec![out, inp]), Tensor::zeros(vec![out]));
+                // Two minibatches accumulate into the same gradients.
+                for _ in 0..2 {
+                    let xs = signed_zero_batch(n, &[inp], &mut r);
+                    let gs = batch_grads(n, out, 3, &mut r);
+                    let ys = l.forward_batch(&xs);
+                    pl.forward_batch(&xs);
+                    let dxs = l.backward_batch(&gs);
+                    pl.backward_params_batch(&gs);
+                    assert_eq!((ys.len(), dxs.len()), (n, n), "{ctx}");
+                    for (s, (x, g)) in xs.iter().zip(&gs).enumerate() {
+                        let want_y = dense_forward_reference(&w, &b, x);
+                        assert_eq!(bits(&ys[s]), bits(&want_y), "{ctx}, sample {s}");
+                        let want_dx = dense_reference(&w, x, g, &mut gw, &mut gb);
+                        assert_eq!(bits(&dxs[s]), bits(&want_dx), "{ctx}, sample {s}");
+                    }
+                }
+                // Masked gradient entries are never written.
+                for layer in [&l, &pl] {
+                    let Layer::Dense(d) = layer else {
+                        unreachable!()
+                    };
+                    assert_eq!(bits(&d.gw), kept_bits(&gw, &mask), "{ctx}");
+                    assert_eq!(bits(&d.gb), bits(&gb), "{ctx}");
+                }
+            }
+        }
+    }
+
+    /// The per-sample reference of the conv → relu → 2×2 pool → flatten →
+    /// dense stack below, written out loop by loop. Returns the logits and
+    /// the input gradient, and accumulates the four parameter gradients
+    /// `[gf, gb_conv, gw, gb_dense]`.
+    fn stack_reference(
+        params: &[Tensor; 4],
+        x: &Tensor,
+        g: &Tensor,
+        grads: &mut [Tensor; 4],
+    ) -> (Tensor, Tensor) {
+        let [f, cb, w, db] = params;
+        let fs = f.shape();
+        let (nf, nc, kh, kw) = (fs[0], fs[1], fs[2], fs[3]);
+        let (h, wd) = (x.shape()[1], x.shape()[2]);
+        let (oh, ow) = (h - kh + 1, wd - kw + 1);
+        let mut conv = vec![0.0; nf * oh * ow];
+        im2col::conv2d_naive(
+            x.data(),
+            f.data(),
+            cb.data(),
+            nc,
+            h,
+            wd,
+            nf,
+            kh,
+            kw,
+            &mut conv,
+        );
+        let relu: Vec<f32> = conv.iter().map(|&v| v.max(0.0)).collect();
+        let (ph, pw) = (oh / 2, ow / 2);
+        let (mut pooled, mut argmax) = (Vec::new(), Vec::new());
+        for c in 0..nf {
+            for py in 0..ph {
+                for px in 0..pw {
+                    let (mut best, mut at) = (f32::NEG_INFINITY, 0);
+                    for (dy, dx) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
+                        let i = (c * oh + 2 * py + dy) * ow + 2 * px + dx;
+                        if relu[i] > best {
+                            (best, at) = (relu[i], i);
+                        }
+                    }
+                    pooled.push(best);
+                    argmax.push(at);
+                }
+            }
+        }
+        let flat = Tensor::from_vec(vec![pooled.len()], pooled);
+        let logits = dense_forward_reference(w, db, &flat);
+        let [gf, gcb, gw, gdb] = grads;
+        let dflat = dense_reference(w, &flat, g, gw, gdb);
+        let mut drelu = vec![0.0; nf * oh * ow];
+        for (&at, &gv) in argmax.iter().zip(dflat.data()) {
+            drelu[at] += gv;
+        }
+        for (d, &v) in drelu.iter_mut().zip(&conv) {
+            if v <= 0.0 {
+                *d = 0.0;
+            }
+        }
+        let dconv = Tensor::from_vec(vec![nf, oh, ow], drelu);
+        let dx = conv_reference(f, x, &dconv, gf, gcb);
+        (logits, dx)
+    }
+
+    #[test]
+    fn stack_minibatch_matches_the_per_sample_reference() {
+        use crate::model::Model;
+        let mut r = rng();
+        // conv 3×2×2×3 over [2, 5, 8] → [3, 4, 6] → pool → [3, 2, 3] → 18.
+        let mut conv = Layer::conv2d(3, 2, 2, 3, &mut r);
+        let conv_mask: Vec<f32> = (0..3 * 2 * 2 * 3)
+            .map(|i| (i / 12 != 1 && i % 3 != 0) as u8 as f32)
+            .collect();
+        conv.set_mask(Tensor::from_vec(vec![3, 2, 2, 3], conv_mask.clone()));
+        let mut dense = Layer::dense(18, 5, &mut r);
+        let dense_mask: Vec<f32> = (0..5 * 18)
+            .map(|i| (i / 18 != 0 && r.gen_bool(0.5)) as u8 as f32)
+            .collect();
+        dense.set_mask(Tensor::from_vec(vec![5, 18], dense_mask.clone()));
+        let (Layer::Conv2d(c), Layer::Dense(d)) = (&conv, &dense) else {
+            unreachable!()
+        };
+        let params = [c.filters.clone(), c.bias.clone(), d.w.clone(), d.b.clone()];
+        let masks = [conv_mask, vec![1.0; 3], dense_mask, vec![1.0; 5]];
+        let stack = vec![
+            conv,
+            Layer::relu(),
+            Layer::maxpool(2),
+            Layer::flatten(),
+            dense,
+        ];
+        for n in [1, 2, 15, 16, 17] {
+            let xs = signed_zero_batch(n, &[2, 5, 8], &mut r);
+            let gs = batch_grads(n, 5, 1, &mut r);
+            // Every layer's minibatch pass, input gradients included.
+            let mut walk = stack.clone();
+            let mut ys = xs.clone();
+            for l in &mut walk {
+                ys = l.forward_batch(&ys);
+            }
+            let mut dxs = gs.clone();
+            for l in walk.iter_mut().rev() {
+                dxs = l.backward_batch(&dxs);
+            }
+            let mut model = Model::new(stack.clone());
+            let logits = model.forward_batch(&xs);
+            model.backward_batch(&gs);
+            let mut grads = params.clone().map(|p| Tensor::zeros(p.shape().to_vec()));
+            for (s, (x, g)) in xs.iter().zip(&gs).enumerate() {
+                let (want_y, want_dx) = stack_reference(&params, x, g, &mut grads);
+                assert_eq!(bits(&ys[s]), bits(&want_y), "batch {n}, sample {s}");
+                assert_eq!(bits(&logits[s]), bits(&want_y), "batch {n}, sample {s}");
+                assert_eq!(bits(&dxs[s]), bits(&want_dx), "batch {n}, sample {s}");
+            }
+            let want: Vec<Vec<u32>> = grads
+                .iter()
+                .zip(&masks)
+                .map(|(g, m)| kept_bits(g, m))
+                .collect();
+            for layers in [&mut walk, model.layers_mut()] {
+                let mut got = Vec::new();
+                for l in layers.iter_mut() {
+                    l.visit_params(&mut |p| got.push(vbits(p.grads)));
+                }
+                assert_eq!(got, want, "batch {n}");
             }
         }
     }

@@ -26,38 +26,68 @@ impl Model {
         &mut self.layers
     }
 
-    /// Forward pass through all layers.
+    /// Forward pass of a minibatch through all layers, layer by layer:
+    /// every sample passes a layer before any sample enters the next.
+    /// Returns one output per input, in sample order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the minibatch is empty, its samples differ in shape, or
+    /// shapes are inconsistent.
+    pub fn forward_batch(&mut self, xs: &[Tensor]) -> Vec<Tensor> {
+        let mut ys: Option<Vec<Tensor>> = None;
+        for l in &mut self.layers {
+            ys = Some(l.forward_batch(ys.as_deref().unwrap_or(xs)));
+        }
+        ys.unwrap_or_else(|| xs.to_vec())
+    }
+
+    /// The one-sample case of [`Model::forward_batch`].
     ///
     /// # Panics
     ///
     /// Panics if shapes are inconsistent.
     pub fn forward(&mut self, x: &Tensor) -> Tensor {
-        let mut t = x.clone();
-        for l in &mut self.layers {
-            t = l.forward(&t);
-        }
-        t
+        let mut ys = self.forward_batch(std::slice::from_ref(x));
+        ys.pop().expect("one output per sample")
     }
 
-    /// Backward pass; `g` is the loss gradient at the output. Accumulates
-    /// every parameter gradient and returns nothing: the first
-    /// parameterized layer computes no input gradient (see
-    /// [`Layer::backward_params`]), and the parameterless layers before it
-    /// are not visited, since no parameter reads their gradients.
+    /// Backward pass of the last forward minibatch, layer by layer; `gs`
+    /// holds each sample's loss gradient at the output, in sample order.
+    /// Accumulates every parameter gradient and returns nothing: the
+    /// first parameterized layer computes no input gradient (see
+    /// [`Layer::backward_params_batch`]), and the parameterless layers
+    /// before it are not visited, since no parameter reads their
+    /// gradients.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the last forward pass ran a different number of samples
+    /// (or none), or on a mismatched gradient shape.
+    pub fn backward_batch(&mut self, gs: &[Tensor]) {
+        let Some(first) = self.layers.iter().position(Layer::has_params) else {
+            return;
+        };
+        let (head, tail) = self.layers.split_at_mut(first + 1);
+        let mut grads: Option<Vec<Tensor>> = None;
+        for l in tail.iter_mut().rev() {
+            grads = Some(l.backward_batch(grads.as_deref().unwrap_or(gs)));
+        }
+        head[first].backward_params_batch(grads.as_deref().unwrap_or(gs));
+    }
+
+    /// The one-sample case of [`Model::backward_batch`].
     ///
     /// # Panics
     ///
     /// Panics if called before `forward`.
     pub fn backward(&mut self, g: &Tensor) {
-        let Some(first) = self.layers.iter().position(Layer::has_params) else {
-            return;
-        };
-        let (head, tail) = self.layers.split_at_mut(first + 1);
-        let mut grad: Option<Tensor> = None;
-        for l in tail.iter_mut().rev() {
-            grad = Some(l.backward(grad.as_ref().unwrap_or(g)));
-        }
-        head[first].backward_params(grad.as_ref().unwrap_or(g));
+        self.backward_batch(std::slice::from_ref(g));
+    }
+
+    /// Drops every layer's per-sample caches (see [`Layer::clear_cache`]).
+    pub(crate) fn clear_cache(&mut self) {
+        self.layers.iter_mut().for_each(Layer::clear_cache);
     }
 
     /// Classification: argmax of the logits.

@@ -4,13 +4,18 @@
 //! must respect pruning masks: masked weights stay exactly +0.0, which
 //! keeps the deployed sparse kernels sparse.
 //!
+//! Each minibatch runs layer by layer ([`Model::forward_batch`],
+//! [`Model::backward_batch`]), so a dense layer's lane kernels
+//! ([`crate::im2col::matmat_bias_lanes`]) load each weight once per
+//! [`crate::im2col::LANES`] samples instead of once per sample.
+//!
 //! Training does only the work a parameter update reads, and every f32
 //! sum keeps its terms in the order of the full-width loops:
 //!
 //! - Dense rows, and conv output positions in the filter gradient, whose
 //!   upstream gradient is zero (after a ReLU, about half of them) are
 //!   skipped, and the first parameterized layer computes no input
-//!   gradient (see [`Model::backward`]).
+//!   gradient (see [`Model::backward_batch`]).
 //! - A pruned layer walks only its kept weights ([`crate::layers::Kept`]):
 //!   the dense forward sum (bias, then the kept terms in column order),
 //!   the dense `gw` and `dx` rows, the conv filter gradient, and
@@ -18,21 +23,36 @@
 //!   they, the masked weights and their velocities stay +0.0, which is
 //!   what the full-width step would have reset them to.
 //!
+//! **Why minibatch-major order is bit-exact.** It computes what one
+//! sample's forward and backward pass after another computed, because of
+//! two facts. First, weights are fixed within a minibatch: only
+//! [`Sgd::step`] writes them, once the minibatch's last backward pass is
+//! done, so every sample's forward and backward pass reads the same
+//! weights whichever sample runs first. Second, each accumulator keeps
+//! its term order: a forward sum starts at its bias and adds its terms in
+//! column order (a lane kernel keeps one accumulator per sample), every
+//! parameter-gradient accumulator (`gw`, `gb`, `gf`) adds the samples'
+//! contributions in sample order, each sample's `dx` element sums over
+//! the rows in ascending order, and the epoch loss adds the samples'
+//! losses in sample order. Nothing else is shared between samples.
+//!
 //! **Why dropping terms is bit-exact.** Precondition: inputs and weights
 //! are finite (an infinite or NaN value would turn a dropped product
 //! into NaN). Every dropped term is then ±0·(finite) = ±0.0: its upstream
 //! gradient is zero, or its weight is a masked +0.0. Under
 //! round-to-nearest, `a + ±0.0 == a` bit for bit unless `a` is −0.0, and
 //! a sum is −0.0 only if both addends are. Every gradient accumulator
-//! (`gw`, `gb`, `gf`, `dx`) starts at +0.0, so it never holds −0.0. A
-//! dense forward accumulator starts at its bias, so it can hold −0.0
-//! only if the bias is −0.0 (then a dropped `+0.0·x` would flip it to
-//! +0.0). Training never creates such a bias, since it starts at +0.0 or
-//! at a caller's value and `b + v` is −0.0 only if `b` already is, but
-//! `dense_from`, separation and decoded models take biases as given; so a
-//! pruned dense layer with any −0.0 bias runs the full-width forward sum
-//! instead. Debug builds check the masked forward against
-//! [`crate::im2col::matvec_bias`] on every call.
+//! (`gw`, `gb`, `gf`, `dx`) starts at +0.0, so it never holds −0.0; for
+//! the same reason a pruned dense layer's lane-major `dx` may add the
+//! ±0.0 terms of samples whose upstream gradient is zero. A dense forward accumulator starts at
+//! its bias, so it can hold −0.0 only if the bias is −0.0 (then a dropped
+//! `+0.0·x` would flip it to +0.0). Training never creates such a bias,
+//! since it starts at +0.0 or at a caller's value and `b + v` is −0.0
+//! only if `b` already is, but `dense_from`, separation and decoded
+//! models take biases as given; so a pruned dense row whose bias is −0.0
+//! runs the full-width forward sum instead. Debug builds check every
+//! dense forward that runs a lane kernel, pruned or not, sample by sample
+//! against [`crate::im2col::matvec_bias`].
 
 use crate::data::Dataset;
 use crate::model::Model;
@@ -125,7 +145,8 @@ impl Sgd {
 pub struct TrainConfig {
     /// Number of passes over the training set.
     pub epochs: usize,
-    /// Minibatch size.
+    /// Minibatch size (at least 1); the last minibatch of an epoch takes
+    /// the remainder.
     pub batch: usize,
     /// Learning rate.
     pub lr: f32,
@@ -149,10 +170,18 @@ impl Default for TrainConfig {
 
 /// Trains `model` on `data`, returning the mean loss of each epoch.
 ///
+/// Each minibatch runs layer by layer: the forward pass of every sample
+/// through each layer ([`Model::forward_batch`]), the losses in sample
+/// order, the backward pass of every sample through each layer
+/// ([`Model::backward_batch`]), then one [`Sgd::step`]. The trained model
+/// carries no per-sample caches.
+///
 /// # Panics
 ///
-/// Panics if the dataset is empty or shapes are inconsistent.
+/// Panics if `cfg.batch` is 0, the dataset is empty, or shapes are
+/// inconsistent.
 pub fn train(model: &mut Model, data: &Dataset, cfg: &TrainConfig) -> Vec<f32> {
+    assert!(cfg.batch > 0, "TrainConfig::batch must be at least 1");
     assert!(!data.is_empty(), "cannot train on an empty dataset");
     let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.seed);
     let mut opt = Sgd::new(model, cfg.lr, cfg.momentum);
@@ -161,24 +190,25 @@ pub fn train(model: &mut Model, data: &Dataset, cfg: &TrainConfig) -> Vec<f32> {
     for _ in 0..cfg.epochs {
         order.shuffle(&mut rng);
         let mut epoch_loss = 0.0;
-        let mut in_batch = 0;
-        for &i in &order {
-            let x = data.input(i);
-            let logits = model.forward(&x);
-            let (loss, dlogits) = softmax_cross_entropy(&logits, data.label(i));
-            epoch_loss += loss;
-            model.backward(&dlogits);
-            in_batch += 1;
-            if in_batch == cfg.batch {
-                opt.step(model, in_batch);
-                in_batch = 0;
-            }
-        }
-        if in_batch > 0 {
-            opt.step(model, in_batch);
+        for batch in order.chunks(cfg.batch) {
+            let xs: Vec<Tensor> = batch.iter().map(|&i| data.input(i)).collect();
+            let logits = model.forward_batch(&xs);
+            let dlogits: Vec<Tensor> = logits
+                .iter()
+                .zip(batch)
+                .map(|(y, &i)| {
+                    let (loss, dlogits) = softmax_cross_entropy(y, data.label(i));
+                    epoch_loss += loss;
+                    dlogits
+                })
+                .collect();
+            model.backward_batch(&dlogits);
+            opt.step(model, batch.len());
         }
         losses.push(epoch_loss / data.len() as f32);
     }
+    // GENESIS keeps every trained plan: leave no minibatch behind.
+    model.clear_cache();
     losses
 }
 
@@ -337,6 +367,95 @@ mod tests {
         losses.iter().for_each(|l| put(l.to_bits()));
         model.visit_params(&mut |p| p.values.iter().for_each(|v| put(v.to_bits())));
         assert_eq!(h, 0xc731_31e7_72de_546b, "training digest moved");
+    }
+
+    /// Training as it ran before minibatch-major order: each sample's
+    /// forward and backward pass in turn, a step after every `cfg.batch`
+    /// samples and after the epoch's remainder.
+    fn interleaved_train(model: &mut Model, data: &Dataset, cfg: &TrainConfig) -> Vec<f32> {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.seed);
+        let mut opt = Sgd::new(model, cfg.lr, cfg.momentum);
+        let mut order: Vec<usize> = (0..data.len()).collect();
+        let mut losses = Vec::new();
+        for _ in 0..cfg.epochs {
+            order.shuffle(&mut rng);
+            let (mut epoch_loss, mut in_batch) = (0.0, 0);
+            for &i in &order {
+                let logits = model.forward(&data.input(i));
+                let (loss, dlogits) = softmax_cross_entropy(&logits, data.label(i));
+                epoch_loss += loss;
+                model.backward(&dlogits);
+                in_batch += 1;
+                if in_batch == cfg.batch {
+                    opt.step(model, in_batch);
+                    in_batch = 0;
+                }
+            }
+            if in_batch > 0 {
+                opt.step(model, in_batch);
+            }
+            losses.push(epoch_loss / data.len() as f32);
+        }
+        losses
+    }
+
+    fn param_bits(model: &mut Model) -> Vec<u32> {
+        let mut bits = Vec::new();
+        model.visit_params(&mut |p| bits.extend(p.values.iter().map(|v| v.to_bits())));
+        bits
+    }
+
+    #[test]
+    fn train_matches_the_interleaved_loop() {
+        // 23 samples: every batch size below leaves a short last batch.
+        let data = crate::data::synth_har(23, 5);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(12);
+        let mut base = Model::new(vec![
+            Layer::conv2d(4, 3, 1, 5, &mut rng),
+            Layer::relu(),
+            Layer::maxpool_rect(1, 2),
+            Layer::flatten(),
+            Layer::dense(4 * 28, 12, &mut rng),
+            Layer::relu(),
+            Layer::dense(12, 6, &mut rng),
+        ]);
+        let mask = (0..12 * 4 * 28)
+            .map(|i| if i % 5 == 0 { 1.0 } else { 0.0 })
+            .collect();
+        base.layers_mut()[4].set_mask(Tensor::from_vec(vec![12, 4 * 28], mask));
+        for batch in [1, 2, 16] {
+            let cfg = TrainConfig {
+                epochs: 2,
+                batch,
+                ..TrainConfig::default()
+            };
+            let (mut model, mut reference) = (base.clone(), base.clone());
+            let losses = train(&mut model, &data, &cfg);
+            let want = interleaved_train(&mut reference, &data, &cfg);
+            let loss_bits = |l: &[f32]| l.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(loss_bits(&losses), loss_bits(&want), "batch {batch}");
+            assert_eq!(
+                param_bits(&mut model),
+                param_bits(&mut reference),
+                "batch {batch}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "TrainConfig::batch must be at least 1")]
+    fn zero_batch_is_rejected() {
+        let data = toy_blobs(4, 2, 3, 1);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+        let mut model = Model::new(vec![Layer::dense(3, 2, &mut rng)]);
+        train(
+            &mut model,
+            &data,
+            &TrainConfig {
+                batch: 0,
+                ..TrainConfig::default()
+            },
+        );
     }
 
     #[test]

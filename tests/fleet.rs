@@ -9,7 +9,8 @@ use sonic_tails::dnn::tensor::Tensor;
 use sonic_tails::mcu::{Device, DeviceSpec, FaultKind, FaultPlan, HarvestProfile, PowerSystem};
 use sonic_tails::sonic::exec::Backend;
 use sonic_tails::sonic::fleet::{
-    fleet_digest, run_fleet, run_fleet_serial, run_fleet_with_lanes, FleetInput, FleetJob,
+    assemble_cells, fleet_digest, plan_shards, run_fleet, run_fleet_with_lanes, run_shard,
+    FleetCell, FleetInput, FleetJob,
 };
 use sonic_tails::sonic::spec::{fault_free_reference, unguarded_activation_addr};
 
@@ -61,6 +62,14 @@ fn job<'a>(qm: &'a QModel, inputs: &[Vec<fxp::Q15>]) -> FleetJob<'a> {
         replicas: 1,
         faults: None,
     }
+}
+
+/// The serial reference the threaded fan-out is tested against: one
+/// shard at a time, in plan order.
+fn run_fleet_serial(job: &FleetJob<'_>) -> Vec<FleetCell> {
+    let plan = plan_shards(job);
+    let results = plan.iter().map(|s| run_shard(job, s)).collect();
+    assemble_cells(job, &plan, results)
 }
 
 #[test]
