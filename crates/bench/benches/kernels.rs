@@ -14,7 +14,12 @@
 //!    density 0.04 (the kept-weight loops of GENESIS re-training), and the
 //!    convolution backward pass at the HAR conv and `sep(4,4)` pointwise
 //!    shapes.
-//! 4. **Simulator backends** — end-to-end `run_inference` on the
+//! 4. **Sparse FC on the device** — host time per SONIC and per TAILS run
+//!    of the HAR Table-2 network's pruned fully-connected layer
+//!    (192×2450) alone, on continuous power and on a 100 µF buffer: the
+//!    per-layer view of the simulator's costliest loop, sparse
+//!    undo-logging's scatter.
+//! 5. **Simulator backends** — end-to-end `run_inference` on the
 //!    energy-metered device model (the original contents of this bench).
 //!
 //! `CRITERION_QUICK=1` shrinks the measurement budget for CI smoke runs.
@@ -25,14 +30,14 @@ use dnn::layers::Layer;
 use dnn::model::Model;
 use dnn::quant::{
     conv_host, conv_host_reference, csr_from_weights, dense_host, dense_host_reference, quantize,
-    sparse_taps_from_weights, QConv, QDense,
+    sparse_taps_from_weights, QConv, QDense, QLayer, QModel,
 };
 use dnn::tensor::Tensor;
 use dnn::train::Sgd;
 use fxp::Q15;
 use mcu::{DeviceSpec, PowerSystem};
 use rand::{Rng, SeedableRng};
-use sonic::exec::{run_inference, Backend, TailsConfig};
+use sonic::exec::{run_deployed, run_inference, Backend, TailsConfig};
 
 fn rng(seed: u64) -> rand::rngs::StdRng {
     rand::rngs::StdRng::seed_from_u64(seed)
@@ -281,6 +286,57 @@ fn bench_training(c: &mut Criterion) {
     println!();
 }
 
+/// The HAR Table-2 network's sparse fully-connected layer alone, as a
+/// one-layer model, with a seeded random input.
+fn har_sparse_fc() -> (QModel, Vec<Q15>) {
+    let har = models::trained(models::Network::Har);
+    let fc = har
+        .qmodel
+        .layers
+        .iter()
+        .find_map(|l| match l {
+            QLayer::Dense(d) if d.sparse.is_some() => Some(d.clone()),
+            _ => None,
+        })
+        .expect("the HAR network has a sparse FC");
+    let mut r = rng(31);
+    let input = (0..fc.dims[1]).map(|_| random_q15(&mut r)).collect();
+    let qm = QModel {
+        input_shape: vec![fc.dims[1]],
+        layers: vec![QLayer::Dense(fc)],
+    };
+    (qm, input)
+}
+
+fn bench_sparse_fc(c: &mut Criterion) {
+    let (qm, input) = har_sparse_fc();
+    let QLayer::Dense(fc) = &qm.layers[0] else {
+        unreachable!("a one-dense-layer model")
+    };
+    let nnz = fc.sparse.as_ref().map_or(0, |s| s.val.len());
+    println!(
+        "== sparse FC on the device: HAR fc {}x{}, {nnz} nonzeros, host time per run ==",
+        fc.dims[0], fc.dims[1]
+    );
+    let spec = DeviceSpec::msp430fr5994();
+    for b in [Backend::Sonic, Backend::Tails(TailsConfig::default())] {
+        for power in [PowerSystem::continuous(), PowerSystem::harvested(100e-6)] {
+            // One deployment, inference after inference: each run resets
+            // the layer's control words, so every run repeats the layer.
+            let mut dev = mcu::Device::new(spec.clone(), power.clone());
+            let dm = sonic::deploy(&mut dev, &qm).expect("the FC fits in FRAM");
+            dm.load_input(&mut dev, &input);
+            let id = format!("sparse-fc/{}/{}", b.label(), power.label());
+            c.bench_function(&id, |bench| {
+                bench.iter(|| std::hint::black_box(run_deployed(&mut dev, &dm, &b)))
+            });
+            let us = c.median_ns(&id).expect("measured") / 1e3;
+            println!("    {}/{}: {us:.0} us/run", b.label(), power.label());
+        }
+    }
+    println!();
+}
+
 fn tiny() -> (dnn::quant::QModel, Vec<fxp::Q15>) {
     let mut rng = rng(5);
     let mut m = Model::new(vec![
@@ -328,6 +384,7 @@ criterion_group!(
     bench_f32_conv,
     bench_q15_kernels,
     bench_training,
+    bench_sparse_fc,
     bench_backends
 );
 criterion_main!(benches);

@@ -40,12 +40,23 @@
 //! loop-continuation store and progress beacons landed once per funded
 //! run, and the first unfunded iteration runs the same body op by op, so
 //! a brown-out lands on exactly the same op with exactly the same partial
-//! memory effects as an all-scalar execution. The iterations a
-//! loop runs outside any bundle (a sparse layer's column advance, the
-//! loop-ordered ablation's entry hits) call the same helpers through
-//! [`Device::step`]. The root `bundles` test suite pins bit-identical
-//! traces and outputs against digests recorded from the scalar
-//! implementation.
+//! memory effects as an all-scalar execution.
+//!
+//! The sparse loops take one of a few op sequences per iteration and run
+//! under [`Device::run_shaped`], one [`Site`] per shape. A sparse layer's
+//! whole ACCUM stage is one driver call per task entry: the column
+//! advance is part of the scatter body, and a predictor peeks `col_ptr`
+//! in FRAM to tell an iteration that stays in its column from one that
+//! advances exactly one column (one that skips empty columns runs in
+//! scalar mode), so funded runs cross column boundaries. The undo slot
+//! and the column cache (`pos`) are last-value stores
+//! ([`Step::store_last`]): a funded run lands each once. The
+//! loop-ordered ablation runs each column pass as one call, its rows
+//! shaped as pass-through, drained pass-through, or entry hit. The root
+//! `bundles` test suite pins bit-identical traces and outputs against
+//! digests recorded from the scalar implementation, and this module's
+//! tests pin a sparse FC with empty and single-entry columns against the
+//! column-at-a-time loop it replaced.
 
 use crate::baseline::{self, charge_finish, unpack_tap};
 use crate::deploy::{DeployedKind, DeployedLayer, DeployedModel, UNDO_EMPTY};
@@ -512,8 +523,8 @@ fn scatter(
     // data buffering, not loop control — it stays in the kernel phase (the
     // paper's Fig. 10 counts Alpaca's analogous dynamic buffering as
     // kernel time).
-    s.store_word(l.undo_val, val.raw() as u16)?;
-    s.store_word(l.undo_tag, k as u16)?;
+    s.store_last(l.undo_val, val.raw() as u16)?;
+    s.store_last(l.undo_tag, k as u16)?;
     s.op(Op::FxpMul)?;
     s.op(Op::FxpAdd)?;
     s.write(acc_plane, o, val + x * wq)?;
@@ -521,14 +532,15 @@ fn scatter(
 }
 
 /// Sparse fully-connected layers: in-place scatter accumulation protected
-/// by sparse undo-logging (§6.2.2). Sites: the zero pass, the in-column
-/// scatter runs, and the finishing pass.
+/// by sparse undo-logging (§6.2.2). Sites: the zero pass, the two scatter
+/// shapes (stay in the column, advance exactly one column), and the
+/// finishing pass.
 #[allow(clippy::too_many_lines)]
 pub(crate) fn sparse_dense_task(
     dev: &mut Device,
     m: &DeployedModel,
     l: &DeployedLayer,
-    [zero, accum, finish]: &mut [Site; 3],
+    (zero, accum, finish): &mut (Site, [Site; 2], Site),
     self_id: usize,
     next: Transition,
 ) -> Result<Transition, PowerFailure> {
@@ -581,7 +593,7 @@ pub(crate) fn sparse_dense_task(
             Ok(Transition::To(self_id))
         }
         STAGE_ACCUM => {
-            let mut k = idx;
+            let k = idx;
             // Undo check: if the saved tag matches the current iteration,
             // the in-place update may have landed — restore and redo.
             let tag = load_ctl(dev, l.undo_tag, l.region)?;
@@ -605,40 +617,39 @@ pub(crate) fn sparse_dense_task(
                 Q15::ZERO
             };
             dev.set_context(l.region, Phase::Kernel);
-            while k < nnz {
-                // Iterations stay in column j until k reaches col_ptr[j+1]
-                // (the column-advance loop body never runs for them):
-                // bundle that run. The iteration that advances the column
-                // runs unbundled.
-                let col_end = (dev.peek_at(col_ptr.addr(j + 1)).raw() as u16 as u32).min(nnz);
-                if col_end > k {
-                    dev.run_bundled(
-                        accum,
-                        k..col_end,
-                        #[inline(always)]
-                        |s, t| {
-                            s.op(Op::Branch)?;
-                            // The column check fails (t is still in-column).
-                            let _ = s.read(*col_ptr, j + 1)?;
-                            scatter(s, l, *entries, acc_plane, x, st, t)
-                        },
-                    )?;
-                    k = col_end;
-                } else {
-                    // Column advance (amortized: once per input element):
-                    // the loop branch plus the check-read/advance sequence
-                    // until the check fails.
-                    dev.consume(Op::Branch)?;
-                    while (dev.read(*col_ptr, j + 1)?.raw() as u16 as u32) <= k {
-                        j += 1;
-                        store_ctl(dev, l.pos, j as u16, l.region)?;
-                        x = dev.read(src, j)?;
-                        dev.set_context(l.region, Phase::Kernel);
+            // Every iteration runs the loop branch and the column-advance
+            // loop — read `col_ptr[j+1]`, and while it does not exceed k
+            // move to the next column (cache it in `pos`, read its input)
+            // — then the scatter. The advance loop runs zero times (stay
+            // in the column), once, or more (empty columns skipped: a
+            // sequence of variable length, always run in scalar mode).
+            let col_end =
+                |dev: &Device, j: u32| dev.peek_at(col_ptr.addr(j + 1)).raw() as u16 as u32;
+            dev.run_shaped(
+                accum,
+                k..nnz,
+                &mut j,
+                #[inline(always)]
+                |dev, j, k| {
+                    if col_end(dev, *j) > k {
+                        return Some(0);
                     }
-                    scatter(&mut dev.step(), l, *entries, acc_plane, x, st, k)?;
-                    k += 1;
-                }
-            }
+                    *j += 1;
+                    (col_end(dev, *j) > k).then_some(1)
+                },
+                #[inline(always)]
+                |s, j, k| {
+                    s.op(Op::Branch)?;
+                    while (s.read(*col_ptr, *j + 1)?.raw() as u16 as u32) <= k {
+                        *j += 1;
+                        s.set_context(l.region, Phase::Control);
+                        s.store_last(l.pos, *j as u16)?;
+                        x = s.read(src, *j)?;
+                        s.set_context(l.region, Phase::Kernel);
+                    }
+                    scatter(s, l, *entries, acc_plane, x, st, k)
+                },
+            )?;
             store_ctl(dev, l.idx, st.pack(STAGE_FINISH, 0), l.region)?;
             store_ctl(dev, l.undo_tag, UNDO_EMPTY, l.region)?;
             Ok(Transition::To(self_id))
@@ -679,7 +690,27 @@ struct ColumnPass {
     ctl: FramWord,
 }
 
+/// The shapes of a column-pass row, each with its own [`Site`].
+const PASS: usize = 0;
+const DRAIN: usize = 1;
+const HIT: usize = 2;
+
 impl ColumnPass {
+    /// The shape of row `o` with the entry cursor at `k`, advancing the
+    /// cursor past a hit: a pass-through that checks the next entry's row,
+    /// a pass-through after the last entry, or an entry hit.
+    #[inline(always)]
+    fn shape(&self, dev: &Device, k: &mut u32, o: u32) -> usize {
+        if *k >= self.end {
+            return DRAIN;
+        }
+        if dev.peek_at(self.entries.addr(2 * *k)).raw() as u16 as u32 != o {
+            return PASS;
+        }
+        *k += 1;
+        HIT
+    }
+
     /// Output row `o`: carry the previous partial (zero on the first
     /// pass), merge column entry `k` when it hits this row, write, loop
     /// continuation.
@@ -711,15 +742,14 @@ impl ColumnPass {
 /// column pass copies the *entire* partial output plane between the
 /// scratch buffers — "most of its time and energy copying unmodified
 /// activations between buffers" — which is exactly the waste sparse
-/// undo-logging exists to eliminate. Kept as an ablation. Sites: the
-/// pass-through rows of the first and later columns, each with entries
-/// left to check or drained, and the finishing pass.
-#[allow(clippy::too_many_lines)]
+/// undo-logging exists to eliminate. Kept as an ablation. Sites: the three
+/// row shapes (pass-through, drained pass-through, entry hit) of the first
+/// and of later columns, and the finishing pass.
 fn sparse_dense_loop_ordered_task(
     dev: &mut Device,
     m: &DeployedModel,
     l: &DeployedLayer,
-    [pass_first, pass_rest, drain_first, drain_rest, finish]: &mut [Site; 5],
+    (columns, finish): &mut ([[Site; 3]; 2], Site),
     self_id: usize,
     next: Transition,
 ) -> Result<Transition, PowerFailure> {
@@ -782,7 +812,7 @@ fn sparse_dense_loop_ordered_task(
     } else {
         (m.plane_b, m.plane_a)
     };
-    let mut o = load_ctl(dev, l.idx, l.region)? as u32;
+    let o = load_ctl(dev, l.idx, l.region)? as u32;
     // Recover the entry cursor: count entries with row < o.
     let mut k = start;
     while k < end {
@@ -792,15 +822,6 @@ fn sparse_dense_loop_ordered_task(
         }
         k += 1;
     }
-    // Pass-through iterations (no entry hits this row). Two variants:
-    // while entries remain, each iteration reads the next entry's row for
-    // the hit check; after the last entry, it does not.
-    let (pass_site, drain_site) = if j == 0 {
-        (pass_first, drain_first)
-    } else {
-        (pass_rest, drain_rest)
-    };
-
     let pass = ColumnPass {
         first: j == 0,
         x,
@@ -811,28 +832,15 @@ fn sparse_dense_loop_ordered_task(
         ctl: l.idx,
     };
     dev.set_context(l.region, Phase::Kernel);
-    while o < out_n {
-        // Rows up to the next entry hit (or the end) are pass-throughs.
-        let (site, run_end) = if k < end {
-            let row = dev.peek_at(entries.addr(2 * k)).raw() as u16 as u32;
-            (&mut *pass_site, row.min(out_n))
-        } else {
-            (&mut *drain_site, out_n)
-        };
-        if run_end > o {
-            dev.run_bundled(
-                site,
-                o..run_end,
-                #[inline(always)]
-                |s, t| pass.row(s, &mut k, t),
-            )?;
-            o = run_end;
-        } else {
-            // Entry hit: the full iteration including the MAC, unbundled.
-            pass.row(&mut dev.step(), &mut k, o)?;
-            o += 1;
-        }
-    }
+    dev.run_shaped(
+        &mut columns[usize::from(j != 0)],
+        o..out_n,
+        &mut k,
+        #[inline(always)]
+        |dev, k, o| Some(pass.shape(dev, k, o)),
+        #[inline(always)]
+        |s, k, o| pass.row(s, k, o),
+    )?;
     store_ctl(dev, l.idx, 0, l.region)?;
     store_ctl(dev, l.pos, (j + 1) as u16, l.region)?;
     Ok(Transition::To(self_id))
@@ -975,5 +983,378 @@ fn layer_name(l: &DeployedLayer) -> &'static str {
         DeployedKind::Pool { .. } => "pool",
         DeployedKind::Relu => "relu",
         DeployedKind::Flatten => "flatten",
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! A pruned sparse FC with every column shape the ACCUM loop meets —
+    //! an empty first column, two consecutive empty columns, an empty
+    //! last column, single-entry columns — pinned for SONIC, TAILS and
+    //! the loop-ordered ablation against digests recorded from the
+    //! column-at-a-time implementation this loop replaced.
+    //!
+    //! Regenerate (after an *intentional* accounting change) with:
+    //! `GOLDEN_PRINT=1 cargo test -p sonic gappy -- --nocapture`
+
+    use super::*;
+    use crate::deploy::deploy;
+    use crate::exec::{run_deployed_observed, Backend, InferenceOutcome, TailsConfig};
+    use crate::spec::{
+        abs_model, check_corruption, check_exhaustive, fault_free_reference, LayerAbs, SparseAbs,
+    };
+    use dnn::layers::Layer;
+    use dnn::model::Model;
+    use dnn::quant::{quantize, QModel};
+    use dnn::tensor::Tensor;
+    use mcu::{DeviceSpec, FaultKind, FaultPlan, PowerSystem};
+    use rand::SeedableRng;
+
+    /// The kept output rows of each input column of the fixture's FC.
+    const COLUMNS: [&[usize]; 12] = [
+        &[],
+        &[0, 2, 5],
+        &[1, 3],
+        &[],
+        &[],
+        &[0, 1, 2, 3, 4, 5],
+        &[4],
+        &[2, 5],
+        &[0, 3],
+        &[1],
+        &[0, 4, 5],
+        &[],
+    ];
+    const IN: usize = COLUMNS.len();
+    const OUT: usize = 6;
+
+    /// The fixture: the gappy sparse FC, then a ReLU.
+    fn gappy_fc() -> (QModel, Vec<Q15>) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(41);
+        let mut model = Model::new(vec![Layer::dense(IN, OUT, &mut rng), Layer::relu()]);
+        let mut mask = Tensor::zeros(vec![OUT, IN]);
+        if let Layer::Dense(d) = &mut model.layers_mut()[0] {
+            // Weights well away from zero, so quantization keeps every
+            // kept entry.
+            for (i, w) in d.w.data_mut().iter_mut().enumerate() {
+                let mag = 0.15 + 0.1 * (i % 4) as f32;
+                *w = if i % 3 == 0 { -mag } else { mag };
+            }
+        }
+        for (c, rows) in COLUMNS.iter().enumerate() {
+            for &r in *rows {
+                mask.data_mut()[r * IN + c] = 1.0;
+            }
+        }
+        model.layers_mut()[0].set_mask(mask);
+        let shape = [IN];
+        let calib: Vec<Tensor> = (0..3)
+            .map(|_| Tensor::uniform(shape.to_vec(), 0.9, &mut rng))
+            .collect();
+        let qm = quantize(&mut model, &shape, &calib);
+        let x = Tensor::uniform(shape.to_vec(), 0.9, &mut rng);
+        let input = qm.quantize_input(&x);
+        (qm, input)
+    }
+
+    fn backends() -> [Backend; 3] {
+        [
+            Backend::Sonic,
+            Backend::Tails(TailsConfig::default()),
+            Backend::SonicNoUndo,
+        ]
+    }
+
+    fn msp() -> DeviceSpec {
+        DeviceSpec::msp430fr5994()
+    }
+
+    fn fnv(h: &mut u64, x: u64) {
+        for b in x.to_le_bytes() {
+            *h ^= u64::from(b);
+            *h = h.wrapping_mul(0x1000_0000_01b3);
+        }
+    }
+
+    /// Folds the allocated FRAM (everything below the break) into `h`.
+    fn fold_fram(h: &mut u64, dev: &Device) {
+        let brk = dev.alloc_watermarks().0 as usize;
+        for &w in &dev.fram_image()[..brk] {
+            fnv(h, u64::from(w as u16));
+        }
+    }
+
+    /// Every bit-relevant field of an outcome, the full per-region trace
+    /// included.
+    fn fold_outcome(h: &mut u64, o: &InferenceOutcome) {
+        fnv(h, u64::from(o.completed));
+        for q in &o.output {
+            fnv(h, u64::from(q.raw() as u16));
+        }
+        fnv(h, o.trace.live_cycles);
+        fnv(h, o.trace.dead_secs.to_bits());
+        fnv(h, o.trace.reboots);
+        fnv(h, o.trace.total_energy_pj);
+        for r in &o.trace.regions {
+            for b in r.name.as_bytes() {
+                fnv(h, u64::from(*b));
+            }
+            fnv(h, r.kernel_cycles);
+            fnv(h, r.control_cycles);
+            fnv(h, r.kernel_energy_pj);
+            fnv(h, r.control_energy_pj);
+            fnv(h, r.index_write_energy_pj);
+            for (op, e) in &r.energy_by_op {
+                fnv(h, op.index() as u64);
+                fnv(h, *e);
+            }
+        }
+        if let Some(s) = &o.stats {
+            fnv(h, s.transitions);
+            fnv(h, s.body_attempts);
+            fnv(h, s.reboots);
+        }
+        if let Some(f) = &o.failure {
+            for b in f.error.to_string().as_bytes() {
+                fnv(h, u64::from(*b));
+            }
+        }
+        fnv(h, o.corruption_detected);
+    }
+
+    /// One run of the fixture with `faults` armed (inference-relative op
+    /// indices): the outcome, the FRAM image and op index at every
+    /// brown-out, and the final FRAM image.
+    fn run_digest(backend: &Backend, power: PowerSystem, faults: &[(u64, FaultKind)]) -> u64 {
+        let (qm, input) = gappy_fc();
+        let mut dev = Device::new(msp(), power);
+        let dm = deploy(&mut dev, &qm).expect("fits");
+        dm.load_input(&mut dev, &input);
+        let base = dev.ops_consumed();
+        dev.arm_faults(&FaultPlan::faults(
+            faults.iter().map(|&(t, k)| (base + t, k)),
+        ));
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let out = run_deployed_observed(&mut dev, &dm, backend, |dev, _, _| {
+            fnv(&mut h, dev.ops_consumed() - base);
+            fold_fram(&mut h, dev);
+        });
+        fold_outcome(&mut h, &out);
+        fnv(&mut h, dev.ops_consumed() - base);
+        fold_fram(&mut h, &dev);
+        h
+    }
+
+    /// Two op indices inside the sparse layer's accumulation (the ACCUM
+    /// stage, or the ablation's column passes), per backend.
+    fn accum_points(backend: &Backend) -> [u64; 2] {
+        match backend {
+            Backend::Sonic => [120, 250],
+            Backend::SonicNoUndo => [250, 500],
+            _ => [150, 280],
+        }
+    }
+
+    /// The sparse layer's state when a lone brown-out lands at `t`.
+    fn crash_state(backend: &Backend, t: u64) -> LayerAbs {
+        let (qm, input) = gappy_fc();
+        let mut dev = Device::new(msp(), PowerSystem::continuous());
+        let dm = deploy(&mut dev, &qm).expect("fits");
+        dm.load_input(&mut dev, &input);
+        dev.arm_faults(&FaultPlan::at(dev.ops_consumed() + t));
+        let mut state = None;
+        run_deployed_observed(&mut dev, &dm, backend, |dev, _, _| {
+            state.get_or_insert(abs_model(dev, &dm, backend).expect("refines")[0]);
+        });
+        state.expect("the brown-out fired")
+    }
+
+    /// A pinned scenario: name, power system, armed faults.
+    type Scenario = (String, PowerSystem, Vec<(u64, FaultKind)>);
+
+    /// The pinned scenarios.
+    fn scenarios(backend: &Backend) -> Vec<Scenario> {
+        let (qm, input) = gappy_fc();
+        let mut dev = Device::new(msp(), PowerSystem::continuous());
+        let dm = deploy(&mut dev, &qm).expect("fits");
+        dm.load_input(&mut dev, &input);
+        let l = &dm.layers[0];
+        let [t1, t2] = accum_points(backend);
+        let flip = |w: FramWord, bit| FaultKind::BitFlip {
+            addr: w.addr(),
+            bit,
+        };
+        let bo = FaultKind::Brownout;
+        vec![
+            ("Cont".into(), PowerSystem::continuous(), vec![]),
+            ("100uF".into(), PowerSystem::harvested(100e-6), vec![]),
+            ("brownout".into(), PowerSystem::continuous(), vec![(t2, bo)]),
+            (
+                "pos-flip".into(),
+                PowerSystem::continuous(),
+                vec![(t1, flip(l.pos, 1))],
+            ),
+            (
+                "pos-flip+brownout".into(),
+                PowerSystem::continuous(),
+                vec![(t1, flip(l.pos, 1)), (t1 + 1, bo)],
+            ),
+            (
+                "tag-flip".into(),
+                PowerSystem::continuous(),
+                vec![(t1, flip(l.undo_tag, 0))],
+            ),
+            (
+                "tag-flip+brownout".into(),
+                PowerSystem::continuous(),
+                vec![(t1, flip(l.undo_tag, 2)), (t1 + 1, bo)],
+            ),
+        ]
+    }
+
+    fn golden_print() -> bool {
+        std::env::var("GOLDEN_PRINT").is_ok()
+    }
+
+    #[test]
+    fn gappy_fixture_deploys_its_column_shapes() {
+        let (qm, input) = gappy_fc();
+        let mut dev = Device::new(msp(), PowerSystem::continuous());
+        let dm = deploy(&mut dev, &qm).expect("fits");
+        dm.load_input(&mut dev, &input);
+        let DeployedKind::Dense {
+            sparse: Some(sp), ..
+        } = &dm.layers[0].kind
+        else {
+            panic!("the FC must deploy sparse")
+        };
+        let ptr = dev.peek(sp.cols.0);
+        let lens: Vec<usize> = ptr
+            .windows(2)
+            .map(|w| (w[1].raw() - w[0].raw()) as usize)
+            .collect();
+        let want: Vec<usize> = COLUMNS.iter().map(|c| c.len()).collect();
+        assert_eq!(lens, want);
+    }
+
+    #[test]
+    fn gappy_fault_points_land_in_the_accumulation() {
+        let nnz: u32 = COLUMNS.iter().map(|c| c.len() as u32).sum();
+        for b in backends() {
+            for t in accum_points(&b) {
+                let s = crash_state(&b, t);
+                let inside = match s {
+                    LayerAbs::Sparse(SparseAbs::Accum { k, .. }) => k > 0 && k < nnz,
+                    LayerAbs::Dense { col, .. } => col > 0 && (col as usize) < IN - 1,
+                    _ => false,
+                };
+                assert!(inside, "{} @{t}: {s:?}", b.label());
+            }
+        }
+    }
+
+    /// Digests recorded from the column-at-a-time ACCUM loop, scenario
+    /// order: backend-major (see `backends` and `scenarios`).
+    const GOLDEN: &[u64] = &[
+        0xfd0a72e7d45e1dd7, // SONIC/Cont
+        0xfd0a72e7d45e1dd7, // SONIC/100uF
+        0x6deb8babd765764b, // SONIC/brownout
+        0xfd0a72e7d45e1dd7, // SONIC/pos-flip
+        0xb07bb78b15e71429, // SONIC/pos-flip+brownout
+        0xfd0a72e7d45e1dd7, // SONIC/tag-flip
+        0x11c4c72de8d492eb, // SONIC/tag-flip+brownout
+        0xc48a7295a08aa0f9, // TAILS/Cont
+        0xc48a7295a08aa0f9, // TAILS/100uF
+        0x5f0a4f7a68367d47, // TAILS/brownout
+        0xc48a7295a08aa0f9, // TAILS/pos-flip
+        0x66bd5f6004fd4aeb, // TAILS/pos-flip+brownout
+        0xc48a7295a08aa0f9, // TAILS/tag-flip
+        0x10a80de5e1d99845, // TAILS/tag-flip+brownout
+        0xd59cfa45f4274f4e, // SONIC-no-undo/Cont
+        0xd59cfa45f4274f4e, // SONIC-no-undo/100uF
+        0x11cf4e88ba1c482b, // SONIC-no-undo/brownout
+        0xd59cfa45f4274f4e, // SONIC-no-undo/pos-flip
+        0x506cbb824ff52802, // SONIC-no-undo/pos-flip+brownout
+        0x57341cd8ab30c60f, // SONIC-no-undo/tag-flip
+        0xf36f266cd1ed08f1, // SONIC-no-undo/tag-flip+brownout
+    ];
+
+    #[test]
+    fn gappy_fc_digests_match_the_column_at_a_time_record() {
+        let mut got = Vec::new();
+        for b in backends() {
+            for (name, power, faults) in scenarios(&b) {
+                got.push((
+                    format!("{}/{name}", b.label()),
+                    run_digest(&b, power, &faults),
+                ));
+            }
+        }
+        if golden_print() {
+            for (name, d) in &got {
+                println!("        {d:#018x}, // {name}");
+            }
+            return;
+        }
+        assert_eq!(got.len(), GOLDEN.len(), "scenario list changed");
+        for ((name, d), g) in got.iter().zip(GOLDEN) {
+            assert_eq!(d, g, "{name}: digest diverged");
+        }
+    }
+
+    /// Per backend, the digests of a lone brown-out at every op boundary
+    /// of the fault-free run, folded: every crash's FRAM image, the
+    /// recovered trace and output.
+    const GOLDEN_SWEEP: &[u64] = &[
+        0x516f4136ed0dc1aa, // SONIC/420
+        0x14990671db000034, // TAILS/450
+        0x08630f949a69c61a, // SONIC-no-undo/742
+    ];
+
+    #[test]
+    fn gappy_fc_every_brownout_boundary_matches_the_record() {
+        let (qm, input) = gappy_fc();
+        let mut got = Vec::new();
+        for b in backends() {
+            let (_, ops) = fault_free_reference(&qm, &input, &msp(), &b);
+            let mut h = 0xcbf2_9ce4_8422_2325u64;
+            for t in 0..ops {
+                fnv(
+                    &mut h,
+                    run_digest(&b, PowerSystem::continuous(), &[(t, FaultKind::Brownout)]),
+                );
+            }
+            got.push((format!("{}/{ops}", b.label()), h));
+        }
+        if golden_print() {
+            for (name, d) in &got {
+                println!("        {d:#018x}, // {name}");
+            }
+            return;
+        }
+        assert_eq!(got.len(), GOLDEN_SWEEP.len(), "backend list changed");
+        for ((name, d), g) in got.iter().zip(GOLDEN_SWEEP) {
+            assert_eq!(d, g, "{name}: sweep digest diverged");
+        }
+    }
+
+    #[test]
+    fn gappy_fc_exhaustive_sweep_is_clean() {
+        let (qm, input) = gappy_fc();
+        for b in backends() {
+            let report = check_exhaustive(&qm, &input, &msp(), &b);
+            assert!(report.boundaries > 100, "{}: sweep too small", b.label());
+            report.assert_clean();
+        }
+    }
+
+    #[test]
+    fn gappy_fc_corruption_sweep_has_no_silent_wrong() {
+        let (qm, input) = gappy_fc();
+        for b in backends() {
+            let report = check_corruption(&qm, &input, &msp(), &b, 3);
+            assert!(report.flips > 0);
+            report.assert_no_silent_wrong();
+        }
     }
 }

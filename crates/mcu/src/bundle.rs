@@ -4,46 +4,84 @@
 //! [`Device::consume`] call makes the *simulator* the bottleneck long
 //! before the simulated MSP430 is: a SONIC inference is a few hundred
 //! thousand `consume` calls, each a cost lookup, a power branch, and a
-//! trace update. [`Device::run_bundled`] runs an inner loop with one body,
+//! trace update. [`Device::run_shaped`] runs an inner loop with one body,
 //! written once against a [`Step`], and charges whole iterations at a
-//! time from an [`OpBundle`] — the ordered op sequence of one iteration —
-//! that it *records from the body itself*. The bundle lives in the loop's
-//! [`Site`], one per loop variant, and each index runs in one of three
-//! modes the driver picks:
+//! time from [`OpBundle`]s — the ordered op sequence of one iteration —
+//! that it *records from the body itself*.
 //!
-//! - **Recording.** While the site is empty, the driver runs the next
-//!   index in scalar mode (below) and records the `(op, phase)` of every
-//!   charge it makes. If the iteration completes, the record becomes the
-//!   site's bundle; a brown-out or body error leaves the site empty, and
-//!   the next call records again.
-//! - **Funded mode.** The driver charges as many *whole* iterations as
-//!   the remaining buffer covers in one arithmetic step, then runs them
-//!   with every [`Step`] call uncharged: memory effects happen directly,
-//!   and the loop-continuation store and progress beacons land once per
-//!   funded run. The funded count is exactly the number of complete
-//!   iterations an all-scalar execution would have finished, because
-//!   per-op energies are non-negative integers (if the remaining charge
-//!   covers a whole iteration it covers every prefix of it).
+//! # Shapes
+//!
+//! An iteration's op sequence is its *shape*. Most loops have one; some
+//! take one of a few fixed sequences depending on data — a sparse FC's
+//! scatter that stays in its column, or first advances to the next one.
+//! Each shape keeps its bundle in its own [`Site`], and the loop passes a
+//! *predictor* that names the shape of the next iteration before it runs.
+//! The predictor reads, with uncharged peeks at live device memory, the
+//! words the body is about to read, and advances a copy of the loop's
+//! cursor (the state the body carries from one index to the next) the way
+//! the body will. Peeking live FRAM, not a deploy-time copy, keeps
+//! injected bit flips and stuck-at cells in the prediction exactly as the
+//! body will see them. A shape the predictor does not name (`None`: a
+//! sequence of variable length, say) always runs in scalar mode.
+//! [`Device::run_bundled`] is the one-shape case.
+//!
+//! Each index runs in one of three modes the driver picks:
+//!
+//! - **Recording.** While the predicted shape's site is empty, the driver
+//!   runs the index in scalar mode (below) and records the `(op, phase)`
+//!   of every charge it makes. If the iteration completes, the record
+//!   becomes the site's bundle; a brown-out or body error leaves the site
+//!   empty, and the next iteration of that shape records again.
+//! - **Funded mode.** The driver predicts shapes forward and funds the
+//!   longest run of *whole* iterations, across shapes, that both the
+//!   remaining buffer and the next armed fault target allow, charges it in
+//!   one step, then runs it with every [`Step`] call uncharged: memory
+//!   effects happen directly, and progress beacons land once per funded
+//!   run. The funded count is exactly the number of complete iterations
+//!   an all-scalar execution would have finished, because per-op energies
+//!   are non-negative integers (if the remaining charge covers a whole
+//!   iteration it covers every prefix of it). A run stops before an
+//!   iteration whose shape has no bundle.
 //! - **Scalar mode.** The first unfunded iteration runs the same body
 //!   with every call charging through [`Device::consume`] /
 //!   [`Device::read`] / [`Device::write`] in body order, so a brown-out
 //!   lands on *exactly* the op, with exactly the partial memory effects,
 //!   of an all-scalar execution. If the iteration completes — an
 //!   injected bit flip or stuck-at cell stopped the funding without
-//!   cutting power — bulk funding resumes at the next index.
+//!   cutting power, or its shape runs only in scalar mode — bulk funding
+//!   resumes at the next index.
 //!
-//! Scalar mode is the ground truth, and the bundle is a record of it, so
-//! the modes agree as long as every iteration run against one site
-//! charges the same op sequence. That is the one way to break the energy
-//! model: a site shared by two loop variants (a first pass and a later
-//! one, say) funds the second from the first's record. In debug builds
-//! the driver records every later scalar-mode iteration too and asserts
-//! it is a prefix of the site's bundle — equal to it when the iteration
-//! completes. Trace cells are plain accumulators, so charging `n`
-//! iterations of each `(phase, op)` entry in bulk produces bit-identical
-//! totals to `n` interleaved scalar charges. The root `bundles` test
-//! suite pins this equivalence against digests recorded from the scalar
-//! implementation.
+//! # Last-value stores
+//!
+//! No brown-out and no memory fault can fire inside a funded run, so a
+//! word the body stores every iteration but never reads back within the
+//! run needs only its last value. The loop-continuation store
+//! ([`Step::checkpoint`]) and [`Step::store_last`] keep the run's latest
+//! value per word and land it once when the run settles — one FRAM store
+//! (and one integrity-guard update) per run, not per iteration. Scalar
+//! mode stores every value, charged, as the device method would.
+//!
+//! # Why the modes agree
+//!
+//! Scalar mode is the ground truth, and each bundle is a record of it, so
+//! the modes agree as long as every iteration the predictor gives a shape
+//! charges that shape's op sequence. That is the one way to break the
+//! energy model: a site shared by two loop variants (a first pass and a
+//! later one, say) funds the second from the first's record, and a
+//! predictor that misnames a shape funds an iteration from another
+//! shape's record. Debug builds check both: the driver records every
+//! later scalar-mode iteration too and asserts it is a prefix of its
+//! predicted shape's bundle — equal to it when the iteration completes —
+//! unless the loop has several shapes and a memory fault fired inside the
+//! iteration (a flipped word may change the path the prediction saw; such
+//! an iteration also records nothing); it
+//! asserts that the body ends each funded run on the cursor the predictor
+//! reached; and it asserts that the run's bulk charge equals its
+//! iterations' bundles summed one by one. Trace cells are plain
+//! accumulators, so charging `n` iterations of each `(phase, op)` entry in
+//! bulk produces bit-identical totals to `n` interleaved scalar charges.
+//! The root `bundles` test suite pins this equivalence against digests
+//! recorded from the scalar implementation.
 //!
 //! For loop bodies whose op sequence is data-dependent but which have
 //! **no durable side effects** until a later commit (the Alpaca redo-log
@@ -89,6 +127,8 @@ pub struct BundleOp {
 pub struct OpBundle {
     seq: Vec<BundleOp>,
     counts: OpCounts,
+    /// Total ops, kept with `counts`.
+    len: u64,
 }
 
 impl Default for OpBundle {
@@ -103,6 +143,7 @@ impl OpBundle {
         OpBundle {
             seq: Vec::new(),
             counts: [[0; Op::COUNT]; 2],
+            len: 0,
         }
     }
 
@@ -120,6 +161,7 @@ impl OpBundle {
             return;
         }
         self.counts[phase.index()][op.index()] += count;
+        self.len += count;
         if let Some(last) = self.seq.last_mut() {
             if last.op == op && last.phase == phase {
                 last.count += count;
@@ -146,13 +188,23 @@ impl OpBundle {
 
     /// Total ops in one iteration.
     pub fn len(&self) -> u64 {
-        counts_len(&self.counts)
+        self.len
     }
 }
 
 /// Total ops in a counts table.
 pub(crate) fn counts_len(counts: &OpCounts) -> u64 {
     counts.iter().flatten().sum()
+}
+
+/// Adds `n` iterations of `bundle` to a counts table.
+#[cfg(debug_assertions)]
+pub(crate) fn add_counts(into: &mut OpCounts, bundle: &OpBundle, n: u64) {
+    for (row, add) in into.iter_mut().zip(bundle.counts()) {
+        for (c, a) in row.iter_mut().zip(add) {
+            *c += n * a;
+        }
+    }
 }
 
 /// Total `(cycles, energy_pj)` of a counts table under `costs`.
@@ -301,16 +353,16 @@ impl OpTape {
 
 // ----- the bundled-loop driver ---------------------------------------
 
-/// Where a bundled loop keeps its [`OpBundle`]: empty until
-/// [`Device::run_bundled`] records it from the loop body's first
-/// completed iteration, then reused by every later call. See the
+/// Where a bundled loop keeps the [`OpBundle`] of one iteration shape:
+/// empty until [`Device::run_shaped`] records it from the first completed
+/// iteration of that shape, then reused by every later call. See the
 /// [module docs](self).
 ///
-/// A site belongs to one loop *variant*: every iteration run against it
-/// must charge the same op sequence. Loops whose sequence depends on
-/// something fixed per call (a first or later pass, a layer's geometry)
-/// keep one site per variant; a site shared by two variants funds one
-/// from the other's record.
+/// A site belongs to one loop *variant* and shape: every iteration run
+/// against it must charge the same op sequence. Loops whose sequence
+/// depends on something fixed per call (a first or later pass, a layer's
+/// geometry) keep one site per variant; a site shared by two variants
+/// funds one from the other's record.
 #[derive(Clone, Debug, Default)]
 pub struct Site(Option<OpBundle>);
 
@@ -321,12 +373,22 @@ impl Site {
     }
 }
 
+/// A funded run planned and charged by [`Device::fund_run`].
+pub(crate) struct FundedRun {
+    /// Iterations funded.
+    pub(crate) iters: u32,
+    /// The predicted shape of the first unfunded iteration, when the run
+    /// stopped before the end of the range.
+    pub(crate) next: Option<usize>,
+}
+
 impl Device {
     /// Runs the loop `for i in range { body(step, i)? }` under bundled
-    /// accounting: while `site` is empty the driver records its bundle
-    /// from the body, then runs each index in funded or scalar mode
-    /// against it (see the [module docs](self)). Indices are visited in
-    /// ascending order with no gaps, so a body may carry incremental
+    /// accounting, every iteration one shape: the one-shape case of
+    /// [`Device::run_shaped`]. While `site` is empty the driver records
+    /// its bundle from the body, then runs each index in funded or scalar
+    /// mode against it (see the [module docs](self)). Indices are visited
+    /// in ascending order with no gaps, so a body may carry incremental
     /// state across them.
     ///
     /// A body error propagates at once. In funded mode that means the
@@ -375,37 +437,147 @@ impl Device {
     where
         F: FnMut(&mut Step<'_>, u32) -> Result<(), PowerFailure>,
     {
+        self.run_shaped(
+            std::array::from_mut(site),
+            range,
+            &mut (),
+            #[inline(always)]
+            |_, (), _| Some(0),
+            #[inline(always)]
+            |s, (), i| body(s, i),
+        )
+    }
+
+    /// Runs the loop `for i in range { body(step, cursor, i)? }` under
+    /// bundled accounting, each iteration one of `N` shapes with a
+    /// [`Site`] each (see the [module docs](self)).
+    ///
+    /// `cursor` is the state the body carries from one index to the next
+    /// (a column, an entry cursor). Before an index runs, the driver calls
+    /// `shape(dev, cursor, i)` on a copy of the cursor: the predictor
+    /// returns the iteration's shape — an index into `sites`, or `None`
+    /// for one that always runs in scalar mode — and advances the copy to
+    /// the state the body will leave. It must read device memory only
+    /// through peeks, at the words the body is about to read, so its
+    /// prediction sees every injected fault the body will. The predictor
+    /// runs exactly once per index, in order, before the index runs; each
+    /// funded run starts it from the body's own cursor.
+    ///
+    /// Indices are visited in ascending order with no gaps. Errors
+    /// propagate as in [`Device::run_bundled`].
+    ///
+    /// ```
+    /// use mcu::{Device, DeviceSpec, Op, PowerSystem, Site};
+    ///
+    /// let mut dev = Device::new(DeviceSpec::msp430fr5994(), PowerSystem::continuous());
+    /// let flags = dev.fram_alloc(100).unwrap();
+    /// for i in (0..100).step_by(7) {
+    ///     dev.write(flags, i, fxp::Q15::HALF).unwrap();
+    /// }
+    /// let before = dev.trace().op_count(Op::FramRead);
+    /// // Shape 0 reads a flag; shape 1, a set flag, also pays a multiply.
+    /// let mut sites: [Site; 2] = Default::default();
+    /// let mut hits = 0u32;
+    /// dev.run_shaped(
+    ///     &mut sites,
+    ///     0..100,
+    ///     &mut hits,
+    ///     #[inline(always)]
+    ///     |d, hits, i| {
+    ///         let set = d.peek_at(flags.addr(i)).raw() != 0;
+    ///         *hits += u32::from(set);
+    ///         Some(usize::from(set))
+    ///     },
+    ///     #[inline(always)]
+    ///     |s, hits, i| {
+    ///         if s.read(flags, i)?.raw() != 0 {
+    ///             s.op(Op::FxpMul)?;
+    ///             *hits += 1;
+    ///         }
+    ///         Ok(())
+    ///     },
+    /// )
+    /// .unwrap();
+    /// assert_eq!(hits, 15);
+    /// assert_eq!(dev.trace().op_count(Op::FramRead) - before, 100);
+    /// assert_eq!(dev.trace().op_count(Op::FxpMul), 15);
+    /// assert_eq!(sites[1].bundle().unwrap().len(), 2);
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PowerFailure`] when the device is off, a recording or
+    /// scalar-mode iteration browns out, or the body fails.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shape` returns an index outside `sites`.
+    #[inline(always)]
+    pub fn run_shaped<const N: usize, C, P, F>(
+        &mut self,
+        sites: &mut [Site; N],
+        range: Range<u32>,
+        cursor: &mut C,
+        mut shape: P,
+        mut body: F,
+    ) -> Result<(), PowerFailure>
+    where
+        C: Copy + PartialEq + std::fmt::Debug,
+        P: FnMut(&Device, &mut C, u32) -> Option<usize>,
+        F: FnMut(&mut Step<'_>, &mut C, u32) -> Result<(), PowerFailure>,
+    {
         let Range { mut start, end } = range;
         while start < end {
-            let Some(bundle) = &site.0 else {
-                let outer = self.record.replace(Box::default());
-                let r = body(&mut Step::new(self, false), start);
-                let rec = self.close_record(outer);
-                r?;
-                site.0 = Some(*rec);
-                start += 1;
-                continue;
-            };
-            let funded = self.consume_bundle(bundle, u64::from(end - start))? as u32;
-            if funded > 0 {
+            let mut planned = *cursor;
+            let run = self.fund_run(
+                sites.each_ref().map(Site::bundle),
+                start..end,
+                &mut planned,
+                &mut shape,
+            )?;
+            if run.iters > 0 {
                 let mut s = Step::new(self, true);
                 let mut r = Ok(());
-                for i in start..start + funded {
-                    r = body(&mut s, i);
+                for i in start..start + run.iters {
+                    r = body(&mut s, cursor, i);
                     if r.is_err() {
                         break;
                     }
                 }
                 s.settle();
                 r?;
-                start += funded;
+                debug_assert_eq!(
+                    *cursor, planned,
+                    "a funded run ended off the predicted cursor: the shape predictor and \
+                     the loop body disagree"
+                );
+                start += run.iters;
             }
             if start < end {
-                #[cfg(debug_assertions)]
-                let outer = self.record.replace(Box::default());
-                let r = body(&mut Step::new(self, false), start);
-                #[cfg(debug_assertions)]
-                check_tail(bundle, &self.close_record(outer), r.is_ok());
+                let site = run.next.map(|k| &mut sites[k]);
+                // Record the iteration to fill an empty site, and in debug
+                // builds to check it against a recorded one.
+                let record = site
+                    .as_ref()
+                    .is_some_and(|s| cfg!(debug_assertions) || s.0.is_none());
+                let outer = record.then(|| self.record.replace(Box::default()));
+                let faults = self.mem_faults_injected();
+                let r = body(&mut Step::new(self, false), cursor, start);
+                if let (Some(outer), Some(site)) = (outer, site) {
+                    let rec = self.close_record(outer);
+                    // A memory fault inside the iteration may have sent it
+                    // down another shape's path than the one predicted.
+                    if N == 1 || self.mem_faults_injected() == faults {
+                        match &site.0 {
+                            None if r.is_ok() => site.0 = Some(*rec),
+                            None => {}
+                            #[cfg(debug_assertions)]
+                            Some(bundle) => check_tail(bundle, &rec, r.is_ok()),
+                            #[cfg(not(debug_assertions))]
+                            Some(_) => {}
+                        }
+                    }
+                }
                 r?;
                 start += 1;
             }
@@ -436,7 +608,7 @@ impl Device {
 }
 
 /// Debug builds: checks the record of a scalar-mode iteration against
-/// its site's bundle.
+/// its predicted shape's bundle.
 #[cfg(debug_assertions)]
 fn check_tail(bundle: &OpBundle, rec: &OpBundle, completed: bool) {
     let (got, want) = (rec.ops(), bundle.ops());
@@ -461,7 +633,78 @@ fn check_tail(bundle: &OpBundle, rec: &OpBundle, completed: bool) {
     );
 }
 
-/// One iteration's handle on the device inside [`Device::run_bundled`]:
+/// How many distinct words one funded run may hold [`Step::store_last`]
+/// values for.
+const LAST_STORES: usize = 4;
+
+/// A funded run's [`Step::store_last`] values: the latest per word,
+/// landed when the run settles. The device holds them rather than the
+/// [`Step`], so a step stays small enough to live in registers in the
+/// many loops that never make such a store.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct LastStores {
+    /// `(raw FRAM address, value)` in the first `n` slots.
+    slots: [(u32, u16); LAST_STORES],
+    n: usize,
+    /// The slot the next store most likely goes to: a body stores its
+    /// words in the same order every iteration.
+    next: usize,
+}
+
+impl LastStores {
+    /// Keeps `v` as the run's last value for the word at `a`.
+    #[inline]
+    fn keep(&mut self, a: u32, v: u16) {
+        let i = self.next;
+        if i < self.n && self.slots[i].0 == a {
+            self.set(i, v);
+        } else {
+            self.keep_off_turn(a, v);
+        }
+    }
+
+    /// [`LastStores::keep`] off the predicted slot: finds or opens the
+    /// word's slot.
+    #[cold]
+    #[inline(never)]
+    fn keep_off_turn(&mut self, a: u32, v: u16) {
+        let n = self.n;
+        let i = self.slots[..n]
+            .iter()
+            .position(|s| s.0 == a)
+            .unwrap_or_else(|| {
+                assert!(
+                    n < LAST_STORES,
+                    "a funded run stores to more than {LAST_STORES} last-value words"
+                );
+                self.slots[n].0 = a;
+                self.n = n + 1;
+                n
+            });
+        self.set(i, v);
+    }
+
+    #[inline]
+    fn set(&mut self, i: usize, v: u16) {
+        self.slots[i].1 = v;
+        self.next = if i + 1 == self.n { 0 } else { i + 1 };
+    }
+}
+
+impl Device {
+    /// Lands and clears a funded run's [`Step::store_last`] values.
+    #[cold]
+    fn land_last_stores(&mut self) {
+        let n = std::mem::take(&mut self.last_stores.n);
+        self.last_stores.next = 0;
+        for i in 0..n {
+            let (a, v) = self.last_stores.slots[i];
+            self.prepaid_write_at(NvAddr::word(a), Q15::from_raw(v as i16));
+        }
+    }
+}
+
+/// One iteration's handle on the device inside [`Device::run_shaped`]:
 /// every metered operation a loop body performs goes through it. The
 /// driver picks the mode; in funded mode every call is uncharged (the
 /// bundle already paid), in scalar mode every call charges exactly like
@@ -470,8 +713,8 @@ fn check_tail(bundle: &OpBundle, rec: &OpBundle, completed: bool) {
 pub struct Step<'d> {
     dev: &'d mut Device,
     pub(crate) funded: bool,
-    /// Funded mode: the run's latest loop-continuation store, landed
-    /// once when the run ends.
+    /// Funded mode: the run's latest loop-continuation store, landed once
+    /// when the run ends.
     last_checkpoint: Option<(FramWord, u16)>,
     /// Funded mode: the run's progress beacons, added once when it ends.
     beacons: u64,
@@ -509,11 +752,14 @@ impl<'d> Step<'d> {
         }
     }
 
-    /// Lands a funded run's batched checkpoint and beacons.
+    /// Lands a funded run's last-value stores and beacons.
     #[inline]
     fn settle(self) {
         if let Some((w, v)) = self.last_checkpoint {
             self.dev.prepaid_store_word(w, v);
+        }
+        if self.dev.last_stores.n > 0 {
+            self.dev.land_last_stores();
         }
         if self.beacons > 0 {
             self.dev.mark_progress_n(self.beacons);
@@ -585,6 +831,30 @@ impl<'d> Step<'d> {
         self.dev.store_word(ctl, v)?;
         self.dev.set_context(region, phase);
         Ok(())
+    }
+
+    /// [`Device::store_word`] for a word the loop body never reads back:
+    /// in funded mode only the run's last value per word lands, once,
+    /// when the run ends (no brown-out or memory fault fires inside a
+    /// funded run, so no earlier value is observable). A run may hold up
+    /// to four such words; a body must not also write them through
+    /// [`Step::store_word`] or [`Step::checkpoint`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PowerFailure`] on brown-out (scalar mode only).
+    ///
+    /// # Panics
+    ///
+    /// Panics if one funded run stores to more than four such words.
+    #[inline]
+    pub fn store_last(&mut self, w: FramWord, v: u16) -> Result<(), PowerFailure> {
+        if self.funded {
+            self.dev.last_stores.keep(w.addr().index(), v);
+            Ok(())
+        } else {
+            self.dev.store_word(w, v)
+        }
     }
 
     /// One forward-progress beacon ([`Device::mark_progress`]); funded

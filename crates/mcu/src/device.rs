@@ -37,12 +37,17 @@
 //! on the device ([`Device::note_corruption`]); the runtimes decide what
 //! to scrub and when to give up.
 
-use crate::bundle::{counts_cost, counts_len, OpBundle, OpCounts, OpTape, TapeRun};
+#[cfg(debug_assertions)]
+use crate::bundle::add_counts;
+use crate::bundle::{
+    counts_cost, counts_len, FundedRun, LastStores, OpBundle, OpCounts, OpTape, TapeRun,
+};
 use crate::power::PowerSystem;
 use crate::spec::{DeviceSpec, Op};
 use crate::trace::{Phase, RegionId, Trace, TraceReport};
 use core::fmt;
 use fxp::{Accum, Q15};
+use std::ops::Range;
 
 /// The device browned out: the capacitor cannot cover the next operation.
 ///
@@ -364,6 +369,17 @@ pub struct BrownoutInfo {
     pub injected: bool,
 }
 
+/// How many times `per` fits in `budget`: unlimited for an unlimited
+/// budget or a free item (and no division on that path).
+#[inline]
+fn whole_runs(budget: u64, per: u64) -> u64 {
+    if budget == u64::MAX || per == 0 {
+        u64::MAX
+    } else {
+        budget / per
+    }
+}
+
 /// The simulated MCU.
 ///
 /// See the [module docs](self) for the execution and failure model.
@@ -421,6 +437,9 @@ pub struct Device {
     /// every one it checks against a site's bundle. `None` outside such
     /// an iteration.
     pub(crate) record: Option<Box<OpBundle>>,
+    /// The [`crate::Step::store_last`] values of the funded run in flight,
+    /// landed when it settles; empty between runs.
+    pub(crate) last_stores: LastStores,
 }
 
 impl Device {
@@ -454,6 +473,7 @@ impl Device {
             corruption_budget: CORRUPTION_RETRY_LIMIT,
             unrecoverable: None,
             record: None,
+            last_stores: LastStores::default(),
         }
     }
 
@@ -764,8 +784,9 @@ impl Device {
     /// per-op energies are non-negative, so a buffer that covers an
     /// iteration's total covers every prefix of it. When the return value
     /// is less than `n_iters` the device is still **on**, with less than
-    /// one iteration's energy remaining; [`Device::run_bundled`] then runs
-    /// the next iteration in scalar mode.
+    /// one iteration's energy remaining; [`Device::consume_tape`] then
+    /// expands the next iteration op by op. (Bundled loops fund their runs
+    /// through [`Device::fund_run`].)
     ///
     /// Ops are charged to the device's current region at each entry's own
     /// phase; trace cells are order-independent accumulators, so bulk
@@ -797,6 +818,166 @@ impl Device {
         Ok(fit)
     }
 
+    /// Plans and charges one funded run of a shaped loop (see
+    /// [`Device::run_shaped`]) from `range.start`: predicts the shape of
+    /// each next index with `shape`, advancing `cursor`, and funds the
+    /// longest run of whole iterations that both the remaining buffer and
+    /// the next armed fault target allow. A run stops before an iteration
+    /// whose shape is `None` or has no bundle in `bundles`. The run is
+    /// charged in one step — energy, op counter, and one trace charge per
+    /// shape present — and `cursor` ends at the state after it.
+    ///
+    /// The funded count is exactly the number of complete iterations the
+    /// scalar path would have executed, as for
+    /// [`Device::consume_bundle`], whatever mix of shapes the run holds.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PowerFailure`] only when the device is already off.
+    #[inline]
+    pub(crate) fn fund_run<const N: usize, C, P>(
+        &mut self,
+        bundles: [Option<&OpBundle>; N],
+        range: Range<u32>,
+        cursor: &mut C,
+        shape: &mut P,
+    ) -> Result<FundedRun, PowerFailure>
+    where
+        C: Copy,
+        P: FnMut(&Device, &mut C, u32) -> Option<usize>,
+    {
+        if !self.on {
+            return Err(PowerFailure);
+        }
+        let harvested = matches!(self.power, PowerSystem::Harvested(_));
+        // Per recorded shape: (ops, energy) of one iteration. Continuous
+        // power never drains, so its energies stay zero.
+        let cost: [Option<(u64, u64)>; N] = bundles.map(|b| {
+            b.map(|b| {
+                if !harvested {
+                    return (b.len(), 0);
+                }
+                #[cfg(debug_assertions)]
+                self.check_free_ops(b.counts());
+                (b.len(), counts_cost(b.counts(), &self.spec.costs).1)
+            })
+        });
+        let (len_max, e_max) = cost
+            .iter()
+            .flatten()
+            .fold((0, 0), |(l, e), &(bl, be)| (l.max(bl), e.max(be)));
+        let mut energy_left = if harvested { self.charge_pj } else { u64::MAX };
+        // Never fund an iteration that straddles an armed target, so the
+        // scalar-mode run of the next iteration reaches exactly the
+        // targeted op.
+        let mut ops_left = self
+            .fault_queue
+            .last()
+            .map_or(u64::MAX, |&(t, _)| t.saturating_sub(self.ops_consumed));
+        // A loop nested in a recorded iteration appends each funded
+        // iteration's bundle to the record, in order: one at a time.
+        let recording = self.record.is_some();
+        #[cfg(debug_assertions)]
+        let mut one_by_one: OpCounts = [[0; Op::COUNT]; 2];
+        let mut n = [0u64; N];
+        let mut i = range.start;
+        let stop = 'plan: loop {
+            if i == range.end {
+                break None;
+            }
+            // Iterations every recorded shape fits need no budget test.
+            let sure = if recording || energy_left < e_max || ops_left < len_max {
+                0
+            } else {
+                u64::from(range.end - i)
+                    .min(whole_runs(energy_left, e_max))
+                    .min(whole_runs(ops_left, len_max))
+            };
+            if sure == 0 {
+                let before = *cursor;
+                let k = shape(self, cursor, i);
+                let fits = k.and_then(|k| cost[k].map(|c| (k, c)));
+                let Some((k, (len, e))) =
+                    fits.filter(|&(_, (len, e))| len <= ops_left && e <= energy_left)
+                else {
+                    *cursor = before;
+                    break Some(k);
+                };
+                n[k] += 1;
+                i += 1;
+                ops_left -= len;
+                energy_left -= e;
+                let b = bundles[k].expect("recorded");
+                if let Some(rec) = &mut self.record {
+                    for op in b.ops() {
+                        rec.push_n(op.op, op.phase, op.count);
+                    }
+                }
+                #[cfg(debug_assertions)]
+                add_counts(&mut one_by_one, b, 1);
+                continue;
+            }
+            let from = n;
+            for _ in 0..sure {
+                let before = *cursor;
+                match shape(self, cursor, i) {
+                    Some(k) if cost[k].is_some() => {
+                        n[k] += 1;
+                        i += 1;
+                        #[cfg(debug_assertions)]
+                        add_counts(&mut one_by_one, bundles[k].expect("recorded"), 1);
+                    }
+                    k => {
+                        *cursor = before;
+                        break 'plan Some(k);
+                    }
+                }
+            }
+            for ((c, &now), &was) in cost.iter().zip(&n).zip(&from) {
+                if let Some((len, e)) = c {
+                    ops_left -= (now - was) * len;
+                    energy_left -= (now - was) * e;
+                }
+            }
+        };
+        let mut ops = 0;
+        let mut energy = 0;
+        for ((b, c), &fit) in bundles.iter().zip(cost).zip(&n) {
+            if let (Some(b), Some((len, e))) = (b, c) {
+                if fit > 0 {
+                    ops += fit * len;
+                    energy += fit * e;
+                    self.charge_bundle_trace(b, fit);
+                }
+            }
+        }
+        self.ops_consumed += ops;
+        if harvested {
+            self.charge_pj -= energy;
+        }
+        #[cfg(debug_assertions)]
+        {
+            let mut bulk: OpCounts = [[0; Op::COUNT]; 2];
+            for (b, &fit) in bundles.iter().zip(&n) {
+                if let Some(b) = b {
+                    add_counts(&mut bulk, b, fit);
+                }
+            }
+            assert_eq!(
+                bulk, one_by_one,
+                "a funded run's bulk charge is not the sum of its iterations' bundles"
+            );
+            assert_eq!(ops, counts_len(&one_by_one));
+            if harvested {
+                assert_eq!(energy, counts_cost(&one_by_one, &self.spec.costs).1);
+            }
+        }
+        Ok(FundedRun {
+            iters: i - range.start,
+            next: stop.flatten(),
+        })
+    }
+
     /// Funds up to `n_iters` whole iterations of a non-empty op sequence
     /// with the given per-iteration counts: drains their energy, advances
     /// the op counter, and returns how many were funded. The trace is
@@ -818,17 +999,7 @@ impl Device {
             PowerSystem::Harvested(_) => {
                 let (_, per_iter) = counts_cost(counts, &self.spec.costs);
                 #[cfg(debug_assertions)]
-                for op in Op::ALL {
-                    let c = self.spec.costs.cost(op);
-                    debug_assert!(
-                        counts[0][op.index()] + counts[1][op.index()] == 0
-                            || c.energy_pj > 0
-                            || c.cycles == 0,
-                        "bundled op {op:?} costs {} cycles but zero energy (fix the \
-                         cost table)",
-                        c.cycles
-                    );
-                }
+                self.check_free_ops(counts);
                 // `checked_div` is `None` exactly when the whole iteration
                 // is free: zero-energy ops execute without limit.
                 let fit = self
@@ -843,8 +1014,24 @@ impl Device {
         fit
     }
 
+    /// Debug builds: a bundled op that costs cycles must cost energy too
+    /// (a free op executes without limit on harvested power).
+    #[cfg(debug_assertions)]
+    fn check_free_ops(&self, counts: &OpCounts) {
+        for op in Op::ALL {
+            let c = self.spec.costs.cost(op);
+            assert!(
+                counts[0][op.index()] + counts[1][op.index()] == 0
+                    || c.energy_pj > 0
+                    || c.cycles == 0,
+                "bundled op {op:?} costs {} cycles but zero energy (fix the cost table)",
+                c.cycles
+            );
+        }
+    }
+
     /// Settles `fit` funded iterations of `bundle` into the trace, for
-    /// [`Device::consume_bundle`].
+    /// [`Device::consume_bundle`] and [`Device::fund_run`].
     fn charge_bundle_trace(&mut self, bundle: &OpBundle, fit: u64) {
         if fit == 0 {
             return;

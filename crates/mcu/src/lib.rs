@@ -14,7 +14,8 @@
 //!   state is lost ([`Device::consume`], [`PowerFailure`]). Inner loops
 //!   charge whole bodies at a time — cycle- and energy-exact, brown-out op
 //!   included — through the bundled-loop driver ([`bundle`],
-//!   [`Device::run_bundled`], [`Site`], [`Step`]).
+//!   [`Device::run_shaped`], [`Device::run_bundled`], [`Site`],
+//!   [`Step`]).
 //! - **A capacitor-based power system.** Usable buffer energy follows
 //!   `E = ½·C·(V_on² − V_off²)` and recharge time integrates the
 //!   harvester's input-power *profile* — constant (the paper's RF setup),
