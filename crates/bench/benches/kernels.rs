@@ -1,6 +1,6 @@
 //! Criterion micro-benchmarks for the inference hot paths.
 //!
-//! Three sections:
+//! Six sections:
 //!
 //! 1. **f32 convolution** — the naive 6-loop reference vs. the
 //!    im2col/GEMM path, on the Table-2 network shapes. The acceptance
@@ -19,7 +19,11 @@
 //!    (192×2450) alone, on continuous power and on a 100 µF buffer: the
 //!    per-layer view of the simulator's costliest loop, sparse
 //!    undo-logging's scatter.
-//! 5. **Simulator backends** — end-to-end `run_inference` on the
+//! 5. **Metered Tile-N** — host time per run and per task transition of
+//!    the HAR Table-2 network under Tile-8, Tile-32 and Tile-128 (the
+//!    Alpaca redo-log backends), on continuous power and on a 100 µF
+//!    buffer: the per-layer view of taped bodies and one-charge commits.
+//! 6. **Simulator backends** — end-to-end `run_inference` on the
 //!    energy-metered device model (the original contents of this bench).
 //!
 //! `CRITERION_QUICK=1` shrinks the measurement budget for CI smoke runs.
@@ -337,6 +341,44 @@ fn bench_sparse_fc(c: &mut Criterion) {
     println!();
 }
 
+fn bench_tiled(c: &mut Criterion) {
+    println!("== metered Tile-N on the device: HAR network, host time per run and transition ==");
+    let har = models::trained(models::Network::Har);
+    let input = har.qmodel.quantize_input(&har.test.input(0));
+    let spec = DeviceSpec::msp430fr5994();
+    for tile in [8, 32, 128] {
+        let b = Backend::Tiled(tile);
+        for power in [PowerSystem::continuous(), PowerSystem::harvested(100e-6)] {
+            // One deployment, inference after inference (each run resets
+            // the control words).
+            let mut dev = mcu::Device::new(spec.clone(), power.clone());
+            let dm = sonic::deploy(&mut dev, &har.qmodel).expect("HAR fits in FRAM");
+            dm.load_input(&mut dev, &input);
+            let out = run_deployed(&mut dev, &dm, &b);
+            let id = format!("tiled/{}/{}", b.label(), power.label());
+            c.bench_function(&id, |bench| {
+                bench.iter(|| std::hint::black_box(run_deployed(&mut dev, &dm, &b)))
+            });
+            let us = c.median_ns(&id).expect("measured") / 1e3;
+            match out.stats {
+                Some(s) => println!(
+                    "    {}/{}: {us:.0} us/run, {:.0} ns/transition ({} transitions)",
+                    b.label(),
+                    power.label(),
+                    us * 1e3 / s.transitions as f64,
+                    s.transitions
+                ),
+                None => println!(
+                    "    {}/{}: {us:.0} us/run, does not complete",
+                    b.label(),
+                    power.label()
+                ),
+            }
+        }
+    }
+    println!();
+}
+
 fn tiny() -> (dnn::quant::QModel, Vec<fxp::Q15>) {
     let mut rng = rng(5);
     let mut m = Model::new(vec![
@@ -385,6 +427,7 @@ criterion_group!(
     bench_q15_kernels,
     bench_training,
     bench_sparse_fc,
+    bench_tiled,
     bench_backends
 );
 criterion_main!(benches);

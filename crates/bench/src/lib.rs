@@ -1,9 +1,9 @@
 //! Experiment harness: regenerates every table and figure of the paper's
-//! evaluation (see DESIGN.md §5 for the experiment index).
+//! evaluation (one `benches/` target each; see the README's module map).
 //!
 //! Each `fig*` function returns the data and a formatted report; the
 //! `benches/` targets print the report and write CSV under
-//! `target/experiments/`. EXPERIMENTS.md records paper-vs-measured.
+//! `target/experiments/` (ARCHITECTURE.md, "Where results land").
 
 #![forbid(unsafe_code)]
 

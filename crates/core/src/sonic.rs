@@ -987,7 +987,7 @@ fn layer_name(l: &DeployedLayer) -> &'static str {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     //! A pruned sparse FC with every column shape the ACCUM loop meets —
     //! an empty first column, two consecutive empty columns, an empty
     //! last column, single-entry columns — pinned for SONIC, TAILS and
@@ -1069,7 +1069,8 @@ mod tests {
         DeviceSpec::msp430fr5994()
     }
 
-    fn fnv(h: &mut u64, x: u64) {
+    /// Folds `x` into the FNV-1a digest `h`.
+    pub(crate) fn fnv(h: &mut u64, x: u64) {
         for b in x.to_le_bytes() {
             *h ^= u64::from(b);
             *h = h.wrapping_mul(0x1000_0000_01b3);
@@ -1077,7 +1078,7 @@ mod tests {
     }
 
     /// Folds the allocated FRAM (everything below the break) into `h`.
-    fn fold_fram(h: &mut u64, dev: &Device) {
+    pub(crate) fn fold_fram(h: &mut u64, dev: &Device) {
         let brk = dev.alloc_watermarks().0 as usize;
         for &w in &dev.fram_image()[..brk] {
             fnv(h, u64::from(w as u16));
@@ -1091,11 +1092,27 @@ mod tests {
         for q in &o.output {
             fnv(h, u64::from(q.raw() as u16));
         }
-        fnv(h, o.trace.live_cycles);
-        fnv(h, o.trace.dead_secs.to_bits());
-        fnv(h, o.trace.reboots);
-        fnv(h, o.trace.total_energy_pj);
-        for r in &o.trace.regions {
+        fold_report(h, &o.trace);
+        if let Some(s) = &o.stats {
+            fnv(h, s.transitions);
+            fnv(h, s.body_attempts);
+            fnv(h, s.reboots);
+        }
+        if let Some(f) = &o.failure {
+            for b in f.error.to_string().as_bytes() {
+                fnv(h, u64::from(*b));
+            }
+        }
+        fnv(h, o.corruption_detected);
+    }
+
+    /// Every bit-relevant field of a trace report, per region.
+    pub(crate) fn fold_report(h: &mut u64, t: &mcu::TraceReport) {
+        fnv(h, t.live_cycles);
+        fnv(h, t.dead_secs.to_bits());
+        fnv(h, t.reboots);
+        fnv(h, t.total_energy_pj);
+        for r in &t.regions {
             for b in r.name.as_bytes() {
                 fnv(h, u64::from(*b));
             }
@@ -1109,17 +1126,6 @@ mod tests {
                 fnv(h, *e);
             }
         }
-        if let Some(s) = &o.stats {
-            fnv(h, s.transitions);
-            fnv(h, s.body_attempts);
-            fnv(h, s.reboots);
-        }
-        if let Some(f) = &o.failure {
-            for b in f.error.to_string().as_bytes() {
-                fnv(h, u64::from(*b));
-            }
-        }
-        fnv(h, o.corruption_detected);
     }
 
     /// One run of the fixture with `faults` armed (inference-relative op

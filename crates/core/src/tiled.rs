@@ -20,33 +20,40 @@
 //! writes privatize into the host-side redo log, which a body-time power
 //! failure discards. The bodies therefore execute host-side while
 //! *recording* the exact op sequence they would have consumed onto an
-//! [`mcu::OpTape`], and the graph closure settles the tape in one step
-//! ([`mcu::Device::consume_tape`]) — replaying it op by op only when the
-//! buffer cannot cover it, so a brown-out charges exactly the scalar
-//! prefix. Every inner loop (zero, conv/dense accumulate, finish, ReLU,
-//! pool, and the sparse-FC column walk's pieces) has a fixed
-//! per-iteration sequence whose only variable is whether the iteration's
-//! log write appends or updates an entry, so each layer builds its
-//! iteration bundles once per graph (`LayerPatterns`) and a loop
-//! records one pattern repeat per iteration. The per-body control-word
-//! loads and stores record repeats of the runtime's read and write
-//! patterns, and the few remaining ops record single-op runs. Each
-//! layer's closure owns its tape, so capacity and registered patterns
-//! persist from body to body. The commit walk itself (which *does* write
-//! home locations) is a [`mcu::Device::run_bundled`] loop inside
-//! `AlpacaRt::commit`, whose bundle is recorded from the walk's body.
-//! The tape patterns cannot be recorded that way — a taped body runs
-//! host-side and never charges the device — so `LayerPatterns` and
-//! `AlpacaRt::read_ops`/`write_ops` stay written by hand.
+//! [`intermittent::alpaca::Tape`], and the graph closure settles the
+//! tape in one step ([`mcu::Device::consume_tape`]) — replaying it op
+//! by op only when the buffer cannot cover it, so a brown-out charges
+//! exactly the scalar prefix, and a shortfall stays a body failure.
+//! Every inner loop (zero, conv/dense accumulate, finish, ReLU, pool,
+//! and the sparse-FC column walk's pieces) has a fixed per-iteration
+//! sequence whose only variable is whether the iteration's log write
+//! appends or updates an entry, so each layer registers its iteration
+//! patterns with its tape once per graph (`LayerPatterns`) and a loop
+//! records one repeat per iteration by pattern id. The per-body
+//! control-word loads and stores repeat the runtime's read and write
+//! patterns, which every `Tape` registers, and the few remaining ops
+//! record single-op runs. Each layer's closure owns its tape, so
+//! capacity and registered patterns persist from body to body; settling
+//! and clearing it cost only the patterns the body repeated.
+//!
+//! The commit that follows each body (the flag raise, the fixed
+//! bookkeeping, the walk writing every home location, the transition
+//! and the flag lower) settles in one funded charge through
+//! `AlpacaRt`'s [`intermittent::task::RuntimeCtx::commit_transition`]
+//! whenever nothing can interrupt it; otherwise it runs op by op, its
+//! walk a [`mcu::Device::run_bundled`] loop whose bundle is recorded
+//! from the walk's body. The tape patterns cannot be recorded that way
+//! — a taped body runs host-side and never charges the device — so
+//! `LayerPatterns` and `AlpacaRt::read_ops`/`write_ops` stay written by
+//! hand.
 
 use crate::baseline::unpack_tap;
 use crate::deploy::{DeployedKind, DeployedLayer, DeployedModel};
 use dnn::quant::finish_acc;
 use fxp::{Accum, Q15};
-use intermittent::alpaca::AlpacaRt;
+use intermittent::alpaca::{AlpacaRt, Tape};
 use intermittent::task::{TaskGraph, Transition};
-use mcu::{Device, FramBuf, Op, OpBundle, OpTape, Phase, PowerFailure};
-use std::sync::Arc;
+use mcu::{Device, FramBuf, Op, OpBundle, OpTape, PatternId, Phase, PowerFailure};
 
 const ST_ZERO: u16 = 0;
 const ST_ACCUM: u16 = 1;
@@ -54,7 +61,7 @@ const ST_FINISH: u16 = 2;
 
 /// A loop's iteration patterns, indexed by whether the iteration's
 /// task-shared write appended a log entry (`[update, append]`).
-type WritePair = [Arc<OpBundle>; 2];
+type WritePair = [PatternId; 2];
 
 /// One step of an iteration pattern: a kernel-phase op, or one
 /// task-shared read or write through the redo log.
@@ -65,8 +72,9 @@ enum Step {
     Write,
 }
 
-/// Builds one iteration pattern; its `Write` step appends when `append`.
-fn pattern(steps: &[Step], append: bool) -> Arc<OpBundle> {
+/// Registers one iteration pattern with `tape`; its `Write` step appends
+/// when `append`.
+fn pattern(tape: &mut OpTape, steps: &[Step], append: bool) -> PatternId {
     let mut b = OpBundle::new();
     for &step in steps {
         match step {
@@ -75,14 +83,15 @@ fn pattern(steps: &[Step], append: bool) -> Arc<OpBundle> {
             Step::Write => AlpacaRt::write_ops(&mut b, append),
         }
     }
-    Arc::new(b)
+    tape.register(b)
 }
 
-fn write_pair(steps: &[Step]) -> WritePair {
-    [false, true].map(|append| pattern(steps, append))
+fn write_pair(tape: &mut OpTape, steps: &[Step]) -> WritePair {
+    [false, true].map(|append| pattern(tape, steps, append))
 }
 
-/// One layer's iteration patterns, built once per graph.
+/// One layer's iteration patterns, registered once per graph with the
+/// layer's tape.
 struct LayerPatterns {
     /// ZERO: clear one accumulator word.
     zero: WritePair,
@@ -93,18 +102,18 @@ struct LayerPatterns {
     finish: WritePair,
     /// Sparse FC, per nonzero: `head`, then `advance` once per column
     /// skipped, then `body`.
-    head: Arc<OpBundle>,
-    advance: Arc<OpBundle>,
+    head: PatternId,
+    advance: PatternId,
 }
 
 impl LayerPatterns {
-    fn new(l: &DeployedLayer) -> Self {
+    fn new(l: &DeployedLayer, tape: &mut OpTape) -> Self {
         use Op::{Alu, Branch, FramRead, FxpAdd, FxpMul, Incr};
         use Step::{Read, Write, K};
         // Every loop iteration ends with the index bump and loop test.
-        let with_loop = |mut steps: Vec<Step>| {
+        let mut with_loop = |mut steps: Vec<Step>| {
             steps.extend([K(Incr), K(Branch)]);
-            write_pair(&steps)
+            write_pair(tape, &steps)
         };
         let body = match &l.kind {
             // Entry row + weight reads, then the in-place accumulate.
@@ -124,15 +133,18 @@ impl LayerPatterns {
             // ReLU (Flatten never iterates): the WAR pair Alpaca exists for.
             _ => vec![Read, K(Branch), Write],
         };
+        let zero = with_loop(vec![Write]);
+        let body = with_loop(body);
+        // Accumulator, bias, then charge_finish's shift and bias add.
+        let finish = with_loop(vec![Read, K(FramRead), K(Alu), K(FxpAdd), Write]);
         LayerPatterns {
-            zero: with_loop(vec![Write]),
-            body: with_loop(body),
-            // Accumulator, bias, then charge_finish's shift and bias add.
-            finish: with_loop(vec![Read, K(FramRead), K(Alu), K(FxpAdd), Write]),
+            zero,
+            body,
+            finish,
             // Loop test, then the column-pointer check.
-            head: pattern(&[K(Branch), K(FramRead)], false),
+            head: pattern(tape, &[K(Branch), K(FramRead)], false),
             // The next column's activation, then the check again.
-            advance: pattern(&[K(Incr), Read, K(FramRead)], false),
+            advance: pattern(tape, &[K(Incr), Read, K(FramRead)], false),
         }
     }
 }
@@ -140,14 +152,14 @@ impl LayerPatterns {
 /// Taped read of read-only metadata (weights, pointers) outside a
 /// patterned loop: recorded as one FRAM read, value fetched host-side.
 #[inline]
-fn read_t(dev: &Device, tape: &mut OpTape, buf: FramBuf, i: u32) -> Q15 {
-    tape.push(Op::FramRead, Phase::Kernel);
+fn read_t(dev: &Device, tape: &mut Tape, buf: FramBuf, i: u32) -> Q15 {
+    tape.ops.push(Op::FramRead, Phase::Kernel);
     dev.prepaid_read(buf, i)
 }
 
 #[inline]
-fn op_t(tape: &mut OpTape, op: Op) {
-    tape.push(op, Phase::Kernel);
+fn op_t(tape: &mut Tape, op: Op) {
+    tape.ops.push(op, Phase::Kernel);
 }
 
 /// Taped task-shared read of an activation outside a patterned loop.
@@ -155,7 +167,7 @@ fn op_t(tape: &mut OpTape, op: Op) {
 fn load_t(
     dev: &mut Device,
     rt: &mut AlpacaRt,
-    tape: &mut OpTape,
+    tape: &mut Tape,
     addr: mcu::NvAddr,
 ) -> Result<Q15, PowerFailure> {
     Ok(Q15::from_raw(rt.ts_load_word_taped(dev, tape, addr)? as i16))
@@ -163,9 +175,9 @@ fn load_t(
 
 /// Privatizes one iteration's write and records the iteration.
 #[inline]
-fn iterate(rt: &mut AlpacaRt, tape: &mut OpTape, pair: &WritePair, addr: mcu::NvAddr, v: Q15) {
+fn iterate(rt: &mut AlpacaRt, tape: &mut Tape, pair: &WritePair, addr: mcu::NvAddr, v: Q15) {
     let append = rt.privatize(addr, v);
-    tape.repeat(&pair[append as usize], 1);
+    tape.ops.repeat(pair[usize::from(append)], 1);
 }
 
 /// Budget-bounded stage driver shared by conv and dense layers.
@@ -175,7 +187,7 @@ fn iterate(rt: &mut AlpacaRt, tape: &mut OpTape, pair: &WritePair, addr: mcu::Nv
 fn accum_layer_tiled(
     dev: &mut Device,
     rt: &mut AlpacaRt,
-    tape: &mut OpTape,
+    tape: &mut Tape,
     pats: &LayerPatterns,
     m: &DeployedModel,
     l: &DeployedLayer,
@@ -363,7 +375,7 @@ fn accum_layer_tiled(
 fn sparse_dense_tiled(
     dev: &mut Device,
     rt: &mut AlpacaRt,
-    tape: &mut OpTape,
+    tape: &mut Tape,
     pats: &LayerPatterns,
     m: &DeployedModel,
     l: &DeployedLayer,
@@ -417,13 +429,13 @@ fn sparse_dense_tiled(
             let mut j = rt.ts_load_word_taped(dev, tape, l.pos.addr())? as u32;
             let mut x = load_t(dev, rt, tape, src.addr(j.min(dims[1] - 1)))?;
             while k < nnz && budget > 0 {
-                tape.repeat(&pats.head, 1);
+                tape.ops.repeat(pats.head, 1);
                 let j0 = j;
                 while (dev.prepaid_read(*col_ptr, j + 1).raw() as u16 as u32) <= k {
                     j += 1;
                     x = rt.peek_shared(dev, src.addr(j));
                 }
-                tape.repeat(&pats.advance, (j - j0) as u64);
+                tape.ops.repeat(pats.advance, u64::from(j - j0));
                 let o = dev.prepaid_read(*entries, 2 * k).raw() as u16 as u32;
                 let wq = dev.prepaid_read(*entries, 2 * k + 1);
                 let cur = rt.peek_shared(dev, acc.addr(o));
@@ -468,7 +480,7 @@ fn sparse_dense_tiled(
 fn map_layer_tiled(
     dev: &mut Device,
     rt: &mut AlpacaRt,
-    tape: &mut OpTape,
+    tape: &mut Tape,
     pats: &LayerPatterns,
     m: &DeployedModel,
     l: &DeployedLayer,
@@ -526,7 +538,7 @@ fn map_layer_tiled(
 
 fn finish_map(
     rt: &mut AlpacaRt,
-    tape: &mut OpTape,
+    tape: &mut Tape,
     l: &DeployedLayer,
     i: u32,
     total: u32,
@@ -561,16 +573,16 @@ pub fn build(m: &DeployedModel, tile: u32) -> TaskGraph<AlpacaRt> {
             DeployedKind::Dense { .. } => 1,
             _ => 2,
         };
-        let pats = LayerPatterns::new(l);
         // The layer's tape, reused body after body: its capacity and
-        // pattern table persist.
-        let mut tape = OpTape::new();
+        // registered patterns persist.
+        let mut tape = Tape::new();
+        let pats = LayerPatterns::new(l, &mut tape.ops);
         g.add(&name, move |dev, rt| {
             let l = &m.layers[li];
             // The body executes host-side, recording its op sequence;
             // the settle below charges it (or replays it scalar-wise to
             // the exact brown-out op on a shortfall).
-            tape.clear();
+            tape.ops.clear();
             let p = &pats;
             let t = match (kind_tag, &l.kind) {
                 (0, _) => {
@@ -585,7 +597,7 @@ pub fn build(m: &DeployedModel, tile: u32) -> TaskGraph<AlpacaRt> {
                 }
                 _ => map_layer_tiled(dev, rt, &mut tape, p, &m, l, self_id, next, tile),
             };
-            dev.consume_tape(&tape)?;
+            dev.consume_tape(&tape.ops)?;
             t
         });
     }
@@ -593,4 +605,366 @@ pub fn build(m: &DeployedModel, tile: u32) -> TaskGraph<AlpacaRt> {
         g.add("tiled-empty", |_, _| Ok(Transition::Done));
     }
     g
+}
+
+#[cfg(test)]
+mod tests {
+    //! A tiny CNN — conv, ReLU, pool, a pruned (sparse) FC, a dense FC —
+    //! under Tile-4 and Tile-8, pinned against digests recorded from the
+    //! op-by-op commit sequence: continuous power, 100 µF, bit flips of
+    //! the commit flag, a poisoned redo-log entry, and a lone brown-out
+    //! at every op boundary of one whole transition (a body's tape, the
+    //! commit prologue, the walk, the task transition and the flag
+    //! lower).
+    //!
+    //! Regenerate (after an *intentional* accounting change) with:
+    //! `GOLDEN_PRINT=1 cargo test -p sonic tiled::tests -- --nocapture`
+
+    use super::*;
+    use crate::deploy::deploy;
+    use crate::sonic::tests::{fnv, fold_fram, fold_report};
+    use dnn::layers::Layer;
+    use dnn::model::Model;
+    use dnn::quant::{quantize, QModel};
+    use dnn::tensor::Tensor;
+    use intermittent::sched::{run_observed, SchedulerConfig};
+    use mcu::{DeviceSpec, FaultKind, FaultPlan, PowerSystem};
+    use rand::SeedableRng;
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    /// The fixture network and its input.
+    fn tiny_cnn() -> (QModel, Vec<Q15>) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(24);
+        let mut model = Model::new(vec![
+            Layer::conv2d(2, 1, 3, 3, &mut rng),
+            Layer::relu(),
+            Layer::maxpool(2),
+            Layer::flatten(),
+            Layer::dense(8, 6, &mut rng),
+            Layer::relu(),
+            Layer::dense(6, 3, &mut rng),
+        ]);
+        let l = &mut model.layers_mut()[4];
+        if let Layer::Dense(d) = l {
+            let mut mask = Tensor::zeros(d.w.shape().to_vec());
+            for (i, m) in mask.data_mut().iter_mut().enumerate() {
+                if i % 3 == 0 {
+                    *m = 1.0;
+                }
+            }
+            l.set_mask(mask);
+        }
+        let shape = [1usize, 6, 6];
+        let calib: Vec<Tensor> = (0..3)
+            .map(|_| Tensor::uniform(shape.to_vec(), 0.9, &mut rng))
+            .collect();
+        let qm = quantize(&mut model, &shape, &calib);
+        let x = Tensor::uniform(shape.to_vec(), 0.9, &mut rng);
+        let input = qm.quantize_input(&x);
+        (qm, input)
+    }
+
+    fn msp() -> DeviceSpec {
+        DeviceSpec::msp430fr5994()
+    }
+
+    /// What one fixture run injects: faults armed at inference-relative
+    /// op indices, and optionally a poisoned log entry (`(c, k)`: entry
+    /// `k` of the log that body attempt `c`, counted from 1, leaves for
+    /// its commit).
+    #[derive(Default)]
+    struct Inject {
+        faults: Vec<(u64, FaultKind)>,
+        poison: Option<(u64, usize)>,
+    }
+
+    /// One fixture run through the scheduler (as `exec` runs Tile-N),
+    /// folding the op index and FRAM image at every crash, then the
+    /// result, the trace, the output and the final FRAM. Also returns
+    /// the inference-relative op index at which each body attempt began.
+    fn run_tiled(tile: u32, power: PowerSystem, inject: &Inject) -> (u64, Vec<u64>) {
+        let (qm, input) = tiny_cnn();
+        let mut dev = Device::new(msp(), power);
+        let dm = deploy(&mut dev, &qm).expect("fits");
+        dm.load_input(&mut dev, &input);
+        dev.begin_epoch();
+        dev.reset_corruption_stats();
+        let base = dev.ops_consumed();
+        dev.arm_faults(&FaultPlan::faults(
+            inject.faults.iter().map(|&(t, k)| (base + t, k)),
+        ));
+        let mut rt = AlpacaRt::new(&mut dev).expect("FRAM for the commit flag");
+        // Each task of the built graph, wrapped to note where its body
+        // starts and to poison the log before the chosen commit.
+        let inner = Rc::new(RefCell::new(build(&dm, tile)));
+        let starts = Rc::new(RefCell::new(Vec::new()));
+        let mut g: TaskGraph<AlpacaRt> = TaskGraph::new();
+        for id in 0..inner.borrow().len() {
+            let (inner, starts, poison) = (Rc::clone(&inner), Rc::clone(&starts), inject.poison);
+            let name = inner.borrow().name(id).to_string();
+            g.add(&name, move |dev, rt| {
+                starts.borrow_mut().push(dev.ops_consumed() - base);
+                let t = inner.borrow_mut().run_body(id, dev, rt)?;
+                if let Some((c, k)) = poison {
+                    if starts.borrow().len() as u64 == c {
+                        rt.poison_log_entry(k);
+                    }
+                }
+                Ok(t)
+            });
+        }
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let cfg = SchedulerConfig::task_based();
+        let r = run_observed(&mut g, &mut rt, &mut dev, 0, &cfg, |dev, rt, ev| {
+            fnv(&mut h, dev.ops_consumed() - base);
+            fnv(&mut h, u64::from(ev.mid_commit));
+            fnv(&mut h, u64::from(rt.flag_lower_pending()));
+            fold_fram(&mut h, dev);
+        });
+        match &r {
+            Ok(s) => {
+                fnv(&mut h, s.transitions);
+                fnv(&mut h, s.body_attempts);
+                fnv(&mut h, s.reboots);
+                for q in dm.read_output(&dev) {
+                    fnv(&mut h, u64::from(q.raw() as u16));
+                }
+            }
+            Err(e) => {
+                for b in e.to_string().as_bytes() {
+                    fnv(&mut h, u64::from(*b));
+                }
+            }
+        }
+        fold_report(&mut h, &dev.epoch_report());
+        fnv(&mut h, dev.corruption_detected());
+        fnv(&mut h, dev.ops_consumed() - base);
+        fold_fram(&mut h, &dev);
+        let starts = starts.borrow().clone();
+        (h, starts)
+    }
+
+    /// The body attempt whose transition the brown-out window spans: a
+    /// mid-run conv task, whose log holds a tile of accumulator entries
+    /// plus its control words.
+    const WINDOW_TASK: usize = 9;
+
+    /// The brown-out window of a fault-free continuous run: from the
+    /// start of body `WINDOW_TASK`'s tape to the first op of the next
+    /// body's, inclusive.
+    fn window(tile: u32) -> std::ops::Range<u64> {
+        let (_, starts) = run_tiled(tile, PowerSystem::continuous(), &Inject::default());
+        starts[WINDOW_TASK]..starts[WINDOW_TASK + 1] + 1
+    }
+
+    /// Three op indices in the window's transition: inside the body's
+    /// tape, inside the commit's fixed prologue, and at the home write
+    /// of the walk's last entry. The window ends with the 1,571-op
+    /// prologue, the walk's entries (five ops each), the transition, the
+    /// flag lower and the next body's first op, so these hold while the
+    /// body's log has fewer than 39 entries.
+    fn fault_points(tile: u32) -> [u64; 3] {
+        let w = window(tile);
+        [w.start + 20, w.end - 200, w.end - 6]
+    }
+
+    /// Where a lone brown-out at `t` lands: whether mid-commit, and the
+    /// op and phase it hit.
+    fn crash_at(tile: u32, t: u64) -> (bool, Op, Phase) {
+        let (qm, input) = tiny_cnn();
+        let mut dev = Device::new(msp(), PowerSystem::continuous());
+        let dm = deploy(&mut dev, &qm).expect("fits");
+        dm.load_input(&mut dev, &input);
+        dev.arm_faults(&FaultPlan::at(dev.ops_consumed() + t));
+        let mut rt = AlpacaRt::new(&mut dev).expect("FRAM for the commit flag");
+        let mut g = build(&dm, tile);
+        let mut hit = None;
+        let cfg = SchedulerConfig::task_based();
+        run_observed(&mut g, &mut rt, &mut dev, 0, &cfg, |dev, _, ev| {
+            let b = dev.last_brownout().expect("a brown-out");
+            hit.get_or_insert((ev.mid_commit, b.op, b.phase));
+        })
+        .expect("recovers");
+        hit.expect("the brown-out fired")
+    }
+
+    #[test]
+    fn tiled_fixture_fault_points_land_where_named() {
+        for tile in TILES {
+            let w = window(tile);
+            let [t_body, t_pro, t_walk] = fault_points(tile);
+            let (mid_commit, _, phase) = crash_at(tile, t_body);
+            assert_eq!((mid_commit, phase), (false, Phase::Kernel));
+            assert_eq!(crash_at(tile, t_pro), (true, Op::Alu, Phase::Control));
+            assert_eq!(
+                crash_at(tile, t_walk),
+                (true, Op::FramWrite, Phase::Control)
+            );
+            assert_eq!(
+                crash_at(tile, w.end - 3),
+                (true, Op::TaskTransition, Phase::Control)
+            );
+            // The flag lower's brown-out is swallowed: the next body fails
+            // on a dead device, reporting the lower as the brown-out.
+            assert_eq!(
+                crash_at(tile, w.end - 2),
+                (false, Op::FramWrite, Phase::Control)
+            );
+            assert!(!crash_at(tile, w.end - 1).0, "the next body's first op");
+        }
+    }
+
+    /// The pinned scenarios of one tile size.
+    fn scenarios(tile: u32) -> Vec<(String, PowerSystem, Inject)> {
+        let (qm, _) = tiny_cnn();
+        let mut dev = Device::new(msp(), PowerSystem::continuous());
+        deploy(&mut dev, &qm).expect("fits");
+        // `AlpacaRt::new` allocates the commit flag at the FRAM break.
+        let flag = mcu::NvAddr::word(dev.alloc_watermarks().0);
+        let [t_body, t_pro, t_walk] = fault_points(tile);
+        let flip = |t, bit| (t, FaultKind::BitFlip { addr: flag, bit });
+        let bo = FaultKind::Brownout;
+        let cont = PowerSystem::continuous;
+        let inj = |faults: Vec<(u64, FaultKind)>| Inject {
+            faults,
+            poison: None,
+        };
+        vec![
+            ("Cont".into(), cont(), Inject::default()),
+            (
+                "100uF".into(),
+                PowerSystem::harvested(100e-6),
+                Inject::default(),
+            ),
+            ("flag-flip-body".into(), cont(), inj(vec![flip(t_body, 0)])),
+            (
+                "flag-flip-prologue".into(),
+                cont(),
+                inj(vec![flip(t_pro, 0)]),
+            ),
+            ("flag-flip-walk".into(), cont(), inj(vec![flip(t_walk, 3)])),
+            (
+                "flag-flip+brownout".into(),
+                cont(),
+                inj(vec![flip(t_body, 0), (t_body + 1, bo)]),
+            ),
+            (
+                "flag-flip-prologue+brownout".into(),
+                cont(),
+                inj(vec![flip(t_pro, 0), (t_walk, bo)]),
+            ),
+            (
+                "flag-flip-walk+brownout".into(),
+                cont(),
+                inj(vec![flip(t_walk, 3), (t_walk + 1, bo)]),
+            ),
+            (
+                "poison".into(),
+                cont(),
+                Inject {
+                    faults: vec![],
+                    poison: Some((WINDOW_TASK as u64 + 1, 1)),
+                },
+            ),
+            (
+                "poison-100uF".into(),
+                PowerSystem::harvested(100e-6),
+                Inject {
+                    faults: vec![],
+                    poison: Some((WINDOW_TASK as u64 + 1, 0)),
+                },
+            ),
+        ]
+    }
+
+    fn golden_print() -> bool {
+        std::env::var("GOLDEN_PRINT").is_ok()
+    }
+
+    const TILES: [u32; 2] = [4, 8];
+
+    #[test]
+    fn tiled_fixture_digests_match_the_ordered_commit_record() {
+        let mut got = Vec::new();
+        for tile in TILES {
+            for (name, power, inject) in scenarios(tile) {
+                got.push((
+                    format!("Tile-{tile}/{name}"),
+                    run_tiled(tile, power, &inject).0,
+                ));
+            }
+        }
+        if golden_print() {
+            for (name, d) in &got {
+                println!("        {d:#018x}, // {name}");
+            }
+            return;
+        }
+        assert_eq!(got.len(), GOLDEN.len(), "scenario list changed");
+        for ((name, d), g) in got.iter().zip(GOLDEN) {
+            assert_eq!(d, g, "{name}: digest diverged");
+        }
+    }
+
+    /// Digests recorded from the op-by-op commit sequence, tile-major.
+    const GOLDEN: &[u64] = &[
+        0x88512bbcca3902c5, // Tile-4/Cont
+        0x10a8ce587664ef3f, // Tile-4/100uF
+        0x4d24f1f20c6047f0, // Tile-4/flag-flip-body
+        0x88512bbcca3902c5, // Tile-4/flag-flip-prologue
+        0x88512bbcca3902c5, // Tile-4/flag-flip-walk
+        0x6fa65344cadb6564, // Tile-4/flag-flip+brownout
+        0xe15f5d43f9b826c6, // Tile-4/flag-flip-prologue+brownout
+        0x21dc8d1b4c83a0e6, // Tile-4/flag-flip-walk+brownout
+        0x8dacd2effd88be2f, // Tile-4/poison
+        0x22a5e0a08503e121, // Tile-4/poison-100uF
+        0x88db211eac2b5f67, // Tile-8/Cont
+        0xef1d0bb4dd233885, // Tile-8/100uF
+        0xa27f920f90a12f36, // Tile-8/flag-flip-body
+        0x88db211eac2b5f67, // Tile-8/flag-flip-prologue
+        0x88db211eac2b5f67, // Tile-8/flag-flip-walk
+        0xa26afd1a82a384f5, // Tile-8/flag-flip+brownout
+        0xf940772a5fb1c176, // Tile-8/flag-flip-prologue+brownout
+        0x8359cf8503f6e870, // Tile-8/flag-flip-walk+brownout
+        0x06425f918cd98a58, // Tile-8/poison
+        0x279c1e68c169e76a, // Tile-8/poison-100uF
+    ];
+
+    #[test]
+    fn tiled_fixture_every_brownout_in_a_transition_matches_the_record() {
+        let mut got = Vec::new();
+        for tile in TILES {
+            let w = window(tile);
+            let mut h = 0xcbf2_9ce4_8422_2325u64;
+            for t in w.clone() {
+                let inject = Inject {
+                    faults: vec![(t, FaultKind::Brownout)],
+                    poison: None,
+                };
+                fnv(
+                    &mut h,
+                    run_tiled(tile, PowerSystem::continuous(), &inject).0,
+                );
+            }
+            got.push((format!("Tile-{tile}/{}..{}", w.start, w.end), h));
+        }
+        if golden_print() {
+            for (name, d) in &got {
+                println!("        {d:#018x}, // {name}");
+            }
+            return;
+        }
+        assert_eq!(got.len(), GOLDEN_SWEEP.len(), "tile list changed");
+        for ((name, d), g) in got.iter().zip(GOLDEN_SWEEP) {
+            assert_eq!(d, g, "{name}: sweep digest diverged");
+        }
+    }
+
+    /// Per tile size, the folded digests of a lone brown-out at every op
+    /// boundary of the window.
+    const GOLDEN_SWEEP: &[u64] = &[
+        0x0407c6e5ac24eb81, // Tile-4/15882..17674
+        0xbddf3411e45af056, // Tile-8/17422..19400
+    ];
 }

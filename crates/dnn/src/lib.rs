@@ -13,7 +13,7 @@
 //! - [`train`]: minibatch SGD with momentum and cross-entropy loss.
 //! - [`data`]: deterministic synthetic datasets with the same shapes and
 //!   class structure as the paper's MNIST / HAR / OkG workloads (the real
-//!   datasets and trained checkpoints are a data gate; see DESIGN.md §1).
+//!   datasets and trained checkpoints are a data gate).
 //! - [`quant`]: post-training quantization to Q1.15 with per-layer
 //!   power-of-two scaling — the deployable form SONIC & TAILS execute.
 //! - [`sparse`]: CSR matrices and sparse filter lists for pruned layers.

@@ -21,13 +21,26 @@
 //!
 //! This is the per-access overhead that SONIC's loop continuation exists
 //! to eliminate (paper §2, §6).
+//!
+//! # Host-side cost
+//!
+//! The simulator pays none of these costs per access. Task bodies run
+//! host-side against the redo log and record their ops on a [`Tape`]
+//! that settles in one charge (see `core::tiled`). The log's slot index
+//! is generation-stamped: a lookup is two indexed loads and clearing the
+//! log is O(1). And the scheduler's whole commit sequence — the flag raise, the
+//! fixed bookkeeping, the walk over the log, the task transition and the
+//! flag lower — settles in one funded charge
+//! ([`RuntimeCtx::commit_transition`], [`Device::fund_whole`]) whenever
+//! no op of it can brown out, meet an armed fault or detect corruption;
+//! otherwise it runs op by op, exactly as the device would.
 
 use crate::task::{RuntimeCtx, TaskGraph, TaskId, Transition};
 use fxp::Q15;
 use mcu::{
-    AllocError, Device, FramWord, NvAddr, Op, OpBundle, OpTape, Phase, PowerFailure, Site, Step,
+    AllocError, Device, FramWord, NvAddr, Op, OpBundle, OpTape, PatternId, Phase, PowerFailure,
+    Site, Step,
 };
-use std::sync::Arc;
 
 /// A redo-log entry: the home address, the privatized value, and a
 /// per-entry checksum. The checksum is computed when the entry is
@@ -47,7 +60,7 @@ struct LogEntry {
 const SLOT_PAGE_BITS: u32 = 8;
 
 /// One page of the log's slot index.
-type SlotPage = [u32; 1 << SLOT_PAGE_BITS];
+type SlotPage = [u64; 1 << SLOT_PAGE_BITS];
 
 /// The per-entry checksum: an address/value mix, one word like Alpaca's
 /// log metadata.
@@ -55,9 +68,18 @@ fn log_ck(addr: NvAddr, v: Q15) -> u16 {
     (addr.index() as u16).wrapping_mul(0x9E37) ^ (v.raw() as u16) ^ 0x5A5A
 }
 
+impl LogEntry {
+    /// `true` when the entry's checksum still matches its address and
+    /// value.
+    fn verifies(&self) -> bool {
+        self.ck == log_ck(self.addr, self.v)
+    }
+}
+
 /// FRAM words written when a log entry is created (20-bit address pair,
 /// value, bucket link, dirty-list link, size tag, canonical pointer).
-/// Calibrated against Alpaca's measured overhead (DESIGN.md §4).
+/// Calibrated, with the `COMMIT_FIXED_*` constants below, against
+/// Alpaca's measured overhead.
 pub const LOG_ENTRY_WORDS: u64 = 7;
 
 /// FRAM reads per log-presence check (bucket head + probe).
@@ -80,12 +102,24 @@ const WRITE_OPS: [[(Op, u64); 2]; 2] = [
 /// entry, walks its swap/dirty lists, and performs a two-phase update of
 /// the NV task pointer at every transition. These constants are the
 /// calibration knob that reproduces the paper's measured tiled-Alpaca
-/// overhead (Tile-8 ≈ 13.4× the naïve baseline); see EXPERIMENTS.md.
+/// overhead (Tile-8 ≈ 13.4× the naïve baseline).
 pub const COMMIT_FIXED_ALU: u64 = 1500;
 /// Fixed FRAM writes per commit (scalar privatization + list resets).
 pub const COMMIT_FIXED_WRITES: u64 = 40;
 /// Fixed FRAM reads per commit.
 pub const COMMIT_FIXED_READS: u64 = 30;
+
+/// The commit's fixed bookkeeping after the flag raise, in charge order.
+const COMMIT_FIXED: [(Op, u64); 3] = [
+    (Op::Alu, COMMIT_FIXED_ALU),
+    (Op::FramWrite, COMMIT_FIXED_WRITES),
+    (Op::FramRead, COMMIT_FIXED_READS),
+];
+
+/// The ops of one commit-walk entry, in charge order: the entry read
+/// (address + value), the home write, the list cursor and canonical
+/// update.
+const WALK_ENTRY: [(Op, u64); 3] = [(Op::FramRead, 2), (Op::FramWrite, 1), (Op::Incr, 2)];
 
 /// The Alpaca-style runtime context: redo log plus commit protocol.
 ///
@@ -96,12 +130,16 @@ pub const COMMIT_FIXED_READS: u64 = 30;
 pub struct AlpacaRt {
     /// The redo log in append order, which is also the commit-walk order.
     log: Vec<LogEntry>,
-    /// Per-word index into `log`, addressed by FRAM word: `k + 1` for the
-    /// word's entry `k`, `0` when the word is not logged. Paged, so it
-    /// only occupies the pages a run actually logs into; cleared by
-    /// walking `log`, so clearing costs the log's length, not the
-    /// index's.
+    /// Per-word index into `log`, addressed by FRAM word:
+    /// `stamp << 32 | k` for the word's entry `k`, live only while
+    /// `stamp` is the current `generation`. Paged, so it only occupies
+    /// the pages a run actually logs into. A lookup is a page load and a
+    /// cell load; clearing the log bumps the generation, so it costs
+    /// nothing per entry.
     slot: Vec<Option<Box<SlotPage>>>,
+    /// The stamp of live `slot` cells; never 0, the stamp of a cell
+    /// never written.
+    generation: u32,
     commit_flag: FramWord,
     committing: bool,
     /// `true` when the most recent `after_commit` flag-lower store was
@@ -110,10 +148,6 @@ pub struct AlpacaRt {
     /// the window so the crash-consistency spec can tell the benign
     /// stale flag from a genuinely unsafe raised-while-idle flag.
     flag_lower_pending: bool,
-    /// The taped control-word read and `[update, append]` write
-    /// patterns (built once).
-    read_pat: Arc<OpBundle>,
-    write_pat: [Arc<OpBundle>; 2],
     /// The commit walk's bundled-loop sites, one per accounting phase the
     /// commit may run under (recorded once per runtime; commits happen
     /// every task transition).
@@ -135,19 +169,10 @@ impl AlpacaRt {
         Ok(AlpacaRt {
             log: Vec::new(),
             slot: Vec::new(),
+            generation: 1,
             commit_flag,
             committing: false,
             flag_lower_pending: false,
-            read_pat: Arc::new({
-                let mut b = OpBundle::new();
-                Self::read_ops(&mut b);
-                b
-            }),
-            write_pat: [false, true].map(|append| {
-                let mut b = OpBundle::new();
-                Self::write_ops(&mut b, append);
-                Arc::new(b)
-            }),
             commit_entry: Default::default(),
         })
     }
@@ -207,25 +232,14 @@ impl AlpacaRt {
 
     // ----- the indexed redo log ----------------------------------------
 
-    /// The log slot of `addr`'s entry, if the word is logged: an indexed
-    /// load from the word's index page.
+    /// The log slot of `addr`'s entry, if the word is logged: a page
+    /// load, a cell load and a stamp compare.
     #[inline]
     fn find(&self, addr: NvAddr) -> Option<usize> {
         let a = addr.index();
         let page = self.slot.get((a >> SLOT_PAGE_BITS) as usize)?.as_deref()?;
-        let s = page[(a & ((1 << SLOT_PAGE_BITS) - 1)) as usize];
-        s.checked_sub(1).map(|k| k as usize)
-    }
-
-    /// The slot-index cell of `addr`, allocating its page on first use.
-    fn slot_mut(&mut self, addr: NvAddr) -> &mut u32 {
-        let a = addr.index();
-        let p = (a >> SLOT_PAGE_BITS) as usize;
-        if p >= self.slot.len() {
-            self.slot.resize_with(p + 1, || None);
-        }
-        let page = self.slot[p].get_or_insert_with(|| Box::new([0; 1 << SLOT_PAGE_BITS]));
-        &mut page[(a & ((1 << SLOT_PAGE_BITS) - 1)) as usize]
+        let cell = page[(a & ((1 << SLOT_PAGE_BITS) - 1)) as usize];
+        ((cell >> 32) as u32 == self.generation).then_some(cell as u32 as usize)
     }
 
     /// Privatizes `v` at `addr` into the log, host-side. Returns `true`
@@ -242,8 +256,15 @@ impl AlpacaRt {
             self.log[k] = e;
             return false;
         }
+        let a = addr.index();
+        let p = (a >> SLOT_PAGE_BITS) as usize;
+        if p >= self.slot.len() {
+            self.slot.resize_with(p + 1, || None);
+        }
+        let page = self.slot[p].get_or_insert_with(|| Box::new([0; 1 << SLOT_PAGE_BITS]));
+        page[(a & ((1 << SLOT_PAGE_BITS) - 1)) as usize] =
+            u64::from(self.generation) << 32 | self.log.len() as u64;
         self.log.push(e);
-        *self.slot_mut(addr) = self.log.len() as u32;
         true
     }
 
@@ -258,12 +279,14 @@ impl AlpacaRt {
         }
     }
 
-    /// Empties the log; the slot index is cleared by walking the entries.
+    /// Empties the log: a new generation retires every slot-index cell.
     fn clear_log(&mut self) {
-        for k in 0..self.log.len() {
-            *self.slot_mut(self.log[k].addr) = 0;
-        }
         self.log.clear();
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            self.slot.clear();
+            self.generation = 1;
+        }
     }
 
     /// A commit-walk checksum mismatch: the redo log itself is corrupt.
@@ -290,9 +313,9 @@ impl AlpacaRt {
     // pattern repeat per iteration, built from [`AlpacaRt::read_ops`] and
     // [`AlpacaRt::write_ops`] around the host-side [`AlpacaRt::peek_shared`]
     // and [`AlpacaRt::privatize`]; the per-body control-word accesses
-    // below record repeats of the same read and write patterns, built
-    // once per runtime. Taped accesses record at the kernel phase,
-    // matching the tiled kernels that use them.
+    // below record repeats of the same read and write patterns, which
+    // every [`Tape`] registers when it is made. Taped accesses record at
+    // the kernel phase, matching the tiled kernels that use them.
 
     /// Appends the kernel-phase ops of one task-shared read (presence
     /// check, then the log-entry read on a hit or the home read on a
@@ -329,10 +352,10 @@ impl AlpacaRt {
     pub fn ts_load_word_taped(
         &mut self,
         dev: &mut Device,
-        tape: &mut OpTape,
+        tape: &mut Tape,
         addr: NvAddr,
     ) -> Result<u16, PowerFailure> {
-        tape.repeat(&self.read_pat, 1);
+        tape.ops.repeat(tape.read, 1);
         if let Some(k) = self.find(addr) {
             return Ok(self.log[k].v.raw() as u16);
         }
@@ -347,7 +370,7 @@ impl AlpacaRt {
         let fixed = dev
             .guarded_intended(addr)
             .expect("a flagged word is guarded");
-        tape.push(Op::FramWrite, Phase::Kernel);
+        tape.ops.push(Op::FramWrite, Phase::Kernel);
         dev.prepaid_write_at(addr, Q15::from_raw(fixed as i16));
         Ok(fixed)
     }
@@ -355,9 +378,9 @@ impl AlpacaRt {
     /// Taped [`AlpacaRt::ts_store_word`]: privatizes eagerly (a failed
     /// settle discards the log on restart, like the scalar path) and
     /// records the append or update.
-    pub fn ts_store_word_taped(&mut self, tape: &mut OpTape, addr: NvAddr, v: u16) {
+    pub fn ts_store_word_taped(&mut self, tape: &mut Tape, addr: NvAddr, v: u16) {
         let append = self.privatize(addr, Q15::from_raw(v as i16));
-        tape.repeat(&self.write_pat[append as usize], 1);
+        tape.ops.repeat(tape.write[usize::from(append)], 1);
     }
 
     fn charge_lookup(dev: &mut Device) -> Result<(), PowerFailure> {
@@ -438,6 +461,167 @@ impl AlpacaRt {
     ) -> Result<(), PowerFailure> {
         self.ts_write(dev, addr, Q15::from_raw(v as i16))
     }
+
+    // ----- the one-charge commit ---------------------------------------
+
+    /// The scheduler's whole commit sequence — the flag raise, the fixed
+    /// bookkeeping, the walk, the task transition and the flag lower —
+    /// in one funding decision and one trace charge
+    /// ([`Device::fund_whole`]), with the flag and the homes landed
+    /// host-side. Taken only when the ordered path would detect nothing
+    /// (the flag verifies and every entry's checksum holds) and the
+    /// device funds the whole sequence, so it leaves exactly the state,
+    /// trace and op counter the ordered path would. Returns `false`,
+    /// having done nothing, otherwise.
+    ///
+    /// A walk runs through the ordered path until its site has recorded
+    /// its bundle, as it would with no one-charge commit: how much of a
+    /// walk is charged before a poisoned entry stops it depends on
+    /// whether the walk was funded.
+    fn commit_whole(&mut self, dev: &mut Device) -> bool {
+        let n = self.log.len() as u64;
+        let site = &self.commit_entry[usize::from(dev.context().1 == Phase::Control)];
+        if n > 0
+            && (site.bundle().is_none()
+                || !dev.verify_word(self.commit_flag)
+                || !self.log.iter().all(LogEntry::verifies))
+        {
+            return false;
+        }
+        // An empty log commits nothing: the transition and the lower.
+        let mut ops = [
+            (Op::TaskTransition, 1),
+            (Op::FramWrite, 1),
+            (Op::Alu, 0),
+            (Op::FramRead, 0),
+            (Op::Incr, 0),
+        ];
+        if n > 0 {
+            let mut add = |op, k| {
+                ops.iter_mut().find(|e| e.0 == op).expect("listed").1 += k;
+            };
+            add(Op::FramWrite, 1); // the flag raise
+            for (op, k) in COMMIT_FIXED {
+                add(op, k);
+            }
+            for (op, k) in WALK_ENTRY {
+                add(op, k * n);
+            }
+        }
+        #[cfg(debug_assertions)]
+        let before = Counters::take(dev);
+        if !dev.fund_whole(&ops) {
+            return false;
+        }
+        #[cfg(debug_assertions)]
+        before.check(dev, &self.ordered_sequence(dev.context().1));
+        let flag = self.commit_flag.addr();
+        if n > 0 {
+            dev.prepaid_write_at(flag, Q15::from_raw(1));
+            for e in &self.log {
+                dev.prepaid_write_at(e.addr, e.v);
+            }
+        }
+        dev.prepaid_write_at(flag, Q15::ZERO);
+        self.flag_lower_pending = false;
+        self.clear_log();
+        self.committing = false;
+        true
+    }
+
+    /// Debug builds: the ordered commit sequence at `phase`, op by op, as
+    /// the scheduler's default [`RuntimeCtx::commit_transition`] charges
+    /// it, each walk entry from the walk's recorded bundle.
+    #[cfg(debug_assertions)]
+    fn ordered_sequence(&self, phase: Phase) -> OpBundle {
+        let mut seq = OpBundle::new();
+        if !self.log.is_empty() {
+            seq.push(Op::FramWrite, phase); // the flag raise
+            for (op, k) in COMMIT_FIXED {
+                seq.push_n(op, phase, k);
+            }
+            let site = &self.commit_entry[usize::from(phase == Phase::Control)];
+            let entry = site
+                .bundle()
+                .expect("a one-charge walk has a recorded bundle");
+            for _ in &self.log {
+                for e in entry.ops() {
+                    seq.push_n(e.op, e.phase, e.count);
+                }
+            }
+        }
+        seq.push(Op::TaskTransition, phase);
+        seq.push(Op::FramWrite, phase); // the flag lower
+        seq
+    }
+}
+
+/// Debug builds: the device's charge counters before a one-charge commit,
+/// to check it against the ordered sequence (as `Device::fund_run`
+/// checks a funded run against its iterations one by one).
+#[cfg(debug_assertions)]
+struct Counters {
+    ops: u64,
+    charge_pj: u64,
+    /// Per `(phase, op)`, the current region's op count.
+    counts: Vec<u64>,
+}
+
+#[cfg(debug_assertions)]
+impl Counters {
+    /// The `(phase, op)` cells, phase-major.
+    fn cells() -> impl Iterator<Item = (Phase, Op)> {
+        Phase::ALL
+            .into_iter()
+            .flat_map(|p| Op::ALL.into_iter().map(move |op| (p, op)))
+    }
+
+    /// The position of a cell in [`Counters::cells`].
+    fn cell(phase: Phase, op: Op) -> usize {
+        usize::from(phase == Phase::Control) * Op::COUNT + op.index()
+    }
+
+    fn take(dev: &Device) -> Self {
+        let region = dev.context().0;
+        Counters {
+            ops: dev.ops_consumed(),
+            charge_pj: dev.charge_pj(),
+            counts: Self::cells()
+                .map(|(p, op)| dev.trace().stat(region, p, op).count)
+                .collect(),
+        }
+    }
+
+    /// Asserts the device charged exactly `seq`'s per-`(phase, op)`
+    /// counts, ops and energy since `self` was taken.
+    fn check(&self, dev: &Device, seq: &OpBundle) {
+        let now = Self::take(dev);
+        let mut want = vec![0; self.counts.len()];
+        let mut energy = 0;
+        for e in seq.ops() {
+            want[Self::cell(e.phase, e.op)] += e.count;
+            energy += e.count * dev.spec().costs.cost(e.op).energy_pj;
+        }
+        for (((p, op), want), (was, is)) in Self::cells()
+            .zip(want)
+            .zip(self.counts.iter().zip(&now.counts))
+        {
+            assert_eq!(
+                is - was,
+                want,
+                "the one-charge commit charged {} {op:?} at {p}, the ordered sequence {want}",
+                is - was
+            );
+        }
+        assert_eq!(now.ops - self.ops, seq.len(), "one-charge commit: op count");
+        if matches!(dev.power(), mcu::PowerSystem::Harvested(_)) {
+            assert_eq!(
+                self.charge_pj - now.charge_pj,
+                energy,
+                "one-charge commit: energy"
+            );
+        }
+    }
 }
 
 impl RuntimeCtx for AlpacaRt {
@@ -457,19 +641,15 @@ impl RuntimeCtx for AlpacaRt {
         // Commit-flag raise (idempotent on replay: same write again).
         dev.store_word(self.commit_flag, 1)?;
         // Fixed task-epilogue bookkeeping (see the constants above).
-        dev.consume_n(Op::Alu, COMMIT_FIXED_ALU)?;
-        dev.consume_n(Op::FramWrite, COMMIT_FIXED_WRITES)?;
-        dev.consume_n(Op::FramRead, COMMIT_FIXED_READS)?;
+        for (op, n) in COMMIT_FIXED {
+            dev.consume_n(op, n)?;
+        }
         // Walk the log in append order; replay after a failure re-walks the
         // whole list, which is idempotent because entries hold absolute
-        // values. The walk is uniform per entry — entry read (address +
-        // value), home write, cursor updates — so it runs as a bundled
-        // loop: a mid-commit brown-out leaves exactly the scalar path's
-        // partial home writes.
-        let site = match dev.context().1 {
-            Phase::Kernel => &mut self.commit_entry[0],
-            Phase::Control => &mut self.commit_entry[1],
-        };
+        // values. The walk is uniform per entry (`WALK_ENTRY`), so it runs
+        // as a bundled loop: a mid-commit brown-out leaves exactly the
+        // scalar path's partial home writes.
+        let site = &mut self.commit_entry[usize::from(dev.context().1 == Phase::Control)];
         let log = &self.log;
         dev.run_bundled(
             site,
@@ -477,10 +657,11 @@ impl RuntimeCtx for AlpacaRt {
             #[inline(always)]
             |s, i| {
                 let e = log[i as usize];
-                s.op_n(Op::FramRead, 2)?; // read entry (address + value)
-                                          // A checksum mismatch means the log cells decayed and the
-                                          // redo value cannot be trusted.
-                if e.ck != log_ck(e.addr, e.v) {
+                // Read the entry (address + value).
+                s.op_n(Op::FramRead, 2)?;
+                // A checksum mismatch means the log cells decayed and the
+                // redo value cannot be trusted.
+                if !e.verifies() {
                     return Self::log_corrupt(s);
                 }
                 s.write_at(e.addr, e.v)?; // write home location
@@ -507,6 +688,16 @@ impl RuntimeCtx for AlpacaRt {
         self.committing = false;
     }
 
+    fn commit_transition(&mut self, dev: &mut Device) -> Result<(), PowerFailure> {
+        if self.commit_whole(dev) {
+            return Ok(());
+        }
+        self.commit(dev)?;
+        dev.consume(Op::TaskTransition)?;
+        self.after_commit(dev);
+        Ok(())
+    }
+
     fn on_power_failure(&mut self, _dev: &mut Device, mid_commit: bool) {
         if mid_commit {
             // Keep the log: the scheduler will replay commit.
@@ -517,6 +708,39 @@ impl RuntimeCtx for AlpacaRt {
             self.clear_log();
             self.committing = false;
         }
+    }
+}
+
+/// An [`OpTape`] for a taped Alpaca task body, with the runtime's
+/// control-word read and `[update, append]` write patterns registered
+/// (see [`AlpacaRt::ts_load_word_taped`]).
+#[derive(Debug)]
+pub struct Tape {
+    /// The recorded ops. A body registers its own loop patterns here.
+    pub ops: OpTape,
+    read: PatternId,
+    write: [PatternId; 2],
+}
+
+impl Tape {
+    /// An empty tape with the control-word patterns registered.
+    pub fn new() -> Self {
+        let mut ops = OpTape::new();
+        let mut read = OpBundle::new();
+        AlpacaRt::read_ops(&mut read);
+        let read = ops.register(read);
+        let write = [false, true].map(|append| {
+            let mut b = OpBundle::new();
+            AlpacaRt::write_ops(&mut b, append);
+            ops.register(b)
+        });
+        Tape { ops, read, write }
+    }
+}
+
+impl Default for Tape {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -808,6 +1032,61 @@ mod tests {
             201,
             "the poisoned entry's redo must not land"
         );
+    }
+
+    #[test]
+    fn one_charge_commit_matches_the_ordered_sequence() {
+        // The same privatized words committed through the scheduler's
+        // hook (one charge) and through the ordered calls it replaces,
+        // on continuous power and on a buffer that covers the sequence.
+        for power in [PowerSystem::continuous(), PowerSystem::cap_100uf()] {
+            let setup = || {
+                let mut dev = Device::new(DeviceSpec::tiny(), power.clone());
+                let words = dev.fram_alloc(5).unwrap();
+                let mut rt = AlpacaRt::new(&mut dev).unwrap();
+                dev.set_context(mcu::RegionId::OTHER, Phase::Control);
+                // The first walk records its bundle through the ordered
+                // path.
+                rt.ts_store_word(&mut dev, words.addr(4), 1).unwrap();
+                rt.commit_transition(&mut dev).unwrap();
+                for k in 0..5u32 {
+                    rt.ts_store_word(&mut dev, words.addr(k), 10 + k as u16)
+                        .unwrap();
+                }
+                (dev, rt)
+            };
+            let ((mut a, mut ra), (mut b, mut rb)) = (setup(), setup());
+            let (ops, energy) = (a.ops_consumed(), a.trace().total_energy_pj());
+            ra.commit_transition(&mut a).unwrap();
+            rb.commit(&mut b).unwrap();
+            b.consume(Op::TaskTransition).unwrap();
+            rb.after_commit(&mut b);
+            assert_eq!(a.ops_consumed() - ops, 1 + 1570 + 5 * 5 + 2);
+            assert!(a.trace().total_energy_pj() > energy);
+            assert_eq!(a.ops_consumed(), b.ops_consumed());
+            assert_eq!(a.charge_pj(), b.charge_pj());
+            assert_eq!(a.trace().report(), b.trace().report());
+            assert_eq!(a.fram_image(), b.fram_image());
+            assert_eq!(a.peek_word(ra.commit_flag_word()), 0);
+            assert_eq!(ra.log_len() + rb.log_len(), 0);
+            assert!(!ra.is_committing() && !ra.flag_lower_pending());
+        }
+    }
+
+    #[test]
+    fn a_wrapped_log_generation_retires_every_slot() {
+        let mut dev = continuous_dev();
+        let w = dev.fram_alloc(2).unwrap();
+        let mut rt = AlpacaRt::new(&mut dev).unwrap();
+        rt.generation = u32::MAX;
+        assert!(rt.privatize(w.addr(0), Q15::HALF));
+        rt.clear_log();
+        assert_eq!(rt.generation, 1);
+        assert_eq!(rt.find(w.addr(0)), None, "a slot of the old generation");
+        assert!(rt.privatize(w.addr(1), Q15::HALF));
+        assert!(!rt.privatize(w.addr(1), Q15::MAX));
+        assert_eq!(rt.find(w.addr(1)), Some(0));
+        assert_eq!(rt.peek_shared(&dev, w.addr(1)), Q15::MAX);
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! Fig. 9.
 
 use crate::task::{RuntimeCtx, TaskGraph, TaskId, Transition};
-use mcu::{Device, Op, Phase};
+use mcu::{Device, Phase};
 
 /// What the scheduler restarts after a reboot.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -248,13 +248,10 @@ pub fn run_observed<C: RuntimeCtx>(
         // Accounted to the current region's control phase.
         let (region, phase) = dev.context();
         dev.set_context(region, Phase::Control);
-        let commit_result = ctx
-            .commit(dev)
-            .and_then(|_| dev.consume(Op::TaskTransition));
+        let commit_result = ctx.commit_transition(dev);
+        dev.set_context(region, phase);
         match commit_result {
             Ok(()) => {
-                ctx.after_commit(dev);
-                dev.set_context(region, phase);
                 stats.transitions += 1;
                 match pending.take().expect("pending transition") {
                     Transition::Done => {
@@ -265,7 +262,6 @@ pub fn run_observed<C: RuntimeCtx>(
                 }
             }
             Err(_) => {
-                dev.set_context(region, phase);
                 handle_failure(
                     graph,
                     ctx,
@@ -379,7 +375,7 @@ fn handle_failure<C: RuntimeCtx>(
 mod tests {
     use super::*;
     use fxp::Q15;
-    use mcu::{DeviceSpec, PowerFailure, PowerSystem};
+    use mcu::{DeviceSpec, Op, PowerFailure, PowerSystem};
 
     fn continuous_dev() -> Device {
         Device::new(DeviceSpec::tiny(), PowerSystem::continuous())

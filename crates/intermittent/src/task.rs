@@ -1,6 +1,6 @@
 //! Tasks, transitions, and the runtime-context hook.
 
-use mcu::{Device, PowerFailure};
+use mcu::{Device, Op, PowerFailure};
 
 /// Index of a task within a [`TaskGraph`].
 pub type TaskId = usize;
@@ -37,6 +37,23 @@ pub trait RuntimeCtx {
     /// Called once after a successful commit and transition charge;
     /// typically clears the log.
     fn after_commit(&mut self, dev: &mut Device);
+
+    /// The scheduler's whole commit sequence at a task transition:
+    /// [`RuntimeCtx::commit`], the [`Op::TaskTransition`] charge, then
+    /// [`RuntimeCtx::after_commit`]. A runtime may settle the sequence
+    /// faster, but must leave exactly the device state, trace and op
+    /// counter this default leaves.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PowerFailure`] when the commit or the transition
+    /// browns out; `after_commit` has not run.
+    fn commit_transition(&mut self, dev: &mut Device) -> Result<(), PowerFailure> {
+        self.commit(dev)?;
+        dev.consume(Op::TaskTransition)?;
+        self.after_commit(dev);
+        Ok(())
+    }
 
     /// Called after every reboot. `mid_commit` is `true` when the failure
     /// interrupted a commit (the log must be preserved for replay) and

@@ -87,20 +87,24 @@
 //! **no durable side effects** until a later commit (the Alpaca redo-log
 //! bodies), an [`OpTape`] records what the body would have consumed
 //! while it executes host-side. Each op sequence the body repeats — a
-//! loop iteration, a redo-log access — is built once as a shared pattern
-//! bundle and recorded as one *repeat* per occurrence (consecutive
-//! repeats merge); the few other ops are recorded as single-op runs. The
-//! device settles the tape in one step
-//! ([`Device::consume_tape`]) from counts
-//! folded once per distinct pattern, and expands the patterns op by op
-//! only when the buffer cannot cover the tape.
+//! loop iteration, a redo-log access — is registered with the tape once
+//! as a pattern ([`OpTape::register`]) and recorded by its [`PatternId`]
+//! as one *repeat* per occurrence (consecutive repeats merge); the few
+//! other ops are recorded as single-op runs. The device settles the tape
+//! in one step ([`Device::consume_tape`]) from counts folded once per
+//! pattern the body repeated, and expands the patterns op by op only
+//! when the buffer cannot cover the tape.
+//!
+//! A fixed op sequence that no brown-out or fault can interrupt — the
+//! Alpaca commit, when the buffer covers it — needs no record at all:
+//! [`Device::fund_whole`] charges it in one funding decision, and the
+//! caller lands its memory effects.
 
 use crate::device::{Device, FramBuf, FramWord, NvAddr, PowerFailure, SramBuf};
 use crate::spec::{CostTable, Op};
 use crate::trace::{Phase, RegionId};
 use fxp::{Accum, Q15};
 use std::ops::Range;
-use std::sync::Arc;
 
 /// Per-`(phase, op)` op counts, indexed `[phase.index()][op.index()]`.
 pub(crate) type OpCounts = [[u64; Op::COUNT]; 2];
@@ -236,27 +240,45 @@ pub(crate) enum TapeRun {
     },
 }
 
+/// A pattern registered with an [`OpTape`]: the handle
+/// [`OpTape::repeat`] records it by.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PatternId(usize);
+
 /// A recorded op tape: the ordered ops a side-effect-free body would
 /// have consumed, as single-op runs and pattern repeats. See the
 /// [module docs](self).
 ///
 /// Alongside the ordered runs (needed only for the in-order replay on a
 /// shortfall) the tape keeps the aggregate counts of its single-op runs
-/// and the total repeats of each distinct pattern, so folding the whole
-/// tape costs its few distinct patterns, not its runs.
+/// and the total repeats of each pattern, with the list of patterns the
+/// tape repeats since its last clear: folding the tape, and clearing it,
+/// cost the few patterns a body repeated, not every pattern registered.
 #[derive(Debug, Default)]
 pub struct OpTape {
     runs: Vec<TapeRun>,
-    /// The distinct patterns recorded, each with its total repeats.
-    patterns: Vec<(Arc<OpBundle>, u64)>,
+    /// The registered patterns, each with its repeats since the last
+    /// clear.
+    patterns: Vec<(OpBundle, u64)>,
+    /// The patterns with repeats since the last clear, in first-repeat
+    /// order.
+    used: Vec<usize>,
     /// Aggregate counts of the single-op runs.
     singles: OpCounts,
 }
 
 impl OpTape {
-    /// An empty tape.
+    /// An empty tape with no patterns registered.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Registers a pattern — an op sequence the body repeats — and
+    /// returns its handle. Patterns stay registered across
+    /// [`OpTape::clear`].
+    pub fn register(&mut self, pattern: OpBundle) -> PatternId {
+        self.patterns.push((pattern, 0));
+        PatternId(self.patterns.len() - 1)
     }
 
     /// Records one op.
@@ -282,38 +304,31 @@ impl OpTape {
         self.runs.push(TapeRun::Ops(BundleOp { op, phase, count }));
     }
 
-    /// Records `n` repeats of `pattern`, merged with a tail run of the
-    /// same pattern (the same allocation, compared by pointer).
+    /// Records `n` repeats of a registered pattern, merged with a tail
+    /// run of the same pattern.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pattern` was registered with another tape that has
+    /// fewer patterns.
     #[inline]
-    pub fn repeat(&mut self, pattern: &Arc<OpBundle>, n: u64) {
+    pub fn repeat(&mut self, pattern: PatternId, n: u64) {
         if n == 0 {
             return;
         }
-        let k = match self.runs.last_mut() {
+        let k = pattern.0;
+        match self.runs.last_mut() {
             Some(TapeRun::Repeat {
-                pattern: k,
-                n: last,
-            }) if Arc::ptr_eq(&self.patterns[*k].0, pattern) => {
-                *last += n;
-                *k
-            }
-            _ => {
-                let k = match self
-                    .patterns
-                    .iter()
-                    .position(|(p, _)| Arc::ptr_eq(p, pattern))
-                {
-                    Some(k) => k,
-                    None => {
-                        self.patterns.push((Arc::clone(pattern), 0));
-                        self.patterns.len() - 1
-                    }
-                };
-                self.runs.push(TapeRun::Repeat { pattern: k, n });
-                k
-            }
-        };
-        self.patterns[k].1 += n;
+                pattern: last,
+                n: m,
+            }) if *last == k => *m += n,
+            _ => self.runs.push(TapeRun::Repeat { pattern: k, n }),
+        }
+        let total = &mut self.patterns[k].1;
+        if *total == 0 {
+            self.used.push(k);
+        }
+        *total += n;
     }
 
     /// The ordered runs.
@@ -326,23 +341,22 @@ impl OpTape {
         &self.patterns[k].0
     }
 
-    /// Empties the tape for reuse. Capacity and the pattern table stay:
-    /// a reused tape records the same few patterns body after body, so
-    /// they stay registered (with zero repeats) instead of being
-    /// re-registered each time.
+    /// Empties the tape for reuse. Capacity and the registered patterns
+    /// stay; only the patterns repeated since the last clear are reset.
     pub fn clear(&mut self) {
         self.runs.clear();
-        for (_, n) in &mut self.patterns {
-            *n = 0;
+        for k in self.used.drain(..) {
+            self.patterns[k].1 = 0;
         }
         self.singles = [[0; Op::COUNT]; 2];
     }
 
     /// Aggregate per-`(phase, op)` counts of the whole tape, folded once
-    /// per distinct pattern.
+    /// per pattern repeated.
     pub(crate) fn counts(&self) -> OpCounts {
         let mut counts = self.singles;
-        for (pattern, n) in &self.patterns {
+        for &k in &self.used {
+            let (pattern, n) = &self.patterns[k];
             for e in pattern.ops() {
                 counts[e.phase.index()][e.op.index()] += e.count * n;
             }
@@ -931,21 +945,23 @@ mod tests {
         let mut pat = OpBundle::new();
         pat.push_n(Op::FramRead, Phase::Kernel, 2);
         pat.push(Op::Incr, Phase::Kernel);
-        let pat = Arc::new(pat);
-        let twin = Arc::new((*pat).clone()); // equal, but a distinct pattern
         let mut t = OpTape::new();
+        let twin = t.register(pat.clone()); // equal, but a distinct pattern
+        let pat = t.register(pat);
+        t.register(pat_of(Op::Alu)); // registered, never repeated
         t.push(Op::Alu, Phase::Kernel);
         t.push_n(Op::Alu, Phase::Kernel, 2);
-        t.repeat(&pat, 1);
-        t.repeat(&pat, 3);
-        t.repeat(&twin, 1);
-        t.repeat(&pat, 0); // no-op
+        t.repeat(pat, 1);
+        t.repeat(pat, 3);
+        t.repeat(twin, 1);
+        t.repeat(pat, 0); // no-op
         t.push(Op::Incr, Phase::Kernel);
-        t.repeat(&pat, 2); // a later run of an already-registered pattern
+        t.repeat(pat, 2); // a later run of an already-repeated pattern
         assert_eq!(t.runs().len(), 5);
-        assert!(matches!(t.runs()[1], TapeRun::Repeat { pattern: 0, n: 4 }));
-        assert!(matches!(t.runs()[2], TapeRun::Repeat { pattern: 1, n: 1 }));
-        assert!(matches!(t.runs()[4], TapeRun::Repeat { pattern: 0, n: 2 }));
+        assert!(matches!(t.runs()[1], TapeRun::Repeat { pattern: 1, n: 4 }));
+        assert!(matches!(t.runs()[2], TapeRun::Repeat { pattern: 0, n: 1 }));
+        assert!(matches!(t.runs()[4], TapeRun::Repeat { pattern: 1, n: 2 }));
+        assert_eq!(t.used, [1, 0], "the idle pattern is never folded");
         let c = t.counts();
         assert_eq!(c[Phase::Kernel.index()][Op::Alu.index()], 3);
         assert_eq!(c[Phase::Kernel.index()][Op::FramRead.index()], 14);
@@ -953,16 +969,31 @@ mod tests {
         assert_eq!(counts_len(&c), 25);
     }
 
+    fn pat_of(op: Op) -> OpBundle {
+        let mut b = OpBundle::new();
+        b.push(op, Phase::Kernel);
+        b
+    }
+
     #[test]
     fn clear_keeps_capacity() {
         let mut t = OpTape::new();
+        let p = t.register(pat_of(Op::Alu));
         t.push_n(Op::Alu, Phase::Kernel, 4);
-        t.repeat(&Arc::new(OpBundle::new()), 2);
+        t.repeat(p, 2);
         let cap = t.runs.capacity();
         t.clear();
         assert!(t.runs().is_empty());
+        assert!(t.used.is_empty());
         assert_eq!(t.patterns.len(), 1, "patterns stay registered");
+        assert_eq!(t.patterns[0].1, 0, "repeats reset");
         assert_eq!(t.runs.capacity(), cap);
         assert_eq!(counts_len(&t.counts()), 0);
+        t.repeat(p, 1);
+        assert_eq!(
+            counts_len(&t.counts()),
+            1,
+            "a cleared pattern repeats again"
+        );
     }
 }

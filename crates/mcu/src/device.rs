@@ -417,11 +417,13 @@ pub struct Device {
     /// detects corruption. Empty (zero overhead) unless guards are
     /// registered.
     guard_shadow: Vec<(u32, i16)>,
-    /// Guarded-word bitmap in front of `guard_shadow`: bit `a` is set
-    /// iff word `a` has a shadow entry, so an unguarded store or verify
-    /// costs one bit test instead of a binary search. Sized to the
-    /// highest guarded word; empty with no guards.
-    guard_bits: Vec<u64>,
+    /// Guarded-word index in front of `guard_shadow`, one `(bits, rank)`
+    /// entry per 64 FRAM words: bit `b` of entry `i` is set iff word
+    /// `64·i + b` has a shadow entry, and `rank` counts the guarded
+    /// words below `64·i`. An unguarded store or verify costs one bit
+    /// test; a guarded word's shadow slot is `rank` plus a popcount, no
+    /// search. Sized to the highest guarded word; empty with no guards.
+    guard_bits: Vec<(u64, u32)>,
     /// Memory faults injected so far (bit flips + stuck-at armings).
     mem_faults_injected: u64,
     /// Corruption detections reported via [`Device::note_corruption`].
@@ -1066,7 +1068,7 @@ impl Device {
     }
 
     /// Settles a recorded op tape: one bulk charge from counts folded
-    /// once per distinct pattern when the buffer covers the whole tape,
+    /// once per pattern repeated when the buffer covers the whole tape,
     /// otherwise an in-order replay that expands each pattern repeat, so
     /// the brown-out lands on exactly the op the scalar execution would
     /// have died on.
@@ -1116,6 +1118,56 @@ impl Device {
             }
         }
         Ok(())
+    }
+
+    /// Charges a whole op sequence in one funding decision and one trace
+    /// charge per entry, when nothing can interrupt it: the device is
+    /// on, no bundled-loop iteration is recording, the buffer covers
+    /// every op, and no armed fault target of any kind lies inside the
+    /// sequence. `ops` lists its `(op, count)` totals at the current
+    /// accounting context, in any order (one entry per op class keeps
+    /// the trace charges few).
+    ///
+    /// Returns `false`, having charged nothing, when any of these fails;
+    /// the caller then runs the sequence op by op. Per-op energies are
+    /// non-negative integers, so a buffer that covers the whole sequence
+    /// covers every prefix: when this returns `true` the op-by-op run
+    /// would have completed too, with the same trace, op counter and
+    /// charge. The caller performs the sequence's memory effects.
+    pub fn fund_whole(&mut self, ops: &[(Op, u64)]) -> bool {
+        if !self.on || self.record.is_some() {
+            return false;
+        }
+        let total: u64 = ops.iter().map(|&(_, n)| n).sum();
+        let end = self.ops_consumed + total;
+        if self.fault_queue.last().is_some_and(|&(t, _)| t < end) {
+            return false;
+        }
+        if matches!(self.power, PowerSystem::Harvested(_)) {
+            debug_assert!(
+                ops.iter().all(|&(op, n)| {
+                    let c = self.spec.costs.cost(op);
+                    n == 0 || c.energy_pj > 0 || c.cycles == 0
+                }),
+                "an op that costs cycles but zero energy (fix the cost table)"
+            );
+            let energy: u64 = ops
+                .iter()
+                .map(|&(op, n)| n * self.spec.costs.cost(op).energy_pj)
+                .sum();
+            if energy > self.charge_pj {
+                return false;
+            }
+            self.charge_pj -= energy;
+        }
+        for &(op, n) in ops {
+            if n > 0 {
+                let cost = self.spec.costs.cost(op);
+                self.trace.charge(self.region, self.phase, op, n, cost);
+            }
+        }
+        self.ops_consumed = end;
+        true
     }
 
     /// Adds `n` forward-progress beacons at once (the bundled counterpart
@@ -1459,10 +1511,11 @@ impl Device {
     // bundle (or an op tape) has already charged an iteration's memory
     // ops in bulk, the iteration's effects happen through these. Inside
     // the crate they back the funded mode of [`Step`]. Two stay public
-    // for bodies that settle an [`crate::OpTape`] instead of running
-    // through [`Device::run_bundled`]: the tiled runtime's taped reads
-    // and the Alpaca redo log's taped scrub write. Using them without a
-    // matching charge breaks the energy model.
+    // for code charged through an [`crate::OpTape`] or
+    // [`Device::fund_whole`] instead of [`Device::run_bundled`]: the
+    // tiled runtime's taped reads, and the Alpaca redo log's taped scrub
+    // write and one-charge commit. Using them without a matching charge
+    // breaks the energy model.
 
     /// Pre-charged FRAM read (energy already charged via a bundle or
     /// tape).
@@ -1825,24 +1878,17 @@ impl Device {
     //
     // Each layer guards only a handful of control words, so almost every
     // store and verify is of an unguarded word. A one-bit-per-word
-    // prefilter (`guard_bits`) answers those with a single bit test; only
-    // guarded words go on to the binary search of the sorted shadow.
+    // prefilter (`guard_bits`) answers those with a single bit test; its
+    // per-block ranks locate a guarded word's shadow without a search.
 
-    /// Whether word `addr` is guarded: one bit test.
-    #[inline]
-    fn is_guarded(&self, addr: u32) -> bool {
-        self.guard_bits
-            .get((addr >> 6) as usize)
-            .is_some_and(|w| (w >> (addr & 63)) & 1 != 0)
-    }
-
-    /// The shadow slot of a guarded word, `None` for an unguarded one.
+    /// The shadow slot of a guarded word, `None` for an unguarded one:
+    /// one bit test, then the block's rank plus the guarded words below
+    /// `addr` in its block.
     #[inline]
     fn guard_index(&self, addr: u32) -> Option<usize> {
-        if !self.is_guarded(addr) {
-            return None;
-        }
-        self.guard_shadow.binary_search_by_key(&addr, |e| e.0).ok()
+        let &(bits, rank) = self.guard_bits.get((addr >> 6) as usize)?;
+        let below = bits & ((1u64 << (addr & 63)) - 1);
+        ((bits >> (addr & 63)) & 1 != 0).then(|| rank as usize + below.count_ones() as usize)
     }
 
     /// Registers `len` consecutive FRAM words starting at `addr` under
@@ -1857,9 +1903,14 @@ impl Device {
             }
             let w = (a >> 6) as usize;
             if w >= self.guard_bits.len() {
-                self.guard_bits.resize(w + 1, 0);
+                self.guard_bits.resize(w + 1, (0, 0));
             }
-            self.guard_bits[w] |= 1 << (a & 63);
+            self.guard_bits[w].0 |= 1 << (a & 63);
+        }
+        let mut rank = 0;
+        for (bits, r) in &mut self.guard_bits {
+            *r = rank;
+            rank += bits.count_ones();
         }
     }
 
@@ -2719,14 +2770,15 @@ mod tests {
         prog
     }
 
-    /// The program as a tape: patterns built once, consecutive repeats
-    /// of one pattern merging.
-    fn record_tape(pats: &[std::sync::Arc<OpBundle>], prog: &[Step]) -> OpTape {
+    /// The program as a tape: patterns registered once, consecutive
+    /// repeats of one pattern merging.
+    fn record_tape(pats: &[OpBundle], prog: &[Step]) -> OpTape {
         let mut tape = OpTape::new();
+        let ids: Vec<_> = pats.iter().map(|p| tape.register(p.clone())).collect();
         for &step in prog {
             match step {
                 Step::Ops(op, phase, n) => tape.push_n(op, phase, n),
-                Step::Rep(p, n) => tape.repeat(&pats[p], n),
+                Step::Rep(p, n) => tape.repeat(ids[p], n),
             }
         }
         tape
@@ -2784,7 +2836,7 @@ mod tests {
                 for &(op, phase) in seq {
                     b.push(op, phase);
                 }
-                std::sync::Arc::new(b)
+                b
             })
             .collect();
         let mut a = Device::new(DeviceSpec::tiny(), PowerSystem::cap_100uf());
@@ -2931,6 +2983,67 @@ mod tests {
         tape.push(Op::Alu, Phase::Kernel);
         assert_eq!(d.consume_tape(&tape), Err(PowerFailure));
         assert_eq!(d.consume_tape(&OpTape::new()), Err(PowerFailure));
+    }
+
+    #[test]
+    fn fund_whole_charges_what_the_op_by_op_run_charges_or_nothing() {
+        let seq = [(Op::FramWrite, 3), (Op::Alu, 40), (Op::TaskTransition, 1)];
+        let by_op = |d: &mut Device| {
+            seq.iter()
+                .try_for_each(|&(op, n)| d.consume_n(op, n))
+                .is_ok()
+        };
+        for power in [PowerSystem::continuous(), PowerSystem::cap_100uf()] {
+            let mut a = Device::new(DeviceSpec::tiny(), power);
+            a.set_context(RegionId::OTHER, Phase::Control);
+            let mut b = a.clone();
+            assert!(a.fund_whole(&seq));
+            assert!(by_op(&mut b));
+            assert_devices_identical(&a, &b);
+        }
+        let fresh = || Device::new(DeviceSpec::tiny(), PowerSystem::cap_100uf());
+        let whole: u64 = seq.iter().map(|&(_, n)| n).sum();
+        // An armed target just past the sequence allows it; one inside,
+        // a memory fault included, refuses it.
+        let mut d = fresh();
+        d.arm_faults(&FaultPlan::at(whole));
+        assert!(d.fund_whole(&seq));
+        assert_eq!(d.pending_faults(), 1);
+        for kind in [
+            FaultKind::Brownout,
+            FaultKind::BitFlip {
+                addr: NvAddr(0),
+                bit: 0,
+            },
+        ] {
+            let mut d = fresh();
+            d.fram_alloc_word().unwrap();
+            d.arm_faults(&FaultPlan::faults([(whole - 1, kind)]));
+            assert!(!d.fund_whole(&seq), "{kind:?}");
+            assert_eq!((d.ops_consumed(), d.pending_faults()), (0, 1));
+        }
+        // A buffer one op short of the sequence refuses it, charging
+        // nothing; the op-by-op run browns out on the last op.
+        let mut d = fresh();
+        let energy: u64 = seq
+            .iter()
+            .map(|&(op, n)| n * d.spec().costs.cost(op).energy_pj)
+            .sum();
+        let nop = d.spec().costs.cost(Op::Nop).energy_pj;
+        let last = d.spec().costs.cost(Op::TaskTransition).energy_pj;
+        d.consume_n(Op::Nop, (d.charge_pj() - energy + last) / nop)
+            .unwrap();
+        let (ops, charge) = (d.ops_consumed(), d.charge_pj());
+        assert!(charge < energy);
+        assert!(!d.fund_whole(&seq));
+        assert_eq!((d.ops_consumed(), d.charge_pj()), (ops, charge));
+        assert!(!by_op(&mut d));
+        assert_eq!(d.last_brownout().unwrap().op, Op::TaskTransition);
+        // Off, or recording a bundled iteration: refused.
+        assert!(!d.fund_whole(&seq));
+        let mut d = fresh();
+        d.record = Some(Box::default());
+        assert!(!d.fund_whole(&seq));
     }
 
     #[test]
@@ -3294,7 +3407,9 @@ mod tests {
             0,
             "63 | 64 straddles a bitmap word"
         );
-        let guarded = [63u32, 64, 130];
+        // Registered out of address order, so a later span shifts the
+        // shadow slots of an earlier one.
+        let guarded = [130u32, 63, 64];
         for &i in &guarded {
             d.flash(buf.slice(i, 1), &[Q15::from_raw(i as i16)]);
             d.guard_span(buf.addr(i), 1);

@@ -64,7 +64,7 @@ pub mod power;
 pub mod spec;
 pub mod trace;
 
-pub use bundle::{BundleOp, OpBundle, OpTape, Site, Step};
+pub use bundle::{BundleOp, OpBundle, OpTape, PatternId, Site, Step};
 pub use device::{
     AllocError, BrownoutInfo, Device, FaultKind, FaultPlan, FramBuf, FramWord, NvAddr,
     PowerFailure, SramBuf, SupplyDead, CORRUPTION_RETRY_LIMIT,

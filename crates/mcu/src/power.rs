@@ -21,7 +21,7 @@
 //!
 //! The paper evaluates three capacitor sizes (100 µF, 1 mF, 50 mF). The
 //! preset constructors here use an operating window calibrated so that the
-//! qualitative results of the paper hold (see DESIGN.md §4); the window is
+//! qualitative results of the paper hold; the window is
 //! narrow because the boost regulator on such boards restarts the MCU well
 //! before the storage capacitor is empty.
 

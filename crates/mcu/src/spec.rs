@@ -1,7 +1,7 @@
 //! Device specification: memory geometry and per-operation cost tables.
 //!
-//! All constants live here so that the calibration pass (see DESIGN.md §4)
-//! touches exactly one file. Costs are expressed as `(cycles, picojoules)`
+//! All constants live here so that calibrating the model touches exactly
+//! one file. Costs are expressed as `(cycles, picojoules)`
 //! pairs. Energy per cycle includes instruction fetch and decode — the paper
 //! (§10) estimates ~40% of SONIC's energy goes to fetch/decode, which is why
 //! even single-cycle ALU ops carry a non-trivial energy price.

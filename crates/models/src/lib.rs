@@ -8,7 +8,7 @@
 //! pruned fully-connected layers, untouched classifier).
 //!
 //! Training runs on the synthetic datasets of [`dnn::data`] (a data-gate
-//! substitution; see DESIGN.md §1) and caches trained models on disk via
+//! substitution) and caches trained models on disk via
 //! [`dnn::codec`], so experiment binaries re-run quickly.
 
 #![forbid(unsafe_code)]
