@@ -18,23 +18,22 @@
 //!
 //! An Alpaca task body has no durable side effects before commit — its
 //! writes privatize into the host-side redo log, which a body-time power
-//! failure discards. The bodies therefore execute host-side while
-//! *recording* the exact op sequence they would have consumed onto an
-//! [`intermittent::alpaca::Tape`], and the graph closure settles the
-//! tape in one step ([`mcu::Device::consume_tape`]) — replaying it op
-//! by op only when the buffer cannot cover it, so a brown-out charges
-//! exactly the scalar prefix, and a shortfall stays a body failure.
-//! Every inner loop (zero, conv/dense accumulate, finish, ReLU, pool,
-//! and the sparse-FC column walk's pieces) has a fixed per-iteration
-//! sequence whose only variable is whether the iteration's log write
-//! appends or updates an entry, so each layer registers its iteration
-//! patterns with its tape once per graph (`LayerPatterns`) and a loop
-//! records one repeat per iteration by pattern id. The per-body
-//! control-word loads and stores repeat the runtime's read and write
-//! patterns, which every `Tape` registers, and the few remaining ops
-//! record single-op runs. Each layer's closure owns its tape, so
-//! capacity and registered patterns persist from body to body; settling
-//! and clearing it cost only the patterns the body repeated.
+//! failure discards. Each body therefore runs host-side through a
+//! [`mcu::Taped`] handle and settles its charge once, at its end
+//! ([`mcu::Device::run_tape`]): one funded charge when the buffer covers
+//! it, otherwise an op-by-op replay, so a brown-out charges exactly the
+//! scalar prefix and a shortfall stays a body failure. The body's
+//! accesses are the runtime's own ([`AlpacaRt::ts_read`],
+//! [`AlpacaRt::ts_write`]), so the handle records the ops they would
+//! have charged. Every inner loop iteration runs at a [`Site`] of the
+//! layer's, one per shape: whether the iteration's log write appends or
+//! updates, which the body names from the log before the iteration
+//! runs. The sparse FC's column walk adds two one-shape steps: the
+//! column check that opens each nonzero, and each advance to the next
+//! column. A shape's first iteration records its bundle; every later one
+//! records one repeat of it (and, in debug builds, is checked against
+//! it). Each layer's closure owns its sites, so they persist from body to
+//! body.
 //!
 //! The commit that follows each body (the flag raise, the fixed
 //! bookkeeping, the walk writing every home location, the transition
@@ -42,142 +41,73 @@
 //! `AlpacaRt`'s [`intermittent::task::RuntimeCtx::commit_transition`]
 //! whenever nothing can interrupt it; otherwise it runs op by op, its
 //! walk a [`mcu::Device::run_bundled`] loop whose bundle is recorded
-//! from the walk's body. The tape patterns cannot be recorded that way
-//! — a taped body runs host-side and never charges the device — so
-//! `LayerPatterns` and `AlpacaRt::read_ops`/`write_ops` stay written by
-//! hand.
+//! from the walk's body.
 
 use crate::baseline::unpack_tap;
 use crate::deploy::{DeployedKind, DeployedLayer, DeployedModel};
 use dnn::quant::finish_acc;
 use fxp::{Accum, Q15};
-use intermittent::alpaca::{AlpacaRt, Tape};
+use intermittent::alpaca::AlpacaRt;
 use intermittent::task::{TaskGraph, Transition};
-use mcu::{Device, FramBuf, Op, OpBundle, OpTape, PatternId, Phase, PowerFailure};
+use mcu::{Device, FramBuf, Iteration, Meter, NvAddr, Op, Phase, PowerFailure, Site, Taped};
 
 const ST_ZERO: u16 = 0;
 const ST_ACCUM: u16 = 1;
 const ST_FINISH: u16 = 2;
 
-/// A loop's iteration patterns, indexed by whether the iteration's
-/// task-shared write appended a log entry (`[update, append]`).
-type WritePair = [PatternId; 2];
+/// A layer's iteration shapes, each a [`Site`]. The first three are
+/// pairs, indexed from there by whether the iteration's log write
+/// appends: ZERO clears one accumulator word; BODY is the main loop
+/// (conv/dense accumulate, ReLU, pool, or the update that ends one
+/// sparse-FC nonzero); FINISH shifts and biases one accumulator into the
+/// output.
+const ZERO: usize = 0;
+const BODY: usize = 2;
+const FINISH: usize = 4;
+/// Sparse FC, per nonzero: the column check, then one advance per column
+/// the walk moves on, then BODY.
+const HEAD: usize = 6;
+const ADVANCE: usize = 7;
+const SHAPES: usize = 8;
 
-/// One step of an iteration pattern: a kernel-phase op, or one
-/// task-shared read or write through the redo log.
-#[derive(Clone, Copy)]
-enum Step {
-    K(Op),
-    Read,
-    Write,
-}
-
-/// Registers one iteration pattern with `tape`; its `Write` step appends
-/// when `append`.
-fn pattern(tape: &mut OpTape, steps: &[Step], append: bool) -> PatternId {
-    let mut b = OpBundle::new();
-    for &step in steps {
-        match step {
-            Step::K(op) => b.push(op, Phase::Kernel),
-            Step::Read => AlpacaRt::read_ops(&mut b),
-            Step::Write => AlpacaRt::write_ops(&mut b, append),
-        }
-    }
-    tape.register(b)
-}
-
-fn write_pair(tape: &mut OpTape, steps: &[Step]) -> WritePair {
-    [false, true].map(|append| pattern(tape, steps, append))
-}
-
-/// One layer's iteration patterns, registered once per graph with the
-/// layer's tape.
-struct LayerPatterns {
-    /// ZERO: clear one accumulator word.
-    zero: WritePair,
-    /// The main loop: conv/dense accumulate, ReLU, pool, or the update
-    /// that ends one sparse-FC nonzero.
-    body: WritePair,
-    /// FINISH: shift + bias one accumulator into the output.
-    finish: WritePair,
-    /// Sparse FC, per nonzero: `head`, then `advance` once per column
-    /// skipped, then `body`.
-    head: PatternId,
-    advance: PatternId,
-}
-
-impl LayerPatterns {
-    fn new(l: &DeployedLayer, tape: &mut OpTape) -> Self {
-        use Op::{Alu, Branch, FramRead, FxpAdd, FxpMul, Incr};
-        use Step::{Read, Write, K};
-        // Every loop iteration ends with the index bump and loop test.
-        let mut with_loop = |mut steps: Vec<Step>| {
-            steps.extend([K(Incr), K(Branch)]);
-            write_pair(tape, &steps)
-        };
-        let body = match &l.kind {
-            // Entry row + weight reads, then the in-place accumulate.
-            DeployedKind::Dense {
-                sparse: Some(_), ..
-            } => vec![K(FramRead), K(FramRead), K(FxpMul), K(FxpAdd), Read, Write],
-            // Conv activations are task-shared and read through the log.
-            DeployedKind::Conv { .. } => vec![K(Alu), Read, K(FxpMul), K(FxpAdd), Read, Write],
-            DeployedKind::Dense { .. } => {
-                vec![K(Alu), K(FramRead), K(FxpMul), K(FxpAdd), Read, Write]
-            }
-            DeployedKind::Pool { kh, kw } => {
-                let mut steps = [K(Alu), K(FramRead), K(Branch)].repeat((kh * kw) as usize);
-                steps.push(Write);
-                steps
-            }
-            // ReLU (Flatten never iterates): the WAR pair Alpaca exists for.
-            _ => vec![Read, K(Branch), Write],
-        };
-        let zero = with_loop(vec![Write]);
-        let body = with_loop(body);
-        // Accumulator, bias, then charge_finish's shift and bias add.
-        let finish = with_loop(vec![Read, K(FramRead), K(Alu), K(FxpAdd), Write]);
-        LayerPatterns {
-            zero,
-            body,
-            finish,
-            // Loop test, then the column-pointer check.
-            head: pattern(tape, &[K(Branch), K(FramRead)], false),
-            // The next column's activation, then the check again.
-            advance: pattern(tape, &[K(Incr), Read, K(FramRead)], false),
-        }
-    }
-}
-
-/// Taped read of read-only metadata (weights, pointers) outside a
-/// patterned loop: recorded as one FRAM read, value fetched host-side.
-#[inline]
-fn read_t(dev: &Device, tape: &mut Tape, buf: FramBuf, i: u32) -> Q15 {
-    tape.ops.push(Op::FramRead, Phase::Kernel);
-    dev.prepaid_read(buf, i)
-}
-
-#[inline]
-fn op_t(tape: &mut Tape, op: Op) {
-    tape.ops.push(op, Phase::Kernel);
-}
-
-/// Taped task-shared read of an activation outside a patterned loop.
-#[inline]
-fn load_t(
-    dev: &mut Device,
+/// One iteration of a loop whose log write lands at `addr`, at `pair`'s
+/// update or append shape: `body`, then the index bump and loop test.
+#[inline(always)]
+fn iterate(
+    t: &mut Taped<'_>,
     rt: &mut AlpacaRt,
-    tape: &mut Tape,
-    addr: mcu::NvAddr,
-) -> Result<Q15, PowerFailure> {
-    Ok(Q15::from_raw(rt.ts_load_word_taped(dev, tape, addr)? as i16))
+    pair: usize,
+    addr: NvAddr,
+    body: impl FnOnce(&mut Iteration<'_>, &mut AlpacaRt) -> Result<(), PowerFailure>,
+) -> Result<(), PowerFailure> {
+    t.iterate(
+        pair + usize::from(rt.appends(addr)),
+        #[inline(always)]
+        |t| {
+            body(t, rt)?;
+            t.op(Op::Incr)?;
+            t.op(Op::Branch)
+        },
+    )
 }
 
-/// Privatizes one iteration's write and records the iteration.
-#[inline]
-fn iterate(rt: &mut AlpacaRt, tape: &mut Tape, pair: &WritePair, addr: mcu::NvAddr, v: Q15) {
-    let append = rt.privatize(addr, v);
-    tape.ops.repeat(pair[usize::from(append)], 1);
+/// FINISH's work for one output: the accumulator, then
+/// `charge_finish`'s shift and bias add, into the output.
+#[inline(always)]
+fn finish(
+    t: &mut Iteration<'_>,
+    rt: &mut AlpacaRt,
+    partial: NvAddr,
+    bias: FramBuf,
+    b_idx: u32,
+    shift: i32,
+    out: NvAddr,
+) -> Result<(), PowerFailure> {
+    let partial = Accum::from_q15(rt.ts_read(t, partial)?);
+    let b = t.read(bias, b_idx)?;
+    t.op(Op::Alu)?;
+    t.op(Op::FxpAdd)?;
+    rt.ts_write(t, out, finish_acc(partial, shift, b))
 }
 
 /// Budget-bounded stage driver shared by conv and dense layers.
@@ -185,10 +115,8 @@ fn iterate(rt: &mut AlpacaRt, tape: &mut Tape, pair: &WritePair, addr: mcu::NvAd
 /// Returns `To(self)` while work remains, `next` when the layer is done.
 #[allow(clippy::too_many_arguments, clippy::too_many_lines)]
 fn accum_layer_tiled(
-    dev: &mut Device,
+    t: &mut Taped<'_>,
     rt: &mut AlpacaRt,
-    tape: &mut Tape,
-    pats: &LayerPatterns,
     m: &DeployedModel,
     l: &DeployedLayer,
     self_id: usize,
@@ -210,29 +138,36 @@ fn accum_layer_tiled(
     let dst = m.buf(l.dst);
     let src = m.buf(l.src);
 
-    dev.set_context(l.region, Phase::Kernel);
     let mut budget = tile;
-    let mut stage = rt.ts_load_word_taped(dev, tape, l.undo_tag.addr())?;
+    let mut stage = rt.ts_load_word(t, l.undo_tag.addr())?;
     if stage > ST_FINISH {
         stage = ST_ZERO; // deploy initializes the word to UNDO_EMPTY
     }
-    let mut f = rt.ts_load_word_taped(dev, tape, l.filt.addr())? as u32;
-    op_t(tape, Op::Branch);
+    let mut f = u32::from(rt.ts_load_word(t, l.filt.addr())?);
+    t.op(Op::Branch)?;
 
     while budget > 0 {
         match stage {
             ST_ZERO => {
-                let mut i = rt.ts_load_word_taped(dev, tape, l.idx.addr())? as u32;
+                let mut i = u32::from(rt.ts_load_word(t, l.idx.addr())?);
                 while i < plane && budget > 0 {
-                    iterate(rt, tape, &pats.zero, acc.addr(i), Q15::ZERO);
+                    let a = acc.addr(i);
+                    iterate(
+                        t,
+                        rt,
+                        ZERO,
+                        a,
+                        #[inline(always)]
+                        |t, rt| rt.ts_write(t, a, Q15::ZERO),
+                    )?;
                     i += 1;
                     budget -= 1;
                 }
-                rt.ts_store_word_taped(tape, l.idx.addr(), i as u16);
+                rt.ts_store_word(t, l.idx.addr(), i as u16)?;
                 if i >= plane {
-                    rt.ts_store_word_taped(tape, l.idx.addr(), 0);
-                    rt.ts_store_word_taped(tape, l.pos.addr(), 0);
-                    rt.ts_store_word_taped(tape, l.undo_tag.addr(), ST_ACCUM);
+                    rt.ts_store_word(t, l.idx.addr(), 0)?;
+                    rt.ts_store_word(t, l.pos.addr(), 0)?;
+                    rt.ts_store_word(t, l.undo_tag.addr(), ST_ACCUM)?;
                     stage = ST_ACCUM;
                 }
             }
@@ -242,21 +177,21 @@ fn accum_layer_tiled(
                         sparse: Some((row_ptr, _)),
                         ..
                     } => {
-                        let s = read_t(dev, tape, *row_ptr, f).raw() as u16 as u32;
-                        let e = read_t(dev, tape, *row_ptr, f + 1).raw() as u16 as u32;
+                        let s = t.read(*row_ptr, f)?.raw() as u16 as u32;
+                        let e = t.read(*row_ptr, f + 1)?.raw() as u16 as u32;
                         e - s
                     }
                     _ => ntaps_dense,
                 };
-                let mut pos = rt.ts_load_word_taped(dev, tape, l.pos.addr())? as u32;
-                op_t(tape, Op::Branch);
+                let mut pos = u32::from(rt.ts_load_word(t, l.pos.addr())?);
+                t.op(Op::Branch)?;
                 if pos >= ntaps {
-                    rt.ts_store_word_taped(tape, l.idx.addr(), 0);
-                    rt.ts_store_word_taped(tape, l.undo_tag.addr(), ST_FINISH);
+                    rt.ts_store_word(t, l.idx.addr(), 0)?;
+                    rt.ts_store_word(t, l.undo_tag.addr(), ST_FINISH)?;
                     stage = ST_FINISH;
                     continue;
                 }
-                let mut i = rt.ts_load_word_taped(dev, tape, l.idx.addr())? as u32;
+                let mut i = u32::from(rt.ts_load_word(t, l.idx.addr())?);
                 // Resolve the tap (read-only metadata: direct reads).
                 match &l.kind {
                     DeployedKind::Conv {
@@ -270,21 +205,16 @@ fn accum_layer_tiled(
                         let ow = l.out_shape[2];
                         let (wq, c, ky, kx) = match sparse {
                             Some((row_ptr, taps)) => {
-                                let s = read_t(dev, tape, *row_ptr, f).raw() as u16 as u32;
-                                let off = read_t(dev, tape, *taps, 2 * (s + pos)).raw() as u16;
-                                op_t(tape, Op::Alu);
+                                let s = t.read(*row_ptr, f)?.raw() as u16 as u32;
+                                let off = t.read(*taps, 2 * (s + pos))?.raw() as u16;
+                                t.op(Op::Alu)?;
                                 let (c, ky, kx) = unpack_tap(off, kh, kw);
-                                (read_t(dev, tape, *taps, 2 * (s + pos) + 1), c, ky, kx)
+                                (t.read(*taps, 2 * (s + pos) + 1)?, c, ky, kx)
                             }
                             None => {
                                 let (c, ky, kx) = unpack_tap(pos as u16, kh, kw);
-                                op_t(tape, Op::Alu);
-                                (
-                                    read_t(dev, tape, *weights, f * ntaps_dense + pos),
-                                    c,
-                                    ky,
-                                    kx,
-                                )
+                                t.op(Op::Alu)?;
+                                (t.read(*weights, f * ntaps_dense + pos)?, c, ky, kx)
                             }
                         };
                         // Incremental window index (no per-iteration
@@ -296,9 +226,22 @@ fn accum_layer_tiled(
                             // Activations are task-shared: reads go through
                             // the log-presence check. In-place accumulate
                             // through the redo log.
-                            let x = rt.peek_shared(dev, src.addr(row_base + ox));
-                            let cur = rt.peek_shared(dev, acc.addr(i));
-                            iterate(rt, tape, &pats.body, acc.addr(i), cur + x * wq);
+                            let (a, x_at) = (acc.addr(i), src.addr(row_base + ox));
+                            iterate(
+                                t,
+                                rt,
+                                BODY,
+                                a,
+                                #[inline(always)]
+                                |t, rt| {
+                                    t.op(Op::Alu)?;
+                                    let x = rt.ts_read(t, x_at)?;
+                                    t.op(Op::FxpMul)?;
+                                    t.op(Op::FxpAdd)?;
+                                    let cur = rt.ts_read(t, a)?;
+                                    rt.ts_write(t, a, cur + x * wq)
+                                },
+                            )?;
                             i += 1;
                             budget -= 1;
                             ox += 1;
@@ -310,11 +253,24 @@ fn accum_layer_tiled(
                     }
                     DeployedKind::Dense { dims, weights, .. } => {
                         let in_n = dims[1];
-                        let x = load_t(dev, rt, tape, src.addr(pos))?;
+                        let x = rt.ts_read(t, src.addr(pos))?;
                         while i < plane && budget > 0 {
-                            let wq = dev.prepaid_read(*weights, i * in_n + pos);
-                            let cur = rt.peek_shared(dev, acc.addr(i));
-                            iterate(rt, tape, &pats.body, acc.addr(i), cur + x * wq);
+                            let a = acc.addr(i);
+                            iterate(
+                                t,
+                                rt,
+                                BODY,
+                                a,
+                                #[inline(always)]
+                                |t, rt| {
+                                    t.op(Op::Alu)?;
+                                    let wq = t.read(*weights, i * in_n + pos)?;
+                                    t.op(Op::FxpMul)?;
+                                    t.op(Op::FxpAdd)?;
+                                    let cur = rt.ts_read(t, a)?;
+                                    rt.ts_write(t, a, cur + x * wq)
+                                },
+                            )?;
                             i += 1;
                             budget -= 1;
                         }
@@ -323,10 +279,10 @@ fn accum_layer_tiled(
                 }
                 if i >= plane {
                     pos += 1;
-                    rt.ts_store_word_taped(tape, l.idx.addr(), 0);
-                    rt.ts_store_word_taped(tape, l.pos.addr(), pos as u16);
+                    rt.ts_store_word(t, l.idx.addr(), 0)?;
+                    rt.ts_store_word(t, l.pos.addr(), pos as u16)?;
                 } else {
-                    rt.ts_store_word_taped(tape, l.idx.addr(), i as u16);
+                    rt.ts_store_word(t, l.idx.addr(), i as u16)?;
                 }
             }
             _ => {
@@ -336,33 +292,38 @@ fn accum_layer_tiled(
                     DeployedKind::Dense { bias, shift, .. } => (*bias, *shift),
                     _ => unreachable!(),
                 };
-                let mut i = rt.ts_load_word_taped(dev, tape, l.idx.addr())? as u32;
+                let mut i = u32::from(rt.ts_load_word(t, l.idx.addr())?);
                 while i < plane && budget > 0 {
-                    let partial = Accum::from_q15(rt.peek_shared(dev, acc.addr(i)));
-                    let b = dev.prepaid_read(bias, if is_conv { f } else { i });
-                    let out_idx = if is_conv { f * plane + i } else { i };
-                    let out = finish_acc(partial, shift, b);
-                    iterate(rt, tape, &pats.finish, dst.addr(out_idx), out);
+                    let b_idx = if is_conv { f } else { i };
+                    let out = dst.addr(if is_conv { f * plane + i } else { i });
+                    iterate(
+                        t,
+                        rt,
+                        FINISH,
+                        out,
+                        #[inline(always)]
+                        |t, rt| finish(t, rt, acc.addr(i), bias, b_idx, shift, out),
+                    )?;
                     i += 1;
                     budget -= 1;
                 }
                 if i >= plane {
                     f += 1;
-                    rt.ts_store_word_taped(tape, l.idx.addr(), 0);
-                    op_t(tape, Op::Branch);
+                    rt.ts_store_word(t, l.idx.addr(), 0)?;
+                    t.op(Op::Branch)?;
                     if f >= nf {
                         // Layer done: reset everything for the next
                         // inference and move on.
-                        rt.ts_store_word_taped(tape, l.filt.addr(), 0);
-                        rt.ts_store_word_taped(tape, l.pos.addr(), 0);
-                        rt.ts_store_word_taped(tape, l.undo_tag.addr(), ST_ZERO);
+                        rt.ts_store_word(t, l.filt.addr(), 0)?;
+                        rt.ts_store_word(t, l.pos.addr(), 0)?;
+                        rt.ts_store_word(t, l.undo_tag.addr(), ST_ZERO)?;
                         return Ok(next);
                     }
-                    rt.ts_store_word_taped(tape, l.filt.addr(), f as u16);
-                    rt.ts_store_word_taped(tape, l.undo_tag.addr(), ST_ZERO);
+                    rt.ts_store_word(t, l.filt.addr(), f as u16)?;
+                    rt.ts_store_word(t, l.undo_tag.addr(), ST_ZERO)?;
                     stage = ST_ZERO;
                 } else {
-                    rt.ts_store_word_taped(tape, l.idx.addr(), i as u16);
+                    rt.ts_store_word(t, l.idx.addr(), i as u16)?;
                 }
             }
         }
@@ -373,10 +334,8 @@ fn accum_layer_tiled(
 /// Sparse FC under Alpaca: the in-place scatter with every access logged.
 #[allow(clippy::too_many_arguments)]
 fn sparse_dense_tiled(
-    dev: &mut Device,
+    t: &mut Taped<'_>,
     rt: &mut AlpacaRt,
-    tape: &mut Tape,
-    pats: &LayerPatterns,
     m: &DeployedModel,
     l: &DeployedLayer,
     self_id: usize,
@@ -393,82 +352,124 @@ fn sparse_dense_tiled(
     else {
         unreachable!("sparse dense on non-dense")
     };
-    let (col_ptr, entries) = &sparse.as_ref().expect("sparse layer").cols;
+    let (col_ptr, entries) = sparse.as_ref().expect("sparse layer").cols;
     let [out_n, _in_n] = *dims;
     let nnz = entries.len() / 2;
     let acc = m.plane_a;
     let src = m.buf(l.src);
     let dst = m.buf(l.dst);
 
-    dev.set_context(l.region, Phase::Kernel);
     let mut budget = tile;
-    let mut stage = rt.ts_load_word_taped(dev, tape, l.undo_tag.addr())?;
+    let mut stage = rt.ts_load_word(t, l.undo_tag.addr())?;
     if stage > ST_FINISH {
         stage = ST_ZERO; // deploy initializes the word to UNDO_EMPTY
     }
-    op_t(tape, Op::Branch);
+    t.op(Op::Branch)?;
     Ok(match stage {
         ST_ZERO => {
-            let mut i = rt.ts_load_word_taped(dev, tape, l.idx.addr())? as u32;
+            let mut i = u32::from(rt.ts_load_word(t, l.idx.addr())?);
             while i < out_n && budget > 0 {
-                iterate(rt, tape, &pats.zero, acc.addr(i), Q15::ZERO);
+                let a = acc.addr(i);
+                iterate(
+                    t,
+                    rt,
+                    ZERO,
+                    a,
+                    #[inline(always)]
+                    |t, rt| rt.ts_write(t, a, Q15::ZERO),
+                )?;
                 i += 1;
                 budget -= 1;
             }
             if i >= out_n {
-                rt.ts_store_word_taped(tape, l.idx.addr(), 0);
-                rt.ts_store_word_taped(tape, l.pos.addr(), 0);
-                rt.ts_store_word_taped(tape, l.undo_tag.addr(), ST_ACCUM);
+                rt.ts_store_word(t, l.idx.addr(), 0)?;
+                rt.ts_store_word(t, l.pos.addr(), 0)?;
+                rt.ts_store_word(t, l.undo_tag.addr(), ST_ACCUM)?;
             } else {
-                rt.ts_store_word_taped(tape, l.idx.addr(), i as u16);
+                rt.ts_store_word(t, l.idx.addr(), i as u16)?;
             }
             Transition::To(self_id)
         }
         ST_ACCUM => {
-            let mut k = rt.ts_load_word_taped(dev, tape, l.idx.addr())? as u32;
-            let mut j = rt.ts_load_word_taped(dev, tape, l.pos.addr())? as u32;
-            let mut x = load_t(dev, rt, tape, src.addr(j.min(dims[1] - 1)))?;
+            let mut k = u32::from(rt.ts_load_word(t, l.idx.addr())?);
+            let mut j = u32::from(rt.ts_load_word(t, l.pos.addr())?);
+            let mut x = rt.ts_read(t, src.addr(j.min(dims[1] - 1)))?;
             while k < nnz && budget > 0 {
-                tape.ops.repeat(pats.head, 1);
-                let j0 = j;
-                while (dev.prepaid_read(*col_ptr, j + 1).raw() as u16 as u32) <= k {
-                    j += 1;
-                    x = rt.peek_shared(dev, src.addr(j));
+                // The loop test and the column-pointer check, then per
+                // column moved on: the next column's activation and the
+                // check again.
+                let mut end = t.iterate(
+                    HEAD,
+                    #[inline(always)]
+                    |t| {
+                        t.op(Op::Branch)?;
+                        t.read(col_ptr, j + 1)
+                    },
+                )?;
+                while (end.raw() as u16 as u32) <= k {
+                    end = t.iterate(
+                        ADVANCE,
+                        #[inline(always)]
+                        |t| {
+                            t.op(Op::Incr)?;
+                            j += 1;
+                            x = rt.ts_read(t, src.addr(j))?;
+                            t.read(col_ptr, j + 1)
+                        },
+                    )?;
                 }
-                tape.ops.repeat(pats.advance, u64::from(j - j0));
-                let o = dev.prepaid_read(*entries, 2 * k).raw() as u16 as u32;
-                let wq = dev.prepaid_read(*entries, 2 * k + 1);
-                let cur = rt.peek_shared(dev, acc.addr(o));
-                iterate(rt, tape, &pats.body, acc.addr(o), cur + x * wq);
+                // Entry row + weight reads, then the in-place accumulate.
+                let row = |d: &Device| d.peek_at(entries.addr(2 * k)).raw() as u16 as u32;
+                let a = acc.addr(row(t.device()));
+                iterate(
+                    t,
+                    rt,
+                    BODY,
+                    a,
+                    #[inline(always)]
+                    |t, rt| {
+                        let a = acc.addr(t.read(entries, 2 * k)?.raw() as u16 as u32);
+                        let wq = t.read(entries, 2 * k + 1)?;
+                        t.op(Op::FxpMul)?;
+                        t.op(Op::FxpAdd)?;
+                        let cur = rt.ts_read(t, a)?;
+                        rt.ts_write(t, a, cur + x * wq)
+                    },
+                )?;
                 k += 1;
                 budget -= 1;
             }
-            rt.ts_store_word_taped(tape, l.pos.addr(), j as u16);
+            rt.ts_store_word(t, l.pos.addr(), j as u16)?;
             if k >= nnz {
-                rt.ts_store_word_taped(tape, l.idx.addr(), 0);
-                rt.ts_store_word_taped(tape, l.undo_tag.addr(), ST_FINISH);
+                rt.ts_store_word(t, l.idx.addr(), 0)?;
+                rt.ts_store_word(t, l.undo_tag.addr(), ST_FINISH)?;
             } else {
-                rt.ts_store_word_taped(tape, l.idx.addr(), k as u16);
+                rt.ts_store_word(t, l.idx.addr(), k as u16)?;
             }
             Transition::To(self_id)
         }
         _ => {
-            let mut o = rt.ts_load_word_taped(dev, tape, l.idx.addr())? as u32;
+            let mut o = u32::from(rt.ts_load_word(t, l.idx.addr())?);
             while o < out_n && budget > 0 {
-                let partial = Accum::from_q15(rt.peek_shared(dev, acc.addr(o)));
-                let b = dev.prepaid_read(*bias, o);
-                let out = finish_acc(partial, *shift, b);
-                iterate(rt, tape, &pats.finish, dst.addr(o), out);
+                let out = dst.addr(o);
+                iterate(
+                    t,
+                    rt,
+                    FINISH,
+                    out,
+                    #[inline(always)]
+                    |t, rt| finish(t, rt, acc.addr(o), *bias, o, *shift, out),
+                )?;
                 o += 1;
                 budget -= 1;
             }
             if o >= out_n {
-                rt.ts_store_word_taped(tape, l.idx.addr(), 0);
-                rt.ts_store_word_taped(tape, l.pos.addr(), 0);
-                rt.ts_store_word_taped(tape, l.undo_tag.addr(), ST_ZERO);
+                rt.ts_store_word(t, l.idx.addr(), 0)?;
+                rt.ts_store_word(t, l.pos.addr(), 0)?;
+                rt.ts_store_word(t, l.undo_tag.addr(), ST_ZERO)?;
                 next
             } else {
-                rt.ts_store_word_taped(tape, l.idx.addr(), o as u16);
+                rt.ts_store_word(t, l.idx.addr(), o as u16)?;
                 Transition::To(self_id)
             }
         }
@@ -476,81 +477,84 @@ fn sparse_dense_tiled(
 }
 
 /// Pool/ReLU under Alpaca: tiled loops with logged writes.
-#[allow(clippy::too_many_arguments)]
 fn map_layer_tiled(
-    dev: &mut Device,
+    t: &mut Taped<'_>,
     rt: &mut AlpacaRt,
-    tape: &mut Tape,
-    pats: &LayerPatterns,
     m: &DeployedModel,
     l: &DeployedLayer,
     self_id: usize,
     next: Transition,
     tile: u32,
 ) -> Result<Transition, PowerFailure> {
-    dev.set_context(l.region, Phase::Kernel);
     let mut budget = tile;
-    let mut i = rt.ts_load_word_taped(dev, tape, l.idx.addr())? as u32;
-    Ok(match l.kind {
+    let mut i = u32::from(rt.ts_load_word(t, l.idx.addr())?);
+    let total = match l.kind {
         DeployedKind::Pool { kh, kw } => {
             let [c, h, w] = l.in_shape;
             let [_, oh, ow] = l.out_shape;
             let src = m.buf(l.src);
             let dst = m.buf(l.dst);
-            let total = c * oh * ow;
-            while i < total && budget > 0 {
+            while i < c * oh * ow && budget > 0 {
                 let ch = i / (oh * ow);
                 let oy = (i / ow) % oh;
                 let ox = i % ow;
-                let mut best = Q15::MIN;
-                for py in 0..kh {
-                    for px in 0..kw {
-                        let v = dev.prepaid_read(src, (ch * h + oy * kh + py) * w + ox * kw + px);
-                        if v > best {
-                            best = v;
+                iterate(
+                    t,
+                    rt,
+                    BODY,
+                    dst.addr(i),
+                    #[inline(always)]
+                    |t, rt| {
+                        let mut best = Q15::MIN;
+                        for py in 0..kh {
+                            for px in 0..kw {
+                                t.op(Op::Alu)?;
+                                let v = t.read(src, (ch * h + oy * kh + py) * w + ox * kw + px)?;
+                                t.op(Op::Branch)?;
+                                best = best.max(v);
+                            }
                         }
-                    }
-                }
-                iterate(rt, tape, &pats.body, dst.addr(i), best);
+                        rt.ts_write(t, dst.addr(i), best)
+                    },
+                )?;
                 i += 1;
                 budget -= 1;
             }
-            finish_map(rt, tape, l, i, total, self_id, next)
+            c * oh * ow
         }
         DeployedKind::Relu => {
             let [c, h, w] = l.in_shape;
             let buf = m.buf(l.src);
-            let total = c * h * w;
-            while i < total && budget > 0 {
+            while i < c * h * w && budget > 0 {
                 // Read-then-write of the same location: both sides go
                 // through the log (the WAR pair Alpaca exists for).
-                let v = rt.peek_shared(dev, buf.addr(i));
-                iterate(rt, tape, &pats.body, buf.addr(i), v.relu());
+                let a = buf.addr(i);
+                iterate(
+                    t,
+                    rt,
+                    BODY,
+                    a,
+                    #[inline(always)]
+                    |t, rt| {
+                        let v = rt.ts_read(t, a)?;
+                        t.op(Op::Branch)?;
+                        rt.ts_write(t, a, v.relu())
+                    },
+                )?;
                 i += 1;
                 budget -= 1;
             }
-            finish_map(rt, tape, l, i, total, self_id, next)
+            c * h * w
         }
-        DeployedKind::Flatten => next,
+        DeployedKind::Flatten => return Ok(next),
         _ => unreachable!("map layer on accum kind"),
-    })
-}
-
-fn finish_map(
-    rt: &mut AlpacaRt,
-    tape: &mut Tape,
-    l: &DeployedLayer,
-    i: u32,
-    total: u32,
-    self_id: usize,
-    next: Transition,
-) -> Transition {
+    };
     if i >= total {
-        rt.ts_store_word_taped(tape, l.idx.addr(), 0);
-        next
+        rt.ts_store_word(t, l.idx.addr(), 0)?;
+        Ok(next)
     } else {
-        rt.ts_store_word_taped(tape, l.idx.addr(), i as u16);
-        Transition::To(self_id)
+        rt.ts_store_word(t, l.idx.addr(), i as u16)?;
+        Ok(Transition::To(self_id))
     }
 }
 
@@ -559,7 +563,7 @@ pub fn build(m: &DeployedModel, tile: u32) -> TaskGraph<AlpacaRt> {
     assert!(tile > 0, "tile must be positive");
     let mut g: TaskGraph<AlpacaRt> = TaskGraph::new();
     let n = m.layers.len();
-    for (li, l) in m.layers.iter().enumerate() {
+    for li in 0..n {
         let self_id = li;
         let next = if li + 1 < n {
             Transition::To(li + 1)
@@ -568,37 +572,24 @@ pub fn build(m: &DeployedModel, tile: u32) -> TaskGraph<AlpacaRt> {
         };
         let m = m.clone();
         let name = format!("tile{tile}-layer{li}");
-        let kind_tag = match l.kind {
-            DeployedKind::Conv { .. } => 0u8,
-            DeployedKind::Dense { .. } => 1,
-            _ => 2,
-        };
-        // The layer's tape, reused body after body: its capacity and
-        // registered patterns persist.
-        let mut tape = Tape::new();
-        let pats = LayerPatterns::new(l, &mut tape.ops);
+        // The layer's iteration shapes, recorded once and kept from body
+        // to body.
+        let mut sites: [Site; SHAPES] = Default::default();
         g.add(&name, move |dev, rt| {
             let l = &m.layers[li];
-            // The body executes host-side, recording its op sequence;
-            // the settle below charges it (or replays it scalar-wise to
-            // the exact brown-out op on a shortfall).
-            tape.ops.clear();
-            let p = &pats;
-            let t = match (kind_tag, &l.kind) {
-                (0, _) => {
-                    accum_layer_tiled(dev, rt, &mut tape, p, &m, l, self_id, next, tile, true)
+            dev.set_context(l.region, Phase::Kernel);
+            dev.run_tape(&mut sites, |t| match &l.kind {
+                DeployedKind::Conv { .. } => {
+                    accum_layer_tiled(t, rt, &m, l, self_id, next, tile, true)
                 }
-                (1, DeployedKind::Dense { sparse, .. }) => {
-                    if sparse.is_some() {
-                        sparse_dense_tiled(dev, rt, &mut tape, p, &m, l, self_id, next, tile)
-                    } else {
-                        accum_layer_tiled(dev, rt, &mut tape, p, &m, l, self_id, next, tile, false)
-                    }
+                DeployedKind::Dense {
+                    sparse: Some(_), ..
+                } => sparse_dense_tiled(t, rt, &m, l, self_id, next, tile),
+                DeployedKind::Dense { .. } => {
+                    accum_layer_tiled(t, rt, &m, l, self_id, next, tile, false)
                 }
-                _ => map_layer_tiled(dev, rt, &mut tape, p, &m, l, self_id, next, tile),
-            };
-            dev.consume_tape(&tape.ops)?;
-            t
+                _ => map_layer_tiled(t, rt, &m, l, self_id, next, tile),
+            })
         });
     }
     if n == 0 {

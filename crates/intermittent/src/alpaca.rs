@@ -24,13 +24,15 @@
 //!
 //! # Host-side cost
 //!
-//! The simulator pays none of these costs per access. Task bodies run
-//! host-side against the redo log and record their ops on a [`Tape`]
-//! that settles in one charge (see `core::tiled`). The log's slot index
-//! is generation-stamped: a lookup is two indexed loads and clearing the
-//! log is O(1). And the scheduler's whole commit sequence — the flag raise, the
-//! fixed bookkeeping, the walk over the log, the task transition and the
-//! flag lower — settles in one funded charge
+//! The simulator pays none of these costs per access. Every access is
+//! written once, against [`Meter`]: on a [`Device`] it charges op by op,
+//! and in a taped task body ([`Device::run_tape`], see `core::tiled`) it
+//! records its ops, so the body runs host-side against the redo log and
+//! settles in one charge. The log's slot index is generation-stamped: a
+//! lookup is two indexed loads and clearing the log is O(1). And the
+//! scheduler's whole commit sequence — the flag raise, the fixed
+//! bookkeeping, the walk over the log, the task transition and the flag
+//! lower — settles in one funded charge
 //! ([`RuntimeCtx::commit_transition`], [`Device::fund_whole`]) whenever
 //! no op of it can brown out, meet an armed fault or detect corruption;
 //! otherwise it runs op by op, exactly as the device would.
@@ -38,8 +40,7 @@
 use crate::task::{RuntimeCtx, TaskGraph, TaskId, Transition};
 use fxp::Q15;
 use mcu::{
-    AllocError, Device, FramWord, NvAddr, Op, OpBundle, OpTape, PatternId, Phase, PowerFailure,
-    Site, Step,
+    AllocError, BundleOp, Device, FramWord, Meter, NvAddr, Op, Phase, PowerFailure, Site, Step,
 };
 
 /// A redo-log entry: the home address, the privatized value, and a
@@ -87,15 +88,31 @@ pub const LOOKUP_READS: u64 = 2;
 /// ALU ops per log-presence check (hashing + compares).
 pub const LOOKUP_ALU: u64 = 4;
 
-/// The ops of one log-presence check: bucket reads plus hashing/compares.
-const LOOKUP_OPS: [(Op, u64); 2] = [(Op::FramRead, LOOKUP_READS), (Op::Alu, LOOKUP_ALU)];
+/// The ops of a task-shared read: the log-presence check (bucket reads
+/// plus hashing and compares), then the log entry's read on a hit or the
+/// home read on a miss.
+const READ: [(Op, u64); 3] = [
+    (Op::FramRead, LOOKUP_READS),
+    (Op::Alu, LOOKUP_ALU),
+    (Op::FramRead, 1),
+];
 
-/// The ops a write adds after its presence check, indexed by whether it
-/// appends: an update touches the value and dirty words, an append
-/// creates the whole entry.
-const WRITE_OPS: [[(Op, u64); 2]; 2] = [
-    [(Op::FramWrite, 2), (Op::Alu, 1)],
-    [(Op::FramWrite, LOG_ENTRY_WORDS), (Op::Alu, LOOKUP_ALU)],
+/// The ops of a task-shared write that updates its entry: the presence
+/// check, then the value and dirty words.
+const UPDATE: [(Op, u64); 4] = [
+    (Op::FramRead, LOOKUP_READS),
+    (Op::Alu, LOOKUP_ALU),
+    (Op::FramWrite, 2),
+    (Op::Alu, 1),
+];
+
+/// The ops of a task-shared write that appends an entry: the presence
+/// check, then the whole entry.
+const APPEND: [(Op, u64); 4] = [
+    (Op::FramRead, LOOKUP_READS),
+    (Op::Alu, LOOKUP_ALU),
+    (Op::FramWrite, LOG_ENTRY_WORDS),
+    (Op::Alu, LOOKUP_ALU),
 ];
 
 /// Per-task commit bookkeeping: Alpaca privatizes task-local scalars at
@@ -115,11 +132,6 @@ const COMMIT_FIXED: [(Op, u64); 3] = [
     (Op::FramWrite, COMMIT_FIXED_WRITES),
     (Op::FramRead, COMMIT_FIXED_READS),
 ];
-
-/// The ops of one commit-walk entry, in charge order: the entry read
-/// (address + value), the home write, the list cursor and canonical
-/// update.
-const WALK_ENTRY: [(Op, u64); 3] = [(Op::FramRead, 2), (Op::FramWrite, 1), (Op::Incr, 2)];
 
 /// The Alpaca-style runtime context: redo log plus commit protocol.
 ///
@@ -152,6 +164,9 @@ pub struct AlpacaRt {
     /// commit may run under (recorded once per runtime; commits happen
     /// every task transition).
     commit_entry: [Site; 2],
+    /// The address [`AlpacaRt::appends`] last looked up, with its log
+    /// slot: the write that follows reuses the lookup.
+    named: Option<(NvAddr, Option<usize>)>,
 }
 
 impl AlpacaRt {
@@ -174,6 +189,7 @@ impl AlpacaRt {
             committing: false,
             flag_lower_pending: false,
             commit_entry: Default::default(),
+            named: None,
         })
     }
 
@@ -242,19 +258,28 @@ impl AlpacaRt {
         ((cell >> 32) as u32 == self.generation).then_some(cell as u32 as usize)
     }
 
-    /// Privatizes `v` at `addr` into the log, host-side. Returns `true`
-    /// when this appended a new entry and `false` when it updated an
-    /// existing one: the choice between the two [`AlpacaRt::write_ops`]
-    /// sequences the write is charged.
-    pub fn privatize(&mut self, addr: NvAddr, v: Q15) -> bool {
+    /// `true` when a task-shared write of `addr` would append a log entry,
+    /// `false` when it would update one: which of its two op sequences
+    /// the write charges.
+    #[inline]
+    pub fn appends(&mut self, addr: NvAddr) -> bool {
+        let slot = self.find(addr);
+        self.named = Some((addr, slot));
+        slot.is_none()
+    }
+
+    /// Privatizes `v` at `addr` into the log, host-side, given the log
+    /// slot of `addr`'s entry if it has one.
+    #[inline]
+    fn privatize(&mut self, slot: Option<usize>, addr: NvAddr, v: Q15) {
         let e = LogEntry {
             addr,
             v,
             ck: log_ck(addr, v),
         };
-        if let Some(k) = self.find(addr) {
+        if let Some(k) = slot {
             self.log[k] = e;
-            return false;
+            return;
         }
         let a = addr.index();
         let p = (a >> SLOT_PAGE_BITS) as usize;
@@ -265,23 +290,12 @@ impl AlpacaRt {
         page[(a & ((1 << SLOT_PAGE_BITS) - 1)) as usize] =
             u64::from(self.generation) << 32 | self.log.len() as u64;
         self.log.push(e);
-        true
-    }
-
-    /// The value a task-shared read of `addr` sees, host-side: the
-    /// privatized value on a log hit, the home word otherwise. The
-    /// caller charges the read ([`AlpacaRt::read_ops`]).
-    #[inline]
-    pub fn peek_shared(&self, dev: &Device, addr: NvAddr) -> Q15 {
-        match self.find(addr) {
-            Some(k) => self.log[k].v,
-            None => dev.peek_at(addr),
-        }
     }
 
     /// Empties the log: a new generation retires every slot-index cell.
     fn clear_log(&mut self) {
         self.log.clear();
+        self.named = None;
         self.generation = self.generation.wrapping_add(1);
         if self.generation == 0 {
             self.slot.clear();
@@ -300,126 +314,48 @@ impl AlpacaRt {
         Err(PowerFailure)
     }
 
-    // ----- taped access (bundled accounting) ---------------------------
-    //
-    // An Alpaca task body has NO durable side effects before commit: its
-    // writes privatize into the (host-side) redo log, which a body-time
-    // power failure discards anyway. That makes the body eligible for op
-    // *taping*: it executes host-side, recording the exact op sequence it
-    // would have consumed, and settles the tape in one step at the end
-    // ([`Device::consume_tape`]) — with an op-by-op replay when the
-    // buffer cannot cover it, so a brown-out charges exactly the scalar
-    // prefix. Loops with a fixed per-iteration sequence record one
-    // pattern repeat per iteration, built from [`AlpacaRt::read_ops`] and
-    // [`AlpacaRt::write_ops`] around the host-side [`AlpacaRt::peek_shared`]
-    // and [`AlpacaRt::privatize`]; the per-body control-word accesses
-    // below record repeats of the same read and write patterns, which
-    // every [`Tape`] registers when it is made. Taped accesses record at
-    // the kernel phase, matching the tiled kernels that use them.
-
-    /// Appends the kernel-phase ops of one task-shared read (presence
-    /// check, then the log-entry read on a hit or the home read on a
-    /// miss: one FRAM read either way) to an iteration pattern.
-    pub fn read_ops(b: &mut OpBundle) {
-        for (op, n) in LOOKUP_OPS {
-            b.push_n(op, Phase::Kernel, n);
-        }
-        b.push(Op::FramRead, Phase::Kernel);
-    }
-
-    /// Appends the kernel-phase ops of one task-shared write (presence
-    /// check, then the entry append or update) to an iteration pattern.
-    pub fn write_ops(b: &mut OpBundle, append: bool) {
-        for (op, n) in LOOKUP_OPS.into_iter().chain(WRITE_OPS[append as usize]) {
-            b.push_n(op, Phase::Kernel, n);
-        }
-    }
-
-    /// Taped [`AlpacaRt::ts_load_word`], with the ECC read check the
-    /// scalar path performs in [`AlpacaRt::ts_read`]: control words
-    /// (loop indices, stage tags) load through here, and a corrupted
-    /// home word must be caught before its value steers a task. The
-    /// check itself is free — the controller verifies check bits inside
-    /// the read already on the tape — while a scrub write is real,
-    /// metered work (recorded on the tape, landed eagerly like the
-    /// log: it restores the last durable value, so a failed settle
-    /// re-executes the body against an identical home).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PowerFailure`] when corruption is detected and the
-    /// device's retry budget is exhausted.
-    pub fn ts_load_word_taped(
-        &mut self,
-        dev: &mut Device,
-        tape: &mut Tape,
-        addr: NvAddr,
-    ) -> Result<u16, PowerFailure> {
-        tape.ops.repeat(tape.read, 1);
-        if let Some(k) = self.find(addr) {
-            return Ok(self.log[k].v.raw() as u16);
-        }
-        let v = dev.peek_at(addr);
-        if dev.verify_at(addr) {
-            return Ok(v.raw() as u16);
-        }
-        let region = dev.context().0;
-        if !dev.note_corruption(region) {
-            return Err(PowerFailure);
-        }
-        let fixed = dev
-            .guarded_intended(addr)
-            .expect("a flagged word is guarded");
-        tape.ops.push(Op::FramWrite, Phase::Kernel);
-        dev.prepaid_write_at(addr, Q15::from_raw(fixed as i16));
-        Ok(fixed)
-    }
-
-    /// Taped [`AlpacaRt::ts_store_word`]: privatizes eagerly (a failed
-    /// settle discards the log on restart, like the scalar path) and
-    /// records the append or update.
-    pub fn ts_store_word_taped(&mut self, tape: &mut Tape, addr: NvAddr, v: u16) {
-        let append = self.privatize(addr, Q15::from_raw(v as i16));
-        tape.ops.repeat(tape.write[usize::from(append)], 1);
-    }
-
-    fn charge_lookup(dev: &mut Device) -> Result<(), PowerFailure> {
-        for (op, n) in LOOKUP_OPS {
-            dev.consume_n(op, n)?;
-        }
-        Ok(())
-    }
-
     /// Reads a task-shared word: log hit returns the privatized value,
     /// miss falls through to the home location. A home read of a
     /// guarded word is ECC-checked: divergence is scrubbed back to the
     /// intended value (a metered write) under the device's bounded
-    /// corruption-retry budget.
+    /// corruption-retry budget. The check itself is free — the
+    /// controller verifies check bits inside the read.
+    ///
+    /// Through a [`mcu::Taped`] handle the read returns the value at once
+    /// and a scrub lands at once: it restores the word's last durable
+    /// value, so a body whose settle fails re-executes against an
+    /// identical home.
     ///
     /// # Errors
     ///
     /// Returns [`PowerFailure`] on brown-out, or when corruption is
     /// detected and the retry budget is exhausted.
-    pub fn ts_read(&mut self, dev: &mut Device, addr: NvAddr) -> Result<Q15, PowerFailure> {
-        Self::charge_lookup(dev)?;
+    #[inline(always)]
+    pub fn ts_read<M: Meter>(&mut self, m: &mut M, addr: NvAddr) -> Result<Q15, PowerFailure> {
+        m.ops(&READ)?;
         if let Some(k) = self.find(addr) {
-            dev.consume(Op::FramRead)?; // the log entry itself
             return Ok(self.log[k].v);
         }
-        let v = dev.read_at(addr)?;
-        if dev.verify_at(addr) {
+        let v = m.device().peek_at(addr);
+        if m.device().verify_at(addr) {
             return Ok(v);
         }
-        let region = dev.context().0;
-        if !dev.note_corruption(region) {
+        let region = m.device().context().0;
+        if !m.note_corruption(region) {
             return Err(PowerFailure);
         }
-        let fixed = Q15::from_raw(
+        let fixed = Self::intended(m.device(), addr);
+        m.write_at(addr, fixed)?;
+        Ok(fixed)
+    }
+
+    /// The value ECC correction restores a flagged word to.
+    #[cold]
+    fn intended(dev: &Device, addr: NvAddr) -> Q15 {
+        Q15::from_raw(
             dev.guarded_intended(addr)
                 .expect("a flagged word is guarded") as i16,
-        );
-        dev.write_at(addr, fixed)?;
-        Ok(fixed)
+        )
     }
 
     /// Writes a task-shared word into the redo log (privatization). The
@@ -430,12 +366,19 @@ impl AlpacaRt {
     /// Returns [`PowerFailure`] on brown-out; on failure partway through
     /// the append the entry is not recorded (the log is discarded on
     /// restart anyway).
-    pub fn ts_write(&mut self, dev: &mut Device, addr: NvAddr, v: Q15) -> Result<(), PowerFailure> {
-        Self::charge_lookup(dev)?;
-        for (op, n) in WRITE_OPS[self.find(addr).is_none() as usize] {
-            dev.consume_n(op, n)?;
-        }
-        self.privatize(addr, v);
+    #[inline(always)]
+    pub fn ts_write<M: Meter>(
+        &mut self,
+        m: &mut M,
+        addr: NvAddr,
+        v: Q15,
+    ) -> Result<(), PowerFailure> {
+        let slot = match self.named.take() {
+            Some((a, slot)) if a == addr => slot,
+            _ => self.find(addr),
+        };
+        m.ops(if slot.is_none() { &APPEND } else { &UPDATE })?;
+        self.privatize(slot, addr, v);
         Ok(())
     }
 
@@ -444,8 +387,9 @@ impl AlpacaRt {
     /// # Errors
     ///
     /// Returns [`PowerFailure`] on brown-out.
-    pub fn ts_load_word(&mut self, dev: &mut Device, addr: NvAddr) -> Result<u16, PowerFailure> {
-        Ok(self.ts_read(dev, addr)?.raw() as u16)
+    #[inline(always)]
+    pub fn ts_load_word<M: Meter>(&mut self, m: &mut M, addr: NvAddr) -> Result<u16, PowerFailure> {
+        Ok(self.ts_read(m, addr)?.raw() as u16)
     }
 
     /// Writes a task-shared 16-bit counter into the redo log.
@@ -453,13 +397,14 @@ impl AlpacaRt {
     /// # Errors
     ///
     /// Returns [`PowerFailure`] on brown-out.
-    pub fn ts_store_word(
+    #[inline(always)]
+    pub fn ts_store_word<M: Meter>(
         &mut self,
-        dev: &mut Device,
+        m: &mut M,
         addr: NvAddr,
         v: u16,
     ) -> Result<(), PowerFailure> {
-        self.ts_write(dev, addr, Q15::from_raw(v as i16))
+        self.ts_write(m, addr, Q15::from_raw(v as i16))
     }
 
     // ----- the one-charge commit ---------------------------------------
@@ -467,12 +412,13 @@ impl AlpacaRt {
     /// The scheduler's whole commit sequence — the flag raise, the fixed
     /// bookkeeping, the walk, the task transition and the flag lower —
     /// in one funding decision and one trace charge
-    /// ([`Device::fund_whole`]), with the flag and the homes landed
-    /// host-side. Taken only when the ordered path would detect nothing
-    /// (the flag verifies and every entry's checksum holds) and the
-    /// device funds the whole sequence, so it leaves exactly the state,
-    /// trace and op counter the ordered path would. Returns `false`,
-    /// having done nothing, otherwise.
+    /// ([`Device::fund_whole`]), which also lands the flag and the homes.
+    /// The walk charges its recorded bundle once per log entry. Taken
+    /// only when the ordered path would detect nothing (the flag verifies
+    /// and every entry's checksum holds) and the device funds the whole
+    /// sequence, so it leaves exactly the state, trace and op counter the
+    /// ordered path would. Returns `false`, having done nothing,
+    /// otherwise.
     ///
     /// A walk runs through the ordered path until its site has recorded
     /// its bundle, as it would with no one-charge commit: how much of a
@@ -480,147 +426,42 @@ impl AlpacaRt {
     /// whether the walk was funded.
     fn commit_whole(&mut self, dev: &mut Device) -> bool {
         let n = self.log.len() as u64;
-        let site = &self.commit_entry[usize::from(dev.context().1 == Phase::Control)];
-        if n > 0
-            && (site.bundle().is_none()
-                || !dev.verify_word(self.commit_flag)
-                || !self.log.iter().all(LogEntry::verifies))
-        {
-            return false;
-        }
+        let phase = dev.context().1;
         // An empty log commits nothing: the transition and the lower.
-        let mut ops = [
-            (Op::TaskTransition, 1),
-            (Op::FramWrite, 1),
-            (Op::Alu, 0),
-            (Op::FramRead, 0),
-            (Op::Incr, 0),
-        ];
+        let (mut fixed, mut walk): (&[_], &[BundleOp]) = (&[], &[]);
         if n > 0 {
-            let mut add = |op, k| {
-                ops.iter_mut().find(|e| e.0 == op).expect("listed").1 += k;
+            let site = &self.commit_entry[usize::from(phase == Phase::Control)];
+            let Some(entry) = site.bundle() else {
+                return false;
             };
-            add(Op::FramWrite, 1); // the flag raise
-            for (op, k) in COMMIT_FIXED {
-                add(op, k);
+            if !dev.verify_word(self.commit_flag) || !self.log.iter().all(LogEntry::verifies) {
+                return false;
             }
-            for (op, k) in WALK_ENTRY {
-                add(op, k * n);
-            }
+            // `fund_whole` charges at the commit's phase; the ordered walk
+            // at each entry's own.
+            debug_assert!(entry.ops().iter().all(|e| e.phase == phase));
+            (fixed, walk) = (&COMMIT_FIXED, entry.ops());
         }
-        #[cfg(debug_assertions)]
-        let before = Counters::take(dev);
-        if !dev.fund_whole(&ops) {
+        let ops = [
+            (Op::TaskTransition, 1),
+            (Op::FramWrite, 1 + u64::from(n > 0)),
+        ]
+        .into_iter()
+        .chain(fixed.iter().copied())
+        .chain(walk.iter().map(|e| (e.op, e.count * n)));
+        let flag = self.commit_flag.addr();
+        let raise = (n > 0).then_some((flag, Q15::from_raw(1)));
+        let homes = self.log.iter().map(|e| (e.addr, e.v));
+        if !dev.fund_whole(
+            ops,
+            raise.into_iter().chain(homes).chain([(flag, Q15::ZERO)]),
+        ) {
             return false;
         }
-        #[cfg(debug_assertions)]
-        before.check(dev, &self.ordered_sequence(dev.context().1));
-        let flag = self.commit_flag.addr();
-        if n > 0 {
-            dev.prepaid_write_at(flag, Q15::from_raw(1));
-            for e in &self.log {
-                dev.prepaid_write_at(e.addr, e.v);
-            }
-        }
-        dev.prepaid_write_at(flag, Q15::ZERO);
         self.flag_lower_pending = false;
         self.clear_log();
         self.committing = false;
         true
-    }
-
-    /// Debug builds: the ordered commit sequence at `phase`, op by op, as
-    /// the scheduler's default [`RuntimeCtx::commit_transition`] charges
-    /// it, each walk entry from the walk's recorded bundle.
-    #[cfg(debug_assertions)]
-    fn ordered_sequence(&self, phase: Phase) -> OpBundle {
-        let mut seq = OpBundle::new();
-        if !self.log.is_empty() {
-            seq.push(Op::FramWrite, phase); // the flag raise
-            for (op, k) in COMMIT_FIXED {
-                seq.push_n(op, phase, k);
-            }
-            let site = &self.commit_entry[usize::from(phase == Phase::Control)];
-            let entry = site
-                .bundle()
-                .expect("a one-charge walk has a recorded bundle");
-            for _ in &self.log {
-                for e in entry.ops() {
-                    seq.push_n(e.op, e.phase, e.count);
-                }
-            }
-        }
-        seq.push(Op::TaskTransition, phase);
-        seq.push(Op::FramWrite, phase); // the flag lower
-        seq
-    }
-}
-
-/// Debug builds: the device's charge counters before a one-charge commit,
-/// to check it against the ordered sequence (as `Device::fund_run`
-/// checks a funded run against its iterations one by one).
-#[cfg(debug_assertions)]
-struct Counters {
-    ops: u64,
-    charge_pj: u64,
-    /// Per `(phase, op)`, the current region's op count.
-    counts: Vec<u64>,
-}
-
-#[cfg(debug_assertions)]
-impl Counters {
-    /// The `(phase, op)` cells, phase-major.
-    fn cells() -> impl Iterator<Item = (Phase, Op)> {
-        Phase::ALL
-            .into_iter()
-            .flat_map(|p| Op::ALL.into_iter().map(move |op| (p, op)))
-    }
-
-    /// The position of a cell in [`Counters::cells`].
-    fn cell(phase: Phase, op: Op) -> usize {
-        usize::from(phase == Phase::Control) * Op::COUNT + op.index()
-    }
-
-    fn take(dev: &Device) -> Self {
-        let region = dev.context().0;
-        Counters {
-            ops: dev.ops_consumed(),
-            charge_pj: dev.charge_pj(),
-            counts: Self::cells()
-                .map(|(p, op)| dev.trace().stat(region, p, op).count)
-                .collect(),
-        }
-    }
-
-    /// Asserts the device charged exactly `seq`'s per-`(phase, op)`
-    /// counts, ops and energy since `self` was taken.
-    fn check(&self, dev: &Device, seq: &OpBundle) {
-        let now = Self::take(dev);
-        let mut want = vec![0; self.counts.len()];
-        let mut energy = 0;
-        for e in seq.ops() {
-            want[Self::cell(e.phase, e.op)] += e.count;
-            energy += e.count * dev.spec().costs.cost(e.op).energy_pj;
-        }
-        for (((p, op), want), (was, is)) in Self::cells()
-            .zip(want)
-            .zip(self.counts.iter().zip(&now.counts))
-        {
-            assert_eq!(
-                is - was,
-                want,
-                "the one-charge commit charged {} {op:?} at {p}, the ordered sequence {want}",
-                is - was
-            );
-        }
-        assert_eq!(now.ops - self.ops, seq.len(), "one-charge commit: op count");
-        if matches!(dev.power(), mcu::PowerSystem::Harvested(_)) {
-            assert_eq!(
-                self.charge_pj - now.charge_pj,
-                energy,
-                "one-charge commit: energy"
-            );
-        }
     }
 }
 
@@ -646,9 +487,10 @@ impl RuntimeCtx for AlpacaRt {
         }
         // Walk the log in append order; replay after a failure re-walks the
         // whole list, which is idempotent because entries hold absolute
-        // values. The walk is uniform per entry (`WALK_ENTRY`), so it runs
-        // as a bundled loop: a mid-commit brown-out leaves exactly the
-        // scalar path's partial home writes.
+        // values. The walk is uniform per entry, so it runs as a bundled
+        // loop: a mid-commit brown-out leaves exactly the scalar path's
+        // partial home writes, and its recorded bundle is what the
+        // one-charge commit charges per entry.
         let site = &mut self.commit_entry[usize::from(dev.context().1 == Phase::Control)];
         let log = &self.log;
         dev.run_bundled(
@@ -708,39 +550,6 @@ impl RuntimeCtx for AlpacaRt {
             self.clear_log();
             self.committing = false;
         }
-    }
-}
-
-/// An [`OpTape`] for a taped Alpaca task body, with the runtime's
-/// control-word read and `[update, append]` write patterns registered
-/// (see [`AlpacaRt::ts_load_word_taped`]).
-#[derive(Debug)]
-pub struct Tape {
-    /// The recorded ops. A body registers its own loop patterns here.
-    pub ops: OpTape,
-    read: PatternId,
-    write: [PatternId; 2],
-}
-
-impl Tape {
-    /// An empty tape with the control-word patterns registered.
-    pub fn new() -> Self {
-        let mut ops = OpTape::new();
-        let mut read = OpBundle::new();
-        AlpacaRt::read_ops(&mut read);
-        let read = ops.register(read);
-        let write = [false, true].map(|append| {
-            let mut b = OpBundle::new();
-            AlpacaRt::write_ops(&mut b, append);
-            ops.register(b)
-        });
-        Tape { ops, read, write }
-    }
-}
-
-impl Default for Tape {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -1079,14 +888,17 @@ mod tests {
         let w = dev.fram_alloc(2).unwrap();
         let mut rt = AlpacaRt::new(&mut dev).unwrap();
         rt.generation = u32::MAX;
-        assert!(rt.privatize(w.addr(0), Q15::HALF));
+        assert!(rt.appends(w.addr(0)));
+        rt.ts_write(&mut dev, w.addr(0), Q15::HALF).unwrap();
         rt.clear_log();
         assert_eq!(rt.generation, 1);
         assert_eq!(rt.find(w.addr(0)), None, "a slot of the old generation");
-        assert!(rt.privatize(w.addr(1), Q15::HALF));
-        assert!(!rt.privatize(w.addr(1), Q15::MAX));
+        assert!(rt.appends(w.addr(1)));
+        rt.ts_write(&mut dev, w.addr(1), Q15::HALF).unwrap();
+        assert!(!rt.appends(w.addr(1)));
+        rt.ts_write(&mut dev, w.addr(1), Q15::MAX).unwrap();
         assert_eq!(rt.find(w.addr(1)), Some(0));
-        assert_eq!(rt.peek_shared(&dev, w.addr(1)), Q15::MAX);
+        assert_eq!(rt.ts_read(&mut dev, w.addr(1)).unwrap(), Q15::MAX);
     }
 
     #[test]

@@ -83,22 +83,33 @@
 //! The root `bundles` test suite pins this equivalence against digests
 //! recorded from the scalar implementation.
 //!
-//! For loop bodies whose op sequence is data-dependent but which have
-//! **no durable side effects** until a later commit (the Alpaca redo-log
-//! bodies), an [`OpTape`] records what the body would have consumed
-//! while it executes host-side. Each op sequence the body repeats — a
-//! loop iteration, a redo-log access — is registered with the tape once
-//! as a pattern ([`OpTape::register`]) and recorded by its [`PatternId`]
-//! as one *repeat* per occurrence (consecutive repeats merge); the few
-//! other ops are recorded as single-op runs. The device settles the tape
-//! in one step ([`Device::consume_tape`]) from counts folded once per
-//! pattern the body repeated, and expands the patterns op by op only
-//! when the buffer cannot cover the tape.
+//! # Taped bodies
+//!
+//! A task body with **no durable side effects** until a later commit
+//! (an Alpaca redo-log body) runs host-side through a [`Taped`] handle
+//! and settles its charge once, at its end ([`Device::run_tape`]). The
+//! handle drives each access's effect and records the ops it would have
+//! consumed. A loop iteration runs at a [`Site`] per shape, named by the
+//! caller before the iteration runs: its first iteration records the
+//! site's bundle, and each later one records one repeat of that site
+//! (debug builds also record it op by op and check it against the
+//! bundle, as [`Device::run_shaped`] checks a scalar-mode iteration).
+//! The other ops record as single runs. The settle is one
+//! [`Device::fund_whole`] when the buffer covers the body and no armed
+//! fault target lies inside it; otherwise it replays the record in order
+//! through the scalar charge — still funding whole site repeats at once
+//! while they fit — so a brown-out lands on exactly the op a scalar
+//! execution would have died on, and a memory fault fires there, after
+//! the body has read memory.
+//!
+//! [`Meter`] is what the two paths share: one runtime access written
+//! against it charges op by op on a [`Device`] and records on a
+//! [`Taped`] handle.
 //!
 //! A fixed op sequence that no brown-out or fault can interrupt — the
 //! Alpaca commit, when the buffer covers it — needs no record at all:
-//! [`Device::fund_whole`] charges it in one funding decision, and the
-//! caller lands its memory effects.
+//! [`Device::fund_whole`] charges it in one funding decision and lands
+//! its stores.
 
 use crate::device::{Device, FramBuf, FramWord, NvAddr, PowerFailure, SramBuf};
 use crate::spec::{CostTable, Op};
@@ -120,8 +131,8 @@ pub struct BundleOp {
     pub count: u64,
 }
 
-/// The op sequence of one inner-loop iteration: a [`Site`]'s record, or
-/// an [`OpTape`] pattern. See the [module docs](self).
+/// The op sequence of one inner-loop iteration: a [`Site`]'s record. See
+/// the [module docs](self).
 ///
 /// Alongside the ordered sequence (the charge order a scalar-mode
 /// iteration must follow) the bundle maintains per-`(phase, op)`
@@ -158,7 +169,7 @@ impl OpBundle {
     }
 
     /// Appends `count` consecutive ops of one class (merged with the tail
-    /// entry when it matches, keeping tapes compact).
+    /// entry when it matches).
     #[inline]
     pub fn push_n(&mut self, op: Op, phase: Phase, count: u64) {
         if count == 0 {
@@ -194,11 +205,13 @@ impl OpBundle {
     pub fn len(&self) -> u64 {
         self.len
     }
-}
 
-/// Total ops in a counts table.
-pub(crate) fn counts_len(counts: &OpCounts) -> u64 {
-    counts.iter().flatten().sum()
+    /// Empties the bundle, keeping its capacity.
+    fn clear(&mut self) {
+        self.seq.clear();
+        self.counts = [[0; Op::COUNT]; 2];
+        self.len = 0;
+    }
 }
 
 /// Adds `n` iterations of `bundle` to a counts table.
@@ -224,145 +237,6 @@ pub(crate) fn counts_cost(counts: &OpCounts, costs: &CostTable) -> (u64, u64) {
         }
     }
     (cycles, energy)
-}
-
-/// One run of an [`OpTape`].
-#[derive(Debug)]
-pub(crate) enum TapeRun {
-    /// `count` consecutive ops of one class.
-    Ops(BundleOp),
-    /// Back-to-back repeats of a pattern's ordered sequence.
-    Repeat {
-        /// Index of the pattern in the tape's pattern table.
-        pattern: usize,
-        /// How many repeats (≥ 1).
-        n: u64,
-    },
-}
-
-/// A pattern registered with an [`OpTape`]: the handle
-/// [`OpTape::repeat`] records it by.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PatternId(usize);
-
-/// A recorded op tape: the ordered ops a side-effect-free body would
-/// have consumed, as single-op runs and pattern repeats. See the
-/// [module docs](self).
-///
-/// Alongside the ordered runs (needed only for the in-order replay on a
-/// shortfall) the tape keeps the aggregate counts of its single-op runs
-/// and the total repeats of each pattern, with the list of patterns the
-/// tape repeats since its last clear: folding the tape, and clearing it,
-/// cost the few patterns a body repeated, not every pattern registered.
-#[derive(Debug, Default)]
-pub struct OpTape {
-    runs: Vec<TapeRun>,
-    /// The registered patterns, each with its repeats since the last
-    /// clear.
-    patterns: Vec<(OpBundle, u64)>,
-    /// The patterns with repeats since the last clear, in first-repeat
-    /// order.
-    used: Vec<usize>,
-    /// Aggregate counts of the single-op runs.
-    singles: OpCounts,
-}
-
-impl OpTape {
-    /// An empty tape with no patterns registered.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers a pattern — an op sequence the body repeats — and
-    /// returns its handle. Patterns stay registered across
-    /// [`OpTape::clear`].
-    pub fn register(&mut self, pattern: OpBundle) -> PatternId {
-        self.patterns.push((pattern, 0));
-        PatternId(self.patterns.len() - 1)
-    }
-
-    /// Records one op.
-    #[inline]
-    pub fn push(&mut self, op: Op, phase: Phase) {
-        self.push_n(op, phase, 1);
-    }
-
-    /// Records `count` consecutive ops of one class (merged with a
-    /// matching single-op tail run).
-    #[inline]
-    pub fn push_n(&mut self, op: Op, phase: Phase, count: u64) {
-        if count == 0 {
-            return;
-        }
-        self.singles[phase.index()][op.index()] += count;
-        if let Some(TapeRun::Ops(last)) = self.runs.last_mut() {
-            if last.op == op && last.phase == phase {
-                last.count += count;
-                return;
-            }
-        }
-        self.runs.push(TapeRun::Ops(BundleOp { op, phase, count }));
-    }
-
-    /// Records `n` repeats of a registered pattern, merged with a tail
-    /// run of the same pattern.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pattern` was registered with another tape that has
-    /// fewer patterns.
-    #[inline]
-    pub fn repeat(&mut self, pattern: PatternId, n: u64) {
-        if n == 0 {
-            return;
-        }
-        let k = pattern.0;
-        match self.runs.last_mut() {
-            Some(TapeRun::Repeat {
-                pattern: last,
-                n: m,
-            }) if *last == k => *m += n,
-            _ => self.runs.push(TapeRun::Repeat { pattern: k, n }),
-        }
-        let total = &mut self.patterns[k].1;
-        if *total == 0 {
-            self.used.push(k);
-        }
-        *total += n;
-    }
-
-    /// The ordered runs.
-    pub(crate) fn runs(&self) -> &[TapeRun] {
-        &self.runs
-    }
-
-    /// The pattern a [`TapeRun::Repeat`] refers to.
-    pub(crate) fn pattern(&self, k: usize) -> &OpBundle {
-        &self.patterns[k].0
-    }
-
-    /// Empties the tape for reuse. Capacity and the registered patterns
-    /// stay; only the patterns repeated since the last clear are reset.
-    pub fn clear(&mut self) {
-        self.runs.clear();
-        for k in self.used.drain(..) {
-            self.patterns[k].1 = 0;
-        }
-        self.singles = [[0; Op::COUNT]; 2];
-    }
-
-    /// Aggregate per-`(phase, op)` counts of the whole tape, folded once
-    /// per pattern repeated.
-    pub(crate) fn counts(&self) -> OpCounts {
-        let mut counts = self.singles;
-        for &k in &self.used {
-            let (pattern, n) = &self.patterns[k];
-            for e in pattern.ops() {
-                counts[e.phase.index()][e.op.index()] += e.count * n;
-            }
-        }
-        counts
-    }
 }
 
 // ----- the bundled-loop driver ---------------------------------------
@@ -586,7 +460,9 @@ impl Device {
                             None if r.is_ok() => site.0 = Some(*rec),
                             None => {}
                             #[cfg(debug_assertions)]
-                            Some(bundle) => check_tail(bundle, &rec, r.is_ok()),
+                            Some(bundle) => {
+                                check_tail("a scalar-mode", bundle, &rec, r.is_ok());
+                            }
                             #[cfg(not(debug_assertions))]
                             Some(_) => {}
                         }
@@ -621,10 +497,10 @@ impl Device {
     }
 }
 
-/// Debug builds: checks the record of a scalar-mode iteration against
-/// its predicted shape's bundle.
+/// Debug builds: checks the record of a scalar-mode or taped iteration
+/// (`what`) against its shape's bundle.
 #[cfg(debug_assertions)]
-fn check_tail(bundle: &OpBundle, rec: &OpBundle, completed: bool) {
+fn check_tail(what: &str, bundle: &OpBundle, rec: &OpBundle, completed: bool) {
     let (got, want) = (rec.ops(), bundle.ops());
     let ok = if completed {
         got == want
@@ -638,7 +514,7 @@ fn check_tail(bundle: &OpBundle, rec: &OpBundle, completed: bool) {
     };
     assert!(
         ok,
-        "a scalar-mode iteration charged {got:?}, which is not {} of its bundle {want:?}",
+        "{what} iteration charged {got:?}, which is not {} of its bundle {want:?}",
         if completed {
             "the sequence"
         } else {
@@ -922,6 +798,394 @@ impl<'d> Step<'d> {
     }
 }
 
+// ----- taped bodies ---------------------------------------------------
+
+/// The metered accesses a runtime makes, through the device itself (each
+/// op charged as it runs, failing with [`PowerFailure`] on brown-out) or
+/// through a taped body's [`Taped`] handle (each op recorded, its effect
+/// landed host-side, never failing). One implementation written against
+/// it serves both — the Alpaca redo log's `ts_read`/`ts_write`. See the
+/// [module docs](self).
+pub trait Meter {
+    /// `n` ops of one class with no memory effect ([`Device::consume_n`]).
+    fn op_n(&mut self, op: Op, n: u64) -> Result<(), PowerFailure>;
+
+    /// One op with no memory effect ([`Device::consume`]).
+    #[inline(always)]
+    fn op(&mut self, op: Op) -> Result<(), PowerFailure> {
+        self.op_n(op, 1)
+    }
+
+    /// A fixed op sequence with no memory effect: one [`Meter::op_n`] per
+    /// entry, in order (a taped body records it in one step).
+    #[inline(always)]
+    fn ops(&mut self, seq: &'static [(Op, u64)]) -> Result<(), PowerFailure> {
+        seq.iter().try_for_each(|&(op, n)| self.op_n(op, n))
+    }
+
+    /// A FRAM read ([`Device::read`]).
+    fn read(&mut self, buf: FramBuf, i: u32) -> Result<Q15, PowerFailure>;
+
+    /// A FRAM write at a raw address ([`Device::write_at`]).
+    fn write_at(&mut self, addr: NvAddr, v: Q15) -> Result<(), PowerFailure>;
+
+    /// Reports a detected corruption ([`Device::note_corruption`]; free).
+    fn note_corruption(&mut self, region: RegionId) -> bool;
+
+    /// The device, for uncharged checks: peeks, ECC verifies, the
+    /// accounting context.
+    fn device(&self) -> &Device;
+}
+
+impl Meter for Device {
+    #[inline]
+    fn op_n(&mut self, op: Op, n: u64) -> Result<(), PowerFailure> {
+        self.consume_n(op, n)
+    }
+    fn read(&mut self, buf: FramBuf, i: u32) -> Result<Q15, PowerFailure> {
+        Device::read(self, buf, i)
+    }
+    fn write_at(&mut self, addr: NvAddr, v: Q15) -> Result<(), PowerFailure> {
+        Device::write_at(self, addr, v)
+    }
+    fn note_corruption(&mut self, region: RegionId) -> bool {
+        Device::note_corruption(self, region)
+    }
+    fn device(&self) -> &Device {
+        self
+    }
+}
+
+/// One run of a taped body's record.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Run {
+    /// `n` ops of one class, outside any iteration.
+    Ops(Op, u64),
+    /// A fixed op sequence ([`Meter::ops`]), outside any iteration.
+    Seq(&'static [(Op, u64)]),
+    /// Back-to-back repeats of one site's bundle.
+    Repeat { site: usize, n: u64 },
+}
+
+/// The record of the taped body in flight, kept on the device between
+/// bodies so its capacity persists.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct TapeRecord {
+    /// The body's ordered runs.
+    runs: Vec<Run>,
+    /// The ops of the iteration being recorded.
+    iter: OpBundle,
+}
+
+impl TapeRecord {
+    #[inline]
+    fn push(&mut self, op: Op, n: u64) {
+        self.runs.push(Run::Ops(op, n));
+    }
+
+    /// Records one repeat of site `k`.
+    #[inline]
+    fn repeat(&mut self, k: usize) {
+        match self.runs.last_mut() {
+            Some(Run::Repeat { site, n }) if *site == k => *n += 1,
+            _ => self.runs.push(Run::Repeat { site: k, n: 1 }),
+        }
+    }
+
+    /// The whole record's `(op, count)` totals.
+    fn totals(&self, sites: &[Site]) -> [(Op, u64); Op::COUNT] {
+        let mut ops = Op::ALL.map(|op| (op, 0));
+        let mut add = |seq: &[(Op, u64)], times| {
+            for &(op, n) in seq {
+                ops[op.index()].1 += n * times;
+            }
+        };
+        for &run in &self.runs {
+            match run {
+                Run::Ops(op, n) => add(&[(op, n)], 1),
+                Run::Seq(seq) => add(seq, 1),
+                Run::Repeat { site, n } => {
+                    for e in sites[site].bundle().expect("a repeated site").ops() {
+                        add(&[(e.op, e.count)], n);
+                    }
+                }
+            }
+        }
+        ops
+    }
+
+    /// Closes an iteration that recorded itself: fills an empty site from
+    /// the record or (debug builds) checks the record against the site's
+    /// bundle, then records the iteration.
+    fn close_iteration(&mut self, site: &mut Site, k: usize, completed: bool) {
+        match &site.0 {
+            None if completed => site.0 = Some(self.iter.clone()),
+            #[cfg(debug_assertions)]
+            Some(bundle) => check_tail("a taped", bundle, &self.iter, completed),
+            _ => {}
+        }
+        if completed {
+            self.repeat(k);
+        } else {
+            let iter = std::mem::take(&mut self.iter);
+            self.keep_prefix(&iter, u64::MAX);
+            self.iter = iter;
+        }
+    }
+
+    /// Records the first `n` ops of `bundle` outside any iteration: what
+    /// an iteration that failed after them charged.
+    #[cold]
+    fn keep_prefix(&mut self, bundle: &OpBundle, mut n: u64) {
+        for e in bundle.ops() {
+            let k = e.count.min(n);
+            if k == 0 {
+                break;
+            }
+            self.push(e.op, k);
+            n -= k;
+        }
+    }
+}
+
+/// A taped task body's handle on the device inside [`Device::run_tape`]:
+/// every [`Meter`] call lands its effect host-side, uncharged, and
+/// records the ops the settle charges. See the [module docs](self).
+///
+/// A loop iteration runs against a handle of its own, an [`Iteration`]
+/// (`ITERATION = true`), so that each kind of handle compiles to its own
+/// recording code.
+#[derive(Debug)]
+pub struct Taped<'a, const ITERATION: bool = false> {
+    dev: &'a mut Device,
+    sites: &'a mut [Site],
+    rec: &'a mut TapeRecord,
+    /// The accounting phase of every op the body records.
+    phase: Phase,
+    /// An iteration's: whether it records its ops (to fill or check its
+    /// site) or only repeats its site.
+    record: bool,
+    /// A repeating iteration's ops so far.
+    skipped: u64,
+}
+
+/// The handle a [`Taped::iterate`] iteration runs against.
+pub type Iteration<'a> = Taped<'a, true>;
+
+impl<const ITERATION: bool> Taped<'_, ITERATION> {
+    #[inline(always)]
+    fn note(&mut self, op: Op, n: u64) {
+        if !ITERATION {
+            self.rec.push(op, n);
+        } else if self.record {
+            self.rec.iter.push_n(op, self.phase, n);
+        } else {
+            self.skipped += n;
+        }
+    }
+}
+
+impl Taped<'_> {
+    /// A handle on the same body for one iteration.
+    #[inline(always)]
+    fn iteration(&mut self, record: bool) -> Iteration<'_> {
+        Taped {
+            dev: &mut *self.dev,
+            sites: &mut *self.sites,
+            rec: &mut *self.rec,
+            phase: self.phase,
+            record,
+            skipped: 0,
+        }
+    }
+
+    /// Runs one loop iteration of shape `k`, an index into the body's
+    /// sites, named before it runs. While site `k` is empty the iteration
+    /// records its bundle; every later one records one repeat of it.
+    /// Debug builds record every iteration and assert that it is its
+    /// site's sequence (a prefix of it, if the iteration fails).
+    ///
+    /// The body is called from two places; mark it `#[inline(always)]`,
+    /// so that a repeating iteration's op calls compile to register adds.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the iteration's error; its ops up to the error stay
+    /// recorded.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is outside the body's sites.
+    #[inline(always)]
+    pub fn iterate<R>(
+        &mut self,
+        k: usize,
+        body: impl FnOnce(&mut Iteration<'_>) -> Result<R, PowerFailure>,
+    ) -> Result<R, PowerFailure> {
+        if cfg!(debug_assertions) || self.sites[k].0.is_none() {
+            return self.record_iteration(k, body);
+        }
+        // The iteration's handle is never passed on by reference, so it
+        // stays in registers and every op call folds into `skipped`.
+        let mut it = self.iteration(false);
+        let r = body(&mut it);
+        let skipped = it.skipped;
+        match r {
+            Ok(_) => self.rec.repeat(k),
+            Err(_) => {
+                let bundle = self.sites[k].bundle().expect("a repeated site");
+                self.rec.keep_prefix(bundle, skipped);
+            }
+        }
+        r
+    }
+
+    /// [`Taped::iterate`] recording the iteration's ops; out of line, so
+    /// loops keep only the repeating iteration's code.
+    #[cold]
+    #[inline(never)]
+    fn record_iteration<R>(
+        &mut self,
+        k: usize,
+        body: impl FnOnce(&mut Iteration<'_>) -> Result<R, PowerFailure>,
+    ) -> Result<R, PowerFailure> {
+        self.rec.iter.clear();
+        let r = body(&mut self.iteration(true));
+        self.rec.close_iteration(&mut self.sites[k], k, r.is_ok());
+        r
+    }
+}
+
+impl<const ITERATION: bool> Meter for Taped<'_, ITERATION> {
+    #[inline(always)]
+    fn op_n(&mut self, op: Op, n: u64) -> Result<(), PowerFailure> {
+        self.note(op, n);
+        Ok(())
+    }
+
+    #[inline(always)]
+    fn ops(&mut self, seq: &'static [(Op, u64)]) -> Result<(), PowerFailure> {
+        if ITERATION {
+            // A plain loop: a closure would take the handle by reference.
+            for &(op, n) in seq {
+                self.note(op, n);
+            }
+        } else {
+            self.rec.runs.push(Run::Seq(seq));
+        }
+        Ok(())
+    }
+
+    #[inline(always)]
+    fn read(&mut self, buf: FramBuf, i: u32) -> Result<Q15, PowerFailure> {
+        self.note(Op::FramRead, 1);
+        Ok(self.dev.prepaid_read(buf, i))
+    }
+
+    /// Lands at once: a taped body's only direct FRAM write is a scrub,
+    /// which restores a word's last durable value.
+    #[inline(always)]
+    fn write_at(&mut self, addr: NvAddr, v: Q15) -> Result<(), PowerFailure> {
+        self.note(Op::FramWrite, 1);
+        self.dev.prepaid_write_at(addr, v);
+        Ok(())
+    }
+
+    #[inline(always)]
+    fn note_corruption(&mut self, region: RegionId) -> bool {
+        self.dev.note_corruption(region)
+    }
+
+    #[inline(always)]
+    fn device(&self) -> &Device {
+        self.dev
+    }
+}
+
+impl Device {
+    /// Runs a task body with no durable effects before a later commit
+    /// host-side through a [`Taped`] handle, at the current accounting
+    /// context, then settles what it recorded, even when the body fails:
+    /// in one charge, or — when the buffer cannot cover it or an armed
+    /// fault target lies inside it — in body order through the scalar
+    /// charge, so a brown-out charges exactly the prefix a scalar
+    /// execution would have, and a memory fault fires at its op, after
+    /// the body's reads. `sites` hold the bundles of the body's iteration
+    /// shapes ([`Taped::iterate`]); keep them from body to body. See the
+    /// [module docs](self).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PowerFailure`] when the device is off, the settle
+    /// browns out, or the body fails.
+    pub fn run_tape<R>(
+        &mut self,
+        sites: &mut [Site],
+        body: impl FnOnce(&mut Taped<'_>) -> Result<R, PowerFailure>,
+    ) -> Result<R, PowerFailure> {
+        let mut rec = self.tape.take().unwrap_or_default();
+        rec.runs.clear();
+        let phase = self.context().1;
+        let r = body(&mut Taped {
+            dev: self,
+            sites,
+            rec: &mut rec,
+            phase,
+            record: false,
+            skipped: 0,
+        });
+        let settled = self.settle_tape(&rec, sites, phase);
+        self.tape = Some(rec);
+        settled.and(r)
+    }
+
+    /// Charges a taped body's record: one [`Device::fund_whole`], or an
+    /// in-order replay through the scalar charge that still funds each
+    /// run of site repeats whole, as many at a time as the buffer and the
+    /// next armed target allow.
+    fn settle_tape(
+        &mut self,
+        rec: &TapeRecord,
+        sites: &[Site],
+        phase: Phase,
+    ) -> Result<(), PowerFailure> {
+        if !self.is_on() {
+            return Err(PowerFailure);
+        }
+        if self.fund_whole(rec.totals(sites), []) {
+            return Ok(());
+        }
+        for &run in &rec.runs {
+            match run {
+                Run::Ops(op, n) => self.consume_upto_at(op, phase, n).1?,
+                Run::Seq(seq) => {
+                    for &(op, n) in seq {
+                        self.consume_upto_at(op, phase, n).1?;
+                    }
+                }
+                Run::Repeat { site, mut n } => {
+                    let bundle = sites[site].bundle().expect("a repeated site");
+                    let per = bundle.counts()[phase.index()];
+                    while n > 0 {
+                        let whole = self.whole_repeats(bundle).min(n);
+                        let ops = Op::ALL.map(|op| (op, per[op.index()] * whole));
+                        let funded = self.fund_whole(ops, []);
+                        debug_assert!(funded || whole == 0);
+                        n -= whole;
+                        if n > 0 {
+                            for e in bundle.ops() {
+                                self.consume_upto_at(e.op, e.phase, e.count).1?;
+                            }
+                            n -= 1;
+                        }
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -940,60 +1204,63 @@ mod tests {
         assert_eq!(b.len(), 7);
     }
 
-    #[test]
-    fn tape_merges_runs_and_folds_pattern_counts() {
-        let mut pat = OpBundle::new();
-        pat.push_n(Op::FramRead, Phase::Kernel, 2);
-        pat.push(Op::Incr, Phase::Kernel);
-        let mut t = OpTape::new();
-        let twin = t.register(pat.clone()); // equal, but a distinct pattern
-        let pat = t.register(pat);
-        t.register(pat_of(Op::Alu)); // registered, never repeated
-        t.push(Op::Alu, Phase::Kernel);
-        t.push_n(Op::Alu, Phase::Kernel, 2);
-        t.repeat(pat, 1);
-        t.repeat(pat, 3);
-        t.repeat(twin, 1);
-        t.repeat(pat, 0); // no-op
-        t.push(Op::Incr, Phase::Kernel);
-        t.repeat(pat, 2); // a later run of an already-repeated pattern
-        assert_eq!(t.runs().len(), 5);
-        assert!(matches!(t.runs()[1], TapeRun::Repeat { pattern: 1, n: 4 }));
-        assert!(matches!(t.runs()[2], TapeRun::Repeat { pattern: 0, n: 1 }));
-        assert!(matches!(t.runs()[4], TapeRun::Repeat { pattern: 1, n: 2 }));
-        assert_eq!(t.used, [1, 0], "the idle pattern is never folded");
-        let c = t.counts();
-        assert_eq!(c[Phase::Kernel.index()][Op::Alu.index()], 3);
-        assert_eq!(c[Phase::Kernel.index()][Op::FramRead.index()], 14);
-        assert_eq!(c[Phase::Kernel.index()][Op::Incr.index()], 8);
-        assert_eq!(counts_len(&c), 25);
+    fn site_of(ops: &[(Op, u64)]) -> Site {
+        let mut b = OpBundle::new();
+        for &(op, n) in ops {
+            b.push_n(op, Phase::Kernel, n);
+        }
+        Site(Some(b))
     }
 
-    fn pat_of(op: Op) -> OpBundle {
-        let mut b = OpBundle::new();
-        b.push(op, Phase::Kernel);
-        b
+    #[test]
+    fn tape_merges_runs_and_folds_pattern_counts() {
+        let sites = [
+            site_of(&[(Op::FramRead, 2), (Op::Incr, 1)]),
+            site_of(&[(Op::FramRead, 2), (Op::Incr, 1)]), // equal, but a distinct site
+            Site::default(),                              // never repeated
+        ];
+        let mut t = TapeRecord::default();
+        t.push(Op::Alu, 1);
+        t.push(Op::Alu, 2);
+        for k in [0, 0, 0, 0, 1] {
+            t.repeat(k);
+        }
+        const SEQ: [(Op, u64); 2] = [(Op::Incr, 1), (Op::Alu, 2)];
+        t.runs.push(Run::Seq(&SEQ));
+        t.repeat(0);
+        t.repeat(0); // a later run of an already-repeated site
+        assert_eq!(
+            t.runs,
+            [
+                Run::Ops(Op::Alu, 1),
+                Run::Ops(Op::Alu, 2),
+                Run::Repeat { site: 0, n: 4 },
+                Run::Repeat { site: 1, n: 1 },
+                Run::Seq(&SEQ),
+                Run::Repeat { site: 0, n: 2 },
+            ]
+        );
+        let c = t.totals(&sites);
+        assert_eq!(c[Op::Alu.index()], (Op::Alu, 5));
+        assert_eq!(c[Op::FramRead.index()], (Op::FramRead, 14));
+        assert_eq!(c[Op::Incr.index()], (Op::Incr, 8));
+        assert_eq!(c.iter().map(|&(_, n)| n).sum::<u64>(), 27);
     }
 
     #[test]
     fn clear_keeps_capacity() {
-        let mut t = OpTape::new();
-        let p = t.register(pat_of(Op::Alu));
-        t.push_n(Op::Alu, Phase::Kernel, 4);
-        t.repeat(p, 2);
-        let cap = t.runs.capacity();
-        t.clear();
-        assert!(t.runs().is_empty());
-        assert!(t.used.is_empty());
-        assert_eq!(t.patterns.len(), 1, "patterns stay registered");
-        assert_eq!(t.patterns[0].1, 0, "repeats reset");
-        assert_eq!(t.runs.capacity(), cap);
-        assert_eq!(counts_len(&t.counts()), 0);
-        t.repeat(p, 1);
-        assert_eq!(
-            counts_len(&t.counts()),
-            1,
-            "a cleared pattern repeats again"
-        );
+        let sites = [site_of(&[(Op::Alu, 1)])];
+        let mut d = Device::new(crate::DeviceSpec::tiny(), crate::PowerSystem::continuous());
+        let body = |t: &mut Taped<'_>| {
+            t.op_n(Op::Alu, 4)?;
+            (0..20).try_for_each(|_| t.iterate(0, |t| t.op(Op::Alu)))
+        };
+        d.run_tape(&mut sites.clone(), body).unwrap();
+        let cap = d.tape.as_ref().expect("kept").runs.capacity();
+        d.run_tape(&mut sites.clone(), |t| t.op(Op::Alu)).unwrap();
+        let rec = d.tape.as_ref().expect("kept");
+        assert_eq!(rec.runs, [Run::Ops(Op::Alu, 1)], "the record restarts");
+        assert_eq!(rec.runs.capacity(), cap);
+        assert_eq!(d.trace().op_count(Op::Alu), 25);
     }
 }

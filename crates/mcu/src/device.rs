@@ -39,9 +39,7 @@
 
 #[cfg(debug_assertions)]
 use crate::bundle::add_counts;
-use crate::bundle::{
-    counts_cost, counts_len, FundedRun, LastStores, OpBundle, OpCounts, OpTape, TapeRun,
-};
+use crate::bundle::{counts_cost, FundedRun, LastStores, OpBundle, OpCounts, TapeRecord};
 use crate::power::PowerSystem;
 use crate::spec::{DeviceSpec, Op};
 use crate::trace::{Phase, RegionId, Trace, TraceReport};
@@ -145,6 +143,7 @@ pub struct NvAddr(u32);
 
 impl NvAddr {
     /// The raw word index inside FRAM (for diagnostics).
+    #[inline]
     pub fn index(self) -> u32 {
         self.0
     }
@@ -211,6 +210,7 @@ impl FramBuf {
     /// # Panics
     ///
     /// Panics if `i` is out of bounds.
+    #[inline]
     pub fn addr(self, i: u32) -> NvAddr {
         assert!(i < self.len, "addr out of bounds: {i} >= {}", self.len);
         NvAddr(self.base + i)
@@ -426,6 +426,10 @@ pub struct Device {
     guard_bits: Vec<(u64, u32)>,
     /// Memory faults injected so far (bit flips + stuck-at armings).
     mem_faults_injected: u64,
+    /// `true` until an injected fault lands in FRAM (a flip, a stuck-at
+    /// cell or a torn store): until then every guarded word matches its
+    /// shadow, so [`Device::verify_at`] needs no lookup.
+    pristine: bool,
     /// Corruption detections reported via [`Device::note_corruption`].
     corruption_detected: u64,
     /// Remaining recovery attempts before corruption is declared
@@ -442,6 +446,8 @@ pub struct Device {
     /// The [`crate::Step::store_last`] values of the funded run in flight,
     /// landed when it settles; empty between runs.
     pub(crate) last_stores: LastStores,
+    /// The record of [`Device::run_tape`]'s body, kept between bodies.
+    pub(crate) tape: Option<Box<TapeRecord>>,
 }
 
 impl Device {
@@ -471,11 +477,13 @@ impl Device {
             guard_shadow: Vec::new(),
             guard_bits: Vec::new(),
             mem_faults_injected: 0,
+            pristine: true,
             corruption_detected: 0,
             corruption_budget: CORRUPTION_RETRY_LIMIT,
             unrecoverable: None,
             record: None,
             last_stores: LastStores::default(),
+            tape: None,
         }
     }
 
@@ -613,7 +621,12 @@ impl Device {
     /// Like [`Device::consume_n`] but at an explicit accounting phase,
     /// reporting how many of the `n` operations were charged before any
     /// failure. The backbone of every span-charged accessor.
-    fn consume_upto_at(&mut self, op: Op, phase: Phase, n: u64) -> (u64, Result<(), PowerFailure>) {
+    pub(crate) fn consume_upto_at(
+        &mut self,
+        op: Op,
+        phase: Phase,
+        n: u64,
+    ) -> (u64, Result<(), PowerFailure>) {
         if !self.on {
             return (0, Err(PowerFailure));
         }
@@ -707,6 +720,7 @@ impl Device {
     /// ECC read check detects.
     fn apply_memory_fault(&mut self, kind: FaultKind) {
         self.mem_faults_injected += 1;
+        self.pristine = false;
         match kind {
             FaultKind::BitFlip { addr, bit } => {
                 let a = addr.0 as usize;
@@ -776,50 +790,6 @@ impl Device {
 
     // ----- bundled op accounting (see [`crate::bundle`]) ---------------
 
-    /// Charges up to `n_iters` whole iterations of `bundle` in one
-    /// arithmetic step, returning how many complete iterations the
-    /// remaining buffer funded (always `n_iters` on continuous power
-    /// with no armed fault target).
-    ///
-    /// The funded count is exactly the number of complete iterations the
-    /// scalar path (one [`Device::consume`] per op) would have executed:
-    /// per-op energies are non-negative, so a buffer that covers an
-    /// iteration's total covers every prefix of it. When the return value
-    /// is less than `n_iters` the device is still **on**, with less than
-    /// one iteration's energy remaining; [`Device::consume_tape`] then
-    /// expands the next iteration op by op. (Bundled loops fund their runs
-    /// through [`Device::fund_run`].)
-    ///
-    /// Ops are charged to the device's current region at each entry's own
-    /// phase; trace cells are order-independent accumulators, so bulk
-    /// totals are bit-identical to interleaved scalar charges.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PowerFailure`] only when the device is already off.
-    pub(crate) fn consume_bundle(
-        &mut self,
-        bundle: &OpBundle,
-        n_iters: u64,
-    ) -> Result<u64, PowerFailure> {
-        if !self.on {
-            return Err(PowerFailure);
-        }
-        if n_iters == 0 || bundle.is_empty() {
-            return Ok(n_iters);
-        }
-        let fit = self.fund_iters(bundle.counts(), n_iters);
-        self.charge_bundle_trace(bundle, fit);
-        if let Some(rec) = &mut self.record {
-            for _ in 0..fit {
-                for e in bundle.ops() {
-                    rec.push_n(e.op, e.phase, e.count);
-                }
-            }
-        }
-        Ok(fit)
-    }
-
     /// Plans and charges one funded run of a shaped loop (see
     /// [`Device::run_shaped`]) from `range.start`: predicts the shape of
     /// each next index with `shape`, advancing `cursor`, and funds the
@@ -830,8 +800,12 @@ impl Device {
     /// shape present — and `cursor` ends at the state after it.
     ///
     /// The funded count is exactly the number of complete iterations the
-    /// scalar path would have executed, as for
-    /// [`Device::consume_bundle`], whatever mix of shapes the run holds.
+    /// scalar path (one [`Device::consume`] per op) would have executed,
+    /// whatever mix of shapes the run holds: per-op energies are
+    /// non-negative, so a buffer that covers an iteration's total covers
+    /// every prefix of it. Ops are charged to the current region at each
+    /// entry's own phase; trace cells are order-independent accumulators,
+    /// so bulk totals are bit-identical to interleaved scalar charges.
     ///
     /// # Errors
     ///
@@ -969,7 +943,7 @@ impl Device {
                 bulk, one_by_one,
                 "a funded run's bulk charge is not the sum of its iterations' bundles"
             );
-            assert_eq!(ops, counts_len(&one_by_one));
+            assert_eq!(ops, one_by_one.iter().flatten().sum::<u64>());
             if harvested {
                 assert_eq!(energy, counts_cost(&one_by_one, &self.spec.costs).1);
             }
@@ -978,42 +952,6 @@ impl Device {
             iters: i - range.start,
             next: stop.flatten(),
         })
-    }
-
-    /// Funds up to `n_iters` whole iterations of a non-empty op sequence
-    /// with the given per-iteration counts: drains their energy, advances
-    /// the op counter, and returns how many were funded. The trace is
-    /// left to the caller.
-    fn fund_iters(&mut self, counts: &OpCounts, n_iters: u64) -> u64 {
-        // Injected faults: never fund an iteration that straddles an armed
-        // target — cap at the whole iterations that fit strictly before it,
-        // so the scalar-mode run of the next iteration reaches exactly the
-        // targeted op. May return less than `n_iters` even on
-        // continuous power.
-        let ops_per_iter = counts_len(counts);
-        let iter_cap = match self.fault_queue.last() {
-            Some(&(t, _)) => t.saturating_sub(self.ops_consumed) / ops_per_iter,
-            None => u64::MAX,
-        };
-        let n_capped = n_iters.min(iter_cap);
-        let fit = match &self.power {
-            PowerSystem::Continuous => n_capped,
-            PowerSystem::Harvested(_) => {
-                let (_, per_iter) = counts_cost(counts, &self.spec.costs);
-                #[cfg(debug_assertions)]
-                self.check_free_ops(counts);
-                // `checked_div` is `None` exactly when the whole iteration
-                // is free: zero-energy ops execute without limit.
-                let fit = self
-                    .charge_pj
-                    .checked_div(per_iter)
-                    .map_or(n_capped, |q| q.min(n_capped));
-                self.charge_pj -= fit * per_iter;
-                fit
-            }
-        };
-        self.ops_consumed += fit * ops_per_iter;
-        fit
     }
 
     /// Debug builds: a bundled op that costs cycles must cost energy too
@@ -1033,7 +971,7 @@ impl Device {
     }
 
     /// Settles `fit` funded iterations of `bundle` into the trace, for
-    /// [`Device::consume_bundle`] and [`Device::fund_run`].
+    /// [`Device::fund_run`].
     fn charge_bundle_trace(&mut self, bundle: &OpBundle, fit: u64) {
         if fit == 0 {
             return;
@@ -1067,57 +1005,25 @@ impl Device {
         }
     }
 
-    /// Settles a recorded op tape: one bulk charge from counts folded
-    /// once per pattern repeated when the buffer covers the whole tape,
-    /// otherwise an in-order replay that expands each pattern repeat, so
-    /// the brown-out lands on exactly the op the scalar execution would
-    /// have died on.
-    ///
-    /// For loop bodies whose op sequence is data-dependent but which have
-    /// no durable side effects before a later commit (the Alpaca redo-log
-    /// bodies): the body executes host-side while recording every op it
-    /// would have consumed, then settles the tape once.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PowerFailure`] when the tape does not fit the remaining
-    /// charge (the portion that fits is charged, exactly as the scalar
-    /// execution would have before dying) or the device is off.
-    pub fn consume_tape(&mut self, tape: &OpTape) -> Result<(), PowerFailure> {
-        if !self.on {
-            return Err(PowerFailure);
+    /// How many whole repeats of `bundle` [`Device::fund_whole`] would
+    /// fund at once: as many as the buffer and the next armed fault
+    /// target allow (`u64::MAX` when nothing limits them).
+    pub(crate) fn whole_repeats(&self, bundle: &OpBundle) -> u64 {
+        if !self.on || self.record.is_some() {
+            return 0;
         }
-        let counts = tape.counts();
-        if counts_len(&counts) == 0 {
-            return Ok(());
-        }
-        if self.fund_iters(&counts, 1) == 1 {
-            self.charge_counts(&counts, 1);
-            return Ok(());
-        }
-        // Shortfall (or an armed target inside the tape): the replay
-        // below charges exactly the scalar prefix. Whole pattern repeats
-        // the buffer funds still charge in bulk; the first unfunded one
-        // expands op by op.
-        for run in tape.runs() {
-            match run {
-                TapeRun::Ops(e) => self.consume_upto_at(e.op, e.phase, e.count).1?,
-                &TapeRun::Repeat { pattern: k, n } => {
-                    let pattern = tape.pattern(k);
-                    let mut left = n;
-                    while left > 0 {
-                        left -= self.consume_bundle(pattern, left)?;
-                        if left > 0 {
-                            for e in pattern.ops() {
-                                self.consume_upto_at(e.op, e.phase, e.count).1?;
-                            }
-                            left -= 1;
-                        }
-                    }
-                }
+        let ops_left = self
+            .fault_queue
+            .last()
+            .map_or(u64::MAX, |&(t, _)| t.saturating_sub(self.ops_consumed));
+        let n = whole_runs(ops_left, bundle.len());
+        match self.power {
+            PowerSystem::Continuous => n,
+            PowerSystem::Harvested(_) => {
+                let energy = counts_cost(bundle.counts(), &self.spec.costs).1;
+                n.min(whole_runs(self.charge_pj, energy))
             }
         }
-        Ok(())
     }
 
     /// Charges a whole op sequence in one funding decision and one trace
@@ -1125,48 +1031,56 @@ impl Device {
     /// on, no bundled-loop iteration is recording, the buffer covers
     /// every op, and no armed fault target of any kind lies inside the
     /// sequence. `ops` lists its `(op, count)` totals at the current
-    /// accounting context, in any order (one entry per op class keeps
-    /// the trace charges few).
+    /// accounting context, in any order (an op class may repeat). Then
+    /// lands `writes`, the sequence's FRAM stores, in order.
     ///
-    /// Returns `false`, having charged nothing, when any of these fails;
-    /// the caller then runs the sequence op by op. Per-op energies are
-    /// non-negative integers, so a buffer that covers the whole sequence
-    /// covers every prefix: when this returns `true` the op-by-op run
-    /// would have completed too, with the same trace, op counter and
-    /// charge. The caller performs the sequence's memory effects.
-    pub fn fund_whole(&mut self, ops: &[(Op, u64)]) -> bool {
+    /// Returns `false`, having charged and stored nothing, when any of
+    /// these fails; the caller then runs the sequence op by op. Per-op
+    /// energies are non-negative integers, so a buffer that covers the
+    /// whole sequence covers every prefix: when this returns `true` the
+    /// op-by-op run would have completed too, with the same trace, op
+    /// counter and charge. The caller performs the sequence's other
+    /// effects.
+    pub fn fund_whole<I>(&mut self, ops: I, writes: impl IntoIterator<Item = (NvAddr, Q15)>) -> bool
+    where
+        I: IntoIterator<Item = (Op, u64)> + Clone,
+    {
         if !self.on || self.record.is_some() {
             return false;
         }
-        let total: u64 = ops.iter().map(|&(_, n)| n).sum();
+        let total: u64 = ops.clone().into_iter().map(|(_, n)| n).sum();
         let end = self.ops_consumed + total;
         if self.fault_queue.last().is_some_and(|&(t, _)| t < end) {
             return false;
         }
         if matches!(self.power, PowerSystem::Harvested(_)) {
             debug_assert!(
-                ops.iter().all(|&(op, n)| {
+                ops.clone().into_iter().all(|(op, n)| {
                     let c = self.spec.costs.cost(op);
                     n == 0 || c.energy_pj > 0 || c.cycles == 0
                 }),
                 "an op that costs cycles but zero energy (fix the cost table)"
             );
             let energy: u64 = ops
-                .iter()
-                .map(|&(op, n)| n * self.spec.costs.cost(op).energy_pj)
+                .clone()
+                .into_iter()
+                .map(|(op, n)| n * self.spec.costs.cost(op).energy_pj)
                 .sum();
             if energy > self.charge_pj {
                 return false;
             }
             self.charge_pj -= energy;
         }
-        for &(op, n) in ops {
+        for (op, n) in ops {
             if n > 0 {
                 let cost = self.spec.costs.cost(op);
                 self.trace.charge(self.region, self.phase, op, n, cost);
             }
         }
         self.ops_consumed = end;
+        for (addr, v) in writes {
+            self.prepaid_write_at(addr, v);
+        }
         true
     }
 
@@ -1360,6 +1274,7 @@ impl Device {
     fn maybe_tear(&mut self, addr: u32, intended: i16) {
         if self.torn_pending {
             self.torn_pending = false;
+            self.pristine = false;
             let old = self.fram[addr as usize];
             let torn = (old & !0xFF) | (intended & 0xFF);
             let torn = if self.stuck.is_empty() {
@@ -1501,30 +1416,27 @@ impl Device {
     }
 
     /// Host-side read of a raw FRAM address (no energy).
+    #[inline]
     pub fn peek_at(&self, addr: NvAddr) -> Q15 {
         Q15::from_raw(self.fram[addr.0 as usize])
     }
 
     // ----- pre-charged access (bundled accounting) ---------------------
     //
-    // The unmetered data movement behind a funded bundle charge: when a
-    // bundle (or an op tape) has already charged an iteration's memory
-    // ops in bulk, the iteration's effects happen through these. Inside
-    // the crate they back the funded mode of [`Step`]. Two stay public
-    // for code charged through an [`crate::OpTape`] or
-    // [`Device::fund_whole`] instead of [`Device::run_bundled`]: the
-    // tiled runtime's taped reads, and the Alpaca redo log's taped scrub
-    // write and one-charge commit. Using them without a matching charge
+    // The unmetered data movement behind a funded charge: when a bundle,
+    // a taped body's settle or [`Device::fund_whole`] has already charged
+    // the memory ops in bulk, their effects happen through these. They
+    // back the funded mode of `Step`, the `Taped` handle, and
+    // the stores `fund_whole` lands. Using them without a matching charge
     // breaks the energy model.
 
-    /// Pre-charged FRAM read (energy already charged via a bundle or
-    /// tape).
+    /// Pre-charged FRAM read.
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of bounds for `buf`.
     #[inline]
-    pub fn prepaid_read(&self, buf: FramBuf, i: u32) -> Q15 {
+    pub(crate) fn prepaid_read(&self, buf: FramBuf, i: u32) -> Q15 {
         assert!(i < buf.len, "FRAM read out of bounds: {i} >= {}", buf.len);
         Q15::from_raw(self.fram[(buf.base + i) as usize])
     }
@@ -1558,7 +1470,7 @@ impl Device {
 
     /// Pre-charged write of a raw FRAM address.
     #[inline]
-    pub fn prepaid_write_at(&mut self, addr: NvAddr, v: Q15) {
+    pub(crate) fn prepaid_write_at(&mut self, addr: NvAddr, v: Q15) {
         self.nv_store(addr.0, v.raw());
     }
 
@@ -1922,9 +1834,12 @@ impl Device {
     /// ECC read check: `true` when the word at `addr` matches its guard
     /// shadow, or is not guarded at all. No energy: the controller
     /// verifies check bits inside the read that was already charged.
+    #[inline]
     pub fn verify_at(&self, addr: NvAddr) -> bool {
-        self.guard_index(addr.0)
-            .is_none_or(|k| self.guard_shadow[k].1 == self.fram[addr.0 as usize])
+        self.pristine
+            || self
+                .guard_index(addr.0)
+                .is_none_or(|k| self.guard_shadow[k].1 == self.fram[addr.0 as usize])
     }
 
     /// ECC read check of a counter word; see [`Device::verify_at`].
@@ -1988,7 +1903,7 @@ impl Device {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bundle::Site;
+    use crate::bundle::{Meter, Site};
     use crate::spec::CostTable;
 
     fn continuous() -> Device {
@@ -2706,18 +2621,20 @@ mod tests {
     }
 
     #[test]
-    fn consume_bundle_reports_fundable_iterations_without_browning_out() {
+    fn fund_whole_reports_a_shortfall_without_browning_out() {
         let seq = test_iteration();
-        let mut bundle = OpBundle::new();
-        for &(op, phase) in &seq {
-            bundle.push(op, phase);
-        }
         let mut d = Device::new(DeviceSpec::tiny(), PowerSystem::cap_100uf());
-        let (_, per_iter) = counts_cost(bundle.counts(), &d.spec().costs);
-        let expect = d.charge_pj() / per_iter;
-        let funded = d.consume_bundle(&bundle, u64::MAX).unwrap();
-        assert_eq!(funded, expect);
+        let per_iter: u64 = seq
+            .iter()
+            .map(|&(op, _)| d.spec().costs.cost(op).energy_pj)
+            .sum();
+        let iters = |n| seq.iter().map(|&(op, _)| (op, n)).collect::<Vec<_>>();
+        let fundable = d.charge_pj() / per_iter;
+        let charge = d.charge_pj();
+        assert!(!d.fund_whole(iters(fundable + 1), []));
         assert!(d.is_on(), "a shortfall must not brown the device out");
+        assert_eq!((d.ops_consumed(), d.charge_pj()), (0, charge));
+        assert!(d.fund_whole(iters(fundable), []));
         assert!(d.charge_pj() < per_iter);
         // A scalar run of the next iteration then browns out.
         assert!(run_scalar(&mut d, &seq, 1).is_err());
@@ -2725,95 +2642,76 @@ mod tests {
         assert_eq!(d.charge_pj(), 0);
     }
 
-    /// One step of a recorded tape program: a single-op run, or `n`
-    /// repeats of a pattern (an index into the program's patterns).
+    /// One piece of a taped body's program: a single-op run, or a loop of
+    /// `n` iterations, each of shape [`shape_of`] its index.
     #[derive(Clone, Copy)]
-    enum Step {
-        Ops(Op, Phase, u64),
-        Rep(usize, u64),
+    enum Piece {
+        Ops(Op, u64),
+        Loop(u32),
     }
 
-    /// Two iteration patterns: the canonical mixed-phase iteration and a
-    /// read-heavy one whose head merges with a preceding read run.
-    fn tape_patterns() -> Vec<Vec<(Op, Phase)>> {
-        vec![
-            test_iteration(),
-            vec![
-                (Op::FramRead, Phase::Kernel),
-                (Op::FramRead, Phase::Kernel),
-                (Op::Alu, Phase::Control),
-                (Op::FramWrite, Phase::Kernel),
-                (Op::Branch, Phase::Kernel),
-            ],
-        ]
+    /// The taped loops' two iteration shapes (a taped body records at one
+    /// phase).
+    const SHAPES: [&[Op]; 2] = [
+        &[Op::Alu, Op::FramRead, Op::FxpMul, Op::FramWrite, Op::Incr],
+        &[Op::FramRead, Op::FramRead, Op::Alu, Op::Branch],
+    ];
+
+    fn shape_of(i: u32) -> usize {
+        usize::from(i % 3 == 1)
     }
 
-    /// A data-dependent program mixing single-op runs (varying lengths)
-    /// with pattern repeats, different per round.
-    fn tape_program(round: u64) -> Vec<Step> {
+    /// `len` single-op runs of varying lengths between loops, different
+    /// per round.
+    fn taped_program(round: u64, len: u64) -> Vec<Piece> {
         let mut prog = Vec::new();
-        for k in 0..240u64 {
-            let op = match (round + k) % 4 {
-                0 => Op::FramRead,
-                1 => Op::Alu,
-                2 => Op::FramWrite,
-                _ => Op::FxpMul,
-            };
-            prog.push(Step::Ops(op, Phase::Kernel, 1 + k % 3));
+        for k in 0..len {
+            let op = [Op::FramRead, Op::Alu, Op::FramWrite, Op::FxpMul][((round + k) % 4) as usize];
+            prog.push(Piece::Ops(op, 1 + k % 3));
             if k % 3 != 2 {
-                prog.push(Step::Rep(
-                    ((round + k) % 2) as usize,
-                    1 + (k * 7 + round) % 9,
-                ));
+                prog.push(Piece::Loop(1 + ((k * 7 + round) % 9) as u32));
             }
         }
         prog
     }
 
-    /// The program as a tape: patterns registered once, consecutive
-    /// repeats of one pattern merging.
-    fn record_tape(pats: &[OpBundle], prog: &[Step]) -> OpTape {
-        let mut tape = OpTape::new();
-        let ids: Vec<_> = pats.iter().map(|p| tape.register(p.clone())).collect();
-        for &step in prog {
-            match step {
-                Step::Ops(op, phase, n) => tape.push_n(op, phase, n),
-                Step::Rep(p, n) => tape.repeat(ids[p], n),
+    /// The program charged op by op.
+    fn program_scalar(dev: &mut Device, prog: &[Piece]) -> Result<(), PowerFailure> {
+        for &piece in prog {
+            match piece {
+                Piece::Ops(op, n) => dev.consume_n(op, n)?,
+                Piece::Loop(n) => {
+                    for i in 0..n {
+                        for &op in SHAPES[shape_of(i)] {
+                            dev.consume(op)?;
+                        }
+                    }
+                }
             }
         }
-        tape
+        Ok(())
     }
 
-    /// The same program consumed scalar-wise: one `consume_n` per run,
-    /// patterns expanded op by op, each op at its own phase (restored to
-    /// kernel afterwards so later boots charge the same cell).
-    fn run_program_scalar(
+    /// The program as one taped body against `sites`.
+    fn program_taped(
         dev: &mut Device,
-        pats: &[Vec<(Op, Phase)>],
-        prog: &[Step],
+        sites: &mut [Site],
+        prog: &[Piece],
     ) -> Result<(), PowerFailure> {
-        let region = dev.context().0;
-        let r = (|| {
-            for &step in prog {
-                match step {
-                    Step::Ops(op, phase, n) => {
-                        dev.set_context(region, phase);
-                        dev.consume_n(op, n)?;
-                    }
-                    Step::Rep(p, n) => {
-                        for _ in 0..n {
-                            for &(op, phase) in &pats[p] {
-                                dev.set_context(region, phase);
-                                dev.consume_n(op, 1)?;
-                            }
+        dev.run_tape(sites, |t| {
+            for &piece in prog {
+                match piece {
+                    Piece::Ops(op, n) => t.op_n(op, n)?,
+                    Piece::Loop(n) => {
+                        for i in 0..n {
+                            let k = shape_of(i);
+                            t.iterate(k, |t| SHAPES[k].iter().try_for_each(|&op| t.op(op)))?;
                         }
                     }
                 }
             }
             Ok(())
-        })();
-        dev.set_context(region, Phase::Kernel);
-        r
+        })
     }
 
     fn assert_tape_settle_identical(a: &Device, b: &Device) {
@@ -2825,28 +2723,38 @@ mod tests {
     }
 
     #[test]
-    fn consume_tape_matches_scalar_sequence() {
-        // Single-op runs mixed with pattern repeats, settled as a tape vs
-        // consumed scalar-wise, across several brown-outs.
-        let seqs = tape_patterns();
-        let pats: Vec<_> = seqs
-            .iter()
-            .map(|seq| {
-                let mut b = OpBundle::new();
-                for &(op, phase) in seq {
-                    b.push(op, phase);
-                }
-                b
-            })
-            .collect();
+    fn a_taped_body_matches_scalar_charging_at_every_brownout() {
+        // A brown-out forced at every op boundary of one body (and one
+        // past its end), with its sites empty and recorded.
+        let prog = taped_program(0, 12);
+        let mut recorded: [Site; 2] = Default::default();
+        let mut d = continuous();
+        program_taped(&mut d, &mut recorded, &prog).unwrap();
+        let total = d.ops_consumed();
+        assert!(recorded.iter().all(|s| s.bundle().is_some()));
+        for sites in [Default::default(), recorded] {
+            for t in 0..=total {
+                let mut a = continuous();
+                a.arm_faults(&FaultPlan::at(t));
+                let mut b = a.clone();
+                let ra = program_scalar(&mut a, &prog);
+                let rb = program_taped(&mut b, &mut sites.clone(), &prog);
+                assert_eq!(ra, rb, "boundary {t}");
+                assert_eq!(ra.is_err(), t < total, "boundary {t}");
+                assert_tape_settle_identical(&a, &b);
+            }
+        }
+        // Bodies settled through natural shortfalls, across several
+        // brown-outs.
         let mut a = Device::new(DeviceSpec::tiny(), PowerSystem::cap_100uf());
         let mut b = a.clone();
+        let mut sites: [Site; 2] = Default::default();
         let mut brownouts = 0;
         for round in 0..24u64 {
-            let prog = tape_program(round);
-            let ra = run_program_scalar(&mut a, &seqs, &prog);
-            let rb = b.consume_tape(&record_tape(&pats, &prog));
-            assert_eq!(ra.is_err(), rb.is_err(), "round {round}");
+            let prog = taped_program(round, 240);
+            let ra = program_scalar(&mut a, &prog);
+            let rb = program_taped(&mut b, &mut sites, &prog);
+            assert_eq!(ra, rb, "round {round}");
             assert_tape_settle_identical(&a, &b);
             if ra.is_err() {
                 brownouts += 1;
@@ -2858,48 +2766,69 @@ mod tests {
             brownouts >= 3,
             "the sweep must cross several brown-outs, got {brownouts}"
         );
+    }
 
-        // Armed targets landing inside a pattern repeat: a brown-out, and
-        // separately a bit flip that corrupts FRAM without cutting power.
-        let prog = [
-            Step::Ops(Op::Alu, Phase::Kernel, 3),
-            Step::Rep(0, 40),
-            Step::Ops(Op::FramRead, Phase::Kernel, 2),
-            Step::Rep(1, 40),
-        ];
-        let tape = record_tape(&pats, &prog);
-        let iter0 = seqs[0].len() as u64;
+    #[test]
+    fn a_bit_flip_inside_a_taped_body_fires_at_the_settle_after_its_reads() {
         for power in [PowerSystem::continuous(), PowerSystem::cap_100uf()] {
             let mut a = Device::new(DeviceSpec::tiny(), power);
-            let word = a.fram_alloc_word().unwrap();
-            a.flash_word(word, 0x0F0F);
-            // Inside repeat 5 of the first pattern, mid-iteration.
-            let offset = 3 + 5 * iter0 + 2;
-            for kind in [
-                FaultKind::Brownout,
-                FaultKind::BitFlip {
-                    addr: word.addr(),
-                    bit: 9,
-                },
-            ] {
-                let mut a = a.clone();
-                a.arm_faults(&FaultPlan::faults([(a.ops_consumed() + offset, kind)]));
-                let mut b = a.clone();
-                let ra = run_program_scalar(&mut a, &seqs, &prog);
-                let rb = b.consume_tape(&tape);
-                assert_eq!(ra, rb, "{kind:?}");
-                assert_eq!(ra.is_err(), kind.browns_out(), "{kind:?}");
-                assert_eq!(a.pending_faults(), 0, "{kind:?}: the target fired");
-                if kind.browns_out() {
-                    let info = b.last_brownout().expect("browned out");
-                    assert!(info.injected);
-                    assert_eq!(info.op, seqs[0][2].0);
-                } else {
-                    assert_eq!(b.peek_word(word), 0x0F0F ^ (1 << 9));
-                }
-                assert_tape_settle_identical(&a, &b);
-            }
+            let w = a.fram_alloc(1).unwrap();
+            a.flash(w, &[Q15::from_raw(0x0F0F)]);
+            let flip = FaultKind::BitFlip {
+                addr: w.addr(0),
+                bit: 9,
+            };
+            // Before the fourth op: the second iteration's ALU op.
+            a.arm_faults(&FaultPlan::faults([(a.ops_consumed() + 3, flip)]));
+            let mut b = a.clone();
+            let taped = a
+                .run_tape(&mut [Site::default()], |t| {
+                    (0..4)
+                        .map(|_| {
+                            t.iterate(0, |t| {
+                                let v = t.read(w, 0)?;
+                                t.op(Op::Alu)?;
+                                Ok(v.raw() as u16)
+                            })
+                        })
+                        .collect::<Result<Vec<_>, _>>()
+                })
+                .unwrap();
+            assert_eq!(taped, [0x0F0F; 4], "the body reads before the flip");
+            assert_eq!(a.peek(w)[0].raw(), 0x0F0F ^ 1 << 9, "the flip fired");
+            assert_eq!((a.pending_faults(), a.mem_faults_injected()), (0, 1));
+            // Op by op, the reads after the flip see it; the charge is
+            // the same.
+            let scalar: Vec<u16> = (0..4)
+                .map(|_| {
+                    let v = b.read(w, 0).unwrap().raw() as u16;
+                    b.consume(Op::Alu).unwrap();
+                    v
+                })
+                .collect();
+            assert_eq!(scalar, [0x0F0F, 0x0F0F, 0x0F0F ^ 1 << 9, 0x0F0F ^ 1 << 9]);
+            assert_tape_settle_identical(&a, &b);
         }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "a taped iteration charged")]
+    fn a_taped_iteration_that_strays_from_its_bundle_panics() {
+        let mut d = continuous();
+        // Iteration 0 records one op; iteration 2 charges another.
+        let _ = d.run_tape(&mut [Site::default()], |t| {
+            for i in 0..3 {
+                t.iterate(0, |t| {
+                    t.op(Op::Incr)?;
+                    if i == 2 {
+                        t.op(Op::Branch)?;
+                    }
+                    Ok(())
+                })?;
+            }
+            Ok(())
+        });
     }
 
     #[test]
@@ -2964,25 +2893,22 @@ mod tests {
         let mut spec = DeviceSpec::tiny();
         spec.costs.set_cost(Op::Nop, crate::spec::Cost::new(0, 0));
         let mut d = Device::new(spec, PowerSystem::cap_100uf());
-        let mut bundle = OpBundle::new();
-        bundle.push(Op::Nop, Phase::Kernel);
         let before = d.charge_pj();
-        assert_eq!(d.consume_bundle(&bundle, 1_000_000).unwrap(), 1_000_000);
+        d.run_tape(&mut [Site::default()], |t| {
+            (0..1000).try_for_each(|_| t.iterate(0, |t| t.op_n(Op::Nop, 1000)))
+        })
+        .unwrap();
         assert_eq!(d.charge_pj(), before);
         assert_eq!(d.trace().op_count(Op::Nop), 1_000_000);
     }
 
     #[test]
-    fn consume_bundle_while_off_fails() {
+    fn a_taped_body_while_off_fails() {
         let mut d = Device::new(DeviceSpec::tiny(), PowerSystem::cap_100uf());
         while d.consume(Op::Nop).is_ok() {}
-        let mut bundle = OpBundle::new();
-        bundle.push(Op::Alu, Phase::Kernel);
-        assert_eq!(d.consume_bundle(&bundle, 5), Err(PowerFailure));
-        let mut tape = OpTape::new();
-        tape.push(Op::Alu, Phase::Kernel);
-        assert_eq!(d.consume_tape(&tape), Err(PowerFailure));
-        assert_eq!(d.consume_tape(&OpTape::new()), Err(PowerFailure));
+        assert_eq!(d.run_tape(&mut [], |t| t.op(Op::Alu)), Err(PowerFailure));
+        assert_eq!(d.run_tape(&mut [], |_| Ok(())), Err(PowerFailure));
+        assert!(!d.fund_whole([], []));
     }
 
     #[test]
@@ -2996,9 +2922,11 @@ mod tests {
         for power in [PowerSystem::continuous(), PowerSystem::cap_100uf()] {
             let mut a = Device::new(DeviceSpec::tiny(), power);
             a.set_context(RegionId::OTHER, Phase::Control);
+            let w = a.fram_alloc_word().unwrap();
             let mut b = a.clone();
-            assert!(a.fund_whole(&seq));
+            assert!(a.fund_whole(seq, [(w.addr(), Q15::HALF)]));
             assert!(by_op(&mut b));
+            b.prepaid_write_at(w.addr(), Q15::HALF);
             assert_devices_identical(&a, &b);
         }
         let fresh = || Device::new(DeviceSpec::tiny(), PowerSystem::cap_100uf());
@@ -3007,7 +2935,7 @@ mod tests {
         // a memory fault included, refuses it.
         let mut d = fresh();
         d.arm_faults(&FaultPlan::at(whole));
-        assert!(d.fund_whole(&seq));
+        assert!(d.fund_whole(seq, []));
         assert_eq!(d.pending_faults(), 1);
         for kind in [
             FaultKind::Brownout,
@@ -3017,10 +2945,11 @@ mod tests {
             },
         ] {
             let mut d = fresh();
-            d.fram_alloc_word().unwrap();
+            let w = d.fram_alloc_word().unwrap();
             d.arm_faults(&FaultPlan::faults([(whole - 1, kind)]));
-            assert!(!d.fund_whole(&seq), "{kind:?}");
+            assert!(!d.fund_whole(seq, [(w.addr(), Q15::HALF)]), "{kind:?}");
             assert_eq!((d.ops_consumed(), d.pending_faults()), (0, 1));
+            assert_eq!(d.peek_word(w), 0, "{kind:?}: a refused store never lands");
         }
         // A buffer one op short of the sequence refuses it, charging
         // nothing; the op-by-op run browns out on the last op.
@@ -3035,15 +2964,15 @@ mod tests {
             .unwrap();
         let (ops, charge) = (d.ops_consumed(), d.charge_pj());
         assert!(charge < energy);
-        assert!(!d.fund_whole(&seq));
+        assert!(!d.fund_whole(seq, []));
         assert_eq!((d.ops_consumed(), d.charge_pj()), (ops, charge));
         assert!(!by_op(&mut d));
         assert_eq!(d.last_brownout().unwrap().op, Op::TaskTransition);
         // Off, or recording a bundled iteration: refused.
-        assert!(!d.fund_whole(&seq));
+        assert!(!d.fund_whole(seq, []));
         let mut d = fresh();
         d.record = Some(Box::default());
-        assert!(!d.fund_whole(&seq));
+        assert!(!d.fund_whole(seq, []));
     }
 
     #[test]

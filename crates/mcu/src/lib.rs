@@ -15,7 +15,8 @@
 //!   charge whole bodies at a time — cycle- and energy-exact, brown-out op
 //!   included — through the bundled-loop driver ([`bundle`],
 //!   [`Device::run_shaped`], [`Device::run_bundled`], [`Site`],
-//!   [`Step`]).
+//!   [`Step`]); task bodies with no durable effects before a commit run
+//!   host-side and settle once ([`Device::run_tape`], [`Taped`]).
 //! - **A capacitor-based power system.** Usable buffer energy follows
 //!   `E = ½·C·(V_on² − V_off²)` and recharge time integrates the
 //!   harvester's input-power *profile* — constant (the paper's RF setup),
@@ -64,7 +65,7 @@ pub mod power;
 pub mod spec;
 pub mod trace;
 
-pub use bundle::{BundleOp, OpBundle, OpTape, PatternId, Site, Step};
+pub use bundle::{BundleOp, Iteration, Meter, OpBundle, Site, Step, Taped};
 pub use device::{
     AllocError, BrownoutInfo, Device, FaultKind, FaultPlan, FramBuf, FramWord, NvAddr,
     PowerFailure, SramBuf, SupplyDead, CORRUPTION_RETRY_LIMIT,
