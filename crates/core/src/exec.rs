@@ -5,7 +5,8 @@ use crate::{baseline, sonic, stateful, tails, tiled};
 use dnn::quant::QModel;
 use fxp::Q15;
 use intermittent::alpaca::AlpacaRt;
-use intermittent::sched::{run_observed, FailureEvent, RunError, RunStats, SchedulerConfig};
+use intermittent::sched::{FailureEvent, RunError, RunState, RunStats, SchedulerConfig};
+use intermittent::task::TaskGraph;
 use mcu::{Device, DeviceSpec, FaultPlan, PowerSystem, TraceReport};
 
 pub use crate::tails::TailsConfig;
@@ -246,70 +247,169 @@ pub fn run_deployed(dev: &mut Device, dm: &DeployedModel, backend: &Backend) -> 
 /// the brown-out and the reboot (see [`run_observed`]), with the run's
 /// Alpaca runtime when the backend has one. The crash-consistency spec
 /// checks every crash state through it.
+///
+/// [`run_observed`]: intermittent::sched::run_observed
 pub(crate) fn run_deployed_observed(
     dev: &mut Device,
     dm: &DeployedModel,
     backend: &Backend,
-    mut observe: impl FnMut(&Device, Option<&AlpacaRt>, FailureEvent),
+    observe: impl FnMut(&Device, Option<&AlpacaRt>, FailureEvent),
 ) -> InferenceOutcome {
-    dev.begin_epoch();
-    dev.reset_corruption_stats();
-    // Runtime construction allocates per-run working state (TAILS SRAM
-    // staging buffers, the Alpaca commit log); rewind it afterwards so a
-    // reused deployment links every run against the identical layout
-    // instead of leaking the arenas.
-    let alloc_marks = dev.alloc_watermarks();
-    let result: Result<RunStats, RunError> = match backend {
-        Backend::Tiled(n) => {
-            let mut rt = AlpacaRt::new(dev).expect("FRAM for commit flag");
-            let mut g = tiled::build(dm, *n);
-            let cfg = SchedulerConfig::task_based();
-            run_observed(&mut g, &mut rt, dev, 0, &cfg, |dev, rt, ev| {
-                observe(dev, Some(rt), ev);
-            })
+    Session::start(dev, dm, backend).finish(dev, dm, observe)
+}
+
+/// A backend's task graph with the runtime context it runs against.
+#[derive(Clone)]
+enum Graph {
+    /// Tile-N over the Alpaca redo-log runtime.
+    Alpaca(TaskGraph<AlpacaRt>, Box<AlpacaRt>),
+    /// Every other backend: no runtime context.
+    Plain(TaskGraph<()>),
+}
+
+/// One inference run in progress on a device: the backend's task graph,
+/// its runtime context, the scheduler's loop state and the allocation
+/// marks the run rewinds to when it ends.
+///
+/// [`Session::step`] runs one task transition at a time. Between steps
+/// the run stands at a task boundary, where the session and the device
+/// hold all of its state: the FRAM image, trace epoch, power and op
+/// counter on the device; the task bodies with their recorded sites, the
+/// Alpaca log and commit phase, and the scheduler's counters in the
+/// session. A clone of both therefore continues exactly as the original
+/// would — the crash-consistency sweeps fork their faulted runs from
+/// such snapshots (see [`crate::spec`]).
+#[derive(Clone)]
+pub(crate) struct Session {
+    backend: Backend,
+    graph: Graph,
+    state: RunState,
+    cfg: SchedulerConfig,
+    alloc_marks: (u32, u32),
+    start_ops: u64,
+}
+
+impl Session {
+    /// Starts a run of `backend` over the deployment `dm` on `dev` (the
+    /// input must be loaded): begins the trace epoch, resets the
+    /// corruption accounting and builds the runtime. Charges no op.
+    pub(crate) fn start(dev: &mut Device, dm: &DeployedModel, backend: &Backend) -> Session {
+        dev.begin_epoch();
+        dev.reset_corruption_stats();
+        // Runtime construction allocates per-run working state (TAILS
+        // SRAM staging buffers, the Alpaca commit flag); the run rewinds
+        // it when it ends, so a reused deployment links every run against
+        // the identical layout instead of leaking the arenas.
+        let alloc_marks = dev.alloc_watermarks();
+        let graph = match backend {
+            Backend::Tiled(n) => {
+                let rt = AlpacaRt::new(dev).expect("FRAM for commit flag");
+                Graph::Alpaca(tiled::build(dm, *n), Box::new(rt))
+            }
+            Backend::Baseline => Graph::Plain(baseline::build(dm)),
+            Backend::Sonic => Graph::Plain(sonic::build(dm, true)),
+            Backend::SonicNoUndo => Graph::Plain(sonic::build(dm, false)),
+            Backend::Tails(cfg) => Graph::Plain(tails::build(dm, *cfg, dev)),
+            Backend::Stateful => {
+                stateful::prepare_run(dev, dm);
+                Graph::Plain(stateful::build(dm))
+            }
+        };
+        let cfg = if *backend == Backend::Baseline {
+            SchedulerConfig::from_entry()
+        } else {
+            SchedulerConfig::task_based()
+        };
+        Session {
+            backend: *backend,
+            graph,
+            state: RunState::new(dev, 0),
+            cfg,
+            alloc_marks,
+            start_ops: dev.ops_consumed(),
         }
-        _ => {
-            let mut g = match backend {
-                Backend::Baseline => baseline::build(dm),
-                Backend::Sonic => sonic::build(dm, true),
-                Backend::SonicNoUndo => sonic::build(dm, false),
-                Backend::Tails(cfg) => tails::build(dm, *cfg, dev),
-                Backend::Stateful => {
-                    stateful::prepare_run(dev, dm);
-                    stateful::build(dm)
-                }
-                Backend::Tiled(_) => unreachable!("handled above"),
-            };
-            let cfg = if *backend == Backend::Baseline {
-                SchedulerConfig::from_entry()
-            } else {
-                SchedulerConfig::task_based()
-            };
-            run_observed(&mut g, &mut (), dev, 0, &cfg, |dev, _, ev| {
-                observe(dev, None, ev);
-            })
+    }
+
+    /// The device's op counter when the run started: fault targets are
+    /// relative to it.
+    pub(crate) fn start_ops(&self) -> u64 {
+        self.start_ops
+    }
+
+    /// The run's Alpaca runtime, when the backend has one.
+    pub(crate) fn alpaca(&self) -> Option<&AlpacaRt> {
+        match &self.graph {
+            Graph::Alpaca(_, rt) => Some(&**rt),
+            Graph::Plain(_) => None,
         }
-    };
-    dev.rewind_allocs(alloc_marks);
-    let stats = match result {
-        Ok(stats) => stats,
-        Err(e) => return failed_outcome(dev, backend, e),
-    };
-    let output = match backend {
-        // Stateful activations carry in-band tags; strip them.
-        Backend::Stateful => stateful::cleared_output(dev, dm),
-        _ => dm.read_output(dev),
-    };
-    InferenceOutcome {
-        backend: backend.label(),
-        power: dev.power().label(),
-        completed: true,
-        class: fxp::vecops::argmax(&output),
-        output,
-        trace: dev.epoch_report(),
-        stats: Some(stats),
-        corruption_detected: dev.corruption_detected(),
-        failure: None,
+    }
+
+    /// Runs one task transition (see [`RunState::step`]): `None` at the
+    /// next task boundary, the run's result once it has ended.
+    pub(crate) fn step(
+        &mut self,
+        dev: &mut Device,
+        observe: &mut impl FnMut(&Device, Option<&AlpacaRt>, FailureEvent),
+    ) -> Option<Result<RunStats, RunError>> {
+        let r = match &mut self.graph {
+            Graph::Alpaca(g, rt) => {
+                self.state
+                    .step(g, &mut **rt, dev, &self.cfg, &mut |d, rt, ev| {
+                        observe(d, Some(rt), ev)
+                    })
+            }
+            Graph::Plain(g) => self
+                .state
+                .step(g, &mut (), dev, &self.cfg, &mut |d, _, ev| {
+                    observe(d, None, ev)
+                }),
+        };
+        r.transpose()
+    }
+
+    /// Runs the session to its end and reports the outcome.
+    pub(crate) fn finish(
+        mut self,
+        dev: &mut Device,
+        dm: &DeployedModel,
+        mut observe: impl FnMut(&Device, Option<&AlpacaRt>, FailureEvent),
+    ) -> InferenceOutcome {
+        loop {
+            if let Some(result) = self.step(dev, &mut observe) {
+                return self.outcome(dev, dm, result);
+            }
+        }
+    }
+
+    /// The outcome of the ended run, `result` being its last step's.
+    pub(crate) fn outcome(
+        self,
+        dev: &mut Device,
+        dm: &DeployedModel,
+        result: Result<RunStats, RunError>,
+    ) -> InferenceOutcome {
+        let backend = &self.backend;
+        dev.rewind_allocs(self.alloc_marks);
+        let stats = match result {
+            Ok(stats) => stats,
+            Err(e) => return failed_outcome(dev, backend, e),
+        };
+        let output = match backend {
+            // Stateful activations carry in-band tags; strip them.
+            Backend::Stateful => stateful::cleared_output(dev, dm),
+            _ => dm.read_output(dev),
+        };
+        InferenceOutcome {
+            backend: backend.label(),
+            power: dev.power().label(),
+            completed: true,
+            class: fxp::vecops::argmax(&output),
+            output,
+            trace: dev.epoch_report(),
+            stats: Some(stats),
+            corruption_detected: dev.corruption_detected(),
+            failure: None,
+        }
     }
 }
 
@@ -628,6 +728,80 @@ mod tests {
         assert_eq!(out.backend, "SONIC");
     }
 
+    /// Runs `backend` on `power` uninterrupted, then once more, forking a
+    /// clone of the device and the session at every task boundary and
+    /// finishing it: every fork must end in the uninterrupted run's
+    /// outcome (Debug-equal, so trace and stats included), FRAM image and
+    /// op counter. Returns the number of boundaries forked and the run's
+    /// reboots.
+    fn assert_forks_finish_alike(
+        qm: &QModel,
+        input: &[Q15],
+        backend: &Backend,
+        power: PowerSystem,
+    ) -> (usize, u64) {
+        let mut tmpl = Device::new(spec(), power);
+        let dm = deploy(&mut tmpl, qm).expect("fits");
+        dm.load_input(&mut tmpl, input);
+        let mut whole = tmpl.clone();
+        let want = run_deployed(&mut whole, &dm, backend);
+        let reboots = want.trace.reboots;
+        let want = format!("{want:?}");
+        let same = |dev: &Device, got: InferenceOutcome, at: &str| {
+            let label = format!("{backend} on {}: {at}", dev.power().label());
+            assert_eq!(format!("{got:?}"), want, "{label}: outcome");
+            assert_eq!(dev.fram_image(), whole.fram_image(), "{label}: FRAM");
+            assert_eq!(dev.ops_consumed(), whole.ops_consumed(), "{label}: ops");
+        };
+        let mut dev = tmpl;
+        let mut session = Session::start(&mut dev, &dm, backend);
+        let mut forks = 0;
+        let result = loop {
+            let (mut fork, s) = (dev.clone(), session.clone());
+            let got = s.finish(&mut fork, &dm, |_, _, _| {});
+            same(&fork, got, &format!("fork at boundary {forks}"));
+            forks += 1;
+            if let Some(r) = session.step(&mut dev, &mut |_, _, _| {}) {
+                break r;
+            }
+        };
+        let got = session.outcome(&mut dev, &dm, result);
+        same(&dev, got, "the stepped run");
+        (forks, reboots)
+    }
+
+    #[test]
+    fn resumed_runs_finish_like_the_uninterrupted_run() {
+        // The multi-task backends on the Tile-N fixture CNN and the
+        // pruned-FC model. 10 µF browns out every backend on one of the
+        // models, so forks also carry a mid-run power state and the
+        // scheduler's no-progress counters.
+        for b in [
+            Backend::Sonic,
+            Backend::SonicNoUndo,
+            Backend::Tails(TailsConfig::default()),
+            Backend::Tiled(4),
+            Backend::Tiled(8),
+        ] {
+            let mut rebooted = 0;
+            for (qm, input) in [
+                tests_support::tiny_cnn(),
+                tests_support::tiny_pruned_qmodel(),
+            ] {
+                for power in [
+                    PowerSystem::continuous(),
+                    PowerSystem::cap_100uf(),
+                    PowerSystem::harvested(10e-6),
+                ] {
+                    let (forks, reboots) = assert_forks_finish_alike(&qm, &input, &b, power);
+                    assert!(forks > 3, "{b}: only {forks} task boundaries");
+                    rebooted += reboots;
+                }
+            }
+            assert!(rebooted > 0, "{b}: no run browned out");
+        }
+    }
+
     #[test]
     fn backend_labels_match_paper() {
         let labels: Vec<String> = Backend::paper_suite().iter().map(|b| b.label()).collect();
@@ -692,6 +866,39 @@ pub(crate) mod tests_support {
     use dnn::quant::quantize;
     use dnn::tensor::Tensor;
     use rand::SeedableRng;
+
+    /// The Tile-N fixture network (`tiled::tests`) and its input: conv,
+    /// ReLU, pool, a pruned (sparse) FC and a dense FC on a 6×6 input.
+    pub(crate) fn tiny_cnn() -> (QModel, Vec<Q15>) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(24);
+        let mut model = Model::new(vec![
+            Layer::conv2d(2, 1, 3, 3, &mut rng),
+            Layer::relu(),
+            Layer::maxpool(2),
+            Layer::flatten(),
+            Layer::dense(8, 6, &mut rng),
+            Layer::relu(),
+            Layer::dense(6, 3, &mut rng),
+        ]);
+        let l = &mut model.layers_mut()[4];
+        if let Layer::Dense(d) = l {
+            let mut mask = Tensor::zeros(d.w.shape().to_vec());
+            for (i, m) in mask.data_mut().iter_mut().enumerate() {
+                if i % 3 == 0 {
+                    *m = 1.0;
+                }
+            }
+            l.set_mask(mask);
+        }
+        let shape = [1usize, 6, 6];
+        let calib: Vec<Tensor> = (0..3)
+            .map(|_| Tensor::uniform(shape.to_vec(), 0.9, &mut rng))
+            .collect();
+        let qm = quantize(&mut model, &shape, &calib);
+        let x = Tensor::uniform(shape.to_vec(), 0.9, &mut rng);
+        let input = qm.quantize_input(&x);
+        (qm, input)
+    }
 
     /// A model whose dominant layer is a heavily pruned (sparse) FC.
     pub(crate) fn tiny_pruned_qmodel() -> (QModel, Vec<Q15>) {

@@ -29,6 +29,31 @@
 //!    mid-DMA-span boundaries, which the injection hook
 //!    ([`Device::arm_faults`]) lands exactly.
 //!
+//! 3. **Forked runs.** The sweeps ([`check_strided`], [`check_exhaustive`],
+//!    [`check_corruption`], [`check_stateful_corruption`]) do not
+//!    re-simulate each faulted run's fault-free prefix. A run is a
+//!    session over the device (`exec::Session`): the task graph with
+//!    each body's recorded sites, the Alpaca runtime, and the
+//!    scheduler's loop state, stepped one task transition at a time. The
+//!    sweeps step the fault-free reference, keep a snapshot (a device
+//!    clone plus a session clone) at the last task boundary strictly
+//!    before each target, in target order, and run every schedule or
+//!    flip from a clone of its snapshot with the fault plan armed;
+//!    targets stay relative to the run start. The fork is the same
+//!    computation as a run from the start with the plan armed: nothing
+//!    armed after the boundary can act before it — a fault fires only
+//!    when execution reaches its op index, and every funding decision
+//!    before the boundary covers ops that end at or before it, so a
+//!    later target never limits it — and the snapshot holds every piece
+//!    of state the run carries (`forked` in the source spells the
+//!    argument out). From the boundary to the target the run executes
+//!    with the plan armed, so the armed-fault capping in the bundled-loop
+//!    and taped-body drivers still lands every fault on its exact op.
+//!    Single-task backends (Base, Stateful) have only the entry
+//!    boundary, so their runs start at the entry. The public
+//!    single-schedule entry points ([`check_schedule`],
+//!    [`classify_faults`]) run from the deployed template, as before.
+//!
 //! Violations are actionable: each [`Violation`] reports the backend,
 //! the accounting region (layer/task), the charged-op index and phase of
 //! the crash, the injected schedule, and the abstract-vs-concrete
@@ -37,7 +62,7 @@
 use crate::deploy::{
     deploy, DeployedKind, DeployedLayer, DeployedModel, IoBuf, SparseFc, UNDO_EMPTY,
 };
-use crate::exec::Backend;
+use crate::exec::{Backend, Session};
 use crate::fleet::par_map;
 use crate::tails::{CALIB_INITIAL, CALIB_MIN};
 use dnn::quant::QModel;
@@ -713,6 +738,55 @@ fn template(qm: &QModel, input: &[Q15], spec: &DeviceSpec) -> (Device, DeployedM
     (dev, dm)
 }
 
+/// A run standing at a task boundary: the device and the session that
+/// drives it. A clone continues exactly as the original would (see
+/// [`Session`] and the module docs).
+#[derive(Clone)]
+struct Snapshot {
+    dev: Device,
+    session: Session,
+}
+
+impl Snapshot {
+    /// A run of `backend` started on a clone of the template `tmpl`: the
+    /// entry boundary.
+    fn start(tmpl: &Device, dm: &DeployedModel, backend: &Backend) -> Snapshot {
+        let mut dev = tmpl.clone();
+        let session = Session::start(&mut dev, dm, backend);
+        Snapshot { dev, session }
+    }
+
+    /// Charged ops since the run started.
+    fn ran(&self) -> u64 {
+        self.dev.ops_consumed() - self.session.start_ops()
+    }
+
+    /// Arms `plan`, whose targets are relative to the run start.
+    fn arm(&mut self, plan: &FaultPlan) {
+        self.dev.arm_faults(&plan.shifted(self.session.start_ops()));
+    }
+
+    /// Runs one task transition with no fault armed; `false` once the run
+    /// has ended.
+    fn step(&mut self) -> bool {
+        self.session
+            .step(&mut self.dev, &mut |_, _, _| {})
+            .is_none()
+    }
+}
+
+/// The fault-free reference run of a sweep.
+struct Reference {
+    /// The completed output.
+    output: Vec<Q15>,
+    /// Charged ops the inference took (the boundary space a sweep
+    /// enumerates).
+    ops: u64,
+    /// The op count, relative to the run start, at each task boundary:
+    /// the entry (`0`), then after every transition but the last.
+    boundaries: Vec<u64>,
+}
+
 /// Runs the fault-free reference on continuous power: returns the
 /// completed output and the number of charged ops the inference took
 /// (the boundary space an exhaustive sweep enumerates).
@@ -729,20 +803,144 @@ pub fn fault_free_reference(
     backend: &Backend,
 ) -> (Vec<Q15>, u64) {
     let (dev, dm) = template(qm, input, spec);
-    reference_on(dev, &dm, backend)
+    let r = reference_on(&dev, &dm, backend);
+    (r.output, r.ops)
 }
 
-/// [`fault_free_reference`] on a device already holding the deployment
-/// `dm` and its input.
-fn reference_on(mut dev: Device, dm: &DeployedModel, backend: &Backend) -> (Vec<Q15>, u64) {
-    let base = dev.ops_consumed();
-    let out = crate::exec::run_deployed(&mut dev, dm, backend);
+/// [`fault_free_reference`] from the template `tmpl` holding the
+/// deployment `dm` and its input, stepped one task transition at a time
+/// to record the task boundaries.
+fn reference_on(tmpl: &Device, dm: &DeployedModel, backend: &Backend) -> Reference {
+    let mut run = Snapshot::start(tmpl, dm, backend);
+    let mut boundaries = vec![0];
+    let result = loop {
+        match run.session.step(&mut run.dev, &mut |_, _, _| {}) {
+            None => boundaries.push(run.ran()),
+            Some(r) => break r,
+        }
+    };
+    let ops = run.ran();
+    let out = run.session.outcome(&mut run.dev, dm, result);
     assert!(
         out.completed,
         "fault-free reference must complete: {:?}",
         out.failure
     );
-    (out.output, dev.ops_consumed() - base)
+    Reference {
+        output: out.output,
+        ops,
+        boundaries,
+    }
+}
+
+/// Snapshots a batch holds at most before its jobs run: bounds a sweep's
+/// memory to this many device images.
+const BATCH_SNAPSHOTS: usize = 16;
+
+/// Jobs a batch collects before they run, so the fan-out stays wide when
+/// each snapshot serves few jobs.
+const BATCH_JOBS: usize = 64;
+
+/// Runs `f` once per `(target, item)`, each on its own clone of the
+/// fault-free run forked at the last task boundary strictly before the
+/// target (the entry boundary for targets at `0`), and returns the
+/// results in item order.
+///
+/// The reference is stepped once more, as far as the last boundary any
+/// target needs, and snapshots are taken in target order, only at the
+/// boundaries some target needs; one snapshot serves every target that
+/// shares it. Jobs fan out over [`par_map`] a batch at a time, so at most
+/// [`BATCH_SNAPSHOTS`] snapshots are alive at once.
+///
+/// Why a forked run equals a run from the template with the same plan
+/// armed: before the boundary `b`, the faulted run executes exactly what
+/// the fault-free run does, because nothing armed at `t > b` can act
+/// before `b`:
+///
+/// - a brown-out or torn write fires only when the op at index `t` is
+///   attempted, and every op before `b` has an index below `b`;
+/// - a memory fault fires at the first charge that starts at index
+///   `t` or later, and every charge before `b` starts below `b` (the
+///   strict `b < t` also covers a zero-length charge issued after the
+///   last op of a transition);
+/// - every funding decision ([`Device::fund_whole`], the bundled-loop
+///   driver's funded runs, a taped body's settle) covers ops that end at
+///   or before `b`, so a target at `t > b` is outside it and the
+///   decision is the one the unarmed run takes.
+///
+/// At `b` the snapshot holds every piece of state the run carries — the
+/// device (FRAM, guard shadows, trace epoch, power, op counter), the
+/// scheduler's counters, the Alpaca runtime, and the task bodies with
+/// their recorded sites — so arming the plan there and continuing is the
+/// same computation: every report, trace and digest is bit-identical.
+fn forked<T, U, F>(
+    tmpl: &Device,
+    dm: &DeployedModel,
+    backend: &Backend,
+    reference: &Reference,
+    items: Vec<(u64, T)>,
+    f: &F,
+) -> Vec<U>
+where
+    T: Send,
+    U: Send,
+    F: Fn(Snapshot, T) -> U + Sync,
+{
+    let boundaries = &reference.boundaries;
+    let fork_at = |t: u64| boundaries.partition_point(|&b| b < t).saturating_sub(1);
+    let mut jobs: Vec<(usize, usize, T)> = items
+        .into_iter()
+        .enumerate()
+        .map(|(i, (t, item))| (fork_at(t), i, item))
+        .collect();
+    // Stable: items that share a boundary keep their order.
+    jobs.sort_by_key(|&(k, _, _)| k);
+    let mut out: Vec<Option<U>> = (0..jobs.len()).map(|_| None).collect();
+    let mut run = Snapshot::start(tmpl, dm, backend);
+    let mut at = 0;
+    let mut snaps: Vec<Snapshot> = Vec::new();
+    let mut batch: Vec<(usize, usize, T)> = Vec::new();
+    let mut jobs = jobs.into_iter().peekable();
+    let mut group = None;
+    while let Some((k, i, item)) = jobs.next() {
+        if group != Some(k) {
+            while at < k {
+                assert!(run.step(), "the reference ended before boundary {k}");
+                at += 1;
+            }
+            debug_assert_eq!(run.ran(), boundaries[k], "boundary {k} moved");
+            snaps.push(run.clone());
+            group = Some(k);
+        }
+        batch.push((snaps.len() - 1, i, item));
+        let group_done = jobs.peek().is_none_or(|&(next, _, _)| next != k);
+        if group_done && (snaps.len() >= BATCH_SNAPSHOTS || batch.len() >= BATCH_JOBS) {
+            run_batch(&mut snaps, &mut batch, &mut out, f);
+        }
+    }
+    run_batch(&mut snaps, &mut batch, &mut out, f);
+    out.into_iter().map(|u| u.expect("every job ran")).collect()
+}
+
+/// Runs one batch of [`forked`]'s jobs over [`par_map`] and empties it.
+fn run_batch<T, U, F>(
+    snaps: &mut Vec<Snapshot>,
+    batch: &mut Vec<(usize, usize, T)>,
+    out: &mut [Option<U>],
+    f: &F,
+) where
+    T: Send,
+    U: Send,
+    F: Fn(Snapshot, T) -> U + Sync,
+{
+    let from: &[Snapshot] = snaps;
+    let done = par_map(std::mem::take(batch), &|(s, i, item)| {
+        (i, f(from[s].clone(), item))
+    });
+    for (i, u) in done {
+        out[i] = Some(u);
+    }
+    snaps.clear();
 }
 
 /// Where a tiled run on `dev` keeps its Alpaca commit flag: the next word
@@ -765,13 +963,19 @@ pub fn check_schedule(
     expected: &[Q15],
 ) -> ScheduleOutcome {
     let (dev, dm) = template(qm, input, spec);
-    check_schedule_on(dev, &dm, backend, targets, expected)
+    check_schedule_on(
+        Snapshot::start(&dev, &dm, backend),
+        &dm,
+        backend,
+        targets,
+        expected,
+    )
 }
 
-/// [`check_schedule`] on a device already holding the deployment `dm`
-/// and its input (a fresh [`template`] or a clone of one).
+/// [`check_schedule`] continuing the run `run` of the deployment `dm`
+/// (its entry, or a task boundary before every target).
 fn check_schedule_on(
-    mut dev: Device,
+    mut run: Snapshot,
     dm: &DeployedModel,
     backend: &Backend,
     targets: &[u64],
@@ -779,8 +983,7 @@ fn check_schedule_on(
 ) -> ScheduleOutcome {
     let style = StateStyle::of(backend);
     let label = backend.label();
-    let base = dev.ops_consumed();
-    dev.arm_faults(&FaultPlan::at_each(targets.iter().map(|t| base + t)));
+    run.arm(&FaultPlan::at_each(targets.iter().copied()));
 
     let mut crashes = 0u64;
     let mut violations: Vec<Violation> = Vec::new();
@@ -801,8 +1004,9 @@ fn check_schedule_on(
         }
     };
 
-    let flag = matches!(backend, Backend::Tiled(_)).then(|| commit_flag_addr(&dev));
-    let out = crate::exec::run_deployed_observed(&mut dev, dm, backend, |dev, rt, ev| {
+    let flag = run.session.alpaca().map(|rt| rt.commit_flag_word().addr());
+    let Snapshot { mut dev, session } = run;
+    let out = session.finish(&mut dev, dm, |dev, rt, ev| {
         crashes += 1;
         if let Err((region, d)) = abs_model_styled(dev, dm, style) {
             violations.push(crash_violation(dev, d, Some(region)));
@@ -903,10 +1107,12 @@ pub fn check_exhaustive(
 /// where full enumeration is a bench-scale job, with `offset` varied
 /// across runs so repeated sweeps cover different residues.
 ///
-/// The model is deployed once; every boundary runs on a clone of that
-/// template, and boundaries fan out over [`par_map`], whose indexed
-/// collect keeps the report identical to a serial loop over
-/// [`check_schedule`] at any thread count.
+/// The model is deployed once, and every boundary's run forks from the
+/// fault-free run at the last task boundary before it (see the
+/// [module docs](self)): it skips re-simulating the fault-free prefix.
+/// Boundaries fan out over [`par_map`], whose indexed collect keeps the
+/// report identical to a serial loop over [`check_schedule`] at any
+/// thread count.
 ///
 /// # Panics
 ///
@@ -921,12 +1127,13 @@ pub fn check_strided(
 ) -> CrashSpecReport {
     assert!(stride > 0, "stride must be positive");
     let (tmpl, dm) = template(qm, input, spec);
-    let (expected, ops) = reference_on(tmpl.clone(), &dm, backend);
-    let targets: Vec<u64> = std::iter::successors(Some(offset), |t| t.checked_add(stride))
-        .take_while(|&t| t < ops)
+    let reference = reference_on(&tmpl, &dm, backend);
+    let targets: Vec<(u64, u64)> = std::iter::successors(Some(offset), |t| t.checked_add(stride))
+        .take_while(|&t| t < reference.ops)
+        .map(|t| (t, t))
         .collect();
-    let outcomes = par_map(targets, &|t| {
-        check_schedule_on(tmpl.clone(), &dm, backend, &[t], &expected)
+    let outcomes = forked(&tmpl, &dm, backend, &reference, targets, &|run, t| {
+        check_schedule_on(run, &dm, backend, &[t], &reference.output)
     });
     let mut report = CrashSpecReport {
         backend: backend.label(),
@@ -1094,23 +1301,20 @@ pub fn classify_faults(
     expected: &[Q15],
 ) -> CorruptionOutcome {
     let (dev, dm) = template(qm, input, spec);
-    classify_faults_on(dev, &dm, backend, faults, expected)
+    classify_faults_on(Snapshot::start(&dev, &dm, backend), &dm, faults, expected)
 }
 
-/// [`classify_faults`] on a device already holding the deployment `dm`
-/// and its input (a fresh [`template`] or a clone of one).
+/// [`classify_faults`] continuing the run `run` of the deployment `dm`
+/// (its entry, or a task boundary before every fault).
 fn classify_faults_on(
-    mut dev: Device,
+    mut run: Snapshot,
     dm: &DeployedModel,
-    backend: &Backend,
     faults: &[(u64, FaultKind)],
     expected: &[Q15],
 ) -> CorruptionOutcome {
-    let base = dev.ops_consumed();
-    dev.arm_faults(&FaultPlan::faults(
-        faults.iter().map(|&(t, f)| (base + t, f)),
-    ));
-    let out = crate::exec::run_deployed(&mut dev, dm, backend);
+    run.arm(&FaultPlan::faults(faults.iter().copied()));
+    let Snapshot { mut dev, session } = run;
+    let out = session.finish(&mut dev, dm, |_, _, _| {});
     if dev.pending_faults() != 0 {
         return CorruptionOutcome::Unfired;
     }
@@ -1190,9 +1394,10 @@ pub fn check_corruption(
 /// The shared bit-flip sweep behind [`check_corruption`] and
 /// [`check_stateful_corruption`]: every `word_stride`-th word × all 16
 /// bits × `points` midpoint boundaries of the fault-free run, each flip
-/// classified on a clone of the deployed template. Flips fan out over
-/// [`par_map`]; its indexed collect records them in enumeration order,
-/// so the report equals a serial loop over [`classify_flip`].
+/// classified on a fork of the fault-free run at the last task boundary
+/// before its op index (see [`forked`]). Flips fan out over [`par_map`];
+/// results come back in enumeration order, so the report equals a
+/// serial loop over [`classify_flip`].
 fn flip_sweep(
     tmpl: &Device,
     dm: &DeployedModel,
@@ -1201,22 +1406,25 @@ fn flip_sweep(
     word_stride: usize,
     points: u64,
 ) -> CorruptionReport {
-    let (expected, ops) = reference_on(tmpl.clone(), dm, backend);
+    let reference = reference_on(tmpl, dm, backend);
+    let ops = reference.ops;
     let mut flips = Vec::new();
     for (name, addr) in words.iter().step_by(word_stride) {
         for bit in 0..16u8 {
             for k in 0..points {
                 // Midpoint sampling: never exactly 0 or `ops`, spread
                 // across the run.
-                flips.push((name, *addr, bit, ops * (2 * k + 1) / (2 * points)));
+                let t = ops * (2 * k + 1) / (2 * points);
+                flips.push((t, (name, *addr, bit, t)));
             }
         }
     }
-    let outcomes = par_map(flips, &|(name, addr, bit, t)| {
+    let classify = |run, (name, addr, bit, t)| {
         let flip = [(t, FaultKind::BitFlip { addr, bit })];
-        let outcome = classify_faults_on(tmpl.clone(), dm, backend, &flip, &expected);
+        let outcome = classify_faults_on(run, dm, &flip, &reference.output);
         (name, bit, t, outcome)
-    });
+    };
+    let outcomes = forked(tmpl, dm, backend, &reference, flips, &classify);
     let mut report = CorruptionReport {
         backend: backend.label(),
         flips: 0,
@@ -1696,8 +1904,23 @@ mod tests {
         r
     }
 
+    /// The backends whose graphs have task boundaries past the entry, so
+    /// the sweeps fork their runs mid-inference.
+    fn multi_task() -> [Backend; 5] {
+        [
+            Backend::Sonic,
+            Backend::SonicNoUndo,
+            Backend::Tails(crate::exec::TailsConfig::default()),
+            Backend::Tiled(4),
+            Backend::Tiled(8),
+        ]
+    }
+
     #[test]
     fn fanned_out_sweeps_equal_serial_fresh_deploy_loops() {
+        // The forked, fanned-out sweeps against serial loops over the
+        // public single-run entry points, each a fresh deploy run from
+        // the start: reports must be identical.
         let (qm, input) = dense_relu_qmodel();
         let mut probe = Device::new(msp(), PowerSystem::continuous());
         let pm = deploy(&mut probe, &qm).unwrap();
@@ -1705,16 +1928,17 @@ mod tests {
             ws.into_iter().map(|(n, w)| (n, w.addr())).collect()
         };
 
-        // Control-word flips: SONIC, and Tiled(4) with the commit flag
-        // appended after the deployment.
-        for b in [Backend::Sonic, Backend::Tiled(4)] {
+        // Control-word flips at three op indices, every multi-task
+        // backend; the tiled ones with the commit flag appended after
+        // the deployment.
+        for b in multi_task() {
             let mut words = named(control_words(&pm));
             if let Backend::Tiled(_) = b {
                 let flag = probe.clone().fram_alloc_word().unwrap();
                 words.push(("commit_flag".to_string(), flag.addr()));
             }
-            let fanned = check_corruption(&qm, &input, &msp(), &b, 2);
-            assert_same_corruption(&fanned, &serial_flips(&qm, &input, &b, &words, 2));
+            let fanned = check_corruption(&qm, &input, &msp(), &b, 3);
+            assert_same_corruption(&fanned, &serial_flips(&qm, &input, &b, &words, 3));
         }
 
         // Embedded-tag flips at a word stride; the guard must fire for
@@ -1725,11 +1949,15 @@ mod tests {
         assert!(serial.aborted + serial.recovered > 0);
         assert_same_corruption(&fanned, &serial);
 
-        // Strided brown-outs: SONIC (clean) and the Baseline control on
-        // the pruned model, whose ping-pong clobbers the input so
-        // restarts diverge — the violation lists must match in order.
+        // Strided brown-outs: every multi-task backend (clean), the
+        // Stateful backend, and the Baseline control on the pruned model,
+        // whose ping-pong clobbers the input so restarts diverge — the
+        // violation lists must match in order.
         let (qm, input) = tiny_pruned_qmodel();
-        for b in [Backend::Sonic, Backend::Baseline] {
+        for b in multi_task()
+            .into_iter()
+            .chain([Backend::Stateful, Backend::Baseline])
+        {
             let (expected, ops) = fault_free_reference(&qm, &input, &msp(), &b);
             let (stride, offset) = (ops / 24 + 1, 5);
             let fanned = check_strided(&qm, &input, &msp(), &b, stride, offset);

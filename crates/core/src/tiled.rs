@@ -613,48 +613,11 @@ mod tests {
 
     use super::*;
     use crate::deploy::deploy;
+    use crate::exec::tests_support::tiny_cnn;
     use crate::sonic::tests::{fnv, fold_fram, fold_report};
-    use dnn::layers::Layer;
-    use dnn::model::Model;
-    use dnn::quant::{quantize, QModel};
-    use dnn::tensor::Tensor;
     use intermittent::sched::{run_observed, SchedulerConfig};
     use mcu::{DeviceSpec, FaultKind, FaultPlan, PowerSystem};
-    use rand::SeedableRng;
-    use std::cell::RefCell;
-    use std::rc::Rc;
-
-    /// The fixture network and its input.
-    fn tiny_cnn() -> (QModel, Vec<Q15>) {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(24);
-        let mut model = Model::new(vec![
-            Layer::conv2d(2, 1, 3, 3, &mut rng),
-            Layer::relu(),
-            Layer::maxpool(2),
-            Layer::flatten(),
-            Layer::dense(8, 6, &mut rng),
-            Layer::relu(),
-            Layer::dense(6, 3, &mut rng),
-        ]);
-        let l = &mut model.layers_mut()[4];
-        if let Layer::Dense(d) = l {
-            let mut mask = Tensor::zeros(d.w.shape().to_vec());
-            for (i, m) in mask.data_mut().iter_mut().enumerate() {
-                if i % 3 == 0 {
-                    *m = 1.0;
-                }
-            }
-            l.set_mask(mask);
-        }
-        let shape = [1usize, 6, 6];
-        let calib: Vec<Tensor> = (0..3)
-            .map(|_| Tensor::uniform(shape.to_vec(), 0.9, &mut rng))
-            .collect();
-        let qm = quantize(&mut model, &shape, &calib);
-        let x = Tensor::uniform(shape.to_vec(), 0.9, &mut rng);
-        let input = qm.quantize_input(&x);
-        (qm, input)
-    }
+    use std::sync::{Arc, Mutex};
 
     fn msp() -> DeviceSpec {
         DeviceSpec::msp430fr5994()
@@ -688,17 +651,18 @@ mod tests {
         let mut rt = AlpacaRt::new(&mut dev).expect("FRAM for the commit flag");
         // Each task of the built graph, wrapped to note where its body
         // starts and to poison the log before the chosen commit.
-        let inner = Rc::new(RefCell::new(build(&dm, tile)));
-        let starts = Rc::new(RefCell::new(Vec::new()));
+        let inner = Arc::new(Mutex::new(build(&dm, tile)));
+        let starts = Arc::new(Mutex::new(Vec::new()));
         let mut g: TaskGraph<AlpacaRt> = TaskGraph::new();
-        for id in 0..inner.borrow().len() {
-            let (inner, starts, poison) = (Rc::clone(&inner), Rc::clone(&starts), inject.poison);
-            let name = inner.borrow().name(id).to_string();
+        let tasks = inner.lock().unwrap().len();
+        for id in 0..tasks {
+            let (inner, starts, poison) = (Arc::clone(&inner), Arc::clone(&starts), inject.poison);
+            let name = inner.lock().unwrap().name(id).to_string();
             g.add(&name, move |dev, rt| {
-                starts.borrow_mut().push(dev.ops_consumed() - base);
-                let t = inner.borrow_mut().run_body(id, dev, rt)?;
+                starts.lock().unwrap().push(dev.ops_consumed() - base);
+                let t = inner.lock().unwrap().run_body(id, dev, rt)?;
                 if let Some((c, k)) = poison {
-                    if starts.borrow().len() as u64 == c {
+                    if starts.lock().unwrap().len() as u64 == c {
                         rt.poison_log_entry(k);
                     }
                 }
@@ -732,7 +696,7 @@ mod tests {
         fnv(&mut h, dev.corruption_detected());
         fnv(&mut h, dev.ops_consumed() - base);
         fold_fram(&mut h, &dev);
-        let starts = starts.borrow().clone();
+        let starts = starts.lock().unwrap().clone();
         (h, starts)
     }
 

@@ -1,9 +1,6 @@
 //! Classification metrics, including the true-positive / true-negative
 //! rates that parameterize the paper's IMpJ application model (Table 1).
 
-use crate::data::Dataset;
-use crate::model::Model;
-
 /// A confusion matrix over `k` classes.
 #[derive(Clone, Debug)]
 pub struct Confusion {
@@ -33,15 +30,6 @@ impl Confusion {
     pub fn record(&mut self, truth: usize, pred: usize) {
         assert!(truth < self.k && pred < self.k, "class out of range");
         self.counts[truth * self.k + pred] += 1;
-    }
-
-    /// Evaluates `model` over `data` into a confusion matrix.
-    pub fn from_model(model: &mut Model, data: &Dataset) -> Self {
-        let mut c = Confusion::new(data.num_classes());
-        for i in 0..data.len() {
-            c.record(data.label(i), model.predict(&data.input(i)));
-        }
-        c
     }
 
     /// Total recorded examples.

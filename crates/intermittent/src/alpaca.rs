@@ -118,8 +118,10 @@ const APPEND: [(Op, u64); 4] = [
 /// Per-task commit bookkeeping: Alpaca privatizes task-local scalars at
 /// entry, walks its swap/dirty lists, and performs a two-phase update of
 /// the NV task pointer at every transition. These constants are the
-/// calibration knob that reproduces the paper's measured tiled-Alpaca
-/// overhead (Tile-8 ≈ 13.4× the naïve baseline).
+/// calibration knob for the paper's measured tiled-Alpaca overhead
+/// (Tile-8 ≈ 13.4× the naïve baseline in Fig. 9). With them the model
+/// reads Tile-8 ≈ 10.46×; the gap to the paper is open and not yet
+/// explained.
 pub const COMMIT_FIXED_ALU: u64 = 1500;
 /// Fixed FRAM writes per commit (scalar privatization + list resets).
 pub const COMMIT_FIXED_WRITES: u64 = 40;
@@ -138,7 +140,10 @@ const COMMIT_FIXED: [(Op, u64); 3] = [
 /// The log's *contents* are non-volatile (they survive power failures, as
 /// they must for commit replay); whether they are *valid* is governed by
 /// the commit flag, exactly as in Alpaca's two-phase commit.
-#[derive(Debug)]
+///
+/// A clone is an independent runtime in the same state: a run resumed
+/// from a snapshot carries its log, commit phase and recorded sites.
+#[derive(Clone, Debug)]
 pub struct AlpacaRt {
     /// The redo log in append order, which is also the commit-walk order.
     log: Vec<LogEntry>,
@@ -226,11 +231,6 @@ impl AlpacaRt {
     /// belong to an uncommitted body that a reboot discards.
     pub fn flag_lower_pending(&self) -> bool {
         self.flag_lower_pending
-    }
-
-    /// The pending redo-log entries in append (commit-walk) order.
-    pub fn log_entries(&self) -> impl Iterator<Item = (NvAddr, Q15)> + '_ {
-        self.log.iter().map(|e| (e.addr, e.v))
     }
 
     /// Fault-injection hook: corrupts the stored checksum of the `k`-th
@@ -575,7 +575,11 @@ pub fn add_tiled_loop<F>(
     mut body: F,
 ) -> TaskId
 where
-    F: FnMut(&mut Device, &mut AlpacaRt, u32) -> Result<(), PowerFailure> + 'static,
+    F: FnMut(&mut Device, &mut AlpacaRt, u32) -> Result<(), PowerFailure>
+        + Clone
+        + Send
+        + Sync
+        + 'static,
 {
     assert!(
         total <= u16::MAX as u32,

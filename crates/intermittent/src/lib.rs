@@ -51,5 +51,5 @@ pub mod sched;
 pub mod task;
 
 pub use alpaca::AlpacaRt;
-pub use sched::{run, run_observed, FailureEvent, RunError, RunStats, SchedulerConfig};
-pub use task::{RuntimeCtx, TaskGraph, TaskId, Transition};
+pub use sched::{run, run_observed, FailureEvent, RunError, RunState, RunStats, SchedulerConfig};
+pub use task::{RuntimeCtx, TaskBody, TaskGraph, TaskId, Transition};

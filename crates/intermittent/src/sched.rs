@@ -200,175 +200,198 @@ pub fn run_observed<C: RuntimeCtx>(
     cfg: &SchedulerConfig,
     mut observer: impl FnMut(&Device, &C, FailureEvent),
 ) -> Result<RunStats, RunError> {
-    let mut stats = RunStats::default();
-    let mut current = entry;
-    // `Some(t)` means the body finished and produced transition `t`, but
-    // the commit + transition sequence has not completed yet.
-    let mut pending: Option<Transition> = None;
-    let mut attempts_no_progress = 0u32;
-    let mut marks_at_last_check = dev.trace().progress_marks();
-    let mut transitions_at_last_check = stats.transitions;
-    let reboots_at_start = dev.trace().reboots();
-
+    let mut state = RunState::new(dev, entry);
     loop {
-        if stats.transitions >= cfg.max_transitions {
-            return Err(RunError::TransitionLimit {
-                limit: cfg.max_transitions,
-            });
-        }
-
-        // Phase 1: the task body.
-        if pending.is_none() {
-            stats.body_attempts += 1;
-            match graph.run_body(current, dev, ctx) {
-                Ok(t) => pending = Some(t),
-                Err(_) => {
-                    handle_failure(
-                        graph,
-                        ctx,
-                        dev,
-                        cfg,
-                        current,
-                        false,
-                        &mut pending,
-                        &mut current,
-                        entry,
-                        &mut attempts_no_progress,
-                        &mut marks_at_last_check,
-                        &mut transitions_at_last_check,
-                        stats.transitions,
-                        &mut observer,
-                    )?;
-                    continue;
-                }
-            }
-        }
-
-        // Phase 2: commit buffered effects and take the transition.
-        // Accounted to the current region's control phase.
-        let (region, phase) = dev.context();
-        dev.set_context(region, Phase::Control);
-        let commit_result = ctx.commit_transition(dev);
-        dev.set_context(region, phase);
-        match commit_result {
-            Ok(()) => {
-                stats.transitions += 1;
-                match pending.take().expect("pending transition") {
-                    Transition::Done => {
-                        stats.reboots = dev.trace().reboots() - reboots_at_start;
-                        return Ok(stats);
-                    }
-                    Transition::To(next) => current = next,
-                }
-            }
-            Err(_) => {
-                handle_failure(
-                    graph,
-                    ctx,
-                    dev,
-                    cfg,
-                    current,
-                    true,
-                    &mut pending,
-                    &mut current,
-                    entry,
-                    &mut attempts_no_progress,
-                    &mut marks_at_last_check,
-                    &mut transitions_at_last_check,
-                    stats.transitions,
-                    &mut observer,
-                )?;
-            }
+        if let Some(stats) = state.step(graph, ctx, dev, cfg, &mut observer)? {
+            return Ok(stats);
         }
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn handle_failure<C: RuntimeCtx>(
-    graph: &TaskGraph<C>,
-    ctx: &mut C,
-    dev: &mut Device,
-    cfg: &SchedulerConfig,
-    failed_task: TaskId,
-    mid_commit: bool,
-    pending: &mut Option<Transition>,
-    current: &mut TaskId,
+/// The scheduler's loop state between task transitions: the task to run
+/// next, the statistics so far, and the non-termination detector's
+/// counters.
+///
+/// At a task boundary (after [`RunState::step`] returned `Ok(None)`),
+/// this, the graph (with its bodies' captured state), the runtime context
+/// and the device are everything the rest of the run depends on. Cloning
+/// all four therefore forks the run: each clone continues exactly as the
+/// original would.
+#[derive(Clone, Debug)]
+pub struct RunState {
     entry: TaskId,
-    attempts_no_progress: &mut u32,
-    marks_at_last_check: &mut u64,
-    transitions_at_last_check: &mut u64,
-    transitions_now: u64,
-    observer: &mut impl FnMut(&Device, &C, FailureEvent),
-) -> Result<(), RunError> {
-    // Unrecoverable NVM corruption: a runtime exhausted its bounded
-    // recovery retries and aborted. Rebooting would resume into the same
-    // corrupted state forever, so surface the verdict instead.
-    if let Some(region) = dev.corruption_unrecoverable() {
-        return Err(RunError::Corrupted {
-            task: graph.name(failed_task).to_string(),
-            region: dev
-                .trace()
-                .region_names()
-                .get(region.index())
-                .cloned()
-                .unwrap_or_else(|| "other".to_string()),
-        });
-    }
-    // The crash state: FRAM exactly as the failed op left it, reboot not
-    // yet simulated, runtime context not yet notified.
-    observer(
-        dev,
-        ctx,
-        FailureEvent {
-            task: failed_task,
-            mid_commit,
-        },
-    );
-    let marks_now = dev.trace().progress_marks();
-    // Under FromEntry a restart discards everything the program did, so
-    // beacons and transitions are not durable progress: every failure
-    // counts toward non-termination (a baseline that fails once will fail
-    // identically forever, since each retry starts from the same full
-    // buffer minus the boot overhead).
-    let progressed = cfg.restart == RestartPolicy::CurrentTask
-        && (marks_now != *marks_at_last_check || transitions_now != *transitions_at_last_check);
-    if progressed {
-        *attempts_no_progress = 1;
-    } else {
-        *attempts_no_progress += 1;
-    }
-    *marks_at_last_check = marks_now;
-    *transitions_at_last_check = transitions_now;
+    current: TaskId,
+    stats: RunStats,
+    attempts_no_progress: u32,
+    marks_at_last_check: u64,
+    transitions_at_last_check: u64,
+    reboots_at_start: u64,
+}
 
-    if *attempts_no_progress > cfg.max_attempts_without_progress {
-        return Err(RunError::NonTermination {
-            task: graph.name(failed_task).to_string(),
-            attempts: *attempts_no_progress,
-        });
+impl RunState {
+    /// The state of a run about to start at `entry` on `dev`.
+    pub fn new(dev: &Device, entry: TaskId) -> Self {
+        RunState {
+            entry,
+            current: entry,
+            stats: RunStats::default(),
+            attempts_no_progress: 0,
+            marks_at_last_check: dev.trace().progress_marks(),
+            transitions_at_last_check: 0,
+            reboots_at_start: dev.trace().reboots(),
+        }
     }
 
-    if dev.reboot().is_err() {
-        return Err(RunError::SupplyDead {
-            task: graph.name(failed_task).to_string(),
-        });
-    }
-    ctx.on_power_failure(dev, mid_commit);
+    /// Runs the current task until one transition completes: its body,
+    /// then the runtime's commit and the transition charge, with every
+    /// power failure on the way rebooted and resumed by the restart
+    /// policy. Returns `Ok(None)` at the next task boundary and
+    /// `Ok(Some(stats))` once the graph is `Done`.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`run`]; the run is over after an error.
+    pub fn step<C: RuntimeCtx>(
+        &mut self,
+        graph: &mut TaskGraph<C>,
+        ctx: &mut C,
+        dev: &mut Device,
+        cfg: &SchedulerConfig,
+        observer: &mut impl FnMut(&Device, &C, FailureEvent),
+    ) -> Result<Option<RunStats>, RunError> {
+        // `Some(t)` means the body finished and produced transition `t`,
+        // but the commit + transition sequence has not completed yet.
+        let mut pending: Option<Transition> = None;
+        loop {
+            if self.stats.transitions >= cfg.max_transitions {
+                return Err(RunError::TransitionLimit {
+                    limit: cfg.max_transitions,
+                });
+            }
 
-    match cfg.restart {
-        RestartPolicy::CurrentTask => {
-            // A failure in the body re-runs the body (pending is None); a
-            // failure mid-commit keeps `pending` so only the idempotent
-            // commit replays.
-            if !mid_commit {
-                *pending = None;
+            // Phase 1: the task body.
+            if pending.is_none() {
+                self.stats.body_attempts += 1;
+                match graph.run_body(self.current, dev, ctx) {
+                    Ok(t) => pending = Some(t),
+                    Err(_) => {
+                        self.handle_failure(graph, ctx, dev, cfg, false, &mut pending, observer)?;
+                        continue;
+                    }
+                }
+            }
+
+            // Phase 2: commit buffered effects and take the transition.
+            // Accounted to the current region's control phase.
+            let (region, phase) = dev.context();
+            dev.set_context(region, Phase::Control);
+            let commit_result = ctx.commit_transition(dev);
+            dev.set_context(region, phase);
+            match commit_result {
+                Ok(()) => {
+                    self.stats.transitions += 1;
+                    match pending.take().expect("pending transition") {
+                        Transition::Done => {
+                            self.stats.reboots = dev.trace().reboots() - self.reboots_at_start;
+                            return Ok(Some(self.stats));
+                        }
+                        Transition::To(next) => {
+                            self.current = next;
+                            return Ok(None);
+                        }
+                    }
+                }
+                Err(_) => {
+                    self.handle_failure(graph, ctx, dev, cfg, true, &mut pending, observer)?;
+                }
             }
         }
-        RestartPolicy::FromEntry => {
-            *pending = None;
-            *current = entry;
-        }
     }
-    Ok(())
+
+    #[allow(clippy::too_many_arguments)]
+    fn handle_failure<C: RuntimeCtx>(
+        &mut self,
+        graph: &TaskGraph<C>,
+        ctx: &mut C,
+        dev: &mut Device,
+        cfg: &SchedulerConfig,
+        mid_commit: bool,
+        pending: &mut Option<Transition>,
+        observer: &mut impl FnMut(&Device, &C, FailureEvent),
+    ) -> Result<(), RunError> {
+        let failed_task = self.current;
+        // Unrecoverable NVM corruption: a runtime exhausted its bounded
+        // recovery retries and aborted. Rebooting would resume into the
+        // same corrupted state forever, so surface the verdict instead.
+        if let Some(region) = dev.corruption_unrecoverable() {
+            return Err(RunError::Corrupted {
+                task: graph.name(failed_task).to_string(),
+                region: dev
+                    .trace()
+                    .region_names()
+                    .get(region.index())
+                    .cloned()
+                    .unwrap_or_else(|| "other".to_string()),
+            });
+        }
+        // The crash state: FRAM exactly as the failed op left it, reboot
+        // not yet simulated, runtime context not yet notified.
+        observer(
+            dev,
+            ctx,
+            FailureEvent {
+                task: failed_task,
+                mid_commit,
+            },
+        );
+        let marks_now = dev.trace().progress_marks();
+        let transitions_now = self.stats.transitions;
+        // Under FromEntry a restart discards everything the program did,
+        // so beacons and transitions are not durable progress: every
+        // failure counts toward non-termination (a baseline that fails
+        // once will fail identically forever, since each retry starts
+        // from the same full buffer minus the boot overhead).
+        let progressed = cfg.restart == RestartPolicy::CurrentTask
+            && (marks_now != self.marks_at_last_check
+                || transitions_now != self.transitions_at_last_check);
+        if progressed {
+            self.attempts_no_progress = 1;
+        } else {
+            self.attempts_no_progress += 1;
+        }
+        self.marks_at_last_check = marks_now;
+        self.transitions_at_last_check = transitions_now;
+
+        if self.attempts_no_progress > cfg.max_attempts_without_progress {
+            return Err(RunError::NonTermination {
+                task: graph.name(failed_task).to_string(),
+                attempts: self.attempts_no_progress,
+            });
+        }
+
+        if dev.reboot().is_err() {
+            return Err(RunError::SupplyDead {
+                task: graph.name(failed_task).to_string(),
+            });
+        }
+        ctx.on_power_failure(dev, mid_commit);
+
+        match cfg.restart {
+            RestartPolicy::CurrentTask => {
+                // A failure in the body re-runs the body (pending is
+                // None); a failure mid-commit keeps `pending` so only the
+                // idempotent commit replays.
+                if !mid_commit {
+                    *pending = None;
+                }
+            }
+            RestartPolicy::FromEntry => {
+                *pending = None;
+                self.current = self.entry;
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]

@@ -71,18 +71,65 @@ impl RuntimeCtx for () {
 }
 
 /// A task body: resumable code over the device and the runtime context.
-pub type TaskFn<C> = Box<dyn FnMut(&mut Device, &mut C) -> Result<Transition, PowerFailure>>;
+///
+/// Implemented for every `FnMut(&mut Device, &mut C) -> Result<Transition,
+/// PowerFailure>` closure that is `Clone + Send + Sync`. A body's captured
+/// state (the bundled-loop [`mcu::Site`]s it records into, above all) is
+/// part of the run's state, so cloning a [`TaskGraph`] clones every body
+/// with its state, and a cloned graph continues exactly where the
+/// original stood.
+pub trait TaskBody<C>: Send + Sync {
+    /// Runs the body once.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PowerFailure`] when the device browns out mid-body.
+    fn run(&mut self, dev: &mut Device, ctx: &mut C) -> Result<Transition, PowerFailure>;
+
+    /// A boxed copy of the body and its captured state.
+    fn clone_box(&self) -> Box<dyn TaskBody<C>>;
+}
+
+impl<C, F> TaskBody<C> for F
+where
+    F: FnMut(&mut Device, &mut C) -> Result<Transition, PowerFailure>
+        + Clone
+        + Send
+        + Sync
+        + 'static,
+{
+    fn run(&mut self, dev: &mut Device, ctx: &mut C) -> Result<Transition, PowerFailure> {
+        self(dev, ctx)
+    }
+
+    fn clone_box(&self) -> Box<dyn TaskBody<C>> {
+        Box::new(self.clone())
+    }
+}
+
+/// A boxed task body.
+pub type TaskFn<C> = Box<dyn TaskBody<C>>;
 
 struct TaskEntry<C> {
     name: String,
     body: TaskFn<C>,
 }
 
+impl<C> Clone for TaskEntry<C> {
+    fn clone(&self) -> Self {
+        TaskEntry {
+            name: self.name.clone(),
+            body: self.body.clone_box(),
+        }
+    }
+}
+
 /// A static graph of tasks, the unit the scheduler executes.
 ///
 /// Tasks are added once at "link time" and referenced by [`TaskId`]; a
 /// task that needs to transition to itself can reserve its id with
-/// [`TaskGraph::next_id`] before adding itself.
+/// [`TaskGraph::next_id`] before adding itself. A clone copies every
+/// task body with its captured state (see [`TaskBody`]).
 pub struct TaskGraph<C> {
     tasks: Vec<TaskEntry<C>>,
 }
@@ -101,7 +148,11 @@ impl<C> TaskGraph<C> {
     /// Adds a task, returning its id.
     pub fn add<F>(&mut self, name: &str, body: F) -> TaskId
     where
-        F: FnMut(&mut Device, &mut C) -> Result<Transition, PowerFailure> + 'static,
+        F: FnMut(&mut Device, &mut C) -> Result<Transition, PowerFailure>
+            + Clone
+            + Send
+            + Sync
+            + 'static,
     {
         let id = self.tasks.len();
         self.tasks.push(TaskEntry {
@@ -145,7 +196,15 @@ impl<C> TaskGraph<C> {
         dev: &mut Device,
         ctx: &mut C,
     ) -> Result<Transition, PowerFailure> {
-        (self.tasks[id].body)(dev, ctx)
+        self.tasks[id].body.run(dev, ctx)
+    }
+}
+
+impl<C> Clone for TaskGraph<C> {
+    fn clone(&self) -> Self {
+        TaskGraph {
+            tasks: self.tasks.clone(),
+        }
     }
 }
 

@@ -1221,11 +1221,6 @@ impl Device {
         self.sram_brk = sram;
     }
 
-    /// Words of SRAM still unallocated.
-    pub fn sram_available(&self) -> u32 {
-        self.spec.sram_words - self.sram_brk
-    }
-
     /// Words of FRAM still unallocated.
     pub fn fram_available(&self) -> u32 {
         self.spec.fram_words - self.fram_brk
@@ -1551,8 +1546,17 @@ impl Device {
     /// Panics if `data` is longer than `buf`.
     pub fn flash(&mut self, buf: FramBuf, data: &[Q15]) {
         assert!(data.len() <= buf.len as usize, "flash overflows buffer");
-        for (i, q) in data.iter().enumerate() {
-            self.nv_store(buf.base + i as u32, q.raw());
+        let (lo, hi) = (buf.base, buf.base + data.len() as u32);
+        if self.guarded_in(lo, hi) || self.stuck.iter().any(|&(a, ..)| (lo..hi).contains(&a)) {
+            for (i, q) in data.iter().enumerate() {
+                self.nv_store(lo + i as u32, q.raw());
+            }
+        } else {
+            // No shadow to refresh and no stuck cell to apply: the span
+            // lands as one copy.
+            for (w, q) in self.fram[lo as usize..hi as usize].iter_mut().zip(data) {
+                *w = q.raw();
+            }
         }
     }
 
@@ -1807,6 +1811,9 @@ impl Device {
     /// ECC guarding, snapshotting their current contents as the intended
     /// values. Re-registering a guarded word refreshes its snapshot.
     fn guard_span(&mut self, addr: NvAddr, len: u32) {
+        // Ranks below the span's first block, or below the first block
+        // appended here, stay valid: re-rank from the lower of the two.
+        let first = ((addr.0 >> 6) as usize).min(self.guard_bits.len());
         for a in addr.0..addr.0 + len {
             let v = self.fram[a as usize];
             match self.guard_shadow.binary_search_by_key(&a, |e| e.0) {
@@ -1819,11 +1826,20 @@ impl Device {
             }
             self.guard_bits[w].0 |= 1 << (a & 63);
         }
-        let mut rank = 0;
-        for (bits, r) in &mut self.guard_bits {
+        let mut rank = match first.checked_sub(1) {
+            Some(p) => self.guard_bits[p].1 + self.guard_bits[p].0.count_ones(),
+            None => 0,
+        };
+        for (bits, r) in &mut self.guard_bits[first..] {
             *r = rank;
             rank += bits.count_ones();
         }
+    }
+
+    /// `true` when some word in `[lo, hi)` is guarded.
+    fn guarded_in(&self, lo: u32, hi: u32) -> bool {
+        let k = self.guard_shadow.partition_point(|e| e.0 < lo);
+        self.guard_shadow.get(k).is_some_and(|e| e.0 < hi)
     }
 
     /// Registers a single counter word under ECC guarding.
@@ -3323,6 +3339,46 @@ mod tests {
         // Scrubbing with the intended value restores a clean state.
         d.store_word(w, 42).unwrap();
         assert!(d.verify_word(w));
+    }
+
+    #[test]
+    fn guard_ranks_match_a_search_of_the_shadow_under_scrambled_registration() {
+        // Words registered out of address order, several bitmap blocks
+        // apart (so the bitmap grows over empty blocks), some sharing a
+        // block, one re-registered, and a span over three blocks: after
+        // every registration each word's slot is the shadow's own.
+        let mut d = continuous();
+        d.fram_alloc(4096).unwrap();
+        let check = |d: &Device| {
+            for a in 0..4096 {
+                let want = d.guard_shadow.binary_search_by_key(&a, |e| e.0).ok();
+                assert_eq!(d.guard_index(a), want, "word {a}");
+            }
+        };
+        for a in [700u32, 5, 3000, 64, 65, 1900, 1, 4095, 63, 2100, 700, 0] {
+            d.guard_span(NvAddr(a), 1);
+            check(&d);
+        }
+        d.guard_span(NvAddr(1500), 130);
+        check(&d);
+        // A flash over guarded words refreshes their shadows; one over
+        // unguarded words lands all the same.
+        let buf = FramBuf { base: 0, len: 4096 };
+        let data: Vec<Q15> = (0..200).map(|i| Q15::from_raw(i as i16 - 100)).collect();
+        d.flash(buf.slice(1450, 200), &data);
+        d.flash(buf.slice(200, 200), &data);
+        for i in 0..200u32 {
+            let v = data[i as usize];
+            assert_eq!(d.peek_at(NvAddr(1450 + i)), v);
+            assert_eq!(d.peek_at(NvAddr(200 + i)), v);
+            let shadow = (1500..1630).contains(&(1450 + i)).then_some(v.raw() as u16);
+            assert_eq!(
+                d.guarded_intended(NvAddr(1450 + i)),
+                shadow,
+                "word {}",
+                1450 + i
+            );
+        }
     }
 
     #[test]

@@ -79,11 +79,6 @@ pub enum HarvestProfile {
 }
 
 impl HarvestProfile {
-    /// The paper's RF harvest setup: a constant 150 µW.
-    pub fn rf_paper() -> Self {
-        HarvestProfile::Constant(RF_HARVEST_UW * 1e-6)
-    }
-
     /// A burst-duty-cycle harvest: full `high_w` power for `duty ·
     /// period_s` seconds, then nothing for the rest of the period —
     /// the parameterized generator behind duty-cycled transmitters
