@@ -23,6 +23,8 @@
 //!    the HAR Table-2 network under Tile-8, Tile-32 and Tile-128 (the
 //!    Alpaca redo-log backends), on continuous power and on a 100 µF
 //!    buffer: the per-layer view of taped bodies and one-charge commits.
+//!    Then Base's host time per run on 1 mF, where it retries its one
+//!    task nine times per run: the view of whole-output funded runs.
 //! 6. **Simulator backends** — end-to-end `run_inference` on the
 //!    energy-metered device model (the original contents of this bench).
 //!
@@ -342,7 +344,9 @@ fn bench_sparse_fc(c: &mut Criterion) {
 }
 
 fn bench_tiled(c: &mut Criterion) {
-    println!("== metered Tile-N on the device: HAR network, host time per run and transition ==");
+    println!(
+        "== metered Tile-N and Base on the device: HAR network, host time per run and transition =="
+    );
     let har = models::trained(models::Network::Har);
     let input = har.qmodel.quantize_input(&har.test.input(0));
     let spec = DeviceSpec::msp430fr5994();
@@ -376,6 +380,23 @@ fn bench_tiled(c: &mut Criterion) {
             }
         }
     }
+    // Base on 1 mF, the fleet-harvest power where it retries its one
+    // task nine times per run: every output one funded iteration.
+    let power = PowerSystem::harvested(1e-3);
+    let mut dev = mcu::Device::new(spec.clone(), power.clone());
+    let dm = sonic::deploy(&mut dev, &har.qmodel).expect("HAR fits in FRAM");
+    dm.load_input(&mut dev, &input);
+    let out = run_deployed(&mut dev, &dm, &Backend::Baseline);
+    let id = format!("tiled/Base/{}", power.label());
+    c.bench_function(&id, |bench| {
+        bench.iter(|| std::hint::black_box(run_deployed(&mut dev, &dm, &Backend::Baseline)))
+    });
+    let us = c.median_ns(&id).expect("measured") / 1e3;
+    println!(
+        "    Base/{}: {us:.0} us/run ({} attempts per run)",
+        power.label(),
+        out.trace.reboots + 1
+    );
     println!();
 }
 

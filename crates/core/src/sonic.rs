@@ -1087,7 +1087,7 @@ pub(crate) mod tests {
 
     /// Every bit-relevant field of an outcome, the full per-region trace
     /// included.
-    fn fold_outcome(h: &mut u64, o: &InferenceOutcome) {
+    pub(crate) fn fold_outcome(h: &mut u64, o: &InferenceOutcome) {
         fnv(h, u64::from(o.completed));
         for q in &o.output {
             fnv(h, u64::from(q.raw() as u16));

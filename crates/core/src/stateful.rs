@@ -343,7 +343,7 @@ fn element(
             let f = o / (oh * ow);
             let at = [f, (o / ow) % oh, o % ow];
             let acc = conv_acc(
-                dev,
+                &mut dev.step(),
                 l,
                 site,
                 at,
@@ -354,7 +354,7 @@ fn element(
         }
         DeployedKind::Dense { bias, shift, .. } => {
             let acc = dense_acc(
-                dev,
+                &mut dev.step(),
                 l,
                 site,
                 o,

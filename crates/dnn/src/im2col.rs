@@ -372,6 +372,43 @@ pub fn kept_matmat_bias_lanes<'a>(
     }
 }
 
+/// One sample of [`kept_matmat_bias_lanes`]: `y[o]` sums row `o`'s kept
+/// weights (`row_cols(o)`, flat indices `o * in + column`, ascending)
+/// against `x` from its bias in column order, and a row whose bias is
+/// −0.0 sums over the full row. The terms and their order are the lane
+/// kernel's for one sample, so it is bit-identical to [`matvec_bias`]
+/// over the full matrix for finite inputs.
+///
+/// # Panics
+///
+/// Panics if a slice length is inconsistent or a kept index lies outside
+/// its row.
+pub fn kept_matvec_bias<'a>(
+    w: &[f32],
+    x: &[f32],
+    bias: &[f32],
+    row_cols: impl Fn(usize) -> &'a [u32],
+    y: &mut [f32],
+) {
+    let inp = x.len();
+    assert_eq!(w.len(), bias.len() * inp, "weight shape mismatch");
+    assert_eq!(y.len(), bias.len(), "output length mismatch");
+    let neg_zero = (-0.0f32).to_bits();
+    for (o, (yv, &b)) in y.iter_mut().zip(bias).enumerate() {
+        let row = &w[o * inp..][..inp];
+        *yv = if b.to_bits() == neg_zero {
+            dot_seq(b, row, x)
+        } else {
+            let mut acc = b;
+            for &k in row_cols(o) {
+                let col = k as usize - o * inp;
+                acc += row[col] * x[col];
+            }
+            acc
+        };
+    }
+}
+
 /// Full im2col convolution: patches into `patches` (scratch, reused
 /// across calls), result into `out` (`[nf, oh, ow]` flattened).
 ///

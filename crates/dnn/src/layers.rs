@@ -566,28 +566,42 @@ fn from_lanes(t: &[f32], lanes: usize, n: usize, len: usize) -> Vec<Tensor> {
 }
 
 impl Dense {
-    /// One sample at full width runs [`im2col::matvec_bias`]; every other
-    /// minibatch runs a lane kernel over the lane-major inputs, which
-    /// debug builds check sample by sample against `matvec_bias`.
+    /// One sample runs [`im2col::matvec_bias`] at full width and
+    /// [`im2col::kept_matvec_bias`] when pruned; every other minibatch
+    /// runs a lane kernel over the lane-major inputs. Debug builds check
+    /// every result sample by sample against `matvec_bias`. A pruned
+    /// one-sample forward leaves the lane-major inputs for its backward
+    /// to build.
     fn forward_batch(&mut self, xs: &[Tensor]) -> Vec<Tensor> {
         let (out, inp) = (self.w.shape()[0], self.w.shape()[1]);
         assert_eq!(xs[0].len(), inp, "dense input size mismatch");
         self.cache_x = xs.to_vec();
         let (w, b) = (self.w.data(), self.b.data());
-        if let ([x], None) = (xs, &self.mask) {
+        let ys = if let [x] = xs {
             self.cache_xt.clear();
             let mut y = Tensor::zeros(vec![out]);
-            im2col::matvec_bias(w, x.data(), b, y.data_mut());
-            return vec![y];
-        }
-        let xt = &mut self.cache_xt;
-        let lanes = im2col::to_lanes(xs.iter().map(Tensor::data), inp, xt);
-        let mut yt = vec![0.0; out * lanes];
-        match &self.mask {
-            Some(kept) => im2col::kept_matmat_bias_lanes(w, xt, b, lanes, |o| kept.row(o), &mut yt),
-            None => im2col::matmat_bias_lanes(w, xt, b, lanes, &mut yt),
-        }
-        let ys = from_lanes(&yt, lanes, xs.len(), out);
+            match &self.mask {
+                Some(kept) => {
+                    im2col::kept_matvec_bias(w, x.data(), b, |o| kept.row(o), y.data_mut());
+                }
+                None => {
+                    im2col::matvec_bias(w, x.data(), b, y.data_mut());
+                    return vec![y];
+                }
+            }
+            vec![y]
+        } else {
+            let xt = &mut self.cache_xt;
+            let lanes = im2col::to_lanes(xs.iter().map(Tensor::data), inp, xt);
+            let mut yt = vec![0.0; out * lanes];
+            match &self.mask {
+                Some(kept) => {
+                    im2col::kept_matmat_bias_lanes(w, xt, b, lanes, |o| kept.row(o), &mut yt);
+                }
+                None => im2col::matmat_bias_lanes(w, xt, b, lanes, &mut yt),
+            }
+            from_lanes(&yt, lanes, xs.len(), out)
+        };
         if cfg!(debug_assertions) {
             let mut twin = vec![0.0; out];
             for (x, y) in xs.iter().zip(&ys) {
@@ -652,6 +666,14 @@ impl Dense {
             }
             return dx;
         };
+        if self.cache_xt.is_empty() {
+            // A pruned one-sample forward leaves the lanes to build here.
+            im2col::to_lanes(
+                self.cache_x.iter().map(Tensor::data),
+                inp,
+                &mut self.cache_xt,
+            );
+        }
         let (xt, lanes) = (&self.cache_xt, im2col::lanes_for(n));
         assert_eq!(xt.len(), inp * lanes, "pruned backward before its forward");
         let mut nonzero = Vec::with_capacity(n);

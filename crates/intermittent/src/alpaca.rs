@@ -40,7 +40,8 @@
 use crate::task::{RuntimeCtx, TaskGraph, TaskId, Transition};
 use fxp::Q15;
 use mcu::{
-    AllocError, BundleOp, Device, FramWord, Meter, NvAddr, Op, Phase, PowerFailure, Site, Step,
+    AllocError, Charge, CostTable, Device, FramWord, Meter, NvAddr, Op, Phase, PowerFailure, Site,
+    Step,
 };
 
 /// A redo-log entry: the home address, the privatized value, and a
@@ -169,9 +170,29 @@ pub struct AlpacaRt {
     /// commit may run under (recorded once per runtime; commits happen
     /// every task transition).
     commit_entry: [Site; 2],
+    /// The one-charge commit's ops besides its walk, priced once under
+    /// the device's cost table: `[0]` for an empty log (the transition
+    /// and the flag lower), `[1]` for a non-empty one (also the flag
+    /// raise and `COMMIT_FIXED`).
+    commit_fixed: [Charge; 2],
     /// The address [`AlpacaRt::appends`] last looked up, with its log
     /// slot: the write that follows reuses the lookup.
     named: Option<(NvAddr, Option<usize>)>,
+}
+
+/// [`AlpacaRt::commit_fixed`] under `costs`.
+fn commit_fixed(costs: &CostTable) -> [Charge; 2] {
+    [false, true].map(|logged| {
+        let mut c = Charge::new();
+        c.add(Op::TaskTransition, 1, costs);
+        c.add(Op::FramWrite, 1 + u64::from(logged), costs);
+        if logged {
+            for (op, n) in COMMIT_FIXED {
+                c.add(op, n, costs);
+            }
+        }
+        c
+    })
 }
 
 impl AlpacaRt {
@@ -194,6 +215,7 @@ impl AlpacaRt {
             committing: false,
             flag_lower_pending: false,
             commit_entry: Default::default(),
+            commit_fixed: commit_fixed(&dev.spec().costs),
             named: None,
         })
     }
@@ -411,14 +433,14 @@ impl AlpacaRt {
 
     /// The scheduler's whole commit sequence — the flag raise, the fixed
     /// bookkeeping, the walk, the task transition and the flag lower —
-    /// in one funding decision and one trace charge
-    /// ([`Device::fund_whole`]), which also lands the flag and the homes.
-    /// The walk charges its recorded bundle once per log entry. Taken
-    /// only when the ordered path would detect nothing (the flag verifies
-    /// and every entry's checksum holds) and the device funds the whole
-    /// sequence, so it leaves exactly the state, trace and op counter the
-    /// ordered path would. Returns `false`, having done nothing,
-    /// otherwise.
+    /// in one funding decision ([`Device::fund_whole`]), which also lands
+    /// the flag and the homes. Everything but the walk is priced once per
+    /// runtime; the walk is its site's recorded bundle, priced when
+    /// recorded, repeated once per log entry. Taken only when the ordered
+    /// path would detect nothing (the flag verifies and every entry's
+    /// checksum holds) and the device funds the whole sequence, so it
+    /// leaves exactly the state, trace and op counter the ordered path
+    /// would. Returns `false`, having done nothing, otherwise.
     ///
     /// A walk runs through the ordered path until its site has recorded
     /// its bundle, as it would with no one-charge commit: how much of a
@@ -427,33 +449,27 @@ impl AlpacaRt {
     fn commit_whole(&mut self, dev: &mut Device) -> bool {
         let n = self.log.len() as u64;
         let phase = dev.context().1;
+        let site = &self.commit_entry[usize::from(phase == Phase::Control)];
         // An empty log commits nothing: the transition and the lower.
-        let (mut fixed, mut walk): (&[_], &[BundleOp]) = (&[], &[]);
         if n > 0 {
-            let site = &self.commit_entry[usize::from(phase == Phase::Control)];
             let Some(entry) = site.bundle() else {
                 return false;
             };
             if !dev.verify_word(self.commit_flag) || !self.log.iter().all(LogEntry::verifies) {
                 return false;
             }
-            // `fund_whole` charges at the commit's phase; the ordered walk
-            // at each entry's own.
+            // The fixed part charges at the commit's phase, the walk at
+            // each entry's own: the same, as the ordered walk runs at the
+            // commit's phase.
             debug_assert!(entry.ops().iter().all(|e| e.phase == phase));
-            (fixed, walk) = (&COMMIT_FIXED, entry.ops());
         }
-        let ops = [
-            (Op::TaskTransition, 1),
-            (Op::FramWrite, 1 + u64::from(n > 0)),
-        ]
-        .into_iter()
-        .chain(fixed.iter().copied())
-        .chain(walk.iter().map(|e| (e.op, e.count * n)));
         let flag = self.commit_flag.addr();
         let raise = (n > 0).then_some((flag, Q15::from_raw(1)));
         let homes = self.log.iter().map(|e| (e.addr, e.v));
         if !dev.fund_whole(
-            ops,
+            &self.commit_fixed[usize::from(n > 0)],
+            std::slice::from_ref(site),
+            &[n],
             raise.into_iter().chain(homes).chain([(flag, Q15::ZERO)]),
         ) {
             return false;

@@ -72,9 +72,9 @@
 //! shape's record. Debug builds check both: the driver records every
 //! later scalar-mode iteration too and asserts it is a prefix of its
 //! predicted shape's bundle — equal to it when the iteration completes —
-//! unless the loop has several shapes and a memory fault fired inside the
-//! iteration (a flipped word may change the path the prediction saw; such
-//! an iteration also records nothing); it
+//! unless a memory fault fired inside the iteration (a flipped word may
+//! change the path the prediction saw, or a length it peeked; such an
+//! iteration also records nothing, in every build); it
 //! asserts that the body ends each funded run on the cursor the predictor
 //! reached; and it asserts that the run's bulk charge equals its
 //! iterations' bundles summed one by one. Trace cells are plain
@@ -94,22 +94,36 @@
 //! site's bundle, and each later one records one repeat of that site
 //! (debug builds also record it op by op and check it against the
 //! bundle, as [`Device::run_shaped`] checks a scalar-mode iteration).
-//! The other ops record as single runs. The settle is one
-//! [`Device::fund_whole`] when the buffer covers the body and no armed
-//! fault target lies inside it; otherwise it replays the record in order
-//! through the scalar charge — still funding whole site repeats at once
-//! while they fit — so a brown-out lands on exactly the op a scalar
-//! execution would have died on, and a memory fault fires there, after
-//! the body has read memory.
+//! The other ops record as single runs.
+//!
+//! Besides the ordered record, the handle keeps running totals: a repeat
+//! count per site, and every op outside an iteration in one dense
+//! [`Charge`], priced as it is added. Each site priced its bundle when it
+//! recorded it, so the settle's funding decision is arithmetic over the
+//! used sites — the charge's op count and energy plus each used site's
+//! per-iteration price times its repeats — and its trace charge adds the
+//! charge's counts and each used site's nonzero counts once. That is one
+//! [`Device::fund_whole`], taken when the buffer covers the body and no
+//! armed fault target lies inside it; debug builds first check the
+//! running totals against a walk of the record. Otherwise the settle
+//! replays the record in order through the scalar charge — still funding
+//! whole site repeats at once while they fit — so a brown-out lands on
+//! exactly the op a scalar execution would have died on, and a memory
+//! fault fires there, after the body has read memory.
 //!
 //! [`Meter`] is what the two paths share: one runtime access written
 //! against it charges op by op on a [`Device`] and records on a
 //! [`Taped`] handle.
 //!
+//! # Whole sequences
+//!
 //! A fixed op sequence that no brown-out or fault can interrupt — the
 //! Alpaca commit, when the buffer covers it — needs no record at all:
 //! [`Device::fund_whole`] charges it in one funding decision and lands
-//! its stores.
+//! its stores. The sequence is a dense [`Charge`] plus repeats of
+//! recorded sites; the commit prices its fixed part (the flag raise and
+//! lower, its bookkeeping, the transition) once per runtime, and its walk
+//! is the walk site's bundle repeated once per log entry.
 
 use crate::device::{Device, FramBuf, FramWord, NvAddr, PowerFailure, SramBuf};
 use crate::spec::{CostTable, Op};
@@ -251,13 +265,139 @@ pub(crate) fn counts_cost(counts: &OpCounts, costs: &CostTable) -> (u64, u64) {
 /// depends on something fixed per call (a first or later pass, a layer's
 /// geometry) keep one site per variant; a site shared by two variants
 /// funds one from the other's record.
+///
+/// When a site records its bundle it also prices it: one iteration's op
+/// count and energy under the recording device's cost table, which every
+/// funding decision reads instead of re-pricing the bundle, and its
+/// nonzero `(phase, op)` counts, which every trace charge walks. A site
+/// belongs to devices of one [`crate::DeviceSpec`]; debug builds check
+/// the cached price at every use.
 #[derive(Clone, Debug, Default)]
-pub struct Site(Option<OpBundle>);
+pub struct Site(Option<Recorded>);
+
+/// A site's bundle and its price.
+#[derive(Clone, Debug)]
+struct Recorded {
+    bundle: OpBundle,
+    energy_pj: u64,
+    /// The bundle's nonzero counts, in `(phase, op)` order.
+    cells: Vec<Cell>,
+}
+
+/// One nonzero `(phase, op)` count of a recorded bundle.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Cell {
+    pub(crate) phase: Phase,
+    pub(crate) op: Op,
+    pub(crate) count: u64,
+}
 
 impl Site {
     /// The recorded bundle; `None` until an iteration has completed.
     pub fn bundle(&self) -> Option<&OpBundle> {
-        self.0.as_ref()
+        self.0.as_ref().map(|r| &r.bundle)
+    }
+
+    /// One iteration's `(ops, energy_pj)`, priced when the site recorded
+    /// its bundle; `None` while it is empty.
+    #[inline]
+    pub(crate) fn cost(&self, costs: &CostTable) -> Option<(u64, u64)> {
+        let r = self.0.as_ref()?;
+        debug_assert_eq!(
+            r.energy_pj,
+            counts_cost(r.bundle.counts(), costs).1,
+            "a site priced under another cost table"
+        );
+        Some((r.bundle.len(), r.energy_pj))
+    }
+
+    /// The recorded bundle's nonzero `(phase, op)` counts; empty while
+    /// the site is.
+    #[inline]
+    pub(crate) fn cells(&self) -> &[Cell] {
+        self.0.as_ref().map_or(&[], |r| &r.cells)
+    }
+
+    /// Records `bundle` as the site's, priced under `costs`.
+    fn fill(&mut self, bundle: OpBundle, costs: &CostTable) {
+        let energy_pj = counts_cost(bundle.counts(), costs).1;
+        let mut cells = Vec::new();
+        for phase in Phase::ALL {
+            for op in Op::ALL {
+                let count = bundle.counts()[phase.index()][op.index()];
+                if count > 0 {
+                    cells.push(Cell { phase, op, count });
+                }
+            }
+        }
+        self.0 = Some(Recorded {
+            bundle,
+            energy_pj,
+            cells,
+        });
+    }
+}
+
+/// A dense op charge at one accounting phase: a count per op class, with
+/// the total and its energy under a cost table kept current as ops are
+/// added. With a few site repeats it is everything
+/// [`Device::fund_whole`] charges at once — a taped body's ops outside
+/// its iterations, or the Alpaca commit's fixed part — so the funding
+/// decision is a few additions, not a walk over the ops.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Charge {
+    counts: [u64; Op::COUNT],
+    len: u64,
+    energy_pj: u64,
+}
+
+impl Default for Charge {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Charge {
+    /// No ops.
+    pub const fn new() -> Self {
+        Charge {
+            counts: [0; Op::COUNT],
+            len: 0,
+            energy_pj: 0,
+        }
+    }
+
+    /// Adds `n` ops of class `op`, priced under `costs`.
+    #[inline(always)]
+    pub fn add(&mut self, op: Op, n: u64, costs: &CostTable) {
+        self.counts[op.index()] += n;
+        self.len += n;
+        self.energy_pj += n * costs.cost(op).energy_pj;
+    }
+
+    /// Total ops.
+    pub fn len(&self) -> u64 {
+        self.len
+    }
+
+    /// `true` when the charge holds no ops.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Ops of each class, indexed by [`Op::index`].
+    pub(crate) fn counts(&self) -> &[u64; Op::COUNT] {
+        &self.counts
+    }
+
+    /// The energy of every op, priced as they were added.
+    pub(crate) fn energy_pj(&self) -> u64 {
+        self.energy_pj
+    }
+
+    /// Empties the charge.
+    fn clear(&mut self) {
+        *self = Self::new();
     }
 }
 
@@ -417,12 +557,7 @@ impl Device {
         let Range { mut start, end } = range;
         while start < end {
             let mut planned = *cursor;
-            let run = self.fund_run(
-                sites.each_ref().map(Site::bundle),
-                start..end,
-                &mut planned,
-                &mut shape,
-            )?;
+            let run = self.fund_run(sites, start..end, &mut planned, &mut shape)?;
             if run.iters > 0 {
                 let mut s = Step::new(self, true);
                 let mut r = Ok(());
@@ -454,10 +589,12 @@ impl Device {
                 if let (Some(outer), Some(site)) = (outer, site) {
                     let rec = self.close_record(outer);
                     // A memory fault inside the iteration may have sent it
-                    // down another shape's path than the one predicted.
-                    if N == 1 || self.mem_faults_injected() == faults {
-                        match &site.0 {
-                            None if r.is_ok() => site.0 = Some(*rec),
+                    // down another path than the one predicted: another
+                    // shape's, or a data-dependent length the predictor
+                    // peeked before the fault landed.
+                    if self.mem_faults_injected() == faults {
+                        match site.bundle() {
+                            None if r.is_ok() => site.fill(*rec, &self.spec().costs),
                             None => {}
                             #[cfg(debug_assertions)]
                             Some(bundle) => {
@@ -783,7 +920,28 @@ impl<'d> Step<'d> {
     ///
     /// As [`Device::run_bundled`].
     #[inline(always)]
-    pub fn run_bundled<F>(&mut self, range: Range<u32>, mut body: F) -> Result<(), PowerFailure>
+    pub fn run_bundled<F>(&mut self, range: Range<u32>, body: F) -> Result<(), PowerFailure>
+    where
+        F: FnMut(&mut Step<'_>, u32) -> Result<(), PowerFailure>,
+    {
+        self.run_at(&mut Site::default(), range, body)
+    }
+
+    /// [`Step::run_bundled`] against a [`Site`] the caller keeps, so a
+    /// scalar-mode iteration's nested loop funds from a bundle an earlier
+    /// call recorded: the MAC loop of a layer's outputs, say, whether the
+    /// output runs funded or op by op.
+    ///
+    /// # Errors
+    ///
+    /// As [`Device::run_bundled`].
+    #[inline(always)]
+    pub fn run_at<F>(
+        &mut self,
+        site: &mut Site,
+        range: Range<u32>,
+        mut body: F,
+    ) -> Result<(), PowerFailure>
     where
         F: FnMut(&mut Step<'_>, u32) -> Result<(), PowerFailure>,
     {
@@ -793,7 +951,7 @@ impl<'d> Step<'d> {
             }
             Ok(())
         } else {
-            self.dev.run_bundled(&mut Site::default(), range, body)
+            self.dev.run_bundled(site, range, body)
         }
     }
 }
@@ -869,57 +1027,87 @@ enum Run {
 
 /// The record of the taped body in flight, kept on the device between
 /// bodies so its capacity persists.
+///
+/// Besides the ordered runs, which only the in-order replay reads, it
+/// keeps running totals — the ops outside iterations as one dense
+/// [`Charge`], and a repeat count per site — so the whole settle is a
+/// [`Device::fund_whole`] of those, with no walk over the runs. Debug
+/// builds check the totals against a walk at every settle.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct TapeRecord {
     /// The body's ordered runs.
     runs: Vec<Run>,
     /// The ops of the iteration being recorded.
     iter: OpBundle,
+    /// Every op recorded outside an iteration.
+    loose: Charge,
+    /// Repeats recorded per site.
+    repeats: Vec<u64>,
 }
 
 impl TapeRecord {
+    /// Restarts the record for a body with `sites` iteration shapes.
+    fn restart(&mut self, sites: usize) {
+        self.runs.clear();
+        self.loose.clear();
+        self.repeats.clear();
+        self.repeats.resize(sites, 0);
+    }
+
     #[inline]
-    fn push(&mut self, op: Op, n: u64) {
+    fn push(&mut self, op: Op, n: u64, costs: &CostTable) {
         self.runs.push(Run::Ops(op, n));
+        self.loose.add(op, n, costs);
+    }
+
+    /// Records a fixed op sequence outside any iteration.
+    #[inline(always)]
+    fn push_seq(&mut self, seq: &'static [(Op, u64)], costs: &CostTable) {
+        self.runs.push(Run::Seq(seq));
+        for &(op, n) in seq {
+            self.loose.add(op, n, costs);
+        }
     }
 
     /// Records one repeat of site `k`.
     #[inline]
     fn repeat(&mut self, k: usize) {
+        self.repeats[k] += 1;
         match self.runs.last_mut() {
             Some(Run::Repeat { site, n }) if *site == k => *n += 1,
             _ => self.runs.push(Run::Repeat { site: k, n: 1 }),
         }
     }
 
-    /// The whole record's `(op, count)` totals.
-    fn totals(&self, sites: &[Site]) -> [(Op, u64); Op::COUNT] {
-        let mut ops = Op::ALL.map(|op| (op, 0));
-        let mut add = |seq: &[(Op, u64)], times| {
-            for &(op, n) in seq {
-                ops[op.index()].1 += n * times;
-            }
-        };
+    /// Debug builds: the running totals are what a walk of the runs
+    /// counts.
+    #[cfg(debug_assertions)]
+    fn check_totals(&self, costs: &CostTable) {
+        let mut loose = Charge::new();
+        let mut repeats = vec![0; self.repeats.len()];
         for &run in &self.runs {
             match run {
-                Run::Ops(op, n) => add(&[(op, n)], 1),
-                Run::Seq(seq) => add(seq, 1),
-                Run::Repeat { site, n } => {
-                    for e in sites[site].bundle().expect("a repeated site").ops() {
-                        add(&[(e.op, e.count)], n);
-                    }
-                }
+                Run::Ops(op, n) => loose.add(op, n, costs),
+                Run::Seq(seq) => seq.iter().for_each(|&(op, n)| loose.add(op, n, costs)),
+                Run::Repeat { site, n } => repeats[site] += n,
             }
         }
-        ops
+        assert_eq!(
+            loose, self.loose,
+            "a taped body's running totals drifted from its runs"
+        );
+        assert_eq!(
+            repeats, self.repeats,
+            "a taped body's repeat counts drifted from its runs"
+        );
     }
 
     /// Closes an iteration that recorded itself: fills an empty site from
     /// the record or (debug builds) checks the record against the site's
     /// bundle, then records the iteration.
-    fn close_iteration(&mut self, site: &mut Site, k: usize, completed: bool) {
-        match &site.0 {
-            None if completed => site.0 = Some(self.iter.clone()),
+    fn close_iteration(&mut self, site: &mut Site, k: usize, completed: bool, costs: &CostTable) {
+        match site.bundle() {
+            None if completed => site.fill(self.iter.clone(), costs),
             #[cfg(debug_assertions)]
             Some(bundle) => check_tail("a taped", bundle, &self.iter, completed),
             _ => {}
@@ -928,7 +1116,7 @@ impl TapeRecord {
             self.repeat(k);
         } else {
             let iter = std::mem::take(&mut self.iter);
-            self.keep_prefix(&iter, u64::MAX);
+            self.keep_prefix(&iter, u64::MAX, costs);
             self.iter = iter;
         }
     }
@@ -936,13 +1124,13 @@ impl TapeRecord {
     /// Records the first `n` ops of `bundle` outside any iteration: what
     /// an iteration that failed after them charged.
     #[cold]
-    fn keep_prefix(&mut self, bundle: &OpBundle, mut n: u64) {
+    fn keep_prefix(&mut self, bundle: &OpBundle, mut n: u64, costs: &CostTable) {
         for e in bundle.ops() {
             let k = e.count.min(n);
             if k == 0 {
                 break;
             }
-            self.push(e.op, k);
+            self.push(e.op, k, costs);
             n -= k;
         }
     }
@@ -976,7 +1164,7 @@ impl<const ITERATION: bool> Taped<'_, ITERATION> {
     #[inline(always)]
     fn note(&mut self, op: Op, n: u64) {
         if !ITERATION {
-            self.rec.push(op, n);
+            self.rec.push(op, n, &self.dev.spec().costs);
         } else if self.record {
             self.rec.iter.push_n(op, self.phase, n);
         } else {
@@ -1034,7 +1222,8 @@ impl Taped<'_> {
             Ok(_) => self.rec.repeat(k),
             Err(_) => {
                 let bundle = self.sites[k].bundle().expect("a repeated site");
-                self.rec.keep_prefix(bundle, skipped);
+                self.rec
+                    .keep_prefix(bundle, skipped, &self.dev.spec().costs);
             }
         }
         r
@@ -1051,7 +1240,9 @@ impl Taped<'_> {
     ) -> Result<R, PowerFailure> {
         self.rec.iter.clear();
         let r = body(&mut self.iteration(true));
-        self.rec.close_iteration(&mut self.sites[k], k, r.is_ok());
+        let costs = &self.dev.spec().costs;
+        self.rec
+            .close_iteration(&mut self.sites[k], k, r.is_ok(), costs);
         r
     }
 }
@@ -1071,7 +1262,7 @@ impl<const ITERATION: bool> Meter for Taped<'_, ITERATION> {
                 self.note(op, n);
             }
         } else {
-            self.rec.runs.push(Run::Seq(seq));
+            self.rec.push_seq(seq, &self.dev.spec().costs);
         }
         Ok(())
     }
@@ -1124,7 +1315,7 @@ impl Device {
         body: impl FnOnce(&mut Taped<'_>) -> Result<R, PowerFailure>,
     ) -> Result<R, PowerFailure> {
         let mut rec = self.tape.take().unwrap_or_default();
-        rec.runs.clear();
+        rec.restart(sites.len());
         let phase = self.context().1;
         let r = body(&mut Taped {
             dev: self,
@@ -1139,10 +1330,10 @@ impl Device {
         settled.and(r)
     }
 
-    /// Charges a taped body's record: one [`Device::fund_whole`], or an
-    /// in-order replay through the scalar charge that still funds each
-    /// run of site repeats whole, as many at a time as the buffer and the
-    /// next armed target allow.
+    /// Charges a taped body's record: one [`Device::fund_whole`] of its
+    /// running totals, or an in-order replay through the scalar charge
+    /// that still funds each run of site repeats whole, as many at a time
+    /// as the buffer and the next armed target allow.
     fn settle_tape(
         &mut self,
         rec: &TapeRecord,
@@ -1152,7 +1343,9 @@ impl Device {
         if !self.is_on() {
             return Err(PowerFailure);
         }
-        if self.fund_whole(rec.totals(sites), []) {
+        #[cfg(debug_assertions)]
+        rec.check_totals(&self.spec().costs);
+        if self.fund_whole(&rec.loose, sites, &rec.repeats, []) {
             return Ok(());
         }
         for &run in &rec.runs {
@@ -1164,14 +1357,15 @@ impl Device {
                     }
                 }
                 Run::Repeat { site, mut n } => {
-                    let bundle = sites[site].bundle().expect("a repeated site");
-                    let per = bundle.counts()[phase.index()];
+                    let site = std::slice::from_ref(&sites[site]);
+                    let bundle = site[0].bundle().expect("a repeated site");
                     while n > 0 {
-                        let whole = self.whole_repeats(bundle).min(n);
-                        let ops = Op::ALL.map(|op| (op, per[op.index()] * whole));
-                        let funded = self.fund_whole(ops, []);
-                        debug_assert!(funded || whole == 0);
-                        n -= whole;
+                        let whole = self.whole_repeats(&site[0]).min(n);
+                        if whole > 0 {
+                            let funded = self.fund_whole(&Charge::new(), site, &[whole], []);
+                            debug_assert!(funded);
+                            n -= whole;
+                        }
                         if n > 0 {
                             for e in bundle.ops() {
                                 self.consume_upto_at(e.op, e.phase, e.count).1?;
@@ -1204,12 +1398,18 @@ mod tests {
         assert_eq!(b.len(), 7);
     }
 
+    fn costs() -> CostTable {
+        crate::DeviceSpec::tiny().costs
+    }
+
     fn site_of(ops: &[(Op, u64)]) -> Site {
         let mut b = OpBundle::new();
         for &(op, n) in ops {
             b.push_n(op, Phase::Kernel, n);
         }
-        Site(Some(b))
+        let mut site = Site::default();
+        site.fill(b, &costs());
+        site
     }
 
     #[test]
@@ -1219,14 +1419,16 @@ mod tests {
             site_of(&[(Op::FramRead, 2), (Op::Incr, 1)]), // equal, but a distinct site
             Site::default(),                              // never repeated
         ];
+        let costs = costs();
         let mut t = TapeRecord::default();
-        t.push(Op::Alu, 1);
-        t.push(Op::Alu, 2);
+        t.restart(sites.len());
+        t.push(Op::Alu, 1, &costs);
+        t.push(Op::Alu, 2, &costs);
         for k in [0, 0, 0, 0, 1] {
             t.repeat(k);
         }
         const SEQ: [(Op, u64); 2] = [(Op::Incr, 1), (Op::Alu, 2)];
-        t.runs.push(Run::Seq(&SEQ));
+        t.push_seq(&SEQ, &costs);
         t.repeat(0);
         t.repeat(0); // a later run of an already-repeated site
         assert_eq!(
@@ -1240,11 +1442,30 @@ mod tests {
                 Run::Repeat { site: 0, n: 2 },
             ]
         );
-        let c = t.totals(&sites);
-        assert_eq!(c[Op::Alu.index()], (Op::Alu, 5));
-        assert_eq!(c[Op::FramRead.index()], (Op::FramRead, 14));
-        assert_eq!(c[Op::Incr.index()], (Op::Incr, 8));
-        assert_eq!(c.iter().map(|&(_, n)| n).sum::<u64>(), 27);
+        #[cfg(debug_assertions)]
+        t.check_totals(&costs);
+        assert_eq!(t.repeats, [6, 1, 0]);
+        // The whole record's totals: the loose ops plus each site's
+        // bundle per repeat.
+        let mut c = *t.loose.counts();
+        for (site, &n) in sites.iter().zip(&t.repeats) {
+            for e in site.bundle().map_or(&[][..], OpBundle::ops) {
+                c[e.op.index()] += e.count * n;
+            }
+        }
+        assert_eq!(c[Op::Alu.index()], 5);
+        assert_eq!(c[Op::FramRead.index()], 14);
+        assert_eq!(c[Op::Incr.index()], 8);
+        assert_eq!(c.iter().sum::<u64>(), 27);
+        let priced: u64 = Op::ALL
+            .iter()
+            .map(|&op| c[op.index()] * costs.cost(op).energy_pj)
+            .sum();
+        let site_energy = |k: usize| sites[k].cost(&costs).map_or(0, |(_, e)| e);
+        assert_eq!(
+            t.loose.energy_pj() + 6 * site_energy(0) + site_energy(1),
+            priced
+        );
     }
 
     #[test]

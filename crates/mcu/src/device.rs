@@ -39,7 +39,9 @@
 
 #[cfg(debug_assertions)]
 use crate::bundle::add_counts;
-use crate::bundle::{counts_cost, FundedRun, LastStores, OpBundle, OpCounts, TapeRecord};
+#[cfg(debug_assertions)]
+use crate::bundle::OpCounts;
+use crate::bundle::{Charge, FundedRun, LastStores, OpBundle, Site, TapeRecord};
 use crate::power::PowerSystem;
 use crate::spec::{DeviceSpec, Op};
 use crate::trace::{Phase, RegionId, Trace, TraceReport};
@@ -457,6 +459,7 @@ impl Device {
         let charge = power.buffer_energy_pj().unwrap_or(0);
         let fram = vec![0i16; spec.fram_words as usize];
         let sram = vec![SRAM_GARBAGE; spec.sram_words as usize];
+        let trace = Trace::with_costs(spec.costs.clone());
         Device {
             spec,
             power,
@@ -466,7 +469,7 @@ impl Device {
             fram_brk: 0,
             sram,
             sram_brk: 0,
-            trace: Trace::new(),
+            trace,
             region: RegionId::OTHER,
             phase: Phase::Kernel,
             ops_consumed: 0,
@@ -656,7 +659,7 @@ impl Device {
             let cost = self.spec.costs.cost(op);
             let (fit, starved) = match &self.power {
                 PowerSystem::Continuous => {
-                    self.trace.charge(self.region, phase, op, n_allowed, cost);
+                    self.trace.charge(self.region, phase, op, n_allowed);
                     (n_allowed, false)
                 }
                 PowerSystem::Harvested(_) => {
@@ -675,7 +678,7 @@ impl Device {
                         .checked_div(per)
                         .map_or(n_allowed, |q| q.min(n_allowed));
                     if fit > 0 {
-                        self.trace.charge(self.region, phase, op, fit, cost);
+                        self.trace.charge(self.region, phase, op, fit);
                         self.charge_pj -= fit * per;
                     }
                     (fit, fit < n_allowed)
@@ -813,7 +816,7 @@ impl Device {
     #[inline]
     pub(crate) fn fund_run<const N: usize, C, P>(
         &mut self,
-        bundles: [Option<&OpBundle>; N],
+        sites: &[Site; N],
         range: Range<u32>,
         cursor: &mut C,
         shape: &mut P,
@@ -826,18 +829,19 @@ impl Device {
             return Err(PowerFailure);
         }
         let harvested = matches!(self.power, PowerSystem::Harvested(_));
-        // Per recorded shape: (ops, energy) of one iteration. Continuous
-        // power never drains, so its energies stay zero.
-        let cost: [Option<(u64, u64)>; N] = bundles.map(|b| {
-            b.map(|b| {
-                if !harvested {
-                    return (b.len(), 0);
-                }
-                #[cfg(debug_assertions)]
-                self.check_free_ops(b.counts());
-                (b.len(), counts_cost(b.counts(), &self.spec.costs).1)
-            })
+        // Per recorded shape: (ops, energy) of one iteration, priced when
+        // its site recorded it. Continuous power never drains, so its
+        // energies stay zero.
+        let cost: [Option<(u64, u64)>; N] = sites.each_ref().map(|s| {
+            let (len, energy) = s.cost(&self.spec.costs)?;
+            if !harvested {
+                return Some((len, 0));
+            }
+            #[cfg(debug_assertions)]
+            self.check_free_ops(s.bundle().expect("recorded").counts());
+            Some((len, energy))
         });
+        let bundles = sites.each_ref().map(Site::bundle);
         let (len_max, e_max) = cost
             .iter()
             .flatten()
@@ -918,12 +922,12 @@ impl Device {
         };
         let mut ops = 0;
         let mut energy = 0;
-        for ((b, c), &fit) in bundles.iter().zip(cost).zip(&n) {
-            if let (Some(b), Some((len, e))) = (b, c) {
+        for ((site, c), &fit) in sites.iter().zip(cost).zip(&n) {
+            if let Some((len, e)) = c {
                 if fit > 0 {
                     ops += fit * len;
                     energy += fit * e;
-                    self.charge_bundle_trace(b, fit);
+                    self.charge_site_trace(site, fit);
                 }
             }
         }
@@ -945,7 +949,10 @@ impl Device {
             );
             assert_eq!(ops, one_by_one.iter().flatten().sum::<u64>());
             if harvested {
-                assert_eq!(energy, counts_cost(&one_by_one, &self.spec.costs).1);
+                assert_eq!(
+                    energy,
+                    crate::bundle::counts_cost(&one_by_one, &self.spec.costs).1
+                );
             }
         }
         Ok(FundedRun {
@@ -970,69 +977,51 @@ impl Device {
         }
     }
 
-    /// Settles `fit` funded iterations of `bundle` into the trace, for
-    /// [`Device::fund_run`].
-    fn charge_bundle_trace(&mut self, bundle: &OpBundle, fit: u64) {
-        if fit == 0 {
-            return;
-        }
-        // Trace cells are plain accumulators, so charging the ordered
-        // sequence and charging aggregate counts are bit-identical.
-        // Small bundles (a loop iteration) walk their few entries; long
-        // ones (a TAILS output row) charge per (phase, op) cell.
-        if bundle.ops().len() <= 2 * Op::COUNT {
-            for e in bundle.ops() {
-                let cost = self.spec.costs.cost(e.op);
-                self.trace
-                    .charge(self.region, e.phase, e.op, e.count * fit, cost);
-            }
-        } else {
-            self.charge_counts(bundle.counts(), fit);
-        }
+    /// Settles `fit` funded iterations of `site`'s bundle into the trace,
+    /// one charge per nonzero `(phase, op)` count, for
+    /// [`Device::fund_run`]. Trace cells are plain accumulators, so
+    /// charging aggregate counts and charging the ordered sequence are
+    /// bit-identical.
+    #[inline]
+    fn charge_site_trace(&mut self, site: &Site, fit: u64) {
+        let cells = site.cells().iter().map(|c| (c.phase, c.op, c.count));
+        self.trace.charge_cells(self.region, cells, fit);
     }
 
-    /// Charges `fit` times every `(phase, op)` cell of `counts` to the
-    /// current region.
-    fn charge_counts(&mut self, counts: &OpCounts, fit: u64) {
-        for phase in Phase::ALL {
-            for op in Op::ALL {
-                let n = counts[phase.index()][op.index()];
-                if n > 0 {
-                    let cost = self.spec.costs.cost(op);
-                    self.trace.charge(self.region, phase, op, n * fit, cost);
-                }
-            }
-        }
-    }
-
-    /// How many whole repeats of `bundle` [`Device::fund_whole`] would
-    /// fund at once: as many as the buffer and the next armed fault
+    /// How many whole repeats of `site`'s bundle [`Device::fund_whole`]
+    /// would fund at once: as many as the buffer and the next armed fault
     /// target allow (`u64::MAX` when nothing limits them).
-    pub(crate) fn whole_repeats(&self, bundle: &OpBundle) -> u64 {
+    ///
+    /// # Panics
+    ///
+    /// Panics if the site has recorded no bundle.
+    pub(crate) fn whole_repeats(&self, site: &Site) -> u64 {
         if !self.on || self.record.is_some() {
             return 0;
         }
+        let (len, energy) = site.cost(&self.spec.costs).expect("a recorded site");
         let ops_left = self
             .fault_queue
             .last()
             .map_or(u64::MAX, |&(t, _)| t.saturating_sub(self.ops_consumed));
-        let n = whole_runs(ops_left, bundle.len());
+        let n = whole_runs(ops_left, len);
         match self.power {
             PowerSystem::Continuous => n,
-            PowerSystem::Harvested(_) => {
-                let energy = counts_cost(bundle.counts(), &self.spec.costs).1;
-                n.min(whole_runs(self.charge_pj, energy))
-            }
+            PowerSystem::Harvested(_) => n.min(whole_runs(self.charge_pj, energy)),
         }
     }
 
-    /// Charges a whole op sequence in one funding decision and one trace
-    /// charge per entry, when nothing can interrupt it: the device is
-    /// on, no bundled-loop iteration is recording, the buffer covers
-    /// every op, and no armed fault target of any kind lies inside the
-    /// sequence. `ops` lists its `(op, count)` totals at the current
-    /// accounting context, in any order (an op class may repeat). Then
+    /// Charges a whole op sequence in one funding decision, when nothing
+    /// can interrupt it: the device is on, no bundled-loop iteration is
+    /// recording, the buffer covers every op, and no armed fault target
+    /// of any kind lies inside the sequence. The sequence is `loose`, a
+    /// dense charge at the current accounting context, plus `repeats[k]`
+    /// iterations of each site `sites[k]`'s bundle, in any order. Then
     /// lands `writes`, the sequence's FRAM stores, in order.
+    ///
+    /// The funding decision reads the prices `loose` and the sites keep,
+    /// so it costs a few additions per repeated site; the trace charge
+    /// adds `loose`'s counts and each repeated site's nonzero counts.
     ///
     /// Returns `false`, having charged and stored nothing, when any of
     /// these fails; the caller then runs the sequence op by op. Per-op
@@ -1041,40 +1030,49 @@ impl Device {
     /// op-by-op run would have completed too, with the same trace, op
     /// counter and charge. The caller performs the sequence's other
     /// effects.
-    pub fn fund_whole<I>(&mut self, ops: I, writes: impl IntoIterator<Item = (NvAddr, Q15)>) -> bool
-    where
-        I: IntoIterator<Item = (Op, u64)> + Clone,
-    {
+    ///
+    /// # Panics
+    ///
+    /// Panics if a site with repeats has recorded no bundle, or `repeats`
+    /// and `sites` differ in length.
+    pub fn fund_whole(
+        &mut self,
+        loose: &Charge,
+        sites: &[Site],
+        repeats: &[u64],
+        writes: impl IntoIterator<Item = (NvAddr, Q15)>,
+    ) -> bool {
+        assert_eq!(sites.len(), repeats.len(), "one repeat count per site");
         if !self.on || self.record.is_some() {
             return false;
         }
-        let total: u64 = ops.clone().into_iter().map(|(_, n)| n).sum();
-        let end = self.ops_consumed + total;
+        let (mut len, mut energy) = (loose.len(), loose.energy_pj());
+        for (site, &n) in sites.iter().zip(repeats) {
+            if n > 0 {
+                let (l, e) = site.cost(&self.spec.costs).expect("a repeated site");
+                len += n * l;
+                energy += n * e;
+            }
+        }
+        let end = self.ops_consumed + len;
         if self.fault_queue.last().is_some_and(|&(t, _)| t < end) {
             return false;
         }
         if matches!(self.power, PowerSystem::Harvested(_)) {
-            debug_assert!(
-                ops.clone().into_iter().all(|(op, n)| {
-                    let c = self.spec.costs.cost(op);
-                    n == 0 || c.energy_pj > 0 || c.cycles == 0
-                }),
-                "an op that costs cycles but zero energy (fix the cost table)"
-            );
-            let energy: u64 = ops
-                .clone()
-                .into_iter()
-                .map(|(op, n)| n * self.spec.costs.cost(op).energy_pj)
-                .sum();
+            #[cfg(debug_assertions)]
+            self.check_whole(loose, sites, repeats, energy);
             if energy > self.charge_pj {
                 return false;
             }
             self.charge_pj -= energy;
         }
-        for (op, n) in ops {
+        if !loose.is_empty() {
+            self.trace
+                .charge_row(self.region, self.phase, loose.counts());
+        }
+        for (site, &n) in sites.iter().zip(repeats) {
             if n > 0 {
-                let cost = self.spec.costs.cost(op);
-                self.trace.charge(self.region, self.phase, op, n, cost);
+                self.charge_site_trace(site, n);
             }
         }
         self.ops_consumed = end;
@@ -1082,6 +1080,30 @@ impl Device {
             self.prepaid_write_at(addr, v);
         }
         true
+    }
+
+    /// Debug builds: [`Device::fund_whole`]'s priced energy is its ops
+    /// priced one class at a time, and no op it funds costs cycles but
+    /// zero energy.
+    #[cfg(debug_assertions)]
+    fn check_whole(&self, loose: &Charge, sites: &[Site], repeats: &[u64], energy: u64) {
+        let mut counts = *loose.counts();
+        for (site, &n) in sites.iter().zip(repeats) {
+            if let Some(b) = site.bundle().filter(|_| n > 0) {
+                for e in b.ops() {
+                    counts[e.op.index()] += e.count * n;
+                }
+            }
+        }
+        self.check_free_ops(&[counts, [0; Op::COUNT]]);
+        let priced: u64 = Op::ALL
+            .iter()
+            .map(|&op| counts[op.index()] * self.spec.costs.cost(op).energy_pj)
+            .sum();
+        assert_eq!(
+            energy, priced,
+            "a whole charge's price drifted from its ops"
+        );
     }
 
     /// Adds `n` forward-progress beacons at once (the bundled counterpart
@@ -2427,27 +2449,27 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "not the sequence of its bundle")]
     fn a_scalar_iteration_that_strays_from_its_bundle_panics() {
-        let mut d = continuous();
+        let mut d = Device::new(DeviceSpec::tiny(), PowerSystem::cap_100uf());
         let lp = test_loop(&mut d);
-        // Iteration 0 records two ops and funds iteration 1; a memory
-        // fault at op 5 stops the funding without cutting power, so
-        // iteration 2 runs in scalar mode — and charges an op its
-        // recorded bundle does not list.
-        d.arm_faults(&FaultPlan::faults([(
-            5,
-            FaultKind::BitFlip {
-                addr: lp.x.addr(0),
-                bit: 1,
-            },
-        )]));
-        let _ = d.run_bundled(&mut Site::default(), 0..4, |s, i| {
+        let mut site = Site::default();
+        // Iteration 2 skips the increment its recorded bundle lists.
+        let mut body = |s: &mut crate::Step<'_>, i: u32| {
             s.read(lp.x, i)?;
-            s.op(Op::Incr)?;
-            if i == 2 {
-                s.op(Op::Branch)?;
+            if i != 2 {
+                s.op(Op::Incr)?;
             }
             Ok(())
-        });
+        };
+        // Iteration 0 records a read and an increment, iteration 1 funds.
+        d.run_bundled(&mut site, 0..2, &mut body).unwrap();
+        // Drain the buffer to cover a read but not the bundle, so
+        // iteration 2 runs in scalar mode and completes.
+        let energy = |op| d.spec().costs.cost(op).energy_pj;
+        let (read, incr) = (energy(Op::FramRead), energy(Op::Incr));
+        d.consume_n(Op::Incr, (d.charge_pj() - read) / incr)
+            .unwrap();
+        assert!(read <= d.charge_pj() && d.charge_pj() < read + incr);
+        let _ = d.run_bundled(&mut site, 2..3, &mut body);
     }
 
     #[test]
@@ -2644,18 +2666,28 @@ mod tests {
             .iter()
             .map(|&(op, _)| d.spec().costs.cost(op).energy_pj)
             .sum();
-        let iters = |n| seq.iter().map(|&(op, _)| (op, n)).collect::<Vec<_>>();
+        let costs = d.spec().costs.clone();
+        let iters = |n| charge_of(&costs, seq.iter().map(|&(op, _)| (op, n)));
         let fundable = d.charge_pj() / per_iter;
         let charge = d.charge_pj();
-        assert!(!d.fund_whole(iters(fundable + 1), []));
+        assert!(!d.fund_whole(&iters(fundable + 1), &[], &[], []));
         assert!(d.is_on(), "a shortfall must not brown the device out");
         assert_eq!((d.ops_consumed(), d.charge_pj()), (0, charge));
-        assert!(d.fund_whole(iters(fundable), []));
+        assert!(d.fund_whole(&iters(fundable), &[], &[], []));
         assert!(d.charge_pj() < per_iter);
         // A scalar run of the next iteration then browns out.
         assert!(run_scalar(&mut d, &seq, 1).is_err());
         assert!(!d.is_on());
         assert_eq!(d.charge_pj(), 0);
+    }
+
+    /// The dense charge of an `(op, count)` list, priced under `costs`.
+    fn charge_of(costs: &CostTable, ops: impl IntoIterator<Item = (Op, u64)>) -> Charge {
+        let mut c = Charge::new();
+        for (op, n) in ops {
+            c.add(op, n, costs);
+        }
+        c
     }
 
     /// One piece of a taped body's program: a single-op run, or a loop of
@@ -2782,6 +2814,141 @@ mod tests {
             brownouts >= 3,
             "the sweep must cross several brown-outs, got {brownouts}"
         );
+    }
+
+    /// One piece of a random taped body ([`random_body`]).
+    #[derive(Clone, Copy, Debug)]
+    enum Part {
+        Ops(Op, u64),
+        Seq(&'static [(Op, u64)]),
+        /// `n` iterations at site `k`.
+        Repeat(usize, u32),
+        /// An iteration at site `k` that fails after its first `j` ops,
+        /// failing the body.
+        Fail(usize, usize),
+    }
+
+    /// The random bodies' three iteration shapes.
+    const SHAPES3: [&[Op]; 3] = [
+        &[Op::Alu, Op::FramRead, Op::FxpMul, Op::FramWrite, Op::Incr],
+        &[Op::FramRead, Op::FramRead, Op::Alu, Op::Branch],
+        &[Op::TaskTransition, Op::Alu, Op::Alu, Op::FramWrite],
+    ];
+
+    /// The random bodies' fixed sequences.
+    const SEQS: [&[(Op, u64)]; 2] = [
+        &[(Op::FramRead, 2), (Op::Alu, 4), (Op::FramRead, 1)],
+        &[(Op::FramWrite, 7), (Op::Alu, 4), (Op::Branch, 1)],
+    ];
+
+    /// A random taped body from `seed`: single-op runs, fixed sequences
+    /// and runs of repeats over three sites, sometimes ending in an
+    /// iteration that fails partway through.
+    fn random_body(seed: u64) -> Vec<Part> {
+        let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move |m: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % m
+        };
+        let mut body = Vec::new();
+        for _ in 0..1 + next(12) {
+            body.push(match next(4) {
+                0 => Part::Ops(Op::ALL[next(11) as usize], 1 + next(5)),
+                1 => Part::Seq(SEQS[next(2) as usize]),
+                _ => Part::Repeat(next(3) as usize, 1 + next(40) as u32),
+            });
+        }
+        if next(3) == 0 {
+            let k = next(3) as usize;
+            body.push(Part::Fail(k, next(SHAPES3[k].len() as u64) as usize));
+        }
+        body
+    }
+
+    /// The body charged op by op.
+    fn body_scalar(dev: &mut Device, body: &[Part]) -> Result<(), PowerFailure> {
+        for &part in body {
+            match part {
+                Part::Ops(op, n) => dev.consume_n(op, n)?,
+                Part::Seq(seq) => seq.iter().try_for_each(|&(op, n)| dev.consume_n(op, n))?,
+                Part::Repeat(k, n) => {
+                    for _ in 0..n {
+                        SHAPES3[k].iter().try_for_each(|&op| dev.consume(op))?;
+                    }
+                }
+                Part::Fail(k, j) => {
+                    SHAPES3[k][..j].iter().try_for_each(|&op| dev.consume(op))?;
+                    return Err(PowerFailure);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The body taped against `sites`, settled at its end.
+    fn body_taped(dev: &mut Device, sites: &mut [Site], body: &[Part]) -> Result<(), PowerFailure> {
+        dev.run_tape(sites, |t| {
+            for &part in body {
+                match part {
+                    Part::Ops(op, n) => t.op_n(op, n)?,
+                    Part::Seq(seq) => t.ops(seq)?,
+                    Part::Repeat(k, n) => {
+                        for _ in 0..n {
+                            t.iterate(k, |t| SHAPES3[k].iter().try_for_each(|&op| t.op(op)))?;
+                        }
+                    }
+                    Part::Fail(k, j) => {
+                        return t.iterate(k, |t| {
+                            SHAPES3[k][..j].iter().try_for_each(|&op| t.op(op))?;
+                            Err(PowerFailure)
+                        })
+                    }
+                }
+            }
+            Ok(())
+        })
+    }
+
+    #[test]
+    fn random_taped_bodies_settle_like_their_op_by_op_record() {
+        // Per case, random bodies against sites kept from body to body (so
+        // a few iterations record their site and most repeat it): on
+        // continuous power and on a buffer that covers each body, where
+        // every settle is one dense charge, and on a buffer drained to
+        // half the body's energy first, where the dense charge is refused
+        // and the record replays in order until it browns out.
+        for case in 0..3 {
+            let mut sites: [Site; 3] = Default::default();
+            let mut brownouts = 0;
+            for seed in 0..300u64 {
+                let body = random_body(seed * 3 + case);
+                let power = match case {
+                    0 => PowerSystem::continuous(),
+                    _ => PowerSystem::cap_100uf(),
+                };
+                let mut a = Device::new(DeviceSpec::tiny(), power);
+                if case == 2 {
+                    let mut probe = Device::new(DeviceSpec::tiny(), PowerSystem::continuous());
+                    let _ = body_scalar(&mut probe, &body);
+                    let energy = probe.trace().total_energy_pj();
+                    let nop = a.spec().costs.cost(Op::Nop).energy_pj;
+                    a.consume_n(Op::Nop, (a.charge_pj() - energy / 2) / nop)
+                        .unwrap();
+                }
+                let mut b = a.clone();
+                let ra = body_scalar(&mut a, &body);
+                let rb = body_taped(&mut b, &mut sites, &body);
+                assert_eq!(ra, rb, "case {case}, body {body:?}");
+                assert_tape_settle_identical(&a, &b);
+                brownouts += u64::from(!a.is_on());
+            }
+            match case {
+                2 => assert!(brownouts > 250, "the drained buffer runs out: {brownouts}"),
+                _ => assert_eq!(brownouts, 0, "case {case}: the buffer covers every body"),
+            }
+        }
     }
 
     #[test]
@@ -2924,7 +3091,7 @@ mod tests {
         while d.consume(Op::Nop).is_ok() {}
         assert_eq!(d.run_tape(&mut [], |t| t.op(Op::Alu)), Err(PowerFailure));
         assert_eq!(d.run_tape(&mut [], |_| Ok(())), Err(PowerFailure));
-        assert!(!d.fund_whole([], []));
+        assert!(!d.fund_whole(&Charge::new(), &[], &[], []));
     }
 
     #[test]
@@ -2935,12 +3102,13 @@ mod tests {
                 .try_for_each(|&(op, n)| d.consume_n(op, n))
                 .is_ok()
         };
+        let priced = charge_of(&DeviceSpec::tiny().costs, seq);
         for power in [PowerSystem::continuous(), PowerSystem::cap_100uf()] {
             let mut a = Device::new(DeviceSpec::tiny(), power);
             a.set_context(RegionId::OTHER, Phase::Control);
             let w = a.fram_alloc_word().unwrap();
             let mut b = a.clone();
-            assert!(a.fund_whole(seq, [(w.addr(), Q15::HALF)]));
+            assert!(a.fund_whole(&priced, &[], &[], [(w.addr(), Q15::HALF)]));
             assert!(by_op(&mut b));
             b.prepaid_write_at(w.addr(), Q15::HALF);
             assert_devices_identical(&a, &b);
@@ -2951,7 +3119,7 @@ mod tests {
         // a memory fault included, refuses it.
         let mut d = fresh();
         d.arm_faults(&FaultPlan::at(whole));
-        assert!(d.fund_whole(seq, []));
+        assert!(d.fund_whole(&priced, &[], &[], []));
         assert_eq!(d.pending_faults(), 1);
         for kind in [
             FaultKind::Brownout,
@@ -2963,7 +3131,10 @@ mod tests {
             let mut d = fresh();
             let w = d.fram_alloc_word().unwrap();
             d.arm_faults(&FaultPlan::faults([(whole - 1, kind)]));
-            assert!(!d.fund_whole(seq, [(w.addr(), Q15::HALF)]), "{kind:?}");
+            assert!(
+                !d.fund_whole(&priced, &[], &[], [(w.addr(), Q15::HALF)]),
+                "{kind:?}"
+            );
             assert_eq!((d.ops_consumed(), d.pending_faults()), (0, 1));
             assert_eq!(d.peek_word(w), 0, "{kind:?}: a refused store never lands");
         }
@@ -2980,15 +3151,15 @@ mod tests {
             .unwrap();
         let (ops, charge) = (d.ops_consumed(), d.charge_pj());
         assert!(charge < energy);
-        assert!(!d.fund_whole(seq, []));
+        assert!(!d.fund_whole(&priced, &[], &[], []));
         assert_eq!((d.ops_consumed(), d.charge_pj()), (ops, charge));
         assert!(!by_op(&mut d));
         assert_eq!(d.last_brownout().unwrap().op, Op::TaskTransition);
         // Off, or recording a bundled iteration: refused.
-        assert!(!d.fund_whole(seq, []));
+        assert!(!d.fund_whole(&priced, &[], &[], []));
         let mut d = fresh();
         d.record = Some(Box::default());
-        assert!(!d.fund_whole(seq, []));
+        assert!(!d.fund_whole(&priced, &[], &[], []));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! - Fig. 11: total energy.
 //! - Fig. 12: energy per operation class per layer.
 
-use crate::spec::{Cost, Op};
+use crate::spec::{CostTable, Op};
 use core::fmt;
 use std::collections::HashMap;
 
@@ -81,23 +81,15 @@ pub struct OpStat {
     pub energy_pj: u64,
 }
 
-impl OpStat {
-    fn charge(&mut self, n: u64, cost: Cost) {
-        self.count += n;
-        self.cycles += n * cost.cycles as u64;
-        self.energy_pj += n * cost.energy_pj;
-    }
-}
-
-type PhaseStats = [[OpStat; Op::COUNT]; 2];
+/// Op counts of one region, indexed `[phase.index()][op.index()]`.
+type PhaseCounts = [[u64; Op::COUNT]; 2];
 
 /// Snapshot of the cumulative counters at [`Trace::begin_epoch`] time.
 /// Epoch reports subtract it from the current totals, yielding per-run
 /// deltas instead of device-lifetime accumulation.
 #[derive(Clone, Debug, Default)]
 struct EpochMark {
-    stats: Vec<PhaseStats>,
-    live_cycles: u64,
+    counts: Vec<PhaseCounts>,
     reboots: u64,
     region_reboots: Vec<u64>,
     progress_marks: u64,
@@ -108,14 +100,21 @@ struct EpochMark {
 }
 
 /// The execution trace: everything the "measurement MCU" observed.
-#[derive(Clone, Debug, Default)]
+///
+/// The trace keeps one op count per (region, phase, op class). Every
+/// count is charged at one cost table's prices — its device's — so the
+/// cycles and energy of a cell are its count times the op's cost, exactly
+/// the sum of the charges that made it up (integer products distribute
+/// over sums), and a charge is one addition.
+#[derive(Clone, Debug)]
 pub struct Trace {
+    /// The prices of every count.
+    costs: CostTable,
     region_names: Vec<String>,
     /// Name → id, so re-registration (once per layer per deployment, for
     /// every fleet cell) is a hash probe instead of an O(regions) scan.
     region_ids: HashMap<String, u16>,
-    stats: Vec<PhaseStats>,
-    live_cycles: u64,
+    counts: Vec<PhaseCounts>,
     dead_secs: f64,
     reboots: u64,
     /// Reboots attributed to the region that was executing when the
@@ -127,13 +126,15 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// Creates an empty trace with only the "other" region registered.
-    pub fn new() -> Self {
+    /// Creates an empty trace with only the "other" region registered,
+    /// priced under `costs` (its device's cost table): every op it is
+    /// charged costs what `costs` says.
+    pub fn with_costs(costs: CostTable) -> Self {
         Trace {
+            costs,
             region_names: vec!["other".to_string()],
             region_ids: HashMap::from([("other".to_string(), 0)]),
-            stats: vec![[[OpStat::default(); Op::COUNT]; 2]],
-            live_cycles: 0,
+            counts: vec![[[0; Op::COUNT]; 2]],
             dead_secs: 0.0,
             reboots: 0,
             region_reboots: vec![0],
@@ -151,7 +152,7 @@ impl Trace {
         let id = RegionId(self.region_names.len() as u16);
         self.region_ids.insert(name.to_string(), id.0);
         self.region_names.push(name.to_string());
-        self.stats.push([[OpStat::default(); Op::COUNT]; 2]);
+        self.counts.push([[0; Op::COUNT]; 2]);
         self.region_reboots.push(0);
         id
     }
@@ -161,9 +162,35 @@ impl Trace {
         &self.region_names
     }
 
-    pub(crate) fn charge(&mut self, region: RegionId, phase: Phase, op: Op, n: u64, cost: Cost) {
-        self.stats[region.index()][phase.index()][op.index()].charge(n, cost);
-        self.live_cycles += n * cost.cycles as u64;
+    /// Charges `n` ops of class `op` to one region and phase.
+    #[inline]
+    pub(crate) fn charge(&mut self, region: RegionId, phase: Phase, op: Op, n: u64) {
+        self.counts[region.index()][phase.index()][op.index()] += n;
+    }
+
+    /// Charges `counts[op.index()]` ops of every class to one region and
+    /// phase: [`Trace::charge`] for a whole dense row.
+    #[inline]
+    pub(crate) fn charge_row(&mut self, region: RegionId, phase: Phase, counts: &[u64; Op::COUNT]) {
+        let row = &mut self.counts[region.index()][phase.index()];
+        for (c, &n) in row.iter_mut().zip(counts) {
+            *c += n;
+        }
+    }
+
+    /// Charges `fit` times each `(phase, op, count)` of `cells` to one
+    /// region.
+    #[inline]
+    pub(crate) fn charge_cells(
+        &mut self,
+        region: RegionId,
+        cells: impl IntoIterator<Item = (Phase, Op, u64)>,
+        fit: u64,
+    ) {
+        let counts = &mut self.counts[region.index()];
+        for (phase, op, n) in cells {
+            counts[phase.index()][op.index()] += n * fit;
+        }
     }
 
     pub(crate) fn add_dead_time(&mut self, secs: f64) {
@@ -204,9 +231,29 @@ impl Trace {
         self.progress_marks
     }
 
+    /// Cycles of `counts`, one phase's row.
+    fn row_cycles(&self, counts: &[u64; Op::COUNT]) -> u64 {
+        Op::ALL
+            .iter()
+            .map(|&op| counts[op.index()] * u64::from(self.costs.cost(op).cycles))
+            .sum()
+    }
+
+    /// Energy of `counts`, one phase's row.
+    fn row_energy_pj(&self, counts: &[u64; Op::COUNT]) -> u64 {
+        Op::ALL
+            .iter()
+            .map(|&op| counts[op.index()] * self.costs.cost(op).energy_pj)
+            .sum()
+    }
+
     /// Total cycles spent executing (live).
     pub fn live_cycles(&self) -> u64 {
-        self.live_cycles
+        self.counts
+            .iter()
+            .flatten()
+            .map(|row| self.row_cycles(row))
+            .sum()
     }
 
     /// Total time spent dead, recharging, in seconds.
@@ -216,87 +263,72 @@ impl Trace {
 
     /// Total energy consumed across all regions, phases, and ops.
     pub fn total_energy_pj(&self) -> u64 {
-        self.stats
+        self.counts
             .iter()
-            .flat_map(|r| r.iter())
-            .flat_map(|p| p.iter())
-            .map(|s| s.energy_pj)
+            .flatten()
+            .map(|row| self.row_energy_pj(row))
             .sum()
     }
 
     /// Statistics for one (region, phase, op) cell.
     pub fn stat(&self, region: RegionId, phase: Phase, op: Op) -> OpStat {
-        self.stats[region.index()][phase.index()][op.index()]
+        let count = self.counts[region.index()][phase.index()][op.index()];
+        let cost = self.costs.cost(op);
+        OpStat {
+            count,
+            cycles: count * u64::from(cost.cycles),
+            energy_pj: count * cost.energy_pj,
+        }
     }
 
     /// Energy (pJ) consumed in a region, across both phases.
     pub fn region_energy_pj(&self, region: RegionId) -> u64 {
-        self.stats[region.index()]
+        self.counts[region.index()]
             .iter()
-            .flat_map(|p| p.iter())
-            .map(|s| s.energy_pj)
+            .map(|row| self.row_energy_pj(row))
             .sum()
     }
 
     /// Cycles spent in a region, across both phases.
     pub fn region_cycles(&self, region: RegionId) -> u64 {
-        self.stats[region.index()]
+        self.counts[region.index()]
             .iter()
-            .flat_map(|p| p.iter())
-            .map(|s| s.cycles)
+            .map(|row| self.row_cycles(row))
             .sum()
     }
 
     /// Cycles spent in one phase of a region.
     pub fn region_phase_cycles(&self, region: RegionId, phase: Phase) -> u64 {
-        self.stats[region.index()][phase.index()]
-            .iter()
-            .map(|s| s.cycles)
-            .sum()
+        self.row_cycles(&self.counts[region.index()][phase.index()])
     }
 
     /// Energy spent in one phase of a region.
     pub fn region_phase_energy_pj(&self, region: RegionId, phase: Phase) -> u64 {
-        self.stats[region.index()][phase.index()]
-            .iter()
-            .map(|s| s.energy_pj)
-            .sum()
+        self.row_energy_pj(&self.counts[region.index()][phase.index()])
     }
 
     /// Energy per operation class, summed over a region's phases.
     pub fn region_energy_by_op(&self, region: RegionId) -> [(Op, u64); Op::COUNT] {
-        let mut out = [(Op::Nop, 0u64); Op::COUNT];
-        for (i, op) in Op::ALL.iter().enumerate() {
-            let e: u64 = Phase::ALL
+        Op::ALL.map(|op| {
+            let n: u64 = self.counts[region.index()]
                 .iter()
-                .map(|p| self.stats[region.index()][p.index()][op.index()].energy_pj)
+                .map(|row| row[op.index()])
                 .sum();
-            out[i] = (*op, e);
-        }
-        out
+            (op, n * self.costs.cost(op).energy_pj)
+        })
     }
 
     /// Energy per operation class, totalled over all regions.
     pub fn energy_by_op(&self) -> [(Op, u64); Op::COUNT] {
-        let mut out = [(Op::Nop, 0u64); Op::COUNT];
-        for (i, op) in Op::ALL.iter().enumerate() {
-            let mut e = 0u64;
-            for r in &self.stats {
-                for p in r {
-                    e += p[op.index()].energy_pj;
-                }
-            }
-            out[i] = (*op, e);
-        }
-        out
+        Op::ALL.map(|op| (op, self.op_count(op) * self.costs.cost(op).energy_pj))
     }
 
     /// Count of one op class, totalled over all regions and phases.
     pub fn op_count(&self, op: Op) -> u64 {
-        self.stats
+        self.counts
             .iter()
-            .flat_map(|r| r.iter())
-            .map(|p| p[op.index()].count)
+            .flatten()
+            .map(|row| row[op.index()])
             .sum()
     }
 
@@ -323,7 +355,7 @@ impl Trace {
                     }
                 })
                 .collect(),
-            live_cycles: self.live_cycles,
+            live_cycles: self.live_cycles(),
             dead_secs: self.dead_secs,
             reboots: self.reboots,
             total_energy_pj: self.total_energy_pj(),
@@ -340,8 +372,7 @@ impl Trace {
     /// anchors to.
     pub fn begin_epoch(&mut self) {
         self.epoch = Some(EpochMark {
-            stats: self.stats.clone(),
-            live_cycles: self.live_cycles,
+            counts: self.counts.clone(),
             reboots: self.reboots,
             region_reboots: self.region_reboots.clone(),
             progress_marks: self.progress_marks,
@@ -359,31 +390,27 @@ impl Trace {
         let Some(mark) = &self.epoch else {
             return self.report();
         };
-        let zero: PhaseStats = [[OpStat::default(); Op::COUNT]; 2];
-        let stats: Vec<PhaseStats> = self
-            .stats
+        let zero: PhaseCounts = [[0; Op::COUNT]; 2];
+        let counts: Vec<PhaseCounts> = self
+            .counts
             .iter()
             .enumerate()
             .map(|(r, cur)| {
-                let base = mark.stats.get(r).unwrap_or(&zero);
+                let base = mark.counts.get(r).unwrap_or(&zero);
                 let mut d = zero;
                 for p in 0..2 {
                     for o in 0..Op::COUNT {
-                        d[p][o] = OpStat {
-                            count: cur[p][o].count - base[p][o].count,
-                            cycles: cur[p][o].cycles - base[p][o].cycles,
-                            energy_pj: cur[p][o].energy_pj - base[p][o].energy_pj,
-                        };
+                        d[p][o] = cur[p][o] - base[p][o];
                     }
                 }
                 d
             })
             .collect();
         let delta = Trace {
+            costs: self.costs.clone(),
             region_names: self.region_names.clone(),
             region_ids: HashMap::new(), // delta views never register regions
-            stats,
-            live_cycles: self.live_cycles - mark.live_cycles,
+            counts,
             dead_secs: mark.dead_secs,
             reboots: self.reboots - mark.reboots,
             region_reboots: self
@@ -443,9 +470,25 @@ mod tests {
     use super::*;
     use crate::spec::Cost;
 
+    /// A trace priced at the costs these tests charge.
+    fn trace() -> Trace {
+        let mut costs = CostTable::msp430fr5994();
+        for (op, cycles, energy) in [
+            (Op::FxpMul, 11, 825),
+            (Op::Branch, 2, 150),
+            (Op::FramRead, 2, 200),
+            (Op::FramWrite, 4, 700),
+            (Op::Incr, 1, 75),
+            (Op::Alu, 1, 75),
+        ] {
+            costs.set_cost(op, Cost::new(cycles, energy));
+        }
+        Trace::with_costs(costs)
+    }
+
     #[test]
     fn register_region_is_idempotent() {
-        let mut t = Trace::new();
+        let mut t = trace();
         let a = t.register_region("conv1");
         let b = t.register_region("conv1");
         assert_eq!(a, b);
@@ -456,10 +499,10 @@ mod tests {
 
     #[test]
     fn charge_accumulates_per_cell() {
-        let mut t = Trace::new();
+        let mut t = trace();
         let r = t.register_region("conv1");
-        t.charge(r, Phase::Kernel, Op::FxpMul, 3, Cost::new(11, 825));
-        t.charge(r, Phase::Control, Op::Branch, 1, Cost::new(2, 150));
+        t.charge(r, Phase::Kernel, Op::FxpMul, 3);
+        t.charge(r, Phase::Control, Op::Branch, 1);
         let s = t.stat(r, Phase::Kernel, Op::FxpMul);
         assert_eq!(s.count, 3);
         assert_eq!(s.cycles, 33);
@@ -471,10 +514,10 @@ mod tests {
 
     #[test]
     fn region_energy_sums_phases() {
-        let mut t = Trace::new();
+        let mut t = trace();
         let r = t.register_region("fc");
-        t.charge(r, Phase::Kernel, Op::FramRead, 2, Cost::new(2, 200));
-        t.charge(r, Phase::Control, Op::FramWrite, 1, Cost::new(4, 700));
+        t.charge(r, Phase::Kernel, Op::FramRead, 2);
+        t.charge(r, Phase::Control, Op::FramWrite, 1);
         assert_eq!(t.region_energy_pj(r), 1100);
         assert_eq!(t.region_cycles(r), 8);
         // Other region untouched.
@@ -483,11 +526,11 @@ mod tests {
 
     #[test]
     fn energy_by_op_totals_across_regions() {
-        let mut t = Trace::new();
+        let mut t = trace();
         let a = t.register_region("a");
         let b = t.register_region("b");
-        t.charge(a, Phase::Kernel, Op::Incr, 1, Cost::new(1, 75));
-        t.charge(b, Phase::Kernel, Op::Incr, 2, Cost::new(1, 75));
+        t.charge(a, Phase::Kernel, Op::Incr, 1);
+        t.charge(b, Phase::Kernel, Op::Incr, 2);
         let by_op = t.energy_by_op();
         let incr = by_op.iter().find(|(op, _)| *op == Op::Incr).unwrap().1;
         assert_eq!(incr, 225);
@@ -496,9 +539,9 @@ mod tests {
 
     #[test]
     fn report_snapshot_matches_queries() {
-        let mut t = Trace::new();
+        let mut t = trace();
         let r = t.register_region("conv");
-        t.charge(r, Phase::Kernel, Op::FxpMul, 10, Cost::new(11, 825));
+        t.charge(r, Phase::Kernel, Op::FxpMul, 10);
         t.add_dead_time(1.5);
         t.add_reboot(r);
         let rep = t.report();
@@ -516,7 +559,7 @@ mod tests {
 
     #[test]
     fn progress_marks_count() {
-        let mut t = Trace::new();
+        let mut t = trace();
         t.mark_progress();
         t.mark_progress();
         assert_eq!(t.progress_marks(), 2);
@@ -524,13 +567,13 @@ mod tests {
 
     #[test]
     fn epoch_report_is_a_delta_not_a_cumulative_view() {
-        let mut t = Trace::new();
+        let mut t = trace();
         let r = t.register_region("conv");
-        t.charge(r, Phase::Kernel, Op::FxpMul, 10, Cost::new(11, 825));
+        t.charge(r, Phase::Kernel, Op::FxpMul, 10);
         t.add_dead_time(1.0);
         t.add_reboot(r);
         t.begin_epoch();
-        t.charge(r, Phase::Kernel, Op::FxpMul, 3, Cost::new(11, 825));
+        t.charge(r, Phase::Kernel, Op::FxpMul, 3);
         t.add_dead_time(0.5);
         let rep = t.epoch_report();
         assert_eq!(rep.live_cycles, 33, "epoch must exclude pre-mark work");
@@ -547,9 +590,9 @@ mod tests {
 
     #[test]
     fn epoch_report_without_mark_equals_full_report() {
-        let mut t = Trace::new();
+        let mut t = trace();
         let r = t.register_region("fc");
-        t.charge(r, Phase::Control, Op::FramWrite, 2, Cost::new(4, 700));
+        t.charge(r, Phase::Control, Op::FramWrite, 2);
         let a = t.report();
         let b = t.epoch_report();
         assert_eq!(a.live_cycles, b.live_cycles);
@@ -559,10 +602,10 @@ mod tests {
 
     #[test]
     fn epoch_handles_regions_registered_after_the_mark() {
-        let mut t = Trace::new();
+        let mut t = trace();
         t.begin_epoch();
         let late = t.register_region("late");
-        t.charge(late, Phase::Kernel, Op::Alu, 4, Cost::new(1, 75));
+        t.charge(late, Phase::Kernel, Op::Alu, 4);
         let rep = t.epoch_report();
         assert_eq!(rep.regions.len(), 2);
         assert_eq!(rep.regions[1].kernel_cycles, 4);
@@ -571,7 +614,7 @@ mod tests {
 
     #[test]
     fn reboots_attribute_to_the_active_region() {
-        let mut t = Trace::new();
+        let mut t = trace();
         let conv = t.register_region("conv");
         let fc = t.register_region("fc");
         t.add_reboot(conv);
