@@ -18,11 +18,6 @@
 //!   of the same job instead of starting fresh.
 //! - `FLEET_MAX_SHARDS=k` — stop after `k` shards this invocation (the
 //!   resume smoke's deterministic "kill").
-//! - `BATCH_LANES=l` — lockstep batching lane width (default 8; `1`
-//!   forces scalar metering). Results and the fleet digest are
-//!   bit-identical at every width — continuous fault-free cells just run
-//!   `(l-1)/l` of their inferences as data-plane twins (see
-//!   `sonic::lockstep`).
 //! - `FLEET_STATEFUL=1` — append the stateful progress-embedding backend
 //!   (`sonic::stateful`) as a seventh column. Off by default: the extra
 //!   cells legitimately change the fleet digest, so the pinned historical

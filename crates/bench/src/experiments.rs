@@ -843,7 +843,7 @@ pub fn fig6() -> Table {
             iters,
             tile,
             Transition::Done,
-            move |dev, _rt, _i| dev.consume_n(Op::FxpMul, work_per_iter),
+            move |t, _rt, _i| t.op_n(Op::FxpMul, work_per_iter),
         );
         let r = run(&mut g, &mut rt, &mut dev, 0, &SchedulerConfig::task_based());
         t.row(vec![
@@ -909,14 +909,6 @@ pub fn fig9_backends() -> Vec<Backend> {
     Backend::paper_suite()
 }
 
-/// §9.4 breakdown sanity probe used by tests: share of time in Kernel
-/// phase for one outcome.
-pub fn kernel_share(out: &InferenceOutcome) -> f64 {
-    let k: u64 = out.trace.regions.iter().map(|r| r.kernel_cycles).sum();
-    let c: u64 = out.trace.regions.iter().map(|r| r.control_cycles).sum();
-    k as f64 / (k + c).max(1) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -931,14 +923,18 @@ mod tests {
 
     #[test]
     fn fig6_shows_tiling_tradeoff() {
-        let t = fig6();
-        let s = t.render();
-        // Tile-12 needs more energy per task than the buffer holds.
-        assert!(s.contains("non-termination"), "{s}");
-        // SONIC completes.
-        assert!(s.contains("SONIC (loop continuation)"));
-        let sonic_line = s.lines().find(|l| l.contains("SONIC")).expect("sonic row");
-        assert!(sonic_line.contains("yes"), "{sonic_line}");
+        // Tile-5 wastes work, Tile-12 needs more energy per task than the
+        // buffer holds, and SONIC resumes mid-loop.
+        let csv = fig6().to_csv();
+        let rows: Vec<&str> = csv.lines().skip(1).collect();
+        assert_eq!(
+            rows,
+            [
+                "Tile-5,yes,7,0.812",
+                "Tile-12,non-termination,8,0.952",
+                "SONIC (loop continuation),yes,5,0.599",
+            ]
+        );
     }
 
     #[test]
@@ -954,24 +950,5 @@ mod tests {
         let avg = p.avg_power_w();
         assert!(avg > 20e-6 && avg < 120e-6, "avg {avg}");
         assert!(named_scenario("SOLAR").is_some(), "names are case-folded");
-    }
-
-    #[test]
-    fn kernel_share_handles_empty_trace() {
-        // A degenerate outcome has a defined kernel share.
-        let spec = mcu::DeviceSpec::tiny();
-        let dev = mcu::Device::new(spec, PowerSystem::continuous());
-        let out = InferenceOutcome {
-            backend: "x".into(),
-            power: "Cont".into(),
-            completed: false,
-            output: vec![],
-            class: None,
-            trace: dev.trace().report(),
-            stats: None,
-            corruption_detected: 0,
-            failure: None,
-        };
-        assert_eq!(kernel_share(&out), 0.0);
     }
 }

@@ -413,9 +413,7 @@ pub fn run_shard_with(
 }
 
 /// [`run_shard_with`] at an explicit lockstep lane width (the public
-/// entries resolve [`lockstep::default_lanes`]; tests and benches pass
-/// widths directly so the `BATCH_LANES` environment variable never has
-/// to be mutated in-process).
+/// entries use [`lockstep::default_lanes`]).
 ///
 /// Lane width never changes results — only how many of the shard's runs
 /// the twin path serves (see [`crate::lockstep`]) — and batching is

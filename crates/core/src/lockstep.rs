@@ -44,14 +44,11 @@ use fxp::vecops::dot;
 use fxp::{Accum, Q15};
 use mcu::{Device, DeviceSpec, PowerSystem, TraceReport};
 
-/// Lane width used when the caller does not pick one explicitly: the
-/// `BATCH_LANES` environment variable when set (clamped to at least 1;
-/// `1` is pure scalar metering), otherwise 8.
+/// Lane width used when the caller does not pick one explicitly: 8.
+/// Lane width never changes a result; callers that want another width
+/// (1 is pure scalar metering) pass it explicitly.
 pub fn default_lanes() -> usize {
-    std::env::var("BATCH_LANES")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .map_or(8, |n| n.max(1))
+    8
 }
 
 /// The shift + bias finishing pass over saturating Q1.15 chains.

@@ -27,18 +27,21 @@
 //!
 //! # Bundled accounting
 //!
-//! DMA transfers and LEA commands are span-charged. Every loop — an
-//! output row, and inside it the software word loops (CPU staging, the
-//! left-shift pass, the software FIR/dot ablations, partial-plane
-//! accumulation) — is one body run by [`Device::run_bundled`], as in
-//! `sonic`. The row body is the one `stage_in → shift → fir → vec_add →
-//! stage_out` sequence, and its bundle is recorded from that body into
-//! the conv task's [`Site`] for the row variant (full or all-zero tap
-//! group, first or later group): a funded row runs its nested loops and
-//! LEA/DMA commands uncharged (the row bundle paid for them), while a
-//! recording or unfunded row runs them charged, each nested loop
-//! recording its own first iteration and funding the rest — bit-identical
-//! traces, brown-out op included (pinned by the root `bundles` tests).
+//! DMA transfers and LEA commands are span-charged. Every loop — a conv
+//! output row, a dense output, and inside them the software word loops
+//! (CPU staging, the left-shift pass, the software FIR/dot ablations,
+//! partial-plane accumulation) — is one body run by
+//! [`Device::run_bundled`], as in `sonic`. The row body is the one
+//! `stage_in → shift → fir → vec_add → stage_out` sequence, and its
+//! bundle is recorded from that body into the conv task's [`Site`] for
+//! the row variant (full or all-zero tap group, first or later group);
+//! the dense output's body is `stage_in → dot → add → write`, with a
+//! site per chunk variant (first or later chunk, full or short). A
+//! funded iteration runs its nested loops and LEA/DMA commands uncharged
+//! (its bundle paid for them), while a recording or unfunded one runs
+//! them charged, each nested loop recording its own first iteration and
+//! funding the rest — bit-identical traces, brown-out op included
+//! (pinned by the root `bundles` tests and this module's fixture).
 
 use crate::deploy::{DeployedKind, DeployedLayer, DeployedModel};
 use crate::sonic;
@@ -274,9 +277,7 @@ fn calibrate_task(
     let probe_src = m.plane_a.slice(0, n.min(m.plane_a.len()));
     let probe_n = probe_src.len();
     stage_in(&mut dev.step(), cfg, probe_src, sram.src.slice(0, probe_n))?;
-    for i in 0..8u32 {
-        dev.sram_write(sram.taps, i, Q15::HALF)?;
-    }
+    dev.sram_write_block(sram.taps, 0, &[Q15::HALF; 8])?;
     fir(
         &mut dev.step(),
         cfg,
@@ -454,8 +455,9 @@ fn conv_task(
 }
 
 /// TAILS dense fully-connected layer: LEA vector MAC over
-/// calibration-sized chunks, loop-ordered across chunks; `finish` is the
-/// finishing pass's site.
+/// calibration-sized chunks, loop-ordered across chunks, with loop
+/// continuation over outputs. Sites: the outputs of the first and of a
+/// later chunk, each full or the short last one, and the finishing pass.
 #[allow(clippy::too_many_arguments)]
 fn dense_task(
     dev: &mut Device,
@@ -463,7 +465,7 @@ fn dense_task(
     l: &DeployedLayer,
     sram: SramBufs,
     cfg: TailsConfig,
-    finish: &mut Site,
+    [first, first_short, later, later_short, finish]: &mut [Site; 5],
     self_id: usize,
     next: Transition,
 ) -> Result<Transition, PowerFailure> {
@@ -560,38 +562,38 @@ fn dense_task(
     } else {
         (m.plane_b, m.plane_a)
     };
-    let mut o = sonic::load_guarded(dev, l.idx, l.region)? as u32;
+    let o = sonic::load_guarded(dev, l.idx, l.region)? as u32;
     dev.set_context(l.region, Phase::Kernel);
-    while o < out_n {
-        // The weight-row chunk stages into the (tile-sized) inter buffer.
-        stage_in(
-            &mut dev.step(),
-            cfg,
-            weights.slice(o * in_n + base, n),
-            sram.inter.slice(0, n),
-        )?;
-        let acc = dot(
-            &mut dev.step(),
-            cfg,
-            sram.src.slice(0, n),
-            sram.inter.slice(0, n),
-        )?;
-        let prod = acc.to_q15();
-        let v = if ci == 0 {
-            prod
-        } else {
-            dev.consume(Op::FxpAdd)?;
-            dev.read(inter, o)? + prod
-        };
-        dev.write(dest, o, v)?;
-        o += 1;
-        dev.set_context(l.region, Phase::Control);
-        dev.store_word(l.idx, o as u16)?;
-        dev.set_context(l.region, Phase::Kernel);
-        dev.consume(Op::Incr)?;
-        dev.consume(Op::Branch)?;
-        dev.mark_progress();
-    }
+    let site = match (ci > 0, n < tile) {
+        (false, false) => first,
+        (false, true) => first_short,
+        (true, false) => later,
+        (true, true) => later_short,
+    };
+    dev.run_bundled(
+        site,
+        o..out_n,
+        #[inline(always)]
+        |s, o| {
+            // The weight-row chunk stages into the (tile-sized) inter
+            // buffer.
+            stage_in(
+                s,
+                cfg,
+                weights.slice(o * in_n + base, n),
+                sram.inter.slice(0, n),
+            )?;
+            let prod = dot(s, cfg, sram.src.slice(0, n), sram.inter.slice(0, n))?.to_q15();
+            let v = if ci == 0 {
+                prod
+            } else {
+                s.op(Op::FxpAdd)?;
+                s.read(inter, o)? + prod
+            };
+            s.write(dest, o, v)?;
+            sonic::continue_at(s, l.idx, (o + 1) as u16)
+        },
+    )?;
     dev.set_context(l.region, Phase::Control);
     dev.store_word(l.idx, 0)?;
     dev.store_word(l.pos, (ci + 1) as u16)?;
@@ -642,18 +644,9 @@ pub fn build(m: &DeployedModel, cfg: TailsConfig, dev: &mut Device) -> TaskGraph
             }
             DeployedKind::Dense { .. } => {
                 let m = m.clone();
-                let mut finish = Site::default();
+                let mut sites = Default::default();
                 g.add(&name, move |dev, _| {
-                    dense_task(
-                        dev,
-                        &m,
-                        &m.layers[li],
-                        sram,
-                        cfg,
-                        &mut finish,
-                        self_id,
-                        next,
-                    )
+                    dense_task(dev, &m, &m.layers[li], sram, cfg, &mut sites, self_id, next)
                 });
             }
             DeployedKind::Pool { .. } => {
@@ -676,4 +669,131 @@ pub fn build(m: &DeployedModel, cfg: TailsConfig, dev: &mut Device) -> TaskGraph
         }
     }
     g
+}
+
+#[cfg(test)]
+mod tests {
+    //! A small dense network on 100 µF, on a device calibrated to a
+    //! 16-word tile: an FC whose outputs run in two full chunks and a
+    //! short last one, a ReLU, and a one-chunk FC. Under TAILS and under
+    //! TAILS with neither LEA nor DMA, pinned against digests recorded
+    //! from the dense outputs stepped one at a time: the fault-free run,
+    //! and a lone brown-out at every op boundary after calibration.
+    //!
+    //! Regenerate (after an *intentional* accounting change) with:
+    //! `GOLDEN_PRINT=1 cargo test -p sonic tails::tests -- --nocapture`
+
+    use super::TailsConfig;
+    use crate::deploy::{deploy, DeployedModel};
+    use crate::exec::{run_deployed_observed, Backend, Session};
+    use crate::sonic::tests::{fnv, fold_fram, fold_outcome};
+    use dnn::layers::Layer;
+    use dnn::model::Model;
+    use dnn::quant::quantize;
+    use dnn::tensor::Tensor;
+    use mcu::{Device, DeviceSpec, FaultPlan, PowerSystem};
+    use rand::SeedableRng;
+
+    /// The calibrated tile, in words.
+    const TILE: u16 = 16;
+    /// The first FC's inputs: two full chunks and a short one.
+    const IN: usize = 2 * TILE as usize + 8;
+
+    /// The fixture deployed on 100 µF with its input loaded and its tile
+    /// calibrated.
+    fn deployed() -> (Device, DeployedModel) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(29);
+        let mut model = Model::new(vec![
+            Layer::dense(IN, 4, &mut rng),
+            Layer::relu(),
+            Layer::dense(4, 3, &mut rng),
+        ]);
+        let shape = [IN];
+        let calib: Vec<Tensor> = (0..3)
+            .map(|_| Tensor::uniform(shape.to_vec(), 0.9, &mut rng))
+            .collect();
+        let qm = quantize(&mut model, &shape, &calib);
+        let input = qm.quantize_input(&Tensor::uniform(shape.to_vec(), 0.9, &mut rng));
+        let mut dev = Device::new(DeviceSpec::msp430fr5994(), PowerSystem::harvested(100e-6));
+        let dm = deploy(&mut dev, &qm).expect("fits");
+        dm.load_input(&mut dev, &input);
+        dev.flash_word(dm.calib, TILE);
+        (dev, dm)
+    }
+
+    /// One run on a copy of the deployed fixture with a brown-out armed
+    /// at inference op `t` (none for `None`): the op index and FRAM image
+    /// at every crash, the outcome with its per-region trace, the op
+    /// count and the final FRAM image. Also returns the run's op count.
+    fn run((dev, dm): &(Device, DeployedModel), backend: &Backend, t: Option<u64>) -> (u64, u64) {
+        let mut dev = dev.clone();
+        let base = dev.ops_consumed();
+        if let Some(t) = t {
+            dev.arm_faults(&FaultPlan::at(base + t));
+        }
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let o = run_deployed_observed(&mut dev, dm, backend, |dev, _, _| {
+            fnv(&mut h, dev.ops_consumed() - base);
+            fold_fram(&mut h, dev);
+        });
+        fold_outcome(&mut h, &o);
+        let ops = dev.ops_consumed() - base;
+        fnv(&mut h, ops);
+        fold_fram(&mut h, &dev);
+        (h, ops)
+    }
+
+    /// The inference op at which the calibration task has ended: its
+    /// transition charged.
+    fn calibrated_at((dev, dm): &(Device, DeployedModel), backend: &Backend) -> u64 {
+        let mut dev = dev.clone();
+        let base = dev.ops_consumed();
+        let mut s = Session::start(&mut dev, dm, backend);
+        assert!(s.step(&mut dev, &mut |_, _, _| {}).is_none());
+        assert_eq!(dev.peek_word(dm.calib), TILE);
+        dev.ops_consumed() - base
+    }
+
+    #[test]
+    fn tails_dense_fixture_every_brownout_matches_the_record() {
+        let fixture = deployed();
+        let mut got = Vec::new();
+        for (name, cfg) in [
+            ("TAILS", TailsConfig::default()),
+            (
+                "TAILS(lea=0,dma=0)",
+                TailsConfig {
+                    use_lea: false,
+                    use_dma: false,
+                },
+            ),
+        ] {
+            let backend = Backend::Tails(cfg);
+            let (clean, total) = run(&fixture, &backend, None);
+            let from = calibrated_at(&fixture, &backend);
+            let mut sweep = 0xcbf2_9ce4_8422_2325u64;
+            for t in from..=total {
+                fnv(&mut sweep, run(&fixture, &backend, Some(t)).0);
+            }
+            got.push((format!("{name} clean/{total} ops"), clean));
+            got.push((format!("{name} every brown-out from op {from}"), sweep));
+        }
+        if std::env::var("GOLDEN_PRINT").is_ok() {
+            for (name, d) in &got {
+                println!("        {d:#018x}, // {name}");
+            }
+            return;
+        }
+        for ((name, d), g) in got.iter().zip(GOLDEN) {
+            assert_eq!(*d, g, "{name}: digest diverged");
+        }
+    }
+
+    /// Recorded from TAILS with each dense output stepped by hand.
+    const GOLDEN: [u64; 4] = [
+        0x74873f7cc4140db2, // TAILS clean/758 ops
+        0x78357a1566e8130c, // TAILS every brown-out from op 3
+        0x9a0218358f5919be, // TAILS(lea=0,dma=0) clean/1888 ops
+        0x732bb409030989fa, // TAILS(lea=0,dma=0) every brown-out from op 3
+    ];
 }

@@ -24,8 +24,8 @@
 //! it, otherwise an op-by-op replay, so a brown-out charges exactly the
 //! scalar prefix and a shortfall stays a body failure. The body's
 //! accesses are the runtime's own ([`AlpacaRt::ts_read`],
-//! [`AlpacaRt::ts_write`]), so the handle records the ops they would
-//! have charged. Every inner loop iteration runs at a [`Site`] of the
+//! [`AlpacaRt::ts_write`]), which take the handle and record their ops
+//! on it. Every inner loop iteration runs at a [`Site`] of the
 //! layer's, one per shape: whether the iteration's log write appends or
 //! updates, which the body names from the log before the iteration
 //! runs. The sparse FC's column walk adds two one-shape steps: the
@@ -49,7 +49,7 @@ use dnn::quant::finish_acc;
 use fxp::{Accum, Q15};
 use intermittent::alpaca::AlpacaRt;
 use intermittent::task::{TaskGraph, Transition};
-use mcu::{Device, FramBuf, Iteration, Meter, NvAddr, Op, Phase, PowerFailure, Site, Taped};
+use mcu::{Device, FramBuf, Iteration, NvAddr, Op, Phase, PowerFailure, Site, Taped};
 
 const ST_ZERO: u16 = 0;
 const ST_ACCUM: u16 = 1;

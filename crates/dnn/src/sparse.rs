@@ -178,12 +178,6 @@ impl SparseConv {
     pub fn nnz(&self) -> usize {
         self.taps.iter().map(Vec::len).sum()
     }
-
-    /// The largest per-filter tap count (drives the worst-case task cost
-    /// of tiled implementations).
-    pub fn max_taps_per_filter(&self) -> usize {
-        self.taps.iter().map(Vec::len).max().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -239,7 +233,6 @@ mod tests {
         assert_eq!(sc.nnz(), 3);
         assert_eq!(sc.taps[0].len(), 2);
         assert_eq!(sc.taps[1].len(), 1);
-        assert_eq!(sc.max_taps_per_filter(), 2);
         assert_eq!(
             sc.taps[1][0],
             FilterTap {
@@ -256,6 +249,5 @@ mod tests {
         let filters = Tensor::zeros(vec![1, 1, 2, 2]);
         let sc = SparseConv::from_dense(&filters);
         assert_eq!(sc.nnz(), 0);
-        assert_eq!(sc.max_taps_per_filter(), 0);
     }
 }

@@ -83,11 +83,6 @@ impl Mat {
         }
         out
     }
-
-    /// Frobenius norm.
-    pub fn fro_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
 }
 
 /// A thin singular value decomposition `A ≈ U · diag(s) · Vᵀ`.
@@ -393,11 +388,5 @@ mod tests {
         let a = Mat::from_vec(2, 2, vec![1.0, 2.0, 2.0, 4.0]);
         let b = Mat::from_vec(2, 1, vec![1.0, 2.0]);
         assert!(solve(&a, &b).is_none());
-    }
-
-    #[test]
-    fn fro_norm_matches_manual() {
-        let a = Mat::from_vec(1, 3, vec![3.0, 4.0, 0.0]);
-        assert!((a.fro_norm() - 5.0).abs() < 1e-12);
     }
 }

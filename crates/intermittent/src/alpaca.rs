@@ -24,24 +24,25 @@
 //!
 //! # Host-side cost
 //!
-//! The simulator pays none of these costs per access. Every access is
-//! written once, against [`Meter`]: on a [`Device`] it charges op by op,
-//! and in a taped task body ([`Device::run_tape`], see `core::tiled`) it
-//! records its ops, so the body runs host-side against the redo log and
-//! settles in one charge. The log's slot index is generation-stamped: a
-//! lookup is two indexed loads and clearing the log is O(1). And the
-//! scheduler's whole commit sequence — the flag raise, the fixed
-//! bookkeeping, the walk over the log, the task transition and the flag
-//! lower — settles in one funded charge
-//! ([`RuntimeCtx::commit_transition`], [`Device::fund_whole`]) whenever
-//! no op of it can brown out, meet an armed fault or detect corruption;
-//! otherwise it runs op by op, exactly as the device would.
+//! The simulator pays none of these costs per access. A task body that
+//! uses the log runs as a taped body ([`Device::run_tape`]; see
+//! [`add_tiled_loop`] and `core::tiled`): every access records its ops
+//! on the body's [`Taped`] handle, so the body runs host-side against
+//! the redo log and its record settles in one charge when the buffer
+//! covers it, or op by op, brown-out included, when it does not. The
+//! log's slot index is generation-stamped: a lookup is two indexed loads
+//! and clearing the log is O(1). And the scheduler's whole commit
+//! sequence — the flag raise, the fixed bookkeeping, the walk over the
+//! log, the task transition and the flag lower — settles in one funded
+//! charge ([`RuntimeCtx::commit_transition`], [`Device::fund_whole`])
+//! whenever no op of it can brown out, meet an armed fault or detect
+//! corruption; otherwise it runs op by op, exactly as the device would.
 
 use crate::task::{RuntimeCtx, TaskGraph, TaskId, Transition};
 use fxp::Q15;
 use mcu::{
-    AllocError, Charge, CostTable, Device, FramWord, Meter, NvAddr, Op, Phase, PowerFailure, Site,
-    Step,
+    AllocError, Charge, CostTable, Device, FramWord, NvAddr, Op, Phase, PowerFailure, Site, Step,
+    Taped,
 };
 
 /// A redo-log entry: the home address, the privatized value, and a
@@ -343,31 +344,34 @@ impl AlpacaRt {
     /// corruption-retry budget. The check itself is free — the
     /// controller verifies check bits inside the read.
     ///
-    /// Through a [`mcu::Taped`] handle the read returns the value at once
-    /// and a scrub lands at once: it restores the word's last durable
-    /// value, so a body whose settle fails re-executes against an
-    /// identical home.
+    /// The read returns the value at once and a scrub lands at once: it
+    /// restores the word's last durable value, so a body whose settle
+    /// fails re-executes against an identical home.
     ///
     /// # Errors
     ///
-    /// Returns [`PowerFailure`] on brown-out, or when corruption is
-    /// detected and the retry budget is exhausted.
+    /// Returns [`PowerFailure`] when corruption is detected and the retry
+    /// budget is exhausted.
     #[inline(always)]
-    pub fn ts_read<M: Meter>(&mut self, m: &mut M, addr: NvAddr) -> Result<Q15, PowerFailure> {
-        m.ops(&READ)?;
+    pub fn ts_read<const I: bool>(
+        &mut self,
+        t: &mut Taped<'_, I>,
+        addr: NvAddr,
+    ) -> Result<Q15, PowerFailure> {
+        t.ops(&READ)?;
         if let Some(k) = self.find(addr) {
             return Ok(self.log[k].v);
         }
-        let v = m.device().peek_at(addr);
-        if m.device().verify_at(addr) {
+        let v = t.device().peek_at(addr);
+        if t.device().verify_at(addr) {
             return Ok(v);
         }
-        let region = m.device().context().0;
-        if !m.note_corruption(region) {
+        let region = t.device().context().0;
+        if !t.note_corruption(region) {
             return Err(PowerFailure);
         }
-        let fixed = Self::intended(m.device(), addr);
-        m.write_at(addr, fixed)?;
+        let fixed = Self::intended(t.device(), addr);
+        t.write_at(addr, fixed)?;
         Ok(fixed)
     }
 
@@ -383,15 +387,16 @@ impl AlpacaRt {
     /// Writes a task-shared word into the redo log (privatization). The
     /// home location is untouched until commit.
     ///
+    /// The body's settle charges the append or update; a brown-out there
+    /// fails the body, whose log the scheduler discards.
+    ///
     /// # Errors
     ///
-    /// Returns [`PowerFailure`] on brown-out; on failure partway through
-    /// the append the entry is not recorded (the log is discarded on
-    /// restart anyway).
+    /// Never fails; the `Result` lets a taped body use `?` throughout.
     #[inline(always)]
-    pub fn ts_write<M: Meter>(
+    pub fn ts_write<const I: bool>(
         &mut self,
-        m: &mut M,
+        t: &mut Taped<'_, I>,
         addr: NvAddr,
         v: Q15,
     ) -> Result<(), PowerFailure> {
@@ -399,34 +404,39 @@ impl AlpacaRt {
             Some((a, slot)) if a == addr => slot,
             _ => self.find(addr),
         };
-        m.ops(if slot.is_none() { &APPEND } else { &UPDATE })?;
+        t.ops(if slot.is_none() { &APPEND } else { &UPDATE })?;
         self.privatize(slot, addr, v);
         Ok(())
     }
 
-    /// Reads a task-shared 16-bit counter.
+    /// Reads a task-shared 16-bit counter ([`AlpacaRt::ts_read`]).
     ///
     /// # Errors
     ///
-    /// Returns [`PowerFailure`] on brown-out.
+    /// As [`AlpacaRt::ts_read`].
     #[inline(always)]
-    pub fn ts_load_word<M: Meter>(&mut self, m: &mut M, addr: NvAddr) -> Result<u16, PowerFailure> {
-        Ok(self.ts_read(m, addr)?.raw() as u16)
+    pub fn ts_load_word<const I: bool>(
+        &mut self,
+        t: &mut Taped<'_, I>,
+        addr: NvAddr,
+    ) -> Result<u16, PowerFailure> {
+        Ok(self.ts_read(t, addr)?.raw() as u16)
     }
 
-    /// Writes a task-shared 16-bit counter into the redo log.
+    /// Writes a task-shared 16-bit counter into the redo log
+    /// ([`AlpacaRt::ts_write`]).
     ///
     /// # Errors
     ///
-    /// Returns [`PowerFailure`] on brown-out.
+    /// Never fails, as [`AlpacaRt::ts_write`].
     #[inline(always)]
-    pub fn ts_store_word<M: Meter>(
+    pub fn ts_store_word<const I: bool>(
         &mut self,
-        m: &mut M,
+        t: &mut Taped<'_, I>,
         addr: NvAddr,
         v: u16,
     ) -> Result<(), PowerFailure> {
-        self.ts_write(m, addr, Q15::from_raw(v as i16))
+        self.ts_write(t, addr, Q15::from_raw(v as i16))
     }
 
     // ----- the one-charge commit ---------------------------------------
@@ -479,9 +489,11 @@ impl AlpacaRt {
         self.committing = false;
         true
     }
-}
 
-impl RuntimeCtx for AlpacaRt {
+    /// Commits the log to its home locations, op by op: the flag raise,
+    /// the fixed bookkeeping and the walk. **Idempotent**: after a
+    /// mid-commit brown-out the scheduler reboots and commits again,
+    /// exactly like Alpaca's two-phase commit replay.
     fn commit(&mut self, dev: &mut Device) -> Result<(), PowerFailure> {
         if self.log.is_empty() {
             return Ok(());
@@ -528,6 +540,8 @@ impl RuntimeCtx for AlpacaRt {
         )
     }
 
+    /// After a successful commit and transition charge: lowers the
+    /// commit flag and clears the log.
     fn after_commit(&mut self, dev: &mut Device) {
         // Lower the commit flag; the log becomes dead storage. The flag
         // write is charged on the next task's budget in real Alpaca; here
@@ -545,7 +559,9 @@ impl RuntimeCtx for AlpacaRt {
         self.clear_log();
         self.committing = false;
     }
+}
 
+impl RuntimeCtx for AlpacaRt {
     fn commit_transition(&mut self, dev: &mut Device) -> Result<(), PowerFailure> {
         if self.commit_whole(dev) {
             return Ok(());
@@ -573,7 +589,8 @@ impl RuntimeCtx for AlpacaRt {
 /// implementations (Fig. 6): each task execution runs up to `tile`
 /// iterations, keeps the loop index as WAR-protected task-shared state,
 /// and self-transitions until `total` iterations have run, then resets the
-/// index and takes `next`.
+/// index and takes `next`. Each task execution is one taped body
+/// ([`Device::run_tape`]), `body` one iteration of it.
 ///
 /// Returns the id of the loop task.
 ///
@@ -591,7 +608,7 @@ pub fn add_tiled_loop<F>(
     mut body: F,
 ) -> TaskId
 where
-    F: FnMut(&mut Device, &mut AlpacaRt, u32) -> Result<(), PowerFailure>
+    F: FnMut(&mut Taped<'_>, &mut AlpacaRt, u32) -> Result<(), PowerFailure>
         + Clone
         + Send
         + Sync
@@ -604,21 +621,23 @@ where
     assert!(tile > 0, "tile must be positive");
     let self_id = graph.next_id();
     graph.add(name, move |dev, rt| {
-        let base = rt.ts_load_word(dev, index)? as u32;
-        dev.consume(Op::Branch)?;
-        if base >= total {
-            // Reset for the next invocation of the whole loop.
-            rt.ts_store_word(dev, index, 0)?;
-            return Ok(next);
-        }
-        let end = (base + tile).min(total);
-        for i in base..end {
-            body(dev, rt, i)?;
-            dev.consume(Op::Incr)?;
-            dev.consume(Op::Branch)?;
-        }
-        rt.ts_store_word(dev, index, end as u16)?;
-        Ok(Transition::To(self_id))
+        dev.run_tape(&mut [], |t| {
+            let base = rt.ts_load_word(t, index)? as u32;
+            t.op(Op::Branch)?;
+            if base >= total {
+                // Reset for the next invocation of the whole loop.
+                rt.ts_store_word(t, index, 0)?;
+                return Ok(next);
+            }
+            let end = (base + tile).min(total);
+            for i in base..end {
+                body(t, rt, i)?;
+                t.op(Op::Incr)?;
+                t.op(Op::Branch)?;
+            }
+            rt.ts_store_word(t, index, end as u16)?;
+            Ok(Transition::To(self_id))
+        })
     })
 }
 
@@ -638,7 +657,8 @@ mod tests {
         let w = dev.fram_alloc_word().unwrap();
         dev.store_word(w, 42).unwrap();
         let mut rt = AlpacaRt::new(&mut dev).unwrap();
-        assert_eq!(rt.ts_load_word(&mut dev, w.addr()).unwrap(), 42);
+        let v = dev.run_tape(&mut [], |t| rt.ts_load_word(t, w.addr()));
+        assert_eq!(v.unwrap(), 42);
     }
 
     #[test]
@@ -647,10 +667,13 @@ mod tests {
         let w = dev.fram_alloc_word().unwrap();
         dev.store_word(w, 1).unwrap();
         let mut rt = AlpacaRt::new(&mut dev).unwrap();
-        rt.ts_store_word(&mut dev, w.addr(), 99).unwrap();
-        // Home unchanged; read-own-write sees the new value.
-        assert_eq!(dev.peek_word(w), 1);
-        assert_eq!(rt.ts_load_word(&mut dev, w.addr()).unwrap(), 99);
+        let v = dev.run_tape(&mut [], |t| {
+            rt.ts_store_word(t, w.addr(), 99)?;
+            // Home unchanged; read-own-write sees the new value.
+            assert_eq!(t.device().peek_word(w), 1);
+            rt.ts_load_word(t, w.addr())
+        });
+        assert_eq!(v.unwrap(), 99);
         assert_eq!(rt.log_len(), 1);
         // Commit lands it.
         rt.commit(&mut dev).unwrap();
@@ -664,7 +687,8 @@ mod tests {
         let mut dev = continuous_dev();
         let w = dev.fram_alloc_word().unwrap();
         let mut rt = AlpacaRt::new(&mut dev).unwrap();
-        rt.ts_store_word(&mut dev, w.addr(), 7).unwrap();
+        dev.run_tape(&mut [], |t| rt.ts_store_word(t, w.addr(), 7))
+            .unwrap();
         rt.commit(&mut dev).unwrap();
         rt.commit(&mut dev).unwrap(); // replay, as after a mid-commit failure
         rt.after_commit(&mut dev);
@@ -677,11 +701,13 @@ mod tests {
         let w = dev.fram_alloc_word().unwrap();
         dev.store_word(w, 5).unwrap();
         let mut rt = AlpacaRt::new(&mut dev).unwrap();
-        rt.ts_store_word(&mut dev, w.addr(), 50).unwrap();
+        dev.run_tape(&mut [], |t| rt.ts_store_word(t, w.addr(), 50))
+            .unwrap();
         rt.on_power_failure(&mut dev, false);
         assert_eq!(rt.log_len(), 0);
         // Re-executed read sees the home value again.
-        assert_eq!(rt.ts_load_word(&mut dev, w.addr()).unwrap(), 5);
+        let v = dev.run_tape(&mut [], |t| rt.ts_load_word(t, w.addr()));
+        assert_eq!(v.unwrap(), 5);
         rt.commit(&mut dev).unwrap();
         assert_eq!(dev.peek_word(w), 5);
     }
@@ -691,14 +717,18 @@ mod tests {
         let mut dev = continuous_dev();
         let w = dev.fram_alloc_word().unwrap();
         let mut rt = AlpacaRt::new(&mut dev).unwrap();
-        let before = dev.trace().op_count(Op::FramWrite);
-        rt.ts_store_word(&mut dev, w.addr(), 1).unwrap();
-        let first = dev.trace().op_count(Op::FramWrite) - before;
-        assert_eq!(first, LOG_ENTRY_WORDS);
-        let before = dev.trace().op_count(Op::FramWrite);
-        rt.ts_store_word(&mut dev, w.addr(), 2).unwrap();
-        let second = dev.trace().op_count(Op::FramWrite) - before;
-        assert_eq!(second, 2, "updates touch the value and dirty words");
+        let mut store = |dev: &mut Device, v| {
+            let before = dev.trace().op_count(Op::FramWrite);
+            dev.run_tape(&mut [], |t| rt.ts_store_word(t, w.addr(), v))
+                .unwrap();
+            dev.trace().op_count(Op::FramWrite) - before
+        };
+        assert_eq!(store(&mut dev, 1), LOG_ENTRY_WORDS);
+        assert_eq!(
+            store(&mut dev, 2),
+            2,
+            "updates touch the value and dirty words"
+        );
     }
 
     #[test]
@@ -715,7 +745,7 @@ mod tests {
             23,
             5,
             Transition::Done,
-            move |dev, rt, i| rt.ts_write(dev, hits.addr(i), Q15::HALF),
+            move |t, rt, i| rt.ts_write(t, hits.addr(i), Q15::HALF),
         );
         let stats = run(&mut g, &mut rt, &mut dev, 0, &SchedulerConfig::task_based()).unwrap();
         assert_eq!(dev.peek(hits), vec![Q15::HALF; 23]);
@@ -740,10 +770,10 @@ mod tests {
             50,
             5,
             Transition::Done,
-            move |dev, rt, _i| {
-                let v = rt.ts_load_word(dev, acc.addr())?;
-                dev.consume_n(Op::FxpMul, 600)?;
-                rt.ts_store_word(dev, acc.addr(), v + 1)
+            move |t, rt, _i| {
+                let v = rt.ts_load_word(t, acc.addr())?;
+                t.op_n(Op::FxpMul, 600)?;
+                rt.ts_store_word(t, acc.addr(), v + 1)
             },
         );
         let stats = run(&mut g, &mut rt, &mut dev, 0, &SchedulerConfig::task_based()).unwrap();
@@ -771,9 +801,9 @@ mod tests {
             let mut rt = AlpacaRt::new(&mut dev).unwrap();
             let mut g = TaskGraph::new();
             g.add("privatize", move |dev, rt: &mut AlpacaRt| {
-                for k in 0..6u32 {
-                    rt.ts_store_word(dev, words.addr(k), 100 + k as u16)?;
-                }
+                dev.run_tape(&mut [], |t| {
+                    (0..6u32).try_for_each(|k| rt.ts_store_word(t, words.addr(k), 100 + k as u16))
+                })?;
                 Ok(Transition::Done)
             });
             if let Some(f) = fault {
@@ -845,10 +875,10 @@ mod tests {
         let words = dev.fram_alloc(3).unwrap();
         dev.write_at(words.addr(1), Q15::from_raw(7)).unwrap();
         let mut rt = AlpacaRt::new(&mut dev).unwrap();
-        for k in 0..3u32 {
-            rt.ts_store_word(&mut dev, words.addr(k), 200 + k as u16)
-                .unwrap();
-        }
+        dev.run_tape(&mut [], |t| {
+            (0..3u32).try_for_each(|k| rt.ts_store_word(t, words.addr(k), 200 + k as u16))
+        })
+        .unwrap();
         assert!(rt.poison_log_entry(1));
         assert!(rt.commit(&mut dev).is_err());
         assert!(
@@ -876,12 +906,13 @@ mod tests {
                 dev.set_context(mcu::RegionId::OTHER, Phase::Control);
                 // The first walk records its bundle through the ordered
                 // path.
-                rt.ts_store_word(&mut dev, words.addr(4), 1).unwrap();
+                dev.run_tape(&mut [], |t| rt.ts_store_word(t, words.addr(4), 1))
+                    .unwrap();
                 rt.commit_transition(&mut dev).unwrap();
-                for k in 0..5u32 {
-                    rt.ts_store_word(&mut dev, words.addr(k), 10 + k as u16)
-                        .unwrap();
-                }
+                dev.run_tape(&mut [], |t| {
+                    (0..5u32).try_for_each(|k| rt.ts_store_word(t, words.addr(k), 10 + k as u16))
+                })
+                .unwrap();
                 (dev, rt)
             };
             let ((mut a, mut ra), (mut b, mut rb)) = (setup(), setup());
@@ -908,17 +939,20 @@ mod tests {
         let w = dev.fram_alloc(2).unwrap();
         let mut rt = AlpacaRt::new(&mut dev).unwrap();
         rt.generation = u32::MAX;
-        assert!(rt.appends(w.addr(0)));
-        rt.ts_write(&mut dev, w.addr(0), Q15::HALF).unwrap();
-        rt.clear_log();
-        assert_eq!(rt.generation, 1);
-        assert_eq!(rt.find(w.addr(0)), None, "a slot of the old generation");
-        assert!(rt.appends(w.addr(1)));
-        rt.ts_write(&mut dev, w.addr(1), Q15::HALF).unwrap();
-        assert!(!rt.appends(w.addr(1)));
-        rt.ts_write(&mut dev, w.addr(1), Q15::MAX).unwrap();
-        assert_eq!(rt.find(w.addr(1)), Some(0));
-        assert_eq!(rt.ts_read(&mut dev, w.addr(1)).unwrap(), Q15::MAX);
+        let v = dev.run_tape(&mut [], |t| {
+            assert!(rt.appends(w.addr(0)));
+            rt.ts_write(t, w.addr(0), Q15::HALF)?;
+            rt.clear_log();
+            assert_eq!(rt.generation, 1);
+            assert_eq!(rt.find(w.addr(0)), None, "a slot of the old generation");
+            assert!(rt.appends(w.addr(1)));
+            rt.ts_write(t, w.addr(1), Q15::HALF)?;
+            assert!(!rt.appends(w.addr(1)));
+            rt.ts_write(t, w.addr(1), Q15::MAX)?;
+            assert_eq!(rt.find(w.addr(1)), Some(0));
+            rt.ts_read(t, w.addr(1))
+        });
+        assert_eq!(v.unwrap(), Q15::MAX);
     }
 
     #[test]
@@ -936,7 +970,8 @@ mod tests {
                 bit: 0,
             },
         )]));
-        rt.ts_store_word(&mut dev, w.addr(), 9).unwrap();
+        dev.run_tape(&mut [], |t| rt.ts_store_word(t, w.addr(), 9))
+            .unwrap();
         assert_eq!(dev.peek_word(flag), 1, "fault must have fired");
         rt.commit(&mut dev).unwrap();
         rt.after_commit(&mut dev);

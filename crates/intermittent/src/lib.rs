@@ -34,8 +34,11 @@
 //! let mut graph = TaskGraph::new();
 //! let addr = counter.addr();
 //! graph.add("increment", move |dev: &mut Device, rt: &mut AlpacaRt| {
-//!     let v = rt.ts_load_word(dev, addr)?; // read...
-//!     rt.ts_store_word(dev, addr, v + 1)?; // ...then write: a WAR pair
+//!     // The body runs taped: its log accesses settle in one charge.
+//!     dev.run_tape(&mut [], |t| {
+//!         let v = rt.ts_load_word(t, addr)?; // read...
+//!         rt.ts_store_word(t, addr, v + 1) // ...then write: a WAR pair
+//!     })?;
 //!     Ok(Transition::Done)
 //! });
 //!

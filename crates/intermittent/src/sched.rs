@@ -592,25 +592,20 @@ mod tests {
         failures_body: u32,
         failures_commit: u32,
         fail_first_commit: bool,
-        commit_cost: u64,
     }
 
     impl RuntimeCtx for SpyCtx {
-        fn commit(&mut self, dev: &mut Device) -> Result<(), PowerFailure> {
+        fn commit_transition(&mut self, dev: &mut Device) -> Result<(), PowerFailure> {
             self.commits += 1;
-            if self.commit_cost > 0 {
-                dev.consume_n(Op::FramWrite, self.commit_cost)?;
-            }
             if self.fail_first_commit {
                 self.fail_first_commit = false;
                 // Drain the device to force a brown-out inside commit.
                 while dev.consume(Op::Nop).is_ok() {}
                 return Err(PowerFailure);
             }
-            Ok(())
-        }
-        fn after_commit(&mut self, _dev: &mut Device) {
+            dev.consume(Op::TaskTransition)?;
             self.after_commits += 1;
+            Ok(())
         }
         fn on_power_failure(&mut self, _dev: &mut Device, mid_commit: bool) {
             if mid_commit {

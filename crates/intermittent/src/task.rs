@@ -20,40 +20,22 @@ pub enum Transition {
 /// The Alpaca-style runtime uses this to commit its redo log at task
 /// transitions and discard it on power failure. Runtimes with no such
 /// machinery — the naïve baseline and SONIC, which manages non-volatile
-/// state directly — use `()`.
+/// state directly — use `()`, whose transition is the
+/// [`Op::TaskTransition`] charge alone.
 pub trait RuntimeCtx {
-    /// Commits the task's buffered effects to their home locations.
+    /// The scheduler's whole commit sequence at a task transition: commit
+    /// the task's buffered effects to their home locations, charge the
+    /// [`Op::TaskTransition`], then retire the buffer.
     ///
-    /// Called at every task transition, *before* the transition itself is
-    /// charged. Must be **idempotent**: if power fails mid-commit the
-    /// scheduler reboots and calls `commit` again, exactly like Alpaca's
-    /// two-phase commit replay.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PowerFailure`] when the device browns out mid-commit.
-    fn commit(&mut self, dev: &mut Device) -> Result<(), PowerFailure>;
-
-    /// Called once after a successful commit and transition charge;
-    /// typically clears the log.
-    fn after_commit(&mut self, dev: &mut Device);
-
-    /// The scheduler's whole commit sequence at a task transition:
-    /// [`RuntimeCtx::commit`], the [`Op::TaskTransition`] charge, then
-    /// [`RuntimeCtx::after_commit`]. A runtime may settle the sequence
-    /// faster, but must leave exactly the device state, trace and op
-    /// counter this default leaves.
+    /// Must be **idempotent**: if power fails inside it the scheduler
+    /// reboots and calls it again, exactly like Alpaca's two-phase commit
+    /// replay.
     ///
     /// # Errors
     ///
-    /// Returns [`PowerFailure`] when the commit or the transition
-    /// browns out; `after_commit` has not run.
-    fn commit_transition(&mut self, dev: &mut Device) -> Result<(), PowerFailure> {
-        self.commit(dev)?;
-        dev.consume(Op::TaskTransition)?;
-        self.after_commit(dev);
-        Ok(())
-    }
+    /// Returns [`PowerFailure`] when the commit or the transition browns
+    /// out.
+    fn commit_transition(&mut self, dev: &mut Device) -> Result<(), PowerFailure>;
 
     /// Called after every reboot. `mid_commit` is `true` when the failure
     /// interrupted a commit (the log must be preserved for replay) and
@@ -63,10 +45,9 @@ pub trait RuntimeCtx {
 }
 
 impl RuntimeCtx for () {
-    fn commit(&mut self, _dev: &mut Device) -> Result<(), PowerFailure> {
-        Ok(())
+    fn commit_transition(&mut self, dev: &mut Device) -> Result<(), PowerFailure> {
+        dev.consume(Op::TaskTransition)
     }
-    fn after_commit(&mut self, _dev: &mut Device) {}
     fn on_power_failure(&mut self, _dev: &mut Device, _mid_commit: bool) {}
 }
 
@@ -260,9 +241,9 @@ mod tests {
     fn unit_runtime_ctx_is_noop() {
         let mut dev = Device::new(DeviceSpec::tiny(), PowerSystem::continuous());
         let mut ctx = ();
-        ctx.commit(&mut dev).unwrap();
-        ctx.after_commit(&mut dev);
+        ctx.commit_transition(&mut dev).unwrap();
         ctx.on_power_failure(&mut dev, false);
-        assert_eq!(dev.trace().total_energy_pj(), 0);
+        assert_eq!(dev.ops_consumed(), 1);
+        assert_eq!(dev.trace().op_count(Op::TaskTransition), 1);
     }
 }

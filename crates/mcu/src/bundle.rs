@@ -106,14 +106,13 @@
 //! [`Device::fund_whole`], taken when the buffer covers the body and no
 //! armed fault target lies inside it; debug builds first check the
 //! running totals against a walk of the record. Otherwise the settle
-//! replays the record in order through the scalar charge — still funding
-//! whole site repeats at once while they fit — so a brown-out lands on
-//! exactly the op a scalar execution would have died on, and a memory
-//! fault fires there, after the body has read memory.
-//!
-//! [`Meter`] is what the two paths share: one runtime access written
-//! against it charges op by op on a [`Device`] and records on a
-//! [`Taped`] handle.
+//! replays the record in order through the scalar charge, so a brown-out
+//! lands on exactly the op a scalar execution would have died on, and a
+//! memory fault fires there, after the body has read memory. Each run of
+//! site repeats replays as a [`Device::run_bundled`] loop over its site,
+//! whose body charges the site's bundle through its [`Step`]: the driver
+//! funds whole repeats while they fit and steps the first that does not
+//! op by op, as it runs any bundled loop.
 //!
 //! # Whole sequences
 //!
@@ -958,68 +957,12 @@ impl<'d> Step<'d> {
 
 // ----- taped bodies ---------------------------------------------------
 
-/// The metered accesses a runtime makes, through the device itself (each
-/// op charged as it runs, failing with [`PowerFailure`] on brown-out) or
-/// through a taped body's [`Taped`] handle (each op recorded, its effect
-/// landed host-side, never failing). One implementation written against
-/// it serves both — the Alpaca redo log's `ts_read`/`ts_write`. See the
-/// [module docs](self).
-pub trait Meter {
-    /// `n` ops of one class with no memory effect ([`Device::consume_n`]).
-    fn op_n(&mut self, op: Op, n: u64) -> Result<(), PowerFailure>;
-
-    /// One op with no memory effect ([`Device::consume`]).
-    #[inline(always)]
-    fn op(&mut self, op: Op) -> Result<(), PowerFailure> {
-        self.op_n(op, 1)
-    }
-
-    /// A fixed op sequence with no memory effect: one [`Meter::op_n`] per
-    /// entry, in order (a taped body records it in one step).
-    #[inline(always)]
-    fn ops(&mut self, seq: &'static [(Op, u64)]) -> Result<(), PowerFailure> {
-        seq.iter().try_for_each(|&(op, n)| self.op_n(op, n))
-    }
-
-    /// A FRAM read ([`Device::read`]).
-    fn read(&mut self, buf: FramBuf, i: u32) -> Result<Q15, PowerFailure>;
-
-    /// A FRAM write at a raw address ([`Device::write_at`]).
-    fn write_at(&mut self, addr: NvAddr, v: Q15) -> Result<(), PowerFailure>;
-
-    /// Reports a detected corruption ([`Device::note_corruption`]; free).
-    fn note_corruption(&mut self, region: RegionId) -> bool;
-
-    /// The device, for uncharged checks: peeks, ECC verifies, the
-    /// accounting context.
-    fn device(&self) -> &Device;
-}
-
-impl Meter for Device {
-    #[inline]
-    fn op_n(&mut self, op: Op, n: u64) -> Result<(), PowerFailure> {
-        self.consume_n(op, n)
-    }
-    fn read(&mut self, buf: FramBuf, i: u32) -> Result<Q15, PowerFailure> {
-        Device::read(self, buf, i)
-    }
-    fn write_at(&mut self, addr: NvAddr, v: Q15) -> Result<(), PowerFailure> {
-        Device::write_at(self, addr, v)
-    }
-    fn note_corruption(&mut self, region: RegionId) -> bool {
-        Device::note_corruption(self, region)
-    }
-    fn device(&self) -> &Device {
-        self
-    }
-}
-
 /// One run of a taped body's record.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Run {
     /// `n` ops of one class, outside any iteration.
     Ops(Op, u64),
-    /// A fixed op sequence ([`Meter::ops`]), outside any iteration.
+    /// A fixed op sequence ([`Taped::ops`]), outside any iteration.
     Seq(&'static [(Op, u64)]),
     /// Back-to-back repeats of one site's bundle.
     Repeat { site: usize, n: u64 },
@@ -1037,7 +980,8 @@ enum Run {
 pub(crate) struct TapeRecord {
     /// The body's ordered runs.
     runs: Vec<Run>,
-    /// The ops of the iteration being recorded.
+    /// The ops of the iteration being recorded, or of the site whose
+    /// repeats the settle replays.
     iter: OpBundle,
     /// Every op recorded outside an iteration.
     loose: Charge,
@@ -1137,8 +1081,8 @@ impl TapeRecord {
 }
 
 /// A taped task body's handle on the device inside [`Device::run_tape`]:
-/// every [`Meter`] call lands its effect host-side, uncharged, and
-/// records the ops the settle charges. See the [module docs](self).
+/// every access lands its effect host-side, uncharged, and records the
+/// ops the settle charges. See the [module docs](self).
 ///
 /// A loop iteration runs against a handle of its own, an [`Iteration`]
 /// (`ITERATION = true`), so that each kind of handle compiles to its own
@@ -1159,19 +1103,6 @@ pub struct Taped<'a, const ITERATION: bool = false> {
 
 /// The handle a [`Taped::iterate`] iteration runs against.
 pub type Iteration<'a> = Taped<'a, true>;
-
-impl<const ITERATION: bool> Taped<'_, ITERATION> {
-    #[inline(always)]
-    fn note(&mut self, op: Op, n: u64) {
-        if !ITERATION {
-            self.rec.push(op, n, &self.dev.spec().costs);
-        } else if self.record {
-            self.rec.iter.push_n(op, self.phase, n);
-        } else {
-            self.skipped += n;
-        }
-    }
-}
 
 impl Taped<'_> {
     /// A handle on the same body for one iteration.
@@ -1247,15 +1178,27 @@ impl Taped<'_> {
     }
 }
 
-impl<const ITERATION: bool> Meter for Taped<'_, ITERATION> {
+/// The body's accesses. None of them fails — the settle charges the ops
+/// and reports a brown-out — but each returns a `Result`, so a runtime
+/// access written with `?` reads like device code.
+impl<const ITERATION: bool> Taped<'_, ITERATION> {
+    /// `n` ops of one class with no memory effect ([`Device::consume_n`]).
     #[inline(always)]
-    fn op_n(&mut self, op: Op, n: u64) -> Result<(), PowerFailure> {
+    pub fn op_n(&mut self, op: Op, n: u64) -> Result<(), PowerFailure> {
         self.note(op, n);
         Ok(())
     }
 
+    /// One op with no memory effect ([`Device::consume`]).
     #[inline(always)]
-    fn ops(&mut self, seq: &'static [(Op, u64)]) -> Result<(), PowerFailure> {
+    pub fn op(&mut self, op: Op) -> Result<(), PowerFailure> {
+        self.op_n(op, 1)
+    }
+
+    /// A fixed op sequence with no memory effect: one [`Taped::op_n`] per
+    /// entry, in order, recorded in one step.
+    #[inline(always)]
+    pub fn ops(&mut self, seq: &'static [(Op, u64)]) -> Result<(), PowerFailure> {
         if ITERATION {
             // A plain loop: a closure would take the handle by reference.
             for &(op, n) in seq {
@@ -1267,29 +1210,45 @@ impl<const ITERATION: bool> Meter for Taped<'_, ITERATION> {
         Ok(())
     }
 
+    /// A FRAM read ([`Device::read`]).
     #[inline(always)]
-    fn read(&mut self, buf: FramBuf, i: u32) -> Result<Q15, PowerFailure> {
+    pub fn read(&mut self, buf: FramBuf, i: u32) -> Result<Q15, PowerFailure> {
         self.note(Op::FramRead, 1);
         Ok(self.dev.prepaid_read(buf, i))
     }
 
-    /// Lands at once: a taped body's only direct FRAM write is a scrub,
-    /// which restores a word's last durable value.
+    /// A FRAM write at a raw address ([`Device::write_at`]). Lands at
+    /// once: a taped body's only direct FRAM write is a scrub, which
+    /// restores a word's last durable value.
     #[inline(always)]
-    fn write_at(&mut self, addr: NvAddr, v: Q15) -> Result<(), PowerFailure> {
+    pub fn write_at(&mut self, addr: NvAddr, v: Q15) -> Result<(), PowerFailure> {
         self.note(Op::FramWrite, 1);
         self.dev.prepaid_write_at(addr, v);
         Ok(())
     }
 
+    /// Reports a detected corruption ([`Device::note_corruption`]; free).
     #[inline(always)]
-    fn note_corruption(&mut self, region: RegionId) -> bool {
+    pub fn note_corruption(&mut self, region: RegionId) -> bool {
         self.dev.note_corruption(region)
     }
 
+    /// The device, for uncharged checks: peeks, ECC verifies, the
+    /// accounting context.
     #[inline(always)]
-    fn device(&self) -> &Device {
+    pub fn device(&self) -> &Device {
         self.dev
+    }
+
+    #[inline(always)]
+    fn note(&mut self, op: Op, n: u64) {
+        if !ITERATION {
+            self.rec.push(op, n, &self.dev.spec().costs);
+        } else if self.record {
+            self.rec.iter.push_n(op, self.phase, n);
+        } else {
+            self.skipped += n;
+        }
     }
 }
 
@@ -1325,19 +1284,22 @@ impl Device {
             record: false,
             skipped: 0,
         });
-        let settled = self.settle_tape(&rec, sites, phase);
+        let settled = self.settle_tape(&mut rec, sites, phase);
         self.tape = Some(rec);
         settled.and(r)
     }
 
     /// Charges a taped body's record: one [`Device::fund_whole`] of its
     /// running totals, or an in-order replay through the scalar charge
-    /// that still funds each run of site repeats whole, as many at a time
-    /// as the buffer and the next armed target allow.
+    /// whose runs of site repeats are [`Device::run_bundled`] loops over
+    /// their site, each iteration charging the site's bundle through its
+    /// [`Step`]: the driver funds as many whole repeats at a time as the
+    /// buffer and the next armed target allow, and steps the first
+    /// unfunded one op by op.
     fn settle_tape(
         &mut self,
-        rec: &TapeRecord,
-        sites: &[Site],
+        rec: &mut TapeRecord,
+        sites: &mut [Site],
         phase: Phase,
     ) -> Result<(), PowerFailure> {
         if !self.is_on() {
@@ -1348,7 +1310,8 @@ impl Device {
         if self.fund_whole(&rec.loose, sites, &rec.repeats, []) {
             return Ok(());
         }
-        for &run in &rec.runs {
+        let TapeRecord { runs, iter, .. } = rec;
+        for &run in &*runs {
             match run {
                 Run::Ops(op, n) => self.consume_upto_at(op, phase, n).1?,
                 Run::Seq(seq) => {
@@ -1356,23 +1319,22 @@ impl Device {
                         self.consume_upto_at(op, phase, n).1?;
                     }
                 }
-                Run::Repeat { site, mut n } => {
-                    let site = std::slice::from_ref(&sites[site]);
-                    let bundle = site[0].bundle().expect("a repeated site");
-                    while n > 0 {
-                        let whole = self.whole_repeats(&site[0]).min(n);
-                        if whole > 0 {
-                            let funded = self.fund_whole(&Charge::new(), site, &[whole], []);
-                            debug_assert!(funded);
-                            n -= whole;
-                        }
-                        if n > 0 {
-                            for e in bundle.ops() {
-                                self.consume_upto_at(e.op, e.phase, e.count).1?;
-                            }
-                            n -= 1;
-                        }
+                Run::Repeat { site, n } => {
+                    // The loop holds the site, so its body charges a copy
+                    // of the bundle, kept in the record's iteration buffer.
+                    iter.clear();
+                    for e in sites[site].bundle().expect("a repeated site").ops() {
+                        debug_assert_eq!(e.phase, phase);
+                        iter.push_n(e.op, e.phase, e.count);
                     }
+                    let n = u32::try_from(n).expect("a taped loop's repeats fit a u32");
+                    let ops = iter.ops();
+                    self.run_bundled(
+                        &mut sites[site],
+                        0..n,
+                        #[inline(always)]
+                        |s, _| ops.iter().try_for_each(|e| s.op_n(e.op, e.count)),
+                    )?;
                 }
             }
         }

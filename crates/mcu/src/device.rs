@@ -988,29 +988,6 @@ impl Device {
         self.trace.charge_cells(self.region, cells, fit);
     }
 
-    /// How many whole repeats of `site`'s bundle [`Device::fund_whole`]
-    /// would fund at once: as many as the buffer and the next armed fault
-    /// target allow (`u64::MAX` when nothing limits them).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the site has recorded no bundle.
-    pub(crate) fn whole_repeats(&self, site: &Site) -> u64 {
-        if !self.on || self.record.is_some() {
-            return 0;
-        }
-        let (len, energy) = site.cost(&self.spec.costs).expect("a recorded site");
-        let ops_left = self
-            .fault_queue
-            .last()
-            .map_or(u64::MAX, |&(t, _)| t.saturating_sub(self.ops_consumed));
-        let n = whole_runs(ops_left, len);
-        match self.power {
-            PowerSystem::Continuous => n,
-            PowerSystem::Harvested(_) => n.min(whole_runs(self.charge_pj, energy)),
-        }
-    }
-
     /// Charges a whole op sequence in one funding decision, when nothing
     /// can interrupt it: the device is on, no bundled-loop iteration is
     /// recording, the buffer covers every op, and no armed fault target
@@ -1941,7 +1918,7 @@ impl Device {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bundle::{Meter, Site};
+    use crate::bundle::Site;
     use crate::spec::CostTable;
 
     fn continuous() -> Device {
@@ -2949,6 +2926,62 @@ mod tests {
                 _ => assert_eq!(brownouts, 0, "case {case}: the buffer covers every body"),
             }
         }
+        // On continuous power, a bit flip and a brown-out armed inside
+        // runs of site repeats: the dense charge is refused, and the
+        // replay funds whole repeats up to each target and steps the
+        // repeat it lands in op by op.
+        let mut sites: [Site; 3] = Default::default();
+        let (mut flips, mut brownouts) = (0, 0);
+        for seed in 0..300u64 {
+            let body = random_body(seed);
+            let spans = repeat_spans(&body);
+            let (Some(first), Some(last)) = (spans.first(), spans.last()) else {
+                continue;
+            };
+            let mut a = continuous();
+            let w = a.fram_alloc(1).unwrap();
+            let inside =
+                |s: &Range<u64>, k: u64| a.ops_consumed() + s.start + k % (s.end - s.start);
+            let flip = FaultKind::BitFlip {
+                addr: w.addr(0),
+                bit: (seed % 16) as u8,
+            };
+            a.arm_faults(&FaultPlan::faults([
+                (inside(first, seed), flip),
+                (inside(last, seed / 3), FaultKind::Brownout),
+            ]));
+            let mut b = a.clone();
+            let ra = body_scalar(&mut a, &body);
+            let rb = body_taped(&mut b, &mut sites, &body);
+            assert_eq!(ra, rb, "seed {seed}, body {body:?}");
+            assert_tape_settle_identical(&a, &b);
+            flips += a.mem_faults_injected();
+            brownouts += u64::from(!a.is_on());
+        }
+        assert!(
+            flips > 150 && brownouts > 150,
+            "{flips} flips, {brownouts} brown-outs"
+        );
+    }
+
+    /// The op offsets each run of site repeats spans in `body`, up to a
+    /// failing iteration.
+    fn repeat_spans(body: &[Part]) -> Vec<Range<u64>> {
+        let (mut at, mut spans) = (0, Vec::new());
+        for &part in body {
+            let len = match part {
+                Part::Ops(_, n) => n,
+                Part::Seq(seq) => seq.iter().map(|&(_, n)| n).sum(),
+                Part::Repeat(k, n) => {
+                    let len = SHAPES3[k].len() as u64 * u64::from(n);
+                    spans.push(at..at + len);
+                    len
+                }
+                Part::Fail(..) => break,
+            };
+            at += len;
+        }
+        spans
     }
 
     #[test]

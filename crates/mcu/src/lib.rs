@@ -65,7 +65,7 @@ pub mod power;
 pub mod spec;
 pub mod trace;
 
-pub use bundle::{BundleOp, Charge, Iteration, Meter, OpBundle, Site, Step, Taped};
+pub use bundle::{BundleOp, Charge, Iteration, OpBundle, Site, Step, Taped};
 pub use device::{
     AllocError, BrownoutInfo, Device, FaultKind, FaultPlan, FramBuf, FramWord, NvAddr,
     PowerFailure, SramBuf, SupplyDead, CORRUPTION_RETRY_LIMIT,

@@ -599,11 +599,6 @@ impl PowerSystem {
         }
     }
 
-    /// `true` when this is an intermittent (harvested) supply.
-    pub fn is_intermittent(&self) -> bool {
-        matches!(self, PowerSystem::Harvested(_))
-    }
-
     /// A short label for tables ("Cont", "100uF", "1mF", "50mF"; a
     /// non-constant profile appends "~sq" / "~tr").
     pub fn label(&self) -> String {
@@ -874,8 +869,6 @@ mod tests {
     #[test]
     fn continuous_has_no_buffer() {
         assert_eq!(PowerSystem::continuous().buffer_energy_pj(), None);
-        assert!(!PowerSystem::continuous().is_intermittent());
-        assert!(PowerSystem::cap_100uf().is_intermittent());
         assert!(PowerSystem::continuous().profile().is_none());
         assert!(PowerSystem::cap_100uf().profile().is_some());
     }
@@ -905,6 +898,10 @@ mod tests {
     fn paper_suite_has_four_systems() {
         let suite = PowerSystem::paper_suite();
         assert_eq!(suite.len(), 4);
-        assert_eq!(suite.iter().filter(|p| p.is_intermittent()).count(), 3);
+        let harvested = suite
+            .iter()
+            .filter(|p| matches!(p, PowerSystem::Harvested(_)))
+            .count();
+        assert_eq!(harvested, 3);
     }
 }

@@ -281,22 +281,6 @@ impl Trace {
         }
     }
 
-    /// Energy (pJ) consumed in a region, across both phases.
-    pub fn region_energy_pj(&self, region: RegionId) -> u64 {
-        self.counts[region.index()]
-            .iter()
-            .map(|row| self.row_energy_pj(row))
-            .sum()
-    }
-
-    /// Cycles spent in a region, across both phases.
-    pub fn region_cycles(&self, region: RegionId) -> u64 {
-        self.counts[region.index()]
-            .iter()
-            .map(|row| self.row_cycles(row))
-            .sum()
-    }
-
     /// Cycles spent in one phase of a region.
     pub fn region_phase_cycles(&self, region: RegionId, phase: Phase) -> u64 {
         self.row_cycles(&self.counts[region.index()][phase.index()])
@@ -510,18 +494,6 @@ mod tests {
         assert_eq!(t.region_phase_cycles(r, Phase::Control), 2);
         assert_eq!(t.live_cycles(), 35);
         assert_eq!(t.total_energy_pj(), 2625);
-    }
-
-    #[test]
-    fn region_energy_sums_phases() {
-        let mut t = trace();
-        let r = t.register_region("fc");
-        t.charge(r, Phase::Kernel, Op::FramRead, 2);
-        t.charge(r, Phase::Control, Op::FramWrite, 1);
-        assert_eq!(t.region_energy_pj(r), 1100);
-        assert_eq!(t.region_cycles(r), 8);
-        // Other region untouched.
-        assert_eq!(t.region_energy_pj(RegionId::OTHER), 0);
     }
 
     #[test]

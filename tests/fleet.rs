@@ -124,6 +124,40 @@ fn fleet_digest_matches_scalar_golden() {
     }
 }
 
+/// Lane width never changes a result. Over the recorded indoor-solar
+/// trace and continuous power, with every paper backend plus Stateful
+/// (whose continuous cells twin through the masked twin), the fleet is
+/// the same fully scalar (lanes 1) and batched (lanes 8). Four inputs:
+/// the trace fixed point needs two metered runs, so with fewer no cell
+/// ever twins.
+#[test]
+fn solar_fleet_digest_is_the_same_scalar_and_batched() {
+    let (qm, inputs) = tiny_model();
+    let trace = include_str!("../data/harvest/indoor_solar_diurnal.csv");
+    let solar = PowerSystem::harvested_with(
+        1e-3,
+        HarvestProfile::piecewise_from_csv(trace).expect("the indoor-solar trace parses"),
+    );
+    let mut backends = Backend::paper_suite();
+    backends.push(Backend::Stateful);
+    let j = FleetJob {
+        backends,
+        powers: vec![PowerSystem::continuous(), solar],
+        ..job(&qm, &inputs)
+    };
+    assert_eq!(j.inputs.len(), 4);
+    let scalar = run_fleet_with_lanes(&j, 1);
+    assert_eq!(
+        fleet_digest(&scalar),
+        fleet_digest(&run_fleet_with_lanes(&j, 8)),
+        "lanes 8 diverged from scalar metering"
+    );
+    assert!(scalar
+        .iter()
+        .filter(|c| c.power == "Cont")
+        .all(|c| c.runs.iter().all(|r| r.outcome.completed)));
+}
+
 /// Fault-armed fleets surface their failure-mode accounting: a flip on
 /// a *guarded* control word is detected (and never counted as silent
 /// data corruption), while the same-schedule flip on an *unguarded*
