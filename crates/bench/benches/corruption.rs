@@ -19,6 +19,15 @@
 //! in-band progress tags), under the same gate, and its teeth control is
 //! a parity-preserving double flip in one word's value bits.
 //!
+//! Each sweep runs only the flips whose word is read after the flip
+//! point; a first-access watch pass per point decides the rest (see
+//! `sonic::spec::check_corruption`). The count it decided is printed per
+//! backend below each table.
+//!
+//! A second table sweeps the Table-2 HAR network (loaded from the model
+//! cache, trained on a cold one) under SONIC and TAILS: every control
+//! word x 16 bits x 8 boundaries, under the same gate.
+//!
 //! Environment knobs:
 //! - `CORRUPTION_POINTS=n` — op boundaries sampled per (word, bit)
 //!   (default 4).
@@ -39,6 +48,7 @@ use sonic::exec::{Backend, TailsConfig};
 use sonic::spec::{
     check_corruption, check_stateful_corruption, classify_faults, classify_flip, control_words,
     fault_free_reference, stateful_tag_words, unguarded_activation_addr, CorruptionOutcome,
+    CorruptionReport,
 };
 
 fn deep_qmodel() -> (dnn::quant::QModel, Vec<fxp::Q15>) {
@@ -137,6 +147,46 @@ fn fuzz(seed: u64, cases: u64) -> usize {
     silent
 }
 
+/// Op boundaries per (word, bit) in the Table-2 HAR sweep.
+const HAR_POINTS: u64 = 8;
+
+const HEADER: &str =
+    "backend        flips   masked  recovered  aborted  wedged  unfired  SILENT  secs";
+
+/// Prints one sweep's table row (`note` appended) and its silent-wrong
+/// cases; returns how many there were.
+fn print_row(r: &CorruptionReport, t0: std::time::Instant, note: &str) -> usize {
+    println!(
+        "{:<14} {:<7} {:<7} {:<10} {:<8} {:<7} {:<8} {:<7} {:.1}{note}",
+        r.backend,
+        r.flips,
+        r.masked,
+        r.recovered,
+        r.aborted,
+        r.wedged,
+        r.unfired,
+        r.silent_wrong.len(),
+        t0.elapsed().as_secs_f64()
+    );
+    for c in &r.silent_wrong {
+        println!(
+            "  SILENT WRONG OUTPUT: {}.bit{} @ op#{}",
+            c.word, c.bit, c.op_index
+        );
+    }
+    r.silent_wrong.len()
+}
+
+/// One line per sweep above: the flips its watch passes decided.
+fn print_decided(reports: &[CorruptionReport]) {
+    for r in reports {
+        println!(
+            "{}: {} of {} flips decided by the first-access watch",
+            r.backend, r.decided, r.flips
+        );
+    }
+}
+
 fn main() {
     if let Ok(seed) = std::env::var("CORRUPTION_FUZZ_SEED") {
         let seed: u64 = seed.parse().expect("CORRUPTION_FUZZ_SEED must be a u64");
@@ -163,30 +213,14 @@ fn main() {
     ];
 
     println!("== corruption sweep: every control/commit word x 16 bits x {points} boundaries ==");
-    println!("backend        flips   masked  recovered  aborted  wedged  unfired  SILENT  secs");
+    println!("{HEADER}");
     let mut silent = 0usize;
+    let mut decided = Vec::new();
     for b in &backends {
         let t0 = std::time::Instant::now();
         let r = check_corruption(&qm, &input, &spec, b, points);
-        println!(
-            "{:<14} {:<7} {:<7} {:<10} {:<8} {:<7} {:<8} {:<7} {:.1}",
-            r.backend,
-            r.flips,
-            r.masked,
-            r.recovered,
-            r.aborted,
-            r.wedged,
-            r.unfired,
-            r.silent_wrong.len(),
-            t0.elapsed().as_secs_f64()
-        );
-        for c in &r.silent_wrong {
-            println!(
-                "  SILENT WRONG OUTPUT: {}.bit{} @ op#{}",
-                c.word, c.bit, c.op_index
-            );
-        }
-        silent += r.silent_wrong.len();
+        silent += print_row(&r, t0, "");
+        decided.push(r);
     }
 
     // The stateful backend has no control words at all — its progress
@@ -200,25 +234,28 @@ fn main() {
         .unwrap_or(1);
     let t0 = std::time::Instant::now();
     let r = check_stateful_corruption(&qm, &input, &spec, points, stateful_stride);
-    println!(
-        "{:<14} {:<7} {:<7} {:<10} {:<8} {:<7} {:<8} {:<7} {:.1}  (embedded tag words, stride {stateful_stride})",
-        r.backend,
-        r.flips,
-        r.masked,
-        r.recovered,
-        r.aborted,
-        r.wedged,
-        r.unfired,
-        r.silent_wrong.len(),
-        t0.elapsed().as_secs_f64()
-    );
-    for c in &r.silent_wrong {
-        println!(
-            "  SILENT WRONG OUTPUT: {}.bit{} @ op#{}",
-            c.word, c.bit, c.op_index
-        );
+    let note = format!("  (embedded tag words, stride {stateful_stride})");
+    silent += print_row(&r, t0, &note);
+    decided.push(r);
+    print_decided(&decided);
+
+    // The Table-2 HAR network: every control word of the deployed
+    // network under the two paper backends, at more boundaries than the
+    // ledger's single midpoint.
+    let har = models::trained(models::Network::Har);
+    let har_input = har.qmodel.quantize_input(&har.test.input(0));
+    println!();
+    println!("== Table-2 HAR: every control word x 16 bits x {HAR_POINTS} boundaries ==");
+    println!("{HEADER}");
+    let mut decided = Vec::new();
+    for b in [Backend::Sonic, Backend::Tails(TailsConfig::default())] {
+        let t0 = std::time::Instant::now();
+        let r = check_corruption(&har.qmodel, &har_input, &spec, &b, HAR_POINTS);
+        silent += print_row(&r, t0, "");
+        decided.push(r);
     }
-    silent += r.silent_wrong.len();
+    print_decided(&decided);
+    println!();
 
     // Stateful teeth control: the guard is a parity bit, so its documented
     // boundary is multi-bit faults — a *double* flip confined to the value

@@ -54,6 +54,18 @@
 //!    single-schedule entry points ([`check_schedule`],
 //!    [`classify_faults`]) run from the deployed template, as before.
 //!
+//! 4. **Dead-word flips decided from one watched pass.** A bit flip of a
+//!    word that is rewritten before it is read, or never accessed again,
+//!    can only end as the fault-free run does. The bit-flip sweeps
+//!    ([`check_corruption`], [`check_stateful_corruption`]) run one
+//!    forked pass per flip point with a first-access watch armed
+//!    ([`Device::arm_watch`]) over every swept word; only the flips whose
+//!    word is read first run on forks of their own, and the watched run's
+//!    outcome classifies the rest ([`CorruptionReport::decided`]). The
+//!    def-use argument is at `flip_sweep` in the source. Each decision is
+//!    checked against a full run at run time — every one in debug builds,
+//!    the first of each point in release builds — and a mismatch panics.
+//!
 //! Violations are actionable: each [`Violation`] reports the backend,
 //! the accounting region (layer/task), the charged-op index and phase of
 //! the crash, the injected schedule, and the abstract-vs-concrete
@@ -62,14 +74,15 @@
 use crate::deploy::{
     deploy, DeployedKind, DeployedLayer, DeployedModel, IoBuf, SparseFc, UNDO_EMPTY,
 };
-use crate::exec::{Backend, Session};
+use crate::exec::{Backend, InferenceOutcome, Session};
 use crate::fleet::par_map;
 use crate::tails::{CALIB_INITIAL, CALIB_MIN};
 use dnn::quant::QModel;
 use fxp::Q15;
 use intermittent::alpaca::AlpacaRt;
 use mcu::{
-    Device, DeviceSpec, FaultKind, FaultPlan, FramWord, NvAddr, Phase, PowerSystem, RegionId,
+    Device, DeviceSpec, FaultKind, FaultPlan, FirstAccess, FramWord, NvAddr, Phase, PowerSystem,
+    RegionId,
 };
 
 /// Which persistent-state discipline a backend's concrete state follows.
@@ -766,6 +779,13 @@ impl Snapshot {
         self.dev.arm_faults(&plan.shifted(self.session.start_ops()));
     }
 
+    /// Arms a first-access watch over `words` landing at `t`, relative to
+    /// the run start ([`Device::arm_watch`]).
+    fn watch(&mut self, t: u64, words: &[NvAddr]) {
+        let at = self.session.start_ops() + t;
+        self.dev.arm_watch(at, words.iter().copied());
+    }
+
     /// Runs one task transition with no fault armed; `false` once the run
     /// has ended.
     fn step(&mut self) -> bool {
@@ -1216,9 +1236,29 @@ pub struct CorruptionReport {
     pub unfired: u64,
     /// Silent-wrong-output cases — must be empty for guarded words.
     pub silent_wrong: Vec<CorruptionCase>,
+    /// Flips classified from a watch pass instead of a run of their own:
+    /// their word was overwritten or never accessed after the flip point,
+    /// or the point was never reached (see [`check_corruption`]). Counted
+    /// within the outcome counts above.
+    pub decided: u64,
 }
 
 impl CorruptionReport {
+    /// An empty report for `backend`.
+    fn new(backend: &Backend) -> CorruptionReport {
+        CorruptionReport {
+            backend: backend.label(),
+            flips: 0,
+            masked: 0,
+            recovered: 0,
+            aborted: 0,
+            wedged: 0,
+            unfired: 0,
+            silent_wrong: Vec::new(),
+            decided: 0,
+        }
+    }
+
     fn record(&mut self, word: &str, bit: u8, t: u64, outcome: CorruptionOutcome) {
         self.flips += 1;
         match outcome {
@@ -1315,6 +1355,12 @@ fn classify_faults_on(
     run.arm(&FaultPlan::faults(faults.iter().copied()));
     let Snapshot { mut dev, session } = run;
     let out = session.finish(&mut dev, dm, |_, _, _| {});
+    classify_end(&dev, &out, expected)
+}
+
+/// Classifies the ended run `out` on `dev` against the fault-free output
+/// `expected`.
+fn classify_end(dev: &Device, out: &InferenceOutcome, expected: &[Q15]) -> CorruptionOutcome {
     if dev.pending_faults() != 0 {
         return CorruptionOutcome::Unfired;
     }
@@ -1363,11 +1409,17 @@ pub fn classify_flip(
     )
 }
 
-/// Exhaustive single-bit-flip sweep over every control/commit word of
-/// the model under `backend`: all 16 bits of each word, each armed at
-/// `points` charged-op boundaries spread evenly across the fault-free
-/// run. The corruption theorem — no guarded-word flip may produce a
-/// silent wrong output — is [`CorruptionReport::assert_no_silent_wrong`].
+/// Single-bit-flip sweep over every control/commit word of the model
+/// under `backend`: all 16 bits of each word, each armed at `points`
+/// midpoint charged-op boundaries spread evenly across the fault-free
+/// run. Words and bits are exhaustive; the op boundaries are a sample of
+/// `points` out of the whole run. The corruption theorem — no
+/// guarded-word flip may produce a silent wrong output — is
+/// [`CorruptionReport::assert_no_silent_wrong`].
+///
+/// Only the flips whose word is read before it is rewritten run: one
+/// watch pass per point decides the rest ([`CorruptionReport::decided`];
+/// the argument is at `flip_sweep` in the source).
 ///
 /// # Panics
 ///
@@ -1391,13 +1443,79 @@ pub fn check_corruption(
     flip_sweep(&tmpl, &dm, backend, &words, 1, points)
 }
 
+/// What one watch pass saw at a flip point: the outcome of the watched
+/// run, and each swept word's first access after the landing.
+struct Watched {
+    outcome: CorruptionOutcome,
+    first: Vec<FirstAccess>,
+}
+
+/// Runs `run` to its end with a first-access watch over `words` landing
+/// at `t` (relative to the run start), and classifies the watched run
+/// against the fault-free output `expected` as [`classify_faults_on`]
+/// classifies a flipped one.
+fn watch_pass(
+    mut run: Snapshot,
+    dm: &DeployedModel,
+    t: u64,
+    words: &[NvAddr],
+    expected: &[Q15],
+) -> Watched {
+    run.watch(t, words);
+    let Snapshot { mut dev, session } = run;
+    let out = session.finish(&mut dev, dm, |_, _, _| {});
+    Watched {
+        outcome: classify_end(&dev, &out, expected),
+        first: words
+            .iter()
+            .map(|&a| dev.first_access(a).expect("a watched word"))
+            .collect(),
+    }
+}
+
 /// The shared bit-flip sweep behind [`check_corruption`] and
 /// [`check_stateful_corruption`]: every `word_stride`-th word × all 16
-/// bits × `points` midpoint boundaries of the fault-free run, each flip
-/// classified on a fork of the fault-free run at the last task boundary
-/// before its op index (see [`forked`]). Flips fan out over [`par_map`];
-/// results come back in enumeration order, so the report equals a
-/// serial loop over [`classify_flip`].
+/// bits × `points` midpoint boundaries of the fault-free run, reported
+/// in that order, so the report equals a serial loop over
+/// [`classify_flip`].
+///
+/// One watch pass per distinct point (forked like every run here, see
+/// [`forked`]) records each swept word's first access after the point
+/// ([`Device::arm_watch`]). A flip whose word is read first is classified
+/// on a fork of its own; every other flip at the point shares the
+/// watched run's outcome, and [`CorruptionReport::decided`] counts them.
+/// Flips and watch passes fan out over [`par_map`].
+///
+/// Why a flip of word `w` at `t` that the watch saw written first, or
+/// not at all, ends exactly as the watched run does (a def-use argument
+/// over the two runs forked from the same snapshot):
+///
+/// - *Before the landing they are one computation.* Both arm one memory
+///   fault at `t` — the flip, and the watch's flip of no bit — so every
+///   funding decision and armed-target split is the same, and nothing
+///   else differs. Both land at the same op, counting one memory fault
+///   and leaving the guards' pristine state.
+/// - *After it they differ only in `w`,* whose guard shadow is the same
+///   in both (injected faults bypass it), and they take the same steps
+///   for as long as nothing reads `w`: every way a value of `w` can
+///   reach the computation — a metered, pre-charged, funded or taped
+///   read, a DMA from FRAM, an ECC verify of a guarded `w`, a torn store
+///   (which keeps half of the old word), a peek by a shape predictor or
+///   by the outcome's output read — is one the watch records as a read.
+/// - *A whole-word write of `w` before any read makes the states equal,*
+///   so the runs end alike; if `w` is never accessed again they end
+///   alike too, differing in a word nothing reads.
+/// - *Order is host order.* A taped body runs host-side before its
+///   settle charges its ops, so a flip landing in the settle comes after
+///   the body's reads in both runs ([`Device::run_tape`]), and the watch
+///   sees only what follows.
+///
+/// If the watch never lands, the run ended before `t` and every flip at
+/// the point is [`CorruptionOutcome::Unfired`], as its own run would be.
+///
+/// Each prediction is also checked against its slow twin at run time:
+/// debug builds run every decided flip in full, release builds the first
+/// one of each point, and a mismatch panics.
 fn flip_sweep(
     tmpl: &Device,
     dm: &DeployedModel,
@@ -1408,34 +1526,69 @@ fn flip_sweep(
 ) -> CorruptionReport {
     let reference = reference_on(tmpl, dm, backend);
     let ops = reference.ops;
+    let swept: Vec<&(String, NvAddr)> = words.iter().step_by(word_stride).collect();
+    let addrs: Vec<NvAddr> = swept.iter().map(|&(_, a)| *a).collect();
+    // Midpoint sampling: never exactly 0 or `ops`, spread across the run.
+    let at: Vec<u64> = (0..points)
+        .map(|k| ops * (2 * k + 1) / (2 * points))
+        .collect();
+    let mut distinct = at.clone();
+    distinct.dedup();
+    let passes = forked(
+        tmpl,
+        dm,
+        backend,
+        &reference,
+        distinct.iter().map(|&t| (t, t)).collect(),
+        &|run, t| watch_pass(run, dm, t, &addrs, &reference.output),
+    );
+    // Every flip in report order with the watch's prediction, and the
+    // runs the sweep still makes: the read-first flips, plus the decided
+    // ones whose prediction is checked.
     let mut flips = Vec::new();
-    for (name, addr) in words.iter().step_by(word_stride) {
+    let mut runs = Vec::new();
+    let mut checked = vec![false; distinct.len()];
+    for (w, &(name, addr)) in swept.iter().enumerate() {
         for bit in 0..16u8 {
-            for k in 0..points {
-                // Midpoint sampling: never exactly 0 or `ops`, spread
-                // across the run.
-                let t = ops * (2 * k + 1) / (2 * points);
-                flips.push((t, (name, *addr, bit, t)));
+            for &t in &at {
+                let p = distinct.partition_point(|&d| d < t);
+                let watched = &passes[p];
+                let predicted =
+                    (watched.first[w] != FirstAccess::Read).then(|| watched.outcome.clone());
+                let check = predicted.is_some() && (cfg!(debug_assertions) || !checked[p]);
+                checked[p] |= check;
+                if predicted.is_none() || check {
+                    runs.push((t, (flips.len(), *addr, bit, t)));
+                }
+                flips.push((name.as_str(), bit, t, predicted));
             }
         }
     }
-    let classify = |run, (name, addr, bit, t)| {
+    let classify = |run, (i, addr, bit, t)| {
         let flip = [(t, FaultKind::BitFlip { addr, bit })];
-        let outcome = classify_faults_on(run, dm, &flip, &reference.output);
-        (name, bit, t, outcome)
+        (i, classify_faults_on(run, dm, &flip, &reference.output))
     };
-    let outcomes = forked(tmpl, dm, backend, &reference, flips, &classify);
-    let mut report = CorruptionReport {
-        backend: backend.label(),
-        flips: 0,
-        masked: 0,
-        recovered: 0,
-        aborted: 0,
-        wedged: 0,
-        unfired: 0,
-        silent_wrong: Vec::new(),
-    };
-    for (name, bit, t, outcome) in outcomes {
+    // Results come back in item order, so in flip order.
+    let mut ran = forked(tmpl, dm, backend, &reference, runs, &classify)
+        .into_iter()
+        .peekable();
+    let mut report = CorruptionReport::new(backend);
+    for (i, (name, bit, t, predicted)) in flips.into_iter().enumerate() {
+        let outcome = match (ran.next_if(|&(j, _)| j == i), predicted) {
+            (Some((_, outcome)), Some(predicted)) => {
+                assert_eq!(
+                    outcome, predicted,
+                    "the first-access watch mispredicted {name}.bit{bit} @ op#{t} under {backend}"
+                );
+                report.decided += 1;
+                outcome
+            }
+            (Some((_, outcome)), None) => outcome,
+            (None, predicted) => {
+                report.decided += 1;
+                predicted.expect("an undecided flip ran")
+            }
+        };
         report.record(name, bit, t, outcome);
     }
     report
@@ -1790,6 +1943,23 @@ mod tests {
     }
 
     #[test]
+    fn a_read_first_flip_is_never_pruned() {
+        // Teeth control for the watch: the unguarded activation word is
+        // read again after the early flip points under the Baseline's
+        // output-major dense loop and Tile-8's tiles, so the sweep must
+        // run those flips and surface their silent wrong outputs rather
+        // than decide them; after its last read its flips are decided.
+        let (qm, input) = dense_relu_qmodel();
+        let (tmpl, dm) = template(&qm, &input, &msp());
+        let words = [("input[0]".to_string(), unguarded_activation_addr(&dm))];
+        for b in [Backend::Baseline, Backend::Tiled(8)] {
+            let r = flip_sweep(&tmpl, &dm, &b, &words, 1, 8);
+            assert!(!r.silent_wrong.is_empty(), "{r:?}");
+            assert!(0 < r.decided && r.decided < r.flips, "{r:?}");
+        }
+    }
+
+    #[test]
     fn a_wrong_reference_output_is_reported_as_divergence() {
         // Differential detection: hand the harness a corrupted expected
         // output and the (correct) recovery must be flagged, proving the
@@ -1882,16 +2052,7 @@ mod tests {
         points: u64,
     ) -> CorruptionReport {
         let (expected, ops) = fault_free_reference(qm, input, &msp(), b);
-        let mut r = CorruptionReport {
-            backend: b.label(),
-            flips: 0,
-            masked: 0,
-            recovered: 0,
-            aborted: 0,
-            wedged: 0,
-            unfired: 0,
-            silent_wrong: Vec::new(),
-        };
+        let mut r = CorruptionReport::new(b);
         for (name, addr) in words {
             for bit in 0..16u8 {
                 for k in 0..points {
@@ -1921,31 +2082,51 @@ mod tests {
         // The forked, fanned-out sweeps against serial loops over the
         // public single-run entry points, each a fresh deploy run from
         // the start: reports must be identical.
-        let (qm, input) = dense_relu_qmodel();
-        let mut probe = Device::new(msp(), PowerSystem::continuous());
-        let pm = deploy(&mut probe, &qm).unwrap();
         let named = |ws: Vec<(String, FramWord)>| -> Vec<(String, NvAddr)> {
             ws.into_iter().map(|(n, w)| (n, w.addr())).collect()
         };
 
-        // Control-word flips at three op indices, every multi-task
-        // backend; the tiled ones with the commit flag appended after
-        // the deployment.
-        for b in multi_task() {
+        // Control-word flips, which the watch prunes, at three and five
+        // op indices on both models (the pruned one holds SONIC's packed
+        // sparse stage and undo words): every multi-task backend, the
+        // tiled ones with the commit flag appended after the deployment,
+        // and the Baseline, which never reads its control words, so the
+        // watch decides every flip. The cases run side by side; each
+        // serial loop stays one fresh deploy per flip, in order.
+        let models = [dense_relu_qmodel(), tiny_pruned_qmodel()];
+        let mut cases = Vec::new();
+        for m in 0..models.len() {
+            for b in multi_task().into_iter().chain([Backend::Baseline]) {
+                cases.extend([(m, b, 3), (m, b, 5)]);
+            }
+        }
+        let reports = par_map(cases, &|(m, b, points)| {
+            let (qm, input) = &models[m];
+            let mut probe = Device::new(msp(), PowerSystem::continuous());
+            let pm = deploy(&mut probe, qm).unwrap();
             let mut words = named(control_words(&pm));
             if let Backend::Tiled(_) = b {
-                let flag = probe.clone().fram_alloc_word().unwrap();
+                let flag = probe.fram_alloc_word().unwrap();
                 words.push(("commit_flag".to_string(), flag.addr()));
             }
-            let fanned = check_corruption(&qm, &input, &msp(), &b, 3);
-            assert_same_corruption(&fanned, &serial_flips(&qm, &input, &b, &words, 3));
+            let fanned = check_corruption(qm, input, &msp(), &b, points);
+            (b, fanned, serial_flips(qm, input, &b, &words, points))
+        });
+        for (b, fanned, serial) in reports {
+            assert_same_corruption(&fanned, &serial);
+            assert!(fanned.decided > 0, "{b}: the watch decided nothing");
+            if b == Backend::Baseline {
+                assert_eq!(fanned.decided, fanned.flips);
+            }
         }
 
-        // Embedded-tag flips at a word stride; the guard must fire for
+        // Embedded-tag flips on every tagged word; the guard must fire for
         // some, so the compared outcome mix is non-trivial.
-        let tags: Vec<_> = stateful_tag_words(&pm).into_iter().step_by(2).collect();
-        let fanned = check_stateful_corruption(&qm, &input, &msp(), 2, 2);
-        let serial = serial_flips(&qm, &input, &Backend::Stateful, &tags, 2);
+        let (qm, input) = dense_relu_qmodel();
+        let mut probe = Device::new(msp(), PowerSystem::continuous());
+        let pm = deploy(&mut probe, &qm).unwrap();
+        let fanned = check_stateful_corruption(&qm, &input, &msp(), 3, 1);
+        let serial = serial_flips(&qm, &input, &Backend::Stateful, &stateful_tag_words(&pm), 3);
         assert!(serial.aborted + serial.recovered > 0);
         assert_same_corruption(&fanned, &serial);
 

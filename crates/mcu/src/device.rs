@@ -36,6 +36,18 @@
 //! bounded-retry recovery accounting, and the unrecoverable verdict live
 //! on the device ([`Device::note_corruption`]); the runtimes decide what
 //! to scrub and when to give up.
+//!
+//! # First-access watch
+//!
+//! [`Device::arm_watch`] arms an opt-in probe for bit-flip sweeps: it
+//! lands exactly where a [`FaultKind::BitFlip`] armed at the same op
+//! index would, changing no bit, and from then on records, per watched
+//! FRAM word, whether the word's first access is a read, a whole-word
+//! write, or none ([`FirstAccess`]). Every path that touches FRAM —
+//! metered, pre-charged, funded and taped accesses, DMA, flashing, ECC
+//! verifies and host peeks — reports to it, in host-time order. A device
+//! with no watch armed pays one branch per FRAM access and behaves
+//! bit-identically.
 
 #[cfg(debug_assertions)]
 use crate::bundle::add_counts;
@@ -48,6 +60,7 @@ use crate::trace::{Phase, RegionId, Trace, TraceReport};
 use core::fmt;
 use fxp::{Accum, Q15};
 use std::ops::Range;
+use std::sync::atomic::{AtomicU8, Ordering::Relaxed};
 
 /// The device browned out: the capacitor cannot cover the next operation.
 ///
@@ -344,6 +357,81 @@ impl FaultPlan {
     }
 }
 
+/// The first access a word watched by [`Device::arm_watch`] sees after
+/// the watch lands.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FirstAccess {
+    /// Not accessed since the landing, or the watch never landed.
+    Untouched,
+    /// Read first — or partly overwritten, which keeps part of the old
+    /// value: later work may depend on what the word held at the landing.
+    Read,
+    /// Overwritten whole before any read.
+    Written,
+}
+
+/// The flip a watch arms in place of a real one: an address beyond every
+/// FRAM, so landing it changes no word.
+const WATCH_LANDING: FaultKind = FaultKind::BitFlip {
+    addr: NvAddr(u32::MAX),
+    bit: 0,
+};
+
+/// Watch slot states: not a watched word, watched and untouched since
+/// the landing, then the [`FirstAccess`] it saw.
+const UNWATCHED: u8 = 0;
+const UNTOUCHED: u8 = 1;
+const READ: u8 = 2;
+const WRITTEN: u8 = 3;
+
+/// A first-access watch (see [`Device::arm_watch`]). Its slots are
+/// atomics because host peeks, which take `&Device`, are reads too.
+#[derive(Debug)]
+struct Watch {
+    /// `true` once the watch's target has fired.
+    landed: bool,
+    /// Raw address of `slots[0]`.
+    lo: u32,
+    /// One state per word of `lo..lo + slots.len()`.
+    slots: Box<[AtomicU8]>,
+}
+
+impl Clone for Watch {
+    fn clone(&self) -> Self {
+        Watch {
+            landed: self.landed,
+            lo: self.lo,
+            slots: self
+                .slots
+                .iter()
+                .map(|s| AtomicU8::new(s.load(Relaxed)))
+                .collect(),
+        }
+    }
+}
+
+impl Watch {
+    /// Records `access` as the first access of every watched word in
+    /// `addr..addr + n` that has seen none since the landing. Out of line:
+    /// only a watched device calls it.
+    #[cold]
+    #[inline(never)]
+    fn note(&self, addr: u32, n: u32, access: u8) {
+        if !self.landed {
+            return;
+        }
+        let hi = self.lo + self.slots.len() as u32;
+        let (a, b) = (addr.max(self.lo), addr.saturating_add(n).min(hi));
+        if a < b {
+            for s in &self.slots[(a - self.lo) as usize..(b - self.lo) as usize] {
+                if s.load(Relaxed) == UNTOUCHED {
+                    s.store(access, Relaxed);
+                }
+            }
+        }
+    }
+}
+
 /// Bounded-retry budget for corruption recovery: how many detected
 /// corruptions a single device will attempt to recover from before
 /// declaring the state unrecoverable (a stuck-at cell in a control word
@@ -450,6 +538,8 @@ pub struct Device {
     pub(crate) last_stores: LastStores,
     /// The record of [`Device::run_tape`]'s body, kept between bodies.
     pub(crate) tape: Option<Box<TapeRecord>>,
+    /// The first-access watch [`Device::arm_watch`] armed, if any.
+    watch: Option<Box<Watch>>,
 }
 
 impl Device {
@@ -487,6 +577,7 @@ impl Device {
             record: None,
             last_stores: LastStores::default(),
             tape: None,
+            watch: None,
         }
     }
 
@@ -501,11 +592,79 @@ impl Device {
     /// Arms a fault-injection plan, replacing any pending targets. Each
     /// target fires once at its exact charged-op index (see
     /// [`FaultPlan`] and [`FaultKind`]); an unarmed device behaves
-    /// bit-identically to one that never heard of fault injection.
+    /// bit-identically to one that never heard of fault injection. Drops
+    /// any first-access watch ([`Device::arm_watch`]).
     pub fn arm_faults(&mut self, plan: &FaultPlan) {
         self.fault_queue = plan.targets.clone();
         // Descending, so pop() yields the next (smallest) target.
         self.fault_queue.reverse();
+        self.watch = None;
+    }
+
+    /// Arms a first-access watch over the FRAM words `words`, replacing
+    /// any pending fault targets: its one target is a
+    /// [`FaultKind::BitFlip`] at op index `at` that changes no bit. So the
+    /// watch lands exactly where a flip armed at `at` would — every
+    /// funding decision splits at it the same way, and landing counts in
+    /// [`Device::mem_faults_injected`] and ends the guards' pristine state
+    /// as a flip does — and until it lands the device runs exactly as a
+    /// device with that flip armed. From the landing on, the watch
+    /// records each word's first access ([`Device::first_access`]) from
+    /// every FRAM path, in host-time order: metered, pre-charged, funded
+    /// and taped reads and writes, DMA both ways, flashing, torn stores,
+    /// ECC verifies of guarded words and the host peeks. A store that
+    /// replaces the whole word is a write; a torn store keeps part of the
+    /// old value, so it is a read.
+    ///
+    /// [`Device::pending_faults`] counts the target until it lands.
+    pub fn arm_watch(&mut self, at: u64, words: impl IntoIterator<Item = NvAddr>) {
+        let mut words: Vec<u32> = words.into_iter().map(|a| a.0).collect();
+        words.sort_unstable();
+        let (lo, hi) = match (words.first(), words.last()) {
+            (Some(&lo), Some(&hi)) => (lo, hi + 1),
+            _ => (0, 0),
+        };
+        let slots: Box<[AtomicU8]> = (lo..hi).map(|_| AtomicU8::new(UNWATCHED)).collect();
+        for a in words {
+            slots[(a - lo) as usize].store(UNTOUCHED, Relaxed);
+        }
+        self.arm_faults(&FaultPlan::faults([(at, WATCH_LANDING)]));
+        self.watch = Some(Box::new(Watch {
+            landed: false,
+            lo,
+            slots,
+        }));
+    }
+
+    /// The first access the watched word at `addr` saw after the watch
+    /// landed; `None` when no watch is armed or `addr` is not watched.
+    pub fn first_access(&self, addr: NvAddr) -> Option<FirstAccess> {
+        let w = self.watch.as_ref()?;
+        let slot = w.slots.get(addr.0.checked_sub(w.lo)? as usize)?;
+        match slot.load(Relaxed) {
+            UNWATCHED => None,
+            UNTOUCHED => Some(FirstAccess::Untouched),
+            READ => Some(FirstAccess::Read),
+            _ => Some(FirstAccess::Written),
+        }
+    }
+
+    /// Reports a read of the `n` FRAM words from raw address `addr` to the
+    /// watch, if one is armed.
+    #[inline(always)]
+    fn watch_read(&self, addr: u32, n: u32) {
+        if let Some(w) = &self.watch {
+            w.note(addr, n, READ);
+        }
+    }
+
+    /// Reports whole-word writes of the `n` FRAM words from raw address
+    /// `addr` to the watch, if one is armed.
+    #[inline(always)]
+    fn watch_write(&self, addr: u32, n: u32) {
+        if let Some(w) = &self.watch {
+            w.note(addr, n, WRITTEN);
+        }
     }
 
     /// Number of armed fault targets that have not fired yet.
@@ -726,9 +885,11 @@ impl Device {
         self.pristine = false;
         match kind {
             FaultKind::BitFlip { addr, bit } => {
-                let a = addr.0 as usize;
-                if a < self.fram.len() {
-                    self.fram[a] ^= 1i16 << (bit & 15);
+                if let Some(w) = self.fram.get_mut(addr.0 as usize) {
+                    *w ^= 1i16 << (bit & 15);
+                } else if let Some(watch) = &mut self.watch {
+                    // Only a watch's own target flips beyond FRAM.
+                    watch.landed = true;
                 }
             }
             FaultKind::StuckAt { addr, bit, high } => {
@@ -1238,6 +1399,7 @@ impl Device {
     /// Stores `v` at raw FRAM index `addr` as a legitimate write.
     #[inline]
     fn nv_store(&mut self, addr: u32, v: i16) {
+        self.watch_write(addr, 1);
         if let Some(k) = self.guard_index(addr) {
             self.guard_shadow[k].1 = v;
         }
@@ -1269,6 +1431,7 @@ impl Device {
         if self.torn_pending {
             self.torn_pending = false;
             self.pristine = false;
+            self.watch_read(addr, 1);
             let old = self.fram[addr as usize];
             let torn = (old & !0xFF) | (intended & 0xFF);
             let torn = if self.stuck.is_empty() {
@@ -1295,6 +1458,7 @@ impl Device {
     pub fn read(&mut self, buf: FramBuf, i: u32) -> Result<Q15, PowerFailure> {
         assert!(i < buf.len, "FRAM read out of bounds: {i} >= {}", buf.len);
         self.consume(Op::FramRead)?;
+        self.watch_read(buf.base + i, 1);
         Ok(Q15::from_raw(self.fram[(buf.base + i) as usize]))
     }
 
@@ -1361,6 +1525,7 @@ impl Device {
     #[inline]
     pub fn load_word(&mut self, w: FramWord) -> Result<u16, PowerFailure> {
         self.consume(Op::FramRead)?;
+        self.watch_read(w.addr, 1);
         Ok(self.fram[w.addr as usize] as u16)
     }
 
@@ -1389,6 +1554,7 @@ impl Device {
     #[inline]
     pub fn read_at(&mut self, addr: NvAddr) -> Result<Q15, PowerFailure> {
         self.consume(Op::FramRead)?;
+        self.watch_read(addr.0, 1);
         Ok(Q15::from_raw(self.fram[addr.0 as usize]))
     }
 
@@ -1412,6 +1578,7 @@ impl Device {
     /// Host-side read of a raw FRAM address (no energy).
     #[inline]
     pub fn peek_at(&self, addr: NvAddr) -> Q15 {
+        self.watch_read(addr.0, 1);
         Q15::from_raw(self.fram[addr.0 as usize])
     }
 
@@ -1432,6 +1599,7 @@ impl Device {
     #[inline]
     pub(crate) fn prepaid_read(&self, buf: FramBuf, i: u32) -> Q15 {
         assert!(i < buf.len, "FRAM read out of bounds: {i} >= {}", buf.len);
+        self.watch_read(buf.base + i, 1);
         Q15::from_raw(self.fram[(buf.base + i) as usize])
     }
 
@@ -1553,6 +1721,7 @@ impl Device {
         } else {
             // No shadow to refresh and no stuck cell to apply: the span
             // lands as one copy.
+            self.watch_write(lo, hi - lo);
             for (w, q) in self.fram[lo as usize..hi as usize].iter_mut().zip(data) {
                 *w = q.raw();
             }
@@ -1568,6 +1737,7 @@ impl Device {
     /// Host-side snapshot of a FRAM buffer (no energy): the debug port the
     /// measurement MCU uses to extract results.
     pub fn peek(&self, buf: FramBuf) -> Vec<Q15> {
+        self.watch_read(buf.base, buf.len);
         self.fram[buf.base as usize..(buf.base + buf.len) as usize]
             .iter()
             .map(|&w| Q15::from_raw(w))
@@ -1576,6 +1746,7 @@ impl Device {
 
     /// Host-side read of a FRAM counter word (no energy).
     pub fn peek_word(&self, w: FramWord) -> u16 {
+        self.watch_read(w.addr, 1);
         self.fram[w.addr as usize] as u16
     }
 
@@ -1585,6 +1756,7 @@ impl Device {
     /// Whole-image comparisons (a cloned device against a fresh one) read
     /// it through this debug port.
     pub fn fram_image(&self) -> &[i16] {
+        self.watch_read(0, self.fram_brk);
         &self.fram[..self.fram_brk as usize]
     }
 
@@ -1625,6 +1797,7 @@ impl Device {
     /// The effect of a FRAM → SRAM transfer's first `n` words.
     pub(crate) fn dma_in(&mut self, src: FramBuf, dst: SramBuf, n: usize) {
         assert_eq!(src.len, dst.len, "dma: length mismatch");
+        self.watch_read(src.base, n as u32);
         let (s, d) = (src.base as usize, dst.base as usize);
         self.sram[d..d + n].copy_from_slice(&self.fram[s..s + n]);
     }
@@ -1658,6 +1831,7 @@ impl Device {
         assert_eq!(src.len, dst.len, "dma: length mismatch");
         let (s, d) = (src.base as usize, dst.base as usize);
         if self.guard_shadow.is_empty() && self.stuck.is_empty() {
+            self.watch_write(dst.base, n as u32);
             self.fram[d..d + n].copy_from_slice(&self.sram[s..s + n]);
         } else {
             for i in 0..n {
@@ -1813,6 +1987,7 @@ impl Device {
         // Ranks below the span's first block, or below the first block
         // appended here, stay valid: re-rank from the lower of the two.
         let first = ((addr.0 >> 6) as usize).min(self.guard_bits.len());
+        self.watch_read(addr.0, len);
         for a in addr.0..addr.0 + len {
             let v = self.fram[a as usize];
             match self.guard_shadow.binary_search_by_key(&a, |e| e.0) {
@@ -1852,9 +2027,10 @@ impl Device {
     #[inline]
     pub fn verify_at(&self, addr: NvAddr) -> bool {
         self.pristine
-            || self
-                .guard_index(addr.0)
-                .is_none_or(|k| self.guard_shadow[k].1 == self.fram[addr.0 as usize])
+            || self.guard_index(addr.0).is_none_or(|k| {
+                self.watch_read(addr.0, 1);
+                self.guard_shadow[k].1 == self.fram[addr.0 as usize]
+            })
     }
 
     /// ECC read check of a counter word; see [`Device::verify_at`].
@@ -3704,5 +3880,271 @@ mod tests {
             &[(102, flip), (107, FaultKind::Brownout)]
         );
         assert_eq!(shifted.indices().collect::<Vec<_>>(), vec![102, 107]);
+    }
+
+    /// One FRAM path driven against the watched word `f[1]`.
+    struct WatchCase {
+        name: &'static str,
+        /// Register `f[1]` with the guards before the watch lands.
+        guarded: bool,
+        expect: FirstAccess,
+        drive: fn(&mut Device, FramBuf, SramBuf),
+    }
+
+    /// The counter-word handle of the watched word `f[1]`.
+    fn watched(f: FramBuf) -> FramWord {
+        FramWord { addr: f.base + 1 }
+    }
+
+    /// Records `site`'s bundle from `body` at index 3 (the raw address of
+    /// the unwatched `f[3]`), so that a later call with the site runs
+    /// funded from its first index.
+    fn prerecord(
+        d: &mut Device,
+        site: &mut Site,
+        body: fn(&mut crate::Step<'_>, u32) -> Result<(), PowerFailure>,
+    ) {
+        d.run_bundled(site, 3..4, body).unwrap();
+    }
+
+    fn watch_cases() -> Vec<WatchCase> {
+        use FirstAccess::{Read, Untouched, Written};
+        let case = |name, guarded, expect, drive| WatchCase {
+            name,
+            guarded,
+            expect,
+            drive,
+        };
+        vec![
+            case("read", false, Read, |d, f, _| {
+                d.read(f, 1).unwrap();
+            }),
+            case("read_at", false, Read, |d, f, _| {
+                d.read_at(f.addr(1)).unwrap();
+            }),
+            case("load_word", false, Read, |d, f, _| {
+                d.load_word(watched(f)).unwrap();
+            }),
+            case("write", false, Written, |d, f, _| {
+                d.write(f, 1, Q15::HALF).unwrap();
+            }),
+            case("write_at", false, Written, |d, f, _| {
+                d.write_at(f.addr(1), Q15::HALF).unwrap();
+            }),
+            case("store_word", false, Written, |d, f, _| {
+                d.store_word(watched(f), 7).unwrap();
+            }),
+            case("store_word to a guarded word", true, Written, |d, f, _| {
+                d.store_word(watched(f), 7).unwrap();
+            }),
+            case("torn store", false, Read, |d, f, _| {
+                d.torn_pending = true;
+                d.on = false;
+                assert!(d.write(f, 1, Q15::HALF).is_err());
+            }),
+            case("prepaid_read", false, Read, |d, f, _| {
+                d.prepaid_read(f, 1);
+            }),
+            case("prepaid_write", false, Written, |d, f, _| {
+                d.prepaid_write(f, 1, Q15::HALF);
+            }),
+            case("prepaid_write_at", false, Written, |d, f, _| {
+                d.prepaid_write_at(f.addr(1), Q15::HALF);
+            }),
+            case("prepaid_store_word", false, Written, |d, f, _| {
+                d.prepaid_store_word(watched(f), 7);
+            }),
+            case("funded read", false, Read, |d, f, _| {
+                let mut site = Site::default();
+                d.run_bundled(&mut site, 0..4, |s, i| {
+                    assert_eq!(s.funded, i > 0);
+                    s.read(f, i).map(drop)
+                })
+                .unwrap();
+            }),
+            case("funded write", false, Written, |d, f, _| {
+                let mut site = Site::default();
+                d.run_bundled(&mut site, 0..4, |s, i| {
+                    assert_eq!(s.funded, i > 0);
+                    s.write(f, i, Q15::HALF)
+                })
+                .unwrap();
+            }),
+            case("funded checkpoint", false, Written, |d, f, _| {
+                let mut site = Site::default();
+                prerecord(d, &mut site, |s, i| s.checkpoint(FramWord { addr: i }, 1));
+                d.run_bundled(&mut site, 0..2, |s, i| {
+                    assert!(s.funded);
+                    s.checkpoint(watched(f), i as u16)
+                })
+                .unwrap();
+            }),
+            case("funded store_last", false, Written, |d, f, _| {
+                let mut site = Site::default();
+                prerecord(d, &mut site, |s, i| s.store_last(FramWord { addr: i }, 1));
+                d.run_bundled(&mut site, 0..2, |s, i| {
+                    assert!(s.funded);
+                    s.store_last(watched(f), i as u16)
+                })
+                .unwrap();
+            }),
+            case("funded DMA in", false, Read, |d, f, s| {
+                d.run_bundled(&mut Site::default(), 0..2, |st, i| {
+                    assert_eq!(st.funded, i > 0);
+                    st.dma_fram_to_sram(f.slice(i, 1), s.slice(i, 1))
+                })
+                .unwrap();
+            }),
+            case("funded DMA out", false, Written, |d, f, s| {
+                d.run_bundled(&mut Site::default(), 0..2, |st, i| {
+                    assert_eq!(st.funded, i > 0);
+                    st.dma_sram_to_fram(s.slice(i, 1), f.slice(i, 1))
+                })
+                .unwrap();
+            }),
+            case("taped read", false, Read, |d, f, _| {
+                d.run_tape(&mut [], |t| t.read(f, 1).map(drop)).unwrap();
+            }),
+            case("taped iteration read", false, Read, |d, f, _| {
+                d.run_tape(&mut [Site::default()], |t| {
+                    (0..4).try_for_each(|i| t.iterate(0, |t| t.read(f, i).map(drop)))
+                })
+                .unwrap();
+            }),
+            case("taped write_at", false, Written, |d, f, _| {
+                d.run_tape(&mut [], |t| t.write_at(f.addr(1), Q15::HALF))
+                    .unwrap();
+            }),
+            case("taped peek", false, Read, |d, f, _| {
+                d.run_tape(&mut [], |t| {
+                    t.device().peek_at(f.addr(1));
+                    Ok(())
+                })
+                .unwrap();
+            }),
+            case("dma_fram_to_sram", false, Read, |d, f, s| {
+                d.dma_fram_to_sram(f, s).unwrap();
+            }),
+            case("dma_sram_to_fram", false, Written, |d, f, s| {
+                d.dma_sram_to_fram(s, f).unwrap();
+            }),
+            case(
+                "dma_sram_to_fram over a guarded word",
+                true,
+                Written,
+                |d, f, s| {
+                    d.dma_sram_to_fram(s, f).unwrap();
+                },
+            ),
+            case("flash", false, Written, |d, f, _| {
+                d.flash(f, &[Q15::HALF; 4]);
+            }),
+            case("flash over a guarded word", true, Written, |d, f, _| {
+                d.flash(f, &[Q15::HALF; 4]);
+            }),
+            case("flash_word", false, Written, |d, f, _| {
+                d.flash_word(watched(f), 7);
+            }),
+            case("peek", false, Read, |d, f, _| {
+                d.peek(f);
+            }),
+            case("peek beside the word", false, Untouched, |d, f, _| {
+                d.peek(f.slice(2, 2));
+                d.peek(f.slice(0, 1));
+            }),
+            case("peek_at", false, Read, |d, f, _| {
+                d.peek_at(f.addr(1));
+            }),
+            case("peek_word", false, Read, |d, f, _| {
+                d.peek_word(watched(f));
+            }),
+            case("fram_image", false, Read, |d, _, _| {
+                let _ = d.fram_image();
+            }),
+            case("verify_at a guarded word", true, Read, |d, f, _| {
+                d.verify_at(f.addr(1));
+            }),
+            case(
+                "verify_at an unguarded word",
+                false,
+                Untouched,
+                |d, f, _| {
+                    d.verify_at(f.addr(1));
+                },
+            ),
+            case("guard_word", false, Read, |d, f, _| {
+                d.guard_word(watched(f));
+            }),
+            case("write, then read", false, Written, |d, f, _| {
+                d.write(f, 1, Q15::HALF).unwrap();
+                d.read(f, 1).unwrap();
+            }),
+            case("read, then write", false, Read, |d, f, _| {
+                d.read(f, 1).unwrap();
+                d.write(f, 1, Q15::HALF).unwrap();
+            }),
+        ]
+    }
+
+    #[test]
+    fn a_watch_records_the_first_access_of_every_fram_path() {
+        for c in watch_cases() {
+            let mut d = continuous();
+            let f = d.fram_alloc(4).unwrap();
+            assert_eq!(f.base, 0, "`prerecord` names f[3] by its raw address");
+            let s = d.sram_alloc(4).unwrap();
+            d.flash(f, &[1, 2, 3, 4].map(Q15::from_raw));
+            if c.guarded {
+                d.guard_word(watched(f));
+            }
+            let mut plain = d.clone();
+            d.arm_watch(d.ops_consumed(), [f.addr(1)]);
+            assert_eq!(d.pending_faults(), 1);
+            for dev in [&mut d, &mut plain] {
+                dev.consume(Op::Alu).unwrap();
+                (c.drive)(dev, f, s);
+            }
+            assert_eq!(d.pending_faults(), 0, "{}", c.name);
+            assert_eq!(d.first_access(f.addr(1)), Some(c.expect), "{}", c.name);
+            assert_eq!(d.first_access(f.addr(0)), None, "{}", c.name);
+            // Watching changes nothing the run computes.
+            assert_eq!(d.fram_image(), plain.fram_image(), "{}: FRAM", c.name);
+            assert_eq!(d.epoch_report(), plain.epoch_report(), "{}", c.name);
+            assert_eq!(d.mem_faults_injected(), 1, "{}", c.name);
+        }
+    }
+
+    #[test]
+    fn a_watch_lands_where_a_flip_would_and_ignores_earlier_accesses() {
+        let mut d = continuous();
+        let f = d.fram_alloc(4).unwrap();
+        let at = d.ops_consumed() + 1;
+        let mut flipped = d.clone();
+        flipped.arm_faults(&FaultPlan::faults([(
+            at,
+            FaultKind::BitFlip {
+                addr: f.addr(1),
+                bit: 3,
+            },
+        )]));
+        d.arm_watch(at, [f.addr(1)]);
+        // Op `at - 1` reads before the landing; op `at` lands it.
+        for dev in [&mut d, &mut flipped] {
+            dev.read(f, 1).unwrap();
+            assert_eq!(dev.pending_faults(), 1);
+            dev.consume(Op::Alu).unwrap();
+            assert_eq!(dev.pending_faults(), 0);
+        }
+        assert_eq!(d.first_access(f.addr(1)), Some(FirstAccess::Untouched));
+        assert_eq!(d.peek_at(f.addr(1)).raw(), 0, "the watch flips no bit");
+        assert_eq!(flipped.peek_at(f.addr(1)).raw(), 1 << 3);
+        assert_eq!(d.mem_faults_injected(), flipped.mem_faults_injected());
+        // A watch that never lands stays pending; re-arming faults drops it.
+        d.arm_watch(u64::MAX, [f.addr(1)]);
+        d.read(f, 1).unwrap();
+        assert_eq!(d.pending_faults(), 1);
+        assert_eq!(d.first_access(f.addr(1)), Some(FirstAccess::Untouched));
+        d.arm_faults(&FaultPlan::default());
+        assert_eq!(d.first_access(f.addr(1)), None);
     }
 }

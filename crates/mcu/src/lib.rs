@@ -30,7 +30,10 @@
 //!   can enumerate every op boundary ([`Device::arm_faults`],
 //!   [`FaultKind`], [`BrownoutInfo`]), and ECC-style integrity guards let
 //!   runtimes detect the data faults on read ([`Device::guard_word`],
-//!   [`Device::verify_word`]).
+//!   [`Device::verify_word`]). A first-access watch lands where a bit
+//!   flip would and reports whether each watched word is next read or
+//!   overwritten ([`Device::arm_watch`], [`FirstAccess`]), so a flip
+//!   sweep need not run flips of dead words.
 //! - **The LEA vector accelerator and DMA engine**, including LEA's
 //!   restrictions that shape TAILS: it can only access SRAM, supports only
 //!   dense fixed-point operations, and has no vector left-shift
@@ -67,7 +70,7 @@ pub mod trace;
 
 pub use bundle::{BundleOp, Charge, Iteration, OpBundle, Site, Step, Taped};
 pub use device::{
-    AllocError, BrownoutInfo, Device, FaultKind, FaultPlan, FramBuf, FramWord, NvAddr,
+    AllocError, BrownoutInfo, Device, FaultKind, FaultPlan, FirstAccess, FramBuf, FramWord, NvAddr,
     PowerFailure, SramBuf, SupplyDead, CORRUPTION_RETRY_LIMIT,
 };
 pub use power::{HarvestProfile, Harvester, PowerSystem};
