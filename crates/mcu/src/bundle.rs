@@ -725,7 +725,7 @@ impl Device {
         self.last_stores.next = 0;
         for i in 0..n {
             let (a, v) = self.last_stores.slots[i];
-            self.prepaid_write_at(NvAddr::word(a), Q15::from_raw(v as i16));
+            self.prepaid_write_at(NvAddr::word(a), Q15::from_raw(v as i16), true);
         }
     }
 }
@@ -739,6 +739,9 @@ impl Device {
 pub struct Step<'d> {
     dev: &'d mut Device,
     pub(crate) funded: bool,
+    /// Whether a first-access watch is armed, read once when the step is
+    /// built: funded accesses test this copy instead of the device.
+    watched: bool,
     /// Funded mode: the run's latest loop-continuation store, landed once
     /// when the run ends.
     last_checkpoint: Option<(FramWord, u16)>,
@@ -750,7 +753,7 @@ pub struct Step<'d> {
 /// method, funded mode performs its effect uncharged.
 macro_rules! step_calls {
     ($($(#[$doc:meta])* $name:ident => $method:ident($($arg:ident: $ty:ty),*) -> $ret:ty,
-        |$d:ident| $funded:expr;)*) => {$(
+        |$d:ident, $w:ident| $funded:expr;)*) => {$(
         $(#[$doc])*
         ///
         /// # Errors
@@ -760,6 +763,7 @@ macro_rules! step_calls {
         pub fn $name(&mut self, $($arg: $ty),*) -> Result<$ret, PowerFailure> {
             if self.funded {
                 let $d = &mut *self.dev;
+                let $w = self.watched;
                 Ok($funded)
             } else {
                 self.dev.$method($($arg),*)
@@ -771,6 +775,7 @@ macro_rules! step_calls {
 impl<'d> Step<'d> {
     fn new(dev: &'d mut Device, funded: bool) -> Self {
         Step {
+            watched: dev.watched(),
             dev,
             funded,
             last_checkpoint: None,
@@ -782,7 +787,7 @@ impl<'d> Step<'d> {
     #[inline]
     fn settle(self) {
         if let Some((w, v)) = self.last_checkpoint {
-            self.dev.prepaid_store_word(w, v);
+            self.dev.prepaid_store_word(w, v, true);
         }
         if self.dev.last_stores.n > 0 {
             self.dev.land_last_stores();
@@ -794,46 +799,47 @@ impl<'d> Step<'d> {
 
     step_calls! {
         /// One op with no memory effect ([`Device::consume`]).
-        op => consume(op: Op) -> (), |_d| ();
+        op => consume(op: Op) -> (), |_d, _w| ();
         /// `n` ops of one class ([`Device::consume_n`]).
-        op_n => consume_n(op: Op, n: u64) -> (), |_d| ();
+        op_n => consume_n(op: Op, n: u64) -> (), |_d, _w| ();
         /// [`Device::read`].
-        read => read(buf: FramBuf, i: u32) -> Q15, |d| d.prepaid_read(buf, i);
+        read => read(buf: FramBuf, i: u32) -> Q15, |d, w| d.prepaid_read(buf, i, w);
         /// [`Device::write`].
-        write => write(buf: FramBuf, i: u32, v: Q15) -> (), |d| d.prepaid_write(buf, i, v);
+        write => write(buf: FramBuf, i: u32, v: Q15) -> (), |d, w| d.prepaid_write(buf, i, v, w);
         /// [`Device::write_at`].
-        write_at => write_at(addr: NvAddr, v: Q15) -> (), |d| d.prepaid_write_at(addr, v);
+        write_at => write_at(addr: NvAddr, v: Q15) -> (), |d, w| d.prepaid_write_at(addr, v, w);
         /// [`Device::store_word`].
-        store_word => store_word(w: FramWord, v: u16) -> (), |d| d.prepaid_store_word(w, v);
+        store_word => store_word(w: FramWord, v: u16) -> (),
+            |d, watched| d.prepaid_store_word(w, v, watched);
         /// [`Device::sram_read`].
-        sram_read => sram_read(buf: SramBuf, i: u32) -> Q15, |d| d.prepaid_sram_read(buf, i);
+        sram_read => sram_read(buf: SramBuf, i: u32) -> Q15, |d, _w| d.prepaid_sram_read(buf, i);
         /// [`Device::sram_write`].
         sram_write => sram_write(buf: SramBuf, i: u32, v: Q15) -> (),
-            |d| d.prepaid_sram_write(buf, i, v);
+            |d, _w| d.prepaid_sram_write(buf, i, v);
         /// [`Device::sram_read_block`].
         sram_read_block => sram_read_block(buf: SramBuf, offset: u32, out: &mut [Q15]) -> (),
-            |d| for (i, slot) in (offset..).zip(out) {
+            |d, _w| for (i, slot) in (offset..).zip(out) {
                 *slot = d.prepaid_sram_read(buf, i);
             };
         /// [`Device::sram_write_block`].
         sram_write_block => sram_write_block(buf: SramBuf, offset: u32, data: &[Q15]) -> (),
-            |d| for (i, &v) in (offset..).zip(data) {
+            |d, _w| for (i, &v) in (offset..).zip(data) {
                 d.prepaid_sram_write(buf, i, v);
             };
         /// [`Device::dma_fram_to_sram`].
         dma_fram_to_sram => dma_fram_to_sram(src: FramBuf, dst: SramBuf) -> (),
-            |d| d.dma_in(src, dst, src.len() as usize);
+            |d, _w| d.dma_in(src, dst, src.len() as usize);
         /// [`Device::dma_sram_to_fram`].
         dma_sram_to_fram => dma_sram_to_fram(src: SramBuf, dst: FramBuf) -> (),
-            |d| d.dma_out(src, dst, src.len() as usize);
+            |d, _w| d.dma_out(src, dst, src.len() as usize);
         /// [`Device::lea_fir`].
         lea_fir => lea_fir(src: SramBuf, taps: SramBuf, out: SramBuf) -> (),
-            |d| d.fir_effect(src, taps, out);
+            |d, _w| d.fir_effect(src, taps, out);
         /// [`Device::lea_dot`].
-        lea_dot => lea_dot(a: SramBuf, b: SramBuf) -> Accum, |d| d.dot_effect(a, b);
+        lea_dot => lea_dot(a: SramBuf, b: SramBuf) -> Accum, |d, _w| d.dot_effect(a, b);
         /// [`Device::lea_add`].
         lea_add => lea_add(dst: SramBuf, src: SramBuf) -> (),
-            |d| d.add_effect(dst, src, dst.len() as usize);
+            |d, _w| d.add_effect(dst, src, dst.len() as usize);
     }
 
     /// The loop-continuation store: writes the next loop index `v` to
@@ -1099,6 +1105,9 @@ pub struct Taped<'a, const ITERATION: bool = false> {
     record: bool,
     /// A repeating iteration's ops so far.
     skipped: u64,
+    /// Whether a first-access watch is armed, read once when the body
+    /// starts: its accesses test this copy instead of the device.
+    watched: bool,
 }
 
 /// The handle a [`Taped::iterate`] iteration runs against.
@@ -1115,6 +1124,7 @@ impl Taped<'_> {
             phase: self.phase,
             record,
             skipped: 0,
+            watched: self.watched,
         }
     }
 
@@ -1214,7 +1224,7 @@ impl<const ITERATION: bool> Taped<'_, ITERATION> {
     #[inline(always)]
     pub fn read(&mut self, buf: FramBuf, i: u32) -> Result<Q15, PowerFailure> {
         self.note(Op::FramRead, 1);
-        Ok(self.dev.prepaid_read(buf, i))
+        Ok(self.dev.prepaid_read(buf, i, self.watched))
     }
 
     /// A FRAM write at a raw address ([`Device::write_at`]). Lands at
@@ -1223,7 +1233,7 @@ impl<const ITERATION: bool> Taped<'_, ITERATION> {
     #[inline(always)]
     pub fn write_at(&mut self, addr: NvAddr, v: Q15) -> Result<(), PowerFailure> {
         self.note(Op::FramWrite, 1);
-        self.dev.prepaid_write_at(addr, v);
+        self.dev.prepaid_write_at(addr, v, self.watched);
         Ok(())
     }
 
@@ -1276,7 +1286,9 @@ impl Device {
         let mut rec = self.tape.take().unwrap_or_default();
         rec.restart(sites.len());
         let phase = self.context().1;
+        let watched = self.watched();
         let r = body(&mut Taped {
+            watched,
             dev: self,
             sites,
             rec: &mut rec,

@@ -649,6 +649,12 @@ impl Device {
         }
     }
 
+    /// `true` while a first-access watch is armed.
+    #[inline]
+    pub(crate) fn watched(&self) -> bool {
+        self.watch.is_some()
+    }
+
     /// Reports a read of the `n` FRAM words from raw address `addr` to the
     /// watch, if one is armed.
     #[inline(always)]
@@ -1215,7 +1221,7 @@ impl Device {
         }
         self.ops_consumed = end;
         for (addr, v) in writes {
-            self.prepaid_write_at(addr, v);
+            self.prepaid_write_at(addr, v, true);
         }
         true
     }
@@ -1396,10 +1402,19 @@ impl Device {
     // detects. With no guards and no stuck cells both helpers reduce to
     // a plain array store, so the fault-free fast path is unchanged.
 
-    /// Stores `v` at raw FRAM index `addr` as a legitimate write.
+    /// Stores `v` at raw FRAM index `addr` as a legitimate write. A
+    /// caller passes `watched = false` only when it knows no watch is
+    /// armed ([`crate::Step`] and [`crate::Taped`] read that once, when
+    /// they are built, so that their hot paths skip the watch test).
     #[inline]
-    fn nv_store(&mut self, addr: u32, v: i16) {
-        self.watch_write(addr, 1);
+    fn nv_store(&mut self, addr: u32, v: i16, watched: bool) {
+        debug_assert!(
+            watched || self.watch.is_none(),
+            "an unwatched store on a watched device"
+        );
+        if watched {
+            self.watch_write(addr, 1);
+        }
         if let Some(k) = self.guard_index(addr) {
             self.guard_shadow[k].1 = v;
         }
@@ -1480,7 +1495,7 @@ impl Device {
             self.maybe_tear(buf.base + i, v.raw());
             return Err(e);
         }
-        self.nv_store(buf.base + i, v.raw());
+        self.nv_store(buf.base + i, v.raw(), true);
         Ok(())
     }
 
@@ -1542,7 +1557,7 @@ impl Device {
             self.maybe_tear(w.addr, v as i16);
             return Err(e);
         }
-        self.nv_store(w.addr, v as i16);
+        self.nv_store(w.addr, v as i16, true);
         Ok(())
     }
 
@@ -1571,7 +1586,7 @@ impl Device {
             self.maybe_tear(addr.0, v.raw());
             return Err(e);
         }
-        self.nv_store(addr.0, v.raw());
+        self.nv_store(addr.0, v.raw(), true);
         Ok(())
     }
 
@@ -1597,17 +1612,23 @@ impl Device {
     ///
     /// Panics if `i` is out of bounds for `buf`.
     #[inline]
-    pub(crate) fn prepaid_read(&self, buf: FramBuf, i: u32) -> Q15 {
+    pub(crate) fn prepaid_read(&self, buf: FramBuf, i: u32, watched: bool) -> Q15 {
         assert!(i < buf.len, "FRAM read out of bounds: {i} >= {}", buf.len);
-        self.watch_read(buf.base + i, 1);
+        debug_assert!(
+            watched || self.watch.is_none(),
+            "an unwatched read on a watched device"
+        );
+        if watched {
+            self.watch_read(buf.base + i, 1);
+        }
         Q15::from_raw(self.fram[(buf.base + i) as usize])
     }
 
     /// Pre-charged FRAM write.
     #[inline]
-    pub(crate) fn prepaid_write(&mut self, buf: FramBuf, i: u32, v: Q15) {
+    pub(crate) fn prepaid_write(&mut self, buf: FramBuf, i: u32, v: Q15, watched: bool) {
         assert!(i < buf.len, "FRAM write out of bounds: {i} >= {}", buf.len);
-        self.nv_store(buf.base + i, v.raw());
+        self.nv_store(buf.base + i, v.raw(), watched);
     }
 
     /// Pre-charged SRAM read.
@@ -1626,14 +1647,14 @@ impl Device {
 
     /// Pre-charged write of a FRAM counter word.
     #[inline]
-    pub(crate) fn prepaid_store_word(&mut self, w: FramWord, v: u16) {
-        self.nv_store(w.addr, v as i16);
+    pub(crate) fn prepaid_store_word(&mut self, w: FramWord, v: u16, watched: bool) {
+        self.nv_store(w.addr, v as i16, watched);
     }
 
     /// Pre-charged write of a raw FRAM address.
     #[inline]
-    pub(crate) fn prepaid_write_at(&mut self, addr: NvAddr, v: Q15) {
-        self.nv_store(addr.0, v.raw());
+    pub(crate) fn prepaid_write_at(&mut self, addr: NvAddr, v: Q15, watched: bool) {
+        self.nv_store(addr.0, v.raw(), watched);
     }
 
     // ----- span-charged block access -----------------------------------
@@ -1716,7 +1737,7 @@ impl Device {
         let (lo, hi) = (buf.base, buf.base + data.len() as u32);
         if self.guarded_in(lo, hi) || self.stuck.iter().any(|&(a, ..)| (lo..hi).contains(&a)) {
             for (i, q) in data.iter().enumerate() {
-                self.nv_store(lo + i as u32, q.raw());
+                self.nv_store(lo + i as u32, q.raw(), true);
             }
         } else {
             // No shadow to refresh and no stuck cell to apply: the span
@@ -1731,7 +1752,7 @@ impl Device {
     /// Installs a single counter word without consuming energy (flash-time
     /// initialization of runtime control words).
     pub fn flash_word(&mut self, w: FramWord, v: u16) {
-        self.nv_store(w.addr, v as i16);
+        self.nv_store(w.addr, v as i16, true);
     }
 
     /// Host-side snapshot of a FRAM buffer (no energy): the debug port the
@@ -1836,7 +1857,7 @@ impl Device {
         } else {
             for i in 0..n {
                 let v = self.sram[s + i];
-                self.nv_store(dst.base + i as u32, v);
+                self.nv_store(dst.base + i as u32, v, true);
             }
         }
     }
@@ -3265,13 +3286,13 @@ mod tests {
         let s = d.sram_alloc(4).unwrap();
         let w = d.fram_alloc_word().unwrap();
         let before = d.trace().total_energy_pj();
-        d.prepaid_write(f, 2, Q15::HALF);
-        assert_eq!(d.prepaid_read(f, 2), Q15::HALF);
+        d.prepaid_write(f, 2, Q15::HALF, true);
+        assert_eq!(d.prepaid_read(f, 2, true), Q15::HALF);
         d.prepaid_sram_write(s, 1, Q15::MAX);
         assert_eq!(d.prepaid_sram_read(s, 1), Q15::MAX);
-        d.prepaid_store_word(w, 99);
+        d.prepaid_store_word(w, 99, true);
         assert_eq!(d.peek_word(w), 99);
-        d.prepaid_write_at(f.addr(0), Q15::HALF);
+        d.prepaid_write_at(f.addr(0), Q15::HALF, true);
         assert_eq!(d.peek_at(f.addr(0)), Q15::HALF);
         assert_eq!(
             d.trace().total_energy_pj(),
@@ -3319,7 +3340,7 @@ mod tests {
             let mut b = a.clone();
             assert!(a.fund_whole(&priced, &[], &[], [(w.addr(), Q15::HALF)]));
             assert!(by_op(&mut b));
-            b.prepaid_write_at(w.addr(), Q15::HALF);
+            b.prepaid_write_at(w.addr(), Q15::HALF, true);
             assert_devices_identical(&a, &b);
         }
         let fresh = || Device::new(DeviceSpec::tiny(), PowerSystem::cap_100uf());
@@ -3699,7 +3720,7 @@ mod tests {
         // Legitimate writes — metered, prepaid, flash — track the shadow.
         d.store_word(w, 19).unwrap();
         assert!(d.verify_word(w));
-        d.prepaid_store_word(w, 23);
+        d.prepaid_store_word(w, 23, true);
         assert!(d.verify_word(w));
         d.flash_word(w, 42);
         assert!(d.verify_word(w));
@@ -3782,7 +3803,7 @@ mod tests {
         // Stores to unguarded neighbours leave every shadow untouched.
         for i in [0u32, 62, 65, 127, 128, 129, 131, 199] {
             d.write(buf, i, Q15::from_raw(-1)).unwrap();
-            d.prepaid_write(buf, i, Q15::from_raw(-2));
+            d.prepaid_write(buf, i, Q15::from_raw(-2), true);
             assert_eq!(d.guarded_intended(buf.addr(i)), None, "word {i}");
             for &g in &guarded {
                 assert_eq!(d.guarded_intended(buf.addr(g)), Some(g as u16));
@@ -3943,16 +3964,16 @@ mod tests {
                 assert!(d.write(f, 1, Q15::HALF).is_err());
             }),
             case("prepaid_read", false, Read, |d, f, _| {
-                d.prepaid_read(f, 1);
+                d.prepaid_read(f, 1, true);
             }),
             case("prepaid_write", false, Written, |d, f, _| {
-                d.prepaid_write(f, 1, Q15::HALF);
+                d.prepaid_write(f, 1, Q15::HALF, true);
             }),
             case("prepaid_write_at", false, Written, |d, f, _| {
-                d.prepaid_write_at(f.addr(1), Q15::HALF);
+                d.prepaid_write_at(f.addr(1), Q15::HALF, true);
             }),
             case("prepaid_store_word", false, Written, |d, f, _| {
-                d.prepaid_store_word(watched(f), 7);
+                d.prepaid_store_word(watched(f), 7, true);
             }),
             case("funded read", false, Read, |d, f, _| {
                 let mut site = Site::default();
