@@ -558,16 +558,14 @@ impl Device {
             let mut planned = *cursor;
             let run = self.fund_run(sites, start..end, &mut planned, &mut shape)?;
             if run.iters > 0 {
-                let mut s = Step::new(self, true);
-                let mut r = Ok(());
-                for i in start..start + run.iters {
-                    r = body(&mut s, cursor, i);
-                    if r.is_err() {
-                        break;
-                    }
+                let iters = start..start + run.iters;
+                // One copy of the funded loop per watch state, so that an
+                // unwatched device's funded accesses carry no watch test.
+                if self.watched() {
+                    Step::new(self, Mode::FundedWatched).run_funded(iters, cursor, &mut body)?;
+                } else {
+                    Step::new(self, Mode::Funded).run_funded(iters, cursor, &mut body)?;
                 }
-                s.settle();
-                r?;
                 debug_assert_eq!(
                     *cursor, planned,
                     "a funded run ended off the predicted cursor: the shape predictor and \
@@ -584,7 +582,7 @@ impl Device {
                     .is_some_and(|s| cfg!(debug_assertions) || s.0.is_none());
                 let outer = record.then(|| self.record.replace(Box::default()));
                 let faults = self.mem_faults_injected();
-                let r = body(&mut Step::new(self, false), cursor, start);
+                let r = body(&mut Step::new(self, Mode::Scalar), cursor, start);
                 if let (Some(outer), Some(site)) = (outer, site) {
                     let rec = self.close_record(outer);
                     // A memory fault inside the iteration may have sent it
@@ -616,7 +614,7 @@ impl Device {
     /// that calls a helper written against `Step` — a kernel that
     /// bundled bodies run too.
     pub fn step(&mut self) -> Step<'_> {
-        Step::new(self, false)
+        Step::new(self, Mode::Scalar)
     }
 
     /// Closes the open iteration record and reopens `outer`, the
@@ -723,9 +721,10 @@ impl Device {
     fn land_last_stores(&mut self) {
         let n = std::mem::take(&mut self.last_stores.n);
         self.last_stores.next = 0;
+        let watched = self.watched();
         for i in 0..n {
             let (a, v) = self.last_stores.slots[i];
-            self.prepaid_write_at(NvAddr::word(a), Q15::from_raw(v as i16), true);
+            self.prepaid_write_at(NvAddr::word(a), Q15::from_raw(v as i16), watched);
         }
     }
 }
@@ -738,10 +737,7 @@ impl Device {
 #[derive(Debug)]
 pub struct Step<'d> {
     dev: &'d mut Device,
-    pub(crate) funded: bool,
-    /// Whether a first-access watch is armed, read once when the step is
-    /// built: funded accesses test this copy instead of the device.
-    watched: bool,
+    mode: Mode,
     /// Funded mode: the run's latest loop-continuation store, landed once
     /// when the run ends.
     last_checkpoint: Option<(FramWord, u16)>,
@@ -749,8 +745,20 @@ pub struct Step<'d> {
     beacons: u64,
 }
 
+/// A [`Step`]'s mode. Funded mode comes in two, after whether a
+/// first-access watch is armed ([`Device::arm_watch`]), so that a funded
+/// access of an unwatched device tests the mode once and the watch not
+/// at all.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Mode {
+    Scalar,
+    Funded,
+    FundedWatched,
+}
+
 /// [`Step`] calls that mirror a [`Device`] method: scalar mode calls the
-/// method, funded mode performs its effect uncharged.
+/// method, funded mode performs its effect uncharged (`$w` tells a FRAM
+/// access whether to report to the watch).
 macro_rules! step_calls {
     ($($(#[$doc:meta])* $name:ident => $method:ident($($arg:ident: $ty:ty),*) -> $ret:ty,
         |$d:ident, $w:ident| $funded:expr;)*) => {$(
@@ -759,35 +767,77 @@ macro_rules! step_calls {
         /// # Errors
         ///
         /// Returns [`PowerFailure`] on brown-out (scalar mode only).
-        #[inline]
+        #[inline(always)]
         pub fn $name(&mut self, $($arg: $ty),*) -> Result<$ret, PowerFailure> {
-            if self.funded {
-                let $d = &mut *self.dev;
-                let $w = self.watched;
-                Ok($funded)
-            } else {
-                self.dev.$method($($arg),*)
+            match self.mode {
+                Mode::Funded => {
+                    let $d = &mut *self.dev;
+                    let $w = false;
+                    Ok($funded)
+                }
+                Mode::FundedWatched => {
+                    let $d = &mut *self.dev;
+                    let $w = true;
+                    Ok($funded)
+                }
+                Mode::Scalar => self.dev.$method($($arg),*),
             }
         }
     )*};
 }
 
 impl<'d> Step<'d> {
-    fn new(dev: &'d mut Device, funded: bool) -> Self {
+    /// A step in `mode`, which the funded loop passes as a constant.
+    #[inline(always)]
+    fn new(dev: &'d mut Device, mode: Mode) -> Self {
+        debug_assert!(
+            mode == Mode::Scalar || (mode == Mode::FundedWatched) == dev.watched(),
+            "a funded step's mode disagrees with the device's watch"
+        );
         Step {
-            watched: dev.watched(),
             dev,
-            funded,
+            mode,
             last_checkpoint: None,
             beacons: 0,
         }
+    }
+
+    /// `true` in funded mode.
+    #[inline(always)]
+    pub(crate) fn funded(&self) -> bool {
+        self.mode != Mode::Scalar
+    }
+
+    /// Runs the funded iterations `iters` of a [`Device::run_shaped`]
+    /// body, then lands their deferred stores. A body error ends the run
+    /// at once.
+    #[inline(always)]
+    fn run_funded<C, F>(
+        mut self,
+        iters: Range<u32>,
+        cursor: &mut C,
+        body: &mut F,
+    ) -> Result<(), PowerFailure>
+    where
+        F: FnMut(&mut Step<'_>, &mut C, u32) -> Result<(), PowerFailure>,
+    {
+        let mut r = Ok(());
+        for i in iters {
+            r = body(&mut self, cursor, i);
+            if r.is_err() {
+                break;
+            }
+        }
+        self.settle();
+        r
     }
 
     /// Lands a funded run's last-value stores and beacons.
     #[inline]
     fn settle(self) {
         if let Some((w, v)) = self.last_checkpoint {
-            self.dev.prepaid_store_word(w, v, true);
+            let watched = self.mode == Mode::FundedWatched;
+            self.dev.prepaid_store_word(w, v, watched);
         }
         if self.dev.last_stores.n > 0 {
             self.dev.land_last_stores();
@@ -854,7 +904,7 @@ impl<'d> Step<'d> {
     /// current, like any failed control-phase op).
     #[inline]
     pub fn checkpoint(&mut self, ctl: FramWord, v: u16) -> Result<(), PowerFailure> {
-        if self.funded {
+        if self.funded() {
             self.last_checkpoint = Some((ctl, v));
             return Ok(());
         }
@@ -881,7 +931,7 @@ impl<'d> Step<'d> {
     /// Panics if one funded run stores to more than four such words.
     #[inline]
     pub fn store_last(&mut self, w: FramWord, v: u16) -> Result<(), PowerFailure> {
-        if self.funded {
+        if self.funded() {
             self.dev.last_stores.keep(w.addr().index(), v);
             Ok(())
         } else {
@@ -893,7 +943,7 @@ impl<'d> Step<'d> {
     /// runs add theirs at once when the run ends.
     #[inline]
     pub fn progress(&mut self) {
-        if self.funded {
+        if self.funded() {
             self.beacons += 1;
         } else {
             self.dev.mark_progress();
@@ -950,7 +1000,7 @@ impl<'d> Step<'d> {
     where
         F: FnMut(&mut Step<'_>, u32) -> Result<(), PowerFailure>,
     {
-        if self.funded {
+        if self.funded() {
             for i in range {
                 body(self, i)?;
             }
@@ -1114,9 +1164,11 @@ pub struct Taped<'a, const ITERATION: bool = false> {
 pub type Iteration<'a> = Taped<'a, true>;
 
 impl Taped<'_> {
-    /// A handle on the same body for one iteration.
+    /// A handle on the same body for one iteration; `watched` is the
+    /// body's, passed as a constant by the repeating iteration.
     #[inline(always)]
-    fn iteration(&mut self, record: bool) -> Iteration<'_> {
+    fn iteration(&mut self, record: bool, watched: bool) -> Iteration<'_> {
+        debug_assert_eq!(watched, self.watched);
         Taped {
             dev: &mut *self.dev,
             sites: &mut *self.sites,
@@ -1124,7 +1176,7 @@ impl Taped<'_> {
             phase: self.phase,
             record,
             skipped: 0,
-            watched: self.watched,
+            watched,
         }
     }
 
@@ -1155,10 +1207,16 @@ impl Taped<'_> {
             return self.record_iteration(k, body);
         }
         // The iteration's handle is never passed on by reference, so it
-        // stays in registers and every op call folds into `skipped`.
-        let mut it = self.iteration(false);
-        let r = body(&mut it);
-        let skipped = it.skipped;
+        // stays in registers and every op call folds into `skipped`. One
+        // copy per watch state, so that an unwatched iteration's accesses
+        // carry no watch test.
+        let (r, skipped) = if self.watched {
+            let mut it = self.iteration(false, true);
+            (body(&mut it), it.skipped)
+        } else {
+            let mut it = self.iteration(false, false);
+            (body(&mut it), it.skipped)
+        };
         match r {
             Ok(_) => self.rec.repeat(k),
             Err(_) => {
@@ -1180,7 +1238,8 @@ impl Taped<'_> {
         body: impl FnOnce(&mut Iteration<'_>) -> Result<R, PowerFailure>,
     ) -> Result<R, PowerFailure> {
         self.rec.iter.clear();
-        let r = body(&mut self.iteration(true));
+        let watched = self.watched;
+        let r = body(&mut self.iteration(true, watched));
         let costs = &self.dev.spec().costs;
         self.rec
             .close_iteration(&mut self.sites[k], k, r.is_ok(), costs);
@@ -1286,16 +1345,25 @@ impl Device {
         let mut rec = self.tape.take().unwrap_or_default();
         rec.restart(sites.len());
         let phase = self.context().1;
-        let watched = self.watched();
-        let r = body(&mut Taped {
-            watched,
-            dev: self,
-            sites,
-            rec: &mut rec,
-            phase,
-            record: false,
-            skipped: 0,
-        });
+        macro_rules! run_body {
+            ($watched:literal) => {
+                body(&mut Taped {
+                    watched: $watched,
+                    dev: self,
+                    sites,
+                    rec: &mut rec,
+                    phase,
+                    record: false,
+                    skipped: 0,
+                })
+            };
+        }
+        // One copy of the body per watch state, as in the funded loop.
+        let r = if self.watched() {
+            run_body!(true)
+        } else {
+            run_body!(false)
+        };
         let settled = self.settle_tape(&mut rec, sites, phase);
         self.tape = Some(rec);
         settled.and(r)

@@ -1220,8 +1220,9 @@ impl Device {
             }
         }
         self.ops_consumed = end;
+        let watched = self.watched();
         for (addr, v) in writes {
-            self.prepaid_write_at(addr, v, true);
+            self.prepaid_write_at(addr, v, watched);
         }
         true
     }
@@ -1404,8 +1405,8 @@ impl Device {
 
     /// Stores `v` at raw FRAM index `addr` as a legitimate write. A
     /// caller passes `watched = false` only when it knows no watch is
-    /// armed ([`crate::Step`] and [`crate::Taped`] read that once, when
-    /// they are built, so that their hot paths skip the watch test).
+    /// armed ([`crate::Step`] and [`crate::Taped`] know it when they are
+    /// built, so that their hot paths skip the watch test).
     #[inline]
     fn nv_store(&mut self, addr: u32, v: i16, watched: bool) {
         debug_assert!(
@@ -1415,6 +1416,21 @@ impl Device {
         if watched {
             self.watch_write(addr, 1);
         }
+        if let Some(k) = self.guard_index(addr) {
+            self.guard_shadow[k].1 = v;
+        }
+        let v = if self.stuck.is_empty() {
+            v
+        } else {
+            self.stuck_adjust(addr, v)
+        };
+        self.fram[addr as usize] = v;
+    }
+
+    /// [`Device::nv_store`] without the watch test, for the per-word
+    /// loops of block stores, which report their whole span to the watch
+    /// once.
+    fn nv_land(&mut self, addr: u32, v: i16) {
         if let Some(k) = self.guard_index(addr) {
             self.guard_shadow[k].1 = v;
         }
@@ -1611,7 +1627,7 @@ impl Device {
     /// # Panics
     ///
     /// Panics if `i` is out of bounds for `buf`.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn prepaid_read(&self, buf: FramBuf, i: u32, watched: bool) -> Q15 {
         assert!(i < buf.len, "FRAM read out of bounds: {i} >= {}", buf.len);
         debug_assert!(
@@ -1735,14 +1751,14 @@ impl Device {
     pub fn flash(&mut self, buf: FramBuf, data: &[Q15]) {
         assert!(data.len() <= buf.len as usize, "flash overflows buffer");
         let (lo, hi) = (buf.base, buf.base + data.len() as u32);
+        self.watch_write(lo, hi - lo);
         if self.guarded_in(lo, hi) || self.stuck.iter().any(|&(a, ..)| (lo..hi).contains(&a)) {
             for (i, q) in data.iter().enumerate() {
-                self.nv_store(lo + i as u32, q.raw(), true);
+                self.nv_land(lo + i as u32, q.raw());
             }
         } else {
             // No shadow to refresh and no stuck cell to apply: the span
             // lands as one copy.
-            self.watch_write(lo, hi - lo);
             for (w, q) in self.fram[lo as usize..hi as usize].iter_mut().zip(data) {
                 *w = q.raw();
             }
@@ -1851,13 +1867,13 @@ impl Device {
     pub(crate) fn dma_out(&mut self, src: SramBuf, dst: FramBuf, n: usize) {
         assert_eq!(src.len, dst.len, "dma: length mismatch");
         let (s, d) = (src.base as usize, dst.base as usize);
+        self.watch_write(dst.base, n as u32);
         if self.guard_shadow.is_empty() && self.stuck.is_empty() {
-            self.watch_write(dst.base, n as u32);
             self.fram[d..d + n].copy_from_slice(&self.sram[s..s + n]);
         } else {
             for i in 0..n {
                 let v = self.sram[s + i];
-                self.nv_store(dst.base + i as u32, v, true);
+                self.nv_land(dst.base + i as u32, v);
             }
         }
     }
@@ -2531,7 +2547,7 @@ mod tests {
         let region = dev.context().0;
         dev.set_context(region, Phase::Kernel);
         dev.run_bundled(site, 0..iters, |s, i| {
-            *scalar_iters += u32::from(!s.funded);
+            *scalar_iters += u32::from(!s.funded());
             s.op(Op::Alu)?;
             let v = s.read(lp.x, i % LOOP_WORDS)?;
             s.op(Op::FxpMul)?;
@@ -3978,7 +3994,7 @@ mod tests {
             case("funded read", false, Read, |d, f, _| {
                 let mut site = Site::default();
                 d.run_bundled(&mut site, 0..4, |s, i| {
-                    assert_eq!(s.funded, i > 0);
+                    assert_eq!(s.funded(), i > 0);
                     s.read(f, i).map(drop)
                 })
                 .unwrap();
@@ -3986,7 +4002,7 @@ mod tests {
             case("funded write", false, Written, |d, f, _| {
                 let mut site = Site::default();
                 d.run_bundled(&mut site, 0..4, |s, i| {
-                    assert_eq!(s.funded, i > 0);
+                    assert_eq!(s.funded(), i > 0);
                     s.write(f, i, Q15::HALF)
                 })
                 .unwrap();
@@ -3995,7 +4011,7 @@ mod tests {
                 let mut site = Site::default();
                 prerecord(d, &mut site, |s, i| s.checkpoint(FramWord { addr: i }, 1));
                 d.run_bundled(&mut site, 0..2, |s, i| {
-                    assert!(s.funded);
+                    assert!(s.funded());
                     s.checkpoint(watched(f), i as u16)
                 })
                 .unwrap();
@@ -4004,21 +4020,21 @@ mod tests {
                 let mut site = Site::default();
                 prerecord(d, &mut site, |s, i| s.store_last(FramWord { addr: i }, 1));
                 d.run_bundled(&mut site, 0..2, |s, i| {
-                    assert!(s.funded);
+                    assert!(s.funded());
                     s.store_last(watched(f), i as u16)
                 })
                 .unwrap();
             }),
             case("funded DMA in", false, Read, |d, f, s| {
                 d.run_bundled(&mut Site::default(), 0..2, |st, i| {
-                    assert_eq!(st.funded, i > 0);
+                    assert_eq!(st.funded(), i > 0);
                     st.dma_fram_to_sram(f.slice(i, 1), s.slice(i, 1))
                 })
                 .unwrap();
             }),
             case("funded DMA out", false, Written, |d, f, s| {
                 d.run_bundled(&mut Site::default(), 0..2, |st, i| {
-                    assert_eq!(st.funded, i > 0);
+                    assert_eq!(st.funded(), i > 0);
                     st.dma_sram_to_fram(s.slice(i, 1), f.slice(i, 1))
                 })
                 .unwrap();
