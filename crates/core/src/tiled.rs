@@ -49,7 +49,7 @@ use dnn::quant::finish_acc;
 use fxp::{Accum, Q15};
 use intermittent::alpaca::AlpacaRt;
 use intermittent::task::{TaskGraph, Transition};
-use mcu::{Device, FramBuf, Iteration, NvAddr, Op, Phase, PowerFailure, Site, Taped};
+use mcu::{FramBuf, Iteration, NvAddr, Op, Phase, PowerFailure, Site, Taped};
 
 const ST_ZERO: u16 = 0;
 const ST_ACCUM: u16 = 1;
@@ -419,8 +419,7 @@ fn sparse_dense_tiled(
                     )?;
                 }
                 // Entry row + weight reads, then the in-place accumulate.
-                let row = |d: &Device| d.peek_at(entries.addr(2 * k)).raw() as u16 as u32;
-                let a = acc.addr(row(t.device()));
+                let a = acc.addr(t.peek_at(entries.addr(2 * k)).raw() as u16 as u32);
                 iterate(
                     t,
                     rt,
@@ -616,7 +615,7 @@ mod tests {
     use crate::exec::tests_support::tiny_cnn;
     use crate::sonic::tests::{fnv, fold_fram, fold_report};
     use intermittent::sched::{run_observed, SchedulerConfig};
-    use mcu::{DeviceSpec, FaultKind, FaultPlan, PowerSystem};
+    use mcu::{Device, DeviceSpec, FaultKind, FaultPlan, PowerSystem};
     use std::sync::{Arc, Mutex};
 
     fn msp() -> DeviceSpec {

@@ -362,7 +362,7 @@ impl AlpacaRt {
         if let Some(k) = self.find(addr) {
             return Ok(self.log[k].v);
         }
-        let v = t.device().peek_at(addr);
+        let v = t.peek_at(addr);
         if t.device().verify_at(addr) {
             return Ok(v);
         }

@@ -1302,11 +1302,21 @@ impl<const ITERATION: bool> Taped<'_, ITERATION> {
         self.dev.note_corruption(region)
     }
 
-    /// The device, for uncharged checks: peeks, ECC verifies, the
-    /// accounting context.
+    /// The device, for uncharged checks: ECC verifies, the accounting
+    /// context.
     #[inline(always)]
     pub fn device(&self) -> &Device {
         self.dev
+    }
+
+    /// An uncharged host-side read of a raw FRAM address
+    /// ([`Device::peek_at`]): the runtime's own look at a word, such as a
+    /// redo log's home read. Prefer it to a peek through
+    /// [`Taped::device`]: a repeating iteration's copy for an unwatched
+    /// device tests no watch.
+    #[inline(always)]
+    pub fn peek_at(&self, addr: NvAddr) -> Q15 {
+        self.dev.prepaid_peek(addr, self.watched)
     }
 
     #[inline(always)]

@@ -46,8 +46,10 @@
 //! write, or none ([`FirstAccess`]). Every path that touches FRAM —
 //! metered, pre-charged, funded and taped accesses, DMA, flashing, ECC
 //! verifies and host peeks — reports to it, in host-time order. A device
-//! with no watch armed pays one branch per FRAM access and behaves
-//! bit-identically.
+//! with no watch armed behaves bit-identically. Its funded loops and
+//! taped iterations run in a copy compiled for the unwatched case, so
+//! their accesses test nothing; the metered, block and host paths test
+//! the watch once per call.
 
 #[cfg(debug_assertions)]
 use crate::bundle::add_counts;
@@ -1220,9 +1222,16 @@ impl Device {
             }
         }
         self.ops_consumed = end;
-        let watched = self.watched();
-        for (addr, v) in writes {
-            self.prepaid_write_at(addr, v, watched);
+        // One loop per watch state, so that an unwatched device's writes
+        // test nothing.
+        if self.watched() {
+            for (addr, v) in writes {
+                self.prepaid_write_at(addr, v, true);
+            }
+        } else {
+            for (addr, v) in writes {
+                self.prepaid_write_at(addr, v, false);
+            }
         }
         true
     }
@@ -1430,6 +1439,7 @@ impl Device {
     /// [`Device::nv_store`] without the watch test, for the per-word
     /// loops of block stores, which report their whole span to the watch
     /// once.
+    #[inline]
     fn nv_land(&mut self, addr: u32, v: i16) {
         if let Some(k) = self.guard_index(addr) {
             self.guard_shadow[k].1 = v;
@@ -1610,6 +1620,20 @@ impl Device {
     #[inline]
     pub fn peek_at(&self, addr: NvAddr) -> Q15 {
         self.watch_read(addr.0, 1);
+        Q15::from_raw(self.fram[addr.0 as usize])
+    }
+
+    /// [`Device::peek_at`] that tests the watch only when `watched` (see
+    /// [`Device::nv_store`]).
+    #[inline(always)]
+    pub(crate) fn prepaid_peek(&self, addr: NvAddr, watched: bool) -> Q15 {
+        debug_assert!(
+            watched || self.watch.is_none(),
+            "an unwatched peek on a watched device"
+        );
+        if watched {
+            self.watch_read(addr.0, 1);
+        }
         Q15::from_raw(self.fram[addr.0 as usize])
     }
 
@@ -4056,6 +4080,24 @@ mod tests {
                 d.run_tape(&mut [], |t| {
                     t.device().peek_at(f.addr(1));
                     Ok(())
+                })
+                .unwrap();
+            }),
+            case("taped peek_at", false, Read, |d, f, _| {
+                d.run_tape(&mut [], |t| {
+                    t.peek_at(f.addr(1));
+                    Ok(())
+                })
+                .unwrap();
+            }),
+            case("taped iteration peek_at", false, Read, |d, f, _| {
+                d.run_tape(&mut [Site::default()], |t| {
+                    (0..4).try_for_each(|i| {
+                        t.iterate(0, |t| {
+                            t.peek_at(f.addr(i));
+                            t.op(Op::Alu)
+                        })
+                    })
                 })
                 .unwrap();
             }),
