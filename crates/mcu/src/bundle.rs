@@ -1355,25 +1355,16 @@ impl Device {
         let mut rec = self.tape.take().unwrap_or_default();
         rec.restart(sites.len());
         let phase = self.context().1;
-        macro_rules! run_body {
-            ($watched:literal) => {
-                body(&mut Taped {
-                    watched: $watched,
-                    dev: self,
-                    sites,
-                    rec: &mut rec,
-                    phase,
-                    record: false,
-                    skipped: 0,
-                })
-            };
-        }
-        // One copy of the body per watch state, as in the funded loop.
-        let r = if self.watched() {
-            run_body!(true)
-        } else {
-            run_body!(false)
-        };
+        let watched = self.watched();
+        let r = body(&mut Taped {
+            watched,
+            dev: self,
+            sites,
+            rec: &mut rec,
+            phase,
+            record: false,
+            skipped: 0,
+        });
         let settled = self.settle_tape(&mut rec, sites, phase);
         self.tape = Some(rec);
         settled.and(r)
